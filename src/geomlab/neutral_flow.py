@@ -101,25 +101,26 @@ class LineSpaceChart:
     def metric_and_christoffel(self, pts):
         """Exact G_AB and Gamma^D_AB of the chart metric at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
         vs = jets.variables([pts[:, k] for k in range(4)], order=2)
         u, V = self._sigma(*vs)
-        # first-order jets of the coordinate tangents
-        basis = []
-        for a in range(4):
-            du = [jets.Jet(u[i].g[a], u[i].h[a]) for i in range(3)]
-            dV = [jets.Jet(V[i].g[a], V[i].h[a]) for i in range(3)]
-            basis.append((du, dV))
-        u1 = [jets.Jet(u[i].f, u[i].g) for i in range(3)]
-        v1 = [jets.Jet(V[i].f, V[i].g) for i in range(3)]
-        g4 = np.empty((n, 4, 4))
-        dg4 = np.empty((n, 4, 4, 4))
-        for a in range(4):
-            for b in range(a, 4):
-                entry = _metric_c(u1, v1, *basis[a], *basis[b])
-                g4[:, a, b] = g4[:, b, a] = np.broadcast_to(entry.f, (n,))
-                for k in range(4):
-                    dg4[:, k, a, b] = dg4[:, k, b, a] = np.broadcast_to(entry.g[k], (n,))
+        # first-order jets of the point, shape (1, n), and of the four
+        # coordinate tangents stacked along a direction axis, shape (4, n).
+        # The tangent's derivative part is h[a, k] (not h[k, a]): jet
+        # Hessians are symmetric only up to rounding.
+        point = [jets.Jet(c.f[None], c.g[:, None]) for c in u + V]
+        tangent = [jets.Jet(c.g, c.h.swapaxes(0, 1)) for c in u + V]
+        ju, jv = _apply_j_c(point[:3], point[3:], tangent[:3], tangent[3:])
+        rows = [jets.Jet(c.f[:, None], c.g[:, :, None]) for c in ju + jv]
+        cols = [jets.Jet(c.f[None], c.g[:, None]) for c in tangent]
+        entry = _omega_c(rows[:3], rows[3:], cols[:3], cols[3:])
+        # entry.f[a, b, n] and entry.g[k, a, b, n]; keep the upper triangle
+        # (a <= b), mirror it, and lay it out point-major and contiguous
+        # (inv and einsum round differently on strided input)
+        upper = np.triu(np.ones((4, 4), dtype=bool))[..., None]
+        g4 = np.where(upper, entry.f, entry.f.swapaxes(0, 1))
+        dg4 = np.where(upper, entry.g, entry.g.swapaxes(1, 2))
+        g4 = np.ascontiguousarray(g4.transpose(2, 0, 1))
+        dg4 = np.ascontiguousarray(dg4.transpose(3, 0, 1, 2))
         ginv = np.linalg.inv(g4)
         term = dg4 + dg4.transpose(0, 2, 1, 3) - dg4.transpose(0, 2, 3, 1)
         gamma = 0.5 * np.einsum("ndc,nabc->ndab", ginv, term)
@@ -233,8 +234,8 @@ class FlowState:
         return self.f.shape[:2]
 
 
-def _fd_derivatives(f, dx, dy):
-    """First and second central differences; one-sided first at the edges."""
+def _fd_first(f, dx, dy):
+    """Central first differences; one-sided at the edges."""
     d1 = np.empty(f.shape[:2] + (2,) + f.shape[2:])
     d1[1:-1, :, 0] = (f[2:] - f[:-2]) / (2 * dx)
     d1[0, :, 0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
@@ -242,7 +243,12 @@ def _fd_derivatives(f, dx, dy):
     d1[:, 1:-1, 1] = (f[:, 2:] - f[:, :-2]) / (2 * dy)
     d1[:, 0, 1] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * dy)
     d1[:, -1, 1] = (3 * f[:, -1] - 4 * f[:, -2] + f[:, -3]) / (2 * dy)
+    return d1
 
+
+def _fd_derivatives(f, dx, dy):
+    """First and second central differences; one-sided first at the edges."""
+    d1 = _fd_first(f, dx, dy)
     d2 = np.zeros(f.shape[:2] + (2, 2) + f.shape[2:])
     d2[1:-1, :, 0, 0] = (f[2:] - 2 * f[1:-1] + f[:-2]) / dx ** 2
     d2[:, 1:-1, 1, 1] = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / dy ** 2
@@ -271,7 +277,9 @@ def flow_geometry(state):
 
     lo, hi = sym_eig2_batch(np.ascontiguousarray(gram.reshape(-1, 2, 2)))
     margin = float(np.min(lo))
-    if margin <= 0.0:
+    if not margin > 0.0:
+        if not np.isfinite(margin):
+            raise SignatureLossError(f"induced metric is not finite (margin {margin})")
         raise SignatureLossError(
             f"induced metric lost definiteness (margin {margin:.3e})")
 
@@ -296,9 +304,12 @@ def flow_geometry(state):
     }
 
 
-def mean_curvature_vector(state):
-    """Mean curvature field H in chart components, zero on the boundary ring."""
-    geo = flow_geometry(state)
+def mean_curvature_vector(state, geo=None):
+    """Mean curvature field H in chart components, zero on the boundary ring.
+
+    ``geo`` is ``flow_geometry(state)`` when the caller already has it."""
+    if geo is None:
+        geo = flow_geometry(state)
     h_field = geo["mean_curv"].copy()
     h_field[0, :] = h_field[-1, :] = 0.0
     h_field[:, 0] = h_field[:, -1] = 0.0
@@ -410,8 +421,18 @@ def angle_penalty_step(state, rate=None, probe=1e-6):
     the per-sample move clamped to a fraction of the grid spacing.
     Returns the post-step residual.
     """
+    return _angle_penalty(state, flow_geometry(state), rate, probe)[0]
+
+
+def _angle_penalty(state, geo, rate=None, probe=1e-6):
+    """``angle_penalty_step`` from the pre-nudge geometry ``geo``; returns
+    the post-step residual and the post-step geometry.
+
+    The gradient probes move only first-interior fibers, so the boundary
+    samples and their chart metric stay those of ``geo``; each probe only
+    re-differences the disc instead of evaluating the full geometry.
+    """
     rate = state.angle_rate if rate is None else rate
-    geo = flow_geometry(state)
     base = boundary_angle_cosh(state, geo)
     if state.cosh_target is None:
         state.cosh_target = float(np.mean(base))
@@ -422,10 +443,8 @@ def angle_penalty_step(state, rate=None, probe=1e-6):
         trial = state.f.copy()
         for (_, (ii, jj)) in pairs:
             trial[ii, jj, 2 + k] += probe
-        trial_state = FlowState(state.chart, state.x_axis, state.y_axis, trial,
-                                state.section, state.h, state.t,
-                                cosh_target=target)
-        vals = boundary_angle_cosh(trial_state, flow_geometry(trial_state))
+        probed = {"g4": geo["g4"], "d1": _fd_first(trial, geo["dx"], geo["dy"])}
+        vals = boundary_angle_cosh(state, probed)
         grads[:, k] = (vals - base) / probe
     err = base - target
     norm_sq = np.sum(grads ** 2, axis=1)
@@ -445,7 +464,15 @@ def angle_penalty_step(state, rate=None, probe=1e-6):
     accum[nonzero] /= count[nonzero][:, None]
     state.f[..., 2:] -= accum
     geo2 = flow_geometry(state)
-    return float(np.mean(np.abs(boundary_angle_cosh(state, geo2) - target)))
+    return float(np.mean(np.abs(boundary_angle_cosh(state, geo2) - target))), geo2
+
+
+def _check_in_chart(r, limit, where):
+    """ChartDomainError unless every chart radius is below the limit."""
+    if not np.all(r < limit):
+        if not np.all(np.isfinite(r)):
+            raise ChartDomainError(f"{where} sample is not finite")
+        raise ChartDomainError(f"{where} sample ran off the hemisphere chart")
 
 
 def project_boundary(state):
@@ -453,9 +480,7 @@ def project_boundary(state):
     mask = boundary_mask(state.shape)
     xb = state.f[mask][:, 0]
     yb = state.f[mask][:, 1]
-    r = np.sqrt(xb ** 2 + yb ** 2)
-    if np.any(r >= state.chart_limit):
-        raise ChartDomainError("boundary sample ran off the hemisphere chart")
+    _check_in_chart(np.sqrt(xb ** 2 + yb ** 2), state.chart_limit, "boundary")
     w1, w2 = state.section.fiber(xb, yb)
     fib = state.f[mask]
     fib[:, 2] = w1
@@ -463,24 +488,25 @@ def project_boundary(state):
     state.f[mask] = fib
 
 
-def flow_step(state):
-    """One explicit step: interior moves by h*H, boundary re-projected."""
-    h_field, geo = mean_curvature_vector(state)
+def flow_step(state, geo=None):
+    """One explicit step: interior moves by h*H, boundary re-projected.
+
+    ``geo`` is ``flow_geometry(state)`` when the caller already has it.
+    Returns the post-step geometry, which is the next step's ``geo``.
+    """
+    h_field, geo = mean_curvature_vector(state, geo)
     max_h = float(np.max(np.sqrt(np.sum(h_field ** 2, axis=-1))))
     state.f = state.f + state.h * h_field
     interior = ~boundary_mask(state.shape)
     r_int = np.sqrt(state.f[..., 0] ** 2 + state.f[..., 1] ** 2)
-    if np.any(r_int[interior] >= state.chart_limit):
-        raise ChartDomainError("interior sample ran off the hemisphere chart")
+    _check_in_chart(r_int[interior], state.chart_limit, "interior")
     project_boundary(state)
-    ang_res = float("nan")
     if state.angle_rate > 0.0:
-        ang_res = angle_penalty_step(state)
-    state.t += state.h
-
-    geo_after = flow_geometry(state)
-    if not (state.angle_rate > 0.0):
+        ang_res, geo_after = _angle_penalty(state, flow_geometry(state))
+    else:
+        geo_after = flow_geometry(state)
         ang_res = angle_residual(state, geo_after)
+    state.t += state.h
     diag = FlowDiagnostics(
         step=len(state.diagnostics), time=state.t,
         area=induced_area(state, geo_after),
@@ -491,7 +517,7 @@ def flow_step(state):
         dbar_target=state.dbar_c / (1.0 + state.t),
     )
     state.diagnostics.append(diag)
-    return state
+    return geo_after
 
 
 # -- configuration ------------------------------------------------------------
@@ -566,7 +592,7 @@ def run_flow(config=None, **overrides):
     state, cfg = build_state(config, **overrides)
     try:
         geo = flow_geometry(state)
-        h_field, _ = mean_curvature_vector(state)
+        h_field, _ = mean_curvature_vector(state, geo)
     except (SignatureLossError, ChartDomainError) as err:
         state.halted = f"{type(err).__name__}: {err}"
         return state, []
@@ -580,7 +606,7 @@ def run_flow(config=None, **overrides):
     every = int(cfg["snapshot_every"])
     for step in range(int(cfg["steps"])):
         try:
-            flow_step(state)
+            geo = flow_step(state, geo)
         except (SignatureLossError, ChartDomainError) as err:
             state.halted = f"{type(err).__name__}: {err}"
             break

@@ -93,7 +93,9 @@ def fundamental_forms(surface, metric, s, t):
     first = np.einsum("nai,nij,nbj->nab", d1, g, d1)
     det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
     scale = np.einsum("nai,nai->n", d1, d1)
-    if np.any(det_first <= 1e-14 * np.maximum(scale, 1.0) ** 2):
+    if not np.all(det_first > 1e-14 * np.maximum(scale, 1.0) ** 2):
+        if not np.all(np.isfinite(det_first)):
+            raise ImmersionError("coordinate tangents are not finite")
         raise ImmersionError("coordinate tangents are (numerically) dependent")
 
     # normal: cross product of the two covectors g.dX annihilates both tangents

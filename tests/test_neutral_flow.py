@@ -37,26 +37,33 @@ def test_chart_metric_matches_structure_kernels():
 
 
 def test_chart_christoffels_match_finite_differences():
+    # one batched call over distinct points, each checked against its own
+    # finite differences, so a mix-up of the point and direction axes shows
     chart = nf.LineSpaceChart((0.0, 0.0, 1.0))
-    p = np.array([0.25, -0.15, 0.2, 0.1])
-    _, gamma = chart.metric_and_christoffel(p[None])
+    pts = np.array([[0.25, -0.15, 0.2, 0.1],
+                    [-0.4, 0.3, -0.1, 0.35],
+                    [0.1, 0.45, 0.5, -0.25],
+                    [-0.2, -0.3, 0.0, 0.6]])
+    g4, gamma = chart.metric_and_christoffel(pts)
+    assert np.array_equal(g4, chart.metric(pts))
     h = 1e-5
-    dg = np.zeros((4, 4, 4))
-    for k in range(4):
-        pp, pm = p.copy(), p.copy()
-        pp[k] += h
-        pm[k] -= h
-        dg[k] = chart.metric(pp[None])[0] - chart.metric(pm[None])[0]
-        dg[k] /= 2 * h
-    ginv = np.linalg.inv(chart.metric(p[None])[0])
-    gamma_fd = np.zeros((4, 4, 4))
-    for d in range(4):
-        for a in range(4):
-            for b in range(4):
-                s = sum(ginv[d, c] * (dg[a, b, c] + dg[b, a, c] - dg[c, a, b])
-                        for c in range(4))
-                gamma_fd[d, a, b] = 0.5 * s
-    assert np.max(np.abs(gamma[0] - gamma_fd)) < 1e-6
+    for n, p in enumerate(pts):
+        dg = np.zeros((4, 4, 4))
+        for k in range(4):
+            pp, pm = p.copy(), p.copy()
+            pp[k] += h
+            pm[k] -= h
+            dg[k] = chart.metric(pp[None])[0] - chart.metric(pm[None])[0]
+            dg[k] /= 2 * h
+        ginv = np.linalg.inv(chart.metric(p[None])[0])
+        gamma_fd = np.zeros((4, 4, 4))
+        for d in range(4):
+            for a in range(4):
+                for b in range(4):
+                    s = sum(ginv[d, c] * (dg[a, b, c] + dg[b, a, c] - dg[c, a, b])
+                            for c in range(4))
+                    gamma_fd[d, a, b] = 0.5 * s
+        assert np.max(np.abs(gamma[n] - gamma_fd)) < 1e-6
 
 
 def test_holomorphic_affine_disc_is_stationary():
@@ -168,3 +175,63 @@ def test_stagnation_stops_early():
                             "steps": 50, "stagnation_tol": 1e-8})
     assert state.halted == "stagnation"
     assert len(state.diagnostics) < 10
+
+
+def _counting_flow_geometry(monkeypatch):
+    calls = []
+    original = nf.flow_geometry
+
+    def counted(state):
+        calls.append(1)
+        return original(state)
+    monkeypatch.setattr(nf, "flow_geometry", counted)
+    return calls
+
+
+@pytest.mark.parametrize("angle_rate, per_step", [(0.0, 1), (0.2, 2)])
+def test_run_flow_evaluates_geometry_once_per_new_state(monkeypatch, angle_rate, per_step):
+    # one evaluation of the start state, then one per state a step keeps:
+    # the post-step state, plus the projected state before an angle nudge
+    calls = _counting_flow_geometry(monkeypatch)
+    steps = 4
+    state, _ = nf.run_flow({"grid_n": 11, "steps": steps, "perturbation": 0.03,
+                            "angle_rate": angle_rate})
+    assert state.halted == "" and len(state.diagnostics) == steps + 1
+    assert len(calls) == 1 + per_step * steps
+
+
+@pytest.mark.parametrize("angle_rate", [0.0, 0.2])
+def test_reused_geometry_matches_recomputed(angle_rate):
+    cfg = {"grid_n": 11, "steps": 5, "perturbation": 0.04, "angle_rate": angle_rate}
+    reused, _ = nf.run_flow(cfg)
+    fresh, _ = nf.build_state(cfg)
+    nf.angle_residual(fresh)  # fixes the angle target, as run_flow's first row does
+    for _ in range(cfg["steps"]):
+        nf.flow_step(fresh)  # recomputes the pre-step geometry
+    assert len(reused.diagnostics) == len(fresh.diagnostics) + 1
+    for a, b in zip(reused.diagnostics[1:], fresh.diagnostics):
+        # the hand loop has no step-0 row, so its step numbers run one behind
+        assert a.step == b.step + 1
+        assert np.array_equal(a.as_row()[1:], b.as_row()[1:], equal_nan=True)
+    assert np.array_equal(reused.f, fresh.f)
+
+
+def test_nan_fiber_is_signature_loss_with_state_intact():
+    state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
+    state.f[5, 5, 2] = np.nan
+    snapshot = state.f.copy()
+    with pytest.raises(SignatureLossError, match="not finite"):
+        nf.flow_step(state)
+    assert np.array_equal(state.f, snapshot, equal_nan=True)
+
+
+def test_nan_chart_coordinate_is_chart_domain_error():
+    state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
+    state.f[0, 4, 0] = np.nan
+    with pytest.raises(ChartDomainError, match="boundary sample is not finite"):
+        nf.project_boundary(state)
+    # a non-finite step length drives every interior x to NaN
+    state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
+    state.h = float("nan")
+    with pytest.raises(ChartDomainError, match="interior sample is not finite"):
+        nf.flow_step(state)

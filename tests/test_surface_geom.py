@@ -83,6 +83,12 @@ def test_degenerate_frame_raises():
         sg.fundamental_forms(pin, FLAT, 0.5, 0.5)
 
 
+def test_nan_point_raises_immersion_error():
+    sphere = sg.surface_by_name("round-sphere")
+    with pytest.raises(ImmersionError, match="not finite"):
+        sg.fundamental_forms(sphere, FLAT, np.array([0.5, np.nan]), np.array([0.5, 0.5]))
+
+
 def test_normality_residuals():
     metric = ct.metric_by_name("hopf-eps", eps=0.45)
     rng = np.random.default_rng(5)
