@@ -160,17 +160,14 @@ def cmd_umbilics(args):
     else:
         metric = ct.metric_by_name("flat-r3")
     grid = tuple(int(x) for x in args.grid.split("x"))
-    records = ut.umbilic_scan(surface, metric, grid=grid)
-    ut.attach_indices(surface, metric, [r for r in records if r.isolated],
-                      grid=grid)
+    audit = ut.conjecture_audit(surface, metric, grid=grid)
     out = _out_dir(args)
     rows = [[r.s, r.t, r.disc_min,
              r.index_num if r.index_num is not None else "",
-             r.isolated] for r in records]
+             r.isolated] for r in audit["records"]]
     _write_csv(os.path.join(out, "umbilics.csv"),
                ["s", "t", "discriminant", "index_num", "isolated"],
                rows, not args.no_timestamp)
-    audit = ut.conjecture_audit(surface, metric, grid=grid)
     payload = sc._audit_values(audit)
     _write_json(os.path.join(out, "umbilics_audit.json"), payload,
                 not args.no_timestamp)

@@ -1,30 +1,9 @@
-"""Hot numeric kernels: numba-compiled loops with a pure-numpy fallback.
+"""Hot numeric kernels, vectorised with numpy.
 
-The numba path is the default whenever numba imports; set
-``GEOMLAB_NO_NUMBA=1`` to force the vectorised numpy twins instead (the
-two paths agree to machine precision and are compared by
-``benchmarks/bench_kernels.py``).  Every kernel is a pure function of its
-array arguments.
+Every kernel is a pure function of its array arguments.
 """
 
-import os
-
 import numpy as np
-
-_want_numba = os.environ.get("GEOMLAB_NO_NUMBA", "0") != "1"
-try:
-    from numba import njit
-    _have_numba = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    _have_numba = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-USE_NUMBA = _want_numba and _have_numba
-BACKEND = "numba" if USE_NUMBA else "numpy"
 
 
 # -- shape operator ------------------------------------------------------
@@ -32,7 +11,7 @@ BACKEND = "numba" if USE_NUMBA else "numpy"
 # Outputs: trace of the shape operator I^-1 II, its eigenvalues k1 >= k2,
 # and the squared eigenvalue gap (k1-k2)^2, which is smooth through zero.
 
-def _shape_operator_np(first, second):
+def shape_operator_batch(first, second):
     a, b = first[:, 0, 0], first[:, 0, 1]
     c = first[:, 1, 1]
     p, q = second[:, 0, 0], second[:, 0, 1]
@@ -52,59 +31,11 @@ def _shape_operator_np(first, second):
     return tr, k1, k2, gap_sq
 
 
-@njit(cache=True)
-def _shape_operator_nb(first, second):
-    n = first.shape[0]
-    tr = np.empty(n)
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    gap_sq = np.empty(n)
-    for i in range(n):
-        a = first[i, 0, 0]
-        b = first[i, 0, 1]
-        c = first[i, 1, 1]
-        p = second[i, 0, 0]
-        q = second[i, 0, 1]
-        r = second[i, 1, 1]
-        det_i = a * c - b * b
-        s00 = (c * p - b * q) / det_i
-        s01 = (c * q - b * r) / det_i
-        s10 = (a * q - b * p) / det_i
-        s11 = (a * r - b * q) / det_i
-        t = s00 + s11
-        d = s00 * s11 - s01 * s10
-        g = t * t - 4.0 * d
-        if g < 0.0:
-            g = 0.0
-        hg = 0.5 * np.sqrt(g)
-        tr[i] = t
-        k1[i] = 0.5 * t + hg
-        k2[i] = 0.5 * t - hg
-        gap_sq[i] = g
-    return tr, k1, k2, gap_sq
-
-
 # -- pointwise squared tensor norm ---------------------------------------
 # |dg|^2 = ginv^{ik} ginv^{jl} dg_ij dg_kl, batched over points.
 
-def _tensor_norm_sq_np(ginv, dg):
+def tensor_norm_sq_batch(ginv, dg):
     return np.einsum("nik,njl,nij,nkl->n", ginv, ginv, dg, dg, optimize=True)
-
-
-@njit(cache=True)
-def _tensor_norm_sq_nb(ginv, dg):
-    n = ginv.shape[0]
-    d = ginv.shape[1]
-    out = np.zeros(n)
-    for m in range(n):
-        acc = 0.0
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        acc += ginv[m, i, k] * ginv[m, j, l] * dg[m, i, j] * dg[m, k, l]
-        out[m] = acc
-    return out
 
 
 # -- winding accumulation --------------------------------------------------
@@ -113,7 +44,7 @@ def _tensor_norm_sq_nb(ginv, dg):
 # Returns the total accumulated rotation, including the closing step back
 # to the first sample.
 
-def _winding_np(angles, period):
+def winding_total(angles, period):
     closed = np.concatenate([angles, angles[:1]])
     steps = np.diff(closed)
     half = 0.5 * period
@@ -121,57 +52,12 @@ def _winding_np(angles, period):
     return float(np.sum(steps))
 
 
-@njit(cache=True)
-def _winding_nb(angles, period):
-    total = 0.0
-    half = 0.5 * period
-    n = angles.shape[0]
-    for i in range(n):
-        nxt = angles[(i + 1) % n]
-        step = (nxt - angles[i] + half) % period - half
-        total += step
-    return total
-
-
 # -- symmetric 2x2 eigenvalues --------------------------------------------
 
-def _sym_eig2_np(mats):
+def sym_eig2_batch(mats):
     a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
     mean = 0.5 * (a + c)
     rad = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
     lo = mean - rad
     hi = mean + rad
     return lo, hi
-
-
-@njit(cache=True)
-def _sym_eig2_nb(mats):
-    n = mats.shape[0]
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i in range(n):
-        a = mats[i, 0, 0]
-        b = mats[i, 0, 1]
-        c = mats[i, 1, 1]
-        mean = 0.5 * (a + c)
-        rad = np.sqrt(0.25 * (a - c) ** 2 + b * b)
-        lo[i] = mean - rad
-        hi[i] = mean + rad
-    return lo, hi
-
-
-def _dispatch(nb_impl, np_impl):
-    return nb_impl if USE_NUMBA else np_impl
-
-
-shape_operator_batch = _dispatch(_shape_operator_nb, _shape_operator_np)
-tensor_norm_sq_batch = _dispatch(_tensor_norm_sq_nb, _tensor_norm_sq_np)
-winding_total = _dispatch(_winding_nb, _winding_np)
-sym_eig2_batch = _dispatch(_sym_eig2_nb, _sym_eig2_np)
-
-IMPLEMENTATIONS = {
-    "shape_operator_batch": (_shape_operator_np, _shape_operator_nb),
-    "tensor_norm_sq_batch": (_tensor_norm_sq_np, _tensor_norm_sq_nb),
-    "winding_total": (_winding_np, _winding_nb),
-    "sym_eig2_batch": (_sym_eig2_np, _sym_eig2_nb),
-}

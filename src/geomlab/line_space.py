@@ -27,6 +27,7 @@ from . import jets
 from .errors import ChartDomainError, UnreliableLoopError
 from .kernels import winding_total
 from .surface_geom import _jet_map
+from .umbilic_topology import _local_minima, _param_distance, _refine_minima
 
 TWO_PI = 2.0 * np.pi
 CONSTRAINT_TOL = 1e-12
@@ -574,56 +575,42 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
 
     ds = section.s_axis[1] - section.s_axis[0]
     dt = section.t_axis[1] - section.t_axis[0]
+    seeds = _local_minima(mag, section.periodic)
+    seeds = seeds[mag[seeds[:, 0], seeds[:, 1]] <= 0.25 * np.median(mag)]
+    if len(seeds) == 0:
+        return []
+    s, t = section.s_axis[seeds[:, 0]], section.t_axis[seeds[:, 1]]
+    # the parameter rectangle the grid samples: periodic axes start at 0,
+    # other axes are cell-centred (see normal_congruence)
+    domain = [(ax[0], ax[0] + len(ax) * d) if per else (ax[0] - 0.5 * d, ax[-1] + 0.5 * d)
+              for ax, d, per in zip((section.s_axis, section.t_axis), (ds, dt),
+                                    section.periodic)]
     source = section.source
+    if source is None:
+        ok = np.ones(len(seeds), dtype=bool)
+        final = mag[seeds[:, 0], seeds[:, 1]]
+        directions = section.u[seeds[:, 0], seeds[:, 1]]
+    else:
+        s, t, ok = _refine_minima(
+            lambda s, t: np.abs(_psi_at(source, s, t, center)) ** 2,
+            s, t, (ds, dt), domain, section.periodic, refine_iters)
+        final = np.abs(_psi_at(source, s, t, center))
+        directions = source.eval(s, t)[0]
     records = []
-    from .umbilic_topology import _local_minima
-    for i, j in _local_minima(mag, section.periodic):
-        if mag[i, j] > 0.25 * np.median(mag):
+    for k in np.flatnonzero(ok & (final < tol)):
+        if any(np.all(_param_distance(domain, section.periodic, (s[k], t[k]), (r.s, r.t))
+                      < (2 * ds, 2 * dt)) for r in records):
             continue
-        s_c, t_c = float(section.s_axis[i]), float(section.t_axis[j])
+        rec = ComplexPointRecord(float(s[k]), float(t[k]),
+                                 tuple(np.asarray(directions[k], float)),
+                                 float(final[k]), isolated=True)
         if source is not None:
-            s_c, t_c = _refine_zero(source, s_c, t_c, ds, dt, center, refine_iters)
-            final = float(np.abs(_psi_at(source, s_c, t_c, center))[0])
-        else:
-            final = float(mag[i, j])
-        if final >= tol:
-            continue
-        if any(abs(r.s - s_c) < 2 * ds and abs(r.t - t_c) < 2 * dt for r in records):
-            continue
-        u_here = (source.eval(s_c, t_c)[0][0] if source is not None
-                  else section.u[i, j])
-        rec = ComplexPointRecord(s_c, t_c, tuple(np.asarray(u_here, float)),
-                                 final, isolated=True)
-        if source is not None:
-            rec.winding = _zero_winding(source, s_c, t_c, loop_cells * ds,
+            rec.winding = _zero_winding(source, rec.s, rec.t, loop_cells * ds,
                                         loop_cells * dt, center)
             rec.index = rec.winding / 2.0
         records.append(rec)
     records.sort(key=lambda r: (r.s, r.t))
     return records
-
-
-def _refine_zero(source, s_c, t_c, ds, dt, center, iters):
-    span_s, span_t = ds, dt
-    offs = np.linspace(-1.0, 1.0, 5)
-    for _ in range(iters):
-        sm, tm = np.meshgrid(s_c + offs * span_s, t_c + offs * span_t, indexing="ij")
-        vals = np.abs(_psi_at(source, sm.ravel(), tm.ravel(), center)) ** 2
-        x = (sm.ravel() - s_c) / span_s
-        y = (tm.ravel() - t_c) / span_t
-        basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-        hess = np.array([[2 * coef[3], coef[4]], [coef[4], 2 * coef[5]]])
-        rhs = -np.array([coef[1], coef[2]])
-        try:
-            step = np.clip(np.linalg.solve(hess, rhs), -2.0, 2.0)
-        except np.linalg.LinAlgError:
-            step = np.zeros(2)
-        s_c += step[0] * span_s
-        t_c += step[1] * span_t
-        span_s *= 0.25
-        span_t *= 0.25
-    return s_c, t_c
 
 
 def _chart_orientation(u_loop, center):

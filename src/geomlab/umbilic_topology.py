@@ -70,21 +70,18 @@ def _cells(surface, grid):
     return ss, tt, ds, dt
 
 
-def _grid_eval(surface, metric, ss, tt, chunk=1 << 16):
-    sm, tm = np.meshgrid(ss, tt, indexing="ij")
-    flat_s, flat_t = sm.ravel(), tm.ravel()
-    disc_sq = np.empty(flat_s.shape)
-    kmax = 0.0
-    for start in range(0, flat_s.shape[0], chunk):
-        rep = fundamental_forms(surface, metric, flat_s[start:start + chunk],
-                                tt_block := flat_t[start:start + chunk])
-        disc_sq[start:start + len(tt_block)] = rep.disc_sq
-        kmax = max(kmax, float(np.max(np.abs(rep.k1))), float(np.max(np.abs(rep.k2))))
-    return disc_sq.reshape(len(ss), len(tt)), kmax
+def _grid_eval(field, s, t, chunk=1 << 16):
+    """``field`` (one value or row per point of flat s, t arrays) at points
+    of any shape, ``chunk`` points per call."""
+    flat_s, flat_t = np.ravel(s), np.ravel(t)
+    out = np.concatenate([field(flat_s[k:k + chunk], flat_t[k:k + chunk])
+                          for k in range(0, flat_s.size, chunk)])
+    return out.reshape(np.shape(s) + out.shape[1:])
 
 
 def _local_minima(values, periodic):
-    """Cells not exceeded by any of their 8 neighbours."""
+    """Cells below their 4 lexicographically later neighbours and not above
+    the 4 earlier ones, so a plateau or a tied pair yields one cell."""
     is_min = np.ones(values.shape, dtype=bool)
     for axis_shift in ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)):
         shifted = values
@@ -97,33 +94,55 @@ def _local_minima(values, periodic):
                 idx = [slice(None)] * 2
                 idx[axis] = 0 if sh == 1 else -1
                 valid[tuple(idx)] = False
-        is_min &= ~valid | (values <= shifted)
+        # a negative shift brings the later neighbour (i - sh) onto cell i
+        is_min &= ~valid | (values < shifted if axis_shift < (0, 0) else values <= shifted)
     return np.argwhere(is_min)
 
 
-def _fit_quadratic_min(surface, metric, s_c, t_c, span_s, span_t):
-    """One refinement step: 5x5 stencil quadratic fit of the squared gap."""
-    offs = np.linspace(-1.0, 1.0, 5)
-    sm, tm = np.meshgrid(s_c + offs * span_s, t_c + offs * span_t, indexing="ij")
-    rep = fundamental_forms(surface, metric, sm.ravel(), tm.ravel())
-    x = (sm.ravel() - s_c) / span_s
-    y = (tm.ravel() - t_c) / span_t
-    basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, rep.disc_sq, rcond=None)
-    fitted = basis @ coef
-    scale = float(np.max(rep.disc_sq) - np.min(rep.disc_sq))
-    residual = float(np.max(np.abs(fitted - rep.disc_sq)))
-    hess = np.array([[2 * coef[3], coef[4]], [coef[4], 2 * coef[5]]])
-    rhs = -np.array([coef[1], coef[2]])
-    try:
-        step = np.linalg.solve(hess, rhs)
-    except np.linalg.LinAlgError:
-        step = np.zeros(2)
-    if not np.all(np.isfinite(step)):
-        step = np.zeros(2)
-    step = np.clip(step, -2.0, 2.0)
-    ok = scale <= 0 or residual <= 0.1 * scale
-    return s_c + step[0] * span_s, t_c + step[1] * span_t, ok
+# 5x5 refinement stencil in units of its span (s-major) and the 6x25
+# least-squares fit of c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2 to it,
+# the same for every candidate (a 2-D Savitzky-Golay fit)
+_STENCIL_X, _STENCIL_Y = (a.ravel() for a in np.meshgrid(
+    np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5), indexing="ij"))
+_QUAD_BASIS = np.stack([np.ones(25), _STENCIL_X, _STENCIL_Y, _STENCIL_X ** 2,
+                        _STENCIL_X * _STENCIL_Y, _STENCIL_Y ** 2], axis=1)
+_QUAD_FIT = np.linalg.pinv(_QUAD_BASIS)
+
+
+def _refine_minima(field, s, t, span, domain, periodic, iters):
+    """Refine seeds of a smooth non-negative field towards its minima, together.
+
+    Each iteration evaluates ``field`` once on the 5x5 stencil around every
+    candidate, fits a quadratic, steps to its stationary point (at most two
+    stencil spans; no step where the fit has none), wraps periodic and
+    clamps other parameters into ``domain``, and shrinks the span fourfold.
+    Returns the refined s and t and, per candidate, whether the last fit
+    matched its samples to within a tenth of their range.
+    """
+    pts = np.stack([s, t], axis=-1).astype(float)
+    span = np.array(span, dtype=float)
+    lo, hi = np.array(domain, dtype=float).T
+    width = hi - lo
+    ok = np.ones(len(pts), dtype=bool)
+    for _ in range(iters):
+        vals = _grid_eval(field, pts[:, :1] + span[0] * _STENCIL_X,
+                          pts[:, 1:] + span[1] * _STENCIL_Y)
+        coef = vals @ _QUAD_FIT.T
+        residual = np.max(np.abs(coef @ _QUAD_BASIS.T - vals), axis=1)
+        scale = np.ptp(vals, axis=1)
+        ok = (scale <= 0) | (residual <= 0.1 * scale)
+        # solve [[hxx, hxy], [hxy, hyy]] step = -(c1, c2) in closed form
+        hxx, hxy, hyy = 2 * coef[:, 3], coef[:, 4], 2 * coef[:, 5]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (np.stack([hxy * coef[:, 2] - hyy * coef[:, 1],
+                              hxy * coef[:, 1] - hxx * coef[:, 2]], axis=-1)
+                    / (hxx * hyy - hxy * hxy)[:, None])
+        step[~np.all(np.isfinite(step), axis=1)] = 0.0
+        pts += np.clip(step, -2.0, 2.0) * span
+        pts = np.where(periodic, lo + (pts - lo) % width,
+                       np.clip(pts, lo + 1e-9 * width, hi - 1e-9 * width))
+        span *= 0.25
+    return pts[:, 0], pts[:, 1], ok
 
 
 def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
@@ -135,9 +154,15 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
     single record flagged non-isolated.
     """
     ss, tt, ds, dt = _cells(surface, grid)
-    disc_sq, kmax = _grid_eval(surface, metric, ss, tt)
+
+    def gap_and_curvatures(s, t):
+        rep = fundamental_forms(surface, metric, s, t)
+        return np.stack([rep.disc_sq, np.abs(rep.k1), np.abs(rep.k2)], axis=-1)
+
+    scan = _grid_eval(gap_and_curvatures, *np.meshgrid(ss, tt, indexing="ij"))
+    disc_sq = scan[..., 0]
     if tol is None:
-        tol = 1e-6 * max(kmax, 1e-30)
+        tol = 1e-6 * max(float(np.max(scan[..., 1:])), 1e-30)
     tol_sq = tol * tol
 
     if np.mean(disc_sq < tol_sq) > degenerate_fraction:
@@ -147,79 +172,58 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
                               tuple(np.asarray(rep.point, float)),
                               float(rep.disc), isolated=False)]
 
-    candidates = []
-    for i, j in _local_minima(disc_sq, surface.periodic):
-        s_c, t_c = float(ss[i]), float(tt[j])
-        span_s, span_t = ds, dt
-        ok_fit = True
-        for _ in range(refine_iters):
-            s_c, t_c, ok_fit = _fit_quadratic_min(surface, metric, s_c, t_c, span_s, span_t)
-            s_c, t_c = _clamp_params(surface, s_c, t_c)
-            span_s *= 0.25
-            span_t *= 0.25
-        rep = fundamental_forms(surface, metric, s_c, t_c)
-        if rep.disc < tol and ok_fit:
-            candidates.append((s_c, t_c, float(rep.disc), float(ss[i]), float(tt[j])))
-
+    seeds = _local_minima(disc_sq, surface.periodic)
+    if len(seeds) == 0:
+        return []
+    seed_s, seed_t = ss[seeds[:, 0]], tt[seeds[:, 1]]
+    s, t, ok = _refine_minima(
+        lambda s, t: fundamental_forms(surface, metric, s, t).disc_sq,
+        seed_s, seed_t, (ds, dt), surface.domain, surface.periodic, refine_iters)
+    rep = fundamental_forms(surface, metric, s, t)
+    candidates = [(float(s[k]), float(t[k]), float(rep.disc[k]), rep.point[k],
+                   float(seed_s[k]), float(seed_t[k]))
+                  for k in np.flatnonzero(ok & (rep.disc < tol))]
     records = _merge_candidates(surface, metric, candidates, ds, dt, tol)
     records.sort(key=lambda r: (r.s, r.t))
     return records
 
 
-def _clamp_params(surface, s_c, t_c):
-    (s0, s1), (t0, t1) = surface.domain
-    if surface.periodic[0]:
-        s_c = s0 + (s_c - s0) % (s1 - s0)
-    else:
-        s_c = min(max(s_c, s0 + 1e-9 * (s1 - s0)), s1 - 1e-9 * (s1 - s0))
-    if surface.periodic[1]:
-        t_c = t0 + (t_c - t0) % (t1 - t0)
-    else:
-        t_c = min(max(t_c, t0 + 1e-9 * (t1 - t0)), t1 - 1e-9 * (t1 - t0))
-    return s_c, t_c
-
-
-def _param_distance(surface, p, q):
-    (s0, s1), (t0, t1) = surface.domain
-    dsp = abs(p[0] - q[0])
-    if surface.periodic[0]:
-        dsp = min(dsp, (s1 - s0) - dsp)
-    dtp = abs(p[1] - q[1])
-    if surface.periodic[1]:
-        dtp = min(dtp, (t1 - t0) - dtp)
-    return dsp, dtp
+def _param_distance(domain, periodic, p, q):
+    """Per-parameter gaps between p and q, the short way round periodic seams."""
+    gap = np.abs(np.subtract(p, q))
+    return np.where(periodic, np.minimum(gap, np.ptp(domain, axis=1) - gap), gap)
 
 
 def _merge_candidates(surface, metric, candidates, ds, dt, tol):
+    """Merge candidates (s, t, gap, chart point, seed s, seed t), best first."""
     merged = []
-    for cand in sorted(candidates, key=lambda c: c[2]):
-        s_c, t_c, disc, s_seed, t_seed = cand
-        clash = None
-        for rec in merged:
-            dsp, dtp = _param_distance(surface, (s_c, t_c), (rec.s, rec.t))
-            if dsp < 2 * ds and dtp < 2 * dt:
-                clash = rec
-                break
+    two_cells = (2 * ds, 2 * dt)
+    for s_c, t_c, disc, point, s_seed, t_seed in sorted(candidates, key=lambda c: c[2]):
+        clash = next((rec for rec in merged if np.all(_param_distance(
+            surface.domain, surface.periodic, (s_c, t_c), (rec.s, rec.t)) < two_cells)), None)
         if clash is None:
-            rep = fundamental_forms(surface, metric, s_c, t_c)
-            merged.append(UmbilicRecord(
-                s_c, t_c, tuple(np.asarray(rep.point, float)), disc,
-                isolated=_is_isolated(surface, metric, s_c, t_c, ds, dt, tol)))
-        else:
-            seed_gap = _param_distance(surface, (s_seed, t_seed), (clash.s, clash.t))
-            if seed_gap[0] > 2 * ds or seed_gap[1] > 2 * dt:
-                clash.ambiguous = True
-                warnings.warn(
-                    "scan resolution too coarse to separate umbilic candidates; "
-                    "records merged", stacklevel=3)
+            merged.append(UmbilicRecord(s_c, t_c, tuple(point), disc, isolated=False))
+        elif np.any(_param_distance(surface.domain, surface.periodic,
+                                    (s_seed, t_seed), (clash.s, clash.t)) > two_cells):
+            clash.ambiguous = True
+            warnings.warn(
+                "scan resolution too coarse to separate umbilic candidates; "
+                "records merged", stacklevel=3)
+    if merged:
+        isolated = _is_isolated(surface, metric, [r.s for r in merged],
+                                [r.t for r in merged], ds, dt, tol)
+        for rec, flag in zip(merged, isolated):
+            rec.isolated = bool(flag)
     return merged
 
 
-def _is_isolated(surface, metric, s_c, t_c, ds, dt, tol, n_ring=64):
+def _is_isolated(surface, metric, s, t, ds, dt, tol, n_ring=64):
+    """Whether the gap exceeds ``tol`` on a two-cell ring around each point."""
     phi = np.linspace(0.0, TWO_PI, n_ring, endpoint=False)
-    rep = fundamental_forms(surface, metric,
-                            s_c + 2 * ds * np.cos(phi), t_c + 2 * dt * np.sin(phi))
-    return bool(np.min(rep.disc) > tol)
+    ring_s = np.asarray(s)[:, None] + 2 * ds * np.cos(phi)
+    ring_t = np.asarray(t)[:, None] + 2 * dt * np.sin(phi)
+    rep = fundamental_forms(surface, metric, ring_s.ravel(), ring_t.ravel())
+    return np.min(rep.disc.reshape(ring_s.shape), axis=1) > tol
 
 
 def umbilic_index(surface, metric, record, loop_radius, n_loop=1024, _depth=0):

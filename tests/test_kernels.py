@@ -1,7 +1,5 @@
-"""The numba kernels and their numpy twins must agree to rounding."""
-
-import subprocess
-import sys
+"""Each numpy kernel against an independent twin: the same quantity
+computed by general linear algebra (eigvals, eigvalsh, explicit traces)."""
 
 import numpy as np
 
@@ -13,16 +11,20 @@ def _random_forms(rng, n):
     first = np.einsum("nij,nkj->nik", a, a) + 0.5 * np.eye(2)
     second = rng.normal(size=(n, 2, 2))
     second = 0.5 * (second + second.transpose(0, 2, 1))
-    return np.ascontiguousarray(first), np.ascontiguousarray(second)
+    return first, second
 
 
 def test_shape_operator_twins_agree():
     rng = np.random.default_rng(1)
     first, second = _random_forms(rng, 500)
-    ref = kernels._shape_operator_np(first, second)
-    got = kernels._shape_operator_nb(first, second)
-    for a, b in zip(ref, got):
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+    tr, k1, k2, gap_sq = kernels.shape_operator_batch(first, second)
+    shape_op = np.linalg.inv(first) @ second
+    # I^-1 II is self-adjoint for the metric I, so its eigenvalues are real
+    ev = np.sort(np.linalg.eigvals(shape_op).real, axis=1)
+    assert np.allclose(k1, ev[:, 1], rtol=1e-10, atol=1e-10)
+    assert np.allclose(k2, ev[:, 0], rtol=1e-10, atol=1e-10)
+    assert np.allclose(tr, np.trace(shape_op, axis1=1, axis2=2), rtol=1e-12, atol=1e-12)
+    assert np.allclose(gap_sq, (ev[:, 1] - ev[:, 0]) ** 2, rtol=1e-8, atol=1e-10)
 
 
 def test_tensor_norm_twins_agree():
@@ -31,43 +33,20 @@ def test_tensor_norm_twins_agree():
     ginv = np.einsum("nij,nkj->nik", a, a) + np.eye(3)
     dg = rng.normal(size=(100, 3, 3))
     dg = 0.5 * (dg + dg.transpose(0, 2, 1))
-    ref = kernels._tensor_norm_sq_np(ginv, dg)
-    got = kernels._tensor_norm_sq_nb(np.ascontiguousarray(ginv),
-                                     np.ascontiguousarray(dg))
-    assert np.allclose(ref, got, rtol=1e-12)
-
-
-def test_winding_twins_agree():
-    rng = np.random.default_rng(3)
-    angles = np.mod(np.cumsum(rng.normal(scale=0.2, size=512)), np.pi)
-    ref = kernels._winding_np(angles, np.pi)
-    got = kernels._winding_nb(np.ascontiguousarray(angles), np.pi)
-    assert ref == got or abs(ref - got) < 1e-12
+    ref = [np.trace(gi @ d @ gi @ d) for gi, d in zip(ginv, dg)]
+    assert np.allclose(kernels.tensor_norm_sq_batch(ginv, dg), ref, rtol=1e-12)
 
 
 def test_winding_counts_full_turns():
     phi = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
-    total = kernels._winding_np(np.mod(3.0 * phi, 2 * np.pi), 2 * np.pi)
+    total = kernels.winding_total(np.mod(3.0 * phi, 2 * np.pi), 2 * np.pi)
     assert round(total / (2 * np.pi)) == 3
-    total_nb = kernels._winding_nb(
-        np.ascontiguousarray(np.mod(3.0 * phi, 2 * np.pi)), 2 * np.pi)
-    assert round(total_nb / (2 * np.pi)) == 3
 
 
 def test_sym_eig2_twins_agree():
     rng = np.random.default_rng(4)
     mats = rng.normal(size=(300, 2, 2))
     mats = 0.5 * (mats + mats.transpose(0, 2, 1))
-    lo_np, hi_np = kernels._sym_eig2_np(np.ascontiguousarray(mats))
-    lo_nb, hi_nb = kernels._sym_eig2_nb(np.ascontiguousarray(mats))
-    assert np.allclose(lo_np, lo_nb) and np.allclose(hi_np, hi_nb)
+    lo, hi = kernels.sym_eig2_batch(mats)
     ref = np.linalg.eigvalsh(mats)
-    assert np.allclose(lo_np, ref[:, 0]) and np.allclose(hi_np, ref[:, 1])
-
-
-def test_env_flag_selects_numpy_backend():
-    code = ("import os; os.environ['GEOMLAB_NO_NUMBA'] = '1'; "
-            "from geomlab import kernels; print(kernels.BACKEND)")
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+    assert np.allclose(lo, ref[:, 0]) and np.allclose(hi, ref[:, 1])

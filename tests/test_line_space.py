@@ -187,6 +187,18 @@ def test_complex_points_match_umbilics():
     assert all(r.winding == 1 and r.index == 0.5 for r in records)
 
 
+def test_complex_points_merge_across_the_seam():
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    # two of the zeros sit on the s = 0 / 2 pi seam, on grid column 0;
+    # overwrite that column with a far one, so each of them is seeded from
+    # both sides of the seam and refined to s = 0 twice
+    for arr in (section.u, section.V, section.du, section.dV):
+        arr[0] = arr[16]
+    records = ls.complex_point_scan(section)
+    assert len(records) == 4
+    assert all(r.winding == 1 for r in records)
+
+
 def test_umbilic_free_annulus_has_positive_defect():
     section = ls.normal_congruence(ELL, grid=(128, 96))
     psi = ls.section_defect(section)

@@ -138,6 +138,33 @@ def test_cli_umbilics_csv_schema(tmp_path):
     assert audit["umbilic_count"] == 4
 
 
+def test_cli_umbilics_scans_once(tmp_path, monkeypatch):
+    from geomlab import chart_tensor as ct
+    from geomlab import surface_geom as sg
+    from geomlab import umbilic_topology as ut
+    scans = []
+    scan = ut.umbilic_scan
+
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(ut, "umbilic_scan", counting_scan)
+    code = run_cli(["umbilics", "--surface", "ellipsoid", "--a", "2",
+                    "--b", "1.5", "--c", "1", "--grid", "128x96"], tmp_path)
+    assert code == 0
+    assert len(scans) == 1
+    # the rows equal a separate scan with its indices attached
+    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
+    flat = ct.metric_by_name("flat-r3")
+    records = scan(ell, flat, grid=(128, 96))
+    ut.attach_indices(ell, flat, [r for r in records if r.isolated], grid=(128, 96))
+    expected = [",".join(cli._fmt(v) for v in (r.s, r.t, r.disc_min, r.index_num,
+                                               r.isolated)) for r in records]
+    lines = (tmp_path / "umbilics.csv").read_text().strip().splitlines()
+    assert lines[1:] == expected
+
+
 def test_cli_flow_run_outputs(tmp_path):
     code = run_cli(["flow-run", "--grid-n", "11", "--steps", "10",
                     "--perturbation", "0.03", "--snapshot-every", "5"], tmp_path)

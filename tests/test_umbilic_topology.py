@@ -122,9 +122,39 @@ def test_scan_deterministic():
     assert [(r.s, r.t, r.disc_min) for r in a] == [(r.s, r.t, r.disc_min) for r in b]
 
 
+def test_local_minima_break_ties():
+    assert len(ut._local_minima(np.full((8, 6), 0.3), (True, True))) == 0
+    values = np.ones((7, 5))
+    values[3, 2] = values[4, 2] = 0.0
+    assert ut._local_minima(values, (True, True)).tolist() == [[4, 2]]
+
+
+def test_local_minima_one_candidate_per_ellipsoid_umbilic():
+    ss, tt, _, _ = ut._cells(ELL, (256, 192))
+    sm, tm = np.meshgrid(ss, tt, indexing="ij")
+    gap = sg.fundamental_forms(ELL, FLAT, sm.ravel(), tm.ravel()).disc_sq
+    assert len(ut._local_minima(gap.reshape(sm.shape), ELL.periodic)) == 4
+
+
+def test_scan_refines_all_candidates_in_one_call_per_iteration(monkeypatch):
+    sizes = []
+
+    def counting_forms(surface, metric, s, t):
+        sizes.append(np.size(s))
+        return sg.fundamental_forms(surface, metric, s, t)
+
+    monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
+    records = ut.umbilic_scan(ELL, FLAT, grid=(128, 96), refine_iters=4)
+    n_cand = sizes[5]
+    assert len(records) == 4 and n_cand >= 4
+    # grid, 4 refinement iterations, final check, isolation rings
+    assert sizes == [128 * 96] + [25 * n_cand] * 4 + [n_cand, 64 * len(records)]
+
+
 def test_merge_warns_on_coarse_ambiguity():
     import warnings
-    candidates = [(1.0, 1.0, 1e-9, 1.0, 1.0), (1.02, 1.0, 2e-9, 1.5, 1.0)]
+    candidates = [(1.0, 1.0, 1e-9, (0.0, 0.0, 0.0), 1.0, 1.0),
+                  (1.02, 1.0, 2e-9, (0.0, 0.0, 0.0), 1.5, 1.0)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         merged = ut._merge_candidates(ELL, FLAT, candidates, 0.1, 0.1, 1e-6)
