@@ -270,6 +270,36 @@ def eval_metric(metric, point):
     return g[0] if np.asarray(point).ndim == 1 else g
 
 
+def _sym3_inverse_det(g):
+    """Inverse and determinant of symmetric 3x3 matrices (N,3,3), in closed
+    form from the six upper-triangle components (the adjugate over det)."""
+    a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
+    d, e, f = g[:, 1, 1], g[:, 1, 2], g[:, 2, 2]
+    adj = np.empty_like(g)
+    adj[:, 0, 0] = d * f - e * e
+    adj[:, 0, 1] = c * e - b * f
+    adj[:, 0, 2] = b * e - c * d
+    adj[:, 1, 1] = a * f - c * c
+    adj[:, 1, 2] = b * c - a * e
+    adj[:, 2, 2] = a * d - b * b
+    adj[:, 1, 0], adj[:, 2, 0], adj[:, 2, 1] = adj[:, 0, 1], adj[:, 0, 2], adj[:, 1, 2]
+    det = a * adj[:, 0, 0] + b * adj[:, 0, 1] + c * adj[:, 0, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        adj /= det[:, None, None]
+    return adj, det
+
+
+def _check_nondegenerate(metric, pts, det):
+    """Raise MetricParameterError at the first point where det g is not a
+    finite positive number."""
+    bad = ~(np.isfinite(det) & (det > 0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise MetricParameterError(
+            f"metric {metric.name} is singular or not finite at point "
+            f"{tuple(float(x) for x in pts[k])} (det g = {det[k]:.6g})")
+
+
 def christoffel(metric, point):
     """Christoffel symbols Gamma^k_ij, shape (...,3,3,3) indexed [k,i,j].
 
@@ -277,10 +307,17 @@ def christoffel(metric, point):
     """
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     g, dg = metric.matrix_and_partials(pts)
-    ginv = np.linalg.inv(g)
+    ginv, det = _sym3_inverse_det(g)
+    _check_nondegenerate(metric, pts, det)
     # dg[:, k, i, j] = d_k g_ij; build term[n,i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    term = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, term)
+    term = dg + dg.transpose(0, 2, 1, 3)
+    term -= dg.transpose(0, 2, 3, 1)
+    n = pts.shape[0]
+    # one matmul over the (n, 9, 3) view gives [n, ij, k] (g^{-1} is symmetric);
+    # the result is that array seen as [n, k, i, j]
+    gamma = term.reshape(n, 9, 3) @ ginv
+    gamma *= 0.5
+    gamma = gamma.reshape(n, 3, 3, 3).transpose(0, 3, 1, 2)
     return gamma[0] if np.asarray(point).ndim == 1 else gamma
 
 
@@ -323,9 +360,14 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
         wb = weights[start:start + chunk]
-        gb = background.matrix(block)
-        delta = g_a.matrix(block) - g_b.matrix(block)
-        norm_sq = tensor_norm_sq(delta, np.linalg.inv(gb))
-        dvol = np.sqrt(np.linalg.det(gb))
-        total += float(np.sum(norm_sq * dvol * wb))
+        # a metric passed twice (usually the background) is evaluated once
+        evaluated = {}
+        for m in (background, g_a, g_b):
+            if id(m) not in evaluated:
+                evaluated[id(m)] = m.matrix(block)
+        gb = evaluated[id(background)]
+        ginv, det = _sym3_inverse_det(gb)
+        _check_nondegenerate(background, block, det)
+        norm_sq = tensor_norm_sq(evaluated[id(g_a)] - evaluated[id(g_b)], ginv)
+        total += float(np.sum(norm_sq * np.sqrt(det) * wb))
     return 2.0 * total

@@ -23,8 +23,9 @@ def shape_operator_batch(first, second):
     s10 = (a * q - b * p) / det_i
     s11 = (a * r - b * q) / det_i
     tr = s00 + s11
-    det_s = s00 * s11 - s01 * s10
-    gap_sq = np.maximum(tr * tr - 4.0 * det_s, 0.0)
+    # (k1-k2)^2 = tr^2 - 4 det S, written so it does not cancel at umbilics
+    diff = s00 - s11
+    gap_sq = np.maximum(diff * diff + 4.0 * s01 * s10, 0.0)
     half_gap = 0.5 * np.sqrt(gap_sq)
     k1 = 0.5 * tr + half_gap
     k2 = 0.5 * tr - half_gap
@@ -32,10 +33,12 @@ def shape_operator_batch(first, second):
 
 
 # -- pointwise squared tensor norm ---------------------------------------
-# |dg|^2 = ginv^{ik} ginv^{jl} dg_ij dg_kl, batched over points.
+# |dg|^2 = ginv^{ik} ginv^{jl} dg_ij dg_kl = trace(A A) with A = ginv dg,
+# batched over points.
 
 def tensor_norm_sq_batch(ginv, dg):
-    return np.einsum("nik,njl,nij,nkl->n", ginv, ginv, dg, dg, optimize=True)
+    a = ginv @ dg
+    return np.einsum("nij,nji->n", a, a)
 
 
 # -- winding accumulation --------------------------------------------------

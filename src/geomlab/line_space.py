@@ -27,7 +27,7 @@ from . import jets
 from .errors import ChartDomainError, UnreliableLoopError
 from .kernels import winding_total
 from .surface_geom import _jet_map
-from .umbilic_topology import _local_minima, _param_distance, _refine_minima
+from .umbilic_topology import _grid_order, _local_minima, _param_distance, _refine_minima
 
 TWO_PI = 2.0 * np.pi
 CONSTRAINT_TOL = 1e-12
@@ -567,8 +567,10 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
         # meaningful; it catches identically-complex sections (zero defect)
         tol = max(1e-6 * float(np.max(mag)), 1e-10)
 
-    if np.mean(mag < tol) > degenerate_fraction:
-        i, j = np.unravel_index(np.argmin(mag), mag.shape)
+    flat = mag < tol
+    if np.mean(flat) > degenerate_fraction:
+        # the first flat sample, not the argmin of rounding noise
+        i, j = np.unravel_index(np.argmax(flat), flat.shape)
         return [ComplexPointRecord(float(section.s_axis[i]), float(section.t_axis[j]),
                                    tuple(section.u[i, j]), float(mag[i, j]),
                                    isolated=False)]
@@ -609,8 +611,8 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
                                         loop_cells * dt, center)
             rec.index = rec.winding / 2.0
         records.append(rec)
-    records.sort(key=lambda r: (r.s, r.t))
-    return records
+    return _grid_order(records, (section.s_axis[0], section.t_axis[0]), (ds, dt),
+                       mag.shape, section.periodic)
 
 
 def _chart_orientation(u_loop, center):

@@ -90,29 +90,37 @@ def fundamental_forms(surface, metric, s, t):
     point, d1, d2 = _jet_map(surface, s2.ravel(), t2.ravel())
 
     g = metric.matrix(point)
-    first = np.einsum("nai,nij,nbj->nab", d1, g, d1)
+    n = point.shape[0]
+    d1t = d1.transpose(0, 2, 1)
+    # covectors g.dX_a: they give the first form and annihilate the normal
+    cov = d1 @ g
+    first = cov @ d1t
     det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
     scale = np.einsum("nai,nai->n", d1, d1)
     if not np.all(det_first > 1e-14 * np.maximum(scale, 1.0) ** 2):
         if not np.all(np.isfinite(det_first)):
             raise ImmersionError("coordinate tangents are not finite")
         raise ImmersionError("coordinate tangents are (numerically) dependent")
+    # ambient Christoffels first, while few per-point arrays are alive
+    gamma = None if metric.constant else christoffel(metric, point)
 
-    # normal: cross product of the two covectors g.dX annihilates both tangents
-    cov = np.einsum("nij,naj->nai", g, d1)
+    # normal: cross product of the two covectors annihilates both tangents
     v = np.cross(cov[:, 0], cov[:, 1])
-    vlen_sq = np.einsum("ni,nij,nj->n", v, g, v)
+    gv = (g @ v[:, :, None])[:, :, 0]
+    vlen_sq = np.einsum("ni,ni->n", v, gv)
     normal = surface.orient * v / np.sqrt(vlen_sq)[:, None]
+    g_normal = surface.orient * gv / np.sqrt(vlen_sq)[:, None]
 
     # covariant second derivative of the immersion; II uses the normal-derivative
     # sign convention II_ab = g(grad_a N, dX_b) = -g(N, grad_a dX_b), so a round
-    # sphere with outward normal has II = I/r and k1 = k2 = +1/r
-    if metric.constant:
-        acc = d2
-    else:
-        gamma = christoffel(metric, point)
-        acc = d2 + np.einsum("nkij,nai,nbj->nabk", gamma, d1, d1)
-    second = -np.einsum("nabk,nkj,nj->nab", acc, g, normal)
+    # sphere with outward normal has II = I/r and k1 = k2 = +1/r.  Both terms
+    # are contracted with g.N first: II = -(d2 . gN + dX Gamma(gN) dX^T).
+    second = -(d2.reshape(n, 4, 3) @ g_normal[:, :, None]).reshape(n, 2, 2)
+    if gamma is not None:
+        # gamma is a [n, k, i, j] view of an [n, ij, k] array: contract k there
+        gamma_n = (gamma.transpose(0, 2, 3, 1).reshape(n, 9, 3)
+                   @ g_normal[:, :, None]).reshape(n, 3, 3)
+        second -= d1 @ gamma_n @ d1t
 
     tr, k1, k2, gap_sq = shape_operator_batch(
         np.ascontiguousarray(first), np.ascontiguousarray(second))
@@ -143,25 +151,41 @@ def _quadrature_grid(surface, grid):
     return coords[0], coords[1], weights
 
 
-def _integrate(surface, metric, grid, integrand, chunk=1 << 16):
+def _integrate(surface, metric, grid, integrands, chunk=1 << 16):
+    """Integrals of each integrand (a function of a CurvatureReport) over
+    the quadrature grid, from one fundamental_forms pass."""
     ss, tt, ww = _quadrature_grid(surface, grid)
-    total = 0.0
+    totals = [0.0] * len(integrands)
     for start in range(0, ss.shape[0], chunk):
         rep = fundamental_forms(surface, metric, ss[start:start + chunk],
                                 tt[start:start + chunk])
-        total += float(np.sum(integrand(rep) * ww[start:start + chunk]))
-    return total
+        for k, integrand in enumerate(integrands):
+            totals[k] += float(np.sum(integrand(rep) * ww[start:start + chunk]))
+    return totals
+
+
+def _area_density(rep):
+    return rep.area_density
+
+
+def _willmore_density(rep):
+    return (1.0 + rep.h_trace ** 2) * rep.area_density
 
 
 def area(surface, metric, grid=(256, 256)):
     """Induced area of the (closed or bounded) surface patch."""
-    return _integrate(surface, metric, grid, lambda rep: rep.area_density)
+    return _integrate(surface, metric, grid, [_area_density])[0]
 
 
 def willmore_energy(surface, metric, grid=(256, 256)):
     """W = integral of (1 + H^2) dA with H the shape-operator trace."""
-    return _integrate(surface, metric, grid,
-                      lambda rep: (1.0 + rep.h_trace ** 2) * rep.area_density)
+    return _integrate(surface, metric, grid, [_willmore_density])[0]
+
+
+def willmore_and_area(surface, metric, grid=(256, 256)):
+    """(willmore_energy, area) from one pass over the grid; each equals the
+    separate call bit for bit."""
+    return tuple(_integrate(surface, metric, grid, [_willmore_density, _area_density]))
 
 
 def max_abs_mean_curvature(surface, metric, n_samples=10000, seed=0):

@@ -149,9 +149,9 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
                  degenerate_fraction=0.05):
     """Locate isolated umbilics as refined minima of the curvature gap.
 
-    Returns records sorted by parameter location.  A surface whose gap
-    vanishes on a large fraction of the grid (a round sphere) yields a
-    single record flagged non-isolated.
+    Returns records in grid order (see ``_grid_order``).  A surface whose
+    gap vanishes on a large fraction of the grid (a round sphere) yields a
+    single record flagged non-isolated, at the first such cell.
     """
     ss, tt, ds, dt = _cells(surface, grid)
 
@@ -165,8 +165,10 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
         tol = 1e-6 * max(float(np.max(scan[..., 1:])), 1e-30)
     tol_sq = tol * tol
 
-    if np.mean(disc_sq < tol_sq) > degenerate_fraction:
-        i, j = np.unravel_index(np.argmin(disc_sq), disc_sq.shape)
+    flat = disc_sq < tol_sq
+    if np.mean(flat) > degenerate_fraction:
+        # the first flat cell, not the argmin of rounding noise
+        i, j = np.unravel_index(np.argmax(flat), flat.shape)
         rep = fundamental_forms(surface, metric, ss[i], tt[j])
         return [UmbilicRecord(float(ss[i]), float(tt[j]),
                               tuple(np.asarray(rep.point, float)),
@@ -184,8 +186,19 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
                    float(seed_s[k]), float(seed_t[k]))
                   for k in np.flatnonzero(ok & (rep.disc < tol))]
     records = _merge_candidates(surface, metric, candidates, ds, dt, tol)
-    records.sort(key=lambda r: (r.s, r.t))
-    return records
+    return _grid_order(records, np.array(surface.domain)[:, 0], (ds, dt), grid,
+                       surface.periodic)
+
+
+def _grid_order(records, origin, step, count, periodic):
+    """Records sorted by the index of the grid line nearest each parameter,
+    taken modulo ``count`` on periodic axes.  Merged records are two cells
+    apart, so the keys are distinct, and the order does not change when a
+    refined position moves in its last bits or by a period."""
+    def key(rec):
+        idx = np.rint((np.array([rec.s, rec.t]) - origin) / step).astype(int)
+        return tuple(np.where(periodic, idx % count, idx).tolist())
+    return sorted(records, key=key)
 
 
 def _param_distance(domain, periodic, p, q):

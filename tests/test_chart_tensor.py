@@ -204,3 +204,32 @@ def test_custom_metric_from_expressions():
     gam_a = ct.christoffel(custom, pts[:5])
     gam_b = ct.christoffel(reference, pts[:5])
     assert np.allclose(gam_a, gam_b, atol=1e-12)
+
+
+def test_closed_form_inverse_and_determinant_match_linalg():
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 1e3):
+        a = rng.normal(size=(2000, 3, 3))
+        g = scale * (a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3))
+        ginv, det = ct._sym3_inverse_det(g)
+        ref = np.linalg.inv(g)
+        err = np.max(np.abs(ginv - ref), axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(1, 2)))
+        assert np.allclose(det, np.linalg.det(g), rtol=1e-12, atol=0.0)
+
+
+def _nan_g33(x, y, z):
+    return [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]]
+
+
+def test_singular_or_non_finite_metric_is_refused(tmp_path):
+    path = tmp_path / "singular.kv"
+    path.write_text("chart = hopf\ng11 = 1\ng22 = sin(rho)^2\ng33 = 0\n")
+    singular = ct.load_metric(path)
+    nan_metric = ct.MetricField("nan-g33", ct.CARTESIAN_CHART, _nan_g33)
+    for metric, pts, domain in ((singular, hopf_points(4), None),
+                                (nan_metric, RNG.normal(size=(4, 3)), [(-1.0, 1.0)] * 3)):
+        with pytest.raises(MetricParameterError, match="singular or not finite at point"):
+            ct.christoffel(metric, pts)
+        with pytest.raises(MetricParameterError, match="singular or not finite at point"):
+            ct.l2_metric_distance(metric, metric, metric, domain=domain, grid=(4, 4, 4))

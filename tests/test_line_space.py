@@ -185,6 +185,10 @@ def test_complex_points_match_umbilics():
         gaps = [np.arccos(np.clip(np.dot(cp.direction, n), -1, 1)) for n in normals]
         assert min(gaps) < 1e-4
     assert all(r.winding == 1 and r.index == 0.5 for r in records)
+    # both scans list their records in the same grid order
+    for cp, rec in zip(records, umb):
+        gap = ut._param_distance(ELL.domain, ELL.periodic, (cp.s, cp.t), (rec.s, rec.t))
+        assert np.all(gap < 1e-6)
 
 
 def test_complex_points_merge_across_the_seam():
@@ -218,6 +222,8 @@ def test_zero_section_scan_flags_degenerate():
                                    grid=(48, 36))
     records = ls.complex_point_scan(section)
     assert len(records) == 1 and not records[0].isolated
+    # the first sample whose defect is below tol
+    assert (records[0].s, records[0].t) == (section.s_axis[0], section.t_axis[0])
 
 
 def test_maslov_loops_and_additivity():

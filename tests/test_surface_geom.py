@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geomlab import chart_tensor as ct
-from geomlab import jets
+from geomlab import jets, quadrature
 from geomlab import surface_geom as sg
 from geomlab.errors import ImmersionError
 
@@ -44,6 +44,12 @@ def test_round_sphere_second_form_proportional_to_first():
         assert np.allclose(rep.second, rep.first / r, atol=1e-12)
         assert rep.k1 == pytest.approx(1.0 / r, rel=1e-12)
         assert rep.k2 == pytest.approx(1.0 / r, rel=1e-12)
+        # a random batch: the curvature gap must not cancel at the umbilics
+        rng = np.random.default_rng(5)
+        rep = sg.fundamental_forms(sphere, FLAT, rng.uniform(0.0, 2 * np.pi, 4000),
+                                   rng.uniform(0.05, np.pi - 0.05, 4000))
+        assert np.allclose(rep.k1, 1.0 / r, rtol=1e-12, atol=0.0)
+        assert np.allclose(rep.k2, 1.0 / r, rtol=1e-12, atol=0.0)
 
 
 def test_sphere_normal_is_outward():
@@ -129,6 +135,28 @@ def test_willmore_equals_area_for_minimal_surfaces():
         w = sg.willmore_energy(torus, metric, grid=(96, 96))
         a = sg.area(torus, metric, grid=(96, 96))
         assert abs(w - a) < 1e-10
+
+
+def test_willmore_and_area_equal_the_separate_integrals():
+    bumped = ct.metric_by_name("hopf-eps-bumped", eps=0.3)
+    torus = sg.surface_by_name("clifford")
+    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
+    # the ellipsoid grid spans two chunks of the integration loop
+    for surface, metric, grid in ((torus, bumped, (96, 96)), (ell, FLAT, (300, 240))):
+        both = sg.willmore_and_area(surface, metric, grid=grid)
+        assert both == (sg.willmore_energy(surface, metric, grid=grid),
+                        sg.area(surface, metric, grid=grid))
+
+
+def test_composite_gauss_legendre_equals_panel_loop():
+    for a, b, panels, order in ((0.0, 1.0, 1, 4), (1e-6, np.pi / 2 - 1e-6, 96, 6),
+                                (-3.0, 2.5, 17, 9)):
+        edges = np.linspace(a, b, panels + 1)
+        loop = [quadrature.gauss_legendre(lo, hi, order)
+                for lo, hi in zip(edges[:-1], edges[1:])]
+        nodes, weights = quadrature.composite_gauss_legendre(a, b, panels, order)
+        assert np.array_equal(nodes, np.concatenate([x for x, _ in loop]))
+        assert np.array_equal(weights, np.concatenate([w for _, w in loop]))
 
 
 def test_quadrature_convergence_under_doubling():

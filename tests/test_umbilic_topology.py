@@ -1,5 +1,7 @@
 """Umbilic detection, half-integer indices, and the bound audit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,8 @@ def test_round_sphere_reports_non_isolated():
     assert len(records) == 1
     assert not records[0].isolated
     assert records[0].disc_min < 1e-12
+    # the first cell whose gap is below tol, not the argmin of rounding noise
+    assert (records[0].s, records[0].t) == (0.5 * (2 * np.pi / 64), 0.5 * (np.pi / 48))
 
 
 def test_clifford_torus_in_deformed_metric_has_no_umbilics():
@@ -120,6 +124,21 @@ def test_scan_deterministic():
     a = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
     b = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
     assert [(r.s, r.t, r.disc_min) for r in a] == [(r.s, r.t, r.disc_min) for r in b]
+
+
+def test_record_order_ignores_last_bits_and_periods():
+    grid = (128, 96)
+    records = ut.umbilic_scan(ELL, FLAT, grid=grid)
+    assert len(records) == 4
+    step = (2 * np.pi / grid[0], np.pi / grid[1])
+    # pairs on the meridians s = 0 and s = pi, ordered by t within a pair
+    assert [round(r.s / np.pi) % 2 for r in records] == [0, 0, 1, 1]
+    assert records[0].t < records[1].t and records[2].t < records[3].t
+    for ds in (1e-13, -1e-13, 2 * np.pi, -2 * np.pi):
+        moved = [replace(r, s=r.s + ds * (-1) ** k, t=r.t - 1e-13 * (-1) ** k,
+                         disc_min=k) for k, r in enumerate(records)]
+        ordered = ut._grid_order(moved[::-1], (0.0, 0.0), step, grid, ELL.periodic)
+        assert [r.disc_min for r in ordered] == [0, 1, 2, 3]
 
 
 def test_local_minima_break_ties():
