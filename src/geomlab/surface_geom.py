@@ -107,9 +107,9 @@ def fundamental_forms(surface, metric, s, t):
     # normal: cross product of the two covectors annihilates both tangents
     v = np.cross(cov[:, 0], cov[:, 1])
     gv = (g @ v[:, :, None])[:, :, 0]
-    vlen_sq = np.einsum("ni,ni->n", v, gv)
-    normal = surface.orient * v / np.sqrt(vlen_sq)[:, None]
-    g_normal = surface.orient * gv / np.sqrt(vlen_sq)[:, None]
+    vlen = np.sqrt(np.einsum("ni,ni->n", v, gv))[:, None]
+    normal = surface.orient * v / vlen
+    g_normal = surface.orient * gv / vlen
 
     # covariant second derivative of the immersion; II uses the normal-derivative
     # sign convention II_ab = g(grad_a N, dX_b) = -g(N, grad_a dX_b), so a round
