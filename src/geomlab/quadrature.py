@@ -25,12 +25,11 @@ def gauss_legendre(a, b, n):
 
 
 def composite_gauss_legendre(a, b, panels, order):
-    """`panels` Gauss-Legendre panels of `order` nodes each."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    """`panels` Gauss-Legendre panels of `order` nodes each (one rule,
+    broadcast over the panel edges)."""
     edges = np.linspace(a, b, panels + 1)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid + half * x).ravel(), (half * w).ravel()
+    x, w = gauss_legendre(edges[:-1, None], edges[1:, None], order)
+    return x.ravel(), w.ravel()
 
 
 def axis_rule(a, b, n, periodic, gl_order=4):
