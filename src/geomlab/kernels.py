@@ -11,17 +11,19 @@ import numpy as np
 # Outputs: trace of the shape operator I^-1 II, its eigenvalues k1 >= k2,
 # and the squared eigenvalue gap (k1-k2)^2, which is smooth through zero.
 
-def shape_operator_batch(first, second):
-    a, b = first[:, 0, 0], first[:, 0, 1]
-    c = first[:, 1, 1]
-    p, q = second[:, 0, 0], second[:, 0, 1]
-    r = second[:, 1, 1]
+def shape_operator(first, second):
+    """Entries (s00, s01, s10, s11) of S = I^-1 II over leading axes."""
+    a, b = first[..., 0, 0], first[..., 0, 1]
+    c = first[..., 1, 1]
+    p, q = second[..., 0, 0], second[..., 0, 1]
+    r = second[..., 1, 1]
     det_i = a * c - b * b
-    # S = I^-1 II
-    s00 = (c * p - b * q) / det_i
-    s01 = (c * q - b * r) / det_i
-    s10 = (a * q - b * p) / det_i
-    s11 = (a * r - b * q) / det_i
+    return ((c * p - b * q) / det_i, (c * q - b * r) / det_i,
+            (a * q - b * p) / det_i, (a * r - b * q) / det_i)
+
+
+def shape_operator_batch(first, second):
+    s00, s01, s10, s11 = shape_operator(first, second)
     tr = s00 + s11
     # (k1-k2)^2 = tr^2 - 4 det S, written so it does not cancel at umbilics
     diff = s00 - s11

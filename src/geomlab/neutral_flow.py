@@ -5,9 +5,9 @@ base coordinates (x, y) and fiber coordinates (w1, w2) in which the
 ambient complex structure is literally multiplication by i (verified by
 the test suite).  Consequences used here:
 
-  * the neutral metric and its Christoffel symbols are exact (jets through
-    the chart embedding), so the only discretisation is in the disc's own
-    finite differences;
+  * the neutral metric and its Christoffel symbols are exact (closed forms
+    of the chart, the tangent-bundle chart of the stereographic map), so the
+    only discretisation is in the disc's own finite differences;
   * fiber-affine discs w = c0 + c1 (x + i y) are holomorphic, hence
     maximal: their discrete mean curvature vanishes to rounding because
     second differences of affine data are exactly zero.
@@ -28,30 +28,10 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, SignatureLossError
 from .kernels import sym_eig2_batch
-from .line_space import _complement_basis, _cross3, _dot3, defect_psi, stereo_to_sphere
+from .line_space import _complement_basis, defect_psi
 
 
 # -- chart geometry -----------------------------------------------------------
-
-def _apply_j_c(u, V, du, dV):
-    """Component-list version of the line-space J (jets or arrays)."""
-    du2 = _cross3(u, du)
-    udv = _dot3(u, dV)
-    perp = [dV[i] - udv * u[i] for i in range(3)]
-    rot = _cross3(u, perp)
-    c = -_dot3(V, du2)
-    dV2 = [rot[i] + c * u[i] for i in range(3)]
-    return du2, dV2
-
-
-def _omega_c(du_x, dv_x, du_y, dv_y):
-    return _dot3(dv_x, du_y) - _dot3(dv_y, du_x)
-
-
-def _metric_c(u, V, du_x, dv_x, du_y, dv_y):
-    ju, jv = _apply_j_c(u, V, du_x, dv_x)
-    return _omega_c(ju, jv, du_y, dv_y)
-
 
 class LineSpaceChart:
     """Holomorphic coordinates (x, y, w1, w2) on the line space.
@@ -60,6 +40,13 @@ class LineSpaceChart:
     ``center`` (covering the open hemisphere for x^2+y^2 < 1) and
     (w1, w2) the fiber components in the chart frame, scaled so that
     w = w1 + i w2 transforms as the holomorphic fiber coordinate.
+
+    The scaled frame beta (e1, e2), beta = 2/D, D = 1 + x^2 + y^2, is
+    exactly (u_x, u_y), so V = w1 u_x + w2 u_y: the chart is the
+    tangent-bundle chart of the stereographic map, and the embedding, its
+    partials, the metric and its Christoffel symbols are closed forms.  The
+    neutral metric is invariant under rotations, so G and Gamma do not
+    depend on ``center``.
     """
 
     def __init__(self, center=(0.0, 0.0, 1.0)):
@@ -67,76 +54,70 @@ class LineSpaceChart:
         self.center /= np.linalg.norm(self.center)
         self._cpq = _complement_basis(self.center)
 
-    def _sigma(self, x, y, w1, w2):
-        c, p, q = self._cpq
-        u = list(stereo_to_sphere(x, y, self.center))
-        e1 = [p[i] - x * (c[i] + u[i]) for i in range(3)]
-        n1 = jets.sqrt(_dot3(e1, e1))
-        e1 = [e / n1 for e in e1]
-        e2 = _cross3(u, e1)
-        beta = 2.0 / (1.0 + x * x + y * y)
-        V = [beta * (w1 * e1[i] + w2 * e2[i]) for i in range(3)]
-        return u, V
-
     def embed(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        u, V = self._sigma(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-        return np.stack(u, axis=-1), np.stack(V, axis=-1)
+        """(u, V) of the lines at the chart points."""
+        return self.embed_differential(pts)[:2]
 
     def embed_differential(self, pts):
         """(u, V, D) with D[n, A] = (du, dV) of the chart direction A."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vs = jets.variables([pts[:, k] for k in range(4)], order=1)
-        u, V = self._sigma(*vs)
-        n = pts.shape[0]
-        uval = np.stack([np.broadcast_to(c.f, (n,)) for c in u], axis=-1)
-        vval = np.stack([np.broadcast_to(c.f, (n,)) for c in V], axis=-1)
-        diff = np.empty((n, 4, 6))
-        for a in range(4):
-            for i in range(3):
-                diff[:, a, i] = np.broadcast_to(u[i].g[a], (n,))
-                diff[:, a, 3 + i] = np.broadcast_to(V[i].g[a], (n,))
-        return uval, vval, diff
+        x, y, w1, w2 = (pts[:, k, None] for k in range(4))
+        c, p, q = self._cpq
+        d = 1.0 + x * x + y * y
+        # u is the inverse stereographic map; V = w1 u_x + w2 u_y
+        u = (2.0 * x * p + 2.0 * y * q + (1.0 - x * x - y * y) * c) / d
+        cu = c + u
+        u_x = 2.0 * (p - x * cu) / d
+        u_y = 2.0 * (q - y * cu) / d
+        u_xx = -2.0 * (cu + 2.0 * x * u_x) / d
+        u_yy = -2.0 * (cu + 2.0 * y * u_y) / d
+        u_xy = -2.0 * (x * u_y + y * u_x) / d
+        diff = np.zeros((len(pts), 4, 6))
+        diff[:, 0, :3] = u_x
+        diff[:, 1, :3] = u_y
+        diff[:, 0, 3:] = w1 * u_xx + w2 * u_xy
+        diff[:, 1, 3:] = w1 * u_xy + w2 * u_yy
+        diff[:, 2, 3:] = u_x
+        diff[:, 3, 3:] = u_y
+        return u, w1 * u_x + w2 * u_y, diff
 
     def metric_and_christoffel(self, pts):
-        """Exact G_AB and Gamma^D_AB of the chart metric at the points."""
+        """Exact G_AB and Gamma^D_AB = gamma[n, D, A, B] at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vs = jets.variables([pts[:, k] for k in range(4)], order=2)
-        u, V = self._sigma(*vs)
-        # first-order jets of the point, shape (1, n), and of the four
-        # coordinate tangents stacked along a direction axis, shape (4, n).
-        # The tangent's derivative part is h[a, k] (not h[k, a]): jet
-        # Hessians are symmetric only up to rounding.
-        point = [jets.Jet(c.f[None], c.g[:, None]) for c in u + V]
-        tangent = [jets.Jet(c.g, c.h.swapaxes(0, 1)) for c in u + V]
-        ju, jv = _apply_j_c(point[:3], point[3:], tangent[:3], tangent[3:])
-        rows = [jets.Jet(c.f[:, None], c.g[:, :, None]) for c in ju + jv]
-        cols = [jets.Jet(c.f[None], c.g[:, None]) for c in tangent]
-        entry = _omega_c(rows[:3], rows[3:], cols[:3], cols[3:])
-        # entry.f[a, b, n] and entry.g[k, a, b, n]; keep the upper triangle
-        # (a <= b), mirror it, and lay it out point-major and contiguous
-        # (inv and einsum round differently on strided input)
-        upper = np.triu(np.ones((4, 4), dtype=bool))[..., None]
-        g4 = np.where(upper, entry.f, entry.f.swapaxes(0, 1))
-        dg4 = np.where(upper, entry.g, entry.g.swapaxes(1, 2))
-        g4 = np.ascontiguousarray(g4.transpose(2, 0, 1))
-        dg4 = np.ascontiguousarray(dg4.transpose(3, 0, 1, 2))
-        ginv = np.linalg.inv(g4)
-        term = dg4 + dg4.transpose(0, 2, 1, 3) - dg4.transpose(0, 2, 3, 1)
-        gamma = 0.5 * np.einsum("ndc,nabc->ndab", ginv, term)
+        x, y, w1, w2 = pts.T
+        d = 1.0 + x * x + y * y
+        g4 = self._metric(x, y, w1, w2, d)
+        a_x = 2.0 * x / d
+        a_y = 2.0 * y / d
+        pp = 2.0 * (w1 * (x * x - y * y + 1.0) + 2.0 * w2 * x * y) / d ** 2
+        qq = 2.0 * (w2 * (x * x - y * y - 1.0) - 2.0 * w1 * x * y) / d ** 2
+        X, Y, W1, W2 = range(4)
+        entries = {
+            X: {(X, X): -a_x, (X, Y): -a_y, (Y, Y): a_x},
+            Y: {(X, X): a_y, (X, Y): -a_x, (Y, Y): -a_y},
+            W1: {(X, X): pp, (X, Y): -qq, (Y, Y): -pp,
+                 (X, W1): -a_x, (X, W2): -a_y, (Y, W1): -a_y, (Y, W2): a_x},
+            W2: {(X, X): qq, (X, Y): pp, (Y, Y): -qq,
+                 (X, W1): a_y, (X, W2): -a_x, (Y, W1): -a_x, (Y, W2): -a_y},
+        }
+        gamma = np.zeros((len(pts), 4, 4, 4))
+        for k, row in entries.items():
+            for (a, b), val in row.items():
+                gamma[:, k, a, b] = gamma[:, k, b, a] = val
         return g4, gamma
 
     def metric(self, pts):
-        u, V, diff = self.embed_differential(pts)
-        g4 = np.empty((len(diff), 4, 4))
-        for a in range(4):
-            for b in range(a, 4):
-                val = _metric_c([u[:, i] for i in range(3)], [V[:, i] for i in range(3)],
-                                [diff[:, a, i] for i in range(3)],
-                                [diff[:, a, 3 + i] for i in range(3)],
-                                [diff[:, b, i] for i in range(3)],
-                                [diff[:, b, 3 + i] for i in range(3)])
-                g4[:, a, b] = g4[:, b, a] = val
+        """Exact G_AB at the points."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        x, y, w1, w2 = pts.T
+        return self._metric(x, y, w1, w2, 1.0 + x * x + y * y)
+
+    @staticmethod
+    def _metric(x, y, w1, w2, d):
+        g4 = np.zeros((len(x), 4, 4))
+        g4[:, 0, 0] = g4[:, 1, 1] = 16.0 * (x * w2 - y * w1) / d ** 3
+        g4[:, 1, 2] = g4[:, 2, 1] = 4.0 / d ** 2
+        g4[:, 0, 3] = g4[:, 3, 0] = -4.0 / d ** 2
         return g4
 
 
@@ -234,8 +215,8 @@ class FlowState:
         return self.f.shape[:2]
 
 
-def _fd_first(f, dx, dy):
-    """Central first differences; one-sided at the edges."""
+def _fd_derivatives(f, dx, dy):
+    """First and second central differences; one-sided first at the edges."""
     d1 = np.empty(f.shape[:2] + (2,) + f.shape[2:])
     d1[1:-1, :, 0] = (f[2:] - f[:-2]) / (2 * dx)
     d1[0, :, 0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
@@ -243,12 +224,6 @@ def _fd_first(f, dx, dy):
     d1[:, 1:-1, 1] = (f[:, 2:] - f[:, :-2]) / (2 * dy)
     d1[:, 0, 1] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * dy)
     d1[:, -1, 1] = (3 * f[:, -1] - 4 * f[:, -2] + f[:, -3]) / (2 * dy)
-    return d1
-
-
-def _fd_derivatives(f, dx, dy):
-    """First and second central differences; one-sided first at the edges."""
-    d1 = _fd_first(f, dx, dy)
     d2 = np.zeros(f.shape[:2] + (2, 2) + f.shape[2:])
     d2[1:-1, :, 0, 0] = (f[2:] - 2 * f[1:-1] + f[:-2]) / dx ** 2
     d2[:, 1:-1, 1, 1] = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / dy ** 2
@@ -336,17 +311,18 @@ def boundary_mask(shape):
 
 
 def _edge_indices(shape):
-    """Boundary samples excluding the four corners, with their unique
-    first-interior neighbours.  Corner tangent frames are one-sided in both
-    directions and carry no interior dependence, so the angle machinery
-    skips them."""
+    """Boundary samples excluding the four corners, as index arrays (ii, jj),
+    with their first-interior neighbours (ni, nj).  Corner tangent frames
+    are one-sided in both directions and carry no interior dependence, so
+    the angle machinery skips them."""
     nx, ny = shape
     pairs = []
     pairs.extend(((0, j), (1, j)) for j in range(1, ny - 1))
     pairs.extend(((nx - 1, j), (nx - 2, j)) for j in range(1, ny - 1))
     pairs.extend(((i, 0), (i, 1)) for i in range(1, nx - 1))
     pairs.extend(((i, ny - 1), (i, ny - 2)) for i in range(1, nx - 1))
-    return pairs
+    pairs = np.array(pairs)
+    return pairs[:, 0, 0], pairs[:, 0, 1], pairs[:, 1, 0], pairs[:, 1, 1]
 
 
 def dbar_boundary_norm(state, geo):
@@ -388,9 +364,7 @@ def _plane_cosh(g4, p_basis, q_basis):
 def boundary_angle_cosh(state, geo):
     """cosh of the angle between the disc and the target section, per
     non-corner boundary sample."""
-    edges = _edge_indices(state.shape)
-    ii = np.array([e[0][0] for e in edges])
-    jj = np.array([e[0][1] for e in edges])
+    ii, jj, _, _ = _edge_indices(state.shape)
     pts = state.f[ii, jj]
     g4 = geo["g4"][ii, jj]
     disc_basis = geo["d1"][ii, jj].copy()         # (m, 2, 4)
@@ -424,28 +398,37 @@ def angle_penalty_step(state, rate=None, probe=1e-6):
     return _angle_penalty(state, flow_geometry(state), rate, probe)[0]
 
 
+def _angle_gradient(state, geo, base, probe=1e-6):
+    """Forward-difference gradient (m, 2) of each non-corner boundary
+    sample's cosh (``base`` at ``geo``) in the fiber of its own
+    first-interior node.
+
+    That node enters the sample only through the one-sided normal
+    difference, with weight +-4/(2 dx), so a probe shifts that row of the
+    sample's tangents; the boundary samples and their chart metric stay
+    those of ``geo``.
+    """
+    ii, jj, ni, nj = _edge_indices(state.shape)
+    axis = (nj != jj).astype(int)
+    weight = 2.0 * ((ni - ii) + (nj - jj)) / np.where(axis == 0, geo["dx"], geo["dy"])
+    grads = np.empty((len(ii), 2))
+    for k in range(2):
+        d1 = geo["d1"].copy()
+        d1[ii, jj, axis, 2 + k] += weight * probe
+        vals = boundary_angle_cosh(state, {"g4": geo["g4"], "d1": d1})
+        grads[:, k] = (vals - base) / probe
+    return grads
+
+
 def _angle_penalty(state, geo, rate=None, probe=1e-6):
     """``angle_penalty_step`` from the pre-nudge geometry ``geo``; returns
-    the post-step residual and the post-step geometry.
-
-    The gradient probes move only first-interior fibers, so the boundary
-    samples and their chart metric stay those of ``geo``; each probe only
-    re-differences the disc instead of evaluating the full geometry.
-    """
+    the post-step residual and the post-step geometry."""
     rate = state.angle_rate if rate is None else rate
     base = boundary_angle_cosh(state, geo)
     if state.cosh_target is None:
         state.cosh_target = float(np.mean(base))
     target = state.cosh_target
-    pairs = _edge_indices(state.shape)
-    grads = np.zeros((len(pairs), 2))
-    for k in range(2):
-        trial = state.f.copy()
-        for (_, (ii, jj)) in pairs:
-            trial[ii, jj, 2 + k] += probe
-        probed = {"g4": geo["g4"], "d1": _fd_first(trial, geo["dx"], geo["dy"])}
-        vals = boundary_angle_cosh(state, probed)
-        grads[:, k] = (vals - base) / probe
+    grads = _angle_gradient(state, geo, base, probe)
     err = base - target
     norm_sq = np.sum(grads ** 2, axis=1)
     scale = np.where(norm_sq > 1e-30, err / np.maximum(norm_sq, 1e-30), 0.0)
@@ -455,11 +438,11 @@ def _angle_penalty(state, geo, rate=None, probe=1e-6):
     step = np.where(mag > cap, step * (cap / np.maximum(mag, 1e-300)), step)
     # nodes adjacent to a corner serve two boundary samples; average their
     # requested nudges instead of stacking them
+    _, _, ni, nj = _edge_indices(state.shape)
     accum = np.zeros(state.shape + (2,))
     count = np.zeros(state.shape)
-    for m, (_, (ii, jj)) in enumerate(pairs):
-        accum[ii, jj] += step[m]
-        count[ii, jj] += 1.0
+    np.add.at(accum, (ni, nj), step)
+    np.add.at(count, (ni, nj), 1.0)
     nonzero = count > 0
     accum[nonzero] /= count[nonzero][:, None]
     state.f[..., 2:] -= accum

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, quadrature
-from .chart_tensor import christoffel
+from .chart_tensor import _check_nondegenerate, _sym3_inverse_det, christoffel
 from .errors import ImmersionError, MetricParameterError
 from .exprgrammar import compile_expression
 from .kernels import shape_operator_batch
@@ -100,6 +100,8 @@ def fundamental_forms(surface, metric, s, t):
     if not np.all(det_first > 1e-14 * np.maximum(scale, 1.0) ** 2):
         if not np.all(np.isfinite(det_first)):
             raise ImmersionError("coordinate tangents are not finite")
+        # a singular metric degenerates the first form too: name the metric
+        _check_nondegenerate(metric, point, _sym3_inverse_det(g)[1])
         raise ImmersionError("coordinate tangents are (numerically) dependent")
     # ambient Christoffels first, while few per-point arrays are alive
     gamma = None if metric.constant else christoffel(metric, point)

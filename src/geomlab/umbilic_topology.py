@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreliableLoopError
-from .kernels import winding_total
+from .kernels import shape_operator, winding_total
 from .surface_geom import fundamental_forms
 
 TWO_PI = 2.0 * np.pi
@@ -36,12 +36,7 @@ def principal_angles(surface, metric, s, t):
     """Angle (mod pi) of the k1 principal direction in parameter coordinates."""
     rep = fundamental_forms(surface, metric, np.asarray(s, float), np.asarray(t, float))
     first, second = np.atleast_3d(rep.first), np.atleast_3d(rep.second)
-    a, b, c = first[..., 0, 0], first[..., 0, 1], first[..., 1, 1]
-    det_i = a * c - b * b
-    s00 = (c * second[..., 0, 0] - b * second[..., 0, 1]) / det_i
-    s01 = (c * second[..., 0, 1] - b * second[..., 1, 1]) / det_i
-    s10 = (a * second[..., 0, 1] - b * second[..., 0, 0]) / det_i
-    s11 = (a * second[..., 1, 1] - b * second[..., 0, 1]) / det_i
+    s00, s01, s10, s11 = shape_operator(first, second)
     k1 = np.atleast_1d(rep.k1)
     # two kernel vectors of (S - k1); pick the better conditioned one
     w_a = np.stack([-s01, s00 - k1], axis=-1)

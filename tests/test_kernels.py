@@ -27,6 +27,16 @@ def test_shape_operator_twins_agree():
     assert np.allclose(gap_sq, (ev[:, 1] - ev[:, 0]) ** 2, rtol=1e-8, atol=1e-10)
 
 
+def test_shape_operator_entries_over_leading_axes():
+    rng = np.random.default_rng(3)
+    first, second = _random_forms(rng, 60)
+    first, second = first.reshape(3, 20, 2, 2), second.reshape(3, 20, 2, 2)
+    s00, s01, s10, s11 = kernels.shape_operator(first, second)
+    ref = np.linalg.inv(first) @ second
+    assert np.allclose(np.stack([s00, s01, s10, s11], axis=-1),
+                       ref.reshape(3, 20, 4), rtol=1e-12, atol=1e-12)
+
+
 def test_tensor_norm_twins_agree():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(100, 3, 3))

@@ -1,10 +1,26 @@
 """Codimension-two mean curvature flow: stationarity, monotonicity, controls."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
+from geomlab import kvdoc
+from geomlab import line_space as ls
 from geomlab import neutral_flow as nf
 from geomlab.errors import ChartDomainError, ConfigError, SignatureLossError
+
+FLOW_KV = os.path.join(os.path.dirname(__file__), "..", "docs", "examples", "flow.kv")
+_RNG = np.random.default_rng(11)
+CENTRES = [(0.0, 0.0, 1.0)] + [tuple(_RNG.normal(size=3)) for _ in range(3)]
+
+
+def _chart_points(seed, n, radius=0.6):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-radius, radius, size=(n, 4))
+    pts[:, 2:] *= 2.0
+    return pts
 
 
 def test_chart_is_holomorphic_for_j():
@@ -64,6 +80,139 @@ def test_chart_christoffels_match_finite_differences():
                             for c in range(4))
                     gamma_fd[d, a, b] = 0.5 * s
         assert np.max(np.abs(gamma[n] - gamma_fd)) < 1e-6
+
+
+@pytest.mark.parametrize("centre", CENTRES)
+def test_embed_is_the_stereographic_line_in_the_sphere_frame(centre):
+    chart = nf.LineSpaceChart(centre)
+    pts = _chart_points(1, 200)
+    x, y, w1, w2 = pts.T
+    u, V = chart.embed(pts)
+    u_ref = np.stack(ls.stereo_to_sphere(x, y, chart.center), axis=-1)
+    e1, e2 = ls.sphere_frame(u_ref, chart.center)
+    beta = 2.0 / (1.0 + x * x + y * y)
+    v_ref = beta[:, None] * (w1[:, None] * e1 + w2[:, None] * e2)
+    assert np.max(np.abs(u - u_ref)) < 1e-15
+    assert np.max(np.abs(V - v_ref)) < 1e-14
+
+
+@pytest.mark.parametrize("centre", CENTRES)
+def test_embed_differential_matches_central_differences(centre):
+    chart = nf.LineSpaceChart(centre)
+    pts = _chart_points(2, 50)
+    u, V, diff = chart.embed_differential(pts)
+    u0, v0 = chart.embed(pts)
+    assert np.array_equal(u, u0) and np.array_equal(V, v0)
+    h = 1e-6
+    for a in range(4):
+        step = np.zeros(4)
+        step[a] = h
+        up, vp = chart.embed(pts + step)
+        um, vm = chart.embed(pts - step)
+        assert np.max(np.abs(diff[:, a, :3] - (up - um) / (2 * h))) < 1e-8
+        assert np.max(np.abs(diff[:, a, 3:] - (vp - vm) / (2 * h))) < 1e-8
+
+
+@pytest.mark.parametrize("centre", CENTRES)
+def test_chart_metric_matches_metric_pair_on_a_random_batch(centre):
+    chart = nf.LineSpaceChart(centre)
+    pts = _chart_points(3, 300)
+    g4, _ = chart.metric_and_christoffel(pts)
+    u, V, diff = chart.embed_differential(pts)
+    ref = np.empty_like(g4)
+    for a in range(4):
+        for b in range(4):
+            ref[:, a, b] = ls.metric_pair(u, V, diff[:, a, :3], diff[:, a, 3:],
+                                          diff[:, b, :3], diff[:, b, 3:])
+    assert np.max(np.abs(g4 - ref)) < 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(g4, chart.metric(pts))
+
+
+def _christoffel_from_metric_differences(chart, p, h=1e-5):
+    dg = np.zeros((4, 4, 4))
+    for k in range(4):
+        pp, pm = p.copy(), p.copy()
+        pp[k] += h
+        pm[k] -= h
+        dg[k] = (chart.metric(pp)[0] - chart.metric(pm)[0]) / (2 * h)
+    ginv = np.linalg.inv(chart.metric(p)[0])
+    term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return 0.5 * np.einsum("dc,abc->dab", ginv, term)
+
+
+@pytest.mark.parametrize("centre", CENTRES)
+def test_chart_christoffels_match_metric_differences(centre):
+    chart = nf.LineSpaceChart(centre)
+    pts = _chart_points(4, 12)
+    _, gamma = chart.metric_and_christoffel(pts)
+    for n, p in enumerate(pts):
+        assert np.max(np.abs(gamma[n] - _christoffel_from_metric_differences(chart, p))) < 1e-6
+
+
+def test_chart_metric_and_christoffels_match_a_symbolic_derivation():
+    # the line (u, V) of the chart from its definition: u the inverse
+    # stereographic map of the default chart's frame (c, p, q), V = beta
+    # (w1 e1 + w2 e2) with e1 the x-direction of u and e2 = u x e1; then
+    # G(X, Y) = omega(J X, Y) with J and omega as defined in line_space.
+    # The neutral metric is rotation-invariant, so the chart at any centre
+    # has the same G and Gamma.  Each stage is reduced with cancel.
+    sp = pytest.importorskip("sympy")
+    x, y, w1, w2 = coords = sp.symbols("x y w1 w2", real=True)
+    c, p, q = sp.Matrix([0, 0, 1]), sp.Matrix([0, 1, 0]), sp.Matrix([-1, 0, 0])
+    frame = ls._complement_basis((0.0, 0.0, 1.0))
+    assert all(np.array_equal(np.array(v, dtype=float).ravel(), w)
+               for v, w in zip((c, p, q), frame))
+
+    def reduce(m):
+        return m.applyfunc(sp.cancel)
+
+    d = 1 + x ** 2 + y ** 2
+    u = reduce((2 * x * p + 2 * y * q + (1 - x ** 2 - y ** 2) * c) / d)
+    e1 = reduce(p - x * (c + u))
+    assert sp.cancel(e1.dot(e1)) == 1                 # already unit
+    V = reduce(2 / d * (w1 * e1 + w2 * u.cross(e1)))
+    tangents = [(reduce(u.diff(a)), reduce(V.diff(a))) for a in coords]
+
+    def apply_j(du, dv):
+        perp = dv - u.dot(dv) * u
+        return reduce(u.cross(du)), reduce(u.cross(perp) - V.dot(u.cross(du)) * u)
+
+    def omega(xt, yt):
+        return sp.cancel(xt[1].dot(yt[0]) - yt[1].dot(xt[0]))
+
+    j_tangents = [apply_j(*t) for t in tangents]
+    g_sym = sp.Matrix(4, 4, lambda a, b: omega(j_tangents[a], tangents[b]))
+    g_fn = sp.lambdify(coords, g_sym, "numpy")
+    dg_fn = sp.lambdify(coords, [g_sym.diff(k) for k in coords], "numpy")
+
+    pts = _chart_points(5, 20)
+    g_ref = np.array([g_fn(*pt) for pt in pts], dtype=float)
+    dg = np.array([dg_fn(*pt) for pt in pts], dtype=float)   # dg[n, k, a, b]
+    term = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    gamma_ref = 0.5 * np.einsum("ndc,nabc->ndab", np.linalg.inv(g_ref), term)
+    for centre in CENTRES:
+        g4, gamma = nf.LineSpaceChart(centre).metric_and_christoffel(pts)
+        assert np.max(np.abs(g4 - g_ref)) < 1e-13
+        assert np.max(np.abs(gamma - gamma_ref)) < 1e-12
+
+
+def test_angle_gradient_matches_one_node_differences():
+    # each boundary sample's gradient against moving only its own
+    # first-interior node and re-evaluating the whole geometry
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV))
+    geo = nf.flow_geometry(state)
+    base = nf.boundary_angle_cosh(state, geo)
+    grads = nf._angle_gradient(state, geo, base, probe=1e-6)
+    _, _, ni, nj = nf._edge_indices(state.shape)
+    brute = np.empty_like(grads)
+    for m in range(len(base)):
+        for k in range(2):
+            moved = dataclasses.replace(state, f=state.f.copy())
+            moved.f[ni[m], nj[m], 2 + k] += 1e-6
+            vals = nf.boundary_angle_cosh(moved, nf.flow_geometry(moved))
+            brute[m, k] = (vals[m] - base[m]) / 1e-6
+    assert np.max(np.abs(brute)) > 1.0
+    assert np.max(np.abs(grads - brute)) < 1e-8
 
 
 def test_holomorphic_affine_disc_is_stationary():

@@ -255,6 +255,15 @@ def test_cli_umbilics_with_metric_file(tmp_path):
     assert len(lines) == 5
 
 
+def test_cli_umbilics_names_a_metric_singular_along_the_surface(tmp_path, capsys):
+    path = tmp_path / "singular.kv"
+    path.write_text("chart = hopf\ng11 = 1\ng22 = sin(rho)^2\ng33 = 0\n")
+    code = run_cli(["umbilics", "--surface", "clifford", "--grid", "8x8",
+                    "--metric-file", str(path)], tmp_path)
+    assert code == 2
+    assert "singular or not finite" in capsys.readouterr().err
+
+
 def test_cli_maslov_loop_file(tmp_path):
     # directions on a small circle around one umbilic normal of the ellipsoid
     x_u = 2.0 * np.sqrt(1.75 / 3.0)

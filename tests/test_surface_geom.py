@@ -6,7 +6,7 @@ import pytest
 from geomlab import chart_tensor as ct
 from geomlab import jets, quadrature
 from geomlab import surface_geom as sg
-from geomlab.errors import ImmersionError
+from geomlab.errors import ImmersionError, MetricParameterError
 
 FLAT = ct.metric_by_name("flat-r3")
 TWO_PI_SQ = 2 * np.pi ** 2
@@ -93,6 +93,16 @@ def test_nan_point_raises_immersion_error():
     sphere = sg.surface_by_name("round-sphere")
     with pytest.raises(ImmersionError, match="not finite"):
         sg.fundamental_forms(sphere, FLAT, np.array([0.5, np.nan]), np.array([0.5, 0.5]))
+
+
+def test_metric_singular_along_the_surface_is_named(tmp_path):
+    # g33 = 0 makes the first form of the Clifford torus singular: the halt
+    # names the metric, not the immersion
+    path = tmp_path / "singular.kv"
+    path.write_text("chart = hopf\ng11 = 1\ng22 = sin(rho)^2\ng33 = 0\n")
+    clifford = sg.surface_by_name("clifford")
+    with pytest.raises(MetricParameterError, match="singular or not finite at point"):
+        sg.fundamental_forms(clifford, ct.load_metric(path), 0.7, 1.9)
 
 
 def test_normality_residuals():
