@@ -140,8 +140,8 @@ def _christoffel_from_metric_differences(chart, p, h=1e-5):
     return 0.5 * np.einsum("dc,abc->dab", ginv, term)
 
 
-@pytest.mark.parametrize("centre", CENTRES)
-def test_chart_christoffels_match_metric_differences(centre):
+@pytest.mark.parametrize("centre", CENTRES[1:])
+def test_chart_christoffels_match_metric_differences_at_random_centres(centre):
     chart = nf.LineSpaceChart(centre)
     pts = _chart_points(4, 12)
     _, gamma = chart.metric_and_christoffel(pts)
