@@ -84,9 +84,9 @@ class LineSpaceChart:
     def metric_and_christoffel(self, pts):
         """Exact G_AB and Gamma^D_AB = gamma[n, D, A, B] at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        g4 = self.metric(pts)
         x, y, w1, w2 = pts.T
         d = 1.0 + x * x + y * y
-        g4 = self._metric(x, y, w1, w2, d)
         a_x = 2.0 * x / d
         a_y = 2.0 * y / d
         pp = 2.0 * (w1 * (x * x - y * y + 1.0) + 2.0 * w2 * x * y) / d ** 2
@@ -110,11 +110,8 @@ class LineSpaceChart:
         """Exact G_AB at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         x, y, w1, w2 = pts.T
-        return self._metric(x, y, w1, w2, 1.0 + x * x + y * y)
-
-    @staticmethod
-    def _metric(x, y, w1, w2, d):
-        g4 = np.zeros((len(x), 4, 4))
+        d = 1.0 + x * x + y * y
+        g4 = np.zeros((len(pts), 4, 4))
         g4[:, 0, 0] = g4[:, 1, 1] = 16.0 * (x * w2 - y * w1) / d ** 3
         g4[:, 1, 2] = g4[:, 2, 1] = 4.0 / d ** 2
         g4[:, 0, 3] = g4[:, 3, 0] = -4.0 / d ** 2
