@@ -118,19 +118,14 @@ class MetricField:
     params: dict = field(default_factory=dict)
     constant: bool = False
 
-    def _components_at(self, c0, c1, c2):
-        rows = self.components(c0, c1, c2)
-        return rows
-
     def matrix(self, pts):
         """Metric components g_ij at points, shape (N,3,3)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rows = self._components_at(pts[:, 0], pts[:, 1], pts[:, 2])
-        n = pts.shape[0]
-        out = np.empty((n, 3, 3))
+        rows = self.components(pts[:, 0], pts[:, 1], pts[:, 2])
+        out = np.empty((pts.shape[0], 3, 3))
         for i in range(3):
             for j in range(3):
-                out[:, i, j] = np.broadcast_to(_value(rows[i][j]), (n,))
+                out[:, i, j] = rows[i][j]
         return out
 
     def matrix_and_partials(self, pts):
@@ -139,21 +134,12 @@ class MetricField:
         n = pts.shape[0]
         if self.constant:
             return self.matrix(pts), np.zeros((n, 3, 3, 3))
-        c = jets.variables([pts[:, 0], pts[:, 1], pts[:, 2]], order=1)
-        rows = self._components_at(*c)
-        g = np.empty((n, 3, 3))
-        dg = np.empty((n, 3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                entry = rows[i][j]
-                if isinstance(entry, jets.Jet):
-                    g[:, i, j] = np.broadcast_to(entry.f, (n,))
-                    for k in range(3):
-                        dg[:, k, i, j] = np.broadcast_to(entry.g[k], (n,))
-                else:
-                    g[:, i, j] = np.broadcast_to(np.asarray(entry, dtype=float), (n,))
-                    dg[:, :, i, j] = 0.0
-        return g, dg
+        g, dg = jets.derivatives(
+            lambda *c: [entry for row in self.components(*c) for entry in row],
+            [pts[:, 0], pts[:, 1], pts[:, 2]], order=1)
+        # component m = 3 i + j, so these are views in the [n, i, j] and
+        # [n, k, i, j] layouts
+        return g.reshape(n, 3, 3), dg.reshape(n, 3, 3, 3)
 
     def check_domain(self, pts):
         ok = self.chart.contains(pts)

@@ -263,27 +263,7 @@ def cmd_maslov(args):
     else:
         enclose = [int(x) for x in args.enclose.split(",")]
         for count in enclose:
-            if count == 0:
-                loop_s = np.pi / 2 + 0.2 * np.cos(phi)
-                loop_t = np.pi / 2 + 0.2 * np.sin(phi)
-            elif count == 1:
-                if not iso:
-                    raise ConfigError("surface has no isolated umbilics to enclose")
-                loop_s = iso[0].s + 0.15 * np.cos(phi)
-                loop_t = iso[0].t + 0.15 * np.sin(phi)
-            elif count == 2:
-                if len(iso) < 2:
-                    raise ConfigError("surface has fewer than two umbilics")
-                period = 2 * np.pi
-                partner = min(iso[1:], key=lambda r: min(
-                    abs(r.s - iso[0].s) % period,
-                    period - abs(r.s - iso[0].s) % period))
-                t_mid = 0.5 * (iso[0].t + partner.t)
-                t_rad = 0.35 + 0.5 * abs(partner.t - iso[0].t)
-                loop_s = iso[0].s + 0.35 * np.cos(phi)
-                loop_t = t_mid + t_rad * np.sin(phi)
-            else:
-                raise ConfigError("--enclose supports counts 0, 1, 2")
+            loop_s, loop_t = sc.enclosing_loop(iso, count, phi)
             mas = ls.maslov_index(cmap, loop_s, loop_t, section.center)
             angles = ut.principal_angles(surface, metric, loop_s, loop_t)
             rows.append([count, mas["mu"], mas["index_sum"],

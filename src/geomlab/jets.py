@@ -10,12 +10,15 @@ charts in this package are written as plain arithmetic over whatever
 number type they receive; feeding them jets yields exact derivatives,
 feeding them ndarrays yields plain values.  Finite differences appear
 only in test oracles.
+
+``derivatives`` is the one read-out from jets to arrays: every caller that
+needs a map's values and partials as arrays goes through it.
 """
 
 import numpy as np
 
 __all__ = [
-    "Jet", "variables", "where",
+    "Jet", "variables", "derivatives", "where",
     "sin", "cos", "tan", "exp", "log", "sqrt",
 ]
 
@@ -135,6 +138,40 @@ def variables(values, order=2):
         h = np.zeros((n, n) + shape) if order == 2 else None
         out.append(Jet(np.broadcast_to(v, shape).copy(), g, h))
     return out
+
+
+def derivatives(fn, values, order=2):
+    """Values and partials of ``fn``'s components as arrays.
+
+    ``fn`` is called with one jet variable per entry of ``values`` (seeded by
+    ``variables``) and returns a sequence of M components.  Returns
+    ``f[..., m]``, ``g[..., i, m]`` and, for order 2, ``h[..., i, j, m]``,
+    where ``...`` is the broadcast shape of ``values`` and i, j index the
+    variables; a component that is a plain number or array gets zero
+    derivatives.  The arrays are C-contiguous and filled component by
+    component.
+    """
+    xs = variables(values, order=order)
+    comps = fn(*xs)
+    shape = xs[0].f.shape
+    n, m = len(xs), len(comps)
+    f = np.empty(shape + (m,))
+    g = np.empty(shape + (n, m))
+    h = np.empty(shape + (n, n, m)) if order == 2 else None
+    for k, comp in enumerate(comps):
+        if isinstance(comp, Jet):
+            f[..., k] = comp.f
+            for i in range(n):
+                g[..., i, k] = comp.g[i]
+                if h is not None:
+                    for j in range(n):
+                        h[..., i, j, k] = comp.h[i, j]
+        else:
+            f[..., k] = comp
+            g[..., k] = 0.0
+            if h is not None:
+                h[..., k] = 0.0
+    return (f, g) if h is None else (f, g, h)
 
 
 def where(cond, a, b):

@@ -26,7 +26,6 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, UnreliableLoopError
 from .kernels import winding_total
-from .surface_geom import _jet_map
 from .umbilic_topology import _grid_order, _local_minima, _param_distance, _refine_minima
 
 TWO_PI = 2.0 * np.pi
@@ -194,12 +193,18 @@ def sphere_to_stereo(u, center):
 def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True):
     """Complex defect whose zeros are the J-invariant tangent planes.
 
-    Decomposes J X1 over the frame (X1, X2, E1, E2), with E_i the vertical
-    complement vectors built from the chart frame of ``center``; the two
-    vertical coefficients form psi = g1 + i g2.  A smooth nonvanishing
-    rescale of the tangent frame changes psi by a nonvanishing factor and
-    never the winding around a zero; ``normalize`` applies the unit-frame
-    rescale that makes |psi| a dimensionless measure.
+    Decomposes J X1 = a X1 + b X2 + g1 E1 + g2 E2, with E_i = (0, e_i) the
+    vertical vectors of the chart frame (e1, e2) of ``center``; the two
+    vertical coefficients form psi = g1 + i g2.  In that frame write
+    z_k = du_k.(e1 + i e2) and w_k = dv_k.(e1 + i e2).  J acts on du as
+    multiplication by i, so the real a, b solve i z1 = a z1 + b z2: with
+    c = conj(z1) z2, a = -Re c / Im c and b = |z1|^2 / Im c.  Then
+    psi = i w1 - a w1 - b w2; the c u term of J and the u-components cancel
+    by the tangency constraint u.dV + V.du = 0, so V does not enter.
+
+    A smooth nonvanishing rescale of the tangent frame changes psi by a
+    nonvanishing factor and never the winding around a zero; ``normalize``
+    applies the unit-frame rescale that makes |psi| a dimensionless measure.
     """
     if normalize:
         n1 = np.sqrt(_dot(du1, du1) + _dot(dv1, dv1))[..., None]
@@ -207,18 +212,15 @@ def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True):
         du1, dv1 = du1 / n1, dv1 / n1
         du2, dv2 = du2 / n2, dv2 / n2
     e1, e2 = sphere_frame(u, center)
-    zeros = np.zeros_like(e1)
-    ju, jv = apply_j(u, V, du1, dv1)
-    rhs = np.concatenate([ju, jv], axis=-1)
-    cols = [np.concatenate([du1, dv1], axis=-1),
-            np.concatenate([du2, dv2], axis=-1),
-            np.concatenate([zeros, e1], axis=-1),
-            np.concatenate([zeros, e2], axis=-1)]
-    m = np.stack(cols, axis=-1)                       # (..., 6, 4)
-    mtm = np.einsum("...ia,...ib->...ab", m, m)
-    mtb = np.einsum("...ia,...i->...a", m, rhs)
-    sol = np.linalg.solve(mtm, mtb[..., None])[..., 0]
-    return sol[..., 2] + 1j * sol[..., 3]
+
+    def frame(v):
+        return _dot(v, e1) + 1j * _dot(v, e2)
+
+    z1, z2, w1, w2 = frame(du1), frame(du2), frame(dv1), frame(dv2)
+    c = np.conj(z1) * z2
+    a = -c.real / c.imag
+    b = (z1.real ** 2 + z1.imag ** 2) / c.imag
+    return 1j * w1 - a * w1 - b * w2
 
 
 def plane_off_j_fraction(u, V, du1, dv1, du2, dv2):
@@ -345,27 +347,16 @@ def wirtinger_residual(x1, x2):
 
 # -- normal congruences -------------------------------------------------------
 
-def _jet_vec(values, grads):
-    """Three order-1 jets for a batched 3-vector with parameter gradients."""
-    return [jets.Jet(values[..., i], np.stack([grads[..., a, i] for a in range(2)]))
-            for i in range(3)]
-
-
-def _cross3(a, b):
-    return [a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
-
-
 def _dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 class CongruenceMap:
-    """Oriented normal lines of a surface in the flat chart, jet-evaluable.
+    """Oriented normal lines of a surface in the flat chart.
 
     ``eval(s, t)`` returns the section sample u, V and its exact parameter
-    tangents dU, dV of shapes (..., 3) and (..., 2, 3).
+    tangents dU, dV of shapes (..., 3) and (..., 2, 3), differentiated in
+    closed form from the immersion's second-order jet.
     """
 
     def __init__(self, surface):
@@ -385,27 +376,21 @@ class CongruenceMap:
                    for i in range(4)]
             return (out[0].reshape(s.shape + (3,)), out[1].reshape(s.shape + (3,)),
                     out[2].reshape(s.shape + (2, 3)), out[3].reshape(s.shape + (2, 3)))
-        point, d1, d2 = _jet_map(self.surface, s.ravel(), t.ravel())
-        shape = s.shape
-        p = _jet_vec(point.reshape(-1, 3), d1.reshape(-1, 2, 3))
-        xs = _jet_vec(d1.reshape(-1, 2, 3)[:, 0, :], d2.reshape(-1, 2, 2, 3)[:, 0, :, :])
-        xt = _jet_vec(d1.reshape(-1, 2, 3)[:, 1, :], d2.reshape(-1, 2, 2, 3)[:, 1, :, :])
-        raw = _cross3(xs, xt)
-        if self.surface.orient < 0:
-            raw = [-c for c in raw]
-        norm = jets.sqrt(_dot3(raw, raw))
-        n = [c / norm for c in raw]
-        pn = _dot3(p, n)
-        foot = [p[i] - pn * n[i] for i in range(3)]
-
-        def unpack(vec):
-            vals = np.stack([c.f for c in vec], axis=-1).reshape(shape + (3,))
-            grads = np.stack([np.stack([c.g[a] for c in vec], axis=-1)
-                              for a in range(2)], axis=-2)
-            return vals, grads.reshape(shape + (2, 3))
-
-        u, du = unpack(n)
-        V, dV = unpack(foot)
+        p, d1, d2 = jets.derivatives(self.surface.chart_map, [s, t], order=2)
+        orient = self.surface.orient
+        xs, xt = d1[..., 0, :], d1[..., 1, :]
+        # raw normal X_s x X_t and its partials X_as x X_t + X_s x X_at
+        raw = orient * np.cross(xs, xt)
+        draw = orient * (np.cross(d2[..., 0, :], xt[..., None, :])
+                         + np.cross(xs[..., None, :], d2[..., 1, :]))
+        norm = np.sqrt(_dot(raw, raw))[..., None]
+        u = raw / norm
+        du = (draw - _dot(u[..., None, :], draw)[..., None] * u[..., None, :]) / norm[..., None]
+        # foot V = p - (p.u) u
+        pu = _dot(p, u)[..., None]
+        V = p - pu * u
+        dpu = _dot(d1, u[..., None, :]) + _dot(p[..., None, :], du)
+        dV = d1 - dpu[..., None] * u[..., None, :] - pu[..., None] * du
         return u, V, du, dV
 
 
@@ -752,24 +737,15 @@ class JetDisc:
         self.fn = fn
 
     def eval(self, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        a2, b2 = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
-        av, bv = jets.variables([a2.ravel(), b2.ravel()], order=1)
-        u_c, v_c = self.fn(av, bv)
-        shape = a2.shape
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
 
-        def unpack(vec):
-            vals = np.stack([np.broadcast_to(c.f, a2.ravel().shape) for c in vec],
-                            axis=-1).reshape(shape + (3,))
-            grads = np.stack([np.stack([np.broadcast_to(c.g[k], a2.ravel().shape)
-                                        for c in vec], axis=-1)
-                              for k in range(2)], axis=-2)
-            return vals, grads.reshape(shape + (2, 3))
+        def flat(av, bv):
+            u_c, v_c = self.fn(av, bv)
+            return [*u_c, *v_c]
 
-        u, du = unpack(u_c)
-        V, dV = unpack(v_c)
-        return u, V, du, dV
+        f, g = jets.derivatives(flat, [a, b], order=1)
+        return f[..., :3], f[..., 3:], g[..., :3], g[..., 3:]
 
 
 def random_jet_disc(rng, amplitude=0.5):

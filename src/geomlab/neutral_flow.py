@@ -132,22 +132,10 @@ class ChartSection:
         return np.broadcast_to(w1, np.shape(x)).copy(), np.broadcast_to(w2, np.shape(x)).copy()
 
     def fiber_with_partials(self, x, y):
+        """Fiber values w[n, k] and their partials dw[n, a, k], a over (x, y)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        xv, yv = jets.variables([x, y], order=1)
-        w1, w2 = self.fiber_fn(xv, yv)
-        n = x.shape[0]
-        w = np.empty((n, 2))
-        dw = np.empty((n, 2, 2))
-        for k, comp in enumerate((w1, w2)):
-            if isinstance(comp, jets.Jet):
-                w[:, k] = np.broadcast_to(comp.f, (n,))
-                dw[:, 0, k] = np.broadcast_to(comp.g[0], (n,))
-                dw[:, 1, k] = np.broadcast_to(comp.g[1], (n,))
-            else:
-                w[:, k] = np.broadcast_to(comp, (n,))
-                dw[:, :, k] = 0.0
-        return w, dw
+        return jets.derivatives(self.fiber_fn, [x, y], order=1)
 
 
 def twisted_zero_section(strength):

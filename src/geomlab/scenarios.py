@@ -15,6 +15,7 @@ from . import chart_tensor as ct
 from . import line_space as ls
 from . import surface_geom as sg
 from . import umbilic_topology as ut
+from .errors import ConfigError
 
 SCHEMA_VERSION = "1"
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -169,6 +170,32 @@ def distance_bound_check(eps_list=(0.1, 0.2, 0.4), rho_points=576,
     return report
 
 
+def enclosing_loop(iso, count, phi):
+    """Parameter loop (s, t) at angles ``phi`` enclosing ``count`` of the
+    isolated umbilics ``iso`` on a surface whose s-axis has period 2 pi.
+
+    0: a small circle at (pi/2, pi/2); 1: a circle around ``iso[0]``;
+    2: an ellipse around ``iso[0]`` and the record nearest it in s.
+    """
+    if count == 0:
+        return np.pi / 2 + 0.2 * np.cos(phi), np.pi / 2 + 0.2 * np.sin(phi)
+    if count == 1:
+        if not iso:
+            raise ConfigError("surface has no isolated umbilics to enclose")
+        return iso[0].s + 0.15 * np.cos(phi), iso[0].t + 0.15 * np.sin(phi)
+    if count == 2:
+        if len(iso) < 2:
+            raise ConfigError("surface has fewer than two umbilics")
+        period = 2 * np.pi
+        partner = min(iso[1:], key=lambda r: min(
+            abs(r.s - iso[0].s) % period,
+            period - abs(r.s - iso[0].s) % period))
+        t_mid = 0.5 * (iso[0].t + partner.t)
+        t_rad = 0.35 + 0.5 * abs(partner.t - iso[0].t)
+        return iso[0].s + 0.35 * np.cos(phi), t_mid + t_rad * np.sin(phi)
+    raise ConfigError("--enclose supports counts 0, 1, 2")
+
+
 def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     """Umbilic topology and its line-space mirror on the worked examples.
 
@@ -226,19 +253,8 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     # Maslov loops around 0, 1, 2 umbilics with the principal-winding mirror
     phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
     iso = [r for r in audit["records"] if r.isolated]
-    base_rec = iso[0]
-    partner = min(
-        (r for r in iso[1:]),
-        key=lambda r: min(abs(r.s - base_rec.s) % period,
-                          period - abs(r.s - base_rec.s) % period))
-    t_mid = 0.5 * (base_rec.t + partner.t)
-    t_rad = 0.35 + 0.5 * abs(partner.t - base_rec.t)
-    loops = {
-        0: (np.pi / 2 + 0.2 * np.cos(phi), np.pi / 2 + 0.2 * np.sin(phi)),
-        1: (base_rec.s + 0.15 * np.cos(phi), base_rec.t + 0.15 * np.sin(phi)),
-        2: (base_rec.s + 0.35 * np.cos(phi), t_mid + t_rad * np.sin(phi)),
-    }
-    for count, (loop_s, loop_t) in loops.items():
+    for count in (0, 1, 2):
+        loop_s, loop_t = enclosing_loop(iso, count, phi)
         mas = ls.maslov_index(cmap, loop_s, loop_t, section.center)
         angles = ut.principal_angles(ell, flat, loop_s, loop_t)
         i_surface = ut.line_field_winding(angles)

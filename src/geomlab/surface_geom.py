@@ -60,34 +60,13 @@ class CurvatureReport:
     area_density: np.ndarray  # sqrt(det I)
 
 
-def _jet_map(surface, s, t):
-    sj, tj = jets.variables([s, t], order=2)
-    comps = surface.chart_map(sj, tj)
-    n = np.broadcast_shapes(np.shape(s), np.shape(t))
-    point = np.empty(n + (3,))
-    d1 = np.empty(n + (2, 3))
-    d2 = np.empty(n + (2, 2, 3))
-    for i, comp in enumerate(comps):
-        if isinstance(comp, jets.Jet):
-            point[..., i] = comp.f
-            for a in range(2):
-                d1[..., a, i] = comp.g[a]
-                for b in range(2):
-                    d2[..., a, b, i] = comp.h[a, b]
-        else:
-            point[..., i] = comp
-            d1[..., :, i] = 0.0
-            d2[..., :, :, i] = 0.0
-    return point, d1, d2
-
-
 def fundamental_forms(surface, metric, s, t):
     """First/second fundamental forms and curvatures at parameters (s, t)."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     scalar = s.ndim == 0 and t.ndim == 0
     s2, t2 = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
-    point, d1, d2 = _jet_map(surface, s2.ravel(), t2.ravel())
+    point, d1, d2 = jets.derivatives(surface.chart_map, [s2.ravel(), t2.ravel()], order=2)
 
     g = metric.matrix(point)
     n = point.shape[0]

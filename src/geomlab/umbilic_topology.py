@@ -34,7 +34,12 @@ class UmbilicRecord:
 
 def principal_angles(surface, metric, s, t):
     """Angle (mod pi) of the k1 principal direction in parameter coordinates."""
-    rep = fundamental_forms(surface, metric, np.asarray(s, float), np.asarray(t, float))
+    return _principal_angles(
+        fundamental_forms(surface, metric, np.asarray(s, float), np.asarray(t, float)))
+
+
+def _principal_angles(rep):
+    """``principal_angles`` from a CurvatureReport already in hand."""
     first, second = np.atleast_3d(rep.first), np.atleast_3d(rep.second)
     s00, s01, s10, s11 = shape_operator(first, second)
     k1 = np.atleast_1d(rep.k1)
@@ -134,7 +139,9 @@ def _refine_minima(field, s, t, span, domain, periodic, iters):
                     / (hxx * hyy - hxy * hxy)[:, None])
         step[~np.all(np.isfinite(step), axis=1)] = 0.0
         pts += np.clip(step, -2.0, 2.0) * span
-        pts = np.where(periodic, lo + (pts - lo) % width,
+        # a point a rounding step below lo wraps to exactly hi: send it to lo
+        wrapped = lo + (pts - lo) % width
+        pts = np.where(periodic, np.where(wrapped < hi, wrapped, lo),
                        np.clip(pts, lo + 1e-9 * width, hi - 1e-9 * width))
         span *= 0.25
     return pts[:, 0], pts[:, 1], ok
@@ -250,8 +257,7 @@ def umbilic_index(surface, metric, record, loop_radius, n_loop=1024, _depth=0):
     if np.min(rep.disc) <= 10.0 * max(record.disc_min, 1e-14):
         raise UnreliableLoopError(
             "loop touches a near-umbilic region; shrink or grow loop_radius")
-    angles = principal_angles(surface, metric, ss, tt)
-    index = line_field_winding(angles)
+    index = line_field_winding(_principal_angles(rep))
     index2 = line_field_winding(principal_angles(
         surface, metric,
         record.s + loop_radius * np.cos(phi2 := np.linspace(0, TWO_PI, 2 * n_loop, endpoint=False)),

@@ -79,6 +79,34 @@ def test_where_selects_coefficients():
     assert np.allclose(picked.h[0, 0], [0.0, 2.0])
 
 
+def test_derivatives_reads_out_the_jet_attributes():
+    rng = np.random.default_rng(1)
+    values = [rng.uniform(-1.0, 1.0, size=(4, 5)) for _ in range(3)]
+
+    def fn(x, y, z):
+        return [crowded_jets(x, y, z), 2.5, x * y]
+
+    f, g, h = jets.derivatives(fn, values, order=2)
+    assert f.shape == (4, 5, 3) and g.shape == (4, 5, 3, 3) and h.shape == (4, 5, 3, 3, 3)
+    assert all(a.flags["C_CONTIGUOUS"] for a in (f, g, h))
+    comps = fn(*jets.variables(values, order=2))
+    for m in (0, 2):
+        assert np.array_equal(f[..., m], comps[m].f)
+        for i in range(3):
+            assert np.array_equal(g[..., i, m], comps[m].g[i])
+            for j in range(3):
+                assert np.array_equal(h[..., i, j, m], comps[m].h[i, j])
+    # a plain-number component has its value and zero derivatives
+    assert np.all(f[..., 1] == 2.5)
+    assert not np.any(g[..., 1]) and not np.any(h[..., 1])
+
+    out = jets.derivatives(fn, values, order=1)
+    assert len(out) == 2
+    f1, g1 = out
+    assert f1.shape == (4, 5, 3) and g1.shape == (4, 5, 3, 3)
+    assert np.array_equal(f1, f) and np.array_equal(g1, g)
+
+
 def test_expression_grammar_evaluates_and_differentiates():
     fn = compile_expression("sin(x)*y^2 + sqrt(1 + x^2)/y", ("x", "y"))
     x, y = jets.variables([0.3, 1.7], order=2)

@@ -165,6 +165,57 @@ def test_torus_congruence_warns_not_graphical():
         ls.normal_congruence(torus, grid=(48, 48))
 
 
+@pytest.mark.parametrize("name", ["ellipsoid", "ellipsoid-offset"])
+def test_congruence_tangents_match_central_differences(name):
+    cmap = ls.CongruenceMap(sg.surface_by_name(name))
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.0, 2 * np.pi, 200)
+    t = rng.uniform(0.2, np.pi - 0.2, 200)
+    u, V, du, dV = cmap.eval(s, t)
+    h = 1e-5
+    for a, (ds, dt) in enumerate(((h, 0.0), (0.0, h))):
+        up, Vp, _, _ = cmap.eval(s + ds, t + dt)
+        um, Vm, _, _ = cmap.eval(s - ds, t - dt)
+        assert np.max(np.abs(du[:, a] - (up - um) / (2 * h))) < 1e-8 * np.max(np.abs(du))
+        assert np.max(np.abs(dV[:, a] - (Vp - Vm) / (2 * h))) < 1e-8 * np.max(np.abs(dV))
+
+
+def _psi_least_squares(u, V, du1, dv1, du2, dv2, center):
+    """psi from a 6x4 least-squares solve of J X1 over (X1, X2, E1, E2)."""
+    e1, e2 = ls.sphere_frame(u, center)
+    ju, jv = ls.apply_j(u, V, du1, dv1)
+    out = np.empty(len(u), dtype=complex)
+    zero = np.zeros(3)
+    for k in range(len(u)):
+        frame = np.stack([np.concatenate([du1[k], dv1[k]]),
+                          np.concatenate([du2[k], dv2[k]]),
+                          np.concatenate([zero, e1[k]]),
+                          np.concatenate([zero, e2[k]])], axis=1)
+        coef = np.linalg.lstsq(frame, np.concatenate([ju[k], jv[k]]), rcond=None)[0]
+        out[k] = coef[2] + 1j * coef[3]
+    return out
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_defect_psi_matches_least_squares_decomposition(normalize):
+    rng = np.random.default_rng(11)
+    center = (0.0, 0.0, 1.0)
+    bases = [b for b in (ls.random_base(rng) for _ in range(300)) if b.u[2] > -0.5]
+    tangents = [(ls.random_tangent(rng, b, scale=rng.uniform(0.1, 3.0)),
+                 ls.random_tangent(rng, b, scale=rng.uniform(0.1, 3.0))) for b in bases]
+    u = np.array([b.u for b in bases])
+    V = np.array([b.V for b in bases])
+    du1, dv1, du2, dv2 = (np.array([getattr(x[i], f) for x in tangents])
+                          for i, f in ((0, "du"), (0, "dV"), (1, "du"), (1, "dV")))
+    psi = ls.defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=normalize)
+    if normalize:
+        n1 = np.linalg.norm(np.concatenate([du1, dv1], axis=1), axis=1)[:, None]
+        n2 = np.linalg.norm(np.concatenate([du2, dv2], axis=1), axis=1)[:, None]
+        du1, dv1, du2, dv2 = du1 / n1, dv1 / n1, du2 / n2, dv2 / n2
+    ref = _psi_least_squares(u, V, du1, dv1, du2, dv2, center)
+    assert np.max(np.abs(psi - ref)) < 1e-10 * np.max(np.abs(ref))
+
+
 def test_congruence_rejects_hopf_chart_surfaces():
     with pytest.raises(ChartDomainError):
         ls.CongruenceMap(sg.surface_by_name("clifford"))

@@ -264,6 +264,23 @@ def test_cli_umbilics_names_a_metric_singular_along_the_surface(tmp_path, capsys
     assert "singular or not finite" in capsys.readouterr().err
 
 
+def test_cli_linespace_audit(tmp_path):
+    assert run_cli(["linespace-audit", "--samples", "50"], tmp_path) == 0
+    payload = json.loads((tmp_path / "linespace_audit.json").read_text())
+    assert payload["samples"] == 50 and payload["passed"] is True
+    assert all(v is True for v in payload["checks"].values())
+
+
+def test_enclosing_loop_names_missing_umbilics():
+    phi = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    with pytest.raises(ConfigError, match="no isolated umbilics"):
+        scenarios.enclosing_loop([], 1, phi)
+    with pytest.raises(ConfigError, match="fewer than two"):
+        scenarios.enclosing_loop([object()], 2, phi)
+    with pytest.raises(ConfigError, match="counts 0, 1, 2"):
+        scenarios.enclosing_loop([], 3, phi)
+
+
 def test_cli_maslov_loop_file(tmp_path):
     # directions on a small circle around one umbilic normal of the ellipsoid
     x_u = 2.0 * np.sqrt(1.75 / 3.0)

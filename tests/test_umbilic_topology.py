@@ -170,6 +170,15 @@ def test_scan_refines_all_candidates_in_one_call_per_iteration(monkeypatch):
     assert sizes == [128 * 96] + [25 * n_cand] * 4 + [n_cand, 64 * len(records)]
 
 
+def test_refine_wraps_periodic_parameters_into_the_half_open_domain():
+    # a step landing a rounding error below 0 must not come back as 2 pi
+    s, t, ok = ut._refine_minima(lambda s, t: (s + 1e-17) ** 2 + (t - 1) ** 2,
+                                 [0.0], [1.0], (0.02, 0.02),
+                                 ((0.0, 2 * np.pi), (0.0, 2.0)), (True, False), 1)
+    assert 0.0 <= s[0] < 2 * np.pi
+    assert abs(t[0] - 1.0) < 1e-12 and ok[0]
+
+
 def test_merge_warns_on_coarse_ambiguity():
     import warnings
     candidates = [(1.0, 1.0, 1e-9, (0.0, 0.0, 0.0), 1.0, 1.0),
