@@ -107,8 +107,10 @@ class MetricField:
     """Symmetric 2-tensor field on a chart, with exact derivatives.
 
     ``components`` maps three coordinate quantities (ndarrays or jets) to a
-    3x3 nested list; entries may be plain constants.  ``constant`` marks
-    position-independent fields (flat metric), letting callers skip
+    3x3 nested list; entries may be plain constants.  ``depends_on`` lists
+    the chart coordinates (0, 1, 2) the components read: points that agree
+    on them share one evaluation, and an empty tuple marks a
+    position-independent field (flat metric), letting callers skip
     Christoffel terms.
     """
 
@@ -116,30 +118,37 @@ class MetricField:
     chart: Chart
     components: callable
     params: dict = field(default_factory=dict)
-    constant: bool = False
+    depends_on: tuple = (0, 1, 2)
+
+    @property
+    def constant(self):
+        return not self.depends_on
 
     def matrix(self, pts):
         """Metric components g_ij at points, shape (N,3,3)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rows = self.components(pts[:, 0], pts[:, 1], pts[:, 2])
-        out = np.empty((pts.shape[0], 3, 3))
+        at, inverse = _orbits(self.depends_on, pts)
+        rows = self.components(at[:, 0], at[:, 1], at[:, 2])
+        out = np.empty((at.shape[0], 3, 3))
         for i in range(3):
             for j in range(3):
                 out[:, i, j] = rows[i][j]
-        return out
+        return out if inverse is None else out[inverse]
 
     def matrix_and_partials(self, pts):
         """(g_ij, d_k g_ij) with exact first partials, shapes (N,3,3), (N,3,3,3)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
         if self.constant:
-            return self.matrix(pts), np.zeros((n, 3, 3, 3))
+            return self.matrix(pts), np.zeros((pts.shape[0], 3, 3, 3))
+        at, inverse = _orbits(self.depends_on, pts)
+        m = at.shape[0]
         g, dg = jets.derivatives(
             lambda *c: [entry for row in self.components(*c) for entry in row],
-            [pts[:, 0], pts[:, 1], pts[:, 2]], order=1)
-        # component m = 3 i + j, so these are views in the [n, i, j] and
-        # [n, k, i, j] layouts
-        return g.reshape(n, 3, 3), dg.reshape(n, 3, 3, 3)
+            [at[:, 0], at[:, 1], at[:, 2]], order=1)
+        # component 3 i + j, so these are views in the [m, i, j] and
+        # [m, k, i, j] layouts
+        g, dg = g.reshape(m, 3, 3), dg.reshape(m, 3, 3, 3)
+        return (g, dg) if inverse is None else (g[inverse], dg[inverse])
 
     def check_domain(self, pts):
         ok = self.chart.contains(pts)
@@ -153,6 +162,9 @@ class MetricField:
 
 def _flat_components(x, y, z):
     return [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+_RHO = (0,)  # the Hopf families are T^2-invariant: they read rho alone
 
 
 def _hopf_components(eps=0.0, bump=None):
@@ -174,9 +186,10 @@ def metric_by_name(name, **params):
     ``hopf-eps-bumped`` (param eps).
     """
     if name == "flat-r3":
-        return MetricField("flat-r3", CARTESIAN_CHART, _flat_components, constant=True)
+        return MetricField("flat-r3", CARTESIAN_CHART, _flat_components, depends_on=())
     if name == "round-s3":
-        return MetricField("round-s3", HOPF_CHART, _hopf_components(eps=0.0))
+        return MetricField("round-s3", HOPF_CHART, _hopf_components(eps=0.0),
+                           depends_on=_RHO)
     if name in ("hopf-eps", "hopf-eps-bumped"):
         eps = float(params.get("eps", 0.0))
         if not (0.0 <= eps < 1.0):
@@ -185,9 +198,11 @@ def metric_by_name(name, **params):
         bump = None
         if name == "hopf-eps-bumped":
             if eps == 0.0:
-                return MetricField(name, HOPF_CHART, _hopf_components(0.0), {"eps": 0.0})
+                return MetricField(name, HOPF_CHART, _hopf_components(0.0), {"eps": 0.0},
+                                   depends_on=_RHO)
             bump = BumpProfile(eps)
-        return MetricField(name, HOPF_CHART, _hopf_components(eps, bump), {"eps": eps})
+        return MetricField(name, HOPF_CHART, _hopf_components(eps, bump), {"eps": eps},
+                           depends_on=_RHO)
     raise MetricParameterError(f"unknown metric family {name!r}")
 
 
@@ -211,6 +226,7 @@ def metric_from_expressions(chart_name, entries, name="custom"):
         compiled[(i, j)] = compile_expression(text, chart.coords)
 
     names = chart.coords
+    reads = set().union(*(fn.reads for fn in compiled.values()))
 
     def components(c0, c1, c2):
         env = {names[0]: c0, names[1]: c1, names[2]: c2}
@@ -220,7 +236,8 @@ def metric_from_expressions(chart_name, entries, name="custom"):
             rows[j][i] = rows[i][j]
         return rows
 
-    return MetricField(name, chart, components)
+    return MetricField(name, chart, components,
+                       depends_on=tuple(k for k in range(3) if names[k] in reads))
 
 
 def load_metric(path):
@@ -275,15 +292,40 @@ def _sym3_inverse_det(g):
     return adj, det
 
 
-def _check_nondegenerate(metric, pts, det):
+def _check_nondegenerate(metric, pts, det, inverse=None):
     """Raise MetricParameterError at the first point where det g is not a
-    finite positive number."""
+    finite positive number.  With ``inverse`` (from ``_orbits``), ``det``
+    holds one value per orbit and ``pts`` all the points."""
     bad = ~(np.isfinite(det) & (det > 0))
     if np.any(bad):
+        if inverse is not None:
+            bad, det = bad[inverse], det[inverse]
         k = int(np.argmax(bad))
         raise MetricParameterError(
             f"metric {metric.name} is singular or not finite at point "
             f"{tuple(float(x) for x in pts[k])} (det g = {det[k]:.6g})")
+
+
+def _orbits(axes, pts):
+    """Orbit representatives of ``pts`` (N,3) for fields that read only the
+    coordinates ``axes``: (reps, inverse) with ``reps`` the first point of
+    each orbit and ``inverse`` mapping every point to its orbit, so a
+    pointwise function of those coordinates evaluated on ``reps`` and
+    gathered with ``inverse`` equals its value on ``pts`` bit for bit.
+    (pts, None) when nothing repeats: all three coordinates read, at most
+    one point, a constant field (filled by broadcasting), or all points
+    distinct."""
+    if not axes or len(axes) == 3 or pts.shape[0] < 2:
+        return pts, None
+    if len(axes) == 1:
+        _, rep, inverse = np.unique(pts[:, axes[0]], return_index=True,
+                                    return_inverse=True)
+    else:
+        _, rep, inverse = np.unique(pts[:, list(axes)], return_index=True,
+                                    return_inverse=True, axis=0)
+    if rep.shape[0] == pts.shape[0]:
+        return pts, None
+    return pts[rep], inverse.reshape(-1)
 
 
 def christoffel(metric, point):
@@ -292,18 +334,20 @@ def christoffel(metric, point):
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
     """
     pts = np.atleast_2d(np.asarray(point, dtype=float))
-    g, dg = metric.matrix_and_partials(pts)
+    at, inverse = _orbits(metric.depends_on, pts)
+    g, dg = metric.matrix_and_partials(at)
     ginv, det = _sym3_inverse_det(g)
-    _check_nondegenerate(metric, pts, det)
-    # dg[:, k, i, j] = d_k g_ij; build term[n,i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
+    _check_nondegenerate(metric, pts, det, inverse)
+    # dg[:, k, i, j] = d_k g_ij; build term[m,i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
     term = dg + dg.transpose(0, 2, 1, 3)
     term -= dg.transpose(0, 2, 3, 1)
-    n = pts.shape[0]
-    # one matmul over the (n, 9, 3) view gives [n, ij, k] (g^{-1} is symmetric);
-    # the result is that array seen as [n, k, i, j]
-    gamma = term.reshape(n, 9, 3) @ ginv
+    # one matmul over the (m, 9, 3) view gives [m, ij, k] (g^{-1} is symmetric)
+    gamma = term.reshape(at.shape[0], 9, 3) @ ginv
     gamma *= 0.5
-    gamma = gamma.reshape(n, 3, 3, 3).transpose(0, 3, 1, 2)
+    if inverse is not None:
+        gamma = gamma[inverse]
+    # the result is the [n, ij, k] array seen as [n, k, i, j]
+    gamma = gamma.reshape(pts.shape[0], 3, 3, 3).transpose(0, 3, 1, 2)
     return gamma[0] if np.asarray(point).ndim == 1 else gamma
 
 
@@ -342,18 +386,25 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
              for k in range(3)]
     coords, weights = quadrature.tensor_nodes(rules)
     pts = np.stack(coords, axis=1)
+    # the density is a pointwise function of the coordinates the three
+    # metrics read: evaluate it once per orbit of the block
+    axes = tuple(sorted(set().union(*(m.depends_on for m in (background, g_a, g_b)))))
     total = 0.0
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
         wb = weights[start:start + chunk]
+        at, inverse = _orbits(axes, block)
         # a metric passed twice (usually the background) is evaluated once
         evaluated = {}
         for m in (background, g_a, g_b):
             if id(m) not in evaluated:
-                evaluated[id(m)] = m.matrix(block)
+                evaluated[id(m)] = m.matrix(at)
         gb = evaluated[id(background)]
         ginv, det = _sym3_inverse_det(gb)
-        _check_nondegenerate(background, block, det)
-        norm_sq = tensor_norm_sq(evaluated[id(g_a)] - evaluated[id(g_b)], ginv)
-        total += float(np.sum(norm_sq * np.sqrt(det) * wb))
+        _check_nondegenerate(background, block, det, inverse)
+        delta = evaluated[id(g_a)] - evaluated[id(g_b)]
+        density = tensor_norm_sq(delta, ginv) * np.sqrt(det)
+        if inverse is not None:
+            density = density[inverse]
+        total += float(np.sum(density * wb))
     return 2.0 * total

@@ -149,8 +149,18 @@ def _evaluate(node, env):
     raise ExpressionError(f"bad node {op!r}")
 
 
+def _reads(node):
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(_reads(arg) for arg in node[1:] if isinstance(arg, tuple)))
+
+
 def compile_expression(text, variables):
-    """Compile ``text`` into a callable taking keyword arguments."""
+    """Compile ``text`` into a callable taking keyword arguments.
+
+    ``evaluate.reads`` is the frozenset of variables the expression
+    references; the value depends on no other argument.
+    """
     names = tuple(variables)
     ast = _Parser(_tokenize(text), set(names)).parse()
 
@@ -159,4 +169,5 @@ def compile_expression(text, variables):
 
     evaluate.source = text
     evaluate.variables = names
+    evaluate.reads = frozenset(_reads(ast))
     return evaluate

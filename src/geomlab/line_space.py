@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .errors import ChartDomainError, UnreliableLoopError
+from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import winding_total
 from .umbilic_topology import _grid_order, _local_minima, _param_distance, _refine_minima
 
@@ -480,6 +480,8 @@ def normal_congruence(surface, grid=(128, 96), center=None):
 
     Warns when the sampled Gauss map is not injective (the section is then
     not graphical over the direction sphere), but still returns samples.
+    Raises ConfigError when the Gauss map's Jacobian vanishes on the whole
+    grid (a plane, a cylinder): no section over directions exists.
     """
     cmap = CongruenceMap(surface)
     (s0, s1), (t0, t1) = surface.domain
@@ -497,6 +499,12 @@ def normal_congruence(surface, grid=(128, 96), center=None):
     sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
     u, V, du, dV = cmap.eval(sm, tm)
     jac = _dot(np.cross(du[..., 0, :], du[..., 1, :]), u)
+    # |jac| <= |du_0| |du_1| <= 3 max|du|^2: zero relative to that everywhere
+    # means a Gauss map of rank below two (one pass each, no per-point norms)
+    if np.max(np.abs(jac)) <= 1e-12 * np.max(np.abs(du)) ** 2:
+        raise ConfigError(
+            f"the Gauss map of surface {surface.name!r} has zero Jacobian on the "
+            "whole sampled grid, so its normal lines form no section over directions")
     if np.any(jac > 0) and np.any(jac < 0):
         warnings.warn("Gauss map is not injective on the sampled grid; "
                       "the section is not graphical", stacklevel=2)

@@ -82,8 +82,13 @@ def fundamental_forms(surface, metric, s, t):
         # a singular metric degenerates the first form too: name the metric
         _check_nondegenerate(metric, point, _sym3_inverse_det(g)[1])
         raise ImmersionError("coordinate tangents are (numerically) dependent")
-    # ambient Christoffels first, while few per-point arrays are alive
-    gamma = None if metric.constant else christoffel(metric, point)
+    # ambient Christoffels first, while few per-point arrays are alive; they
+    # vanish for a constant metric, whose one value is checked instead
+    if metric.constant:
+        gamma = None
+        _check_nondegenerate(metric, point, _sym3_inverse_det(g[:1])[1])
+    else:
+        gamma = christoffel(metric, point)
 
     # normal: cross product of the two covectors annihilates both tangents
     v = np.cross(cov[:, 0], cov[:, 1])

@@ -1,5 +1,9 @@
 """Metric fields, Christoffel symbols, bump profile, and L2 distances."""
 
+import dataclasses
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,8 @@ from geomlab import chart_tensor as ct
 from geomlab.errors import ChartDomainError, MetricParameterError
 
 RNG = np.random.default_rng(42)
+DEFORMED_KV = os.path.join(os.path.dirname(__file__), "..", "docs", "examples",
+                           "deformed_round.kv")
 
 
 def hopf_points(n, rng=RNG):
@@ -233,3 +239,99 @@ def test_singular_or_non_finite_metric_is_refused(tmp_path):
             ct.christoffel(metric, pts)
         with pytest.raises(MetricParameterError, match="singular or not finite at point"):
             ct.l2_metric_distance(metric, metric, metric, domain=domain, grid=(4, 4, 4))
+
+
+# -- orbit-reduced evaluation ---------------------------------------------------
+
+def pointwise(metric):
+    """The same metric declared to read every coordinate: no orbit reduction."""
+    return dataclasses.replace(metric, depends_on=(0, 1, 2))
+
+
+def orbit_points(rng=RNG):
+    """A 24 x 24 Clifford-torus grid (rho = pi/4), then 40 points on each of
+    seven rho values across the bump's transition band, in random order."""
+    th = 2 * np.pi * np.arange(24) / 24
+    t1, t2 = np.meshgrid(th, th, indexing="ij")
+    torus = np.stack([np.full(t1.size, np.pi / 4), t1.ravel(), t2.ravel()], axis=1)
+    rho = np.pi / 4 + np.array([-0.14, -0.1, -0.06, 0.0, 0.03, 0.08, 0.13])
+    band = np.stack([np.repeat(rho, 40), rng.uniform(0, 2 * np.pi, 280),
+                     rng.uniform(0, 2 * np.pi, 280)], axis=1)
+    return np.concatenate([torus, rng.permutation(band)])
+
+
+def t2_invariant_metrics():
+    return [ct.metric_by_name("hopf-eps-bumped", eps=0.3), ct.load_metric(DEFORMED_KV)]
+
+
+def test_orbit_reduced_evaluation_is_bit_identical():
+    pts = orbit_points()
+    for metric in t2_invariant_metrics():
+        assert metric.depends_on == (0,)
+        full = pointwise(metric)
+        assert np.array_equal(metric.matrix(pts), full.matrix(pts))
+        for a, b in zip(metric.matrix_and_partials(pts), full.matrix_and_partials(pts)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(ct.christoffel(metric, pts), ct.christoffel(full, pts))
+        ground = ct.metric_by_name("round-s3")
+        for args in ((ground, metric, ground), (metric, ground, metric)):
+            reduced = ct.l2_metric_distance(*args, grid=(48, 8, 8))
+            assert reduced > 0
+            assert reduced == ct.l2_metric_distance(*map(pointwise, args), grid=(48, 8, 8))
+
+
+def test_built_in_families_read_only_their_declared_coordinates():
+    rng = np.random.default_rng(11)
+    families = [("flat-r3", {}, ()), ("round-s3", {}, (0,)), ("hopf-eps", {"eps": 0.6}, (0,)),
+                ("hopf-eps-bumped", {"eps": 0.3}, (0,)), ("hopf-eps-bumped", {"eps": 0.0}, (0,))]
+    for name, kw, declared in families:
+        metric = ct.metric_by_name(name, **kw)
+        assert metric.depends_on == declared
+        assert metric.constant == (declared == ())
+        pts = hopf_points(500, rng)
+        if name == "hopf-eps-bumped":  # half the points inside the bump's band
+            pts[::2, 0] = np.pi / 4 + rng.uniform(-0.15, 0.15, 250)
+        # jets of every coordinate, whatever the family declares
+        _, dg = pointwise(metric).matrix_and_partials(pts)
+        undeclared = [k for k in range(3) if k not in metric.depends_on]
+        assert np.all(dg[:, undeclared] == 0.0), name
+
+
+def test_metric_files_depend_on_the_coordinates_they_read(tmp_path):
+    assert ct.load_metric(DEFORMED_KV).depends_on == (0,)
+    twisted = tmp_path / "twisted.kv"
+    twisted.write_text("chart = hopf\ng11 = 1\ng22 = sin(rho)^2\n"
+                       "g33 = cos(rho)^2 + 0.1*sin(theta1)^2\n")
+    assert ct.load_metric(twisted).depends_on == (0, 1)
+    constant = tmp_path / "constant.kv"
+    constant.write_text("chart = cartesian\ng11 = 2\ng22 = 1\ng33 = 1\ng12 = 0.5\n")
+    metric = ct.load_metric(constant)
+    assert metric.depends_on == () and metric.constant
+    pts = RNG.normal(size=(20, 3))
+    assert np.array_equal(metric.matrix(pts), pointwise(metric).matrix(pts))
+    # a metric reading two coordinates reduces over pairs of them
+    pts = orbit_points()
+    pts[:, 1] = np.round(pts[:, 1], 1)
+    reduced, full = ct.load_metric(twisted), pointwise(ct.load_metric(twisted))
+    assert np.array_equal(ct.christoffel(reduced, pts), ct.christoffel(full, pts))
+
+
+def test_singular_orbit_is_named_by_its_first_input_point(tmp_path):
+    # det g <= 0 where rho < 0.7: the refusal names the first such input row,
+    # as the pointwise evaluation does
+    path = tmp_path / "half_singular.kv"
+    path.write_text("chart = hopf\ng11 = rho - 0.7\ng22 = sin(rho)^2\ng33 = cos(rho)^2\n")
+    metric = ct.load_metric(path)
+    pts = RNG.permutation(orbit_points())[:300]
+    pts[:, 0] = np.where(np.arange(300) % 3 == 1, 0.5, pts[:, 0])
+    pts[0, 0] = 1.0
+    messages = []
+    for m in (metric, pointwise(metric)):
+        with pytest.raises(MetricParameterError, match="singular or not finite") as err:
+            ct.christoffel(m, pts)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    named = re.search(r"at point \(([^)]*)\)", messages[0]).group(1)
+    named = [float(x) for x in named.split(",")]
+    first_bad = pts[np.argmax(pts[:, 0] < 0.7)]
+    assert np.array_equal(named, first_bad)

@@ -7,7 +7,7 @@ from geomlab import chart_tensor as ct
 from geomlab import line_space as ls
 from geomlab import surface_geom as sg
 from geomlab import umbilic_topology as ut
-from geomlab.errors import ChartDomainError
+from geomlab.errors import ChartDomainError, ConfigError
 
 FLAT = ct.metric_by_name("flat-r3")
 ELL = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
@@ -163,6 +163,13 @@ def test_torus_congruence_warns_not_graphical():
     torus = sg.surface_by_name("torus-revolution", R=2.0, r=1.0)
     with pytest.warns(UserWarning, match="not injective"):
         ls.normal_congruence(torus, grid=(48, 48))
+
+
+def test_gauss_map_of_rank_below_two_is_refused():
+    # a plane (rank 0) and a parabolic cylinder (rank 1): no section over directions
+    for expr in ("x + 2*y", "x^2"):
+        with pytest.raises(ConfigError, match="Gauss map"):
+            ls.normal_congruence(sg.surface_by_name("graph", expr=expr), grid=(32, 32))
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "ellipsoid-offset"])

@@ -264,6 +264,24 @@ def test_cli_umbilics_names_a_metric_singular_along_the_surface(tmp_path, capsys
     assert "singular or not finite" in capsys.readouterr().err
 
 
+def test_cli_umbilics_names_a_degenerate_rho_only_metric(tmp_path, capsys):
+    # g11 = 0 leaves the torus's first form intact; the refusal comes from
+    # the orbit-reduced Christoffel pass
+    path = tmp_path / "degenerate.kv"
+    path.write_text("chart = hopf\ng11 = 0\ng22 = sin(rho)^2\ng33 = cos(rho)^2\n")
+    code = run_cli(["umbilics", "--surface", "clifford", "--grid", "8x8",
+                    "--metric-file", str(path)], tmp_path)
+    assert code == 2
+    assert "singular or not finite at point" in capsys.readouterr().err
+
+
+def test_cli_maslov_refuses_a_constant_gauss_map(tmp_path, capsys):
+    code = run_cli(["maslov", "--surface", "plane", "--enclose", "0",
+                    "--grid", "32x32"], tmp_path)
+    assert code == 2
+    assert "Gauss map" in capsys.readouterr().err
+
+
 def test_cli_linespace_audit(tmp_path):
     assert run_cli(["linespace-audit", "--samples", "50"], tmp_path) == 0
     payload = json.loads((tmp_path / "linespace_audit.json").read_text())

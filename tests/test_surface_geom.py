@@ -1,5 +1,8 @@
 """Fundamental forms, curvatures, areas and the Willmore integrand."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,34 @@ def test_metric_singular_along_the_surface_is_named(tmp_path):
     clifford = sg.surface_by_name("clifford")
     with pytest.raises(MetricParameterError, match="singular or not finite at point"):
         sg.fundamental_forms(clifford, ct.load_metric(path), 0.7, 1.9)
+
+
+def test_constant_singular_metric_is_named(tmp_path):
+    # a constant metric has no Christoffel pass: its one value is checked
+    path = tmp_path / "singular_flat.kv"
+    path.write_text("chart = cartesian\ng11 = 1\ng22 = 1\ng33 = 0\n")
+    metric = ct.load_metric(path)
+    assert metric.constant
+    ell = sg.surface_by_name("ellipsoid")
+    with pytest.raises(MetricParameterError, match="singular or not finite at point"):
+        sg.fundamental_forms(ell, metric, [0.3, 0.4], [1.0, 1.2])
+
+
+def test_orbit_reduced_forms_are_bit_identical():
+    # the Clifford torus sits on one rho-orbit of the T^2-invariant metrics
+    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    torus = sg.surface_by_name("clifford")
+    rng = np.random.default_rng(3)
+    s, t = rng.uniform(0, 2 * np.pi, 400), rng.uniform(0, 2 * np.pi, 400)
+    for metric in (ct.metric_by_name("hopf-eps-bumped", eps=0.3),
+                   ct.load_metric(os.path.join(examples, "deformed_round.kv"))):
+        full = dataclasses.replace(metric, depends_on=(0, 1, 2))
+        rep = sg.fundamental_forms(torus, metric, s, t)
+        ref = sg.fundamental_forms(torus, full, s, t)
+        for name in rep.__dataclass_fields__:
+            assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
+        assert (sg.willmore_and_area(torus, metric, grid=(48, 40))
+                == sg.willmore_and_area(torus, full, grid=(48, 40)))
 
 
 def test_normality_residuals():
