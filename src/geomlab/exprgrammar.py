@@ -3,10 +3,15 @@
 Grammar: operators ``+ - * / ^``, functions ``sin cos tan exp log sqrt``,
 parentheses, numeric literals, and named variables.  Compiled expressions
 evaluate over any number type the jet module understands (floats, ndarrays,
-jets), so custom metrics get exact derivatives for free.
+jets), so custom metrics get exact derivatives for free.  Literals are numpy
+floats and evaluation runs with numpy's floating-point warnings off, so a
+division by zero or a log of zero yields inf or NaN for the callers' finiteness
+checks to name, never an exception or a warning.
 """
 
 import re
+
+import numpy as np
 
 from . import jets
 
@@ -31,7 +36,7 @@ def _tokenize(text):
             break
         num, name, sym = m.groups()
         if num is not None:
-            tokens.append(("num", float(m.group(0))))
+            tokens.append(("num", np.float64(m.group(0))))
         elif name is not None:
             tokens.append(("name", name))
         elif sym in "+-*/^()":
@@ -110,7 +115,7 @@ class _Parser:
                 self.take(")")
                 return ("call", value, arg)
             if value == "pi":
-                return ("num", 3.141592653589793)
+                return ("num", np.float64(np.pi))
             if value not in self.variables:
                 raise ExpressionError(
                     f"unknown name {value!r}; variables here are {sorted(self.variables)}")
@@ -165,7 +170,8 @@ def compile_expression(text, variables):
     ast = _Parser(_tokenize(text), set(names)).parse()
 
     def evaluate(**env):
-        return _evaluate(ast, env)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _evaluate(ast, env)
 
     evaluate.source = text
     evaluate.variables = names

@@ -43,7 +43,11 @@ class SurfaceImmersion:
 
 @dataclass
 class CurvatureReport:
-    """Pointwise extrinsic data; fields are arrays over the sample batch."""
+    """Pointwise extrinsic data; fields are arrays over the sample batch.
+
+    For a batch on one orbit (see ``fundamental_forms``) the fields from
+    ``first`` on are read-only views of one row, broadcast over the batch.
+    """
 
     point: np.ndarray        # chart coordinates (N,3)
     tangent1: np.ndarray     # dX/ds (N,3)
@@ -61,26 +65,72 @@ class CurvatureReport:
 
 
 def fundamental_forms(surface, metric, s, t):
-    """First/second fundamental forms and curvatures at parameters (s, t)."""
+    """First/second fundamental forms and curvatures at parameters (s, t).
+
+    A batch whose points agree in the coordinates the metric reads, and
+    whose first and second parameter derivatives agree too, is one orbit
+    (the Clifford torus in a T^2-invariant metric, a plane in flat space):
+    its forms are computed at the first point and expanded, equal bit for
+    bit to computing them at every point.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     scalar = s.ndim == 0 and t.ndim == 0
     s2, t2 = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
     point, d1, d2 = jets.derivatives(surface.chart_map, [s2.ravel(), t2.ravel()], order=2)
 
+    if _one_orbit(metric.depends_on, point, d1, d2):
+        # every row of the forms is the same: compute row 0 and expand it
+        report = _forms(surface, metric, point[:1], d1[:1], d2[:1])
+        n = point.shape[0]
+        for name in _CURVATURE_FIELDS:
+            value = getattr(report, name)
+            setattr(report, name, np.broadcast_to(value, (n,) + value.shape[1:]))
+        report.point, report.tangent1, report.tangent2 = point, d1[:, 0], d1[:, 1]
+    else:
+        report = _forms(surface, metric, point, d1, d2)
+    if scalar:
+        for name in report.__dataclass_fields__:
+            setattr(report, name, getattr(report, name)[0])
+    return report
+
+
+_CURVATURE_FIELDS = ("first", "second", "normal", "h_trace", "h_mean", "k1", "k2",
+                     "disc", "disc_sq", "area_density")
+
+
+def _one_orbit(axes, point, d1, d2):
+    """Whether every row equals row 0 in what ``_forms`` reads per row: the
+    metric's coordinates ``axes`` of ``point``, and ``d1``, ``d2``.  Exact
+    ``==``, so a NaN row is never part of an orbit.  The last row's tangents
+    are compared first, which rejects a curved surface's batch at once."""
+    key = (d1, d2) + tuple(point[:, k] for k in axes)
+    return (point.shape[0] > 1 and all((a[-1] == a[0]).all() for a in key)
+            and all((a[1:] == a[0]).all() for a in key))
+
+
+def _forms(surface, metric, point, d1, d2):
+    """CurvatureReport of the rows of ``point`` (N,3), ``d1`` (N,2,3) and
+    ``d2`` (N,2,2,3).  Every operation is row by row, and a row reads the
+    metric only at its ``metric.depends_on`` coordinates."""
     g = metric.matrix(point)
     n = point.shape[0]
     d1t = d1.transpose(0, 2, 1)
-    # covectors g.dX_a: they give the first form and annihilate the normal
-    cov = d1 @ g
-    first = cov @ d1t
-    det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
+    # covectors g.dX_a: they give the first form and annihilate the normal;
+    # non-finite values in g or d1 fail the check below, which names them
+    with np.errstate(invalid="ignore", over="ignore"):
+        cov = d1 @ g
+        first = cov @ d1t
+        det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
     scale = np.einsum("nai,nai->n", d1, d1)
     if not np.all(det_first > 1e-14 * np.maximum(scale, 1.0) ** 2):
-        if not np.all(np.isfinite(det_first)):
+        if not np.all(np.isfinite(d1)):
             raise ImmersionError("coordinate tangents are not finite")
-        # a singular metric degenerates the first form too: name the metric
-        _check_nondegenerate(metric, point, _sym3_inverse_det(g)[1])
+        # a singular or non-finite metric degenerates the first form too:
+        # name the metric
+        with np.errstate(invalid="ignore", over="ignore"):
+            det = _sym3_inverse_det(g)[1]
+        _check_nondegenerate(metric, point, det)
         raise ImmersionError("coordinate tangents are (numerically) dependent")
     # ambient Christoffels first, while few per-point arrays are alive; they
     # vanish for a constant metric, whose one value is checked instead
@@ -110,17 +160,13 @@ def fundamental_forms(surface, metric, s, t):
 
     tr, k1, k2, gap_sq = shape_operator_batch(
         np.ascontiguousarray(first), np.ascontiguousarray(second))
-    report = CurvatureReport(
+    return CurvatureReport(
         point=point, tangent1=d1[:, 0], tangent2=d1[:, 1],
         first=first, second=second, normal=normal,
         h_trace=tr, h_mean=0.5 * tr, k1=k1, k2=k2,
         disc=np.sqrt(gap_sq), disc_sq=gap_sq,
         area_density=np.sqrt(det_first),
     )
-    if scalar:
-        for name in report.__dataclass_fields__:
-            setattr(report, name, getattr(report, name)[0])
-    return report
 
 
 def curvatures(surface, metric, s, t):

@@ -153,7 +153,10 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
 
     Returns records in grid order (see ``_grid_order``).  A surface whose
     gap vanishes on a large fraction of the grid (a round sphere) yields a
-    single record flagged non-isolated, at the first such cell.
+    single record flagged non-isolated, at the first such cell.  Candidates
+    still above ``tol`` after ``refine_iters`` iterations get up to
+    ``refine_iters`` more while their gap keeps falling; those still
+    falling at the end are dropped with a warning.
     """
     ss, tt, ds, dt = _cells(surface, grid)
 
@@ -180,13 +183,37 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
     if len(seeds) == 0:
         return []
     seed_s, seed_t = ss[seeds[:, 0]], tt[seeds[:, 1]]
-    s, t, ok = _refine_minima(
-        lambda s, t: fundamental_forms(surface, metric, s, t).disc_sq,
-        seed_s, seed_t, (ds, dt), surface.domain, surface.periodic, refine_iters)
+
+    def gap_sq(s, t):
+        return fundamental_forms(surface, metric, s, t).disc_sq
+
+    s, t, ok = _refine_minima(gap_sq, seed_s, seed_t, (ds, dt), surface.domain,
+                              surface.periodic, refine_iters)
     rep = fundamental_forms(surface, metric, s, t)
-    candidates = [(float(s[k]), float(t[k]), float(rep.disc[k]), rep.point[k],
+    disc, point = np.array(rep.disc), np.array(rep.point)
+    # a coarse grid can leave an umbilic's gap just above tol: refine the
+    # misses on, from their shrunken span, while their gap at least halves
+    # per step (a gap that stops falling is a positive minimum, no umbilic)
+    span = np.array([ds, dt]) * 0.25 ** refine_iters
+    todo = np.flatnonzero(~(ok & (disc < tol)))
+    for _ in range(refine_iters):
+        if not todo.size:
+            break
+        s[todo], t[todo], ok[todo] = _refine_minima(
+            gap_sq, s[todo], t[todo], span, surface.domain, surface.periodic, 1)
+        rep = fundamental_forms(surface, metric, s[todo], t[todo])
+        falling = rep.disc <= 0.5 * disc[todo]
+        disc[todo], point[todo] = rep.disc, rep.point
+        todo = todo[falling & ~(ok[todo] & (disc[todo] < tol))]
+        span *= 0.25
+    if todo.size:
+        warnings.warn(
+            f"{todo.size} umbilic candidate(s) dropped: the curvature gap was still "
+            f"falling but above tol after {2 * refine_iters} refinement iterations; "
+            "scan a finer grid", stacklevel=2)
+    candidates = [(float(s[k]), float(t[k]), float(disc[k]), point[k],
                    float(seed_s[k]), float(seed_t[k]))
-                  for k in np.flatnonzero(ok & (rep.disc < tol))]
+                  for k in np.flatnonzero(ok & (disc < tol))]
     records = _merge_candidates(surface, metric, candidates, ds, dt, tol)
     return _grid_order(records, np.array(surface.domain)[:, 0], (ds, dt), grid,
                        surface.periodic)

@@ -123,6 +123,16 @@ def test_expression_grammar_operator_precedence():
     assert fn() == pytest.approx(2 + 48 + 3)
 
 
+def test_expression_grammar_gives_non_finite_values_quietly():
+    # constants are numpy floats: no ZeroDivisionError, no RuntimeWarning
+    assert compile_expression("1/0", ())() == np.inf
+    assert compile_expression("log(0)", ())() == -np.inf
+    assert np.isnan(compile_expression("0/0", ())())
+    rho = jets.variables([np.array([0.3, 0.5])], order=2)[0]
+    out = compile_expression("log(rho - rho)", ("rho",))(rho=rho)
+    assert np.all(out.f == -np.inf)
+
+
 def test_expression_grammar_rejects_unknown_names():
     with pytest.raises(ExpressionError):
         compile_expression("sin(q)", ("x", "y"))

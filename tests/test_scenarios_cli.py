@@ -275,6 +275,21 @@ def test_cli_umbilics_names_a_degenerate_rho_only_metric(tmp_path, capsys):
     assert "singular or not finite at point" in capsys.readouterr().err
 
 
+def test_cli_umbilics_names_a_non_finite_metric(tmp_path, capsys):
+    # 1/0 on constants and a log of zero give inf or NaN, named as the metric's
+    for entry in ("g11 = 1/0", "g23 = log(0)", "g23 = log(rho - rho)"):
+        key = entry.split()[0]
+        lines = {"g11": "g11 = 1", "g22": "g22 = sin(rho)^2", "g33": "g33 = cos(rho)^2",
+                 key: entry}
+        path = tmp_path / "nonfinite.kv"
+        path.write_text("chart = hopf\n" + "\n".join(lines.values()) + "\n")
+        code = run_cli(["umbilics", "--surface", "clifford", "--grid", "8x8",
+                        "--metric-file", str(path)], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2, entry
+        assert "is singular or not finite at point" in err, entry
+
+
 def test_cli_maslov_refuses_a_constant_gauss_map(tmp_path, capsys):
     code = run_cli(["maslov", "--surface", "plane", "--enclose", "0",
                     "--grid", "32x32"], tmp_path)

@@ -96,6 +96,13 @@ def test_nan_point_raises_immersion_error():
     sphere = sg.surface_by_name("round-sphere")
     with pytest.raises(ImmersionError, match="not finite"):
         sg.fundamental_forms(sphere, FLAT, np.array([0.5, np.nan]), np.array([0.5, 0.5]))
+    # a NaN row keeps a Clifford batch off the one-orbit path, wherever it is
+    torus = sg.surface_by_name("clifford")
+    for row in (0, 3):
+        s = np.linspace(0.1, 1.0, 6)
+        s[row] = np.nan
+        with pytest.raises(ImmersionError, match="coordinate tangents are not finite"):
+            sg.fundamental_forms(torus, ct.metric_by_name("hopf-eps", eps=0.3), s, np.full(6, 0.4))
 
 
 def test_metric_singular_along_the_surface_is_named(tmp_path):
@@ -119,21 +126,85 @@ def test_constant_singular_metric_is_named(tmp_path):
         sg.fundamental_forms(ell, metric, [0.3, 0.4], [1.0, 1.2])
 
 
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+
+
 def test_orbit_reduced_forms_are_bit_identical():
-    # the Clifford torus sits on one rho-orbit of the T^2-invariant metrics
-    examples = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+    # the Clifford torus sits on one rho-orbit of the T^2-invariant metrics,
+    # and a plane in flat space is one orbit too: every field must equal the
+    # pointwise path, forced by declaring that the metric reads all of x
     torus = sg.surface_by_name("clifford")
     rng = np.random.default_rng(3)
-    s, t = rng.uniform(0, 2 * np.pi, 400), rng.uniform(0, 2 * np.pi, 400)
-    for metric in (ct.metric_by_name("hopf-eps-bumped", eps=0.3),
-                   ct.load_metric(os.path.join(examples, "deformed_round.kv"))):
+    random = (rng.uniform(0, 2 * np.pi, 2000), rng.uniform(0, 2 * np.pi, 2000))
+    nodes = sg._quadrature_grid(torus, (48, 40))[:2]
+    plane = sg.surface_by_name("plane", half_width=3.0)
+    bumped = ct.metric_by_name("hopf-eps-bumped", eps=0.3)
+    cases = [(torus, metric, params)
+             for metric in (ct.metric_by_name("hopf-eps", eps=0.45), bumped,
+                            ct.load_metric(os.path.join(EXAMPLES, "deformed_round.kv")))
+             for params in (nodes, random)]
+    cases.append((plane, FLAT, (random[0] - 3.0, random[1] - 3.0)))
+    # constant tangents across rho-orbits: not one orbit, rho must be compared
+    tilted = sg.SurfaceImmersion("tilted", lambda s, t: (0.6 + 0.1 * s, s, t),
+                                 torus.domain, torus.periodic, chart="hopf")
+    cases.append((tilted, bumped, random))
+    # equal tangents at s = +-0.5 but opposite II: d2 must be compared
+    cases.append((sg.surface_by_name("graph", expr="x^3"), FLAT,
+                  (np.array([0.5, -0.5, 0.5]), np.full(3, 0.2))))
+    for surface, metric, (s, t) in cases:
         full = dataclasses.replace(metric, depends_on=(0, 1, 2))
-        rep = sg.fundamental_forms(torus, metric, s, t)
-        ref = sg.fundamental_forms(torus, full, s, t)
+        rep = sg.fundamental_forms(surface, metric, s, t)
+        ref = sg.fundamental_forms(surface, full, s, t)
         for name in rep.__dataclass_fields__:
-            assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
-        assert (sg.willmore_and_area(torus, metric, grid=(48, 40))
-                == sg.willmore_and_area(torus, full, grid=(48, 40)))
+            got, want = getattr(rep, name), getattr(ref, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
+        # a single point never takes the orbit path: the row-by-row oracle
+        for k in range(0, len(s), max(len(s) // 10, 1)):
+            one = sg.fundamental_forms(surface, metric, s[k], t[k])
+            for name in rep.__dataclass_fields__:
+                assert np.array_equal(getattr(rep, name)[k], getattr(one, name)), name
+        if surface is torus:
+            assert (sg.willmore_and_area(torus, metric, grid=(48, 40))
+                    == sg.willmore_and_area(torus, full, grid=(48, 40)))
+
+
+def _counting(metric):
+    """``metric`` with its components wrapped to record each call's batch size."""
+    sizes = []
+
+    def components(*coords):
+        c = coords[0]
+        sizes.append(np.size(c.f if isinstance(c, jets.Jet) else c))
+        return metric.components(*coords)
+    return dataclasses.replace(metric, components=components), sizes
+
+
+def test_one_orbit_batch_evaluates_the_metric_at_one_point():
+    rng = np.random.default_rng(8)
+    s, t = rng.uniform(-1.0, 1.0, 300), rng.uniform(-1.0, 1.0, 300)
+    for surface, metric in ((sg.surface_by_name("clifford"),
+                             ct.metric_by_name("hopf-eps-bumped", eps=0.3)),
+                            (sg.surface_by_name("plane"), FLAT)):
+        counted, sizes = _counting(metric)
+        sg.fundamental_forms(surface, counted, s, t)
+        assert sizes and set(sizes) == {1}, surface.name
+    for surface in (sg.surface_by_name("ellipsoid"), sg.surface_by_name("graph", expr="x^2")):
+        counted, sizes = _counting(FLAT)
+        sg.fundamental_forms(surface, counted, s + 1.5, t + 1.5)
+        assert sizes and set(sizes) == {300}, surface.name
+
+
+@pytest.mark.parametrize("entry", ["g11 = 1/0", "g23 = log(0)", "g23 = log(rho - rho)"])
+def test_non_finite_metric_file_is_named(tmp_path, entry):
+    # the expressions give inf or NaN quietly; the halt names the metric
+    path = tmp_path / "nonfinite.kv"
+    key = entry.split()[0]
+    lines = {"g11": "g11 = 1", "g22": "g22 = sin(rho)^2", "g33": "g33 = cos(rho)^2",
+             "g23": "g23 = 0.3*sin(rho)*cos(rho)", key: entry}
+    path.write_text("chart = hopf\n" + "\n".join(lines.values()) + "\n")
+    clifford = sg.surface_by_name("clifford")
+    with pytest.raises(MetricParameterError, match="singular or not finite at point"):
+        sg.fundamental_forms(clifford, ct.load_metric(path), [0.7, 0.8, 0.9], [1.9, 1.9, 2.0])
 
 
 def test_normality_residuals():

@@ -1,5 +1,6 @@
 """Umbilic detection, half-integer indices, and the bound audit."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -180,7 +181,6 @@ def test_refine_wraps_periodic_parameters_into_the_half_open_domain():
 
 
 def test_merge_warns_on_coarse_ambiguity():
-    import warnings
     candidates = [(1.0, 1.0, 1e-9, (0.0, 0.0, 0.0), 1.0, 1.0),
                   (1.02, 1.0, 2e-9, (0.0, 0.0, 0.0), 1.5, 1.0)]
     with warnings.catch_warnings(record=True) as caught:
@@ -189,6 +189,27 @@ def test_merge_warns_on_coarse_ambiguity():
     assert len(merged) == 1
     assert merged[0].ambiguous
     assert any("merged" in str(w.message) for w in caught)
+
+
+def test_coarse_scan_refines_near_misses_on():
+    # at 64x48 the four gaps sit just above tol after the first refine_iters
+    # iterations; the scan refines those on and agrees with the line-space scan
+    from geomlab import line_space as ls
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = ut.umbilic_scan(ELL, FLAT, grid=(64, 48))
+        # a positive minimum of the gap is refined no further and not warned about
+        torus = sg.surface_by_name("torus-revolution", R=2.0, r=1.0)
+        assert ut.umbilic_scan(torus, FLAT, grid=(64, 64)) == []
+    points = ls.complex_point_scan(ls.normal_congruence(ELL, grid=(64, 48)))
+    assert len(records) == 4 == len(points)
+    for rec, cp in zip(records, points):
+        assert rec.isolated and rec.disc_min < 1e-6
+        gap = ut._param_distance(ELL.domain, ELL.periodic, (cp.s, cp.t), (rec.s, rec.t))
+        assert np.all(gap < 1e-6)
+    # too few iterations: the candidates still converging are dropped aloud
+    with pytest.warns(UserWarning, match="4 umbilic candidate"):
+        assert ut.umbilic_scan(ELL, FLAT, grid=(16, 12), refine_iters=2) == []
 
 
 def test_conjecture_audit_ellipsoid():
