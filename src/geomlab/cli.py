@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: willmore-sweep, distance-check, umbilics, linespace-audit,
-maslov, flow-run, toponogov-probe, report.  Outputs are CSV/JSON files
-written with 17 significant digits under --out (or $GEOMLAB_OUTPUT_DIR,
-or the working directory).  Exit codes: 0 all assertions pass, 1 an
-assertion failed, 2 usage/config error, 3 numerical failure.
+maslov, flow-run, report.  Outputs are CSV/JSON files written with 17
+significant digits under --out (or $GEOMLAB_OUTPUT_DIR, or the working
+directory).  Exit codes: 0 all assertions pass, 1 an assertion failed,
+2 usage/config error, 3 numerical failure.
 """
 
 import argparse
@@ -314,25 +314,6 @@ def cmd_flow_run(args):
     return EXIT_PASS if (margin_ok and area_ok) else EXIT_FAIL
 
 
-def cmd_toponogov_probe(args):
-    metric = ct.metric_by_name("flat-r3")
-    radii = [float(x) for x in args.radii.split(",")]
-    params = {"half_width": max(radii)}
-    if args.expr:
-        params["expr"] = args.expr
-    surface = sg.surface_by_name(args.surface, **params)
-    mins = sg.toponogov_probe(surface, metric, radii)
-    out = _out_dir(args)
-    _write_csv(os.path.join(out, "toponogov_probe.csv"),
-               ["radius", "min_disc"], list(zip(radii, mins)),
-               not args.no_timestamp)
-    non_increasing = all(mins[i + 1] <= mins[i] + 1e-300
-                         for i in range(len(mins) - 1))
-    print(f"toponogov-probe: minima {[f'{m:.4g}' for m in mins]} "
-          f"({'non-increasing' if non_increasing else 'NOT monotone'})")
-    return EXIT_PASS if non_increasing else EXIT_FAIL
-
-
 def cmd_report(args):
     reports = sc.run_all()
     out = _out_dir(args)
@@ -438,14 +419,6 @@ def build_parser():
                    default=None)
     common(p)
     p.set_defaults(func=cmd_flow_run)
-
-    p = sub.add_parser("toponogov-probe",
-                       help="min curvature gap over expanding graph disks")
-    p.add_argument("--surface", default="saddle")
-    p.add_argument("--expr", default=None)
-    p.add_argument("--radii", default="1,2,4,8")
-    common(p)
-    p.set_defaults(func=cmd_toponogov_probe)
 
     p = sub.add_parser("report", help="run all scenarios and emit reports")
     common(p)

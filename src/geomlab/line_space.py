@@ -25,8 +25,7 @@ import numpy as np
 
 from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
-from .kernels import winding_total
-from .umbilic_topology import _grid_order, _local_minima, _param_distance, _refine_minima
+from .umbilic_topology import _loop_winding, _scan_zeros
 
 TWO_PI = 2.0 * np.pi
 CONSTRAINT_TOL = 1e-12
@@ -548,64 +547,48 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
                        refine_iters=4, loop_cells=4.0):
     """Zeros of the anti-complex defect with their integer windings.
 
-    Returns records with the umbilic index i = winding / 2.  A section
-    whose defect vanishes on a large fraction of samples (the zero
-    section) is reported as a single non-isolated record.
+    |psi|^2 goes through ``umbilic_topology._scan_zeros``, refined on the
+    section's exact source; a loaded section has none, and its records are
+    unrefined grid minima without a winding.  Returns records with the
+    umbilic index i = winding / 2.  A section whose defect vanishes on a
+    large fraction of samples (the zero section) is reported as a single
+    non-isolated record.
     """
-    psi = section_defect(section)
-    mag = np.abs(psi)
-    center = section.center
+    mag = np.abs(section_defect(section))
+    center, source = section.center, section.source
     if tol is None:
         # psi is computed on unit-normalised frames, so an absolute floor is
         # meaningful; it catches identically-complex sections (zero defect)
         tol = max(1e-6 * float(np.max(mag)), 1e-10)
-
-    flat = mag < tol
-    if np.mean(flat) > degenerate_fraction:
-        # the first flat sample, not the argmin of rounding noise
-        i, j = np.unravel_index(np.argmax(flat), flat.shape)
-        return [ComplexPointRecord(float(section.s_axis[i]), float(section.t_axis[j]),
-                                   tuple(section.u[i, j]), float(mag[i, j]),
-                                   isolated=False)]
-
     ds = section.s_axis[1] - section.s_axis[0]
     dt = section.t_axis[1] - section.t_axis[0]
-    seeds = _local_minima(mag, section.periodic)
-    seeds = seeds[mag[seeds[:, 0], seeds[:, 1]] <= 0.25 * np.median(mag)]
-    if len(seeds) == 0:
-        return []
-    s, t = section.s_axis[seeds[:, 0]], section.t_axis[seeds[:, 1]]
     # the parameter rectangle the grid samples: periodic axes start at 0,
     # other axes are cell-centred (see normal_congruence)
     domain = [(ax[0], ax[0] + len(ax) * d) if per else (ax[0] - 0.5 * d, ax[-1] + 0.5 * d)
               for ax, d, per in zip((section.s_axis, section.t_axis), (ds, dt),
                                     section.periodic)]
-    source = section.source
+    field = None if source is None else (
+        lambda s, t: np.abs(_psi_at(source, s, t, center)) ** 2)
+    zeros = _scan_zeros(mag ** 2, field, (section.s_axis, section.t_axis), (ds, dt),
+                        domain, section.periodic, tol * tol, refine_iters,
+                        degenerate_fraction, "complex-point")
+    if not zeros:
+        return []
     if source is None:
-        ok = np.ones(len(seeds), dtype=bool)
-        final = mag[seeds[:, 0], seeds[:, 1]]
-        directions = section.u[seeds[:, 0], seeds[:, 1]]
+        directions = section.u[tuple(np.array([z.cell for z in zeros]).T)]
     else:
-        s, t, ok = _refine_minima(
-            lambda s, t: np.abs(_psi_at(source, s, t, center)) ** 2,
-            s, t, (ds, dt), domain, section.periodic, refine_iters)
-        final = np.abs(_psi_at(source, s, t, center))
-        directions = source.eval(s, t)[0]
+        directions = source.eval(np.array([z.s for z in zeros]),
+                                 np.array([z.t for z in zeros]))[0]
     records = []
-    for k in np.flatnonzero(ok & (final < tol)):
-        if any(np.all(_param_distance(domain, section.periodic, (s[k], t[k]), (r.s, r.t))
-                      < (2 * ds, 2 * dt)) for r in records):
-            continue
-        rec = ComplexPointRecord(float(s[k]), float(t[k]),
-                                 tuple(np.asarray(directions[k], float)),
-                                 float(final[k]), isolated=True)
-        if source is not None:
+    for z, direction in zip(zeros, directions):
+        rec = ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
+                                 float(np.sqrt(z.value)), z.isolated)
+        if source is not None and z.isolated:
             rec.winding = _zero_winding(source, rec.s, rec.t, loop_cells * ds,
                                         loop_cells * dt, center)
             rec.index = rec.winding / 2.0
         records.append(rec)
-    return _grid_order(records, (section.s_axis[0], section.t_axis[0]), (ds, dt),
-                       mag.shape, section.periodic)
+    return records
 
 
 def _chart_orientation(u_loop, center):
@@ -627,9 +610,16 @@ def _zero_winding(source, s_c, t_c, rad_s, rad_t, center, n_loop=1024):
     psi = _psi_at(source, ss, tt, center)
     if np.min(np.abs(psi)) < 1e-12:
         raise UnreliableLoopError("winding loop passes through a defect zero")
-    orient = _chart_orientation(source.eval(ss, tt)[0], center)
-    total = orient * winding_total(np.ascontiguousarray(np.angle(psi)), TWO_PI)
-    return int(round(total / TWO_PI))
+    return _defect_winding(source, ss, tt, center, psi)
+
+
+def _defect_winding(source, loop_s, loop_t, center, psi):
+    """Winding of the defect ``psi`` sampled along a parameter loop, for the
+    orientation the loop takes in the direction chart."""
+    winding = _loop_winding(np.angle(psi), TWO_PI)
+    if winding is None:
+        raise UnreliableLoopError("winding is not resolved; densify the loop")
+    return int(_chart_orientation(source.eval(loop_s, loop_t)[0], center)) * winding
 
 
 def maslov_index(source, loop_s, loop_t, center, min_defect_ratio=1e-6):
@@ -646,12 +636,7 @@ def maslov_index(source, loop_s, loop_t, center, min_defect_ratio=1e-6):
     mag = np.abs(psi)
     if np.min(mag) < min_defect_ratio * np.max(mag):
         raise UnreliableLoopError("loop passes too close to a complex point")
-    orient = _chart_orientation(source.eval(loop_s, loop_t)[0], center)
-    total = orient * winding_total(np.ascontiguousarray(np.angle(psi)), TWO_PI)
-    half = orient * winding_total(np.ascontiguousarray(np.angle(psi[::2])), TWO_PI)
-    if int(round(total / TWO_PI)) != int(round(half / TWO_PI)):
-        raise UnreliableLoopError("winding is not resolved; densify the loop")
-    w = int(round(total / TWO_PI))
+    w = _defect_winding(source, loop_s, loop_t, center, psi)
     return {"mu": 2 * w, "index_sum": w / 2.0,
             "operator_index": 2 * w + 2, "unparameterized_dim": 2 * w - 1}
 

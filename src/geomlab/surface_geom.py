@@ -123,7 +123,8 @@ def _forms(surface, metric, point, d1, d2):
         first = cov @ d1t
         det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
     scale = np.einsum("nai,nai->n", d1, d1)
-    if not np.all(det_first > 1e-14 * np.maximum(scale, 1.0) ** 2):
+    floor = 1e-14 * np.maximum(scale, 1.0) ** 2
+    if not np.all(det_first > floor):
         if not np.all(np.isfinite(d1)):
             raise ImmersionError("coordinate tangents are not finite")
         # a singular or non-finite metric degenerates the first form too:
@@ -131,6 +132,15 @@ def _forms(surface, metric, point, d1, d2):
         with np.errstate(invalid="ignore", over="ignore"):
             det = _sym3_inverse_det(g)[1]
         _check_nondegenerate(metric, point, det)
+        # so does one singular to working precision (det g > 0): at the
+        # first failing point, tangents that pass the same check in the
+        # chart's euclidean inner product put the fault on the metric
+        k = int(np.argmin(det_first > floor))
+        euclid = d1[k] @ d1t[k]
+        if euclid[0, 0] * euclid[1, 1] - euclid[0, 1] ** 2 > floor[k]:
+            raise MetricParameterError(
+                f"metric {metric.name} is numerically singular at point "
+                f"{tuple(float(x) for x in point[k])} (det g = {det[k]:.6g})")
         raise ImmersionError("coordinate tangents are (numerically) dependent")
     # ambient Christoffels first, while few per-point arrays are alive; they
     # vanish for a constant metric, whose one value is checked instead
@@ -228,25 +238,6 @@ def max_abs_mean_curvature(surface, metric, n_samples=10000, seed=0):
     tt = rng.uniform(t0, t1, n_samples)
     rep = fundamental_forms(surface, metric, ss, tt)
     return float(np.max(np.abs(rep.h_trace)))
-
-
-def toponogov_probe(surface, metric, radii, rings=96, spokes=192):
-    """Minimum sampled |k1 - k2| over nested parameter disks.
-
-    The disks share one polar sample pool (rings up to the largest radius),
-    so the reported minima are non-increasing by construction of nested
-    sample sets.
-    """
-    radii = sorted(float(r) for r in radii)
-    r_max = radii[-1]
-    ring_r = np.linspace(0.0, r_max, rings + 1)[1:]
-    phi = np.linspace(0.0, _TWO_PI, spokes, endpoint=False)
-    rr, pp = np.meshgrid(ring_r, phi, indexing="ij")
-    xs = np.concatenate([[0.0], (rr * np.cos(pp)).ravel()])
-    ys = np.concatenate([[0.0], (rr * np.sin(pp)).ravel()])
-    rep = fundamental_forms(surface, metric, xs, ys)
-    rad = np.concatenate([[0.0], rr.ravel()])
-    return [float(np.min(rep.disc[rad <= r + 1e-12])) for r in radii]
 
 
 # -- built-in surfaces -------------------------------------------------------

@@ -61,6 +61,15 @@ def line_field_winding(angles):
     return total / TWO_PI
 
 
+def _loop_winding(angles, period):
+    """Total rotation of a closed loop of angles (modulo ``period``) in units
+    of ``period``, rounded; None unless every other sample rounds the same,
+    since a loop too coarse for the angle misses turns."""
+    whole, half = (round(winding_total(np.ascontiguousarray(a, dtype=float), period) / period)
+                   for a in (angles, angles[::2]))
+    return whole if whole == half else None
+
+
 def _cells(surface, grid):
     (s0, s1), (t0, t1) = surface.domain
     ns, nt = grid
@@ -81,21 +90,18 @@ def _grid_eval(field, s, t, chunk=1 << 16):
 
 def _local_minima(values, periodic):
     """Cells below their 4 lexicographically later neighbours and not above
-    the 4 earlier ones, so a plateau or a tied pair yields one cell."""
+    the 4 earlier ones, so a plateau or a tied pair yields one cell.  Cells
+    on the edge of a non-periodic axis never count: the grid does not
+    bracket them, and a refinement stencil about them reaches the edge of
+    the domain, where the parameterisation may be singular (the poles of
+    the ellipsoid, the chart antipode of its normal congruence)."""
     is_min = np.ones(values.shape, dtype=bool)
     for axis_shift in ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)):
-        shifted = values
-        valid = np.ones(values.shape, dtype=bool)
-        for axis, sh in enumerate(axis_shift):
-            if sh == 0:
-                continue
-            shifted = np.roll(shifted, sh, axis=axis)
-            if not periodic[axis]:
-                idx = [slice(None)] * 2
-                idx[axis] = 0 if sh == 1 else -1
-                valid[tuple(idx)] = False
         # a negative shift brings the later neighbour (i - sh) onto cell i
-        is_min &= ~valid | (values < shifted if axis_shift < (0, 0) else values <= shifted)
+        shifted = np.roll(values, axis_shift, axis=(0, 1))
+        is_min &= values < shifted if axis_shift < (0, 0) else values <= shifted
+    for axis in np.flatnonzero(~np.asarray(periodic)):
+        is_min[(slice(None),) * axis + ([0, -1],)] = False
     return np.argwhere(is_min)
 
 
@@ -151,12 +157,10 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
                  degenerate_fraction=0.05):
     """Locate isolated umbilics as refined minima of the curvature gap.
 
-    Returns records in grid order (see ``_grid_order``).  A surface whose
-    gap vanishes on a large fraction of the grid (a round sphere) yields a
-    single record flagged non-isolated, at the first such cell.  Candidates
-    still above ``tol`` after ``refine_iters`` iterations get up to
-    ``refine_iters`` more while their gap keeps falling; those still
-    falling at the end are dropped with a warning.
+    The squared gap goes through ``_scan_zeros``; records come in grid
+    order, and a surface whose gap vanishes on a large fraction of the grid
+    (a round sphere) yields a single record flagged non-isolated, at the
+    first such cell.
     """
     ss, tt, ds, dt = _cells(surface, grid)
 
@@ -165,58 +169,124 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
         return np.stack([rep.disc_sq, np.abs(rep.k1), np.abs(rep.k2)], axis=-1)
 
     scan = _grid_eval(gap_and_curvatures, *np.meshgrid(ss, tt, indexing="ij"))
-    disc_sq = scan[..., 0]
     if tol is None:
         tol = 1e-6 * max(float(np.max(scan[..., 1:])), 1e-30)
-    tol_sq = tol * tol
-
-    flat = disc_sq < tol_sq
-    if np.mean(flat) > degenerate_fraction:
-        # the first flat cell, not the argmin of rounding noise
-        i, j = np.unravel_index(np.argmax(flat), flat.shape)
-        rep = fundamental_forms(surface, metric, ss[i], tt[j])
-        return [UmbilicRecord(float(ss[i]), float(tt[j]),
-                              tuple(np.asarray(rep.point, float)),
-                              float(rep.disc), isolated=False)]
-
-    seeds = _local_minima(disc_sq, surface.periodic)
-    if len(seeds) == 0:
-        return []
-    seed_s, seed_t = ss[seeds[:, 0]], tt[seeds[:, 1]]
 
     def gap_sq(s, t):
         return fundamental_forms(surface, metric, s, t).disc_sq
 
-    s, t, ok = _refine_minima(gap_sq, seed_s, seed_t, (ds, dt), surface.domain,
-                              surface.periodic, refine_iters)
-    rep = fundamental_forms(surface, metric, s, t)
-    disc, point = np.array(rep.disc), np.array(rep.point)
-    # a coarse grid can leave an umbilic's gap just above tol: refine the
-    # misses on, from their shrunken span, while their gap at least halves
-    # per step (a gap that stops falling is a positive minimum, no umbilic)
-    span = np.array([ds, dt]) * 0.25 ** refine_iters
-    todo = np.flatnonzero(~(ok & (disc < tol)))
-    for _ in range(refine_iters):
-        if not todo.size:
-            break
-        s[todo], t[todo], ok[todo] = _refine_minima(
-            gap_sq, s[todo], t[todo], span, surface.domain, surface.periodic, 1)
-        rep = fundamental_forms(surface, metric, s[todo], t[todo])
-        falling = rep.disc <= 0.5 * disc[todo]
-        disc[todo], point[todo] = rep.disc, rep.point
-        todo = todo[falling & ~(ok[todo] & (disc[todo] < tol))]
-        span *= 0.25
-    if todo.size:
-        warnings.warn(
-            f"{todo.size} umbilic candidate(s) dropped: the curvature gap was still "
-            f"falling but above tol after {2 * refine_iters} refinement iterations; "
-            "scan a finer grid", stacklevel=2)
-    candidates = [(float(s[k]), float(t[k]), float(disc[k]), point[k],
-                   float(seed_s[k]), float(seed_t[k]))
-                  for k in np.flatnonzero(ok & (disc < tol))]
-    records = _merge_candidates(surface, metric, candidates, ds, dt, tol)
-    return _grid_order(records, np.array(surface.domain)[:, 0], (ds, dt), grid,
-                       surface.periodic)
+    zeros = _scan_zeros(scan[..., 0], gap_sq, (ss, tt), (ds, dt), surface.domain,
+                        surface.periodic, tol * tol, refine_iters, degenerate_fraction,
+                        "umbilic")
+    if not zeros:
+        return []
+    points = fundamental_forms(surface, metric, np.array([z.s for z in zeros]),
+                               np.array([z.t for z in zeros])).point
+    return [UmbilicRecord(z.s, z.t, tuple(p), float(np.sqrt(z.value)), z.isolated,
+                          ambiguous=z.ambiguous) for z, p in zip(zeros, points)]
+
+
+@dataclass
+class _Zero:
+    s: float
+    t: float
+    value: float      # the field at (s, t)
+    cell: tuple       # grid index of the seed
+    isolated: bool
+    ambiguous: bool = False
+
+
+def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, refine_iters,
+                degenerate_fraction, kind):
+    """Zeros of a smooth non-negative field, from its samples on a grid.
+
+    ``values`` holds the field at the grid whose s and t lines are ``axes``,
+    ``step`` apart, inside the parameter rectangle ``domain``; ``field(s, t)``
+    evaluates it anywhere (None: the grid is all there is).  Returns
+    ``_Zero``s in grid order (see ``_grid_order``):
+
+    * if more than ``degenerate_fraction`` of the samples are below
+      ``tol_sq``, the field vanishes on a region: one non-isolated zero at
+      the first such sample;
+    * otherwise every local minimum of the grid (see ``_local_minima``) at
+      most a quarter of the median sample seeds a candidate (the seed
+      filter: a grid minimum above it is a positive minimum, not a zero);
+    * the candidates are refined together by ``_refine_minima``; those
+      still at or above ``tol_sq`` get up to ``refine_iters`` more single
+      steps while their value at least quarters per step, and those still
+      falling at the end are dropped with a warning.  Without ``field``
+      the seeds stay unrefined grid minima;
+    * candidates below ``tol_sq`` are merged best first: one within two
+      cells of a kept zero is dropped, with a warning and the kept zero
+      flagged ambiguous if its seed lay farther than two cells from it;
+    * a zero is isolated when the field exceeds ``tol_sq`` all round an
+      ellipse of two cells about it (always, without ``field``).
+
+    ``kind`` names the zeros in the warnings.
+    """
+    flat = values < tol_sq
+    if np.mean(flat) > degenerate_fraction:
+        # the first flat sample, not the argmin of rounding noise
+        i, j = np.unravel_index(np.argmax(flat), flat.shape)
+        return [_Zero(float(axes[0][i]), float(axes[1][j]), float(values[i, j]),
+                      (int(i), int(j)), isolated=False)]
+    seeds = _local_minima(values, periodic)
+    seeds = seeds[values[seeds[:, 0], seeds[:, 1]] <= 0.25 * np.median(values)]
+    if len(seeds) == 0:
+        return []
+    seed_s, seed_t = axes[0][seeds[:, 0]], axes[1][seeds[:, 1]]
+    if field is None:
+        s, t, value = seed_s, seed_t, values[seeds[:, 0], seeds[:, 1]]
+        ok = np.ones(len(seeds), dtype=bool)
+    else:
+        s, t, ok = _refine_minima(field, seed_s, seed_t, step, domain, periodic,
+                                  refine_iters)
+        value = field(s, t)
+        # a coarse grid can leave a zero just above tol: refine the misses
+        # on, from their shrunken span, while their value at least quarters
+        # per step (one that stops falling is a positive minimum, no zero)
+        span = np.array(step, dtype=float) * 0.25 ** refine_iters
+        todo = np.flatnonzero(~(ok & (value < tol_sq)))
+        for _ in range(refine_iters):
+            if not todo.size:
+                break
+            s[todo], t[todo], ok[todo] = _refine_minima(
+                field, s[todo], t[todo], span, domain, periodic, 1)
+            now = field(s[todo], t[todo])
+            falling = now <= 0.25 * value[todo]
+            value[todo] = now
+            todo = todo[falling & ~(ok[todo] & (now < tol_sq))]
+            span *= 0.25
+        if todo.size:
+            warnings.warn(
+                f"{todo.size} {kind} candidate(s) dropped: still falling but above "
+                f"tol after {2 * refine_iters} refinement iterations; scan a finer grid",
+                stacklevel=3)
+
+    two_cells = 2.0 * np.asarray(step)
+    zeros = []
+    found = np.flatnonzero(ok & (value < tol_sq))
+    for k in found[np.argsort(value[found], kind="stable")]:
+        clash = next((z for z in zeros if np.all(_param_distance(
+            domain, periodic, (s[k], t[k]), (z.s, z.t)) < two_cells)), None)
+        if clash is None:
+            zeros.append(_Zero(float(s[k]), float(t[k]), float(value[k]),
+                               tuple(int(x) for x in seeds[k]), isolated=True))
+        elif np.any(_param_distance(domain, periodic, (seed_s[k], seed_t[k]),
+                                    (clash.s, clash.t)) > two_cells):
+            clash.ambiguous = True
+            warnings.warn(f"scan resolution too coarse to separate {kind} "
+                          "candidates; records merged", stacklevel=3)
+    if field is not None and zeros:
+        phi = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+        ring = _grid_eval(field, np.array([z.s for z in zeros])[:, None]
+                          + two_cells[0] * np.cos(phi),
+                          np.array([z.t for z in zeros])[:, None]
+                          + two_cells[1] * np.sin(phi))
+        for z, low in zip(zeros, np.min(ring, axis=1)):
+            z.isolated = bool(low > tol_sq)
+    return _grid_order(zeros, np.array(domain, dtype=float)[:, 0], step, values.shape,
+                       periodic)
 
 
 def _grid_order(records, origin, step, count, periodic):
@@ -236,65 +306,29 @@ def _param_distance(domain, periodic, p, q):
     return np.where(periodic, np.minimum(gap, np.ptp(domain, axis=1) - gap), gap)
 
 
-def _merge_candidates(surface, metric, candidates, ds, dt, tol):
-    """Merge candidates (s, t, gap, chart point, seed s, seed t), best first."""
-    merged = []
-    two_cells = (2 * ds, 2 * dt)
-    for s_c, t_c, disc, point, s_seed, t_seed in sorted(candidates, key=lambda c: c[2]):
-        clash = next((rec for rec in merged if np.all(_param_distance(
-            surface.domain, surface.periodic, (s_c, t_c), (rec.s, rec.t)) < two_cells)), None)
-        if clash is None:
-            merged.append(UmbilicRecord(s_c, t_c, tuple(point), disc, isolated=False))
-        elif np.any(_param_distance(surface.domain, surface.periodic,
-                                    (s_seed, t_seed), (clash.s, clash.t)) > two_cells):
-            clash.ambiguous = True
-            warnings.warn(
-                "scan resolution too coarse to separate umbilic candidates; "
-                "records merged", stacklevel=3)
-    if merged:
-        isolated = _is_isolated(surface, metric, [r.s for r in merged],
-                                [r.t for r in merged], ds, dt, tol)
-        for rec, flag in zip(merged, isolated):
-            rec.isolated = bool(flag)
-    return merged
-
-
-def _is_isolated(surface, metric, s, t, ds, dt, tol, n_ring=64):
-    """Whether the gap exceeds ``tol`` on a two-cell ring around each point."""
-    phi = np.linspace(0.0, TWO_PI, n_ring, endpoint=False)
-    ring_s = np.asarray(s)[:, None] + 2 * ds * np.cos(phi)
-    ring_t = np.asarray(t)[:, None] + 2 * dt * np.sin(phi)
-    rep = fundamental_forms(surface, metric, ring_s.ravel(), ring_t.ravel())
-    return np.min(rep.disc.reshape(ring_s.shape), axis=1) > tol
-
-
 def umbilic_index(surface, metric, record, loop_radius, n_loop=1024, _depth=0):
     """Half-integer index of an isolated umbilic from a circular loop.
 
     ``loop_radius`` is in parameter units; the loop must stay inside the
-    isolating annulus.  The angular resolution is doubled until the rounded
-    index is stable.
+    isolating annulus.  The loop is sampled at ``2 * n_loop`` points, and
+    the angular resolution is quadrupled until every other sample gives the
+    same rounded index.
     """
     if not record.isolated:
         raise UnreliableLoopError("cannot assign an index to a non-isolated umbilic")
-    phi = np.linspace(0.0, TWO_PI, n_loop, endpoint=False)
-    ss = record.s + loop_radius * np.cos(phi)
-    tt = record.t + loop_radius * np.sin(phi)
-    rep = fundamental_forms(surface, metric, ss, tt)
+    phi = np.linspace(0.0, TWO_PI, 2 * n_loop, endpoint=False)
+    rep = fundamental_forms(surface, metric, record.s + loop_radius * np.cos(phi),
+                            record.t + loop_radius * np.sin(phi))
     if np.min(rep.disc) <= 10.0 * max(record.disc_min, 1e-14):
         raise UnreliableLoopError(
             "loop touches a near-umbilic region; shrink or grow loop_radius")
-    index = line_field_winding(_principal_angles(rep))
-    index2 = line_field_winding(principal_angles(
-        surface, metric,
-        record.s + loop_radius * np.cos(phi2 := np.linspace(0, TWO_PI, 2 * n_loop, endpoint=False)),
-        record.t + loop_radius * np.sin(phi2)))
-    if round(2 * index) != round(2 * index2):
+    twice = _loop_winding(_principal_angles(rep), np.pi)
+    if twice is None:
         if _depth >= 3:
             raise UnreliableLoopError("winding failed to stabilise under refinement")
         return umbilic_index(surface, metric, record, loop_radius,
                              n_loop=4 * n_loop, _depth=_depth + 1)
-    return round(2 * index) / 2.0
+    return twice / 2.0
 
 
 def attach_indices(surface, metric, records, grid=(512, 384), loop_cells=4.0):

@@ -1,5 +1,7 @@
 """The neutral pseudo-Kahler structure on oriented lines and its invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,70 @@ def test_complex_points_merge_across_the_seam():
     records = ls.complex_point_scan(section)
     assert len(records) == 4
     assert all(r.winding == 1 for r in records)
+
+
+def test_complex_scan_warns_on_an_ambiguous_merge():
+    # the seam trick above, with the t labels moved 2.1 cells off the data:
+    # both seeds of a seam zero lie more than two cells from where they meet
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    for arr in (section.u, section.V, section.du, section.dV):
+        arr[0] = arr[16]
+    section.t_axis = section.t_axis + 2.1 * (section.t_axis[1] - section.t_axis[0])
+    with pytest.warns(UserWarning, match="complex-point candidates; records merged"):
+        records = ls.complex_point_scan(section)
+    assert len(records) == 4
+
+
+@pytest.mark.parametrize("axes, grid", [((1.05, 1.02, 1.0), (16, 12)),
+                                        ((3.0, 2.0, 0.5), (32, 24))])
+def test_coarse_complex_scan_finds_every_umbilic(axes, grid):
+    # zeros the first refine_iters iterations leave just above tol are
+    # refined on, as in umbilic_scan
+    ell = sg.surface_by_name("ellipsoid", a=axes[0], b=axes[1], c=axes[2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = ls.complex_point_scan(ls.normal_congruence(ell, grid=grid))
+        umb = ut.umbilic_scan(ell, FLAT, grid=grid)
+    assert len(records) == 4 == len(umb)
+    for cp, rec in zip(records, umb):
+        gap = ut._param_distance(ell.domain, ell.periodic, (cp.s, cp.t), (rec.s, rec.t))
+        assert cp.isolated and np.all(gap < 1e-4)
+
+
+def test_complex_scan_seeds_no_pole_row():
+    # this ellipsoid's defect has positive grid minima on the rows next to
+    # the poles at 0.49 of the median; seeded, the one next to the chart
+    # antipode sent its refinement stencil onto the antipode
+    ell = sg.surface_by_name("ellipsoid", a=1.82643299868963, b=1.602395183883715,
+                             c=0.8666725021917754)
+    records = ls.complex_point_scan(ls.normal_congruence(ell, grid=(256, 192)))
+    assert [(r.isolated, r.winding) for r in records] == [(True, 1)] * 4
+
+
+def test_sourceless_sections_keep_grid_minima(tmp_path):
+    # a loaded section has no exact source: a zero section is still one
+    # non-isolated record at its first sample
+    path = tmp_path / "sphere.txt"
+    ls.normal_congruence(sg.surface_by_name("round-sphere", r=1.0), grid=(32, 24)).save(path)
+    loaded = ls.LineSection.load(path)
+    assert loaded.source is None
+    [rec] = ls.complex_point_scan(loaded)
+    assert not rec.isolated and rec.winding is None
+    assert (rec.s, rec.t) == (loaded.s_axis[0], loaded.t_axis[0])
+    assert rec.direction == tuple(loaded.u[0, 0])
+    # a grid through the four zeros, without a source: they come back as
+    # those grid samples, unrefined and without windings
+    v0 = np.arccos(np.sqrt(1.25 / 3.0))
+    s_axis = 2 * np.pi * np.arange(64) / 64
+    t_axis = np.pi / 2 + (np.pi / 2 - v0) / 10 * np.arange(-20, 21)
+    u, V, du, dV = ls.CongruenceMap(ELL).eval(*np.meshgrid(s_axis, t_axis, indexing="ij"))
+    section = ls.LineSection(s_axis, t_axis, u, V, du, dV, periodic=(True, False))
+    records = ls.complex_point_scan(section)
+    assert [(r.s, r.t) for r in records] == [(s_axis[i], t_axis[j])
+                                             for i in (0, 32) for j in (10, 30)]
+    for rec, (i, j) in zip(records, [(0, 10), (0, 30), (32, 10), (32, 30)]):
+        assert rec.isolated and rec.winding is None and rec.index is None
+        assert rec.direction == tuple(u[i, j])
 
 
 def test_umbilic_free_annulus_has_positive_defect():

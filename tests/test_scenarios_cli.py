@@ -91,19 +91,17 @@ def test_cli_identical_invocations_identical_files(tmp_path):
     b_dir = tmp_path / "b"
     for d in (a_dir, b_dir):
         d.mkdir()
-        assert run_cli(["toponogov-probe", "--surface", "saddle",
-                        "--radii", "1,2,4"], d) == 0
-    a = (a_dir / "toponogov_probe.csv").read_text()
-    b = (b_dir / "toponogov_probe.csv").read_text()
+        assert run_cli(["willmore-sweep", "--eps", "0.3", "--grid", "16"], d) == 0
+    a = (a_dir / "willmore_sweep.csv").read_text()
+    b = (b_dir / "willmore_sweep.csv").read_text()
     assert a == b
 
 
 def test_cli_seventeen_digit_output(tmp_path):
-    assert run_cli(["toponogov-probe", "--surface", "saddle",
-                    "--radii", "1,2"], tmp_path) == 0
-    lines = (tmp_path / "toponogov_probe.csv").read_text().strip().splitlines()
+    assert run_cli(["willmore-sweep", "--eps", "0.3", "--grid", "16"], tmp_path) == 0
+    lines = (tmp_path / "willmore_sweep.csv").read_text().strip().splitlines()
     value = lines[1].split(",")[1]
-    assert float(value) == pytest.approx(0.8, rel=0.05)
+    assert float(value) == pytest.approx(2 * np.sqrt(0.91) * np.pi ** 2, rel=1e-12)
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 15
 
 
@@ -184,10 +182,9 @@ def test_cli_flow_numerical_failure_exit_code(tmp_path):
 
 def test_cli_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("GEOMLAB_OUTPUT_DIR", str(tmp_path / "envout"))
-    code = cli.main(["toponogov-probe", "--surface", "plane",
-                     "--radii", "1", "--no-timestamp"])
+    code = cli.main(["willmore-sweep", "--eps", "0.3", "--grid", "16", "--no-timestamp"])
     assert code == 0
-    assert (tmp_path / "envout" / "toponogov_probe.csv").exists()
+    assert (tmp_path / "envout" / "willmore_sweep.csv").exists()
 
 
 def _declared_console_script(name):
@@ -288,6 +285,14 @@ def test_cli_umbilics_names_a_non_finite_metric(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, entry
         assert "is singular or not finite at point" in err, entry
+
+
+def test_cli_umbilics_names_a_near_singular_metric(tmp_path, capsys):
+    # det g = 1.1e-16 is positive, but singular to working precision
+    code = run_cli(["umbilics", "--surface", "clifford", "--grid", "8x8",
+                    "--metric", "hopf-eps", "--eps-val", "0.9999999999999998"], tmp_path)
+    assert code == 2
+    assert "metric hopf-eps is numerically singular at point" in capsys.readouterr().err
 
 
 def test_cli_maslov_refuses_a_constant_gauss_map(tmp_path, capsys):

@@ -149,6 +149,14 @@ def test_local_minima_break_ties():
     assert ut._local_minima(values, (True, True)).tolist() == [[4, 2]]
 
 
+def test_local_minima_skip_the_edges_of_non_periodic_axes():
+    values = np.ones((7, 5))
+    values[0, 2] = values[3, 4] = values[3, 2] = 0.0
+    assert ut._local_minima(values, (True, True)).tolist() == [[0, 2], [3, 2], [3, 4]]
+    assert ut._local_minima(values, (True, False)).tolist() == [[0, 2], [3, 2]]
+    assert ut._local_minima(values, (False, False)).tolist() == [[3, 2]]
+
+
 def test_local_minima_one_candidate_per_ellipsoid_umbilic():
     ss, tt, _, _ = ut._cells(ELL, (256, 192))
     sm, tm = np.meshgrid(ss, tt, indexing="ij")
@@ -167,8 +175,24 @@ def test_scan_refines_all_candidates_in_one_call_per_iteration(monkeypatch):
     records = ut.umbilic_scan(ELL, FLAT, grid=(128, 96), refine_iters=4)
     n_cand = sizes[5]
     assert len(records) == 4 and n_cand >= 4
-    # grid, 4 refinement iterations, final check, isolation rings
-    assert sizes == [128 * 96] + [25 * n_cand] * 4 + [n_cand, 64 * len(records)]
+    # grid, 4 refinement iterations, final check, isolation rings, chart points
+    assert sizes == ([128 * 96] + [25 * n_cand] * 4
+                     + [n_cand, 64 * len(records), len(records)])
+
+
+def test_seed_filter_leaves_the_torus_grid_pass_alone(monkeypatch):
+    # the gap's minimum circles hold rounding-noise grid minima at 2/3 of
+    # the median gap: none passes the seed filter, so none is refined
+    sizes = []
+
+    def counting_forms(surface, metric, s, t):
+        sizes.append(np.size(s))
+        return sg.fundamental_forms(surface, metric, s, t)
+
+    monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
+    torus = sg.surface_by_name("torus-revolution", R=2.0, r=1.0)
+    assert ut.umbilic_scan(torus, FLAT, grid=(192, 192)) == []
+    assert sizes == [192 * 192]
 
 
 def test_refine_wraps_periodic_parameters_into_the_half_open_domain():
@@ -181,11 +205,20 @@ def test_refine_wraps_periodic_parameters_into_the_half_open_domain():
 
 
 def test_merge_warns_on_coarse_ambiguity():
-    candidates = [(1.0, 1.0, 1e-9, (0.0, 0.0, 0.0), 1.0, 1.0),
-                  (1.02, 1.0, 2e-9, (0.0, 0.0, 0.0), 1.5, 1.0)]
+    # a zero and a minimum of 1e-10, 1.9 cells apart; the grid seeds one on
+    # the zero and one 3 cells from it, which refines into the minimum
+    def field(s, t):
+        near = (s - 1.05) ** 2 + (t - 1.05) ** 2
+        far = (s - 1.24) ** 2 + (t - 1.05) ** 2
+        return near * (far + 1e-10) / (near + far)
+
+    axes = (0.05 + 0.1 * np.arange(20),) * 2
+    values = np.ones((20, 20))
+    values[10, 10], values[13, 10] = 0.0, 0.1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        merged = ut._merge_candidates(ELL, FLAT, candidates, 0.1, 0.1, 1e-6)
+        merged = ut._scan_zeros(values, field, axes, (0.1, 0.1), ((0.0, 2.0),) * 2,
+                                (False, False), 1e-8, 4, 0.05, "umbilic")
     assert len(merged) == 1
     assert merged[0].ambiguous
     assert any("merged" in str(w.message) for w in caught)

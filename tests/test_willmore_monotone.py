@@ -4,7 +4,8 @@ Under ``hopf-eps`` the torus is minimal with constant area density, so
 W(eps) = 2 sqrt(1 - eps^2) pi^2, strictly decreasing on [0, 1).  The draws
 stop at 1 - 1e-6: det I = (1 - eps^2)/4 loses digits to cancellation as eps
 nears 1 (the closed form holds to 1e-8 only while 1 - eps^2 is well above
-1e-8), and at 1 - eps near 1e-14 the first form is refused as degenerate.
+1e-8), and at 1 - eps near 1e-14 the metric is refused as numerically
+singular.
 """
 
 import numpy as np
