@@ -281,13 +281,9 @@ def cmd_maslov(args):
 
 def cmd_flow_run(args):
     cfg = _load_config(args, set(nf.FLOW_CONFIG_KEYS))
-    for key in ("grid_n", "steps", "snapshot_every", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for key in ("h", "twist_strength", "perturbation", "angle_target",
-                "dbar_c", "angle_rate", "chart_radius"):
-        value = getattr(args, key, None)
+    for key in ("grid_n", "steps", "snapshot_every", "h", "twist_strength",
+                "perturbation", "angle_target", "dbar_c", "angle_rate", "chart_radius"):
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     if args.disc:

@@ -19,7 +19,7 @@ times the enclosed umbilic index sum.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,20 +223,23 @@ def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True):
 
 
 def plane_off_j_fraction(u, V, du1, dv1, du2, dv2):
-    """Relative size of the part of J X_a outside span(X1, X2)."""
+    """Relative size of the part of J X_a outside span(X1, X2).
+
+    The projection onto the span solves the 2x2 normal equations in closed
+    form: with Gram entries g11, g12, g22 and r_k = X_k.w, the coefficients
+    of w = J X_a are (g22 r1 - g12 r2, g11 r2 - g12 r1) / det.
+    """
     x1 = np.concatenate([du1, dv1], axis=-1)
     x2 = np.concatenate([du2, dv2], axis=-1)
-    basis = np.stack([x1, x2], axis=-1)              # (..., 6, 2)
-    btb = np.einsum("...ia,...ib->...ab", basis, basis)
+    g11, g12, g22 = _dot(x1, x1), _dot(x1, x2), _dot(x2, x2)
+    det = g11 * g22 - g12 * g12
     worst = np.zeros(np.shape(u)[:-1])
     for dua, dva in ((du1, dv1), (du2, dv2)):
-        ju, jv = apply_j(u, V, dua, dva)
-        w = np.concatenate([ju, jv], axis=-1)
-        rhs = np.einsum("...ia,...i->...a", basis, w)
-        coef = np.linalg.solve(btb, rhs[..., None])[..., 0]
-        resid = w - np.einsum("...ia,...a->...i", basis, coef)
-        frac = np.sqrt(_dot(resid, resid) / _dot(w, w))
-        worst = np.maximum(worst, frac)
+        w = np.concatenate(apply_j(u, V, dua, dva), axis=-1)
+        r1, r2 = _dot(x1, w), _dot(x2, w)
+        resid = (w - ((g22 * r1 - g12 * r2) / det)[..., None] * x1
+                 - ((g11 * r2 - g12 * r1) / det)[..., None] * x2)
+        worst = np.maximum(worst, np.sqrt(_dot(resid, resid) / _dot(w, w)))
     return worst
 
 
@@ -287,7 +290,7 @@ def classify_plane(x1, x2, rel_tol=1e-8):
                       (float(evals[0]), float(evals[1])), float(om))
 
 
-def _quad_form(u, V, a, b, c, d):
+def _quad_form(a, b, c, d):
     """(omega ^ omega)/2 evaluated on four tangents (component tuples)."""
     om = omega_pair
     return (om(*a, *b) * om(*c, *d)
@@ -295,49 +298,25 @@ def _quad_form(u, V, a, b, c, d):
             + om(*a, *d) * om(*b, *c))
 
 
-_DET4_SIGN = None
-
-
-def _calibrate_det4_sign():
-    """Orientation of the G-volume form, fixed once on a reference plane.
-
-    (omega ^ omega)/2 equals the metric volume form up to a global sign;
-    the sign is pinned by requiring the neutral Wirtinger identity
-    omega^2 - det4 = det Gram on one generic plane.
-    """
-    global _DET4_SIGN
-    if _DET4_SIGN is not None:
-        return _DET4_SIGN
-    base = OrientedLine(np.array([0.0, 0.0, 1.0]), np.array([0.3, -0.2, 0.0]))
-    x1 = LineTangent(base, np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.7, -0.3]))
-    x2 = LineTangent(base, np.array([0.0, 1.0, 0.0]), np.array([-0.4, 0.1, 0.2]))
-    u, V = base.u, base.V
-    a = (x1.du, x1.dV)
-    b = (x2.du, x2.dV)
-    c = apply_j(u, V, *a)
-    d = apply_j(u, V, *b)
-    quad = _quad_form(u, V, a, b, c, d)
-    gram = np.array([[metric_pair(u, V, *a, *a), metric_pair(u, V, *a, *b)],
-                     [metric_pair(u, V, *b, *a), metric_pair(u, V, *b, *b)]])
-    om = omega_pair(*a, *b)
-    sign = (om * om - np.linalg.det(gram)) / quad
-    _DET4_SIGN = 1.0 if sign > 0 else -1.0
-    return _DET4_SIGN
+# (omega ^ omega)/2 equals the G-volume form up to a global sign, fixed by
+# the conventions for J and omega above; +1 is the sign for which the neutral
+# Wirtinger identity omega^2 - det4 = det Gram holds (with -1 the residual
+# on random planes is of order 100, not rounding)
+_DET4_SIGN = 1.0
 
 
 def wirtinger_residual(x1, x2):
     """|omega(X1,X2)^2 - det[X1,X2,JX1,JX2] - det G(Xi,Xj)|.
 
-    The 4-determinant is taken against the G-volume form with the
-    calibrated orientation (see _calibrate_det4_sign).
+    The 4-determinant is taken against the G-volume form oriented by
+    ``_DET4_SIGN``.
     """
-    sign = _calibrate_det4_sign()
     u, V = x1.base.u, x1.base.V
     a = (x1.du, x1.dV)
     b = (x2.du, x2.dV)
     c = apply_j(u, V, *a)
     d = apply_j(u, V, *b)
-    det4 = sign * _quad_form(u, V, a, b, c, d)
+    det4 = _DET4_SIGN * _quad_form(a, b, c, d)
     gram = np.array([[metric_pair(u, V, *a, *a), metric_pair(u, V, *a, *b)],
                      [metric_pair(u, V, *b, *a), metric_pair(u, V, *b, *b)]])
     om = omega_pair(*a, *b)
@@ -397,81 +376,21 @@ class CongruenceMap:
 class LineSection:
     """Sampled section of the line space over a parameter grid.
 
-    ``u`` and ``V`` have shape (ns, nt, 3); tangents ``du``/``dV`` shape
-    (ns, nt, 2, 3) hold the parameter derivatives when known exactly, and
-    are reconstructed by central differences after deserialisation.
+    ``u`` and ``V`` have shape (ns, nt, 3) and their exact parameter
+    tangents ``du``/``dV`` shape (ns, nt, 2, 3): the samples of
+    ``source.eval`` on the grid, which refinements and winding loops
+    evaluate off it.
     """
 
     s_axis: np.ndarray
     t_axis: np.ndarray
     u: np.ndarray
     V: np.ndarray
-    du: np.ndarray = None
-    dV: np.ndarray = None
+    du: np.ndarray
+    dV: np.ndarray
+    source: object
     periodic: tuple = (False, False)
     center: tuple = (0.0, 0.0, 1.0)
-    source: object = None
-
-    def tangents(self):
-        if self.du is None or self.dV is None:
-            self.du = _grid_gradient(self.u, self.s_axis, self.t_axis, self.periodic)
-            self.dV = _grid_gradient(self.V, self.s_axis, self.t_axis, self.periodic)
-        return self.du, self.dV
-
-    def save(self, path):
-        ns, nt = self.u.shape[:2]
-        header = [
-            "geomlab line-section v1",
-            f"ns={ns} nt={nt}",
-            f"s0={self.s_axis[0]:.17g} s1={self.s_axis[-1]:.17g}",
-            f"t0={self.t_axis[0]:.17g} t1={self.t_axis[-1]:.17g}",
-            f"periodic={int(self.periodic[0])},{int(self.periodic[1])}",
-            f"center={self.center[0]:.17g},{self.center[1]:.17g},{self.center[2]:.17g}",
-            "columns: u_x u_y u_z V_x V_y V_z (row-major over the s,t grid)",
-        ]
-        table = np.concatenate([self.u.reshape(-1, 3), self.V.reshape(-1, 3)], axis=1)
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
-            for row in table:
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        meta = {}
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for part in line[1:].split():
-                        if "=" in part:
-                            key, val = part.split("=", 1)
-                            meta[key] = val
-                    continue
-                rows.append([float(x) for x in line.split()])
-        ns, nt = int(meta["ns"]), int(meta["nt"])
-        table = np.asarray(rows)
-        per = tuple(bool(int(x)) for x in meta["periodic"].split(","))
-        center = tuple(float(x) for x in meta["center"].split(","))
-        s_axis = np.linspace(float(meta["s0"]), float(meta["s1"]), ns)
-        t_axis = np.linspace(float(meta["t0"]), float(meta["t1"]), nt)
-        return cls(s_axis, t_axis, table[:, :3].reshape(ns, nt, 3),
-                   table[:, 3:].reshape(ns, nt, 3), periodic=per, center=center)
-
-
-def _grid_gradient(values, s_axis, t_axis, periodic):
-    out = np.empty(values.shape[:2] + (2, 3))
-    for axis, (coords, per) in enumerate(((s_axis, periodic[0]), (t_axis, periodic[1]))):
-        if per:
-            step = coords[1] - coords[0]
-            d = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * step)
-        else:
-            d = np.gradient(values, coords, axis=axis)
-        out[:, :, axis, :] = d
-    return out
 
 
 def normal_congruence(surface, grid=(128, 96), center=None):
@@ -511,8 +430,8 @@ def normal_congruence(surface, grid=(128, 96), center=None):
         mean = u.reshape(-1, 3).mean(axis=0)
         norm = np.linalg.norm(mean)
         center = tuple(mean / norm) if norm > 1e-8 else (0.0, 0.0, 1.0)
-    return LineSection(s_axis, t_axis, u, V, du, dV,
-                       periodic=surface.periodic, center=center, source=cmap)
+    return LineSection(s_axis, t_axis, u, V, du, dV, cmap,
+                       periodic=surface.periodic, center=center)
 
 
 # -- complex points and the Keller-Maslov index -------------------------------
@@ -529,12 +448,11 @@ class ComplexPointRecord:
 
 
 def section_defect(section, center=None, normalize=True):
-    """psi over the section grid (uses exact tangents when available)."""
-    du, dV = section.tangents()
+    """psi over the section grid."""
+    du, dV = section.du, section.dV
     ctr = center if center is not None else section.center
-    psi = defect_psi(section.u, section.V, du[..., 0, :], dV[..., 0, :],
-                     du[..., 1, :], dV[..., 1, :], ctr, normalize=normalize)
-    return psi
+    return defect_psi(section.u, section.V, du[..., 0, :], dV[..., 0, :],
+                      du[..., 1, :], dV[..., 1, :], ctr, normalize=normalize)
 
 
 def _psi_at(source, s, t, center):
@@ -548,11 +466,11 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
     """Zeros of the anti-complex defect with their integer windings.
 
     |psi|^2 goes through ``umbilic_topology._scan_zeros``, refined on the
-    section's exact source; a loaded section has none, and its records are
-    unrefined grid minima without a winding.  Returns records with the
-    umbilic index i = winding / 2.  A section whose defect vanishes on a
-    large fraction of samples (the zero section) is reported as a single
-    non-isolated record.
+    section's exact source, and each isolated zero is wound on a loop of
+    ``loop_cells`` cells of that source.  Returns records with the umbilic
+    index i = winding / 2.  A section whose defect vanishes on a large
+    fraction of samples (the zero section) is reported as a single
+    non-isolated record without a winding.
     """
     mag = np.abs(section_defect(section))
     center, source = section.center, section.source
@@ -567,23 +485,19 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
     domain = [(ax[0], ax[0] + len(ax) * d) if per else (ax[0] - 0.5 * d, ax[-1] + 0.5 * d)
               for ax, d, per in zip((section.s_axis, section.t_axis), (ds, dt),
                                     section.periodic)]
-    field = None if source is None else (
-        lambda s, t: np.abs(_psi_at(source, s, t, center)) ** 2)
-    zeros = _scan_zeros(mag ** 2, field, (section.s_axis, section.t_axis), (ds, dt),
-                        domain, section.periodic, tol * tol, refine_iters,
-                        degenerate_fraction, "complex-point")
+    zeros = _scan_zeros(mag ** 2, lambda s, t: np.abs(_psi_at(source, s, t, center)) ** 2,
+                        (section.s_axis, section.t_axis), (ds, dt), domain,
+                        section.periodic, tol * tol, refine_iters, degenerate_fraction,
+                        "complex-point")
     if not zeros:
         return []
-    if source is None:
-        directions = section.u[tuple(np.array([z.cell for z in zeros]).T)]
-    else:
-        directions = source.eval(np.array([z.s for z in zeros]),
-                                 np.array([z.t for z in zeros]))[0]
+    directions = source.eval(np.array([z.s for z in zeros]),
+                             np.array([z.t for z in zeros]))[0]
     records = []
     for z, direction in zip(zeros, directions):
         rec = ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
                                  float(np.sqrt(z.value)), z.isolated)
-        if source is not None and z.isolated:
+        if z.isolated:
             rec.winding = _zero_winding(source, rec.s, rec.t, loop_cells * ds,
                                         loop_cells * dt, center)
             rec.index = rec.winding / 2.0
@@ -780,39 +694,34 @@ class TwistedSection:
         self.axis = axis / np.linalg.norm(axis)
 
     def eval(self, s, t):
-        u, V, du, dV = self.source.eval(s, t)
+        return self.twist(*self.source.eval(s, t))
+
+    def twist(self, u, V, du, dV):
+        """The twisted sample (u, V + s u x axis, du, dV + s du x axis)."""
         sgn = self.strength
-        V = V + sgn * np.cross(u, self.axis)
-        dV = dV + sgn * np.cross(du, np.broadcast_to(self.axis, du.shape))
-        return u, V, du, dV
+        return (u, V + sgn * np.cross(u, self.axis), du,
+                dV + sgn * np.cross(du, np.broadcast_to(self.axis, du.shape)))
 
 
 def holomorphic_twist(section, strength, center):
     """Twist a sampled LineSection fiberwise about `center`.
 
     Requires the sampled directions to stay inside the open hemisphere
-    around the center (the largest domain the twist can positivise).
+    around the center (the largest domain the twist can positivise).  The
+    twisted section shares the untwisted axes, ``u`` and ``du``.
     """
-    axis = np.asarray(center, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    inner = np.einsum("ijk,k->ij", section.u, axis)
-    if np.any(inner <= 0.0):
+    source = TwistedSection(section.source, strength, center)
+    if np.any(np.einsum("ijk,k->ij", section.u, source.axis) <= 0.0):
         raise ChartDomainError(
             "section leaves the open hemisphere around the twist center")
-    du, dV = section.tangents()
-    twisted = LineSection(
-        section.s_axis.copy(), section.t_axis.copy(),
-        section.u.copy(), section.V + strength * np.cross(section.u, axis),
-        du.copy(), dV + strength * np.cross(du, np.broadcast_to(axis, du.shape)),
-        periodic=section.periodic, center=tuple(axis),
-        source=None if section.source is None
-        else TwistedSection(section.source, strength, axis))
-    return twisted
+    return LineSection(section.s_axis, section.t_axis,
+                       *source.twist(section.u, section.V, section.du, section.dV),
+                       source, periodic=section.periodic, center=tuple(source.axis))
 
 
 def section_gram(section):
     """Induced 2x2 Gram matrices of the section tangent planes, (ns,nt,2,2)."""
-    du, dV = section.tangents()
+    du, dV = section.du, section.dV
     g = np.empty(section.u.shape[:2] + (2, 2))
     for a in range(2):
         for b in range(2):

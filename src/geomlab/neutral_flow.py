@@ -495,7 +495,7 @@ FLOW_CONFIG_KEYS = {
     "twist_strength": 1.0, "disc": "twisted-hemisphere",
     "perturbation": 0.0, "h": None, "cfl": 0.2, "steps": 200,
     "angle_target": None, "dbar_c": 1.0, "angle_rate": 0.0,
-    "stagnation_tol": 0.0, "snapshot_every": 0, "seed": 0,
+    "stagnation_tol": 0.0, "snapshot_every": 0,
 }
 
 

@@ -191,7 +191,6 @@ class _Zero:
     s: float
     t: float
     value: float      # the field at (s, t)
-    cell: tuple       # grid index of the seed
     isolated: bool
     ambiguous: bool = False
 
@@ -202,8 +201,8 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, refine_iter
 
     ``values`` holds the field at the grid whose s and t lines are ``axes``,
     ``step`` apart, inside the parameter rectangle ``domain``; ``field(s, t)``
-    evaluates it anywhere (None: the grid is all there is).  Returns
-    ``_Zero``s in grid order (see ``_grid_order``):
+    evaluates it anywhere in the rectangle.  Returns ``_Zero``s in grid
+    order (see ``_grid_order``):
 
     * if more than ``degenerate_fraction`` of the samples are below
       ``tol_sq``, the field vanishes on a region: one non-isolated zero at
@@ -214,13 +213,12 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, refine_iter
     * the candidates are refined together by ``_refine_minima``; those
       still at or above ``tol_sq`` get up to ``refine_iters`` more single
       steps while their value at least quarters per step, and those still
-      falling at the end are dropped with a warning.  Without ``field``
-      the seeds stay unrefined grid minima;
+      falling at the end are dropped with a warning;
     * candidates below ``tol_sq`` are merged best first: one within two
       cells of a kept zero is dropped, with a warning and the kept zero
       flagged ambiguous if its seed lay farther than two cells from it;
     * a zero is isolated when the field exceeds ``tol_sq`` all round an
-      ellipse of two cells about it (always, without ``field``).
+      ellipse of two cells about it.
 
     ``kind`` names the zeros in the warnings.
     """
@@ -229,39 +227,35 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, refine_iter
         # the first flat sample, not the argmin of rounding noise
         i, j = np.unravel_index(np.argmax(flat), flat.shape)
         return [_Zero(float(axes[0][i]), float(axes[1][j]), float(values[i, j]),
-                      (int(i), int(j)), isolated=False)]
+                      isolated=False)]
     seeds = _local_minima(values, periodic)
     seeds = seeds[values[seeds[:, 0], seeds[:, 1]] <= 0.25 * np.median(values)]
     if len(seeds) == 0:
         return []
     seed_s, seed_t = axes[0][seeds[:, 0]], axes[1][seeds[:, 1]]
-    if field is None:
-        s, t, value = seed_s, seed_t, values[seeds[:, 0], seeds[:, 1]]
-        ok = np.ones(len(seeds), dtype=bool)
-    else:
-        s, t, ok = _refine_minima(field, seed_s, seed_t, step, domain, periodic,
-                                  refine_iters)
-        value = field(s, t)
-        # a coarse grid can leave a zero just above tol: refine the misses
-        # on, from their shrunken span, while their value at least quarters
-        # per step (one that stops falling is a positive minimum, no zero)
-        span = np.array(step, dtype=float) * 0.25 ** refine_iters
-        todo = np.flatnonzero(~(ok & (value < tol_sq)))
-        for _ in range(refine_iters):
-            if not todo.size:
-                break
-            s[todo], t[todo], ok[todo] = _refine_minima(
-                field, s[todo], t[todo], span, domain, periodic, 1)
-            now = field(s[todo], t[todo])
-            falling = now <= 0.25 * value[todo]
-            value[todo] = now
-            todo = todo[falling & ~(ok[todo] & (now < tol_sq))]
-            span *= 0.25
-        if todo.size:
-            warnings.warn(
-                f"{todo.size} {kind} candidate(s) dropped: still falling but above "
-                f"tol after {2 * refine_iters} refinement iterations; scan a finer grid",
-                stacklevel=3)
+    s, t, ok = _refine_minima(field, seed_s, seed_t, step, domain, periodic,
+                              refine_iters)
+    value = field(s, t)
+    # a coarse grid can leave a zero just above tol: refine the misses on,
+    # from their shrunken span, while their value at least quarters per
+    # step (one that stops falling is a positive minimum, no zero)
+    span = np.array(step, dtype=float) * 0.25 ** refine_iters
+    todo = np.flatnonzero(~(ok & (value < tol_sq)))
+    for _ in range(refine_iters):
+        if not todo.size:
+            break
+        s[todo], t[todo], ok[todo] = _refine_minima(
+            field, s[todo], t[todo], span, domain, periodic, 1)
+        now = field(s[todo], t[todo])
+        falling = now <= 0.25 * value[todo]
+        value[todo] = now
+        todo = todo[falling & ~(ok[todo] & (now < tol_sq))]
+        span *= 0.25
+    if todo.size:
+        warnings.warn(
+            f"{todo.size} {kind} candidate(s) dropped: still falling but above "
+            f"tol after {2 * refine_iters} refinement iterations; scan a finer grid",
+            stacklevel=3)
 
     two_cells = 2.0 * np.asarray(step)
     zeros = []
@@ -270,14 +264,13 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, refine_iter
         clash = next((z for z in zeros if np.all(_param_distance(
             domain, periodic, (s[k], t[k]), (z.s, z.t)) < two_cells)), None)
         if clash is None:
-            zeros.append(_Zero(float(s[k]), float(t[k]), float(value[k]),
-                               tuple(int(x) for x in seeds[k]), isolated=True))
+            zeros.append(_Zero(float(s[k]), float(t[k]), float(value[k]), isolated=True))
         elif np.any(_param_distance(domain, periodic, (seed_s[k], seed_t[k]),
                                     (clash.s, clash.t)) > two_cells):
             clash.ambiguous = True
             warnings.warn(f"scan resolution too coarse to separate {kind} "
                           "candidates; records merged", stacklevel=3)
-    if field is not None and zeros:
+    if zeros:
         phi = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         ring = _grid_eval(field, np.array([z.s for z in zeros])[:, None]
                           + two_cells[0] * np.cos(phi),

@@ -110,7 +110,7 @@ def test_criterion_5_line_space_correspondence():
             gap_cells.append(max(gap_s / ds, abs(cp.t - rec.t) / dt))
         ok &= min(gap_cells) <= 2.0
 
-    du, dV = section.tangents()
+    du, dV = section.du, section.dV
     om = ls.omega_pair(du[..., 0, :], dV[..., 0, :], du[..., 1, :], dV[..., 1, :])
     ok &= float(np.max(np.abs(om))) < 1e-8
 

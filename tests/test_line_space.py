@@ -106,12 +106,11 @@ def test_lagrangian_lorentz_plane_sign_relation():
     x2 = ls.LineTangent(base, du[0, 1], dV[0, 1])
     cls = ls.classify_plane(x1, x2)
     assert cls.kind == "lorentz" and cls.lagrangian
-    sign = ls._calibrate_det4_sign()
     a = (x1.du, x1.dV)
     b = (x2.du, x2.dV)
     c = ls.apply_j(base.u, base.V, *a)
     d = ls.apply_j(base.u, base.V, *b)
-    det4 = sign * ls._quad_form(base.u, base.V, a, b, c, d)
+    det4 = ls._DET4_SIGN * ls._quad_form(a, b, c, d)
     gram_det = (cls.eigenvalues[0] * cls.eigenvalues[1])
     assert det4 > 0 and gram_det < 0
     assert det4 == pytest.approx(-gram_det, rel=1e-9)
@@ -155,7 +154,7 @@ def test_normal_congruences_are_lagrangian():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             section = ls.normal_congruence(surface, grid=(48, 36))
-        du, dV = section.tangents()
+        du, dV = section.du, section.dV
         om = ls.omega_pair(du[..., 0, :], dV[..., 0, :],
                            du[..., 1, :], dV[..., 1, :])
         assert np.max(np.abs(om)) < 1e-8
@@ -299,32 +298,6 @@ def test_complex_scan_seeds_no_pole_row():
                              c=0.8666725021917754)
     records = ls.complex_point_scan(ls.normal_congruence(ell, grid=(256, 192)))
     assert [(r.isolated, r.winding) for r in records] == [(True, 1)] * 4
-
-
-def test_sourceless_sections_keep_grid_minima(tmp_path):
-    # a loaded section has no exact source: a zero section is still one
-    # non-isolated record at its first sample
-    path = tmp_path / "sphere.txt"
-    ls.normal_congruence(sg.surface_by_name("round-sphere", r=1.0), grid=(32, 24)).save(path)
-    loaded = ls.LineSection.load(path)
-    assert loaded.source is None
-    [rec] = ls.complex_point_scan(loaded)
-    assert not rec.isolated and rec.winding is None
-    assert (rec.s, rec.t) == (loaded.s_axis[0], loaded.t_axis[0])
-    assert rec.direction == tuple(loaded.u[0, 0])
-    # a grid through the four zeros, without a source: they come back as
-    # those grid samples, unrefined and without windings
-    v0 = np.arccos(np.sqrt(1.25 / 3.0))
-    s_axis = 2 * np.pi * np.arange(64) / 64
-    t_axis = np.pi / 2 + (np.pi / 2 - v0) / 10 * np.arange(-20, 21)
-    u, V, du, dV = ls.CongruenceMap(ELL).eval(*np.meshgrid(s_axis, t_axis, indexing="ij"))
-    section = ls.LineSection(s_axis, t_axis, u, V, du, dV, periodic=(True, False))
-    records = ls.complex_point_scan(section)
-    assert [(r.s, r.t) for r in records] == [(s_axis[i], t_axis[j])
-                                             for i in (0, 32) for j in (10, 30)]
-    for rec, (i, j) in zip(records, [(0, 10), (0, 30), (32, 10), (32, 30)]):
-        assert rec.isolated and rec.winding is None and rec.index is None
-        assert rec.direction == tuple(u[i, j])
 
 
 def test_umbilic_free_annulus_has_positive_defect():
@@ -500,9 +473,8 @@ def _hemisphere_patch(surface, center, grid=(64, 40), t_hi=1.0):
     t_axis = np.linspace(0.05, t_hi, grid[1])
     sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
     u, V, du, dV = cmap.eval(sm, tm)
-    return ls.LineSection(s_axis, t_axis, u, V, du, dV,
-                          periodic=(True, False), center=center,
-                          source=cmap)
+    return ls.LineSection(s_axis, t_axis, u, V, du, dV, cmap,
+                          periodic=(True, False), center=center)
 
 
 def test_twist_strength_zero_is_identity():
@@ -534,8 +506,8 @@ def test_twist_does_not_create_or_destroy_complex_points():
     t_axis = np.linspace(0.35, 1.1, 48)
     sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
     u, V, du, dV = cmap.eval(sm, tm)
-    patch = ls.LineSection(s_axis, t_axis, u, V, du, dV,
-                           periodic=(True, False), center=(0, 0, 1), source=cmap)
+    patch = ls.LineSection(s_axis, t_axis, u, V, du, dV, cmap,
+                           periodic=(True, False), center=(0, 0, 1))
     before = ls.section_defect(patch, normalize=False)
     tw = ls.holomorphic_twist(patch, 1.3, (0, 0, 1))
     after = ls.section_defect(tw, normalize=False)
@@ -545,24 +517,31 @@ def test_twist_does_not_create_or_destroy_complex_points():
     assert np.max(np.abs(after - before)) < 1e-10
 
 
+def test_twist_keeps_complex_points_through_the_scan():
+    # a patch of the ellipsoid congruence around (1, 0, 0) holding two of its
+    # four complex points; the scan refines and winds them on the twisted source
+    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
+    cmap = ls.CongruenceMap(ell)
+    s_axis = np.linspace(-1.0, 1.0, 64)
+    t_axis = np.linspace(0.3, np.pi - 0.3, 64)
+    sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
+    patch = ls.LineSection(s_axis, t_axis, *cmap.eval(sm, tm), cmap, center=(1, 0, 0))
+    before = ls.complex_point_scan(patch)
+    assert [(r.isolated, r.winding) for r in before] == [(True, 1)] * 2
+    for strength in (0.5, 2.0):
+        tw = ls.holomorphic_twist(patch, strength, (1, 0, 0))
+        for sampled, exact in zip((tw.u, tw.V, tw.du, tw.dV), tw.source.eval(sm, tm)):
+            assert np.array_equal(sampled, exact)
+        after = ls.complex_point_scan(tw)
+        assert [(r.isolated, r.winding) for r in after] == [(True, 1)] * 2
+        for a, b in zip(before, after):
+            assert abs(a.s - b.s) < 1e-6 and abs(a.t - b.t) < 1e-6
+
+
 def test_twist_requires_open_hemisphere():
     section = ls.normal_congruence(ELL, grid=(48, 36))  # full sphere of directions
     with pytest.raises(ChartDomainError):
         ls.holomorphic_twist(section, 1.0, (0, 0, 1))
-
-
-def test_section_serialization_roundtrip(tmp_path):
-    section = ls.normal_congruence(ELL, grid=(48, 36))
-    path = tmp_path / "section.txt"
-    section.save(path)
-    loaded = ls.LineSection.load(path)
-    assert np.allclose(loaded.u, section.u, atol=1e-15)
-    assert np.allclose(loaded.V, section.V, atol=1e-15)
-    assert loaded.periodic == section.periodic
-    # finite-difference tangents reconstructed on demand
-    du, dV = loaded.tangents()
-    om = ls.omega_pair(du[..., 0, :], dV[..., 0, :], du[..., 1, :], dV[..., 1, :])
-    assert np.max(np.abs(om)) < 1e-2  # FD-level Lagrangian residual
 
 
 def test_gauss_map_inversion():

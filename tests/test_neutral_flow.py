@@ -313,6 +313,8 @@ def test_run_flow_reports_halt_reason():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="valid keys"):
         nf.build_state({"grid_m": 11})
+    with pytest.raises(ConfigError, match="valid keys"):
+        nf.build_state({"seed": 0})
     with pytest.raises(ConfigError):
         nf.build_state({"chart_radius": 1.5})
     with pytest.raises(ConfigError):
