@@ -246,7 +246,7 @@ def cmd_maslov(args):
     rows = []
     if args.loop_file:
         loop_u = np.loadtxt(args.loop_file, comments="#")
-        loop_s, loop_t = ls.invert_gauss_map(cmap, loop_u, section)
+        loop_s, loop_t = ls.invert_gauss_map(loop_u, section)
         # the principal-winding index uses the counterclockwise convention in
         # parameter space; reorient the inverted loop if the Gauss map
         # reversed it (mu is chart-oriented internally and unaffected)

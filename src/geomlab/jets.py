@@ -1,9 +1,20 @@
-"""Vectorised forward-mode Taylor arithmetic up to second order.
+"""Vectorised sparse forward-mode Taylor arithmetic up to second order.
 
 A ``Jet`` holds the value of a quantity together with its first (and
-optionally second) partial derivatives with respect to ``n`` seed
-variables.  Coefficients are numpy arrays, so a single jet evaluation
-differentiates a closed-form expression at a whole batch of points.
+optionally second) partial derivatives with respect to the seed variables
+it depends on: its ``support``, a sorted tuple of variable indices out of
+the ``n`` that ``variables`` seeded.  Derivatives with respect to any
+other variable are zero and are not stored, so ``sin(u)`` carries one
+gradient row and a 1x1 Hessian whatever ``n`` is.  Unary functions keep
+the support; sums, products and ``where`` merge the supports of their jet
+operands.  A plain number or ndarray operand is never promoted to a jet:
+``x * c`` scales the coefficients and ``x + c`` shifts the value alone.
+Coefficients are numpy arrays, so a single jet evaluation differentiates
+a closed-form expression at a whole batch of points.
+
+Every product and chain rule adds its terms in the order of the full
+dense formula; a term that is an exact zero is left out, which changes at
+most the sign of a zero in a result on finite inputs.
 
 All closed-form metric components, surface immersions and line-space
 charts in this package are written as plain arithmetic over whatever
@@ -24,84 +35,126 @@ __all__ = [
 
 
 def _outer(a, b):
-    # (n,)+S x (n,)+S -> (n,n)+S
+    # (k,)+S x (l,)+S -> (k,l)+S
     return a[:, None] * b[None, :]
 
 
 class Jet:
     """Truncated Taylor value: f + sum_i g_i dx_i (+ 1/2 sum_ij h_ij dx_i dx_j).
 
-    ``f`` is the value (scalar or ndarray of shape S), ``g`` the gradient of
-    shape (n,)+S, ``h`` the full Hessian of shape (n,n)+S or None for
-    first-order jets.  Mixing orders in one expression is an error.
+    ``f`` is the value (scalar or ndarray of shape S).  ``support`` is the
+    sorted tuple of the k seed variables the value depends on, out of
+    ``nvars``; ``gs`` is the gradient over the support, shape (k,)+S, and
+    ``hs`` the full Hessian over it, shape (k,k)+S, or None for
+    first-order jets.  ``g`` and ``h`` scatter them over all ``nvars``
+    variables.  Mixing orders in one expression is an error.
     """
 
-    __slots__ = ("f", "g", "h")
+    __slots__ = ("f", "support", "gs", "hs", "nvars")
 
-    def __init__(self, f, g, h=None):
+    def __init__(self, f, support, gs, hs, nvars):
         self.f = f
-        self.g = g
-        self.h = h
+        self.support = support
+        self.gs = gs
+        self.hs = hs
+        self.nvars = nvars
 
     @property
-    def nvars(self):
-        return self.g.shape[0]
+    def g(self):
+        """Gradient over every seed variable, shape (nvars,)+S."""
+        out = np.zeros((self.nvars,) + self.gs.shape[1:])
+        out[list(self.support)] = self.gs
+        return out
 
-    def _lift(self, other):
-        """Promote a constant (number / ndarray) to a jet of matching order."""
-        if isinstance(other, Jet):
-            if (self.h is None) != (other.h is None):
-                raise TypeError("cannot mix first- and second-order jets")
-            return other
-        n = self.nvars
-        f = np.asarray(other, dtype=float)
-        shape = np.broadcast_shapes(np.shape(self.f), f.shape)
-        g = np.zeros((n,) + shape)
-        h = None if self.h is None else np.zeros((n, n) + shape)
-        return Jet(f, g, h)
+    @property
+    def h(self):
+        """Hessian over every seed variable, shape (nvars,nvars)+S, or None."""
+        if self.hs is None:
+            return None
+        out = np.zeros((self.nvars, self.nvars) + self.hs.shape[2:])
+        out[np.ix_(self.support, self.support)] = self.hs
+        return out
+
+    def _merge(self, other):
+        """Supports of two jet operands of the same order, merged."""
+        if (self.hs is None) != (other.hs is None):
+            raise TypeError("cannot mix first- and second-order jets")
+        return _merged(self.support, other.support)
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
-        h = None if self.h is None else self.h + o.h
-        return Jet(self.f + o.f, self.g + o.g, h)
+        if not isinstance(other, Jet):
+            return Jet(self.f + other, self.support, self.gs, self.hs, self.nvars)
+        m = self._merge(other)
+        f = self.f + other.f
+        if m is None:
+            h = None if self.hs is None else self.hs + other.hs
+            return Jet(f, self.support, self.gs + other.gs, h, self.nvars)
+        g = m.zeros(1, self.gs, other.gs)
+        g[m.a] = self.gs
+        g[m.b] += other.gs
+        h = None
+        if self.hs is not None:
+            h = m.zeros(2, self.hs, other.hs)
+            h[m.aa] = self.hs
+            h[m.bb] += other.hs
+        return Jet(f, m.support, g, h, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        h = None if self.h is None else -self.h
-        return Jet(-self.f, -self.g, h)
+        h = None if self.hs is None else -self.hs
+        return Jet(-self.f, self.support, -self.gs, h, self.nvars)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        f = self.f * o.f
-        g = self.g * o.f + self.f * o.g
+        if not isinstance(other, Jet):
+            h = None if self.hs is None else self.hs * other
+            return Jet(self.f * other, self.support, self.gs * other, h, self.nvars)
+        m = self._merge(other)
+        f = self.f * other.f
+        if m is None:
+            g = self.gs * other.f + self.f * other.gs
+            h = None
+            if self.hs is not None:
+                h = (self.hs * other.f + self.f * other.hs
+                     + _outer(self.gs, other.gs) + _outer(other.gs, self.gs))
+            return Jet(f, self.support, g, h, self.nvars)
+        ga, gb = self.gs * other.f, self.f * other.gs
+        g = m.zeros(1, ga, gb)
+        g[m.a] = ga
+        g[m.b] += gb
         h = None
-        if self.h is not None:
-            h = (self.h * o.f + self.f * o.h
-                 + _outer(self.g, o.g) + _outer(o.g, self.g))
-        return Jet(f, g, h)
+        if self.hs is not None:
+            terms = (self.hs * other.f, self.f * other.hs,
+                     _outer(self.gs, other.gs), _outer(other.gs, self.gs))
+            h = m.zeros(2, *terms)
+            h[m.aa] = terms[0]
+            for key, term in zip((m.bb, m.ab, m.ba), terms[1:]):
+                h[key] += term
+        return Jet(f, m.support, g, h, self.nvars)
 
     __rmul__ = __mul__
 
     def _reciprocal(self):
         inv = 1.0 / self.f
         inv2 = inv * inv
-        g = -self.g * inv2
+        g = -self.gs * inv2
         h = None
-        if self.h is not None:
-            h = -self.h * inv2 + 2.0 * _outer(self.g, self.g) * (inv2 * inv)
-        return Jet(inv, g, h)
+        if self.hs is not None:
+            h = -self.hs * inv2 + 2.0 * _outer(self.gs, self.gs) * (inv2 * inv)
+        return Jet(inv, self.support, g, h, self.nvars)
 
     def __truediv__(self, other):
-        return self * self._lift(other)._reciprocal()
+        if not isinstance(other, Jet):
+            return self * (1.0 / np.asarray(other, dtype=float))
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -109,35 +162,83 @@ class Jet:
     def __pow__(self, p):
         if isinstance(p, Jet):
             raise TypeError("jet exponents are not supported")
-        d2 = None if self.h is None else p * (p - 1) * self.f ** (p - 2)
+        d2 = None if self.hs is None else p * (p - 1) * self.f ** (p - 2)
         return _unary(self, self.f ** p, p * self.f ** (p - 1), d2)
 
     def __repr__(self):
-        order = 1 if self.h is None else 2
-        return f"Jet(order={order}, nvars={self.nvars}, value={self.f!r})"
+        order = 1 if self.hs is None else 2
+        return (f"Jet(order={order}, support={self.support}, nvars={self.nvars}, "
+                f"value={self.f!r})")
+
+
+class _Merge:
+    """Union of two different supports A and B, and where each sits in it.
+
+    ``a`` and ``b`` index the union's gradient rows, ``aa``, ``bb``, ``ab``
+    and ``ba`` its Hessian blocks.  Positions that step evenly are slices,
+    so for up to three variables every block is a view.
+    """
+
+    def __init__(self, a, b):
+        self.support = tuple(sorted(set(a) | set(b)))
+        pa = self._positions(a)
+        pb = self._positions(b)
+        self.a, self.b = pa, pb
+        self.aa, self.bb = self._block(pa, pa), self._block(pb, pb)
+        self.ab, self.ba = self._block(pa, pb), self._block(pb, pa)
+
+    def _positions(self, sub):
+        pos = [self.support.index(i) for i in sub]
+        step = pos[1] - pos[0] if len(pos) > 1 else 1
+        if all(q - p == step for p, q in zip(pos, pos[1:])):
+            return slice(pos[0], pos[-1] + 1, step)
+        return np.array(pos)
+
+    @staticmethod
+    def _block(rows, cols):
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            return rows, cols
+        return np.ix_(rows, cols)
+
+    def zeros(self, rank, *terms):
+        """Zero coefficients over the union for ``terms`` of this rank."""
+        shape = np.broadcast_shapes(*[t.shape[rank:] for t in terms])
+        return np.zeros((len(self.support),) * rank + shape)
+
+
+_MERGES = {}
+
+
+def _merged(a, b):
+    """None for equal supports, else their cached ``_Merge``."""
+    if a == b:
+        return None
+    m = _MERGES.get((a, b))
+    if m is None:
+        m = _MERGES[(a, b)] = _Merge(a, b)
+    return m
 
 
 def _unary(x, v, d1, d2):
     """Chain rule for a scalar function applied to a jet."""
-    g = d1 * x.g
+    g = d1 * x.gs
     h = None
-    if x.h is not None:
-        h = d1 * x.h + d2 * _outer(x.g, x.g)
-    return Jet(v, g, h)
+    if x.hs is not None:
+        h = d1 * x.hs + d2 * _outer(x.gs, x.gs)
+    return Jet(v, x.support, g, h, x.nvars)
 
 
 def variables(values, order=2):
-    """Seed a list of jet variables from per-variable value arrays."""
+    """Seed a list of jet variables from per-variable value arrays.
+
+    Variable i has support (i,), unit gradient and zero Hessian."""
     vals = [np.asarray(v, dtype=float) for v in values]
     n = len(vals)
     shape = np.broadcast_shapes(*[v.shape for v in vals])
-    out = []
-    for i, v in enumerate(vals):
-        g = np.zeros((n,) + shape)
-        g[i] = 1.0
-        h = np.zeros((n, n) + shape) if order == 2 else None
-        out.append(Jet(np.broadcast_to(v, shape).copy(), g, h))
-    return out
+    one = np.ones((1,) + shape)
+    zero = np.zeros((1, 1) + shape) if order == 2 else None
+    return [Jet(np.broadcast_to(v, shape).copy(), (i,), one, zero, n)
+            for i, v in enumerate(vals)]
 
 
 def derivatives(fn, values, order=2):
@@ -147,50 +248,71 @@ def derivatives(fn, values, order=2):
     ``variables``) and returns a sequence of M components.  Returns
     ``f[..., m]``, ``g[..., i, m]`` and, for order 2, ``h[..., i, j, m]``,
     where ``...`` is the broadcast shape of ``values`` and i, j index the
-    variables; a component that is a plain number or array gets zero
-    derivatives.  The arrays are C-contiguous and filled component by
-    component.
+    variables; derivatives off a component's support, and every derivative
+    of a component that is a plain number or array, are zero.  The arrays
+    are C-contiguous and filled component by component.
     """
     xs = variables(values, order=order)
     comps = fn(*xs)
     shape = xs[0].f.shape
     n, m = len(xs), len(comps)
     f = np.empty(shape + (m,))
-    g = np.empty(shape + (n, m))
-    h = np.empty(shape + (n, n, m)) if order == 2 else None
+    g = np.zeros(shape + (n, m))
+    h = np.zeros(shape + (n, n, m)) if order == 2 else None
     for k, comp in enumerate(comps):
-        if isinstance(comp, Jet):
-            f[..., k] = comp.f
-            for i in range(n):
-                g[..., i, k] = comp.g[i]
-                if h is not None:
-                    for j in range(n):
-                        h[..., i, j, k] = comp.h[i, j]
-        else:
+        if not isinstance(comp, Jet):
             f[..., k] = comp
-            g[..., k] = 0.0
+            continue
+        f[..., k] = comp.f
+        for a, i in enumerate(comp.support):
+            g[..., i, k] = comp.gs[a]
             if h is not None:
-                h[..., k] = 0.0
+                for b, j in enumerate(comp.support):
+                    h[..., i, j, k] = comp.hs[a, b]
     return (f, g) if h is None else (f, g, h)
+
+
+def _embed(x, m, key, block):
+    """Coefficients of jet ``x`` over the merged support ``m``, zero off its own."""
+    g = np.zeros((len(m.support),) + x.gs.shape[1:])
+    g[key] = x.gs
+    h = None
+    if x.hs is not None:
+        h = np.zeros((len(m.support),) * 2 + x.hs.shape[2:])
+        h[block] = x.hs
+    return g, h
 
 
 def where(cond, a, b):
     """Branch selection on jets; both branches must be evaluated already.
 
     Used for piecewise-smooth profiles whose pieces agree to all orders at
-    the seams, so selecting coefficient-wise is exact.
+    the seams, so selecting coefficient-wise is exact.  A plain-number
+    branch has zero derivatives.
     """
     if not isinstance(a, Jet) and not isinstance(b, Jet):
         return np.where(cond, a, b)
     ref = a if isinstance(a, Jet) else b
-    a = ref._lift(a)
-    b = ref._lift(b)
-    f = np.where(cond, a.f, b.f)
-    g = np.where(cond[None], a.g, b.g)
+    fa = a.f if isinstance(a, Jet) else a
+    fb = b.f if isinstance(b, Jet) else b
+    f = np.where(cond, fa, fb)
+    support = ref.support
+    if not isinstance(a, Jet):
+        ga, ha, gb, hb = 0.0, 0.0, b.gs, b.hs
+    elif not isinstance(b, Jet):
+        ga, ha, gb, hb = a.gs, a.hs, 0.0, 0.0
+    else:
+        m = a._merge(b)
+        ga, ha, gb, hb = a.gs, a.hs, b.gs, b.hs
+        if m is not None:
+            support = m.support
+            ga, ha = _embed(a, m, m.a, m.aa)
+            gb, hb = _embed(b, m, m.b, m.bb)
+    g = np.where(cond[None], ga, gb)
     h = None
-    if a.h is not None:
-        h = np.where(cond[None, None], a.h, b.h)
-    return Jet(f, g, h)
+    if ref.hs is not None:
+        h = np.where(cond[None, None], ha, hb)
+    return Jet(f, support, g, h, ref.nvars)
 
 
 def sin(x):
@@ -211,7 +333,7 @@ def tan(x):
     if isinstance(x, Jet):
         t = np.tan(x.f)
         sec2 = 1.0 + t * t
-        return _unary(x, t, sec2, None if x.h is None else 2.0 * t * sec2)
+        return _unary(x, t, sec2, None if x.hs is None else 2.0 * t * sec2)
     return np.tan(x)
 
 
@@ -224,7 +346,7 @@ def exp(x):
 
 def log(x):
     if isinstance(x, Jet):
-        d2 = None if x.h is None else -1.0 / (x.f * x.f)
+        d2 = None if x.hs is None else -1.0 / (x.f * x.f)
         return _unary(x, np.log(x.f), 1.0 / x.f, d2)
     return np.log(x)
 
@@ -232,6 +354,6 @@ def log(x):
 def sqrt(x):
     if isinstance(x, Jet):
         r = np.sqrt(x.f)
-        d2 = None if x.h is None else -0.25 / (r * x.f)
+        d2 = None if x.hs is None else -0.25 / (r * x.f)
         return _unary(x, r, 0.5 / r, d2)
     return np.sqrt(x)

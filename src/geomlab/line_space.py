@@ -555,10 +555,11 @@ def maslov_index(source, loop_s, loop_t, center, min_defect_ratio=1e-6):
             "operator_index": 2 * w + 2, "unparameterized_dim": 2 * w - 1}
 
 
-def invert_gauss_map(source, directions, section, iters=15, tol=1e-12):
+def invert_gauss_map(directions, section, iters=15, tol=1e-12):
     """Parameter preimages of direction-space points, for convex congruences.
 
-    Seeds each Newton solve from the nearest sampled grid direction; the
+    Seeds each Newton solve from the nearest sampled grid direction of
+    ``section`` and refines it on the section's exact ``source``; the
     equations are the two components of n(s,t) - u against a fixed basis of
     the plane orthogonal to u.
     """
@@ -574,7 +575,7 @@ def invert_gauss_map(source, directions, section, iters=15, tol=1e-12):
         s_c, t_c = float(flat_s[seed]), float(flat_t[seed])
         _, p, q = _complement_basis(target)
         for _ in range(iters):
-            u, _, du, _ = source.eval(s_c, t_c)
+            u, _, du, _ = section.source.eval(s_c, t_c)
             res = np.array([np.dot(p, u[0] - target), np.dot(q, u[0] - target)])
             if np.max(np.abs(res)) < tol:
                 break

@@ -76,6 +76,10 @@ def fundamental_forms(surface, metric, s, t):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     scalar = s.ndim == 0 and t.ndim == 0
+    # checked before the jet pass: a chart map need not read a parameter
+    # (Clifford's rho is a constant), so a NaN one can leave the tangents finite
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
+        raise ImmersionError("coordinate tangents are not finite")
     s2, t2 = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
     point, d1, d2 = jets.derivatives(surface.chart_map, [s2.ravel(), t2.ravel()], order=2)
 
@@ -244,7 +248,7 @@ def max_abs_mean_curvature(surface, metric, n_samples=10000, seed=0):
 
 def _clifford(params):
     def chart_map(s, t):
-        return (0.0 * s + np.pi / 4, s, t)
+        return (np.pi / 4, s, t)
     return SurfaceImmersion("clifford", chart_map,
                             ((0.0, _TWO_PI), (0.0, _TWO_PI)), (True, True),
                             orient=1, topology="torus", chart="hopf")

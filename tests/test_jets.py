@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the sparse-against-dense property needs hypothesis
+    st = None
+
 from geomlab import jets
 from geomlab.exprgrammar import ExpressionError, compile_expression
 
@@ -141,3 +147,277 @@ def test_expression_grammar_rejects_unknown_names():
 def test_expression_grammar_rejects_garbage():
     with pytest.raises(ExpressionError):
         compile_expression("1 +* 2", ())
+
+
+def test_constant_operands_keep_the_support():
+    values = [np.array([0.2, 0.7]), np.array([1.1, -0.4]), np.array([0.3, 0.9])]
+    xs = jets.variables(values, order=2)
+    for i, x in enumerate(xs):
+        for out in (x * 2.0, 2.0 * x, x + 1.0, 1.0 - x, x / 4.0):
+            assert out.support == (i,)
+            assert out.gs.shape == (1, 2) and out.hs.shape == (1, 1, 2)
+        # a shift allocates nothing: the derivatives are the operand's
+        shifted = x + 1.0
+        assert shifted.gs is x.gs and shifted.hs is x.hs
+    assert (jets.sin(xs[0]) * xs[2]).support == (0, 2)
+    assert jets.where(values[0] > 0.5, xs[1], 0.0).support == (1,)
+
+
+# -- sparse against dense ----------------------------------------------------
+#
+# The oracle is the dense jet the module used before jets became sparse: every
+# jet carries the gradient and Hessian over all n seed variables, and a
+# constant operand is promoted to a jet with zero derivatives.  It runs the
+# same expression trees the grammar compiles for the sparse side.
+
+class DenseJet:
+    def __init__(self, f, g, h=None):
+        self.f, self.g, self.h = f, g, h
+
+    def _lift(self, other):
+        if isinstance(other, DenseJet):
+            return other
+        n = self.g.shape[0]
+        f = np.asarray(other, dtype=float)
+        shape = np.broadcast_shapes(np.shape(self.f), f.shape)
+        h = None if self.h is None else np.zeros((n, n) + shape)
+        return DenseJet(f, np.zeros((n,) + shape), h)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        h = None if self.h is None else self.h + o.h
+        return DenseJet(self.f + o.f, self.g + o.g, h)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseJet(-self.f, -self.g, None if self.h is None else -self.h)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        g = self.g * o.f + self.f * o.g
+        h = None
+        if self.h is not None:
+            h = (self.h * o.f + self.f * o.h
+                 + _dense_outer(self.g, o.g) + _dense_outer(o.g, self.g))
+        return DenseJet(self.f * o.f, g, h)
+
+    __rmul__ = __mul__
+
+    def _reciprocal(self):
+        inv = 1.0 / self.f
+        inv2 = inv * inv
+        h = None
+        if self.h is not None:
+            h = -self.h * inv2 + 2.0 * _dense_outer(self.g, self.g) * (inv2 * inv)
+        return DenseJet(inv, -self.g * inv2, h)
+
+    def __truediv__(self, other):
+        return self * self._lift(other)._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
+    def __pow__(self, p):
+        d2 = None if self.h is None else p * (p - 1) * self.f ** (p - 2)
+        return _dense_unary(self, self.f ** p, p * self.f ** (p - 1), d2)
+
+
+def _dense_outer(a, b):
+    return a[:, None] * b[None, :]
+
+
+def _dense_unary(x, v, d1, d2):
+    h = None if x.h is None else d1 * x.h + d2 * _dense_outer(x.g, x.g)
+    return DenseJet(v, d1 * x.g, h)
+
+
+def _dense_fn(name):
+    def fn(x):
+        if not isinstance(x, DenseJet):
+            return getattr(np, name)(x)
+        f = x.f
+        second = x.h is not None
+        if name == "sin":
+            return _dense_unary(x, np.sin(f), np.cos(f), -np.sin(f))
+        if name == "cos":
+            return _dense_unary(x, np.cos(f), -np.sin(f), -np.cos(f))
+        if name == "tan":
+            t = np.tan(f)
+            sec2 = 1.0 + t * t
+            return _dense_unary(x, t, sec2, 2.0 * t * sec2 if second else None)
+        if name == "exp":
+            e = np.exp(f)
+            return _dense_unary(x, e, e, e)
+        if name == "log":
+            return _dense_unary(x, np.log(f), 1.0 / f, -1.0 / (f * f) if second else None)
+        r = np.sqrt(f)
+        return _dense_unary(x, r, 0.5 / r, -0.25 / (r * f) if second else None)
+    return fn
+
+
+DENSE = {name: _dense_fn(name) for name in ("sin", "cos", "tan", "exp", "log", "sqrt")}
+
+
+def dense_variables(values, order):
+    vals = [np.asarray(v, dtype=float) for v in values]
+    n = len(vals)
+    shape = np.broadcast_shapes(*[v.shape for v in vals])
+    out = []
+    for i, v in enumerate(vals):
+        g = np.zeros((n,) + shape)
+        g[i] = 1.0
+        h = np.zeros((n, n) + shape) if order == 2 else None
+        out.append(DenseJet(np.broadcast_to(v, shape).copy(), g, h))
+    return out
+
+
+def dense_where(cond, a, b):
+    if not isinstance(a, DenseJet) and not isinstance(b, DenseJet):
+        return np.where(cond, a, b)
+    ref = a if isinstance(a, DenseJet) else b
+    a, b = ref._lift(a), ref._lift(b)
+    h = None if a.h is None else np.where(cond[None, None], a.h, b.h)
+    return DenseJet(np.where(cond, a.f, b.f), np.where(cond[None], a.g, b.g), h)
+
+
+def dense_derivatives(fn, values, order):
+    """The read-out of ``jets.derivatives``, over dense jets."""
+    xs = dense_variables(values, order)
+    shape, n = xs[0].f.shape, len(xs)
+    comps = fn(*xs)
+    f = np.empty(shape + (len(comps),))
+    g = np.zeros(shape + (n, len(comps)))
+    h = np.zeros(shape + (n, n, len(comps))) if order == 2 else None
+    for k, comp in enumerate(comps):
+        if not isinstance(comp, DenseJet):
+            f[..., k] = comp
+            continue
+        f[..., k] = comp.f
+        g[..., k] = np.moveaxis(comp.g, 0, -1)
+        if h is not None:
+            h[..., k] = np.moveaxis(comp.h, (0, 1), (-2, -1))
+    return (f, g) if h is None else (f, g, h)
+
+
+def render(node):
+    """Expression-grammar text of a tree, parenthesised throughout."""
+    op = node[0]
+    if op in ("num", "var"):
+        return node[1]
+    if op == "neg":
+        return f"(-{render(node[1])})"
+    if op == "call":
+        return f"{node[1]}({render(node[2])})"
+    return f"({render(node[1])} {op} {render(node[2])})"
+
+
+def dense_evaluate(node, env):
+    """The grammar's evaluation rules, applied to dense jets."""
+    op = node[0]
+    if op == "num":
+        return np.float64(node[1])
+    if op == "var":
+        return env[node[1]]
+    if op == "neg":
+        return -dense_evaluate(node[1], env)
+    if op == "call":
+        return DENSE[node[1]](dense_evaluate(node[2], env))
+    a, b = dense_evaluate(node[1], env), dense_evaluate(node[2], env)
+    if op == "^":
+        return a ** b if isinstance(b, (int, float)) else DENSE["exp"](b * DENSE["log"](a))
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    return a / b
+
+
+NAMES = ("x", "y", "z")
+
+
+def test_supports_that_do_not_step_evenly():
+    # with four variables a support such as (0, 1, 3) sits at uneven
+    # positions of the union: the merge indexes it by position arrays
+    rng = np.random.default_rng(3)
+    values = [rng.uniform(0.5, 1.5, size=5) for _ in range(4)]
+
+    def fn(lib):
+        def comps(x, y, z, w):
+            a = lib["sin"](x * y) * w
+            b = lib["exp"](z) + x / w
+            return [a * b, a + b, a - lib["cos"](y * z)]
+        return comps
+
+    got = jets.derivatives(fn({"sin": jets.sin, "cos": jets.cos, "exp": jets.exp}),
+                           values, order=2)
+    ref = dense_derivatives(fn(DENSE), values, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+if st is not None:
+    CONSTANTS = ["0.5", "2", "1.25", "3", "0"]
+
+    @st.composite
+    def trees(draw, names, depth=4):
+        """A random expression tree; deeper trees mix more variables, so
+        products of operands with overlapping but different supports occur."""
+        kind = draw(st.sampled_from(["leaf", "binary", "binary", "call", "neg", "pow"]
+                                    if depth else ["leaf"]))
+        if kind == "leaf":
+            if draw(st.integers(0, 3)) == 0:
+                return ("num", draw(st.sampled_from(CONSTANTS)))
+            return ("var", draw(st.sampled_from(names)))
+        sub = trees(names, depth - 1)
+        if kind == "binary":
+            return (draw(st.sampled_from("+-*/")), draw(sub), draw(sub))
+        if kind == "call":
+            return ("call", draw(st.sampled_from(sorted(DENSE))), draw(sub))
+        if kind == "neg":
+            return ("neg", draw(sub))
+        exponent = st.one_of(st.sampled_from(["2", "3", "0.5"]).map(lambda c: ("num", c)), sub)
+        return ("^", draw(sub), draw(exponent))
+
+    @st.composite
+    def cases(draw):
+        nvars = draw(st.integers(1, 3))
+        exprs = [draw(trees(NAMES[:nvars])) for _ in range(3)]
+        return nvars, exprs, draw(st.sampled_from([1, 2])), draw(st.integers(0, 2 ** 16))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=cases())
+    def test_sparse_jets_equal_the_dense_oracle(case):
+        nvars, exprs, order, seed = case
+        names = NAMES[:nvars]
+        rng = np.random.default_rng(seed)
+        values = [rng.uniform(-1.5, 1.5, size=32) for _ in names]
+        compiled = [compile_expression(render(e), names) for e in exprs]
+
+        def sparse_fn(*xs):
+            env = dict(zip(names, xs))
+            a, b, c = (fn(**env) for fn in compiled)
+            with np.errstate(all="ignore"):
+                return [jets.where(xs[0].f > 0.2, a, b), c, a * b, b / c - a]
+
+        def dense_fn(*xs):
+            env = dict(zip(names, xs))
+            with np.errstate(all="ignore"):
+                a, b, c = (dense_evaluate(e, env) for e in exprs)
+                return [dense_where(xs[0].f > 0.2, a, b), c, a * b, b / c - a]
+
+        got = jets.derivatives(sparse_fn, values, order=order)
+        ref = dense_derivatives(dense_fn, values, order)
+        assert np.array_equal(got[0], ref[0], equal_nan=True)
+        # off a non-finite value the dense jet turns an omitted 0 * inf
+        # into NaN; everywhere else the two agree exactly
+        for sparse, dense in zip(got[1:], ref[1:]):
+            finite = np.isfinite(dense)
+            assert np.array_equal(sparse[finite], dense[finite])

@@ -549,6 +549,6 @@ def test_gauss_map_inversion():
     cmap = section.source
     targets = np.array([[0.3, 0.4, 0.87], [-0.5, 0.1, 0.85], [0.0, -0.7, 0.7]])
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-    ss, tt = ls.invert_gauss_map(cmap, targets, section)
+    ss, tt = ls.invert_gauss_map(targets, section)
     u, _, _, _ = cmap.eval(ss, tt)
     assert np.max(np.abs(u - targets)) < 1e-10
