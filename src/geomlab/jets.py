@@ -51,6 +51,9 @@ class Jet:
     """
 
     __slots__ = ("f", "support", "gs", "hs", "nvars")
+    # an ndarray on the left defers to the reflected operators below
+    # instead of building an object array of per-element jets
+    __array_ufunc__ = None
 
     def __init__(self, f, support, gs, hs, nvars):
         self.f = f

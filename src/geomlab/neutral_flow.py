@@ -219,12 +219,25 @@ def _fd_derivatives(f, dx, dy):
     return d1, d2
 
 
-def _induced_gram(g4, d1):
-    return np.einsum("...aA,...AB,...bB->...ab", d1, g4, d1)
+def _t(a):
+    """Swap the last two axes."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _det2(m):
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def flow_geometry(state):
-    """Shared per-step geometry: derivatives, Gram, mean curvature field."""
+    """Shared per-step geometry: derivatives, Gram, mean curvature field.
+
+    With d1 the (2, 4) tangents and ginv the inverse Gram at a sample,
+    the tension is ginv^ab (d2_ab + Gamma(d1_a, d1_b)); its Christoffel
+    part is Gamma^A_BC M^BC with M = d1^T ginv d1, one (4, 16) @ (16,)
+    product.  G d1 is formed once and serves the Gram, the projection onto
+    the tangent plane and the normal residual; every contraction is a
+    matmul.
+    """
     nx, ny = state.shape
     dx = state.x_axis[1] - state.x_axis[0]
     dy = state.y_axis[1] - state.y_axis[0]
@@ -232,8 +245,9 @@ def flow_geometry(state):
     pts = state.f.reshape(-1, 4)
     g4, gamma = state.chart.metric_and_christoffel(pts)
     g4 = g4.reshape(nx, ny, 4, 4)
-    gamma = gamma.reshape(nx, ny, 4, 4, 4)
-    gram = _induced_gram(g4, d1)
+    gamma = gamma.reshape(nx, ny, 4, 16)
+    gd1 = d1 @ g4                                  # (nx, ny, 2, 4), G symmetric
+    gram = gd1 @ _t(d1)
 
     lo, hi = sym_eig2_batch(np.ascontiguousarray(gram.reshape(-1, 2, 2)))
     margin = float(np.min(lo))
@@ -249,13 +263,14 @@ def flow_geometry(state):
     ginv[..., 1, 1] = gram[..., 0, 0] / det
     ginv[..., 0, 1] = ginv[..., 1, 0] = -gram[..., 0, 1] / det
 
-    tension = np.einsum("...ab,...abA->...A", ginv, d2)
-    tension += np.einsum("...ab,...ABC,...aB,...bC->...A", ginv, gamma, d1, d1)
+    second = (ginv.reshape(nx, ny, 1, 4) @ d2.reshape(nx, ny, 4, 4))[..., 0, :]
+    christoffel = (gamma @ (_t(d1) @ ginv @ d1).reshape(nx, ny, 16, 1))[..., 0]
+    tension = second + christoffel
     # project G-orthogonally to the tangent plane
-    rhs = np.einsum("...A,...AB,...aB->...a", tension, g4, d1)
-    coef = np.einsum("...ab,...b->...a", ginv, rhs)
-    mean_curv = tension - np.einsum("...a,...aA->...A", coef, d1)
-    residual = np.einsum("...A,...AB,...aB->...a", mean_curv, g4, d1)
+    rhs = gd1 @ tension[..., None]
+    coef = ginv @ rhs
+    mean_curv = tension - (_t(coef) @ d1)[..., 0, :]
+    residual = gd1 @ mean_curv[..., None]
     return {
         "d1": d1, "d2": d2, "g4": g4, "gram": gram, "det": det,
         "mean_curv": mean_curv, "margin": margin,
@@ -285,7 +300,7 @@ def induced_area(state, geo=None):
     wx[0] = wx[-1] = 0.5 * geo["dx"]
     wy = np.full(state.shape[1], geo["dy"])
     wy[0] = wy[-1] = 0.5 * geo["dy"]
-    return float(np.einsum("ij,i,j->", dens, wx, wy))
+    return float(wx @ dens @ wy)
 
 
 def boundary_mask(shape):
@@ -316,7 +331,7 @@ def dbar_boundary_norm(state, geo):
     pts = state.f[ii, jj]
     u, V, diff = state.chart.embed_differential(pts)
     d1 = geo["d1"][ii, jj]                        # (m, 2, 4)
-    lifted = np.einsum("maA,mAk->mak", d1, diff)  # (m, 2, 6)
+    lifted = d1 @ diff                            # (m, 2, 6)
     psi = defect_psi(u, V, lifted[:, 0, :3], lifted[:, 0, 3:],
                      lifted[:, 1, :3], lifted[:, 1, 3:], tuple(state.chart.center))
     return float(np.max(np.abs(psi)))
@@ -325,25 +340,22 @@ def dbar_boundary_norm(state, geo):
 def _plane_cosh(g4, p_basis, q_basis):
     """cosh of the hyperbolic angle between two definite planes at a point.
 
-    Bases are G-orthonormalised (against the common definite sign); the
-    value is |det| of the cross Gram of the unit bivectors, 1 for equal
-    planes.
+    It is |det| of the cross Gram of the G-unit bivectors of the planes,
+    1 for equal planes.  With P and Q the (2, 4) bases that is
+    |det(P G Q^T)| / sqrt(det(P G P^T) det(Q G Q^T)): orthonormalising a
+    basis divides the cross determinant by the square root of its own
+    Gram determinant.  A 2x2 Gram is definite, of either sign, exactly
+    when its determinant is positive, so a plane with det <= 0 is refused.
     """
-    def orthonormalise(basis):
-        gram = np.einsum("...iA,...AB,...jB->...ij", basis, g4, basis)
-        sign = np.where(np.trace(gram, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)
-        gram = gram * sign[..., None, None]
-        chol = np.linalg.cholesky(gram)
-        inv = np.linalg.inv(chol)
-        return np.einsum("...ji,...jA->...iA", inv.transpose(0, 2, 1), basis), sign
-
-    try:
-        b1, s1 = orthonormalise(p_basis)
-        b2, s2 = orthonormalise(q_basis)
-    except np.linalg.LinAlgError:
+    gp = p_basis @ g4
+    p_det = _det2(gp @ _t(p_basis))
+    q_det = _det2(q_basis @ g4 @ _t(q_basis))
+    cross_det = _det2(gp @ _t(q_basis))
+    if not np.all(np.isfinite([p_det, q_det, cross_det])):
+        raise SignatureLossError("boundary tangent plane is not finite")
+    if not (np.all(p_det > 0.0) and np.all(q_det > 0.0)):
         raise SignatureLossError("boundary tangent plane is not definite")
-    cross = np.einsum("...iA,...AB,...jB->...ij", b1, g4, b2)
-    return np.abs(np.linalg.det(cross))
+    return np.abs(cross_det) / np.sqrt(p_det * q_det)
 
 
 def boundary_angle_cosh(state, geo):

@@ -163,6 +163,22 @@ def test_constant_operands_keep_the_support():
     assert jets.where(values[0] > 0.5, xs[1], 0.0).support == (1,)
 
 
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_ndarray_on_the_left_defers_to_the_jet(order):
+    values = [np.array([0.2, 0.7]), np.array([1.1, -0.4])]
+    x, y = jets.variables(values, order=order)
+    jet = jets.sin(x) * y
+    arr = np.array([1.5, -2.0])
+    for left, right in ((arr + jet, jet.__radd__(arr)), (arr - jet, jet.__rsub__(arr)),
+                        (arr * jet, jet.__rmul__(arr)), (arr / jet, jet.__rtruediv__(arr))):
+        assert isinstance(left, jets.Jet)
+        assert left.support == right.support == (0, 1)
+        assert np.array_equal(left.f, right.f)
+        assert np.array_equal(left.g, right.g)
+        if order == 2:
+            assert np.array_equal(left.h, right.h)
+
 # -- sparse against dense ----------------------------------------------------
 #
 # The oracle is the dense jet the module used before jets became sparse: every

@@ -215,6 +215,141 @@ def test_angle_gradient_matches_one_node_differences():
     assert np.max(np.abs(grads - brute)) < 1e-8
 
 
+# -- einsum oracles for the matmul contractions -------------------------------
+
+def _einsum_geometry(state):
+    """flow_geometry's Gram, tension (and its Christoffel part), mean
+    curvature, normal residual and G d1, each an einsum over the
+    written-out index pattern."""
+    dx = state.x_axis[1] - state.x_axis[0]
+    dy = state.y_axis[1] - state.y_axis[0]
+    d1, d2 = nf._fd_derivatives(state.f, dx, dy)
+    g4, gamma = state.chart.metric_and_christoffel(state.f.reshape(-1, 4))
+    g4 = g4.reshape(state.shape + (4, 4))
+    gamma = gamma.reshape(state.shape + (4, 4, 4))
+    gram = np.einsum("...aA,...AB,...bB->...ab", d1, g4, d1)
+    det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] ** 2
+    ginv = np.empty_like(gram)
+    ginv[..., 0, 0] = gram[..., 1, 1] / det
+    ginv[..., 1, 1] = gram[..., 0, 0] / det
+    ginv[..., 0, 1] = ginv[..., 1, 0] = -gram[..., 0, 1] / det
+    christoffel = np.einsum("...ab,...ABC,...aB,...bC->...A", ginv, gamma, d1, d1)
+    tension = np.einsum("...ab,...abA->...A", ginv, d2) + christoffel
+    rhs = np.einsum("...A,...AB,...aB->...a", tension, g4, d1)
+    coef = np.einsum("...ab,...b->...a", ginv, rhs)
+    mean_curv = tension - np.einsum("...a,...aA->...A", coef, d1)
+    residual = np.einsum("...A,...AB,...aB->...a", mean_curv, g4, d1)
+    gd1 = np.einsum("...AB,...aB->...aA", g4, d1)
+    return gram, tension, christoffel, mean_curv, residual, gd1
+
+
+@pytest.mark.parametrize("seed, centre", list(enumerate(CENTRES[1:])))
+def test_flow_geometry_matches_the_einsum_oracle(seed, centre):
+    rng = np.random.default_rng(100 + seed)
+    state, _ = nf.build_state({"grid_n": 13, "center": centre,
+                               "perturbation": rng.uniform(0.02, 0.08)})
+    state.f[1:-1, 1:-1, 2:] += rng.uniform(-0.003, 0.003, size=(11, 11, 2))
+    geo = nf.flow_geometry(state)
+    gram, tension, christoffel, mean_curv, residual, gd1 = _einsum_geometry(state)
+    # the Christoffel term is a real part of the tension, not a rounding
+    assert np.max(np.abs(christoffel)) > 0.1 * np.max(np.abs(tension))
+    assert np.max(np.abs(geo["gram"] - gram)) <= 1e-13 * np.max(np.abs(gram))
+    scale = np.max(np.abs(tension))
+    assert np.max(np.abs(geo["mean_curv"] - mean_curv)) <= 1e-13 * scale
+    # both residuals are rounding; each is measured against |G d1| |tension|
+    res_scale = 1e-13 * scale * np.max(np.abs(gd1))
+    assert geo["normal_residual"] <= res_scale
+    assert np.max(np.abs(residual)) <= res_scale
+
+
+def _cholesky_plane_cosh(g4, p_basis, q_basis):
+    """The angle through G-orthonormalised bases: Cholesky factor of each
+    plane's Gram, with the sign of its trace, then |det| of the cross Gram."""
+    def orthonormalise(basis):
+        gram = np.einsum("...iA,...AB,...jB->...ij", basis, g4, basis)
+        sign = np.where(np.trace(gram, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)
+        chol = np.linalg.cholesky(gram * sign[..., None, None])
+        return np.einsum("...ij,...jA->...iA", np.linalg.inv(chol), basis)
+
+    try:
+        b1, b2 = orthonormalise(p_basis), orthonormalise(q_basis)
+    except np.linalg.LinAlgError:
+        raise SignatureLossError("boundary tangent plane is not definite")
+    return np.abs(np.linalg.det(np.einsum("...iA,...AB,...jB->...ij", b1, g4, b2)))
+
+
+def _random_planes(seed, n):
+    """Chart metrics at random points and pairs of random (2, 4) bases."""
+    rng = np.random.default_rng(seed)
+    g4 = nf.LineSpaceChart().metric(_chart_points(seed, n))
+    return g4, rng.normal(size=(n, 2, 4)), rng.normal(size=(n, 2, 4))
+
+
+def _refused(fn, *args):
+    try:
+        fn(*args)
+    except SignatureLossError as err:
+        return str(err)
+    return ""
+
+
+def test_plane_cosh_matches_the_cholesky_oracle():
+    g4, p_basis, q_basis = _random_planes(5, 400)
+    refused = np.array([_refused(_cholesky_plane_cosh, g4[k:k + 1], p_basis[k:k + 1],
+                                 q_basis[k:k + 1]) != "" for k in range(len(g4))])
+    # the metric is neutral, so random planes are often indefinite
+    assert np.sum(refused) >= 30 and np.sum(~refused) >= 30
+    for k in range(len(g4)):
+        args = (g4[k:k + 1], p_basis[k:k + 1], q_basis[k:k + 1])
+        assert (_refused(nf._plane_cosh, *args) != "") == refused[k]
+    ok = ~refused
+    value = nf._plane_cosh(g4[ok], p_basis[ok], q_basis[ok])
+    oracle = _cholesky_plane_cosh(g4[ok], p_basis[ok], q_basis[ok])
+    assert np.min(value) >= 1.0 - 1e-12
+    assert np.max(np.abs(value - oracle) / oracle) < 1e-13
+
+
+def test_plane_cosh_of_the_flow_boundary_matches_the_cholesky_oracle(monkeypatch):
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV))
+    geo = nf.flow_geometry(state)
+    cosh = nf.boundary_angle_cosh(state, geo)
+    monkeypatch.setattr(nf, "_plane_cosh", _cholesky_plane_cosh)
+    oracle = nf.boundary_angle_cosh(state, geo)
+    assert np.max(np.abs(cosh - oracle)) < 1e-14
+    assert np.max(cosh - 1.0) > 1e-3  # the planes are not all equal
+
+
+def test_plane_cosh_refuses_an_indefinite_plane():
+    g4 = nf.LineSpaceChart().metric(np.array([[0.2, -0.1, 0.3, 0.15]]))
+    definite = np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]])
+    # (dy, dw1): Gram [[g_yy, g_yw1], [g_yw1, 0]] with g_yw1 = 4/D^2, det < 0
+    indefinite = np.array([[[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]])
+    assert nf._plane_cosh(g4, definite, definite) == pytest.approx(1.0, abs=1e-15)
+    for p_basis, q_basis in ((indefinite, definite), (definite, indefinite)):
+        message = "boundary tangent plane is not definite"
+        assert _refused(_cholesky_plane_cosh, g4, p_basis, q_basis) == message
+        assert _refused(nf._plane_cosh, g4, p_basis, q_basis) == message
+    # one indefinite plane in a batch refuses the batch
+    batch = np.concatenate([definite, indefinite, definite])
+    assert _refused(nf._plane_cosh, np.repeat(g4, 3, axis=0),
+                    batch, np.repeat(definite, 3, axis=0)) != ""
+
+
+def test_plane_cosh_names_a_non_finite_plane():
+    g4, p_basis, q_basis = _random_planes(6, 3)
+    for where in ("g4", "p", "q"):
+        args = {"g4": g4.copy(), "p": p_basis.copy(), "q": q_basis.copy()}
+        args[where][1, 0, 0] = np.nan
+        with pytest.raises(SignatureLossError, match="boundary tangent plane is not finite"):
+            nf._plane_cosh(args["g4"], args["p"], args["q"])
+    # the same through the boundary angle of a disc with a NaN tangent
+    state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
+    geo = nf.flow_geometry(state)
+    geo["d1"][0, 4, 1, 2] = np.nan
+    with pytest.raises(SignatureLossError, match="not finite"):
+        nf.boundary_angle_cosh(state, geo)
+
+
 def test_holomorphic_affine_disc_is_stationary():
     state, _ = nf.build_state({"disc": "holomorphic-affine", "grid_n": 15})
     h_field, geo = nf.mean_curvature_vector(state)
