@@ -169,7 +169,7 @@ _RHO = (0,)  # the Hopf families are T^2-invariant: they read rho alone
 
 def _hopf_components(eps=0.0, bump=None):
     def components(rho, th1, th2):
-        s, c = jets.sin(rho), jets.cos(rho)
+        s, c = jets.sincos(rho)
         off = eps * s * c
         if bump is not None:
             off = off * bump(rho)

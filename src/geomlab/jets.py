@@ -23,14 +23,17 @@ feeding them ndarrays yields plain values.  Finite differences appear
 only in test oracles.
 
 ``derivatives`` is the one read-out from jets to arrays: every caller that
-needs a map's values and partials as arrays goes through it.
+needs a map's values and partials as arrays goes through it.  It stores
+them component-major, each component's value and each of its partials
+one contiguous block over the samples, as a jet stores its own
+coefficients; the arrays it returns are views indexed point-major.
 """
 
 import numpy as np
 
 __all__ = [
     "Jet", "variables", "derivatives", "where",
-    "sin", "cos", "tan", "exp", "log", "sqrt",
+    "sin", "cos", "sincos", "tan", "exp", "log", "sqrt",
 ]
 
 
@@ -252,27 +255,34 @@ def derivatives(fn, values, order=2):
     ``f[..., m]``, ``g[..., i, m]`` and, for order 2, ``h[..., i, j, m]``,
     where ``...`` is the broadcast shape of ``values`` and i, j index the
     variables; derivatives off a component's support, and every derivative
-    of a component that is a plain number or array, are zero.  The arrays
-    are C-contiguous and filled component by component.
+    of a component that is a plain number or array, are zero.
+
+    The arrays are views over component-major buffers, ``(m,) + S``,
+    ``(i, m) + S`` and ``(i, j, m) + S`` for the sample shape S: each
+    component's value and each of its partials is one contiguous block,
+    written in one pass, and reading one out (``g[..., i, m]``) is a
+    contiguous pass too.  Moving the sample axes of a view back to the
+    end (``np.moveaxis(g, 0, -1)`` for 1-D samples) gives the buffer.
     """
     xs = variables(values, order=order)
     comps = fn(*xs)
     shape = xs[0].f.shape
     n, m = len(xs), len(comps)
-    f = np.empty(shape + (m,))
-    g = np.zeros(shape + (n, m))
-    h = np.zeros(shape + (n, n, m)) if order == 2 else None
+    f = np.empty((m,) + shape)
+    g = np.zeros((n, m) + shape)
+    h = np.zeros((n, n, m) + shape) if order == 2 else None
     for k, comp in enumerate(comps):
         if not isinstance(comp, Jet):
-            f[..., k] = comp
+            f[k] = comp
             continue
-        f[..., k] = comp.f
+        f[k] = comp.f
         for a, i in enumerate(comp.support):
-            g[..., i, k] = comp.gs[a]
+            g[i, k] = comp.gs[a]
             if h is not None:
                 for b, j in enumerate(comp.support):
-                    h[..., i, j, k] = comp.hs[a, b]
-    return (f, g) if h is None else (f, g, h)
+                    h[i, j, k] = comp.hs[a, b]
+    f, g = np.moveaxis(f, 0, -1), np.moveaxis(g, (0, 1), (-2, -1))
+    return (f, g) if h is None else (f, g, np.moveaxis(h, (0, 1, 2), (-3, -2, -1)))
 
 
 def _embed(x, m, key, block):
@@ -330,6 +340,15 @@ def cos(x):
         s, c = np.sin(x.f), np.cos(x.f)
         return _unary(x, c, -s, -c)
     return np.cos(x)
+
+
+def sincos(x):
+    """``(sin(x), cos(x))`` from one ``np.sin`` and one ``np.cos`` pass;
+    each equals the separate call bit for bit."""
+    if isinstance(x, Jet):
+        s, c = np.sin(x.f), np.cos(x.f)
+        return _unary(x, s, c, -s), _unary(x, c, -s, -c)
+    return np.sin(x), np.cos(x)
 
 
 def tan(x):

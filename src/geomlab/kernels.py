@@ -6,6 +6,21 @@ Every kernel is a pure function of its array arguments.
 import numpy as np
 
 
+# -- component-wise 3-vectors ----------------------------------------------
+# A vector is a sequence of its three components, each a number or an
+# array over a batch of points: one contiguous array per component when
+# the batch is stored component-major.
+
+def dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 # -- shape operator ------------------------------------------------------
 # Inputs: batched 2x2 first/second fundamental forms, shape (N,2,2).
 # Outputs: trace of the shape operator I^-1 II, its eigenvalues k1 >= k2,

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
-from .umbilic_topology import _loop_winding, _scan_zeros
+from .kernels import cross3, dot3
+from .umbilic_topology import _loop_winding, _param_distance, _scan_zeros
 
 TWO_PI = 2.0 * np.pi
 CONSTRAINT_TOL = 1e-12
@@ -97,13 +98,21 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def _components(a):
+    """The three components of vectors along the last axis of ``a``."""
+    a = np.asarray(a, dtype=float)
+    return [a[..., k] for k in range(3)]
+
+
 def apply_j(u, V, du, dV):
     """Ambient complex structure on a tangent (du, dV) at base (u, V)."""
-    du2 = np.cross(u, du)
-    perp = dV - _dot(u, dV)[..., None] * u
-    c = -_dot(V, du2)
-    dV2 = np.cross(u, perp) + c[..., None] * u
-    return du2, dV2
+    u, V, du, dV = (_components(a) for a in (u, V, du, dV))
+    du2 = cross3(u, du)
+    udv = dot3(u, dV)
+    perp = [d - udv * uk for d, uk in zip(dV, u)]
+    c = -dot3(V, du2)
+    dV2 = [a + c * uk for a, uk in zip(cross3(u, perp), u)]
+    return np.stack(du2, axis=-1), np.stack(dV2, axis=-1)
 
 
 def omega_pair(du_x, dv_x, du_y, dv_y):
@@ -155,18 +164,23 @@ def sphere_frame(u, center):
     on the sphere minus the antipode of the center and J-compatible:
     J maps (0, e1) to (0, e2) in the vertical splitting.
     """
+    e1, e2 = _sphere_frame(_components(u), center)
+    return np.stack(e1, axis=-1), np.stack(e2, axis=-1)
+
+
+def _sphere_frame(u, center):
+    """``sphere_frame`` over the components of u: e1 and e2 as components."""
     c, p, q = _complement_basis(center)
-    u = np.asarray(u, dtype=float)
-    denom = 1.0 + np.einsum("...i,i->...", u, c)
+    denom = 1.0 + dot3(u, c)
     if np.any(denom <= 1e-12):
         raise ChartDomainError("direction at or beyond the chart antipode")
-    x = np.einsum("...i,i->...", u, p) / denom
+    x = dot3(u, p) / denom
     # d/dx of u(x, y) = (2x p + 2y q + (1 - r^2) c)/(1 + r^2) is a positive
     # multiple of p - x (c + u)
-    e1 = p - x[..., None] * (c + u)
-    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(u, e1)
-    return e1, e2
+    e1 = [pk - x * (ck + uk) for pk, ck, uk in zip(p, c, u)]
+    norm = np.sqrt(dot3(e1, e1))
+    e1 = [ek / norm for ek in e1]
+    return e1, cross3(u, e1)
 
 
 def stereo_to_sphere(x, y, center):
@@ -182,9 +196,9 @@ def stereo_to_sphere(x, y, center):
 
 def sphere_to_stereo(u, center):
     c, p, q = _complement_basis(center)
-    denom = 1.0 + np.einsum("...i,i->...", u, c)
-    return (np.einsum("...i,i->...", u, p) / denom,
-            np.einsum("...i,i->...", u, q) / denom)
+    u = _components(u)
+    denom = 1.0 + dot3(u, c)
+    return dot3(u, p) / denom, dot3(u, q) / denom
 
 
 # -- the anti-complex defect --------------------------------------------------
@@ -205,21 +219,25 @@ def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True):
     nonvanishing factor and never the winding around a zero; ``normalize``
     applies the unit-frame rescale that makes |psi| a dimensionless measure.
     """
+    du1, dv1, du2, dv2 = (_components(v) for v in (du1, dv1, du2, dv2))
+    e1, e2 = _sphere_frame(_components(u), center)
+    # real and imaginary parts of z_k and w_k, written out
+    (x1, y1), (x2, y2), (p1, q1), (p2, q2) = (
+        (dot3(v, e1), dot3(v, e2)) for v in (du1, du2, dv1, dv2))
     if normalize:
-        n1 = np.sqrt(_dot(du1, du1) + _dot(dv1, dv1))[..., None]
-        n2 = np.sqrt(_dot(du2, du2) + _dot(dv2, dv2))[..., None]
-        du1, dv1 = du1 / n1, dv1 / n1
-        du2, dv2 = du2 / n2, dv2 / n2
-    e1, e2 = sphere_frame(u, center)
-
-    def frame(v):
-        return _dot(v, e1) + 1j * _dot(v, e2)
-
-    z1, z2, w1, w2 = frame(du1), frame(du2), frame(dv1), frame(dv2)
-    c = np.conj(z1) * z2
-    a = -c.real / c.imag
-    b = (z1.real ** 2 + z1.imag ** 2) / c.imag
-    return 1j * w1 - a * w1 - b * w2
+        n1 = np.sqrt(dot3(du1, du1) + dot3(dv1, dv1))
+        n2 = np.sqrt(dot3(du2, du2) + dot3(dv2, dv2))
+        x1, y1, p1, q1 = x1 / n1, y1 / n1, p1 / n1, q1 / n1
+        x2, y2, p2, q2 = x2 / n2, y2 / n2, p2 / n2, q2 / n2
+    # c = conj(z1) z2
+    c_re = x1 * x2 + y1 * y2
+    c_im = x1 * y2 - y1 * x2
+    a = -c_re / c_im
+    b = (x1 ** 2 + y1 ** 2) / c_im
+    psi = np.empty(np.shape(a), dtype=complex)
+    psi.real = -q1 - a * p1 - b * p2
+    psi.imag = p1 - a * q1 - b * q2
+    return psi
 
 
 def plane_off_j_fraction(u, V, du1, dv1, du2, dv2):
@@ -325,16 +343,14 @@ def wirtinger_residual(x1, x2):
 
 # -- normal congruences -------------------------------------------------------
 
-def _dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 class CongruenceMap:
     """Oriented normal lines of a surface in the flat chart.
 
     ``eval(s, t)`` returns the section sample u, V and its exact parameter
     tangents dU, dV of shapes (..., 3) and (..., 2, 3), differentiated in
-    closed form from the immersion's second-order jet.
+    closed form from the immersion's second-order jet.  They are views
+    over component-major arrays (3, ...) and (2, 3, ...), so each
+    component ``u[..., k]`` is one contiguous block.
     """
 
     def __init__(self, surface):
@@ -346,30 +362,42 @@ class CongruenceMap:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         s, t = np.broadcast_arrays(s, t)
-        if s.size > chunk:
-            flat_s, flat_t = s.reshape(-1), t.reshape(-1)
-            parts = [self.eval(flat_s[k:k + chunk], flat_t[k:k + chunk])
-                     for k in range(0, s.size, chunk)]
-            out = [np.concatenate([p[i] for p in parts], axis=0)
-                   for i in range(4)]
-            return (out[0].reshape(s.shape + (3,)), out[1].reshape(s.shape + (3,)),
-                    out[2].reshape(s.shape + (2, 3)), out[3].reshape(s.shape + (2, 3)))
+        flat_s, flat_t = s.reshape(-1), t.reshape(-1)
+        parts = [self._rows(flat_s[k:k + chunk], flat_t[k:k + chunk])
+                 for k in range(0, max(s.size, 1), chunk)]
+        rows = parts[0] if len(parts) == 1 else [np.concatenate(a, axis=-1)
+                                                 for a in zip(*parts)]
+        u, V, du, dV = (a.reshape(a.shape[:-1] + s.shape) for a in rows)
+        return (np.moveaxis(u, 0, -1), np.moveaxis(V, 0, -1),
+                np.moveaxis(du, (0, 1), (-2, -1)), np.moveaxis(dV, (0, 1), (-2, -1)))
+
+    def _rows(self, s, t):
+        """u, V (3, N) and du, dV (2, 3, N) at 1-D parameters, written out
+        over the components of the immersion's jet."""
         p, d1, d2 = jets.derivatives(self.surface.chart_map, [s, t], order=2)
         orient = self.surface.orient
-        xs, xt = d1[..., 0, :], d1[..., 1, :]
+        p = [p[:, k] for k in range(3)]
+        x = [[d1[:, a, k] for k in range(3)] for a in range(2)]
+        xx = [[[d2[:, a, b, k] for k in range(3)] for b in range(2)] for a in range(2)]
         # raw normal X_s x X_t and its partials X_as x X_t + X_s x X_at
-        raw = orient * np.cross(xs, xt)
-        draw = orient * (np.cross(d2[..., 0, :], xt[..., None, :])
-                         + np.cross(xs[..., None, :], d2[..., 1, :]))
-        norm = np.sqrt(_dot(raw, raw))[..., None]
-        u = raw / norm
-        du = (draw - _dot(u[..., None, :], draw)[..., None] * u[..., None, :]) / norm[..., None]
+        raw = [orient * c for c in cross3(x[0], x[1])]
+        draw = [[orient * (c0 + c1) for c0, c1 in zip(cross3(xx[0][a], x[1]),
+                                                      cross3(x[0], xx[1][a]))]
+                for a in range(2)]
+        norm = np.sqrt(dot3(raw, raw))
+        u = [c / norm for c in raw]
+        du = []
+        for dr in draw:
+            ud = dot3(u, dr)
+            du.append([(dc - ud * uc) / norm for dc, uc in zip(dr, u)])
         # foot V = p - (p.u) u
-        pu = _dot(p, u)[..., None]
-        V = p - pu * u
-        dpu = _dot(d1, u[..., None, :]) + _dot(p[..., None, :], du)
-        dV = d1 - dpu[..., None] * u[..., None, :] - pu[..., None] * du
-        return u, V, du, dV
+        pu = dot3(p, u)
+        V = [pc - pu * uc for pc, uc in zip(p, u)]
+        dV = []
+        for xa, dua in zip(x, du):
+            dpu = dot3(xa, u) + dot3(p, dua)
+            dV.append([xc - dpu * uc - pu * dc for xc, uc, dc in zip(xa, u, dua)])
+        return np.array(u), np.array(V), np.array(du), np.array(dV)
 
 
 @dataclass
@@ -416,7 +444,8 @@ def normal_congruence(surface, grid=(128, 96), center=None):
         t_axis = np.linspace(t0 + margin_t, t1 - margin_t, nt)
     sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
     u, V, du, dV = cmap.eval(sm, tm)
-    jac = _dot(np.cross(du[..., 0, :], du[..., 1, :]), u)
+    jac = dot3(cross3(_components(du[..., 0, :]), _components(du[..., 1, :])),
+               _components(u))
     # |jac| <= |du_0| |du_1| <= 3 max|du|^2: zero relative to that everywhere
     # means a Gauss map of rank below two (one pass each, no per-point norms)
     if np.max(np.abs(jac)) <= 1e-12 * np.max(np.abs(du)) ** 2:
@@ -427,7 +456,7 @@ def normal_congruence(surface, grid=(128, 96), center=None):
         warnings.warn("Gauss map is not injective on the sampled grid; "
                       "the section is not graphical", stacklevel=2)
     if center is None:
-        mean = u.reshape(-1, 3).mean(axis=0)
+        mean = u.mean(axis=(0, 1))
         norm = np.linalg.norm(mean)
         center = tuple(mean / norm) if norm > 1e-8 else (0.0, 0.0, 1.0)
     return LineSection(s_axis, t_axis, u, V, du, dV, cmap,
@@ -456,9 +485,11 @@ def section_defect(section, center=None, normalize=True):
 
 
 def _psi_at(source, s, t, center):
+    """The directions u of ``source`` at parameters (s, t) and the defect
+    psi there."""
     u, V, du, dV = source.eval(s, t)
-    return defect_psi(u, V, du[..., 0, :], dV[..., 0, :],
-                      du[..., 1, :], dV[..., 1, :], center)
+    return u, defect_psi(u, V, du[..., 0, :], dV[..., 0, :],
+                         du[..., 1, :], dV[..., 1, :], center)
 
 
 def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
@@ -485,7 +516,7 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
     domain = [(ax[0], ax[0] + len(ax) * d) if per else (ax[0] - 0.5 * d, ax[-1] + 0.5 * d)
               for ax, d, per in zip((section.s_axis, section.t_axis), (ds, dt),
                                     section.periodic)]
-    zeros = _scan_zeros(mag ** 2, lambda s, t: np.abs(_psi_at(source, s, t, center)) ** 2,
+    zeros = _scan_zeros(mag ** 2, lambda s, t: np.abs(_psi_at(source, s, t, center)[1]) ** 2,
                         (section.s_axis, section.t_axis), (ds, dt), domain,
                         section.periodic, tol * tol, refine_iters, degenerate_fraction,
                         "complex-point")
@@ -493,16 +524,36 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
         return []
     directions = source.eval(np.array([z.s for z in zeros]),
                              np.array([z.t for z in zeros]))[0]
+    radii = (loop_cells * ds, loop_cells * dt)
     records = []
     for z, direction in zip(zeros, directions):
         rec = ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
                                  float(np.sqrt(z.value)), z.isolated)
-        if z.isolated:
-            rec.winding = _zero_winding(source, rec.s, rec.t, loop_cells * ds,
-                                        loop_cells * dt, center)
+        fault = z.isolated and _loop_fault(z, zeros, radii, domain, section.periodic)
+        if fault:
+            warnings.warn(f"complex point at (s, t) = ({z.s:.6g}, {z.t:.6g}) left "
+                          f"without a winding: its winding loop {fault}; scan a "
+                          "finer grid", stacklevel=2)
+        elif z.isolated:
+            rec.winding = _zero_winding(source, rec.s, rec.t, *radii, center)
             rec.index = rec.winding / 2.0
         records.append(rec)
     return records
+
+
+def _loop_fault(zero, zeros, radii, domain, periodic):
+    """Why the winding loop about ``zero``, the ellipse of ``radii``, cannot
+    count its winding, or None: it leaves the parameter rectangle
+    ``domain`` on a non-periodic axis (the poles of an ellipsoid), or it
+    encloses another of the scan's ``zeros``."""
+    for (lo, hi), c, r, per in zip(domain, (zero.s, zero.t), radii, periodic):
+        if not per and not lo < c - r < c + r < hi:
+            return "leaves the sampled parameter rectangle"
+    for other in zeros:
+        gap = _param_distance(domain, periodic, (zero.s, zero.t), (other.s, other.t))
+        if other is not zero and np.sum((gap / radii) ** 2) < 1.0:
+            return "encloses another complex point"
+    return None
 
 
 def _chart_orientation(u_loop, center):
@@ -519,21 +570,21 @@ def _chart_orientation(u_loop, center):
 
 def _zero_winding(source, s_c, t_c, rad_s, rad_t, center, n_loop=1024):
     phi = np.linspace(0.0, TWO_PI, n_loop, endpoint=False)
-    ss = s_c + rad_s * np.cos(phi)
-    tt = t_c + rad_t * np.sin(phi)
-    psi = _psi_at(source, ss, tt, center)
+    u, psi = _psi_at(source, s_c + rad_s * np.cos(phi), t_c + rad_t * np.sin(phi),
+                     center)
     if np.min(np.abs(psi)) < 1e-12:
         raise UnreliableLoopError("winding loop passes through a defect zero")
-    return _defect_winding(source, ss, tt, center, psi)
+    return _defect_winding(u, psi, center)
 
 
-def _defect_winding(source, loop_s, loop_t, center, psi):
-    """Winding of the defect ``psi`` sampled along a parameter loop, for the
-    orientation the loop takes in the direction chart."""
+def _defect_winding(u, psi, center):
+    """Winding of the defect ``psi`` sampled along a parameter loop whose
+    directions are ``u``, for the orientation the loop takes in the
+    direction chart."""
     winding = _loop_winding(np.angle(psi), TWO_PI)
     if winding is None:
         raise UnreliableLoopError("winding is not resolved; densify the loop")
-    return int(_chart_orientation(source.eval(loop_s, loop_t)[0], center)) * winding
+    return int(_chart_orientation(u, center)) * winding
 
 
 def maslov_index(source, loop_s, loop_t, center, min_defect_ratio=1e-6):
@@ -546,11 +597,11 @@ def maslov_index(source, loop_s, loop_t, center, min_defect_ratio=1e-6):
     """
     loop_s = np.asarray(loop_s, float)
     loop_t = np.asarray(loop_t, float)
-    psi = _psi_at(source, loop_s, loop_t, center)
+    u, psi = _psi_at(source, loop_s, loop_t, center)
     mag = np.abs(psi)
     if np.min(mag) < min_defect_ratio * np.max(mag):
         raise UnreliableLoopError("loop passes too close to a complex point")
-    w = _defect_winding(source, loop_s, loop_t, center, psi)
+    w = _defect_winding(u, psi, center)
     return {"mu": 2 * w, "index_sum": w / 2.0,
             "operator_index": 2 * w + 2, "unparameterized_dim": 2 * w - 1}
 
@@ -565,13 +616,13 @@ def invert_gauss_map(directions, section, iters=15, tol=1e-12):
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    grid_u = section.u.reshape(-1, 3)
+    grid_u = _components(section.u)
     sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
     flat_s, flat_t = sm.ravel(), tm.ravel()
     out_s = np.empty(directions.shape[0])
     out_t = np.empty(directions.shape[0])
     for m, target in enumerate(directions):
-        seed = int(np.argmax(grid_u @ target))
+        seed = int(np.argmax(dot3(grid_u, target)))
         s_c, t_c = float(flat_s[seed]), float(flat_t[seed])
         _, p, q = _complement_basis(target)
         for _ in range(iters):
@@ -662,14 +713,15 @@ def random_jet_disc(rng, amplitude=0.5):
     cv = rng.normal(size=(3, 4)) * amplitude
 
     def fn(a, b):
-        sa = [1.0 + 0.3 * a * jets.cos(b), 0.4 * a * jets.sin(b), a * a]
+        sb, cb = jets.sincos(b)
+        sa = [1.0 + 0.3 * a * cb, 0.4 * a * sb, a * a]
         raw_u = [cu[i, 0] + cu[i, 1] * sa[0] + cu[i, 2] * sa[1] + cu[i, 3] * sa[2]
                  for i in range(3)]
-        nrm = jets.sqrt(_dot3(raw_u, raw_u))
+        nrm = jets.sqrt(dot3(raw_u, raw_u))
         u = [c / nrm for c in raw_u]
         raw_v = [cv[i, 0] * sa[1] + cv[i, 1] * sa[0] + cv[i, 2] * sa[2] + cv[i, 3]
                  for i in range(3)]
-        uv = _dot3(u, raw_v)
+        uv = dot3(u, raw_v)
         V = [raw_v[i] - uv * u[i] for i in range(3)]
         return u, V
 

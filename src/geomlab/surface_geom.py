@@ -16,7 +16,7 @@ from . import jets, quadrature
 from .chart_tensor import _check_nondegenerate, _sym3_inverse_det, christoffel
 from .errors import ImmersionError, MetricParameterError
 from .exprgrammar import compile_expression
-from .kernels import shape_operator_batch
+from .kernels import cross3, dot3, shape_operator_batch
 
 _TWO_PI = 2.0 * np.pi
 
@@ -116,17 +116,29 @@ def _one_orbit(axes, point, d1, d2):
 def _forms(surface, metric, point, d1, d2):
     """CurvatureReport of the rows of ``point`` (N,3), ``d1`` (N,2,3) and
     ``d2`` (N,2,2,3).  Every operation is row by row, and a row reads the
-    metric only at its ``metric.depends_on`` coordinates."""
-    g = metric.matrix(point)
+    metric only at its ``metric.depends_on`` coordinates.
+
+    The contractions are written out over components: ``x[a][i]`` is the
+    (N,) array dX_a^i, one contiguous block when ``d1`` comes from
+    ``jets.derivatives``, and a metric entry ``g[i][j]`` is an (N,) array,
+    or one number for a constant metric, read at the first point alone.
+    The forms and the normal are point-major views of component-major
+    arrays."""
     n = point.shape[0]
-    d1t = d1.transpose(0, 2, 1)
+    x = [[d1[:, a, i] for i in range(3)] for a in range(2)]
+    if metric.constant:
+        gm = metric.matrix(point[:1])
+        g = gm[0].tolist()
+    else:
+        gm = metric.matrix(point)
+        g = [[gm[:, i, j] for j in range(3)] for i in range(3)]
     # covectors g.dX_a: they give the first form and annihilate the normal;
     # non-finite values in g or d1 fail the check below, which names them
     with np.errstate(invalid="ignore", over="ignore"):
-        cov = d1 @ g
-        first = cov @ d1t
-        det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
-    scale = np.einsum("nai,nai->n", d1, d1)
+        cov = [[dot3(xa, (g[0][j], g[1][j], g[2][j])) for j in range(3)] for xa in x]
+        f00, f01, f11 = dot3(cov[0], x[0]), dot3(cov[0], x[1]), dot3(cov[1], x[1])
+        det_first = f00 * f11 - f01 ** 2
+        scale = dot3(x[0], x[0]) + dot3(x[1], x[1])
     floor = 1e-14 * np.maximum(scale, 1.0) ** 2
     if not np.all(det_first > floor):
         if not np.all(np.isfinite(d1)):
@@ -134,13 +146,13 @@ def _forms(surface, metric, point, d1, d2):
         # a singular or non-finite metric degenerates the first form too:
         # name the metric
         with np.errstate(invalid="ignore", over="ignore"):
-            det = _sym3_inverse_det(g)[1]
+            det = np.broadcast_to(_sym3_inverse_det(gm)[1], (n,))
         _check_nondegenerate(metric, point, det)
         # so does one singular to working precision (det g > 0): at the
         # first failing point, tangents that pass the same check in the
         # chart's euclidean inner product put the fault on the metric
         k = int(np.argmin(det_first > floor))
-        euclid = d1[k] @ d1t[k]
+        euclid = d1[k] @ d1[k].T
         if euclid[0, 0] * euclid[1, 1] - euclid[0, 1] ** 2 > floor[k]:
             raise MetricParameterError(
                 f"metric {metric.name} is numerically singular at point "
@@ -150,33 +162,38 @@ def _forms(surface, metric, point, d1, d2):
     # vanish for a constant metric, whose one value is checked instead
     if metric.constant:
         gamma = None
-        _check_nondegenerate(metric, point, _sym3_inverse_det(g[:1])[1])
+        _check_nondegenerate(metric, point, _sym3_inverse_det(gm)[1])
     else:
         gamma = christoffel(metric, point)
 
     # normal: cross product of the two covectors annihilates both tangents
-    v = np.cross(cov[:, 0], cov[:, 1])
-    gv = (g @ v[:, :, None])[:, :, 0]
-    vlen = np.sqrt(np.einsum("ni,ni->n", v, gv))[:, None]
-    normal = surface.orient * v / vlen
-    g_normal = surface.orient * gv / vlen
+    v = cross3(cov[0], cov[1])
+    gv = [dot3(g[i], v) for i in range(3)]
+    vlen = np.sqrt(dot3(v, gv))
+    normal = np.array([surface.orient * vi / vlen for vi in v])
+    g_normal = [surface.orient * gvi / vlen for gvi in gv]
 
     # covariant second derivative of the immersion; II uses the normal-derivative
     # sign convention II_ab = g(grad_a N, dX_b) = -g(N, grad_a dX_b), so a round
     # sphere with outward normal has II = I/r and k1 = k2 = +1/r.  Both terms
     # are contracted with g.N first: II = -(d2 . gN + dX Gamma(gN) dX^T).
-    second = -(d2.reshape(n, 4, 3) @ g_normal[:, :, None]).reshape(n, 2, 2)
+    # II is symmetric, so its (1, 0) entry is taken to be the (0, 1) one;
+    # the jet Hessian d2 is symmetric bit for bit.
+    pairs = ((0, 0), (0, 1), (1, 1))
+    second = [-dot3([d2[:, a, b, k] for k in range(3)], g_normal) for a, b in pairs]
     if gamma is not None:
-        # gamma is a [n, k, i, j] view of an [n, ij, k] array: contract k there
-        gamma_n = (gamma.transpose(0, 2, 3, 1).reshape(n, 9, 3)
-                   @ g_normal[:, :, None]).reshape(n, 3, 3)
-        second -= d1 @ gamma_n @ d1t
+        gamma_n = [[dot3([gamma[:, k, i, j] for k in range(3)], g_normal)
+                    for j in range(3)] for i in range(3)]
+        xg = [[dot3(xa, (gamma_n[0][j], gamma_n[1][j], gamma_n[2][j])) for j in range(3)]
+              for xa in x]
+        second = [sab - dot3(xg[a], x[b]) for sab, (a, b) in zip(second, pairs)]
 
-    tr, k1, k2, gap_sq = shape_operator_batch(
-        np.ascontiguousarray(first), np.ascontiguousarray(second))
+    first = np.array([[f00, f01], [f01, f11]]).transpose(2, 0, 1)
+    second = np.array([second[:2], second[1:]]).transpose(2, 0, 1)
+    tr, k1, k2, gap_sq = shape_operator_batch(first, second)
     return CurvatureReport(
         point=point, tangent1=d1[:, 0], tangent2=d1[:, 1],
-        first=first, second=second, normal=normal,
+        first=first, second=second, normal=normal.T,
         h_trace=tr, h_mean=0.5 * tr, k1=k1, k2=k2,
         disc=np.sqrt(gap_sq), disc_sq=gap_sq,
         area_density=np.sqrt(det_first),
@@ -259,10 +276,11 @@ def _round_sphere(params):
     center = np.asarray(params.get("center", (0.0, 0.0, 0.0)), dtype=float)
 
     def chart_map(u, v):
-        sv = jets.sin(v)
-        return (center[0] + r * jets.cos(u) * sv,
-                center[1] + r * jets.sin(u) * sv,
-                center[2] + r * jets.cos(v))
+        su, cu = jets.sincos(u)
+        sv, cv = jets.sincos(v)
+        return (center[0] + r * cu * sv,
+                center[1] + r * su * sv,
+                center[2] + r * cv)
     return SurfaceImmersion("round-sphere", chart_map,
                             ((0.0, _TWO_PI), (0.0, np.pi)), (True, False),
                             orient=-1, topology="sphere",
@@ -280,8 +298,9 @@ def _ellipsoid(params):
     a, b, c = _ellipsoid_axes(params)
 
     def chart_map(u, v):
-        sv = jets.sin(v)
-        return (a * jets.cos(u) * sv, b * jets.sin(u) * sv, c * jets.cos(v))
+        su, cu = jets.sincos(u)
+        sv, cv = jets.sincos(v)
+        return (a * cu * sv, b * su * sv, c * cv)
     return SurfaceImmersion("ellipsoid", chart_map,
                             ((0.0, _TWO_PI), (0.0, np.pi)), (True, False),
                             orient=-1, topology="sphere",
@@ -299,10 +318,11 @@ def _ellipsoid_offset(params):
     d = float(params.get("d", 0.2))
 
     def chart_map(u, v):
-        sv = jets.sin(v)
-        x = a * jets.cos(u) * sv
-        y = b * jets.sin(u) * sv
-        z = c * jets.cos(v)
+        su, cu = jets.sincos(u)
+        sv, cv = jets.sincos(v)
+        x = a * cu * sv
+        y = b * su * sv
+        z = c * cv
         nx, ny, nz = x / a ** 2, y / b ** 2, z / c ** 2
         ln = jets.sqrt(nx * nx + ny * ny + nz * nz)
         return (x + d * nx / ln, y + d * ny / ln, z + d * nz / ln)
@@ -317,8 +337,10 @@ def _torus_revolution(params):
     small = float(params.get("r", 1.0))
 
     def chart_map(u, v):
-        ring = big + small * jets.cos(v)
-        return (ring * jets.cos(u), ring * jets.sin(u), small * jets.sin(v))
+        su, cu = jets.sincos(u)
+        sv, cv = jets.sincos(v)
+        ring = big + small * cv
+        return (ring * cu, ring * su, small * sv)
     return SurfaceImmersion("torus-revolution", chart_map,
                             ((0.0, _TWO_PI), (0.0, _TWO_PI)), (True, True),
                             orient=1, topology="torus",

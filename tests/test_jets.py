@@ -94,7 +94,13 @@ def test_derivatives_reads_out_the_jet_attributes():
 
     f, g, h = jets.derivatives(fn, values, order=2)
     assert f.shape == (4, 5, 3) and g.shape == (4, 5, 3, 3) and h.shape == (4, 5, 3, 3, 3)
-    assert all(a.flags["C_CONTIGUOUS"] for a in (f, g, h))
+    # component-major buffers: every component's value and partial is one
+    # contiguous block over the samples
+    assert np.moveaxis(f, -1, 0).flags["C_CONTIGUOUS"]
+    assert np.moveaxis(g, (-2, -1), (0, 1)).flags["C_CONTIGUOUS"]
+    assert np.moveaxis(h, (-3, -2, -1), (0, 1, 2)).flags["C_CONTIGUOUS"]
+    assert all(h[..., i, j, m].flags["C_CONTIGUOUS"]
+               for i in range(3) for j in range(3) for m in range(3))
     comps = fn(*jets.variables(values, order=2))
     for m in (0, 2):
         assert np.array_equal(f[..., m], comps[m].f)
@@ -111,6 +117,23 @@ def test_derivatives_reads_out_the_jet_attributes():
     f1, g1 = out
     assert f1.shape == (4, 5, 3) and g1.shape == (4, 5, 3, 3)
     assert np.array_equal(f1, f) and np.array_equal(g1, g)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_sincos_equals_sin_and_cos(order):
+    rng = np.random.default_rng(4)
+    x, y = jets.variables([rng.uniform(-4.0, 4.0, 50), rng.uniform(-4.0, 4.0, 50)],
+                          order=order)
+    arg = x * y + 0.5 * x
+    for got, want in zip(jets.sincos(arg), (jets.sin(arg), jets.cos(arg))):
+        assert got.support == want.support
+        assert np.array_equal(got.f, want.f) and np.array_equal(got.gs, want.gs)
+        assert (got.hs is None) == (order == 1)
+        if order == 2:
+            assert np.array_equal(got.hs, want.hs)
+    plain = rng.uniform(-4.0, 4.0, 7)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(jets.sincos(plain), (jets.sin(plain), jets.cos(plain))))
 
 
 def test_expression_grammar_evaluates_and_differentiates():
@@ -437,3 +460,32 @@ if st is not None:
         for sparse, dense in zip(got[1:], ref[1:]):
             finite = np.isfinite(dense)
             assert np.array_equal(sparse[finite], dense[finite])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=cases())
+    def test_derivatives_equal_the_jet_read_out(case):
+        # the component-major buffers of ``derivatives``, seen through its
+        # point-major views, hold what Jet.g and Jet.h scatter
+        nvars, exprs, order, seed = case
+        names = NAMES[:nvars]
+        rng = np.random.default_rng(seed)
+        values = [rng.uniform(-1.5, 1.5, size=(4, 6)) for _ in names]
+        compiled = [compile_expression(render(e), names) for e in exprs]
+
+        def fn(*xs):
+            env = dict(zip(names, xs))
+            with np.errstate(all="ignore"):
+                return [compiled[0](**env), compiled[1](**env) * compiled[2](**env)]
+
+        out = jets.derivatives(fn, values, order=order)
+        for k, comp in enumerate(fn(*jets.variables(values, order=order))):
+            if isinstance(comp, jets.Jet):
+                f, g, h = comp.f, comp.g, comp.h
+            else:
+                f, g, h = comp, 0.0, 0.0
+            assert np.array_equal(out[0][..., k], np.broadcast_to(f, (4, 6)), equal_nan=True)
+            grad = np.moveaxis(out[1][..., k], -1, 0)
+            assert np.array_equal(grad, np.broadcast_to(g, grad.shape), equal_nan=True)
+            if order == 2:
+                hess = np.moveaxis(out[2][..., k], (-2, -1), (0, 1))
+                assert np.array_equal(hess, np.broadcast_to(h, hess.shape), equal_nan=True)

@@ -1,11 +1,13 @@
 """The neutral pseudo-Kahler structure on oriented lines and its invariants."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geomlab import chart_tensor as ct
+from geomlab import jets
 from geomlab import line_space as ls
 from geomlab import surface_geom as sg
 from geomlab import umbilic_topology as ut
@@ -280,14 +282,19 @@ def test_coarse_complex_scan_finds_every_umbilic(axes, grid):
     # zeros the first refine_iters iterations leave just above tol are
     # refined on, as in umbilic_scan
     ell = sg.surface_by_name("ellipsoid", a=axes[0], b=axes[1], c=axes[2])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         records = ls.complex_point_scan(ls.normal_congruence(ell, grid=grid))
         umb = ut.umbilic_scan(ell, FLAT, grid=grid)
+    # no candidate is dropped or merged; a winding loop of 4 cells that
+    # reaches a pole is refused by name, and its record keeps no winding
+    unwound = [str(w.message) for w in caught]
+    assert all("left without a winding" in m for m in unwound), unwound
+    assert sum(cp.winding is None for cp in records) == len(unwound)
     assert len(records) == 4 == len(umb)
     for cp, rec in zip(records, umb):
         gap = ut._param_distance(ell.domain, ell.periodic, (cp.s, cp.t), (rec.s, rec.t))
-        assert cp.isolated and np.all(gap < 1e-4)
+        assert cp.isolated and np.all(gap < 1e-4) and cp.winding in (None, 1)
 
 
 def test_complex_scan_seeds_no_pole_row():
@@ -552,3 +559,168 @@ def test_gauss_map_inversion():
     ss, tt = ls.invert_gauss_map(targets, section)
     u, _, _, _ = cmap.eval(ss, tt)
     assert np.max(np.abs(u - targets)) < 1e-10
+
+
+# -- the written-out congruence and defect against np.cross / einsum oracles --
+
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _cross_congruence(surface, s, t):
+    """``CongruenceMap.eval`` with np.cross and einsum over point-major arrays."""
+    p, d1, d2 = (np.ascontiguousarray(a) for a in
+                 jets.derivatives(surface.chart_map, [s, t], order=2))
+    orient = surface.orient
+    xs, xt = d1[..., 0, :], d1[..., 1, :]
+    raw = orient * np.cross(xs, xt)
+    draw = orient * (np.cross(d2[..., 0, :], xt[..., None, :])
+                     + np.cross(xs[..., None, :], d2[..., 1, :]))
+    norm = np.sqrt(_dot(raw, raw))[..., None]
+    u = raw / norm
+    du = (draw - _dot(u[..., None, :], draw)[..., None] * u[..., None, :]) / norm[..., None]
+    pu = _dot(p, u)[..., None]
+    V = p - pu * u
+    dpu = _dot(d1, u[..., None, :]) + _dot(p[..., None, :], du)
+    dV = d1 - dpu[..., None] * u[..., None, :] - pu[..., None] * du
+    return u, V, du, dV
+
+
+def _cross_apply_j(u, V, du, dV):
+    du2 = np.cross(u, du)
+    perp = dV - _dot(u, dV)[..., None] * u
+    c = -_dot(V, du2)
+    return du2, np.cross(u, perp) + c[..., None] * u
+
+
+def _einsum_sphere_frame(u, center):
+    c, p, q = ls._complement_basis(center)
+    denom = 1.0 + np.einsum("...i,i->...", u, c)
+    x = np.einsum("...i,i->...", u, p) / denom
+    e1 = p - x[..., None] * (c + u)
+    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+    return e1, np.cross(u, e1)
+
+
+def _einsum_defect(u, V, du1, dv1, du2, dv2, center, normalize=True):
+    """``defect_psi`` with einsum, np.cross and complex arithmetic."""
+    if normalize:
+        n1 = np.sqrt(_dot(du1, du1) + _dot(dv1, dv1))[..., None]
+        n2 = np.sqrt(_dot(du2, du2) + _dot(dv2, dv2))[..., None]
+        du1, dv1 = du1 / n1, dv1 / n1
+        du2, dv2 = du2 / n2, dv2 / n2
+    e1, e2 = _einsum_sphere_frame(u, center)
+
+    def frame(v):
+        return _dot(v, e1) + 1j * _dot(v, e2)
+
+    z1, z2, w1, w2 = frame(du1), frame(du2), frame(dv1), frame(dv2)
+    c = np.conj(z1) * z2
+    a = -c.real / c.imag
+    b = (z1.real ** 2 + z1.imag ** 2) / c.imag
+    return 1j * w1 - a * w1 - b * w2
+
+
+def _assert_relative(got, want, what, rel=1e-13):
+    assert np.shape(got) == np.shape(want), what
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), what
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_written_out_congruence_and_defect_equal_their_oracles(seed):
+    rng = np.random.default_rng(seed)
+    # a convex graph: a Gauss map that folds makes psi ill-conditioned
+    coef = [float(c) for c in rng.uniform(-0.1, 0.1, 3)]
+    surfaces = [sg.surface_by_name("ellipsoid", a=rng.uniform(1.6, 2.4),
+                                   b=rng.uniform(1.2, 1.55), c=rng.uniform(0.7, 1.1)),
+                sg.surface_by_name("torus-revolution", R=rng.uniform(1.8, 2.6),
+                                   r=rng.uniform(0.5, 1.2)),
+                sg.surface_by_name("graph", expr=f"x^2 + y^2/2 + {coef[0]!r}*x^3 "
+                                                 f"+ {coef[1]!r}*x*y^3 + {coef[2]!r}*sin(2*y)")]
+    for surface in surfaces:
+        (s0, s1), (t0, t1) = surface.domain
+        pad = 0.05 * (t1 - t0)
+        s = rng.uniform(s0, s1, (30, 20))
+        t = rng.uniform(t0 + pad, t1 - pad, (30, 20))
+        got = ls.CongruenceMap(surface).eval(s, t)
+        ref = _cross_congruence(surface, s.ravel(), t.ravel())
+        for name, a, b in zip(("u", "V", "du", "dV"), got, ref):
+            _assert_relative(a, b.reshape(a.shape), (surface.name, name))
+        # chunked evaluation concatenates the same rows
+        for a, b in zip(got, ls.CongruenceMap(surface).eval(s, t, chunk=64)):
+            assert np.array_equal(a, b)
+        u, V, du, dV = got
+        _assert_relative(np.stack(ls.apply_j(u, V, du[..., 0, :], dV[..., 0, :])),
+                         np.stack(_cross_apply_j(u, V, du[..., 0, :], dV[..., 0, :])),
+                         (surface.name, "apply_j"))
+        # the defect in the chart of a random center, on the samples of the
+        # cap u.center > -1/2, well inside the frame's domain
+        center = rng.normal(size=3)
+        center /= np.linalg.norm(center)
+        cap = _dot(u, center) > -0.5
+        args = (u[cap], V[cap], du[cap][:, 0], dV[cap][:, 0], du[cap][:, 1], dV[cap][:, 1])
+        for normalize in (True, False):
+            _assert_relative(ls.defect_psi(*args, tuple(center), normalize=normalize),
+                             _einsum_defect(*args, tuple(center), normalize=normalize),
+                             (surface.name, "defect_psi", normalize))
+        for got_e, want_e in zip(ls.sphere_frame(u[cap], center),
+                                 _einsum_sphere_frame(u[cap], center)):
+            _assert_relative(got_e, want_e, (surface.name, "sphere_frame"))
+
+
+def test_section_defect_equals_the_einsum_oracle():
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    du, dV = section.du, section.dV
+    want = _einsum_defect(section.u, section.V, du[..., 0, :], dV[..., 0, :],
+                          du[..., 1, :], dV[..., 1, :], section.center)
+    _assert_relative(ls.section_defect(section), want, "section_defect")
+
+
+def test_coarse_complex_windings_are_refused_not_wrong():
+    # at 16x12 the winding loop of 4 cells reaches the poles: the windings
+    # were 0 here, silently; they are now left unset, with the cause
+    with pytest.warns(UserWarning, match="leaves the sampled parameter rectangle"):
+        records = ls.complex_point_scan(ls.normal_congruence(ELL, grid=(16, 12)))
+    assert len(records) == 4
+    assert all(r.isolated and r.winding is None and r.index is None for r in records)
+    # a loop of 6 cells about an umbilic of this near-spheroid encloses its
+    # neighbour 0.37 away in t; 4 cells wind each zero alone
+    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.05, c=1.0)
+    section = ls.normal_congruence(ell, grid=(64, 48))
+    with pytest.warns(UserWarning, match="encloses another complex point"):
+        records = ls.complex_point_scan(section, loop_cells=6.0)
+    assert [(r.isolated, r.winding) for r in records] == [(True, None)] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = ls.complex_point_scan(section)
+    assert [(r.isolated, r.winding) for r in records] == [(True, 1)] * 4
+
+
+@pytest.mark.parametrize("grid", [(64, 48), (128, 96)])
+@pytest.mark.parametrize("axes", [(2.0, 1.5, 1.0), (2.13, 1.41, 0.93), (1.87, 1.62, 1.04)])
+@pytest.mark.parametrize("turns", [1, -1])
+def test_records_do_not_depend_on_a_periodic_shift(axes, grid, turns):
+    ell = sg.surface_by_name("ellipsoid", a=axes[0], b=axes[1], c=axes[2])
+    shift = turns * 2 * np.pi
+    moved = replace(ell, domain=((shift, shift + 2 * np.pi), ell.domain[1]))
+    umb, cps = [], []
+    for surface in (ell, moved):
+        umb.append(ut.attach_indices(surface, FLAT, ut.umbilic_scan(surface, FLAT, grid=grid),
+                                     grid=grid))
+        cps.append(ls.complex_point_scan(ls.normal_congruence(surface, grid=grid)))
+
+    def gaps(a, b):
+        ds = np.abs(np.array([r.s for r in a]) - [r.s for r in b]) % (2 * np.pi)
+        return np.maximum(np.minimum(ds, 2 * np.pi - ds),
+                          np.abs(np.array([r.t for r in a]) - [r.t for r in b]))
+
+    assert [(r.isolated, r.index_num) for r in umb[0]] == [(r.isolated, r.index_num)
+                                                         for r in umb[1]]
+    assert [(r.isolated, r.winding) for r in cps[0]] == [(r.isolated, r.winding)
+                                                       for r in cps[1]]
+    assert len(umb[0]) == len(cps[0]) == 4
+    assert np.all(gaps(*cps) <= 1e-12)
+    # the umbilic refinement stops once the gap is below tol, about 1e-6
+    # from the closed form, so its last steps follow rounding: s near 2 pi
+    # carries ulps of 8.9e-16, and the positions move by up to 7e-11
+    assert np.all(gaps(*umb) <= 1e-9)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geomlab import chart_tensor as ct
-from geomlab import jets, quadrature
+from geomlab import jets, kernels, quadrature
 from geomlab import surface_geom as sg
 from geomlab.errors import ImmersionError, MetricParameterError
 
@@ -197,10 +197,15 @@ def test_one_orbit_batch_evaluates_the_metric_at_one_point():
         counted, sizes = _counting(metric)
         sg.fundamental_forms(surface, counted, s, t)
         assert sizes and set(sizes) == {1}, surface.name
+    # off an orbit a metric that reads the position is evaluated at every
+    # point, and a constant one still at one
+    warped = ct.metric_from_expressions("cartesian", {"g11": "1 + x^2/4", "g22": "1",
+                                                      "g33": "1 + y*z/8"})
     for surface in (sg.surface_by_name("ellipsoid"), sg.surface_by_name("graph", expr="x^2")):
-        counted, sizes = _counting(FLAT)
-        sg.fundamental_forms(surface, counted, s + 1.5, t + 1.5)
-        assert sizes and set(sizes) == {300}, surface.name
+        for metric, size in ((warped, 300), (FLAT, 1)):
+            counted, sizes = _counting(metric)
+            sg.fundamental_forms(surface, counted, s + 1.5, t + 1.5)
+            assert sizes and set(sizes) == {size}, (surface.name, metric.name)
 
 
 @pytest.mark.parametrize("entry", ["g11 = 1/0", "g23 = log(0)", "g23 = log(rho - rho)"])
@@ -328,3 +333,83 @@ def test_graph_surface_from_expression():
     graph = sg.surface_by_name("graph", expr="x^2 - y^2", half_width=2.0)
     rep = sg.fundamental_forms(graph, FLAT, 0.0, 0.0)
     assert sorted([rep.k1, rep.k2]) == pytest.approx([-2.0, 2.0], abs=1e-12)
+
+
+# -- the written-out contractions against the batched-matmul oracle -----------
+
+def _matmul_forms(surface, metric, point, d1, d2):
+    """The forms as batched per-point 3x3 matmuls, np.cross and einsum over
+    point-major (N,3), (N,2,3), (N,2,2,3) arrays: the contraction ``_forms``
+    writes out over components."""
+    n = point.shape[0]
+    g = metric.matrix(point)
+    d1t = d1.transpose(0, 2, 1)
+    cov = d1 @ g
+    first = cov @ d1t
+    v = np.cross(cov[:, 0], cov[:, 1])
+    gv = (g @ v[:, :, None])[:, :, 0]
+    vlen = np.sqrt(np.einsum("ni,ni->n", v, gv))[:, None]
+    normal = surface.orient * v / vlen
+    g_normal = surface.orient * gv / vlen
+    second = -(d2.reshape(n, 4, 3) @ g_normal[:, :, None]).reshape(n, 2, 2)
+    if not metric.constant:
+        gamma = ct.christoffel(metric, point)
+        gamma_n = (gamma.transpose(0, 2, 3, 1).reshape(n, 9, 3)
+                   @ g_normal[:, :, None]).reshape(n, 3, 3)
+        second -= d1 @ gamma_n @ d1t
+    tr, k1, k2, gap_sq = kernels.shape_operator_batch(first, second)
+    det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
+    return {"first": first, "second": second, "normal": normal, "h_trace": tr,
+            "k1": k1, "k2": k2, "disc_sq": gap_sq, "area_density": np.sqrt(det_first)}
+
+
+WARPED = ct.metric_from_expressions("cartesian", {
+    "g11": "1 + x^2/10", "g12": "sin(x*z)/10", "g13": "x/(20*(1 + z^2))",
+    "g22": "1 + (y + z)^2/20", "g23": "cos(y)/20", "g33": "1 + cos(x*y)/10"})
+
+
+def _oracle_cases(rng):
+    a, b, c = rng.uniform(1.6, 2.4), rng.uniform(1.2, 1.55), rng.uniform(0.7, 1.1)
+    big, small = rng.uniform(1.8, 2.6), rng.uniform(0.5, 1.2)
+    coef = [float(c) for c in rng.uniform(-0.8, 0.8, 3)]
+    expr = f"{coef[0]!r}*x^2 + {coef[1]!r}*x*y^3 + {coef[2]!r}*sin(2*y)"
+    surfaces = [sg.surface_by_name("ellipsoid", a=a, b=b, c=c),
+                sg.surface_by_name("torus-revolution", R=big, r=small),
+                sg.surface_by_name("graph", expr=expr)]
+    return [(surface, metric) for surface in surfaces for metric in (FLAT, WARPED)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_written_out_forms_equal_the_matmul_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for surface, metric in _oracle_cases(rng):
+        (s0, s1), (t0, t1) = surface.domain
+        pad = 0.05 * (t1 - t0)
+        s = rng.uniform(s0, s1, 400)
+        t = rng.uniform(t0 + pad, t1 - pad, 400)
+        point, d1, d2 = jets.derivatives(surface.chart_map, [s, t], order=2)
+        rep = sg._forms(surface, metric, point, d1, d2)
+        ref = _matmul_forms(surface, metric, *(np.ascontiguousarray(a)
+                                               for a in (point, d1, d2)))
+        for name, want in ref.items():
+            got = getattr(rep, name)
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (
+                surface.name, metric.name, name)
+
+
+def test_orbit_forms_equal_the_matmul_oracle_bit_for_bit():
+    # on the Clifford torus every contraction has one nonzero term, so the
+    # written-out forms are the matmul ones exactly: W and the area of the
+    # one-orbit path do not move
+    clifford = sg.surface_by_name("clifford")
+    s = np.linspace(0.0, 2 * np.pi, 7)
+    for metric in (ct.metric_by_name("round-s3"),
+                   ct.metric_by_name("hopf-eps", eps=0.55),
+                   ct.metric_by_name("hopf-eps-bumped", eps=0.4)):
+        point, d1, d2 = jets.derivatives(clifford.chart_map, [s, s[::-1]], order=2)
+        rep = sg._forms(clifford, metric, point, d1, d2)
+        ref = _matmul_forms(clifford, metric, *(np.ascontiguousarray(a)
+                                                for a in (point, d1, d2)))
+        for name, want in ref.items():
+            assert np.array_equal(getattr(rep, name), want), (metric.name, name)
