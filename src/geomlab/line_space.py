@@ -26,7 +26,7 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
-from .umbilic_topology import _loop_winding, _param_distance, _scan_zeros
+from .umbilic_topology import _index_loops, _loop_winding, _scan_zeros
 
 TWO_PI = 2.0 * np.pi
 CONSTRAINT_TOL = 1e-12
@@ -492,16 +492,15 @@ def _psi_at(source, s, t, center):
                          du[..., 1, :], dV[..., 1, :], center)
 
 
-def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
-                       refine_iters=4, loop_cells=4.0):
+def complex_point_scan(section, tol=None, loop_cells=4.0):
     """Zeros of the anti-complex defect with their integer windings.
 
-    |psi|^2 goes through ``umbilic_topology._scan_zeros``, refined on the
-    section's exact source, and each isolated zero is wound on a loop of
-    ``loop_cells`` cells of that source.  Returns records with the umbilic
-    index i = winding / 2.  A section whose defect vanishes on a large
-    fraction of samples (the zero section) is reported as a single
-    non-isolated record without a winding.
+    |psi|^2 goes through ``umbilic_topology._scan_zeros``, refined by Newton
+    on (Re psi, Im psi) of the section's exact source, and each isolated
+    zero is wound on a loop of ``loop_cells`` cells of that source.  Returns
+    records with the umbilic index i = winding / 2.  A section whose defect
+    vanishes on a large fraction of samples (the zero section) is reported
+    as a single non-isolated record without a winding.
     """
     mag = np.abs(section_defect(section))
     center, source = section.center, section.source
@@ -516,10 +515,13 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
     domain = [(ax[0], ax[0] + len(ax) * d) if per else (ax[0] - 0.5 * d, ax[-1] + 0.5 * d)
               for ax, d, per in zip((section.s_axis, section.t_axis), (ds, dt),
                                     section.periodic)]
-    zeros = _scan_zeros(mag ** 2, lambda s, t: np.abs(_psi_at(source, s, t, center)[1]) ** 2,
-                        (section.s_axis, section.t_axis), (ds, dt), domain,
-                        section.periodic, tol * tol, refine_iters, degenerate_fraction,
-                        "complex-point")
+
+    def defect_rows(s, t):
+        psi = _psi_at(source, s, t, center)[1]
+        return np.stack([np.abs(psi) ** 2, psi.real, psi.imag], axis=-1)
+
+    zeros = _scan_zeros(mag ** 2, defect_rows, (section.s_axis, section.t_axis), (ds, dt),
+                        domain, section.periodic, tol * tol, "complex-point")
     if not zeros:
         return []
     directions = source.eval(np.array([z.s for z in zeros]),
@@ -529,31 +531,22 @@ def complex_point_scan(section, tol=None, degenerate_fraction=0.05,
     for z, direction in zip(zeros, directions):
         rec = ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
                                  float(np.sqrt(z.value)), z.isolated)
-        fault = z.isolated and _loop_fault(z, zeros, radii, domain, section.periodic)
-        if fault:
-            warnings.warn(f"complex point at (s, t) = ({z.s:.6g}, {z.t:.6g}) left "
-                          f"without a winding: its winding loop {fault}; scan a "
-                          "finer grid", stacklevel=2)
-        elif z.isolated:
-            rec.winding = _zero_winding(source, rec.s, rec.t, *radii, center)
-            rec.index = rec.winding / 2.0
+        if z.isolated:
+            # a loop off the sampled rectangle on a non-periodic axis reaches
+            # where the parameterisation may be singular (an ellipsoid's poles)
+            leaves = any(not per and not lo < c - r < c + r < hi for (lo, hi), c, r, per
+                         in zip(domain, (z.s, z.t), radii, section.periodic))
+            rec.winding = None if leaves else _zero_winding(source, z.s, z.t, *radii, center)
+            if rec.winding is None:
+                fault = ("leaves the sampled parameter rectangle" if leaves
+                         else "encloses another complex point")
+                warnings.warn(f"complex point at (s, t) = ({z.s:.6g}, {z.t:.6g}) left "
+                              f"without a winding: its winding loop {fault}; scan a "
+                              "finer grid", stacklevel=2)
+            else:
+                rec.index = rec.winding / 2.0
         records.append(rec)
     return records
-
-
-def _loop_fault(zero, zeros, radii, domain, periodic):
-    """Why the winding loop about ``zero``, the ellipse of ``radii``, cannot
-    count its winding, or None: it leaves the parameter rectangle
-    ``domain`` on a non-periodic axis (the poles of an ellipsoid), or it
-    encloses another of the scan's ``zeros``."""
-    for (lo, hi), c, r, per in zip(domain, (zero.s, zero.t), radii, periodic):
-        if not per and not lo < c - r < c + r < hi:
-            return "leaves the sampled parameter rectangle"
-    for other in zeros:
-        gap = _param_distance(domain, periodic, (zero.s, zero.t), (other.s, other.t))
-        if other is not zero and np.sum((gap / radii) ** 2) < 1.0:
-            return "encloses another complex point"
-    return None
 
 
 def _chart_orientation(u_loop, center):
@@ -569,12 +562,21 @@ def _chart_orientation(u_loop, center):
 
 
 def _zero_winding(source, s_c, t_c, rad_s, rad_t, center, n_loop=1024):
-    phi = np.linspace(0.0, TWO_PI, n_loop, endpoint=False)
-    u, psi = _psi_at(source, s_c + rad_s * np.cos(phi), t_c + rad_t * np.sin(phi),
-                     center)
+    """Winding of psi about the zero at (s_c, t_c) on the ellipse of radii
+    (rad_s, rad_t), or None when the ellipse winds otherwise than its inner
+    check loop (see ``umbilic_topology._index_loops``): it then encloses
+    another zero."""
+    cos, sin = _index_loops(n_loop)
+    u, psi = _psi_at(source, s_c + rad_s * cos, t_c + rad_t * sin, center)
     if np.min(np.abs(psi)) < 1e-12:
         raise UnreliableLoopError("winding loop passes through a defect zero")
-    return _defect_winding(u, psi, center)
+    winding = _defect_winding(u[:n_loop], psi[:n_loop], center)
+    # the inner loop runs the same way round in the parameter plane, so it
+    # takes the chart orientation of the big one
+    inner = _loop_winding(np.angle(psi[n_loop:]), TWO_PI)
+    if inner is None or inner * _chart_orientation(u[:n_loop], center) != winding:
+        return None
+    return winding
 
 
 def _defect_winding(u, psi, center):

@@ -1,9 +1,11 @@
 """Umbilic points: detection, half-integer indices, and bound audits.
 
-Umbilics are zeros of the principal-curvature gap.  The scan works on the
-smooth squared gap (k1-k2)^2 = trace^2 - 4 det of the shape operator, so
-candidate minima refine cleanly by iterated quadratic fits even though
-|k1-k2| itself is conical at a zero.  Indices come from the winding of the
+Umbilics are zeros of the principal-curvature gap.  The scan seeds them at
+grid minima of the smooth squared gap (k1-k2)^2 = trace^2 - 4 det of the
+shape operator, and refines them by Newton's method on the traceless
+second form (T11, T12), T = II - H I, a smooth map whose zeros are exactly
+the umbilics, so positions settle to rounding even though |k1-k2| itself
+is conical at a zero.  Indices come from the winding of the
 principal-direction line field (an angle modulo pi) around isolating
 loops.
 """
@@ -105,62 +107,61 @@ def _local_minima(values, periodic):
     return np.argwhere(is_min)
 
 
-# 5x5 refinement stencil in units of its span (s-major) and the 6x25
-# least-squares fit of c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2 to it,
-# the same for every candidate (a 2-D Savitzky-Golay fit)
-_STENCIL_X, _STENCIL_Y = (a.ravel() for a in np.meshgrid(
-    np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5), indexing="ij"))
-_QUAD_BASIS = np.stack([np.ones(25), _STENCIL_X, _STENCIL_Y, _STENCIL_X ** 2,
-                        _STENCIL_X * _STENCIL_Y, _STENCIL_Y ** 2], axis=1)
-_QUAD_FIT = np.linalg.pinv(_QUAD_BASIS)
+# a value below tol on more than this fraction of the grid vanishes on a region
+_DEGENERATE_FRACTION = 0.05
+# Newton's Jacobian offset and the step that stops it, in cells, and its cap
+_JACOBIAN_STEP = 1e-3
+_STEP_TOL = 1e-6
+_NEWTON_ITERS = 6
 
 
-def _refine_minima(field, s, t, span, domain, periodic, iters):
-    """Refine seeds of a smooth non-negative field towards its minima, together.
+def _refine_zeros(field, s, t, step, domain, periodic):
+    """Refine seeds towards zeros of the smooth 2-vector part of ``field``, together.
 
-    Each iteration evaluates ``field`` once on the 5x5 stencil around every
-    candidate, fits a quadratic, steps to its stationary point (at most two
-    stencil spans; no step where the fit has none), wraps periodic and
-    clamps other parameters into ``domain``, and shrinks the span fourfold.
-    Returns the refined s and t and, per candidate, whether the last fit
-    matched its samples to within a tenth of their range.
+    ``field(s, t)`` returns rows (value, F1, F2).  Each Newton iteration
+    evaluates ``field`` once, at every candidate and its four neighbours
+    ``_JACOBIAN_STEP`` cells away; the Jacobian is their central difference,
+    so it only sets the rate, and the zero reached is that of the exact F.
+    The 2x2 system is solved in closed form (no step where it is singular
+    or not finite), a step is capped at two cells, periodic parameters are
+    wrapped and others clamped into ``domain``.  Stops once no step exceeds
+    ``_STEP_TOL`` cells, or after ``_NEWTON_ITERS`` iterations.
     """
     pts = np.stack([s, t], axis=-1).astype(float)
-    span = np.array(span, dtype=float)
+    step = np.asarray(step, dtype=float)
     lo, hi = np.array(domain, dtype=float).T
     width = hi - lo
-    ok = np.ones(len(pts), dtype=bool)
-    for _ in range(iters):
-        vals = _grid_eval(field, pts[:, :1] + span[0] * _STENCIL_X,
-                          pts[:, 1:] + span[1] * _STENCIL_Y)
-        coef = vals @ _QUAD_FIT.T
-        residual = np.max(np.abs(coef @ _QUAD_BASIS.T - vals), axis=1)
-        scale = np.ptp(vals, axis=1)
-        ok = (scale <= 0) | (residual <= 0.1 * scale)
-        # solve [[hxx, hxy], [hxy, hyy]] step = -(c1, c2) in closed form
-        hxx, hxy, hyy = 2 * coef[:, 3], coef[:, 4], 2 * coef[:, 5]
+    h = _JACOBIAN_STEP
+    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]]) * step
+    for _ in range(_NEWTON_ITERS):
+        rows = _grid_eval(field, pts[:, None, 0] + offsets[:, 0],
+                          pts[:, None, 1] + offsets[:, 1])[..., 1:]
+        f1, f2 = rows[:, 0].T
+        # the Jacobian per cell, [[a, b], [c, d]] = d(F1, F2)/d(s, t)
+        (a, c), (b, d) = ((rows[:, k] - rows[:, k + 1]).T / (2 * h) for k in (1, 3))
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = (np.stack([hxy * coef[:, 2] - hyy * coef[:, 1],
-                              hxy * coef[:, 1] - hxx * coef[:, 2]], axis=-1)
-                    / (hxx * hyy - hxy * hxy)[:, None])
-        step[~np.all(np.isfinite(step), axis=1)] = 0.0
-        pts += np.clip(step, -2.0, 2.0) * span
+            newton = (np.stack([b * f2 - d * f1, c * f1 - a * f2], axis=-1)
+                      / (a * d - b * c)[:, None])
+        newton[~np.all(np.isfinite(newton), axis=1)] = 0.0
+        newton = np.clip(newton, -2.0, 2.0)
+        pts += newton * step
         # a point a rounding step below lo wraps to exactly hi: send it to lo
         wrapped = lo + (pts - lo) % width
         pts = np.where(periodic, np.where(wrapped < hi, wrapped, lo),
                        np.clip(pts, lo + 1e-9 * width, hi - 1e-9 * width))
-        span *= 0.25
-    return pts[:, 0], pts[:, 1], ok
+        if np.max(np.abs(newton)) <= _STEP_TOL:
+            break
+    return pts[:, 0], pts[:, 1]
 
 
-def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
-                 degenerate_fraction=0.05):
-    """Locate isolated umbilics as refined minima of the curvature gap.
+def umbilic_scan(surface, metric, grid=(512, 384), tol=None):
+    """Locate isolated umbilics as zeros of the traceless second form.
 
-    The squared gap goes through ``_scan_zeros``; records come in grid
-    order, and a surface whose gap vanishes on a large fraction of the grid
-    (a round sphere) yields a single record flagged non-isolated, at the
-    first such cell.
+    The squared gap goes through ``_scan_zeros``, and candidates are refined
+    by Newton on (T11, T12), T = II - H I: since tr(I^-1 T) = 0, both vanish
+    exactly at the umbilics.  Records come in grid order, and a surface whose
+    gap vanishes on a large fraction of the grid (a round sphere) yields a
+    single record flagged non-isolated, at the first such cell.
     """
     ss, tt, ds, dt = _cells(surface, grid)
 
@@ -172,12 +173,13 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
     if tol is None:
         tol = 1e-6 * max(float(np.max(scan[..., 1:])), 1e-30)
 
-    def gap_sq(s, t):
-        return fundamental_forms(surface, metric, s, t).disc_sq
+    def gap_and_traceless(s, t):
+        rep = fundamental_forms(surface, metric, s, t)
+        traceless = rep.second[:, 0] - rep.h_mean[:, None] * rep.first[:, 0]
+        return np.stack([rep.disc_sq, traceless[:, 0], traceless[:, 1]], axis=-1)
 
-    zeros = _scan_zeros(scan[..., 0], gap_sq, (ss, tt), (ds, dt), surface.domain,
-                        surface.periodic, tol * tol, refine_iters, degenerate_fraction,
-                        "umbilic")
+    zeros = _scan_zeros(scan[..., 0], gap_and_traceless, (ss, tt), (ds, dt),
+                        surface.domain, surface.periodic, tol * tol, "umbilic")
     if not zeros:
         return []
     points = fundamental_forms(surface, metric, np.array([z.s for z in zeros]),
@@ -190,40 +192,38 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None, refine_iters=4,
 class _Zero:
     s: float
     t: float
-    value: float      # the field at (s, t)
+    value: float      # the field's value at (s, t)
     isolated: bool
     ambiguous: bool = False
 
 
-def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, refine_iters,
-                degenerate_fraction, kind):
-    """Zeros of a smooth non-negative field, from its samples on a grid.
+def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind):
+    """Zeros of a smooth field, from samples of its non-negative value on a grid.
 
-    ``values`` holds the field at the grid whose s and t lines are ``axes``,
+    ``values`` holds the value at the grid whose s and t lines are ``axes``,
     ``step`` apart, inside the parameter rectangle ``domain``; ``field(s, t)``
-    evaluates it anywhere in the rectangle.  Returns ``_Zero``s in grid
-    order (see ``_grid_order``):
+    evaluates rows (value, F1, F2) anywhere in the rectangle, where F is a
+    smooth 2-vector that vanishes exactly where the value does.  Returns
+    ``_Zero``s in grid order (see ``_grid_order``):
 
-    * if more than ``degenerate_fraction`` of the samples are below
+    * if more than ``_DEGENERATE_FRACTION`` of the samples are below
       ``tol_sq``, the field vanishes on a region: one non-isolated zero at
       the first such sample;
     * otherwise every local minimum of the grid (see ``_local_minima``) at
       most a quarter of the median sample seeds a candidate (the seed
       filter: a grid minimum above it is a positive minimum, not a zero);
-    * the candidates are refined together by ``_refine_minima``; those
-      still at or above ``tol_sq`` get up to ``refine_iters`` more single
-      steps while their value at least quarters per step, and those still
-      falling at the end are dropped with a warning;
+    * the candidates are refined together by Newton on F (``_refine_zeros``),
+      and those whose value is still at or above ``tol_sq`` are dropped;
     * candidates below ``tol_sq`` are merged best first: one within two
       cells of a kept zero is dropped, with a warning and the kept zero
       flagged ambiguous if its seed lay farther than two cells from it;
-    * a zero is isolated when the field exceeds ``tol_sq`` all round an
+    * a zero is isolated when the value exceeds ``tol_sq`` all round an
       ellipse of two cells about it.
 
     ``kind`` names the zeros in the warnings.
     """
     flat = values < tol_sq
-    if np.mean(flat) > degenerate_fraction:
+    if np.mean(flat) > _DEGENERATE_FRACTION:
         # the first flat sample, not the argmin of rounding noise
         i, j = np.unravel_index(np.argmax(flat), flat.shape)
         return [_Zero(float(axes[0][i]), float(axes[1][j]), float(values[i, j]),
@@ -233,33 +233,12 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, refine_iter
     if len(seeds) == 0:
         return []
     seed_s, seed_t = axes[0][seeds[:, 0]], axes[1][seeds[:, 1]]
-    s, t, ok = _refine_minima(field, seed_s, seed_t, step, domain, periodic,
-                              refine_iters)
-    value = field(s, t)
-    # a coarse grid can leave a zero just above tol: refine the misses on,
-    # from their shrunken span, while their value at least quarters per
-    # step (one that stops falling is a positive minimum, no zero)
-    span = np.array(step, dtype=float) * 0.25 ** refine_iters
-    todo = np.flatnonzero(~(ok & (value < tol_sq)))
-    for _ in range(refine_iters):
-        if not todo.size:
-            break
-        s[todo], t[todo], ok[todo] = _refine_minima(
-            field, s[todo], t[todo], span, domain, periodic, 1)
-        now = field(s[todo], t[todo])
-        falling = now <= 0.25 * value[todo]
-        value[todo] = now
-        todo = todo[falling & ~(ok[todo] & (now < tol_sq))]
-        span *= 0.25
-    if todo.size:
-        warnings.warn(
-            f"{todo.size} {kind} candidate(s) dropped: still falling but above "
-            f"tol after {2 * refine_iters} refinement iterations; scan a finer grid",
-            stacklevel=3)
+    s, t = _refine_zeros(field, seed_s, seed_t, step, domain, periodic)
+    value = field(s, t)[:, 0]
 
     two_cells = 2.0 * np.asarray(step)
     zeros = []
-    found = np.flatnonzero(ok & (value < tol_sq))
+    found = np.flatnonzero(value < tol_sq)
     for k in found[np.argsort(value[found], kind="stable")]:
         clash = next((z for z in zeros if np.all(_param_distance(
             domain, periodic, (s[k], t[k]), (z.s, z.t)) < two_cells)), None)
@@ -275,7 +254,7 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, refine_iter
         ring = _grid_eval(field, np.array([z.s for z in zeros])[:, None]
                           + two_cells[0] * np.cos(phi),
                           np.array([z.t for z in zeros])[:, None]
-                          + two_cells[1] * np.sin(phi))
+                          + two_cells[1] * np.sin(phi))[..., 0]
         for z, low in zip(zeros, np.min(ring, axis=1)):
             z.isolated = bool(low > tol_sq)
     return _grid_order(zeros, np.array(domain, dtype=float)[:, 0], step, values.shape,
@@ -299,28 +278,42 @@ def _param_distance(domain, periodic, p, q):
     return np.where(periodic, np.minimum(gap, np.ptp(domain, axis=1) - gap), gap)
 
 
+def _index_loops(n_loop):
+    """Unit-radius offsets of an index loop of ``n_loop`` samples, followed by
+    those of its inner check loop: 64 samples at 1/16 of the radius.  When
+    the two wind differently the big loop encloses another zero, and its
+    winding is not the index of the zero at the centre."""
+    loops = np.concatenate([np.exp(1j * np.linspace(0.0, TWO_PI, n_loop, endpoint=False)),
+                            np.exp(1j * np.linspace(0.0, TWO_PI, 64, endpoint=False)) / 16])
+    return loops.real, loops.imag
+
+
 def umbilic_index(surface, metric, record, loop_radius, n_loop=1024, _depth=0):
     """Half-integer index of an isolated umbilic from a circular loop.
 
     ``loop_radius`` is in parameter units; the loop must stay inside the
     isolating annulus.  The loop is sampled at ``2 * n_loop`` points, and
     the angular resolution is quadrupled until every other sample gives the
-    same rounded index.
+    same rounded index.  A loop that winds otherwise than its inner check
+    loop (see ``_index_loops``) encloses another umbilic and is refused.
     """
     if not record.isolated:
         raise UnreliableLoopError("cannot assign an index to a non-isolated umbilic")
-    phi = np.linspace(0.0, TWO_PI, 2 * n_loop, endpoint=False)
-    rep = fundamental_forms(surface, metric, record.s + loop_radius * np.cos(phi),
-                            record.t + loop_radius * np.sin(phi))
-    if np.min(rep.disc) <= 10.0 * max(record.disc_min, 1e-14):
+    cos, sin = _index_loops(2 * n_loop)
+    rep = fundamental_forms(surface, metric, record.s + loop_radius * cos,
+                            record.t + loop_radius * sin)
+    if np.min(rep.disc[:2 * n_loop]) <= 10.0 * max(record.disc_min, 1e-14):
         raise UnreliableLoopError(
             "loop touches a near-umbilic region; shrink or grow loop_radius")
-    twice = _loop_winding(_principal_angles(rep), np.pi)
+    angles = _principal_angles(rep)
+    twice = _loop_winding(angles[:2 * n_loop], np.pi)
     if twice is None:
         if _depth >= 3:
             raise UnreliableLoopError("winding failed to stabilise under refinement")
         return umbilic_index(surface, metric, record, loop_radius,
                              n_loop=4 * n_loop, _depth=_depth + 1)
+    if _loop_winding(angles[2 * n_loop:], np.pi) != twice:
+        raise UnreliableLoopError("index loop encloses another umbilic; scan a finer grid")
     return twice / 2.0
 
 

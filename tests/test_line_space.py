@@ -249,7 +249,7 @@ def test_complex_points_match_umbilics():
     # both scans list their records in the same grid order
     for cp, rec in zip(records, umb):
         gap = ut._param_distance(ELL.domain, ELL.periodic, (cp.s, cp.t), (rec.s, rec.t))
-        assert np.all(gap < 1e-6)
+        assert np.all(gap < 1e-12)
 
 
 def test_complex_points_merge_across_the_seam():
@@ -279,8 +279,7 @@ def test_complex_scan_warns_on_an_ambiguous_merge():
 @pytest.mark.parametrize("axes, grid", [((1.05, 1.02, 1.0), (16, 12)),
                                         ((3.0, 2.0, 0.5), (32, 24))])
 def test_coarse_complex_scan_finds_every_umbilic(axes, grid):
-    # zeros the first refine_iters iterations leave just above tol are
-    # refined on, as in umbilic_scan
+    # Newton refines every grid seed onto its zero, as in umbilic_scan
     ell = sg.surface_by_name("ellipsoid", a=axes[0], b=axes[1], c=axes[2])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -542,7 +541,7 @@ def test_twist_keeps_complex_points_through_the_scan():
         after = ls.complex_point_scan(tw)
         assert [(r.isolated, r.winding) for r in after] == [(True, 1)] * 2
         for a, b in zip(before, after):
-            assert abs(a.s - b.s) < 1e-6 and abs(a.t - b.t) < 1e-6
+            assert abs(a.s - b.s) < 1e-12 and abs(a.t - b.t) < 1e-12
 
 
 def test_twist_requires_open_hemisphere():
@@ -696,6 +695,19 @@ def test_coarse_complex_windings_are_refused_not_wrong():
     assert [(r.isolated, r.winding) for r in records] == [(True, 1)] * 4
 
 
+def test_winding_loop_enclosing_another_complex_point_is_refused():
+    # at 32x24 the winding loop of 4 cells about each complex point of this
+    # near-spheroid also holds its neighbour 0.37 away in t: it winds 2, its
+    # inner check loop 1, and the record keeps no winding
+    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.05, c=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = ls.complex_point_scan(ls.normal_congruence(ell, grid=(32, 24)))
+    assert len(caught) == 4
+    assert all("encloses another complex point" in str(w.message) for w in caught)
+    assert [(r.isolated, r.winding, r.index) for r in records] == [(True, None, None)] * 4
+
+
 @pytest.mark.parametrize("grid", [(64, 48), (128, 96)])
 @pytest.mark.parametrize("axes", [(2.0, 1.5, 1.0), (2.13, 1.41, 0.93), (1.87, 1.62, 1.04)])
 @pytest.mark.parametrize("turns", [1, -1])
@@ -720,7 +732,4 @@ def test_records_do_not_depend_on_a_periodic_shift(axes, grid, turns):
                                                        for r in cps[1]]
     assert len(umb[0]) == len(cps[0]) == 4
     assert np.all(gaps(*cps) <= 1e-12)
-    # the umbilic refinement stops once the gap is below tol, about 1e-6
-    # from the closed form, so its last steps follow rounding: s near 2 pi
-    # carries ulps of 8.9e-16, and the positions move by up to 7e-11
-    assert np.all(gaps(*umb) <= 1e-9)
+    assert np.all(gaps(*umb) <= 1e-12)

@@ -44,18 +44,35 @@ def test_brute_force_oracle_confirms_umbilic_positions():
 
 
 def test_ellipsoid_scan_finds_four_isolated_umbilics():
-    records = ut.umbilic_scan(ELL, FLAT, grid=(512, 384))
-    assert len(records) == 4
-    signs = set()
-    for rec in records:
-        assert rec.isolated and not rec.ambiguous
-        assert rec.disc_min < 1e-6
-        x, y, z = rec.chart_position
-        assert abs(abs(x) - X_UMB) < 1e-6
-        assert abs(y) < 1e-6
-        assert abs(abs(z) - Z_UMB) < 1e-6
-        signs.add((x > 0, z > 0))
-    assert len(signs) == 4  # all four quadrants of the long/short axis plane
+    from geomlab import line_space as ls
+    t0 = np.arccos(Z_UMB)
+    exact = [(s, t) for s in (0.0, np.pi) for t in (t0, np.pi - t0)]
+    for grid in ((16, 12), (32, 24), (64, 48), (128, 96), (256, 192), (512, 384)):
+        records = ut.umbilic_scan(ELL, FLAT, grid=grid)
+        assert len(records) == 4
+        signs = set()
+        for rec in records:
+            assert rec.isolated and not rec.ambiguous
+            assert rec.disc_min < 1e-6
+            x, y, z = rec.chart_position
+            assert abs(abs(x) - X_UMB) < 1e-6
+            assert abs(y) < 1e-6
+            assert abs(abs(z) - Z_UMB) < 1e-6
+            signs.add((x > 0, z > 0))
+        assert len(signs) == 4  # all four quadrants of the long/short axis plane
+        # both scans against the closed form (s, t) in {0, pi} x {t0, pi - t0};
+        # at 16x12 the complex-point winding loops reach the poles, refused aloud
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points = ls.complex_point_scan(ls.normal_congruence(ELL, grid=grid))
+        assert all("leaves the sampled parameter rectangle" in str(w.message)
+                   for w in caught)
+        for found in (records, points):
+            assert len(found) == 4
+            for rec in found:
+                gaps = [np.max(ut._param_distance(ELL.domain, ELL.periodic,
+                                                  (rec.s, rec.t), p)) for p in exact]
+                assert min(gaps) <= 1e-12, (grid, rec)
 
 
 def test_ellipsoid_indices_and_sum():
@@ -172,11 +189,13 @@ def test_scan_refines_all_candidates_in_one_call_per_iteration(monkeypatch):
         return sg.fundamental_forms(surface, metric, s, t)
 
     monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
-    records = ut.umbilic_scan(ELL, FLAT, grid=(128, 96), refine_iters=4)
-    n_cand = sizes[5]
-    assert len(records) == 4 and n_cand >= 4
-    # grid, 4 refinement iterations, final check, isolation rings, chart points
-    assert sizes == ([128 * 96] + [25 * n_cand] * 4
+    records = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
+    n_cand = sizes[1] // 5
+    iters = len(sizes) - 4
+    assert len(records) == 4 and n_cand >= 4 and 1 <= iters <= ut._NEWTON_ITERS
+    # grid, Newton iterations (each candidate and its four neighbours), final
+    # check, isolation rings, chart points
+    assert sizes == ([128 * 96] + [5 * n_cand] * iters
                      + [n_cand, 64 * len(records), len(records)])
 
 
@@ -197,20 +216,22 @@ def test_seed_filter_leaves_the_torus_grid_pass_alone(monkeypatch):
 
 def test_refine_wraps_periodic_parameters_into_the_half_open_domain():
     # a step landing a rounding error below 0 must not come back as 2 pi
-    s, t, ok = ut._refine_minima(lambda s, t: (s + 1e-17) ** 2 + (t - 1) ** 2,
-                                 [0.0], [1.0], (0.02, 0.02),
-                                 ((0.0, 2 * np.pi), (0.0, 2.0)), (True, False), 1)
+    def field(s, t):
+        f1, f2 = s + 1e-17, t - 1
+        return np.stack([f1 ** 2 + f2 ** 2, f1, f2], axis=-1)
+
+    s, t = ut._refine_zeros(field, np.array([0.0]), np.array([1.0]), (0.02, 0.02),
+                            ((0.0, 2 * np.pi), (0.0, 2.0)), (True, False))
     assert 0.0 <= s[0] < 2 * np.pi
-    assert abs(t[0] - 1.0) < 1e-12 and ok[0]
+    assert abs(t[0] - 1.0) < 1e-12
 
 
 def test_merge_warns_on_coarse_ambiguity():
-    # a zero and a minimum of 1e-10, 1.9 cells apart; the grid seeds one on
-    # the zero and one 3 cells from it, which refines into the minimum
+    # two zeros 1.9 cells apart; the grid seeds one on the first and one
+    # 3 cells from it, which refines into the second
     def field(s, t):
-        near = (s - 1.05) ** 2 + (t - 1.05) ** 2
-        far = (s - 1.24) ** 2 + (t - 1.05) ** 2
-        return near * (far + 1e-10) / (near + far)
+        f1, f2 = (s - 1.05) * (s - 1.24), t - 1.05
+        return np.stack([f1 ** 2 + f2 ** 2, f1, f2], axis=-1)
 
     axes = (0.05 + 0.1 * np.arange(20),) * 2
     values = np.ones((20, 20))
@@ -218,15 +239,14 @@ def test_merge_warns_on_coarse_ambiguity():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         merged = ut._scan_zeros(values, field, axes, (0.1, 0.1), ((0.0, 2.0),) * 2,
-                                (False, False), 1e-8, 4, 0.05, "umbilic")
+                                (False, False), 1e-8, "umbilic")
     assert len(merged) == 1
     assert merged[0].ambiguous
     assert any("merged" in str(w.message) for w in caught)
 
 
 def test_coarse_scan_refines_near_misses_on():
-    # at 64x48 the four gaps sit just above tol after the first refine_iters
-    # iterations; the scan refines those on and agrees with the line-space scan
+    # at 64x48 the scan agrees with the line-space scan to rounding
     from geomlab import line_space as ls
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -239,10 +259,18 @@ def test_coarse_scan_refines_near_misses_on():
     for rec, cp in zip(records, points):
         assert rec.isolated and rec.disc_min < 1e-6
         gap = ut._param_distance(ELL.domain, ELL.periodic, (cp.s, cp.t), (rec.s, rec.t))
-        assert np.all(gap < 1e-6)
-    # too few iterations: the candidates still converging are dropped aloud
-    with pytest.warns(UserWarning, match="4 umbilic candidate"):
-        assert ut.umbilic_scan(ELL, FLAT, grid=(16, 12), refine_iters=2) == []
+        assert np.all(gap < 1e-12)
+
+
+def test_index_loop_enclosing_another_umbilic_is_refused():
+    # on this near-spheroid each meridian's two umbilics lie 0.37 apart in t,
+    # inside the index loop of 4 cells at 32x24: the loop winds 1, not 1/2,
+    # and its inner check loop exposes it
+    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.05, c=1.0)
+    records = ut.umbilic_scan(ell, FLAT, grid=(32, 24))
+    assert len(records) == 4 and all(r.isolated for r in records)
+    with pytest.raises(UnreliableLoopError, match="encloses another umbilic"):
+        ut.conjecture_audit(ell, FLAT, grid=(32, 24))
 
 
 def test_conjecture_audit_ellipsoid():
