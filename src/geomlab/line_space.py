@@ -26,7 +26,8 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
-from .umbilic_topology import _index_loops, _loop_winding, _scan_zeros
+from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _loop_index, _loop_winding,
+                               _scan_zeros)
 
 TWO_PI = 2.0 * np.pi
 CONSTRAINT_TOL = 1e-12
@@ -492,22 +493,23 @@ def _psi_at(source, s, t, center):
                          du[..., 1, :], dV[..., 1, :], center)
 
 
-def complex_point_scan(section, tol=None, loop_cells=4.0):
+def complex_point_scan(section):
     """Zeros of the anti-complex defect with their integer windings.
 
     |psi|^2 goes through ``umbilic_topology._scan_zeros``, refined by Newton
     on (Re psi, Im psi) of the section's exact source, and each isolated
-    zero is wound on a loop of ``loop_cells`` cells of that source.  Returns
-    records with the umbilic index i = winding / 2.  A section whose defect
-    vanishes on a large fraction of samples (the zero section) is reported
-    as a single non-isolated record without a winding.
+    zero is wound on the index loop of ``umbilic_topology._loop_index``,
+    ``_LOOP_CELLS`` cells of the grid about it.  Returns records with the
+    umbilic index i = winding / 2; a refused loop leaves both unset, with a
+    warning that names its fault.  A section whose defect vanishes on a
+    large fraction of samples (the zero section) is reported as a single
+    non-isolated record without a winding.
     """
     mag = np.abs(section_defect(section))
     center, source = section.center, section.source
-    if tol is None:
-        # psi is computed on unit-normalised frames, so an absolute floor is
-        # meaningful; it catches identically-complex sections (zero defect)
-        tol = max(1e-6 * float(np.max(mag)), 1e-10)
+    # psi is computed on unit-normalised frames, so an absolute floor is
+    # meaningful; it catches identically-complex sections (zero defect)
+    tol = max(1e-6 * float(np.max(mag)), 1e-10)
     ds = section.s_axis[1] - section.s_axis[0]
     dt = section.t_axis[1] - section.t_axis[0]
     # the parameter rectangle the grid samples: periodic axes start at 0,
@@ -520,31 +522,32 @@ def complex_point_scan(section, tol=None, loop_cells=4.0):
         psi = _psi_at(source, s, t, center)[1]
         return np.stack([np.abs(psi) ** 2, psi.real, psi.imag], axis=-1)
 
+    def defect_and_angle(s, t):
+        u, psi = _psi_at(source, s, t, center)
+        # arg psi for the orientation the index loop takes in the direction chart
+        sign = _chart_orientation(u[:_LOOP_SAMPLES], center)
+        return np.abs(psi), sign * np.angle(psi)
+
     zeros = _scan_zeros(mag ** 2, defect_rows, (section.s_axis, section.t_axis), (ds, dt),
                         domain, section.periodic, tol * tol, "complex-point")
     if not zeros:
         return []
     directions = source.eval(np.array([z.s for z in zeros]),
                              np.array([z.t for z in zeros]))[0]
-    radii = (loop_cells * ds, loop_cells * dt)
+    radii = (_LOOP_CELLS * ds, _LOOP_CELLS * dt)
     records = []
     for z, direction in zip(zeros, directions):
         rec = ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
                                  float(np.sqrt(z.value)), z.isolated)
         if z.isolated:
-            # a loop off the sampled rectangle on a non-periodic axis reaches
-            # where the parameterisation may be singular (an ellipsoid's poles)
-            leaves = any(not per and not lo < c - r < c + r < hi for (lo, hi), c, r, per
-                         in zip(domain, (z.s, z.t), radii, section.periodic))
-            rec.winding = None if leaves else _zero_winding(source, z.s, z.t, *radii, center)
-            if rec.winding is None:
-                fault = ("leaves the sampled parameter rectangle" if leaves
-                         else "encloses another complex point")
-                warnings.warn(f"complex point at (s, t) = ({z.s:.6g}, {z.t:.6g}) left "
-                              f"without a winding: its winding loop {fault}; scan a "
-                              "finer grid", stacklevel=2)
-            else:
+            try:
+                rec.winding = _loop_index(defect_and_angle, (z.s, z.t), radii, domain,
+                                          section.periodic, rec.defect_min, TWO_PI,
+                                          "complex point")
                 rec.index = rec.winding / 2.0
+            except UnreliableLoopError as fault:
+                warnings.warn(f"complex point at (s, t) = ({z.s:.6g}, {z.t:.6g}) left "
+                              f"without a winding: {fault}", stacklevel=2)
         records.append(rec)
     return records
 
@@ -561,35 +564,11 @@ def _chart_orientation(u_loop, center):
     return 1.0 if area >= 0 else -1.0
 
 
-def _zero_winding(source, s_c, t_c, rad_s, rad_t, center, n_loop=1024):
-    """Winding of psi about the zero at (s_c, t_c) on the ellipse of radii
-    (rad_s, rad_t), or None when the ellipse winds otherwise than its inner
-    check loop (see ``umbilic_topology._index_loops``): it then encloses
-    another zero."""
-    cos, sin = _index_loops(n_loop)
-    u, psi = _psi_at(source, s_c + rad_s * cos, t_c + rad_t * sin, center)
-    if np.min(np.abs(psi)) < 1e-12:
-        raise UnreliableLoopError("winding loop passes through a defect zero")
-    winding = _defect_winding(u[:n_loop], psi[:n_loop], center)
-    # the inner loop runs the same way round in the parameter plane, so it
-    # takes the chart orientation of the big one
-    inner = _loop_winding(np.angle(psi[n_loop:]), TWO_PI)
-    if inner is None or inner * _chart_orientation(u[:n_loop], center) != winding:
-        return None
-    return winding
+# a loop whose smallest |psi| is below this share of its largest passes a complex point
+_MIN_DEFECT_RATIO = 1e-6
 
 
-def _defect_winding(u, psi, center):
-    """Winding of the defect ``psi`` sampled along a parameter loop whose
-    directions are ``u``, for the orientation the loop takes in the
-    direction chart."""
-    winding = _loop_winding(np.angle(psi), TWO_PI)
-    if winding is None:
-        raise UnreliableLoopError("winding is not resolved; densify the loop")
-    return int(_chart_orientation(u, center)) * winding
-
-
-def maslov_index(source, loop_s, loop_t, center, min_defect_ratio=1e-6):
+def maslov_index(source, loop_s, loop_t, center):
     """Keller-Maslov index of a parameter loop on a Lagrangian section.
 
     mu = 2 x (winding of the defect psi along the loop, traversed with the
@@ -601,9 +580,12 @@ def maslov_index(source, loop_s, loop_t, center, min_defect_ratio=1e-6):
     loop_t = np.asarray(loop_t, float)
     u, psi = _psi_at(source, loop_s, loop_t, center)
     mag = np.abs(psi)
-    if np.min(mag) < min_defect_ratio * np.max(mag):
+    if np.min(mag) < _MIN_DEFECT_RATIO * np.max(mag):
         raise UnreliableLoopError("loop passes too close to a complex point")
-    w = _defect_winding(u, psi, center)
+    winding = _loop_winding(np.angle(psi), TWO_PI)
+    if winding is None:
+        raise UnreliableLoopError("winding is not resolved; densify the loop")
+    w = int(_chart_orientation(u, center)) * winding
     return {"mu": 2 * w, "index_sum": w / 2.0,
             "operator_index": 2 * w + 2, "unparameterized_dim": 2 * w - 1}
 

@@ -233,18 +233,11 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     report.assertions.append(Assertion(
         "complex_point_count", len(complex_pts), 4, 0.0, "eq", "cross-module"))
     # bijection with umbilics within two grid cells (s-axis is periodic)
-    ds = section.s_axis[1] - section.s_axis[0]
-    dt = section.t_axis[1] - section.t_axis[0]
-    period = 2 * np.pi
-
-    def cell_gap(rec, cp):
-        gap_s = abs(cp.s - rec.s) % period
-        gap_s = min(gap_s, period - gap_s)
-        return max(gap_s / ds, abs(cp.t - rec.t) / dt)
-
+    cell = (section.s_axis[1] - section.s_axis[0], section.t_axis[1] - section.t_axis[0])
     worst = 0.0
     for rec in (r for r in audit["records"] if r.isolated):
-        gaps = [cell_gap(rec, cp) for cp in complex_pts]
+        gaps = [np.max(ut._param_distance(ell.domain, ell.periodic, (cp.s, cp.t),
+                                          (rec.s, rec.t)) / cell) for cp in complex_pts]
         worst = max(worst, min(gaps)) if gaps else np.inf
     report.assertions.append(Assertion(
         "complex_points_match_umbilics_cells", worst, 2.0, 0.0, "le",

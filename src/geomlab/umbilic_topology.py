@@ -6,8 +6,10 @@ shape operator, and refines them by Newton's method on the traceless
 second form (T11, T12), T = II - H I, a smooth map whose zeros are exactly
 the umbilics, so positions settle to rounding even though |k1-k2| itself
 is conical at a zero.  Indices come from the winding of the
-principal-direction line field (an angle modulo pi) around isolating
-loops.
+principal-direction line field (an angle modulo pi) on an index loop of
+``_LOOP_CELLS`` cells about each umbilic.  ``_loop_index`` winds that loop
+for the complex points of ``line_space`` too, with the same sample count,
+inner check loop and refusals; only the angle wound differs.
 """
 
 import warnings
@@ -154,7 +156,7 @@ def _refine_zeros(field, s, t, step, domain, periodic):
     return pts[:, 0], pts[:, 1]
 
 
-def umbilic_scan(surface, metric, grid=(512, 384), tol=None):
+def umbilic_scan(surface, metric, grid=(512, 384)):
     """Locate isolated umbilics as zeros of the traceless second form.
 
     The squared gap goes through ``_scan_zeros``, and candidates are refined
@@ -170,8 +172,7 @@ def umbilic_scan(surface, metric, grid=(512, 384), tol=None):
         return np.stack([rep.disc_sq, np.abs(rep.k1), np.abs(rep.k2)], axis=-1)
 
     scan = _grid_eval(gap_and_curvatures, *np.meshgrid(ss, tt, indexing="ij"))
-    if tol is None:
-        tol = 1e-6 * max(float(np.max(scan[..., 1:])), 1e-30)
+    tol = 1e-6 * max(float(np.max(scan[..., 1:])), 1e-30)
 
     def gap_and_traceless(s, t):
         rep = fundamental_forms(surface, metric, s, t)
@@ -278,54 +279,69 @@ def _param_distance(domain, periodic, p, q):
     return np.where(periodic, np.minimum(gap, np.ptp(domain, axis=1) - gap), gap)
 
 
-def _index_loops(n_loop):
-    """Unit-radius offsets of an index loop of ``n_loop`` samples, followed by
-    those of its inner check loop: 64 samples at 1/16 of the radius.  When
-    the two wind differently the big loop encloses another zero, and its
-    winding is not the index of the zero at the centre."""
-    loops = np.concatenate([np.exp(1j * np.linspace(0.0, TWO_PI, n_loop, endpoint=False)),
-                            np.exp(1j * np.linspace(0.0, TWO_PI, 64, endpoint=False)) / 16])
-    return loops.real, loops.imag
+# an index loop is an ellipse of _LOOP_CELLS cells on each axis, sampled at
+# _LOOP_SAMPLES points and followed by its inner check loop: 64 samples at
+# 1/16 of its radii
+_LOOP_CELLS = 4
+_LOOP_SAMPLES = 1024
+_LOOP = np.concatenate([np.exp(1j * np.linspace(0.0, TWO_PI, _LOOP_SAMPLES, endpoint=False)),
+                        np.exp(1j * np.linspace(0.0, TWO_PI, 64, endpoint=False)) / 16])
 
 
-def umbilic_index(surface, metric, record, loop_radius, n_loop=1024, _depth=0):
-    """Half-integer index of an isolated umbilic from a circular loop.
+def _loop_index(field, center, radii, domain, periodic, zero_value, period, kind):
+    """Winding, in units of ``period``, of a zero's angle on its index loop.
 
-    ``loop_radius`` is in parameter units; the loop must stay inside the
-    isolating annulus.  The loop is sampled at ``2 * n_loop`` points, and
-    the angular resolution is quadrupled until every other sample gives the
-    same rounded index.  A loop that winds otherwise than its inner check
-    loop (see ``_index_loops``) encloses another umbilic and is refused.
+    The loop is the ellipse of ``radii`` about the zero at ``center``, and
+    its inner check loop, in one call of ``field(s, t)``, which returns the
+    magnitude that vanishes at the zero and the angle (modulo ``period``)
+    to wind.  ``UnreliableLoopError`` names why a loop is refused:
+
+    * it leaves ``domain`` on a non-periodic axis, where the
+      parameterisation may be singular (an ellipsoid's poles);
+    * it touches a near-zero region: its smallest magnitude is at most 10
+      times ``zero_value``, the zero's own, or 1e-13;
+    * its winding is not resolved: every other sample rounds to another;
+    * the inner loop winds otherwise: the loop encloses another ``kind``.
     """
+    center, radii = np.asarray(center, dtype=float), np.asarray(radii, dtype=float)
+    lo, hi = np.array(domain, dtype=float).T
+    if np.any(~np.asarray(periodic) & ((center - radii <= lo) | (center + radii >= hi))):
+        raise UnreliableLoopError(
+            "index loop leaves the sampled parameter rectangle; scan a finer grid")
+    magnitude, angle = field(center[0] + radii[0] * _LOOP.real,
+                             center[1] + radii[1] * _LOOP.imag)
+    if np.min(magnitude[:_LOOP_SAMPLES]) <= 10.0 * max(zero_value, 1e-14):
+        raise UnreliableLoopError(
+            "index loop touches a near-zero region; scan a finer grid")
+    winding = _loop_winding(angle[:_LOOP_SAMPLES], period)
+    if winding is None:
+        raise UnreliableLoopError("index loop winding is not resolved; scan a finer grid")
+    if _loop_winding(angle[_LOOP_SAMPLES:], period) != winding:
+        raise UnreliableLoopError(f"index loop encloses another {kind}; scan a finer grid")
+    return winding
+
+
+def umbilic_index(surface, metric, record, radii):
+    """Half-integer index of an isolated umbilic: the winding of the
+    principal line field on the index loop of ``radii`` (see ``_loop_index``)."""
     if not record.isolated:
         raise UnreliableLoopError("cannot assign an index to a non-isolated umbilic")
-    cos, sin = _index_loops(2 * n_loop)
-    rep = fundamental_forms(surface, metric, record.s + loop_radius * cos,
-                            record.t + loop_radius * sin)
-    if np.min(rep.disc[:2 * n_loop]) <= 10.0 * max(record.disc_min, 1e-14):
-        raise UnreliableLoopError(
-            "loop touches a near-umbilic region; shrink or grow loop_radius")
-    angles = _principal_angles(rep)
-    twice = _loop_winding(angles[:2 * n_loop], np.pi)
-    if twice is None:
-        if _depth >= 3:
-            raise UnreliableLoopError("winding failed to stabilise under refinement")
-        return umbilic_index(surface, metric, record, loop_radius,
-                             n_loop=4 * n_loop, _depth=_depth + 1)
-    if _loop_winding(angles[2 * n_loop:], np.pi) != twice:
-        raise UnreliableLoopError("index loop encloses another umbilic; scan a finer grid")
-    return twice / 2.0
+
+    def gap_and_angle(s, t):
+        rep = fundamental_forms(surface, metric, s, t)
+        return rep.disc, _principal_angles(rep)
+
+    return _loop_index(gap_and_angle, (record.s, record.t), radii, surface.domain,
+                       surface.periodic, record.disc_min, np.pi, "umbilic") / 2.0
 
 
-def attach_indices(surface, metric, records, grid=(512, 384), loop_cells=4.0):
-    """Compute indices for all isolated records in place."""
-    (s0, s1), (t0, t1) = surface.domain
-    ds = (s1 - s0) / grid[0]
-    dt = (t1 - t0) / grid[1]
-    radius = loop_cells * max(ds, dt)
+def attach_indices(surface, metric, records, grid=(512, 384)):
+    """Compute indices for all isolated records in place, on index loops of
+    ``_LOOP_CELLS`` cells of ``grid``."""
+    radii = _LOOP_CELLS * np.array(_cells(surface, grid)[2:])
     for rec in records:
         if rec.isolated:
-            rec.index = umbilic_index(surface, metric, rec, radius)
+            rec.index = umbilic_index(surface, metric, rec, radii)
             rec.index_num = int(round(2 * rec.index))
     return records
 
@@ -333,14 +349,14 @@ def attach_indices(surface, metric, records, grid=(512, 384), loop_cells=4.0):
 _EULER = {"sphere": 2, "torus": 0}
 
 
-def conjecture_audit(surface, metric, grid=(512, 384), tol=None):
+def conjecture_audit(surface, metric, grid=(512, 384)):
     """Scan, index, and check the classical umbilic statements.
 
     Reports umbilic count (>= 2 on convex spheres), the Hamburger bound
     (index <= 1), the local bound (index < 2), and the line-field
     Poincare-Hopf sum against the Euler characteristic.
     """
-    records = umbilic_scan(surface, metric, grid=grid, tol=tol)
+    records = umbilic_scan(surface, metric, grid=grid)
     non_isolated = any(not r.isolated for r in records)
     isolated = [r for r in records if r.isolated]
     attach_indices(surface, metric, isolated, grid=grid)

@@ -84,8 +84,8 @@ def test_criterion_4_umbilic_topology():
     ok &= abs(sum(r.index for r in records) - 2.0) < 1e-12
     radius = 4 * (2 * np.pi / 512)
     for rec in records[:2]:
-        ok &= (ut.umbilic_index(ell, FLAT, rec, radius)
-               == ut.umbilic_index(ell, FLAT, rec, 2 * radius))
+        ok &= (ut.umbilic_index(ell, FLAT, rec, (radius, radius))
+               == ut.umbilic_index(ell, FLAT, rec, (2 * radius, 2 * radius)))
     torus = sg.surface_by_name("torus-revolution", R=2.0, r=1.0)
     torus_records = ut.umbilic_scan(torus, FLAT, grid=(256, 256))
     ok &= torus_records == []

@@ -11,7 +11,7 @@ from geomlab import jets
 from geomlab import line_space as ls
 from geomlab import surface_geom as sg
 from geomlab import umbilic_topology as ut
-from geomlab.errors import ChartDomainError, ConfigError
+from geomlab.errors import ChartDomainError, ConfigError, UnreliableLoopError
 
 FLAT = ct.metric_by_name("flat-r3")
 ELL = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
@@ -682,16 +682,12 @@ def test_coarse_complex_windings_are_refused_not_wrong():
         records = ls.complex_point_scan(ls.normal_congruence(ELL, grid=(16, 12)))
     assert len(records) == 4
     assert all(r.isolated and r.winding is None and r.index is None for r in records)
-    # a loop of 6 cells about an umbilic of this near-spheroid encloses its
-    # neighbour 0.37 away in t; 4 cells wind each zero alone
+    # at 64x48 the index loop of 4 cells about an umbilic of this
+    # near-spheroid winds it alone, without its neighbour 0.37 away in t
     ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.05, c=1.0)
-    section = ls.normal_congruence(ell, grid=(64, 48))
-    with pytest.warns(UserWarning, match="encloses another complex point"):
-        records = ls.complex_point_scan(section, loop_cells=6.0)
-    assert [(r.isolated, r.winding) for r in records] == [(True, None)] * 4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = ls.complex_point_scan(section)
+        records = ls.complex_point_scan(ls.normal_congruence(ell, grid=(64, 48)))
     assert [(r.isolated, r.winding) for r in records] == [(True, 1)] * 4
 
 
@@ -706,6 +702,82 @@ def test_winding_loop_enclosing_another_complex_point_is_refused():
     assert len(caught) == 4
     assert all("encloses another complex point" in str(w.message) for w in caught)
     assert [(r.isolated, r.winding, r.index) for r in records] == [(True, None, None)] * 4
+
+
+# umbilic_scan finds none of the four umbilics of (3, 2, 0.5) at 16x12, which
+# the complex scan finds: an open fault of the scan, not of the index loops
+AGREEMENT_CASES = [(axes, grid)
+                   for axes in [(2.0, 1.05, 1.0), (2.0, 1.5, 1.0), (3.0, 2.0, 0.5)]
+                   for grid in [(16, 12), (24, 18), (32, 24), (48, 36), (64, 48),
+                                (80, 60), (128, 96)]
+                   if (axes, grid) != ((3.0, 2.0, 0.5), (16, 12))]
+
+
+@pytest.mark.parametrize("axes, grid", AGREEMENT_CASES,
+                         ids=["{}x{}x{}-{}x{}".format(*axes, *grid)
+                              for axes, grid in AGREEMENT_CASES])
+def test_audit_and_complex_scan_agree_on_their_index_loops(axes, grid):
+    # both sides wind the same loop about the same zeros: the audit resolves
+    # index 1/2 wherever the complex scan resolves winding 1, and refuses
+    # with the fault the complex scan warns of everywhere else
+    ell = sg.surface_by_name("ellipsoid", a=axes[0], b=axes[1], c=axes[2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = ls.complex_point_scan(ls.normal_congruence(ell, grid=grid))
+    faults = {str(w.message).split(": ", 1)[1] for w in caught}
+    try:
+        audit = ut.conjecture_audit(ell, FLAT, grid=grid)
+    except UnreliableLoopError as refusal:
+        assert faults == {str(refusal).replace("umbilic", "complex point")}
+        assert any(p.winding is None for p in points)
+        return
+    assert not faults
+    assert [r.index for r in audit["records"]] == [p.winding / 2 for p in points] == [0.5] * 4
+    assert audit["index_sum"] == 2.0
+
+
+@pytest.mark.parametrize("fault", ["touches a near-zero region", "winding is not resolved"])
+def test_refused_winding_loops_leave_complex_points_unwound(monkeypatch, fault):
+    loop_index = ut._loop_index
+
+    def distorted(field, center, radii, domain, periodic, zero_value, period, kind):
+        if fault == "touches a near-zero region":
+            # as if the scan had stopped at |psi| = 1, above a tenth of it on the loop
+            zero_value = 1.0
+        else:
+            # synthetic defect angles turning 0.4 of a turn per sample
+            defect = field
+
+            def field(s, t):
+                return defect(s, t)[0], np.mod(0.8 * np.pi * np.arange(s.size), 2 * np.pi)
+        return loop_index(field, center, radii, domain, periodic, zero_value, period, kind)
+
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    monkeypatch.setattr(ls, "_loop_index", distorted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = ls.complex_point_scan(section)
+    assert len(caught) == 4 and all(fault in str(w.message) for w in caught)
+    assert [(r.isolated, r.winding, r.index) for r in records] == [(True, None, None)] * 4
+
+
+def test_maslov_refuses_a_loop_through_a_complex_point():
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    rec = ls.complex_point_scan(section)[0]
+    phi = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
+    with pytest.raises(UnreliableLoopError, match="loop passes too close to a complex point"):
+        ls.maslov_index(section.source, rec.s - 0.15 + 0.15 * np.cos(phi),
+                        rec.t + 0.15 * np.sin(phi), section.center)
+
+
+def test_maslov_refuses_an_unresolved_loop():
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    rec = ls.complex_point_scan(section)[0]
+    # four samples wind once about the point, every other sample not at all
+    quarter = np.linspace(0, 2 * np.pi, 4, endpoint=False)
+    with pytest.raises(UnreliableLoopError, match="winding is not resolved"):
+        ls.maslov_index(section.source, rec.s + 0.15 * np.cos(quarter),
+                        rec.t + 0.15 * np.sin(quarter), section.center)
 
 
 @pytest.mark.parametrize("grid", [(64, 48), (128, 96)])

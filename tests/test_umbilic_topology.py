@@ -87,8 +87,8 @@ def test_index_invariant_under_loop_radius_doubling():
     records = ut.umbilic_scan(ELL, FLAT, grid=(256, 192))
     rec = records[0]
     radius = 4 * (2 * np.pi / 256)
-    i1 = ut.umbilic_index(ELL, FLAT, rec, radius)
-    i2 = ut.umbilic_index(ELL, FLAT, rec, 2 * radius)
+    i1 = ut.umbilic_index(ELL, FLAT, rec, (radius, radius))
+    i2 = ut.umbilic_index(ELL, FLAT, rec, (2 * radius, 2 * radius))
     assert i1 == i2 == 0.5
 
 
@@ -271,6 +271,82 @@ def test_index_loop_enclosing_another_umbilic_is_refused():
     assert len(records) == 4 and all(r.isolated for r in records)
     with pytest.raises(UnreliableLoopError, match="encloses another umbilic"):
         ut.conjecture_audit(ell, FLAT, grid=(32, 24))
+
+
+def test_coarse_near_spheroid_audit_is_refused():
+    # at 16x12 the scan finds two of the four umbilics of this near-spheroid,
+    # and the index loop (radius pi/3 in t) of each also holds the other
+    # umbilic of its meridian; the index sum was once 1, without a word
+    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.05, c=1.0)
+    with pytest.raises(UnreliableLoopError, match="encloses another umbilic"):
+        ut.conjecture_audit(ell, FLAT, grid=(16, 12))
+
+
+def test_coarse_audit_reaching_the_poles_is_refused():
+    # at 16x12 every index loop (radius pi/3 in t) crosses a pole, where the
+    # parameterisation is singular; a circle of radius pi/2 once summed to 2
+    with pytest.raises(UnreliableLoopError,
+                       match="leaves the sampled parameter rectangle"):
+        ut.conjecture_audit(ELL, FLAT, grid=(16, 12))
+
+
+def _product_field(zeros, period):
+    """Magnitude and angle (modulo ``period``) of prod_k (s + i t - z_k): the
+    angle turns by one period round each enclosed zero."""
+    def field(s, t):
+        w = np.prod([s + 1j * t - z for z in zeros], axis=0)
+        return np.abs(w), np.mod(np.angle(w) * period / (2 * np.pi), period)
+    return field
+
+
+# the period of the angle each side winds
+LOOP_PERIODS = {"umbilic": np.pi, "complex point": 2 * np.pi}
+
+
+@pytest.mark.parametrize("kind", LOOP_PERIODS)
+def test_index_loop_winds_one_zero_and_refuses_by_name(kind):
+    period = LOOP_PERIODS[kind]
+    box, flat_axes = ((0.0, 10.0), (0.0, 10.0)), (False, False)
+
+    def index(field, center=(5.0, 5.0), periodic=flat_axes, zero_value=0.0):
+        return ut._loop_index(field, center, (1.0, 1.0), box, periodic, zero_value,
+                              period, kind)
+
+    assert index(_product_field([5 + 5j], period)) == 1
+    # a loop across the t edge of the box: fine only where t is periodic
+    near_edge = _product_field([5 + 0.5j], period)
+    assert index(near_edge, center=(5.0, 0.5), periodic=(False, True)) == 1
+    with pytest.raises(UnreliableLoopError, match="leaves the sampled parameter rectangle"):
+        index(near_edge, center=(5.0, 0.5))
+    # |w| = 1 on the loop, at most 10 times a zero that is not one
+    with pytest.raises(UnreliableLoopError, match="touches a near-zero region"):
+        index(_product_field([5 + 5j], period), zero_value=0.2)
+    # 0.4 of a turn per sample winds 409 turns, 0.8 per other sample -102
+    with pytest.raises(UnreliableLoopError, match="winding is not resolved"):
+        index(lambda s, t: (np.ones_like(s), np.mod(0.4 * period * np.arange(s.size),
+                                                    period)))
+    # a second zero half way out: the loop winds 2, its inner check loop 1
+    with pytest.raises(UnreliableLoopError, match=f"encloses another {kind}"):
+        index(_product_field([5 + 5j, 5.5 + 5j], period))
+
+
+def test_index_loop_touching_a_near_umbilic_region_is_refused():
+    rec = ut.umbilic_scan(ELL, FLAT, grid=(64, 48))[0]
+    radii = (4 * 2 * np.pi / 64, 4 * np.pi / 48)
+    assert ut.umbilic_index(ELL, FLAT, rec, radii) == 0.5
+    # as if the scan had stopped at |k1 - k2| = 1, above a tenth of the gap
+    # anywhere on the loop
+    with pytest.raises(UnreliableLoopError, match="touches a near-zero region"):
+        ut.umbilic_index(ELL, FLAT, replace(rec, disc_min=1.0), radii)
+
+
+def test_unresolved_index_loop_is_refused(monkeypatch):
+    rec = ut.umbilic_scan(ELL, FLAT, grid=(64, 48))[0]
+    # synthetic principal angles turning 0.4 of a half turn per sample
+    monkeypatch.setattr(ut, "_principal_angles",
+                        lambda rep: np.mod(0.4 * np.pi * np.arange(rep.disc.size), np.pi))
+    with pytest.raises(UnreliableLoopError, match="winding is not resolved"):
+        ut.umbilic_index(ELL, FLAT, rec, (4 * 2 * np.pi / 64, 4 * np.pi / 48))
 
 
 def test_conjecture_audit_ellipsoid():
