@@ -237,14 +237,19 @@ def _unary(x, v, d1, d2):
 def variables(values, order=2):
     """Seed a list of jet variables from per-variable value arrays.
 
-    Variable i has support (i,), unit gradient and zero Hessian."""
+    Variable i has support (i,), unit gradient and zero Hessian.  Each seed
+    keeps its own shape: seeds that broadcast together, such as the axes
+    ``s[:, None]`` and ``t[None, :]`` of a product grid, differentiate the
+    whole grid while each unary function runs over its own axis alone.
+    Seeds of equal shape share one unit gradient and one zero Hessian."""
     vals = [np.asarray(v, dtype=float) for v in values]
     n = len(vals)
-    shape = np.broadcast_shapes(*[v.shape for v in vals])
-    one = np.ones((1,) + shape)
-    zero = np.zeros((1, 1) + shape) if order == 2 else None
-    return [Jet(np.broadcast_to(v, shape).copy(), (i,), one, zero, n)
-            for i, v in enumerate(vals)]
+    units = {}
+    for v in vals:
+        if v.shape not in units:
+            units[v.shape] = (np.ones((1,) + v.shape),
+                              np.zeros((1, 1) + v.shape) if order == 2 else None)
+    return [Jet(v, (i,), *units[v.shape], n) for i, v in enumerate(vals)]
 
 
 def derivatives(fn, values, order=2):
@@ -255,7 +260,10 @@ def derivatives(fn, values, order=2):
     ``f[..., m]``, ``g[..., i, m]`` and, for order 2, ``h[..., i, j, m]``,
     where ``...`` is the broadcast shape of ``values`` and i, j index the
     variables; derivatives off a component's support, and every derivative
-    of a component that is a plain number or array, are zero.
+    of a component that is a plain number or array, are zero.  The seeds
+    keep their own shapes (see ``variables``): axes ``s[:, None]`` and
+    ``t[None, :]`` give the same arrays, bit for bit, as the grid they
+    broadcast to, at a fraction of the cost.
 
     The arrays are views over component-major buffers, ``(m,) + S``,
     ``(i, m) + S`` and ``(i, j, m) + S`` for the sample shape S: each
@@ -266,7 +274,7 @@ def derivatives(fn, values, order=2):
     """
     xs = variables(values, order=order)
     comps = fn(*xs)
-    shape = xs[0].f.shape
+    shape = np.broadcast_shapes(*[x.f.shape for x in xs])
     n, m = len(xs), len(comps)
     f = np.empty((m,) + shape)
     g = np.zeros((n, m) + shape)

@@ -26,8 +26,8 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
-from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _loop_index, _loop_winding,
-                               _scan_zeros)
+from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _grid_eval, _loop_index,
+                               _loop_winding, _scan_zeros)
 
 TWO_PI = 2.0 * np.pi
 CONSTRAINT_TOL = 1e-12
@@ -348,10 +348,13 @@ class CongruenceMap:
     """Oriented normal lines of a surface in the flat chart.
 
     ``eval(s, t)`` returns the section sample u, V and its exact parameter
-    tangents dU, dV of shapes (..., 3) and (..., 2, 3), differentiated in
-    closed form from the immersion's second-order jet.  They are views
-    over component-major arrays (3, ...) and (2, 3, ...), so each
-    component ``u[..., k]`` is one contiguous block.
+    tangents dU, dV of shapes (..., 3) and (..., 2, 3) for the broadcast
+    shape ... of ``s`` and ``t``, differentiated in closed form from the
+    immersion's second-order jet.  The parameters keep their own shapes
+    through the jet pass (see ``jets.variables``), so a product grid can
+    be passed as its axes ``s[:, None]`` and ``t[None, :]``.  The outputs
+    are views over component-major arrays (3, ...) and (2, 3, ...), so
+    each component ``u[..., k]`` is one contiguous block.
     """
 
     def __init__(self, surface):
@@ -359,27 +362,15 @@ class CongruenceMap:
             raise ChartDomainError("normal congruences require a flat cartesian chart")
         self.surface = surface
 
-    def eval(self, s, t, chunk=1 << 16):
+    def eval(self, s, t):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        s, t = np.broadcast_arrays(s, t)
-        flat_s, flat_t = s.reshape(-1), t.reshape(-1)
-        parts = [self._rows(flat_s[k:k + chunk], flat_t[k:k + chunk])
-                 for k in range(0, max(s.size, 1), chunk)]
-        rows = parts[0] if len(parts) == 1 else [np.concatenate(a, axis=-1)
-                                                 for a in zip(*parts)]
-        u, V, du, dV = (a.reshape(a.shape[:-1] + s.shape) for a in rows)
-        return (np.moveaxis(u, 0, -1), np.moveaxis(V, 0, -1),
-                np.moveaxis(du, (0, 1), (-2, -1)), np.moveaxis(dV, (0, 1), (-2, -1)))
-
-    def _rows(self, s, t):
-        """u, V (3, N) and du, dV (2, 3, N) at 1-D parameters, written out
-        over the components of the immersion's jet."""
+        # written out over the components of the immersion's jet
         p, d1, d2 = jets.derivatives(self.surface.chart_map, [s, t], order=2)
         orient = self.surface.orient
-        p = [p[:, k] for k in range(3)]
-        x = [[d1[:, a, k] for k in range(3)] for a in range(2)]
-        xx = [[[d2[:, a, b, k] for k in range(3)] for b in range(2)] for a in range(2)]
+        p = [p[..., k] for k in range(3)]
+        x = [[d1[..., a, k] for k in range(3)] for a in range(2)]
+        xx = [[[d2[..., a, b, k] for k in range(3)] for b in range(2)] for a in range(2)]
         # raw normal X_s x X_t and its partials X_as x X_t + X_s x X_at
         raw = [orient * c for c in cross3(x[0], x[1])]
         draw = [[orient * (c0 + c1) for c0, c1 in zip(cross3(xx[0][a], x[1]),
@@ -398,7 +389,9 @@ class CongruenceMap:
         for xa, dua in zip(x, du):
             dpu = dot3(xa, u) + dot3(p, dua)
             dV.append([xc - dpu * uc - pu * dc for xc, uc, dc in zip(xa, u, dua)])
-        return np.array(u), np.array(V), np.array(du), np.array(dV)
+        return (np.moveaxis(np.array(u), 0, -1), np.moveaxis(np.array(V), 0, -1),
+                np.moveaxis(np.array(du), (0, 1), (-2, -1)),
+                np.moveaxis(np.array(dV), (0, 1), (-2, -1)))
 
 
 @dataclass
@@ -443,8 +436,7 @@ def normal_congruence(surface, grid=(128, 96), center=None):
         t_axis = t0 + (t1 - t0) * np.arange(nt) / nt
     else:
         t_axis = np.linspace(t0 + margin_t, t1 - margin_t, nt)
-    sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
-    u, V, du, dV = cmap.eval(sm, tm)
+    u, V, du, dV = _grid_eval(cmap.eval, s_axis[:, None], t_axis[None, :])
     jac = dot3(cross3(_components(du[..., 0, :]), _components(du[..., 1, :])),
                _components(u))
     # |jac| <= |du_0| |du_1| <= 3 max|du|^2: zero relative to that everywhere

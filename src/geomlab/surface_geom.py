@@ -67,6 +67,13 @@ class CurvatureReport:
 def fundamental_forms(surface, metric, s, t):
     """First/second fundamental forms and curvatures at parameters (s, t).
 
+    ``s`` and ``t`` broadcast together, and the report has one row per
+    point of their broadcast shape, in C order.  Each keeps its own shape
+    through the jet pass (see ``jets.variables``), so the axes
+    ``s[:, None]`` and ``t[None, :]`` of a product grid give the rows of
+    the grid, bit for bit, with each parameter's sines and cosines taken
+    once per axis value.
+
     A batch whose points agree in the coordinates the metric reads, and
     whose first and second parameter derivatives agree too, is one orbit
     (the Clifford torus in a T^2-invariant metric, a plane in flat space):
@@ -80,8 +87,10 @@ def fundamental_forms(surface, metric, s, t):
     # (Clifford's rho is a constant), so a NaN one can leave the tangents finite
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
         raise ImmersionError("coordinate tangents are not finite")
-    s2, t2 = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
-    point, d1, d2 = jets.derivatives(surface.chart_map, [s2.ravel(), t2.ravel()], order=2)
+    point, d1, d2 = jets.derivatives(surface.chart_map, [np.atleast_1d(s), np.atleast_1d(t)],
+                                     order=2)
+    # rows of the component-major buffers: views, not copies
+    point, d1, d2 = point.reshape(-1, 3), d1.reshape(-1, 2, 3), d2.reshape(-1, 2, 2, 3)
 
     if _one_orbit(metric.depends_on, point, d1, d2):
         # every row of the forms is the same: compute row 0 and expand it

@@ -84,12 +84,23 @@ def _cells(surface, grid):
 
 
 def _grid_eval(field, s, t, chunk=1 << 16):
-    """``field`` (one value or row per point of flat s, t arrays) at points
-    of any shape, ``chunk`` points per call."""
-    flat_s, flat_t = np.ravel(s), np.ravel(t)
-    out = np.concatenate([field(flat_s[k:k + chunk], flat_t[k:k + chunk])
-                          for k in range(0, flat_s.size, chunk)])
-    return out.reshape(np.shape(s) + out.shape[1:])
+    """``field`` on the points that the parameter arrays ``s`` and ``t``, of
+    equal ndim, broadcast to: pass a product grid as its axes ``s[:, None]``
+    and ``t[None, :]``.  ``field(s, t)`` is called on blocks of whole
+    s-rows, at most ``chunk`` points each but at least one row, and returns
+    an array, or a tuple of arrays, whose leading axes are its block's
+    broadcast shape; the blocks are joined along the s-rows, and
+    ``np.concatenate`` keeps their memory layout (component-major blocks
+    join component-major)."""
+    shape = np.broadcast_shapes(np.shape(s), np.shape(t))
+    rows = max(1, chunk // max(int(np.prod(shape[1:])), 1))
+    parts = [field(*(a[k:k + rows] if a.shape[0] > 1 else a for a in (s, t)))
+             for k in range(0, shape[0], rows)]
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(blocks) for blocks in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _local_minima(values, periodic):
@@ -169,15 +180,17 @@ def umbilic_scan(surface, metric, grid=(512, 384)):
 
     def gap_and_curvatures(s, t):
         rep = fundamental_forms(surface, metric, s, t)
-        return np.stack([rep.disc_sq, np.abs(rep.k1), np.abs(rep.k2)], axis=-1)
+        rows = np.stack([rep.disc_sq, np.abs(rep.k1), np.abs(rep.k2)], axis=-1)
+        return rows.reshape(np.broadcast_shapes(s.shape, t.shape) + (3,))
 
-    scan = _grid_eval(gap_and_curvatures, *np.meshgrid(ss, tt, indexing="ij"))
+    scan = _grid_eval(gap_and_curvatures, ss[:, None], tt[None, :])
     tol = 1e-6 * max(float(np.max(scan[..., 1:])), 1e-30)
 
     def gap_and_traceless(s, t):
         rep = fundamental_forms(surface, metric, s, t)
         traceless = rep.second[:, 0] - rep.h_mean[:, None] * rep.first[:, 0]
-        return np.stack([rep.disc_sq, traceless[:, 0], traceless[:, 1]], axis=-1)
+        rows = np.stack([rep.disc_sq, traceless[:, 0], traceless[:, 1]], axis=-1)
+        return rows.reshape(np.broadcast_shapes(s.shape, t.shape) + (3,))
 
     zeros = _scan_zeros(scan[..., 0], gap_and_traceless, (ss, tt), (ds, dt),
                         surface.domain, surface.periodic, tol * tol, "umbilic")

@@ -187,6 +187,21 @@ def test_constant_operands_keep_the_support():
 
 
 
+def test_seeds_keep_their_own_shapes():
+    # the axes of a product grid: each unary function runs over one axis,
+    # and the read-out fills the grid they broadcast to
+    s, t = np.linspace(0.1, 1.0, 5), np.linspace(-1.0, 2.0, 4)
+    x, y, z = jets.variables([s[:, None], t[None, :], t[None, :] + 1.0], order=2)
+    assert x.f.shape == x.gs.shape[1:] == x.hs.shape[2:] == (5, 1)
+    assert y.f.shape == (1, 4) and jets.sin(y).f.shape == (1, 4)
+    # seeds of equal shape share one unit gradient and one zero Hessian
+    assert y.gs is z.gs and y.hs is z.hs and x.gs is not y.gs
+    f, g, h = jets.derivatives(lambda u, v: [jets.sin(u) * v, v], [s[:, None], t[None, :]])
+    assert f.shape == (5, 4, 2) and g.shape == (5, 4, 2, 2) and h.shape == (5, 4, 2, 2, 2)
+    assert np.array_equal(f[..., 1], np.broadcast_to(t, (5, 4)))
+    assert np.array_equal(g[..., 0, 0], np.cos(s)[:, None] * t)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_ndarray_on_the_left_defers_to_the_jet(order):
     values = [np.array([0.2, 0.7]), np.array([1.1, -0.4])]

@@ -645,9 +645,13 @@ def test_written_out_congruence_and_defect_equal_their_oracles(seed):
         ref = _cross_congruence(surface, s.ravel(), t.ravel())
         for name, a, b in zip(("u", "V", "du", "dV"), got, ref):
             _assert_relative(a, b.reshape(a.shape), (surface.name, name))
-        # chunked evaluation concatenates the same rows
-        for a, b in zip(got, ls.CongruenceMap(surface).eval(s, t, chunk=64)):
+        # evaluation in chunks of whole s-rows concatenates the same rows
+        chunked = ut._grid_eval(ls.CongruenceMap(surface).eval, s, t, chunk=64)
+        for a, b in zip(got, chunked):
             assert np.array_equal(a, b)
+        # and keeps them component-major
+        assert np.moveaxis(chunked[0], -1, 0).flags["C_CONTIGUOUS"]
+        assert np.moveaxis(chunked[2], (-2, -1), (0, 1)).flags["C_CONTIGUOUS"]
         u, V, du, dV = got
         _assert_relative(np.stack(ls.apply_j(u, V, du[..., 0, :], dV[..., 0, :])),
                          np.stack(_cross_apply_j(u, V, du[..., 0, :], dV[..., 0, :])),
@@ -805,3 +809,20 @@ def test_records_do_not_depend_on_a_periodic_shift(axes, grid, turns):
     assert len(umb[0]) == len(cps[0]) == 4
     assert np.all(gaps(*cps) <= 1e-12)
     assert np.all(gaps(*umb) <= 1e-12)
+
+
+def test_congruence_on_axes_equals_the_flattened_grid():
+    surfaces = [sg.surface_by_name(name) for name in
+                ("ellipsoid", "ellipsoid-offset", "round-sphere", "torus-revolution",
+                 "paraboloid", "saddle", "plane")]
+    surfaces.append(sg.surface_by_name("graph", expr="x^2 + y^2/2 + 0.2*sin(2*y)"))
+    for surface in surfaces:
+        (s0, s1), (t0, t1) = surface.domain
+        ss = s0 + (s1 - s0) * (np.arange(20) + 0.5) / 20
+        tt = t0 + (t1 - t0) * (np.arange(14) + 0.5) / 14
+        sm, tm = np.meshgrid(ss, tt, indexing="ij")
+        cmap = ls.CongruenceMap(surface)
+        for got, want in zip(cmap.eval(ss[:, None], tt[None, :]),
+                             cmap.eval(sm.ravel(), tm.ravel())):
+            assert got.shape == sm.shape + want.shape[1:]
+            assert np.array_equal(got.reshape(want.shape), want), surface.name

@@ -413,3 +413,32 @@ def test_orbit_forms_equal_the_matmul_oracle_bit_for_bit():
                                                 for a in (point, d1, d2)))
         for name, want in ref.items():
             assert np.array_equal(getattr(rep, name), want), (metric.name, name)
+
+
+# every built-in surface, the graph as an expression of its own: clifford's
+# rho and the plane's height are constants, which fill the grid by broadcasting
+AXIS_SURFACES = {name: sg.surface_by_name(name) for name in sg._BUILTINS if name != "graph"}
+AXIS_SURFACES["graph"] = sg.surface_by_name(
+    "graph", expr="x^2 + y^2/2 + 0.3*x*y^3 + 0.2*sin(2*y) + exp(x/4)")
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_SURFACES))
+def test_axis_seeds_equal_the_flattened_grid(name):
+    surface = AXIS_SURFACES[name]
+    (s0, s1), (t0, t1) = surface.domain
+    ss = s0 + (s1 - s0) * (np.arange(24) + 0.5) / 24
+    tt = t0 + (t1 - t0) * (np.arange(18) + 0.5) / 18
+    sm, tm = np.meshgrid(ss, tt, indexing="ij")
+    axes = jets.derivatives(surface.chart_map, [ss[:, None], tt[None, :]], order=2)
+    flat = jets.derivatives(surface.chart_map, [sm.ravel(), tm.ravel()], order=2)
+    for got, want in zip(axes, flat):
+        assert got.shape == sm.shape + want.shape[1:]
+        assert np.array_equal(got.reshape(want.shape), want)
+    metrics = ([ct.metric_by_name("hopf-eps", eps=0.3)] if surface.chart == "hopf"
+               else [FLAT, WARPED])
+    for metric in metrics:
+        rep = sg.fundamental_forms(surface, metric, ss[:, None], tt[None, :])
+        ref = sg.fundamental_forms(surface, metric, sm.ravel(), tm.ravel())
+        for field in rep.__dataclass_fields__:
+            got, want = getattr(rep, field), getattr(ref, field)
+            assert got.shape == want.shape and np.array_equal(got, want), (metric.name, field)

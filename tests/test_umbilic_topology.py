@@ -185,7 +185,7 @@ def test_scan_refines_all_candidates_in_one_call_per_iteration(monkeypatch):
     sizes = []
 
     def counting_forms(surface, metric, s, t):
-        sizes.append(np.size(s))
+        sizes.append(np.broadcast(s, t).size)
         return sg.fundamental_forms(surface, metric, s, t)
 
     monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
@@ -205,7 +205,7 @@ def test_seed_filter_leaves_the_torus_grid_pass_alone(monkeypatch):
     sizes = []
 
     def counting_forms(surface, metric, s, t):
-        sizes.append(np.size(s))
+        sizes.append(np.broadcast(s, t).size)
         return sg.fundamental_forms(surface, metric, s, t)
 
     monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
@@ -372,3 +372,26 @@ def test_conjecture_audit_torus_and_sphere():
     assert audit["non_isolated_present"]
     assert audit["hamburger_ok"] is None
     assert "isolated" in audit["caveat"]
+
+
+def test_grid_pass_in_row_chunks_equals_the_flattened_grid(monkeypatch):
+    # 512 x 384 is three chunks of 170 whole s-rows (at most 1 << 16 points)
+    # and a last one of 2 rows; the scan's grid pass is the first four calls
+    calls = []
+
+    def recording_forms(surface, metric, s, t):
+        rep = sg.fundamental_forms(surface, metric, s, t)
+        calls.append((np.broadcast_shapes(np.shape(s), np.shape(t)), rep.disc_sq, rep.k1))
+        return rep
+
+    monkeypatch.setattr(ut, "fundamental_forms", recording_forms)
+    grid = (512, 384)
+    assert len(ut.umbilic_scan(ELL, FLAT, grid=grid)) == 4
+    assert [shape for shape, _, _ in calls[:4]] == [(170, 384)] * 3 + [(2, 384)]
+    ss, tt, _, _ = ut._cells(ELL, grid)
+    sm, tm = np.meshgrid(ss, tt, indexing="ij")
+    flat_s, flat_t = sm.ravel(), tm.ravel()
+    for k, (_, disc_sq, k1) in enumerate(calls[:4]):
+        rows = slice(k * 170 * 384, (k * 170 + 170) * 384)
+        ref = sg.fundamental_forms(ELL, FLAT, flat_s[rows], flat_t[rows])
+        assert np.array_equal(disc_sq, ref.disc_sq) and np.array_equal(k1, ref.k1)
