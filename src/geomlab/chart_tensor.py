@@ -78,6 +78,17 @@ class BumpProfile:
         return jets.where(inner, 1.0, jets.where(outer, 0.0, smoothstep(x)))
 
 
+def _stack(rows, shape=()):
+    """A 3x3 nested list of entries (numbers or arrays) as one array of
+    shape (..., 3, 3) over the broadcast shape of ``shape`` and the entries."""
+    shape = np.broadcast_shapes(shape, *(np.shape(e) for row in rows for e in row))
+    out = np.empty(shape + (3, 3))
+    for i in range(3):
+        for j in range(3):
+            out[..., i, j] = rows[i][j]
+    return out
+
+
 def _value(x):
     return x.f if isinstance(x, jets.Jet) else np.asarray(x)
 
@@ -106,10 +117,12 @@ def bump_profile(rho, bump):
 class MetricField:
     """Symmetric 2-tensor field on a chart, with exact derivatives.
 
-    ``components`` maps three coordinate quantities (ndarrays or jets) to a
-    3x3 nested list; entries may be plain constants.  ``depends_on`` lists
-    the chart coordinates (0, 1, 2) the components read: points that agree
-    on them share one evaluation, and an empty tuple marks a
+    ``components`` maps three coordinate quantities (ndarrays or jets that
+    broadcast together) to a 3x3 nested list; entries may be plain
+    constants, and an entry that reads some coordinates only has their
+    broadcast shape.  ``depends_on`` lists the chart coordinates (0, 1, 2)
+    the components read: ``fundamental_forms`` evaluates a batch whose
+    points agree on them at one point, and an empty tuple marks a
     position-independent field (flat metric), letting callers skip
     Christoffel terms.
     """
@@ -127,28 +140,20 @@ class MetricField:
     def matrix(self, pts):
         """Metric components g_ij at points, shape (N,3,3)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        at, inverse = _orbits(self.depends_on, pts)
-        rows = self.components(at[:, 0], at[:, 1], at[:, 2])
-        out = np.empty((at.shape[0], 3, 3))
-        for i in range(3):
-            for j in range(3):
-                out[:, i, j] = rows[i][j]
-        return out if inverse is None else out[inverse]
+        return _stack(self.components(pts[:, 0], pts[:, 1], pts[:, 2]), pts.shape[:1])
 
     def matrix_and_partials(self, pts):
         """(g_ij, d_k g_ij) with exact first partials, shapes (N,3,3), (N,3,3,3)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.constant:
             return self.matrix(pts), np.zeros((pts.shape[0], 3, 3, 3))
-        at, inverse = _orbits(self.depends_on, pts)
-        m = at.shape[0]
+        n = pts.shape[0]
         g, dg = jets.derivatives(
             lambda *c: [entry for row in self.components(*c) for entry in row],
-            [at[:, 0], at[:, 1], at[:, 2]], order=1)
-        # component 3 i + j, so these are views in the [m, i, j] and
-        # [m, k, i, j] layouts
-        g, dg = g.reshape(m, 3, 3), dg.reshape(m, 3, 3, 3)
-        return (g, dg) if inverse is None else (g[inverse], dg[inverse])
+            [pts[:, 0], pts[:, 1], pts[:, 2]], order=1)
+        # component 3 i + j, so these are views in the [n, i, j] and
+        # [n, k, i, j] layouts
+        return g.reshape(n, 3, 3), dg.reshape(n, 3, 3, 3)
 
     def check_domain(self, pts):
         ok = self.chart.contains(pts)
@@ -274,58 +279,39 @@ def eval_metric(metric, point):
 
 
 def _sym3_inverse_det(g):
-    """Inverse and determinant of symmetric 3x3 matrices (N,3,3), in closed
-    form from the six upper-triangle components (the adjugate over det)."""
-    a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
-    d, e, f = g[:, 1, 1], g[:, 1, 2], g[:, 2, 2]
+    """Inverse and determinant of symmetric 3x3 matrices (..., 3, 3), in
+    closed form from the six upper-triangle components (the adjugate over
+    det)."""
+    a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2]
+    d, e, f = g[..., 1, 1], g[..., 1, 2], g[..., 2, 2]
     adj = np.empty_like(g)
-    adj[:, 0, 0] = d * f - e * e
-    adj[:, 0, 1] = c * e - b * f
-    adj[:, 0, 2] = b * e - c * d
-    adj[:, 1, 1] = a * f - c * c
-    adj[:, 1, 2] = b * c - a * e
-    adj[:, 2, 2] = a * d - b * b
-    adj[:, 1, 0], adj[:, 2, 0], adj[:, 2, 1] = adj[:, 0, 1], adj[:, 0, 2], adj[:, 1, 2]
-    det = a * adj[:, 0, 0] + b * adj[:, 0, 1] + c * adj[:, 0, 2]
+    adj[..., 0, 0] = d * f - e * e
+    adj[..., 0, 1] = c * e - b * f
+    adj[..., 0, 2] = b * e - c * d
+    adj[..., 1, 1] = a * f - c * c
+    adj[..., 1, 2] = b * c - a * e
+    adj[..., 2, 2] = a * d - b * b
+    adj[..., 1, 0], adj[..., 2, 0], adj[..., 2, 1] = (adj[..., 0, 1], adj[..., 0, 2],
+                                                     adj[..., 1, 2])
+    det = a * adj[..., 0, 0] + b * adj[..., 0, 1] + c * adj[..., 0, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        adj /= det[:, None, None]
+        adj /= det[..., None, None]
     return adj, det
 
 
-def _check_nondegenerate(metric, pts, det, inverse=None):
+def _check_nondegenerate(metric, coords, det):
     """Raise MetricParameterError at the first point where det g is not a
-    finite positive number.  With ``inverse`` (from ``_orbits``), ``det``
-    holds one value per orbit and ``pts`` all the points."""
+    finite positive number.  ``coords`` are the three coordinate arrays
+    and ``det`` broadcasts with them (a metric that reads rho alone has
+    one value per rho node of an open mesh); points are counted in C order
+    of the broadcast shape."""
     bad = ~(np.isfinite(det) & (det > 0))
     if np.any(bad):
-        if inverse is not None:
-            bad, det = bad[inverse], det[inverse]
-        k = int(np.argmax(bad))
+        bad, det, *coords = np.broadcast_arrays(bad, det, *coords)
+        k = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise MetricParameterError(
             f"metric {metric.name} is singular or not finite at point "
-            f"{tuple(float(x) for x in pts[k])} (det g = {det[k]:.6g})")
-
-
-def _orbits(axes, pts):
-    """Orbit representatives of ``pts`` (N,3) for fields that read only the
-    coordinates ``axes``: (reps, inverse) with ``reps`` the first point of
-    each orbit and ``inverse`` mapping every point to its orbit, so a
-    pointwise function of those coordinates evaluated on ``reps`` and
-    gathered with ``inverse`` equals its value on ``pts`` bit for bit.
-    (pts, None) when nothing repeats: all three coordinates read, at most
-    one point, a constant field (filled by broadcasting), or all points
-    distinct."""
-    if not axes or len(axes) == 3 or pts.shape[0] < 2:
-        return pts, None
-    if len(axes) == 1:
-        _, rep, inverse = np.unique(pts[:, axes[0]], return_index=True,
-                                    return_inverse=True)
-    else:
-        _, rep, inverse = np.unique(pts[:, list(axes)], return_index=True,
-                                    return_inverse=True, axis=0)
-    if rep.shape[0] == pts.shape[0]:
-        return pts, None
-    return pts[rep], inverse.reshape(-1)
+            f"{tuple(float(c[k]) for c in coords)} (det g = {det[k]:.6g})")
 
 
 def christoffel(metric, point):
@@ -334,18 +320,15 @@ def christoffel(metric, point):
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
     """
     pts = np.atleast_2d(np.asarray(point, dtype=float))
-    at, inverse = _orbits(metric.depends_on, pts)
-    g, dg = metric.matrix_and_partials(at)
+    g, dg = metric.matrix_and_partials(pts)
     ginv, det = _sym3_inverse_det(g)
-    _check_nondegenerate(metric, pts, det, inverse)
+    _check_nondegenerate(metric, pts.T, det)
     # dg[:, k, i, j] = d_k g_ij; build term[m,i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
     term = dg + dg.transpose(0, 2, 1, 3)
     term -= dg.transpose(0, 2, 3, 1)
     # one matmul over the (m, 9, 3) view gives [m, ij, k] (g^{-1} is symmetric)
-    gamma = term.reshape(at.shape[0], 9, 3) @ ginv
+    gamma = term.reshape(pts.shape[0], 9, 3) @ ginv
     gamma *= 0.5
-    if inverse is not None:
-        gamma = gamma[inverse]
     # the result is the [n, ij, k] array seen as [n, k, i, j]
     gamma = gamma.reshape(pts.shape[0], 3, 3, 3).transpose(0, 3, 1, 2)
     return gamma[0] if np.asarray(point).ndim == 1 else gamma
@@ -368,13 +351,15 @@ def _default_domain(chart):
 
 
 def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
-                       gl_order=4, chunk=1 << 17):
+                       gl_order=4):
     """Squared L2 distance 2 * integral of |gA - gB|^2 dV over the chart.
 
     The pointwise norm raises indices with ``background`` and dV is the
     background volume form.  Periodic axes use the trapezoid rule,
     non-periodic axes composite Gauss-Legendre with ``gl_order`` nodes per
-    panel.
+    panel.  Each metric is evaluated on the open mesh of the nodes, so a
+    metric that reads rho alone is computed once per rho node, and the
+    density is summed against the product weights in one pass.
     """
     if g_a.chart.name != g_b.chart.name or g_a.chart.name != background.chart.name:
         raise ChartDomainError("metrics live on different charts")
@@ -385,26 +370,8 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
                                   chart.periodic[k], gl_order)
              for k in range(3)]
     coords, weights = quadrature.tensor_nodes(rules)
-    pts = np.stack(coords, axis=1)
-    # the density is a pointwise function of the coordinates the three
-    # metrics read: evaluate it once per orbit of the block
-    axes = tuple(sorted(set().union(*(m.depends_on for m in (background, g_a, g_b)))))
-    total = 0.0
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start:start + chunk]
-        wb = weights[start:start + chunk]
-        at, inverse = _orbits(axes, block)
-        # a metric passed twice (usually the background) is evaluated once
-        evaluated = {}
-        for m in (background, g_a, g_b):
-            if id(m) not in evaluated:
-                evaluated[id(m)] = m.matrix(at)
-        gb = evaluated[id(background)]
-        ginv, det = _sym3_inverse_det(gb)
-        _check_nondegenerate(background, block, det, inverse)
-        delta = evaluated[id(g_a)] - evaluated[id(g_b)]
-        density = tensor_norm_sq(delta, ginv) * np.sqrt(det)
-        if inverse is not None:
-            density = density[inverse]
-        total += float(np.sum(density * wb))
-    return 2.0 * total
+    back, a, b = (_stack(m.components(*coords)) for m in (background, g_a, g_b))
+    ginv, det = _sym3_inverse_det(back)
+    _check_nondegenerate(background, coords, det)
+    density = tensor_norm_sq(a - b, ginv) * np.sqrt(det)
+    return 2.0 * float(np.sum(density * weights))

@@ -86,6 +86,17 @@ def _load_config(args, valid_keys):
     return cfg
 
 
+def _sizes(value, name, count):
+    """``count`` positive integer sizes from ``value``: an int, a list of
+    them (a config value) or text of them joined by 'x' ("256x192")."""
+    parts = value if isinstance(value, list) else str(value).split("x")
+    text = [str(p).strip() for p in parts]
+    if len(text) != count or not all(t.isdecimal() and int(t) > 0 for t in text):
+        what = "a positive integer" if count == 1 else f"{count} positive integers"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return tuple(int(t) for t in text)
+
+
 def _eps_list(text):
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
@@ -111,8 +122,10 @@ def cmd_willmore_sweep(args):
     eps = _eps_list(args.eps) if args.eps else cfg.get("eps", None)
     if isinstance(eps, (int, float)):
         eps = [float(eps)]
-    grid = (args.grid, args.grid) if args.grid else tuple(
-        cfg.get("grid", (192, 192)))[:2] or (192, 192)
+    value = cfg.get("grid", [192, 192]) if args.grid is None else args.grid
+    # one size, from --grid or the config, is a square grid
+    grid = (_sizes(value, "grid", 2) if isinstance(value, list)
+            else _sizes(value, "grid", 1) * 2)
     report = (sc.willmore_sweep(eps_list=eps, grid=grid) if eps
               else sc.willmore_sweep(grid=grid))
     out = _out_dir(args)
@@ -133,8 +146,8 @@ def cmd_distance_check(args):
     cfg = _load_config(args, {"eps", "rho_points", "theta_points"})
     eps = _eps_list(args.eps) if args.eps else cfg.get("eps", [0.1, 0.2, 0.4])
     report = sc.distance_bound_check(
-        eps_list=eps, rho_points=int(cfg.get("rho_points", 576)),
-        theta_points=int(cfg.get("theta_points", 32)))
+        eps_list=eps, rho_points=_sizes(cfg.get("rho_points", 576), "rho_points", 1)[0],
+        theta_points=_sizes(cfg.get("theta_points", 32), "theta_points", 1)[0])
     out = _out_dir(args)
     _report_to_disk(report, out, "distance_check", not args.no_timestamp)
     print(f"distance-check: {'pass' if report.passed else 'FAIL'} "
@@ -159,7 +172,7 @@ def cmd_umbilics(args):
         metric = ct.metric_by_name(args.metric, eps=args.eps_val)
     else:
         metric = ct.metric_by_name("flat-r3")
-    grid = tuple(int(x) for x in args.grid.split("x"))
+    grid = _sizes(args.grid, "--grid", 2)
     audit = ut.conjecture_audit(surface, metric, grid=grid)
     out = _out_dir(args)
     rows = [[r.s, r.t, r.disc_min,
@@ -237,12 +250,13 @@ def cmd_linespace_audit(args):
 def cmd_maslov(args):
     surface = _surface_from_args(args)
     metric = ct.metric_by_name("flat-r3")
-    grid = tuple(int(x) for x in args.grid.split("x"))
+    grid = _sizes(args.grid, "--grid", 2)
+    loop_samples = _sizes(args.loop_samples, "--loop-samples", 1)[0]
     section = ls.normal_congruence(surface, grid=grid)
     cmap = section.source
     records = ut.umbilic_scan(surface, metric, grid=grid)
     iso = [r for r in records if r.isolated]
-    phi = np.linspace(0.0, 2 * np.pi, args.loop_samples, endpoint=False)
+    phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
     rows = []
     if args.loop_file:
         loop_u = np.loadtxt(args.loop_file, comments="#")

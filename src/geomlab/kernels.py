@@ -51,11 +51,11 @@ def shape_operator_batch(first, second):
 
 # -- pointwise squared tensor norm ---------------------------------------
 # |dg|^2 = ginv^{ik} ginv^{jl} dg_ij dg_kl = trace(A A) with A = ginv dg,
-# batched over points.
+# batched over the leading axes, which broadcast.
 
 def tensor_norm_sq_batch(ginv, dg):
     a = ginv @ dg
-    return np.einsum("nij,nji->n", a, a)
+    return np.einsum("...ij,...ji->...", a, a)
 
 
 # -- winding accumulation --------------------------------------------------

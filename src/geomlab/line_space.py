@@ -26,7 +26,8 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
-from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _grid_eval, _loop_index,
+from .surface_geom import _grid_eval
+from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _loop_index,
                                _loop_winding, _scan_zeros)
 
 TWO_PI = 2.0 * np.pi

@@ -347,31 +347,41 @@ def _plane_cosh(g4, p_basis, q_basis):
     Gram determinant.  A 2x2 Gram is definite, of either sign, exactly
     when its determinant is positive, so a plane with det <= 0 is refused.
     """
+    return _plane_grams(g4, p_basis, q_basis)[0]
+
+
+def _plane_grams(g4, p_basis, q_basis):
+    """``_plane_cosh`` with the products it is made of: (cosh, P G,
+    P G P^T, P G Q^T)."""
     gp = p_basis @ g4
-    p_det = _det2(gp @ _t(p_basis))
+    gram = gp @ _t(p_basis)
+    cross = gp @ _t(q_basis)
+    p_det = _det2(gram)
     q_det = _det2(q_basis @ g4 @ _t(q_basis))
-    cross_det = _det2(gp @ _t(q_basis))
+    cross_det = _det2(cross)
     if not np.all(np.isfinite([p_det, q_det, cross_det])):
         raise SignatureLossError("boundary tangent plane is not finite")
     if not (np.all(p_det > 0.0) and np.all(q_det > 0.0)):
         raise SignatureLossError("boundary tangent plane is not definite")
-    return np.abs(cross_det) / np.sqrt(p_det * q_det)
+    return np.abs(cross_det) / np.sqrt(p_det * q_det), gp, gram, cross
+
+
+def _boundary_planes(state, geo):
+    """The chart metric (m, 4, 4), the disc's tangent basis (m, 2, 4) and
+    the target section's (m, 2, 4) at the non-corner boundary samples."""
+    ii, jj, _, _ = _edge_indices(state.shape)
+    pts = state.f[ii, jj]
+    _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
+    sec_basis = np.zeros((len(ii), 2, 4))
+    sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
+    sec_basis[:, :, 2:] = dw
+    return geo["g4"][ii, jj], geo["d1"][ii, jj], sec_basis
 
 
 def boundary_angle_cosh(state, geo):
     """cosh of the angle between the disc and the target section, per
     non-corner boundary sample."""
-    ii, jj, _, _ = _edge_indices(state.shape)
-    pts = state.f[ii, jj]
-    g4 = geo["g4"][ii, jj]
-    disc_basis = geo["d1"][ii, jj].copy()         # (m, 2, 4)
-    w, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
-    sec_basis = np.zeros_like(disc_basis)
-    sec_basis[:, 0, 0] = 1.0
-    sec_basis[:, 0, 2:] = dw[:, 0, :]
-    sec_basis[:, 1, 1] = 1.0
-    sec_basis[:, 1, 2:] = dw[:, 1, :]
-    return _plane_cosh(g4, disc_basis, sec_basis)
+    return _plane_cosh(*_boundary_planes(state, geo))
 
 
 def angle_residual(state, geo=None):
@@ -384,48 +394,52 @@ def angle_residual(state, geo=None):
     return float(np.mean(np.abs(cosh_vals - state.cosh_target)))
 
 
-def angle_penalty_step(state, rate=None, probe=1e-6):
+def angle_penalty_step(state, rate=None):
     """One penalty iteration on the boundary angle.
 
     Nudges the fiber components of the first interior ring along the
-    numerically estimated gradient of (cosh angle - cosh target)^2, with
-    the per-sample move clamped to a fraction of the grid spacing.
-    Returns the post-step residual.
+    exact gradient of (cosh angle - cosh target)^2, with the per-sample
+    move clamped to a fraction of the grid spacing.  Returns the
+    post-step residual.
     """
-    return _angle_penalty(state, flow_geometry(state), rate, probe)[0]
+    return _angle_penalty(state, flow_geometry(state), rate)[0]
 
 
-def _angle_gradient(state, geo, base, probe=1e-6):
-    """Forward-difference gradient (m, 2) of each non-corner boundary
-    sample's cosh (``base`` at ``geo``) in the fiber of its own
-    first-interior node.
+def _angle_gradient(state, geo):
+    """``boundary_angle_cosh`` and its exact gradient (m, 2) in the fiber
+    of each sample's own first-interior node.
 
     That node enters the sample only through the one-sided normal
-    difference, with weight +-4/(2 dx), so a probe shifts that row of the
-    sample's tangents; the boundary samples and their chart metric stay
-    those of ``geo``.
+    difference: moving its fiber component k by w moves row a (the normal
+    axis) of the disc basis P by w weight e_{2+k}, weight = +-4/(2 dx).
+    With o = 1 - a, M = P G Q^T, N = P G P^T, r = e_{2+k} G Q^T and
+    s = P G e_{2+k}, per unit row move c = det M (linear in the row) moves
+    by r_a M_oo - r_o M_oa and p = det N by 2 (N_oo s_a - N_ao s_o), so
+    d cosh = cosh (dc / c - dp / (2 p)).
     """
     ii, jj, ni, nj = _edge_indices(state.shape)
-    axis = (nj != jj).astype(int)
-    weight = 2.0 * ((ni - ii) + (nj - jj)) / np.where(axis == 0, geo["dx"], geo["dy"])
-    grads = np.empty((len(ii), 2))
-    for k in range(2):
-        d1 = geo["d1"].copy()
-        d1[ii, jj, axis, 2 + k] += weight * probe
-        vals = boundary_angle_cosh(state, {"g4": geo["g4"], "d1": d1})
-        grads[:, k] = (vals - base) / probe
-    return grads
+    g4, disc_basis, sec_basis = _boundary_planes(state, geo)
+    cosh, gp, gram, cross = _plane_grams(g4, disc_basis, sec_basis)
+    a = (nj != jj).astype(int)
+    o = 1 - a
+    weight = 2.0 * ((ni - ii) + (nj - jj)) / np.where(a == 0, geo["dx"], geo["dy"])
+    m = np.arange(len(a))
+    r = (g4 @ _t(sec_basis))[:, 2:]               # r[m, k, j]
+    s = gp[:, :, 2:]                              # s[m, b, k]
+    dc = r[m, :, a] * cross[m, o, o, None] - r[m, :, o] * cross[m, o, a, None]
+    dp = 2.0 * (gram[m, o, o, None] * s[m, a] - gram[m, a, o, None] * s[m, o])
+    dlog = dc / _det2(cross)[:, None] - dp / (2.0 * _det2(gram))[:, None]
+    return cosh, (weight * cosh)[:, None] * dlog
 
 
-def _angle_penalty(state, geo, rate=None, probe=1e-6):
+def _angle_penalty(state, geo, rate=None):
     """``angle_penalty_step`` from the pre-nudge geometry ``geo``; returns
     the post-step residual and the post-step geometry."""
     rate = state.angle_rate if rate is None else rate
-    base = boundary_angle_cosh(state, geo)
+    base, grads = _angle_gradient(state, geo)
     if state.cosh_target is None:
         state.cosh_target = float(np.mean(base))
     target = state.cosh_target
-    grads = _angle_gradient(state, geo, base, probe)
     err = base - target
     norm_sq = np.sum(grads ** 2, axis=1)
     scale = np.where(norm_sq > 1e-30, err / np.maximum(norm_sq, 1e-30), 0.0)

@@ -47,13 +47,14 @@ def axis_rule(a, b, n, periodic, gl_order=4):
 def tensor_nodes(rules):
     """Mesh a list of (nodes, weights) axis rules.
 
-    Returns flattened coordinates, one array per axis, and the flattened
-    tensor-product weights.
+    Returns the open mesh of the nodes, one array per axis with that
+    axis's nodes along it and length one along every other (shapes
+    (n0, 1, 1), (1, n1, 1), (1, 1, n2) for three axes), so a function of
+    some coordinates is evaluated once per node of those axes and
+    broadcasts over the rest; and the dense tensor-product weights, of
+    the grid's full shape.
     """
-    node_axes = [r[0] for r in rules]
-    weight_axes = [r[1] for r in rules]
-    mesh = np.meshgrid(*node_axes, indexing="ij")
-    w = weight_axes[0]
-    for wa in weight_axes[1:]:
+    w = rules[0][1]
+    for _, wa in rules[1:]:
         w = np.multiply.outer(w, wa)
-    return [m.reshape(-1) for m in mesh], w.reshape(-1)
+    return list(np.ix_(*(nodes for nodes, _ in rules))), w

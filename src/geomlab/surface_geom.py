@@ -156,7 +156,7 @@ def _forms(surface, metric, point, d1, d2):
         # name the metric
         with np.errstate(invalid="ignore", over="ignore"):
             det = np.broadcast_to(_sym3_inverse_det(gm)[1], (n,))
-        _check_nondegenerate(metric, point, det)
+        _check_nondegenerate(metric, point.T, det)
         # so does one singular to working precision (det g > 0): at the
         # first failing point, tangents that pass the same check in the
         # chart's euclidean inner product put the fault on the metric
@@ -171,7 +171,7 @@ def _forms(surface, metric, point, d1, d2):
     # vanish for a constant metric, whose one value is checked instead
     if metric.constant:
         gamma = None
-        _check_nondegenerate(metric, point, _sym3_inverse_det(gm)[1])
+        _check_nondegenerate(metric, point.T, _sym3_inverse_det(gm)[1])
     else:
         gamma = christoffel(metric, point)
 
@@ -216,24 +216,45 @@ def curvatures(surface, metric, s, t):
 
 
 def _quadrature_grid(surface, grid):
+    """Quadrature axes s (ns, 1) and t (1, nt) and weights (ns, nt)."""
     (s0, s1), (t0, t1) = surface.domain
     rule_s = quadrature.axis_rule(s0, s1, grid[0], surface.periodic[0], gl_order=6)
     rule_t = quadrature.axis_rule(t0, t1, grid[1], surface.periodic[1], gl_order=6)
-    coords, weights = quadrature.tensor_nodes([rule_s, rule_t])
-    return coords[0], coords[1], weights
+    (ss, tt), weights = quadrature.tensor_nodes([rule_s, rule_t])
+    return ss, tt, weights
 
 
-def _integrate(surface, metric, grid, integrands, chunk=1 << 16):
+def _grid_eval(field, s, t, chunk=1 << 16):
+    """``field`` on the points that the parameter arrays ``s`` and ``t``, of
+    equal ndim, broadcast to: pass a product grid as its axes ``s[:, None]``
+    and ``t[None, :]``.  ``field(s, t)`` is called on blocks of whole
+    s-rows, at most ``chunk`` points each but at least one row, and returns
+    an array, or a tuple of arrays, whose leading axes are its block's
+    broadcast shape; the blocks are joined along the s-rows, and
+    ``np.concatenate`` keeps their memory layout (component-major blocks
+    join component-major)."""
+    shape = np.broadcast_shapes(np.shape(s), np.shape(t))
+    rows = max(1, chunk // max(int(np.prod(shape[1:])), 1))
+    parts = [field(*(a[k:k + rows] if a.shape[0] > 1 else a for a in (s, t)))
+             for k in range(0, shape[0], rows)]
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(blocks) for blocks in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _integrate(surface, metric, grid, integrands):
     """Integrals of each integrand (a function of a CurvatureReport) over
-    the quadrature grid, from one fundamental_forms pass."""
+    the quadrature grid, from one fundamental_forms pass over its axes,
+    in blocks of whole s-rows."""
     ss, tt, ww = _quadrature_grid(surface, grid)
-    totals = [0.0] * len(integrands)
-    for start in range(0, ss.shape[0], chunk):
-        rep = fundamental_forms(surface, metric, ss[start:start + chunk],
-                                tt[start:start + chunk])
-        for k, integrand in enumerate(integrands):
-            totals[k] += float(np.sum(integrand(rep) * ww[start:start + chunk]))
-    return totals
+
+    def densities(s, t):
+        rep = fundamental_forms(surface, metric, s, t)
+        shape = np.broadcast_shapes(s.shape, t.shape)
+        return tuple(integrand(rep).reshape(shape) for integrand in integrands)
+    return [float(np.sum(d * ww)) for d in _grid_eval(densities, ss, tt)]
 
 
 def _area_density(rep):

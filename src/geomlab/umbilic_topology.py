@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UnreliableLoopError
 from .kernels import shape_operator, winding_total
-from .surface_geom import fundamental_forms
+from .surface_geom import _grid_eval, fundamental_forms
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,26 +81,6 @@ def _cells(surface, grid):
     ss = s0 + ds * (np.arange(ns) + 0.5)
     tt = t0 + dt * (np.arange(nt) + 0.5)
     return ss, tt, ds, dt
-
-
-def _grid_eval(field, s, t, chunk=1 << 16):
-    """``field`` on the points that the parameter arrays ``s`` and ``t``, of
-    equal ndim, broadcast to: pass a product grid as its axes ``s[:, None]``
-    and ``t[None, :]``.  ``field(s, t)`` is called on blocks of whole
-    s-rows, at most ``chunk`` points each but at least one row, and returns
-    an array, or a tuple of arrays, whose leading axes are its block's
-    broadcast shape; the blocks are joined along the s-rows, and
-    ``np.concatenate`` keeps their memory layout (component-major blocks
-    join component-major)."""
-    shape = np.broadcast_shapes(np.shape(s), np.shape(t))
-    rows = max(1, chunk // max(int(np.prod(shape[1:])), 1))
-    parts = [field(*(a[k:k + rows] if a.shape[0] > 1 else a for a in (s, t)))
-             for k in range(0, shape[0], rows)]
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(blocks) for blocks in zip(*parts))
-    return np.concatenate(parts)
 
 
 def _local_minima(values, periodic):

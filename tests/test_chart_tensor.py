@@ -241,10 +241,10 @@ def test_singular_or_non_finite_metric_is_refused(tmp_path):
             ct.l2_metric_distance(metric, metric, metric, domain=domain, grid=(4, 4, 4))
 
 
-# -- orbit-reduced evaluation ---------------------------------------------------
+# -- depends_on declares what the components read, it changes no value -------
 
 def pointwise(metric):
-    """The same metric declared to read every coordinate: no orbit reduction."""
+    """The same metric declared to read every coordinate."""
     return dataclasses.replace(metric, depends_on=(0, 1, 2))
 
 

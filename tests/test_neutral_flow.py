@@ -196,23 +196,61 @@ def test_chart_metric_and_christoffels_match_a_symbolic_derivation():
         assert np.max(np.abs(gamma - gamma_ref)) < 1e-12
 
 
+def _one_node_central_differences(state, probe):
+    """Each boundary sample's cosh differentiated by moving only its own
+    first-interior node by +-probe and re-evaluating the whole geometry."""
+    _, _, ni, nj = nf._edge_indices(state.shape)
+    grads = np.empty((len(ni), 2))
+    for m in range(len(ni)):
+        for k in range(2):
+            vals = []
+            for sign in (1.0, -1.0):
+                moved = dataclasses.replace(state, f=state.f.copy())
+                moved.f[ni[m], nj[m], 2 + k] += sign * probe
+                vals.append(nf.boundary_angle_cosh(moved, nf.flow_geometry(moved))[m])
+            grads[m, k] = (vals[0] - vals[1]) / (2 * probe)
+    return grads
+
+
+def _forward_difference_gradient(state, geo, probe):
+    """The forward difference the exact gradient replaced: each sample's
+    normal row of the tangents shifted by weight * probe in one fiber
+    component, the boundary's chart metric kept."""
+    ii, jj, ni, nj = nf._edge_indices(state.shape)
+    axis = (nj != jj).astype(int)
+    weight = 2.0 * ((ni - ii) + (nj - jj)) / np.where(axis == 0, geo["dx"], geo["dy"])
+    base = nf.boundary_angle_cosh(state, geo)
+    grads = np.empty((len(ii), 2))
+    for k in range(2):
+        d1 = geo["d1"].copy()
+        d1[ii, jj, axis, 2 + k] += weight * probe
+        grads[:, k] = (nf.boundary_angle_cosh(state, {"g4": geo["g4"], "d1": d1}) - base) / probe
+    return grads
+
+
 def test_angle_gradient_matches_one_node_differences():
-    # each boundary sample's gradient against moving only its own
-    # first-interior node and re-evaluating the whole geometry
+    # the central difference's error falls by four when its probe is halved
     state, _ = nf.build_state(kvdoc.load(FLOW_KV))
     geo = nf.flow_geometry(state)
-    base = nf.boundary_angle_cosh(state, geo)
-    grads = nf._angle_gradient(state, geo, base, probe=1e-6)
-    _, _, ni, nj = nf._edge_indices(state.shape)
-    brute = np.empty_like(grads)
-    for m in range(len(base)):
-        for k in range(2):
-            moved = dataclasses.replace(state, f=state.f.copy())
-            moved.f[ni[m], nj[m], 2 + k] += 1e-6
-            vals = nf.boundary_angle_cosh(moved, nf.flow_geometry(moved))
-            brute[m, k] = (vals[m] - base[m]) / 1e-6
-    assert np.max(np.abs(brute)) > 1.0
-    assert np.max(np.abs(grads - brute)) < 1e-8
+    cosh, grads = nf._angle_gradient(state, geo)
+    assert np.array_equal(cosh, nf.boundary_angle_cosh(state, geo))
+    assert np.max(np.abs(grads)) > 1.0
+    errors = [np.max(np.abs(grads - _one_node_central_differences(state, probe)))
+              for probe in (4e-5, 2e-5)]
+    assert errors[1] < 1e-4 * np.max(np.abs(grads))
+    assert 3.0 < errors[0] / errors[1] < 5.0
+
+
+def test_angle_gradient_matches_the_forward_difference_to_first_order():
+    # the forward difference is biased by O(probe * weight): its error
+    # halves with the probe
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV))
+    geo = nf.flow_geometry(state)
+    _, grads = nf._angle_gradient(state, geo)
+    errors = [np.max(np.abs(grads - _forward_difference_gradient(state, geo, probe)))
+              for probe in (2e-6, 1e-6)]
+    assert errors[1] < 1e-3 * np.max(np.abs(grads))
+    assert 1.7 < errors[0] / errors[1] < 2.3
 
 
 # -- einsum oracles for the matmul contractions -------------------------------

@@ -82,6 +82,44 @@ def test_cli_usage_error_for_bad_eps(tmp_path):
     assert code == 2
 
 
+MALFORMED_SIZES = {
+    "umbilics-grid-by": (["umbilics", "--grid", "64by48"], None),
+    "umbilics-grid-one-size": (["umbilics", "--grid", "64"], None),
+    "umbilics-grid-zero": (["umbilics", "--grid", "0x0"], None),
+    "maslov-grid-trailing-x": (["maslov", "--grid", "64x"], None),
+    "maslov-loop-samples-zero": (["maslov", "--loop-samples", "0"], None),
+    "willmore-sweep-grid-negative": (["willmore-sweep", "--eps", "0.3", "--grid", "-4"], None),
+    "willmore-sweep-grid-zero": (["willmore-sweep", "--eps", "0.3", "--grid", "0"], None),
+    "distance-check-rho-points-word": (["distance-check", "--eps", "0.2"], "rho_points = many\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SIZES))
+def test_cli_refuses_a_malformed_size(tmp_path, capsys, case):
+    # a usage error (exit 2) that names the size, not a traceback
+    args, config = MALFORMED_SIZES[case]
+    if config is not None:
+        (tmp_path / "cfg.kv").write_text(config)
+        args = args + ["--config", str(tmp_path / "cfg.kv")]
+    assert run_cli(args, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err, err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_cli_config_grid_of_one_size_is_square(tmp_path):
+    # grid = 64 in a config is the square grid of --grid 64
+    (tmp_path / "cfg.kv").write_text("grid = 64\n")
+    for name, extra in (("config", ["--config", str(tmp_path / "cfg.kv")]),
+                        ("flag", ["--grid", "64"])):
+        (tmp_path / name).mkdir()
+        assert run_cli(["willmore-sweep", "--eps", "0.3"] + extra, tmp_path / name) == 0
+    report = json.loads((tmp_path / "config" / "willmore_sweep_report.json").read_text())
+    assert report["params"]["grid"] == [64, 64]
+    assert ((tmp_path / "config" / "willmore_sweep.csv").read_text()
+            == (tmp_path / "flag" / "willmore_sweep.csv").read_text())
+
+
 def test_cli_unknown_subcommand(tmp_path):
     assert cli.main(["no-such-command"]) == 2
 

@@ -145,7 +145,8 @@ def test_orbit_reduced_forms_are_bit_identical():
     torus = sg.surface_by_name("clifford")
     rng = np.random.default_rng(3)
     random = (rng.uniform(0, 2 * np.pi, 2000), rng.uniform(0, 2 * np.pi, 2000))
-    nodes = sg._quadrature_grid(torus, (48, 40))[:2]
+    # the quadrature axes, flattened into the product grid's nodes
+    nodes = [a.ravel() for a in np.broadcast_arrays(*sg._quadrature_grid(torus, (48, 40))[:2])]
     plane = sg.surface_by_name("plane", half_width=3.0)
     bumped = ct.metric_by_name("hopf-eps-bumped", eps=0.3)
     cases = [(torus, metric, params)
