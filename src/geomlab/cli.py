@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -306,9 +307,7 @@ def cmd_flow_run(args):
     out = _out_dir(args)
     rows = [d.as_row() for d in state.diagnostics]
     _write_csv(os.path.join(out, "flow_diagnostics.csv"),
-               ["step", "time", "area", "margin", "max_h",
-                "normal_residual", "angle_residual", "dbar_norm",
-                "dbar_target"], rows, not args.no_timestamp)
+               [f.name for f in fields(nf.FlowDiagnostics)], rows, not args.no_timestamp)
     for k, (t, f) in enumerate(snapshots):
         np.savetxt(os.path.join(out, f"flow_state_{k:04d}.txt"),
                    f.reshape(-1, 4), header=f"t={t:.17g} chart x,y,w1,w2")

@@ -416,13 +416,15 @@ class LineSection:
     center: tuple = (0.0, 0.0, 1.0)
 
 
-def normal_congruence(surface, grid=(128, 96), center=None):
+def normal_congruence(surface, grid=(128, 96)):
     """Sampled normal-line section of a surface in flat R^3.
 
     Warns when the sampled Gauss map is not injective (the section is then
     not graphical over the direction sphere), but still returns samples.
     Raises ConfigError when the Gauss map's Jacobian vanishes on the whole
-    grid (a plane, a cylinder): no section over directions exists.
+    grid (a plane, a cylinder): no section over directions exists.  The
+    section's chart center is the normalised mean sampled direction, or
+    (0, 0, 1) where that mean vanishes.
     """
     cmap = CongruenceMap(surface)
     (s0, s1), (t0, t1) = surface.domain
@@ -449,10 +451,9 @@ def normal_congruence(surface, grid=(128, 96), center=None):
     if np.any(jac > 0) and np.any(jac < 0):
         warnings.warn("Gauss map is not injective on the sampled grid; "
                       "the section is not graphical", stacklevel=2)
-    if center is None:
-        mean = u.mean(axis=(0, 1))
-        norm = np.linalg.norm(mean)
-        center = tuple(mean / norm) if norm > 1e-8 else (0.0, 0.0, 1.0)
+    mean = u.mean(axis=(0, 1))
+    norm = np.linalg.norm(mean)
+    center = tuple(mean / norm) if norm > 1e-8 else (0.0, 0.0, 1.0)
     return LineSection(s_axis, t_axis, u, V, du, dV, cmap,
                        periodic=surface.periodic, center=center)
 
@@ -486,6 +487,19 @@ def _psi_at(source, s, t, center):
                          du[..., 1, :], dV[..., 1, :], center)
 
 
+def _sampled_domain(section):
+    """The parameter rectangle the section's grid samples, one (lo, hi) per
+    axis: a periodic axis spans one period from its first sample, any other
+    axis is cell-centred (see normal_congruence), half a cell past its end
+    samples."""
+    domain = []
+    for ax, per in zip((section.s_axis, section.t_axis), section.periodic):
+        d = ax[1] - ax[0]
+        domain.append((ax[0], ax[0] + len(ax) * d) if per
+                      else (ax[0] - 0.5 * d, ax[-1] + 0.5 * d))
+    return domain
+
+
 def complex_point_scan(section):
     """Zeros of the anti-complex defect with their integer windings.
 
@@ -505,11 +519,7 @@ def complex_point_scan(section):
     tol = max(1e-6 * float(np.max(mag)), 1e-10)
     ds = section.s_axis[1] - section.s_axis[0]
     dt = section.t_axis[1] - section.t_axis[0]
-    # the parameter rectangle the grid samples: periodic axes start at 0,
-    # other axes are cell-centred (see normal_congruence)
-    domain = [(ax[0], ax[0] + len(ax) * d) if per else (ax[0] - 0.5 * d, ax[-1] + 0.5 * d)
-              for ax, d, per in zip((section.s_axis, section.t_axis), (ds, dt),
-                                    section.periodic)]
+    domain = _sampled_domain(section)
 
     def defect_rows(s, t):
         psi = _psi_at(source, s, t, center)[1]
@@ -560,6 +570,10 @@ def _chart_orientation(u_loop, center):
 # a loop whose smallest |psi| is below this share of its largest passes a complex point
 _MIN_DEFECT_RATIO = 1e-6
 
+# Newton step cap and residual bound of invert_gauss_map
+_INVERT_ITERS = 15
+_INVERT_TOL = 1e-12
+
 
 def maslov_index(source, loop_s, loop_t, center):
     """Keller-Maslov index of a parameter loop on a Lagrangian section.
@@ -583,39 +597,51 @@ def maslov_index(source, loop_s, loop_t, center):
             "operator_index": 2 * w + 2, "unparameterized_dim": 2 * w - 1}
 
 
-def invert_gauss_map(directions, section, iters=15, tol=1e-12):
+def invert_gauss_map(directions, section):
     """Parameter preimages of direction-space points, for convex congruences.
 
     Seeds each Newton solve from the nearest sampled grid direction of
     ``section`` and refines it on the section's exact ``source``; the
     equations are the two components of n(s,t) - u against a fixed basis of
-    the plane orthogonal to u.
+    the plane orthogonal to u, each step the closed-form 2x2 solve.  Raises
+    UnreliableLoopError naming the row whose Jacobian is singular, whose
+    iterate leaves the section's sampled rectangle on a non-periodic axis,
+    or whose residual is still above ``_INVERT_TOL`` after ``_INVERT_ITERS``
+    steps: a direction the section does not cover has no preimage.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     grid_u = _components(section.u)
     sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
     flat_s, flat_t = sm.ravel(), tm.ravel()
+    domain = _sampled_domain(section)
     out_s = np.empty(directions.shape[0])
     out_t = np.empty(directions.shape[0])
     for m, target in enumerate(directions):
         seed = int(np.argmax(dot3(grid_u, target)))
         s_c, t_c = float(flat_s[seed]), float(flat_t[seed])
         _, p, q = _complement_basis(target)
-        for _ in range(iters):
+        for k in range(_INVERT_ITERS + 1):
             u, _, du, _ = section.source.eval(s_c, t_c)
-            res = np.array([np.dot(p, u[0] - target), np.dot(q, u[0] - target)])
-            if np.max(np.abs(res)) < tol:
+            r_p, r_q = np.dot(p, u[0] - target), np.dot(q, u[0] - target)
+            if max(abs(r_p), abs(r_q)) < _INVERT_TOL:
                 break
-            jac = np.array([[np.dot(p, du[0, 0]), np.dot(p, du[0, 1])],
-                            [np.dot(q, du[0, 0]), np.dot(q, du[0, 1])]])
-            try:
-                step = np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError:
+            if k == _INVERT_ITERS:
                 raise UnreliableLoopError(
-                    "Gauss-map inversion hit a singular Jacobian")
-            s_c -= step[0]
-            t_c -= step[1]
+                    f"Gauss-map inversion of row {m} did not converge: residual "
+                    f"{max(abs(r_p), abs(r_q)):.3e} after {_INVERT_ITERS} steps")
+            (a, b), (c, d) = ((np.dot(e, du[0, 0]), np.dot(e, du[0, 1])) for e in (p, q))
+            det = a * d - b * c
+            if not abs(det) > 0.0:
+                raise UnreliableLoopError(
+                    f"Gauss-map inversion of row {m} hit a singular Jacobian")
+            s_c -= (d * r_p - b * r_q) / det
+            t_c -= (a * r_q - c * r_p) / det
+            for name, value, (lo, hi), per in zip("st", (s_c, t_c), domain, section.periodic):
+                if not (per or lo <= value <= hi):
+                    raise UnreliableLoopError(
+                        f"Gauss-map inversion of row {m} left the sampled rectangle: "
+                        f"{name} = {value:.6g} outside [{lo:.6g}, {hi:.6g}]")
         out_s[m], out_t[m] = s_c, t_c
     return out_s, out_t
 

@@ -12,16 +12,19 @@ the test suite).  Consequences used here:
     maximal: their discrete mean curvature vanishes to rounding because
     second differences of affine data are exactly zero.
 
-A step moves interior samples by h * H (H the G-orthogonal projection of
-the discrete tension field), re-projects boundary samples onto the target
-section along the fiber, optionally applies one penalty iteration pulling
-the boundary hyperbolic angle toward its target, and records diagnostics:
-induced area, definiteness margin, max |H|, the normal-projection
-residual, the boundary angle residual, and the boundary dbar defect
-against the monitored schedule C/(1+t).
+A step (``flow_step``, the one path every run takes) moves interior
+samples by h * H (H the G-orthogonal projection of the discrete tension
+field), re-projects boundary samples onto the target section along the
+fiber, optionally applies one penalty iteration (``angle_penalty_step``)
+pulling the boundary hyperbolic angle toward its target, and records one
+diagnostics row, as ``run_flow`` records the start state's: induced area,
+definiteness margin, max |H|, the normal-projection residual, the boundary
+angle residual, and the boundary dbar defect against the monitored
+schedule C/(1+t).  Each takes the geometry of its state, ``flow_geometry``,
+from its caller.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,10 +56,6 @@ class LineSpaceChart:
         self.center = np.asarray(center, dtype=float)
         self.center /= np.linalg.norm(self.center)
         self._cpq = _complement_basis(self.center)
-
-    def embed(self, pts):
-        """(u, V) of the lines at the chart points."""
-        return self.embed_differential(pts)[:2]
 
     def embed_differential(self, pts):
         """(u, V, D) with D[n, A] = (du, dV) of the chart direction A."""
@@ -174,9 +173,9 @@ class FlowDiagnostics:
     dbar_target: float
 
     def as_row(self):
-        return [self.step, self.time, self.area, self.margin, self.max_h,
-                self.normal_residual, self.angle_residual,
-                self.dbar_norm, self.dbar_target]
+        """The field values in field order: a row of the flow CSV, whose
+        header is the field names."""
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass
@@ -191,7 +190,6 @@ class FlowState:
     cosh_target: float = None
     dbar_c: float = 1.0
     angle_rate: float = 0.0
-    chart_limit: float = 0.98  # hemisphere edge in chart radius
     diagnostics: list = field(default_factory=list)
     halted: str = ""
 
@@ -272,29 +270,24 @@ def flow_geometry(state):
     mean_curv = tension - (_t(coef) @ d1)[..., 0, :]
     residual = gd1 @ mean_curv[..., None]
     return {
-        "d1": d1, "d2": d2, "g4": g4, "gram": gram, "det": det,
+        "d1": d1, "g4": g4, "gram": gram, "det": det,
         "mean_curv": mean_curv, "margin": margin,
         "normal_residual": float(np.max(np.abs(residual))),
         "dx": dx, "dy": dy,
     }
 
 
-def mean_curvature_vector(state, geo=None):
-    """Mean curvature field H in chart components, zero on the boundary ring.
-
-    ``geo`` is ``flow_geometry(state)`` when the caller already has it."""
-    if geo is None:
-        geo = flow_geometry(state)
+def mean_curvature_vector(geo):
+    """Mean curvature field H of ``geo = flow_geometry(state)`` in chart
+    components, zero on the boundary ring."""
     h_field = geo["mean_curv"].copy()
     h_field[0, :] = h_field[-1, :] = 0.0
     h_field[:, 0] = h_field[:, -1] = 0.0
-    return h_field, geo
+    return h_field
 
 
-def induced_area(state, geo=None):
+def induced_area(state, geo):
     """Trapezoid integral of sqrt(det Gram) over the parameter square."""
-    if geo is None:
-        geo = flow_geometry(state)
     dens = np.sqrt(geo["det"])
     wx = np.full(state.shape[0], geo["dx"])
     wx[0] = wx[-1] = 0.5 * geo["dx"]
@@ -384,25 +377,13 @@ def boundary_angle_cosh(state, geo):
     return _plane_cosh(*_boundary_planes(state, geo))
 
 
-def angle_residual(state, geo=None):
-    """Mean |cosh(angle) - cosh(target)| over the non-corner boundary."""
-    if geo is None:
-        geo = flow_geometry(state)
+def angle_residual(state, geo):
+    """Mean |cosh(angle) - cosh(target)| over the non-corner boundary; the
+    first call fixes an unset target at the measured mean."""
     cosh_vals = boundary_angle_cosh(state, geo)
     if state.cosh_target is None:
         state.cosh_target = float(np.mean(cosh_vals))
     return float(np.mean(np.abs(cosh_vals - state.cosh_target)))
-
-
-def angle_penalty_step(state, rate=None):
-    """One penalty iteration on the boundary angle.
-
-    Nudges the fiber components of the first interior ring along the
-    exact gradient of (cosh angle - cosh target)^2, with the per-sample
-    move clamped to a fraction of the grid spacing.  Returns the
-    post-step residual.
-    """
-    return _angle_penalty(state, flow_geometry(state), rate)[0]
 
 
 def _angle_gradient(state, geo):
@@ -432,18 +413,22 @@ def _angle_gradient(state, geo):
     return cosh, (weight * cosh)[:, None] * dlog
 
 
-def _angle_penalty(state, geo, rate=None):
-    """``angle_penalty_step`` from the pre-nudge geometry ``geo``; returns
-    the post-step residual and the post-step geometry."""
-    rate = state.angle_rate if rate is None else rate
+def angle_penalty_step(state, geo):
+    """One penalty iteration on the boundary angle, at ``state.angle_rate``.
+
+    Nudges the fiber components of the first interior ring along the
+    exact gradient of (cosh angle - cosh target)^2, with the per-sample
+    move clamped to a fraction of the grid spacing.  ``geo`` is
+    ``flow_geometry(state)`` before the nudge; returns the post-step
+    residual and the post-step geometry.
+    """
     base, grads = _angle_gradient(state, geo)
     if state.cosh_target is None:
         state.cosh_target = float(np.mean(base))
-    target = state.cosh_target
-    err = base - target
+    err = base - state.cosh_target
     norm_sq = np.sum(grads ** 2, axis=1)
     scale = np.where(norm_sq > 1e-30, err / np.maximum(norm_sq, 1e-30), 0.0)
-    step = rate * scale[:, None] * grads
+    step = state.angle_rate * scale[:, None] * grads
     cap = 0.05 * (state.x_axis[1] - state.x_axis[0])
     mag = np.sqrt(np.sum(step ** 2, axis=1, keepdims=True))
     step = np.where(mag > cap, step * (cap / np.maximum(mag, 1e-300)), step)
@@ -457,13 +442,17 @@ def _angle_penalty(state, geo, rate=None):
     nonzero = count > 0
     accum[nonzero] /= count[nonzero][:, None]
     state.f[..., 2:] -= accum
-    geo2 = flow_geometry(state)
-    return float(np.mean(np.abs(boundary_angle_cosh(state, geo2) - target))), geo2
+    geo = flow_geometry(state)
+    return angle_residual(state, geo), geo
 
 
-def _check_in_chart(r, limit, where):
-    """ChartDomainError unless every chart radius is below the limit."""
-    if not np.all(r < limit):
+# hemisphere edge in chart radius: samples must stay inside it
+_CHART_LIMIT = 0.98
+
+
+def _check_in_chart(r, where):
+    """ChartDomainError unless every chart radius is below ``_CHART_LIMIT``."""
+    if not np.all(r < _CHART_LIMIT):
         if not np.all(np.isfinite(r)):
             raise ChartDomainError(f"{where} sample is not finite")
         raise ChartDomainError(f"{where} sample ran off the hemisphere chart")
@@ -474,7 +463,7 @@ def project_boundary(state):
     mask = boundary_mask(state.shape)
     xb = state.f[mask][:, 0]
     yb = state.f[mask][:, 1]
-    _check_in_chart(np.sqrt(xb ** 2 + yb ** 2), state.chart_limit, "boundary")
+    _check_in_chart(np.sqrt(xb ** 2 + yb ** 2), "boundary")
     w1, w2 = state.section.fiber(xb, yb)
     fib = state.f[mask]
     fib[:, 2] = w1
@@ -482,36 +471,39 @@ def project_boundary(state):
     state.f[mask] = fib
 
 
-def flow_step(state, geo=None):
-    """One explicit step: interior moves by h*H, boundary re-projected.
+def _record(state, geo, h_field, angle_res):
+    """Append the diagnostics row of the current state, whose geometry is
+    ``geo``: ``h_field`` is the mean curvature the step that led here moved
+    by (the state's own at step 0), ``angle_res`` its angle residual."""
+    state.diagnostics.append(FlowDiagnostics(
+        step=len(state.diagnostics), time=state.t,
+        area=induced_area(state, geo), margin=geo["margin"],
+        max_h=float(np.max(np.sqrt(np.sum(h_field ** 2, axis=-1)))),
+        normal_residual=geo["normal_residual"], angle_residual=angle_res,
+        dbar_norm=dbar_boundary_norm(state, geo),
+        dbar_target=state.dbar_c / (1.0 + state.t)))
 
-    ``geo`` is ``flow_geometry(state)`` when the caller already has it.
-    Returns the post-step geometry, which is the next step's ``geo``.
+
+def flow_step(state, geo):
+    """One explicit step from ``geo = flow_geometry(state)``: interior moves
+    by h*H, boundary re-projected, then one angle penalty iteration when
+    ``state.angle_rate`` is positive.  Records the step's diagnostics row
+    and returns the post-step geometry, which is the next step's ``geo``.
     """
-    h_field, geo = mean_curvature_vector(state, geo)
-    max_h = float(np.max(np.sqrt(np.sum(h_field ** 2, axis=-1))))
+    h_field = mean_curvature_vector(geo)
     state.f = state.f + state.h * h_field
     interior = ~boundary_mask(state.shape)
     r_int = np.sqrt(state.f[..., 0] ** 2 + state.f[..., 1] ** 2)
-    _check_in_chart(r_int[interior], state.chart_limit, "interior")
+    _check_in_chart(r_int[interior], "interior")
     project_boundary(state)
+    geo = flow_geometry(state)
     if state.angle_rate > 0.0:
-        ang_res, geo_after = _angle_penalty(state, flow_geometry(state))
+        angle_res, geo = angle_penalty_step(state, geo)
     else:
-        geo_after = flow_geometry(state)
-        ang_res = angle_residual(state, geo_after)
+        angle_res = angle_residual(state, geo)
     state.t += state.h
-    diag = FlowDiagnostics(
-        step=len(state.diagnostics), time=state.t,
-        area=induced_area(state, geo_after),
-        margin=geo_after["margin"], max_h=max_h,
-        normal_residual=geo_after["normal_residual"],
-        angle_residual=ang_res,
-        dbar_norm=dbar_boundary_norm(state, geo_after),
-        dbar_target=state.dbar_c / (1.0 + state.t),
-    )
-    state.diagnostics.append(diag)
-    return geo_after
+    _record(state, geo, h_field, angle_res)
+    return geo
 
 
 # -- configuration ------------------------------------------------------------
@@ -539,6 +531,11 @@ def build_state(config=None, **overrides):
     n = int(cfg["grid_n"])
     if n < 5:
         raise ConfigError("grid_n must be at least 5")
+    for key in ("steps", "snapshot_every"):
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+        cfg[key] = int(value)
     radius = float(cfg["chart_radius"])
     if not (0.0 < radius < 1.0):
         raise ConfigError("chart_radius must sit inside the open hemisphere (0,1)")
@@ -584,30 +581,19 @@ def run_flow(config=None, **overrides):
     """Iterate flow steps per the config; halts on budget, signature loss,
     chart exit, or stagnation.  Returns (state, snapshots)."""
     state, cfg = build_state(config, **overrides)
+    every = cfg["snapshot_every"]
+    tol = float(cfg["stagnation_tol"])
+    snapshots = []
     try:
         geo = flow_geometry(state)
-        h_field, _ = mean_curvature_vector(state, geo)
+        _record(state, geo, mean_curvature_vector(geo), angle_residual(state, geo))
+        for step in range(cfg["steps"]):
+            geo = flow_step(state, geo)
+            if every and (step + 1) % every == 0:
+                snapshots.append((state.t, state.f.copy()))
+            if tol and state.diagnostics[-1].max_h < tol:
+                state.halted = "stagnation"
+                break
     except (SignatureLossError, ChartDomainError) as err:
         state.halted = f"{type(err).__name__}: {err}"
-        return state, []
-    state.diagnostics.append(FlowDiagnostics(
-        step=0, time=0.0, area=induced_area(state, geo), margin=geo["margin"],
-        max_h=float(np.max(np.sqrt(np.sum(h_field ** 2, axis=-1)))),
-        normal_residual=geo["normal_residual"],
-        angle_residual=angle_residual(state, geo),
-        dbar_norm=dbar_boundary_norm(state, geo), dbar_target=state.dbar_c))
-    snapshots = []
-    every = int(cfg["snapshot_every"])
-    for step in range(int(cfg["steps"])):
-        try:
-            geo = flow_step(state, geo)
-        except (SignatureLossError, ChartDomainError) as err:
-            state.halted = f"{type(err).__name__}: {err}"
-            break
-        if every and (step + 1) % every == 0:
-            snapshots.append((state.t, state.f.copy()))
-        tol = float(cfg["stagnation_tol"])
-        if tol and state.diagnostics[-1].max_h < tol:
-            state.halted = "stagnation"
-            break
     return state, snapshots

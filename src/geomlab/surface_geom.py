@@ -224,17 +224,21 @@ def _quadrature_grid(surface, grid):
     return ss, tt, weights
 
 
-def _grid_eval(field, s, t, chunk=1 << 16):
+# points per block of _grid_eval
+_GRID_CHUNK = 1 << 16
+
+
+def _grid_eval(field, s, t):
     """``field`` on the points that the parameter arrays ``s`` and ``t``, of
     equal ndim, broadcast to: pass a product grid as its axes ``s[:, None]``
     and ``t[None, :]``.  ``field(s, t)`` is called on blocks of whole
-    s-rows, at most ``chunk`` points each but at least one row, and returns
-    an array, or a tuple of arrays, whose leading axes are its block's
-    broadcast shape; the blocks are joined along the s-rows, and
+    s-rows, at most ``_GRID_CHUNK`` points each but at least one row, and
+    returns an array, or a tuple of arrays, whose leading axes are its
+    block's broadcast shape; the blocks are joined along the s-rows, and
     ``np.concatenate`` keeps their memory layout (component-major blocks
     join component-major)."""
     shape = np.broadcast_shapes(np.shape(s), np.shape(t))
-    rows = max(1, chunk // max(int(np.prod(shape[1:])), 1))
+    rows = max(1, _GRID_CHUNK // max(int(np.prod(shape[1:])), 1))
     parts = [field(*(a[k:k + rows] if a.shape[0] > 1 else a for a in (s, t)))
              for k in range(0, shape[0], rows)]
     if len(parts) == 1:

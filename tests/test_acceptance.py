@@ -201,8 +201,9 @@ def test_criterion_8_flow_properties():
 
     still, _ = nf.build_state({"disc": "holomorphic-affine", "grid_n": 17})
     before = still.f.copy()
+    geo = nf.flow_geometry(still)
     for _ in range(5):
-        nf.flow_step(still)
+        geo = nf.flow_step(still, geo)
     ok &= float(np.max(np.abs(still.f - before))) < 5 * 1e-10
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 120.0

@@ -560,6 +560,18 @@ def test_gauss_map_inversion():
     assert np.max(np.abs(u - targets)) < 1e-10
 
 
+@pytest.mark.parametrize("direction", [
+    (0.287, 0.0, -0.958),   # the lower hemisphere: no normal of the paraboloid
+    (0.995, 0.0, 0.0995),   # the normal at x = -10, off the [-1, 1] patch
+])
+def test_gauss_map_inversion_refuses_a_direction_without_preimage(direction):
+    section = ls.normal_congruence(sg.surface_by_name("paraboloid"), grid=(32, 32))
+    covered = [0.3, 0.1, 0.9]
+    assert np.all(np.abs(ls.invert_gauss_map([covered], section)) < 1.0)
+    with pytest.raises(UnreliableLoopError, match="row 1"):
+        ls.invert_gauss_map([covered, direction], section)
+
+
 # -- the written-out congruence and defect against np.cross / einsum oracles --
 
 def _dot(a, b):
@@ -626,7 +638,7 @@ def _assert_relative(got, want, what, rel=1e-13):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_written_out_congruence_and_defect_equal_their_oracles(seed):
+def test_written_out_congruence_and_defect_equal_their_oracles(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     # a convex graph: a Gauss map that folds makes psi ill-conditioned
     coef = [float(c) for c in rng.uniform(-0.1, 0.1, 3)]
@@ -646,7 +658,9 @@ def test_written_out_congruence_and_defect_equal_their_oracles(seed):
         for name, a, b in zip(("u", "V", "du", "dV"), got, ref):
             _assert_relative(a, b.reshape(a.shape), (surface.name, name))
         # evaluation in chunks of whole s-rows concatenates the same rows
-        chunked = ut._grid_eval(ls.CongruenceMap(surface).eval, s, t, chunk=64)
+        with monkeypatch.context() as patch:
+            patch.setattr(sg, "_GRID_CHUNK", 64)
+            chunked = ut._grid_eval(ls.CongruenceMap(surface).eval, s, t)
         for a, b in zip(got, chunked):
             assert np.array_equal(a, b)
         # and keeps them component-major

@@ -87,7 +87,7 @@ def test_embed_is_the_stereographic_line_in_the_sphere_frame(centre):
     chart = nf.LineSpaceChart(centre)
     pts = _chart_points(1, 200)
     x, y, w1, w2 = pts.T
-    u, V = chart.embed(pts)
+    u, V, _ = chart.embed_differential(pts)
     u_ref = np.stack(ls.stereo_to_sphere(x, y, chart.center), axis=-1)
     e1, e2 = ls.sphere_frame(u_ref, chart.center)
     beta = 2.0 / (1.0 + x * x + y * y)
@@ -100,15 +100,13 @@ def test_embed_is_the_stereographic_line_in_the_sphere_frame(centre):
 def test_embed_differential_matches_central_differences(centre):
     chart = nf.LineSpaceChart(centre)
     pts = _chart_points(2, 50)
-    u, V, diff = chart.embed_differential(pts)
-    u0, v0 = chart.embed(pts)
-    assert np.array_equal(u, u0) and np.array_equal(V, v0)
+    _, _, diff = chart.embed_differential(pts)
     h = 1e-6
     for a in range(4):
         step = np.zeros(4)
         step[a] = h
-        up, vp = chart.embed(pts + step)
-        um, vm = chart.embed(pts - step)
+        up, vp, _ = chart.embed_differential(pts + step)
+        um, vm, _ = chart.embed_differential(pts - step)
         assert np.max(np.abs(diff[:, a, :3] - (up - um) / (2 * h))) < 1e-8
         assert np.max(np.abs(diff[:, a, 3:] - (vp - vm) / (2 * h))) < 1e-8
 
@@ -390,11 +388,11 @@ def test_plane_cosh_names_a_non_finite_plane():
 
 def test_holomorphic_affine_disc_is_stationary():
     state, _ = nf.build_state({"disc": "holomorphic-affine", "grid_n": 15})
-    h_field, geo = nf.mean_curvature_vector(state)
-    assert np.max(np.abs(h_field)) < 1e-8
+    geo = nf.flow_geometry(state)
+    assert np.max(np.abs(nf.mean_curvature_vector(geo))) < 1e-8
     # stationary to 1e-10 per step
     before = state.f.copy()
-    nf.flow_step(state)
+    nf.flow_step(state, geo)
     assert np.max(np.abs(state.f - before)) < 1e-10
 
 
@@ -453,7 +451,8 @@ def test_angle_penalty_residual_decreases():
     state.cosh_target = float(np.mean(vals)) + 0.002
     history = [float(np.mean(np.abs(vals - state.cosh_target)))]
     for _ in range(20):
-        history.append(nf.angle_penalty_step(state))
+        residual, geo = nf.angle_penalty_step(state, geo)
+        history.append(residual)
     tail = history[3:15]
     assert all(tail[i + 1] <= tail[i] + 1e-12 for i in range(len(tail) - 1))
     assert history[15] < 0.3 * history[0]
@@ -473,7 +472,7 @@ def test_signature_loss_halts_with_state_preserved():
                                "perturbation": 0.2})
     snapshot = state.f.copy()
     with pytest.raises(SignatureLossError):
-        nf.flow_step(state)
+        nf.flow_step(state, nf.flow_geometry(state))
     assert np.array_equal(state.f, snapshot)  # failure leaves the state intact
 
 
@@ -492,6 +491,9 @@ def test_config_rejects_unknown_keys():
         nf.build_state({"chart_radius": 1.5})
     with pytest.raises(ConfigError):
         nf.build_state({"disc": "no-such-disc"})
+    for key, value in (("steps", -1), ("snapshot_every", -1), ("steps", 2.5)):
+        with pytest.raises(ConfigError, match=f"{key} must be a non-negative integer"):
+            nf.build_state({"grid_n": 9, key: value})
 
 
 def test_stagnation_stops_early():
@@ -501,27 +503,30 @@ def test_stagnation_stops_early():
     assert len(state.diagnostics) < 10
 
 
-def _counting_flow_geometry(monkeypatch):
+def _counting(monkeypatch, name):
     calls = []
-    original = nf.flow_geometry
+    original = getattr(nf, name)
 
-    def counted(state):
+    def counted(*args):
         calls.append(1)
-        return original(state)
-    monkeypatch.setattr(nf, "flow_geometry", counted)
+        return original(*args)
+    monkeypatch.setattr(nf, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("angle_rate, per_step", [(0.0, 1), (0.2, 2)])
 def test_run_flow_evaluates_geometry_once_per_new_state(monkeypatch, angle_rate, per_step):
     # one evaluation of the start state, then one per state a step keeps:
-    # the post-step state, plus the projected state before an angle nudge
-    calls = _counting_flow_geometry(monkeypatch)
+    # the post-step state, plus the projected state before an angle nudge;
+    # every nudge goes through the one public penalty step
+    calls = _counting(monkeypatch, "flow_geometry")
+    nudges = _counting(monkeypatch, "angle_penalty_step")
     steps = 4
     state, _ = nf.run_flow({"grid_n": 11, "steps": steps, "perturbation": 0.03,
                             "angle_rate": angle_rate})
     assert state.halted == "" and len(state.diagnostics) == steps + 1
     assert len(calls) == 1 + per_step * steps
+    assert len(nudges) == (per_step - 1) * steps
 
 
 @pytest.mark.parametrize("angle_rate", [0.0, 0.2])
@@ -529,9 +534,10 @@ def test_reused_geometry_matches_recomputed(angle_rate):
     cfg = {"grid_n": 11, "steps": 5, "perturbation": 0.04, "angle_rate": angle_rate}
     reused, _ = nf.run_flow(cfg)
     fresh, _ = nf.build_state(cfg)
-    nf.angle_residual(fresh)  # fixes the angle target, as run_flow's first row does
+    # fixes the angle target, as run_flow's first row does
+    nf.angle_residual(fresh, nf.flow_geometry(fresh))
     for _ in range(cfg["steps"]):
-        nf.flow_step(fresh)  # recomputes the pre-step geometry
+        nf.flow_step(fresh, nf.flow_geometry(fresh))  # recomputes the pre-step geometry
     assert len(reused.diagnostics) == len(fresh.diagnostics) + 1
     for a, b in zip(reused.diagnostics[1:], fresh.diagnostics):
         # the hand loop has no step-0 row, so its step numbers run one behind
@@ -545,7 +551,7 @@ def test_nan_fiber_is_signature_loss_with_state_intact():
     state.f[5, 5, 2] = np.nan
     snapshot = state.f.copy()
     with pytest.raises(SignatureLossError, match="not finite"):
-        nf.flow_step(state)
+        nf.flow_step(state, nf.flow_geometry(state))
     assert np.array_equal(state.f, snapshot, equal_nan=True)
 
 
@@ -558,4 +564,4 @@ def test_nan_chart_coordinate_is_chart_domain_error():
     state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
     state.h = float("nan")
     with pytest.raises(ChartDomainError, match="interior sample is not finite"):
-        nf.flow_step(state)
+        nf.flow_step(state, nf.flow_geometry(state))

@@ -91,6 +91,10 @@ MALFORMED_SIZES = {
     "willmore-sweep-grid-negative": (["willmore-sweep", "--eps", "0.3", "--grid", "-4"], None),
     "willmore-sweep-grid-zero": (["willmore-sweep", "--eps", "0.3", "--grid", "0"], None),
     "distance-check-rho-points-word": (["distance-check", "--eps", "0.2"], "rho_points = many\n"),
+    "flow-run-steps-negative": (["flow-run", "--grid-n", "9", "--steps", "-1"], None),
+    "flow-run-snapshot-every-negative": (["flow-run", "--grid-n", "9", "--steps", "3",
+                                          "--snapshot-every", "-1"], None),
+    "flow-run-steps-negative-config": (["flow-run", "--grid-n", "9"], "steps = -1\n"),
 }
 
 
