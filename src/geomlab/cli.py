@@ -255,9 +255,6 @@ def cmd_maslov(args):
     loop_samples = _sizes(args.loop_samples, "--loop-samples", 1)[0]
     section = ls.normal_congruence(surface, grid=grid)
     cmap = section.source
-    records = ut.umbilic_scan(surface, metric, grid=grid)
-    iso = [r for r in records if r.isolated]
-    phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
     rows = []
     if args.loop_file:
         loop_u = np.loadtxt(args.loop_file, comments="#")
@@ -276,6 +273,9 @@ def cmd_maslov(args):
                      mas["operator_index"], mas["unparameterized_dim"],
                      ut.line_field_winding(angles)])
     else:
+        # only the enclosing loops are placed around the scanned umbilics
+        iso = [r for r in ut.umbilic_scan(surface, metric, grid=grid) if r.isolated]
+        phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
         enclose = [int(x) for x in args.enclose.split(",")]
         for count in enclose:
             loop_s, loop_t = sc.enclosing_loop(iso, count, phi)

@@ -221,8 +221,14 @@ def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True):
     nonvanishing factor and never the winding around a zero; ``normalize``
     applies the unit-frame rescale that makes |psi| a dimensionless measure.
     """
-    du1, dv1, du2, dv2 = (_components(v) for v in (du1, dv1, du2, dv2))
     e1, e2 = _sphere_frame(_components(u), center)
+    return _psi_in_frame(e1, e2, du1, dv1, du2, dv2, normalize)
+
+
+def _psi_in_frame(e1, e2, du1, dv1, du2, dv2, normalize):
+    """``defect_psi`` in a given chart frame (e1, e2), as components: a
+    caller whose directions u never move builds the frame once."""
+    du1, dv1, du2, dv2 = (_components(v) for v in (du1, dv1, du2, dv2))
     # real and imaginary parts of z_k and w_k, written out
     (x1, y1), (x2, y2), (p1, q1), (p2, q2) = (
         (dot3(v, e1), dot3(v, e2)) for v in (du1, du2, dv1, dv2))
@@ -607,10 +613,15 @@ def invert_gauss_map(directions, section):
     UnreliableLoopError naming the row whose Jacobian is singular, whose
     iterate leaves the section's sampled rectangle on a non-periodic axis,
     or whose residual is still above ``_INVERT_TOL`` after ``_INVERT_ITERS``
-    steps: a direction the section does not cover has no preimage.
+    steps: a direction the section does not cover has no preimage.  A zero
+    or non-finite row is no direction at all: ConfigError names it.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        raise ConfigError(f"row {bad[0]} is not a direction: {directions[bad[0]].tolist()}")
+    directions = directions / norms
     grid_u = _components(section.u)
     sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
     flat_s, flat_t = sm.ravel(), tm.ravel()

@@ -21,7 +21,10 @@ diagnostics row, as ``run_flow`` records the start state's: induced area,
 definiteness margin, max |H|, the normal-projection residual, the boundary
 angle residual, and the boundary dbar defect against the monitored
 schedule C/(1+t).  Each takes the geometry of its state, ``flow_geometry``,
-from its caller.
+from its caller.  What the boundary terms need beyond that geometry depends
+on the ring samples alone, which the projection keeps bit-identical, so it
+is built once per run (``BoundaryRing``) and rebuilt only when the ring,
+the chart or the section changes.
 """
 
 from dataclasses import dataclass, field, fields
@@ -31,10 +34,31 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, SignatureLossError
 from .kernels import sym_eig2_batch
-from .line_space import _complement_basis, defect_psi
+from .line_space import _complement_basis, _components, _psi_in_frame, _sphere_frame
 
 
 # -- chart geometry -----------------------------------------------------------
+
+def _gamma_table():
+    """The nonzero Christoffel symbols Gamma^k_ab, a <= b, of the chart as
+    index arrays (k, a, b) with each one's source among (a_x, a_y, pp, qq)
+    and its sign."""
+    X, Y, W1, W2 = range(4)
+    ax, ay, pp, qq = range(4)
+    rows = [
+        (X, X, X, -1, ax), (X, X, Y, -1, ay), (X, Y, Y, 1, ax),
+        (Y, X, X, 1, ay), (Y, X, Y, -1, ax), (Y, Y, Y, -1, ay),
+        (W1, X, X, 1, pp), (W1, X, Y, -1, qq), (W1, Y, Y, -1, pp),
+        (W1, X, W1, -1, ax), (W1, X, W2, -1, ay), (W1, Y, W1, -1, ay), (W1, Y, W2, 1, ax),
+        (W2, X, X, 1, qq), (W2, X, Y, 1, pp), (W2, Y, Y, -1, qq),
+        (W2, X, W1, 1, ay), (W2, X, W2, -1, ax), (W2, Y, W1, -1, ax), (W2, Y, W2, -1, ay),
+    ]
+    k, a, b, sign, source = (np.array(col) for col in zip(*rows))
+    return k, a, b, sign.astype(float), source
+
+
+_GAMMA_K, _GAMMA_A, _GAMMA_B, _GAMMA_SIGN, _GAMMA_SOURCE = _gamma_table()
+
 
 class LineSpaceChart:
     """Holomorphic coordinates (x, y, w1, w2) on the line space.
@@ -90,20 +114,14 @@ class LineSpaceChart:
         a_y = 2.0 * y / d
         pp = 2.0 * (w1 * (x * x - y * y + 1.0) + 2.0 * w2 * x * y) / d ** 2
         qq = 2.0 * (w2 * (x * x - y * y - 1.0) - 2.0 * w1 * x * y) / d ** 2
-        X, Y, W1, W2 = range(4)
-        entries = {
-            X: {(X, X): -a_x, (X, Y): -a_y, (Y, Y): a_x},
-            Y: {(X, X): a_y, (X, Y): -a_x, (Y, Y): -a_y},
-            W1: {(X, X): pp, (X, Y): -qq, (Y, Y): -pp,
-                 (X, W1): -a_x, (X, W2): -a_y, (Y, W1): -a_y, (Y, W2): a_x},
-            W2: {(X, X): qq, (X, Y): pp, (Y, Y): -qq,
-                 (X, W1): a_y, (X, W2): -a_x, (Y, W1): -a_x, (Y, W2): -a_y},
-        }
-        gamma = np.zeros((len(pts), 4, 4, 4))
-        for k, row in entries.items():
-            for (a, b), val in row.items():
-                gamma[:, k, a, b] = gamma[:, k, b, a] = val
-        return g4, gamma
+        # filled component-major, each symbol one contiguous row of samples;
+        # returned point-major and contiguous, as flow_geometry's matmul
+        # sums a strided operand in another order
+        vals = np.stack((a_x, a_y, pp, qq))[_GAMMA_SOURCE] * _GAMMA_SIGN[:, None]
+        gamma = np.zeros((4, 4, 4, len(pts)))
+        gamma[_GAMMA_K, _GAMMA_A, _GAMMA_B] = vals
+        gamma[_GAMMA_K, _GAMMA_B, _GAMMA_A] = vals
+        return g4, np.ascontiguousarray(gamma.transpose(3, 0, 1, 2))
 
     def metric(self, pts):
         """Exact G_AB at the points."""
@@ -192,6 +210,8 @@ class FlowState:
     angle_rate: float = 0.0
     diagnostics: list = field(default_factory=list)
     halted: str = ""
+    # boundary data that depend on the ring samples alone, built by ``_ring``
+    ring: "BoundaryRing" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -318,15 +338,61 @@ def _edge_indices(shape):
     return pairs[:, 0, 0], pairs[:, 0, 1], pairs[:, 1, 0], pairs[:, 1, 1]
 
 
+@dataclass(frozen=True, eq=False)
+class BoundaryRing:
+    """What the flow needs of its boundary ring beyond the geometry: the
+    ring samples (``samples``, at ``ring_ij``), their chart embedding
+    differential and sphere frame, the non-corner ``edge`` indices with
+    their first-interior neighbours, and the target section's tangent
+    basis there.  All of it depends only on the ring samples, the chart
+    and the section, and ``project_boundary`` snaps the ring back to the
+    same samples on every step."""
+    chart: LineSpaceChart
+    section: ChartSection
+    shape: tuple               # the grid's (nx, ny)
+    ring_ij: tuple             # (ii, jj) of every boundary sample
+    samples: np.ndarray        # (m, 4) state.f there
+    diff: np.ndarray           # (m, 4, 6) embed_differential
+    frame: tuple               # sphere frame (e1, e2) as components
+    edge: tuple                # _edge_indices: (ii, jj, ni, nj)
+    sec_basis: np.ndarray      # (m_edge, 2, 4)
+
+
+def _build_ring(state):
+    """The ``BoundaryRing`` of the state's current ring samples."""
+    ii, jj = np.nonzero(boundary_mask(state.shape))
+    samples = state.f[ii, jj]
+    u, _, diff = state.chart.embed_differential(samples)
+    frame = _sphere_frame(_components(u), tuple(state.chart.center))
+    edge = _edge_indices(state.shape)
+    pts = state.f[edge[0], edge[1]]
+    _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
+    sec_basis = np.zeros((len(pts), 2, 4))
+    sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
+    sec_basis[:, :, 2:] = dw
+    for a in (samples, diff, sec_basis):
+        a.flags.writeable = False
+    return BoundaryRing(state.chart, state.section, state.shape, (ii, jj), samples,
+                        diff, frame, edge, sec_basis)
+
+
+def _ring(state):
+    """The state's ``BoundaryRing``, rebuilt when the chart, the section,
+    the grid or any ring sample differs from what it was built from."""
+    ring = state.ring
+    if (ring is None or ring.chart is not state.chart or ring.section is not state.section
+            or ring.shape != state.shape
+            or not np.array_equal(state.f[ring.ring_ij], ring.samples)):
+        ring = state.ring = _build_ring(state)
+    return ring
+
+
 def dbar_boundary_norm(state, geo):
     """max |psi| of the disc's tangent planes along the boundary ring."""
-    ii, jj = np.nonzero(boundary_mask(state.shape))
-    pts = state.f[ii, jj]
-    u, V, diff = state.chart.embed_differential(pts)
-    d1 = geo["d1"][ii, jj]                        # (m, 2, 4)
-    lifted = d1 @ diff                            # (m, 2, 6)
-    psi = defect_psi(u, V, lifted[:, 0, :3], lifted[:, 0, 3:],
-                     lifted[:, 1, :3], lifted[:, 1, 3:], tuple(state.chart.center))
+    ring = _ring(state)
+    lifted = geo["d1"][ring.ring_ij] @ ring.diff  # (m, 2, 4) @ (m, 4, 6)
+    psi = _psi_in_frame(*ring.frame, lifted[:, 0, :3], lifted[:, 0, 3:],
+                        lifted[:, 1, :3], lifted[:, 1, 3:], normalize=True)
     return float(np.max(np.abs(psi)))
 
 
@@ -359,22 +425,17 @@ def _plane_grams(g4, p_basis, q_basis):
     return np.abs(cross_det) / np.sqrt(p_det * q_det), gp, gram, cross
 
 
-def _boundary_planes(state, geo):
+def _boundary_planes(ring, geo):
     """The chart metric (m, 4, 4), the disc's tangent basis (m, 2, 4) and
     the target section's (m, 2, 4) at the non-corner boundary samples."""
-    ii, jj, _, _ = _edge_indices(state.shape)
-    pts = state.f[ii, jj]
-    _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
-    sec_basis = np.zeros((len(ii), 2, 4))
-    sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
-    sec_basis[:, :, 2:] = dw
-    return geo["g4"][ii, jj], geo["d1"][ii, jj], sec_basis
+    ii, jj, _, _ = ring.edge
+    return geo["g4"][ii, jj], geo["d1"][ii, jj], ring.sec_basis
 
 
 def boundary_angle_cosh(state, geo):
     """cosh of the angle between the disc and the target section, per
     non-corner boundary sample."""
-    return _plane_cosh(*_boundary_planes(state, geo))
+    return _plane_cosh(*_boundary_planes(_ring(state), geo))
 
 
 def angle_residual(state, geo):
@@ -398,8 +459,9 @@ def _angle_gradient(state, geo):
     by r_a M_oo - r_o M_oa and p = det N by 2 (N_oo s_a - N_ao s_o), so
     d cosh = cosh (dc / c - dp / (2 p)).
     """
-    ii, jj, ni, nj = _edge_indices(state.shape)
-    g4, disc_basis, sec_basis = _boundary_planes(state, geo)
+    ring = _ring(state)
+    ii, jj, ni, nj = ring.edge
+    g4, disc_basis, sec_basis = _boundary_planes(ring, geo)
     cosh, gp, gram, cross = _plane_grams(g4, disc_basis, sec_basis)
     a = (nj != jj).astype(int)
     o = 1 - a
@@ -434,7 +496,7 @@ def angle_penalty_step(state, geo):
     step = np.where(mag > cap, step * (cap / np.maximum(mag, 1e-300)), step)
     # nodes adjacent to a corner serve two boundary samples; average their
     # requested nudges instead of stacking them
-    _, _, ni, nj = _edge_indices(state.shape)
+    _, _, ni, nj = _ring(state).edge
     accum = np.zeros(state.shape + (2,))
     count = np.zeros(state.shape)
     np.add.at(accum, (ni, nj), step)

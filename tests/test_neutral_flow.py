@@ -503,14 +503,14 @@ def test_stagnation_stops_early():
     assert len(state.diagnostics) < 10
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, owner=nf):
     calls = []
-    original = getattr(nf, name)
+    original = getattr(owner, name)
 
     def counted(*args):
         calls.append(1)
         return original(*args)
-    monkeypatch.setattr(nf, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -565,3 +565,86 @@ def test_nan_chart_coordinate_is_chart_domain_error():
     state.h = float("nan")
     with pytest.raises(ChartDomainError, match="interior sample is not finite"):
         nf.flow_step(state, nf.flow_geometry(state))
+
+
+# -- the boundary ring, built once per run ------------------------------------
+
+def _uncached_dbar_norm(state, geo):
+    """dbar_boundary_norm from scratch: the ring's embedding differential
+    and the public defect_psi, which builds its own sphere frame."""
+    ii, jj = np.nonzero(nf.boundary_mask(state.shape))
+    u, V, diff = state.chart.embed_differential(state.f[ii, jj])
+    lifted = geo["d1"][ii, jj] @ diff
+    psi = ls.defect_psi(u, V, lifted[:, 0, :3], lifted[:, 0, 3:],
+                        lifted[:, 1, :3], lifted[:, 1, 3:], tuple(state.chart.center))
+    return float(np.max(np.abs(psi)))
+
+
+def _uncached_angle_cosh(state, geo):
+    """boundary_angle_cosh from scratch: a fresh section basis."""
+    ii, jj, _, _ = nf._edge_indices(state.shape)
+    pts = state.f[ii, jj]
+    _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
+    sec_basis = np.zeros((len(ii), 2, 4))
+    sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
+    sec_basis[:, :, 2:] = dw
+    return nf._plane_cosh(geo["g4"][ii, jj], geo["d1"][ii, jj], sec_basis)
+
+
+def _assert_ring_matches_oracle(state):
+    geo = nf.flow_geometry(state)
+    assert nf.dbar_boundary_norm(state, geo) == _uncached_dbar_norm(state, geo)
+    assert np.array_equal(nf.boundary_angle_cosh(state, geo),
+                          _uncached_angle_cosh(state, geo))
+
+
+@pytest.mark.parametrize("angle_rate", [0.0, 0.2])
+def test_ring_diagnostics_match_the_uncached_oracle(angle_rate):
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV), angle_rate=angle_rate)
+    _assert_ring_matches_oracle(state)
+    ring = state.ring
+    geo = nf.flow_geometry(state)
+    nf.angle_residual(state, geo)
+    for _ in range(20):
+        geo = nf.flow_step(state, geo)
+    assert state.halted == "" and len(state.diagnostics) == 20
+    assert state.ring is ring  # the snapped ring never moved
+    _assert_ring_matches_oracle(state)
+    assert state.diagnostics[-1].dbar_norm == _uncached_dbar_norm(state, geo)
+
+
+@pytest.mark.parametrize("angle_rate", [0.0, 0.2])
+def test_run_flow_builds_its_boundary_ring_once(monkeypatch, angle_rate):
+    embeds = _counting(monkeypatch, "embed_differential", nf.LineSpaceChart)
+    bases = _counting(monkeypatch, "fiber_with_partials", nf.ChartSection)
+    frames = _counting(monkeypatch, "_sphere_frame")
+    state, _ = nf.run_flow({"grid_n": 11, "steps": 20, "perturbation": 0.03,
+                            "angle_rate": angle_rate})
+    assert state.halted == "" and len(state.diagnostics) == 21
+    assert (len(embeds), len(bases), len(frames)) == (1, 1, 1)
+
+
+def test_moving_the_ring_rebuilds_it():
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV))
+    _assert_ring_matches_oracle(state)
+    ring = state.ring
+    # an interior move keeps the ring
+    state.f[5, 5, 2] += 1e-3
+    _assert_ring_matches_oracle(state)
+    assert state.ring is ring
+    # a ring fiber moved in place
+    state.f[0, 4, 2] += 1e-3
+    _assert_ring_matches_oracle(state)
+    assert state.ring is not ring
+    # a copy made through dataclasses.replace, with a ring fiber moved;
+    # the original keeps its own record
+    ring = state.ring
+    moved = dataclasses.replace(state, f=state.f.copy())
+    moved.f[4, 0, 3] -= 1e-3
+    _assert_ring_matches_oracle(moved)
+    _assert_ring_matches_oracle(state)
+    assert moved.ring is not ring and state.ring is ring
+    # another target section, with the ring samples unchanged
+    state.section = nf.twisted_zero_section(0.8)
+    _assert_ring_matches_oracle(state)
+    assert not np.array_equal(state.ring.sec_basis, ring.sec_basis)

@@ -12,6 +12,7 @@ import pytest
 
 import geomlab
 from geomlab import cli, kvdoc, scenarios
+from geomlab import umbilic_topology as ut
 from geomlab.errors import ConfigError
 
 
@@ -361,8 +362,9 @@ def test_enclosing_loop_names_missing_umbilics():
         scenarios.enclosing_loop([], 3, phi)
 
 
-def test_cli_maslov_loop_file(tmp_path):
-    # directions on a small circle around one umbilic normal of the ellipsoid
+def _umbilic_normal_loop():
+    """Directions on a small circle around one umbilic normal of the
+    ellipsoid."""
     x_u = 2.0 * np.sqrt(1.75 / 3.0)
     z_u = np.sqrt(1.25 / 3.0)
     n = np.array([x_u / 4.0, 0.0, z_u])
@@ -371,14 +373,35 @@ def test_cli_maslov_loop_file(tmp_path):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
     phi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    ring = (np.cos(0.1) * n[None, :]
+    return (np.cos(0.1) * n[None, :]
             + np.sin(0.1) * (np.cos(phi)[:, None] * e1[None, :]
                              + np.sin(phi)[:, None] * e2[None, :]))
+
+
+def test_cli_maslov_loop_file(tmp_path, monkeypatch):
+    # only --enclose places its loops around scanned umbilics: a loop file
+    # is inverted directly, with no scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("maslov --loop-file ran umbilic_scan")
+    monkeypatch.setattr(ut, "umbilic_scan", no_scan)
     loop_path = tmp_path / "loop.txt"
-    np.savetxt(loop_path, ring, header="u_x u_y u_z")
+    np.savetxt(loop_path, _umbilic_normal_loop(), header="u_x u_y u_z")
     code = run_cli(["maslov", "--loop-file", str(loop_path),
                     "--grid", "128x96"], tmp_path)
     assert code == 0
     lines = (tmp_path / "maslov.csv").read_text().strip().splitlines()
     fields = lines[1].split(",")
     assert fields[0] == "file" and fields[1] == "2"  # one umbilic enclosed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]])
+def test_cli_maslov_names_a_loop_row_that_is_not_a_direction(tmp_path, capsys, row):
+    # refused before the row is normalised, so no division warns
+    loop = _umbilic_normal_loop()[:16]
+    loop[2] = row
+    loop_path = tmp_path / "loop.txt"
+    np.savetxt(loop_path, loop)
+    code = run_cli(["maslov", "--loop-file", str(loop_path), "--grid", "32x24"], tmp_path)
+    assert code == 2
+    assert "row 2 is not a direction" in capsys.readouterr().err
