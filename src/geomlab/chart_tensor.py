@@ -24,6 +24,8 @@ from .exprgrammar import compile_expression
 from .kernels import tensor_norm_sq_batch
 
 DOMAIN_CLIP = 1e-6  # stay off Hopf coordinate degeneracies at rho = 0, pi/2
+# points per block of l2_metric_distance's density
+_DENSITY_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -358,10 +360,13 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
     background volume form.  Periodic axes use the trapezoid rule,
     non-periodic axes composite Gauss-Legendre with ``gl_order`` nodes per
     panel.  Each metric is evaluated on the open mesh of the nodes, so a
-    metric that reads rho alone is computed once per rho node, and the
-    density is summed against the product weights in one pass.
+    metric that reads rho alone is computed once per rho node.  The
+    density is filled in blocks of whole rho rows, at most
+    ``_DENSITY_CHUNK`` points of the axes the metrics read each but at
+    least one row, and summed against the product weights in one pass.
     """
-    if g_a.chart.name != g_b.chart.name or g_a.chart.name != background.chart.name:
+    metrics = (background, g_a, g_b)
+    if any(m.chart.name != background.chart.name for m in metrics):
         raise ChartDomainError("metrics live on different charts")
     chart = background.chart
     if domain is None:
@@ -370,8 +375,14 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
                                   chart.periodic[k], gl_order)
              for k in range(3)]
     coords, weights = quadrature.tensor_nodes(rules)
-    back, a, b = (_stack(m.components(*coords)) for m in (background, g_a, g_b))
-    ginv, det = _sym3_inverse_det(back)
-    _check_nondegenerate(background, coords, det)
-    density = tensor_norm_sq(a - b, ginv) * np.sqrt(det)
-    return 2.0 * float(np.sum(density * weights))
+    read = int(np.prod([coords[k].size for k in (1, 2)
+                        if any(k in m.depends_on for m in metrics)]))
+    rows = max(1, _DENSITY_CHUNK // read)
+    blocks = []
+    for k in range(0, coords[0].size, rows):
+        block = [coords[0][k:k + rows], *coords[1:]]
+        back, a, b = (_stack(m.components(*block), block[0].shape) for m in metrics)
+        ginv, det = _sym3_inverse_det(back)
+        _check_nondegenerate(background, block, det)
+        blocks.append(tensor_norm_sq(a - b, ginv) * np.sqrt(det))
+    return 2.0 * float(np.sum(np.concatenate(blocks) * weights))

@@ -406,7 +406,7 @@ def build_parser():
                    help="comma list of enclosed-umbilic counts")
     p.add_argument("--loop-file", default=None,
                    help="polyline of directions (columns u_x u_y u_z)")
-    p.add_argument("--grid", default="256x192")
+    p.add_argument("--grid", default="64x48")
     p.add_argument("--loop-samples", type=int, default=2048)
     common(p)
     p.set_defaults(func=cmd_maslov)

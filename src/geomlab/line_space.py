@@ -509,8 +509,10 @@ def _sampled_domain(section):
 def complex_point_scan(section):
     """Zeros of the anti-complex defect with their integer windings.
 
-    |psi|^2 goes through ``umbilic_topology._scan_zeros``, refined by Newton
-    on (Re psi, Im psi) of the section's exact source, and each isolated
+    |psi|^2 and (Re psi, Im psi) on the grid go through
+    ``umbilic_topology._scan_zeros``, which seeds from the grid minima of
+    |psi|^2 and the cells round which psi winds, and refines by Newton on
+    (Re psi, Im psi) of the section's exact source, and each isolated
     zero is wound on the index loop of ``umbilic_topology._loop_index``,
     ``_LOOP_CELLS`` cells of the grid about it.  Returns records with the
     umbilic index i = winding / 2; a refused loop leaves both unset, with a
@@ -518,7 +520,8 @@ def complex_point_scan(section):
     large fraction of samples (the zero section) is reported as a single
     non-isolated record without a winding.
     """
-    mag = np.abs(section_defect(section))
+    psi = section_defect(section)
+    mag = np.abs(psi)
     center, source = section.center, section.source
     # psi is computed on unit-normalised frames, so an absolute floor is
     # meaningful; it catches identically-complex sections (zero defect)
@@ -538,7 +541,8 @@ def complex_point_scan(section):
         return np.abs(psi), sign * np.angle(psi)
 
     zeros = _scan_zeros(mag ** 2, defect_rows, (section.s_axis, section.t_axis), (ds, dt),
-                        domain, section.periodic, tol * tol, "complex-point")
+                        domain, section.periodic, tol * tol, "complex-point",
+                        vectors=np.moveaxis(np.stack([psi.real, psi.imag]), 0, -1))
     if not zeros:
         return []
     directions = source.eval(np.array([z.s for z in zeros]),

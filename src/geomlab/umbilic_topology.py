@@ -2,10 +2,11 @@
 
 Umbilics are zeros of the principal-curvature gap.  The scan seeds them at
 grid minima of the smooth squared gap (k1-k2)^2 = trace^2 - 4 det of the
-shape operator, and refines them by Newton's method on the traceless
-second form (T11, T12), T = II - H I, a smooth map whose zeros are exactly
-the umbilics, so positions settle to rounding even though |k1-k2| itself
-is conical at a zero.  Indices come from the winding of the
+shape operator and in the grid cells round which the traceless second
+form (T11, T12), T = II - H I, winds, and refines them by Newton's method
+on (T11, T12), a smooth map whose zeros are exactly the umbilics, so
+positions settle to rounding even though |k1-k2| itself is conical at a
+zero.  Indices come from the winding of the
 principal-direction line field (an angle modulo pi) on an index loop of
 ``_LOOP_CELLS`` cells about each umbilic.  ``_loop_index`` winds that loop
 for the complex points of ``line_space`` too, with the same sample count,
@@ -111,13 +112,16 @@ _NEWTON_ITERS = 6
 def _refine_zeros(field, s, t, step, domain, periodic):
     """Refine seeds towards zeros of the smooth 2-vector part of ``field``, together.
 
-    ``field(s, t)`` returns rows (value, F1, F2).  Each Newton iteration
+    ``field(s, t)`` returns rows that begin (value, F1, F2).  Each Newton iteration
     evaluates ``field`` once, at every candidate and its four neighbours
     ``_JACOBIAN_STEP`` cells away; the Jacobian is their central difference,
     so it only sets the rate, and the zero reached is that of the exact F.
     The 2x2 system is solved in closed form (no step where it is singular
     or not finite), a step is capped at two cells, periodic parameters are
-    wrapped and others clamped into ``domain``.  Stops once no step exceeds
+    wrapped into ``domain`` and others clamped half a cell inside it, to the
+    outer sample lines of a scan's grid: the grid brackets no zero beyond
+    them, and the domain's edge may be singular (an ellipsoid's poles,
+    where (T11, T12) vanishes too).  Stops once no step exceeds
     ``_STEP_TOL`` cells, or after ``_NEWTON_ITERS`` iterations.
     """
     pts = np.stack([s, t], axis=-1).astype(float)
@@ -128,7 +132,7 @@ def _refine_zeros(field, s, t, step, domain, periodic):
     offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]]) * step
     for _ in range(_NEWTON_ITERS):
         rows = _grid_eval(field, pts[:, None, 0] + offsets[:, 0],
-                          pts[:, None, 1] + offsets[:, 1])[..., 1:]
+                          pts[:, None, 1] + offsets[:, 1])[..., 1:3]
         f1, f2 = rows[:, 0].T
         # the Jacobian per cell, [[a, b], [c, d]] = d(F1, F2)/d(s, t)
         (a, c), (b, d) = ((rows[:, k] - rows[:, k + 1]).T / (2 * h) for k in (1, 3))
@@ -141,7 +145,7 @@ def _refine_zeros(field, s, t, step, domain, periodic):
         # a point a rounding step below lo wraps to exactly hi: send it to lo
         wrapped = lo + (pts - lo) % width
         pts = np.where(periodic, np.where(wrapped < hi, wrapped, lo),
-                       np.clip(pts, lo + 1e-9 * width, hi - 1e-9 * width))
+                       np.clip(pts, lo + 0.5 * step, hi - 0.5 * step))
         if np.max(np.abs(newton)) <= _STEP_TOL:
             break
     return pts[:, 0], pts[:, 1]
@@ -150,30 +154,30 @@ def _refine_zeros(field, s, t, step, domain, periodic):
 def umbilic_scan(surface, metric, grid=(512, 384)):
     """Locate isolated umbilics as zeros of the traceless second form.
 
-    The squared gap goes through ``_scan_zeros``, and candidates are refined
-    by Newton on (T11, T12), T = II - H I: since tr(I^-1 T) = 0, both vanish
-    exactly at the umbilics.  Records come in grid order, and a surface whose
-    gap vanishes on a large fraction of the grid (a round sphere) yields a
-    single record flagged non-isolated, at the first such cell.
+    The squared gap and (T11, T12), T = II - H I, go through ``_scan_zeros``,
+    which seeds from the gap's grid minima and from the cells round which
+    (T11, T12) winds, and refines by Newton on (T11, T12): since
+    tr(I^-1 T) = 0, both vanish exactly at the umbilics.  Records come in
+    grid order, and a surface whose gap vanishes on a large fraction of the
+    grid (a round sphere) yields a single record flagged non-isolated, at
+    the first such cell.
     """
     ss, tt, ds, dt = _cells(surface, grid)
 
-    def gap_and_curvatures(s, t):
-        rep = fundamental_forms(surface, metric, s, t)
-        rows = np.stack([rep.disc_sq, np.abs(rep.k1), np.abs(rep.k2)], axis=-1)
-        return rows.reshape(np.broadcast_shapes(s.shape, t.shape) + (3,))
-
-    scan = _grid_eval(gap_and_curvatures, ss[:, None], tt[None, :])
-    tol = 1e-6 * max(float(np.max(scan[..., 1:])), 1e-30)
-
-    def gap_and_traceless(s, t):
+    def gap_rows(s, t):
+        """(disc_sq, T11, T12, |k1|, |k2|) at (s, t), component-major, so
+        each column of the grid pass is one contiguous block; the scan reads
+        the curvatures only on the grid, for its tolerance."""
         rep = fundamental_forms(surface, metric, s, t)
         traceless = rep.second[:, 0] - rep.h_mean[:, None] * rep.first[:, 0]
-        rows = np.stack([rep.disc_sq, traceless[:, 0], traceless[:, 1]], axis=-1)
-        return rows.reshape(np.broadcast_shapes(s.shape, t.shape) + (3,))
+        rows = np.stack([rep.disc_sq, traceless[:, 0], traceless[:, 1],
+                         np.abs(rep.k1), np.abs(rep.k2)])
+        return rows.T.reshape(np.broadcast_shapes(s.shape, t.shape) + (5,))
 
-    zeros = _scan_zeros(scan[..., 0], gap_and_traceless, (ss, tt), (ds, dt),
-                        surface.domain, surface.periodic, tol * tol, "umbilic")
+    scan = _grid_eval(gap_rows, ss[:, None], tt[None, :])
+    tol = 1e-6 * max(float(np.max(scan[..., 3:])), 1e-30)
+    zeros = _scan_zeros(scan[..., 0], gap_rows, (ss, tt), (ds, dt), surface.domain,
+                        surface.periodic, tol * tol, "umbilic", vectors=scan[..., 1:3])
     if not zeros:
         return []
     points = fundamental_forms(surface, metric, np.array([z.s for z in zeros]),
@@ -191,12 +195,13 @@ class _Zero:
     ambiguous: bool = False
 
 
-def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind):
+def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vectors=None):
     """Zeros of a smooth field, from samples of its non-negative value on a grid.
 
     ``values`` holds the value at the grid whose s and t lines are ``axes``,
-    ``step`` apart, inside the parameter rectangle ``domain``; ``field(s, t)``
-    evaluates rows (value, F1, F2) anywhere in the rectangle, where F is a
+    ``step`` apart, inside the parameter rectangle ``domain``, and
+    ``vectors``, if given, the 2-vector F there; ``field(s, t)`` evaluates
+    rows that begin (value, F1, F2) anywhere in the rectangle, where F is a
     smooth 2-vector that vanishes exactly where the value does.  Returns
     ``_Zero``s in grid order (see ``_grid_order``):
 
@@ -205,12 +210,18 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind):
       the first such sample;
     * otherwise every local minimum of the grid (see ``_local_minima``) at
       most a quarter of the median sample seeds a candidate (the seed
-      filter: a grid minimum above it is a positive minimum, not a zero);
+      filter: a grid minimum above it is a positive minimum, not a zero),
+      and so does the centre of every cell round which ``vectors`` winds
+      (see ``_degree_cells``): two zeros that share one grid minimum, or
+      one that Newton cannot reach from it, still lie in cells of their own;
     * the candidates are refined together by Newton on F (``_refine_zeros``),
       and those whose value is still at or above ``tol_sq`` are dropped;
     * candidates below ``tol_sq`` are merged best first: one within two
-      cells of a kept zero is dropped, with a warning and the kept zero
-      flagged ambiguous if its seed lay farther than two cells from it;
+      cells of a kept zero is dropped, and the kept zero is flagged
+      ambiguous, with a warning, when the dropped one's seed lay farther
+      than two cells from it or the value at their midpoint is at or above
+      ``tol_sq`` (two zeros, not one; pairs within ``_JACOBIAN_STEP`` cells
+      of each other are one zero to the refinement and are not evaluated);
     * a zero is isolated when the value exceeds ``tol_sq`` all round an
       ellipse of two cells about it.
 
@@ -222,16 +233,21 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind):
         i, j = np.unravel_index(np.argmax(flat), flat.shape)
         return [_Zero(float(axes[0][i]), float(axes[1][j]), float(values[i, j]),
                       isolated=False)]
-    seeds = _local_minima(values, periodic)
-    seeds = seeds[values[seeds[:, 0], seeds[:, 1]] <= 0.25 * np.median(values)]
-    if len(seeds) == 0:
+    minima = _local_minima(values, periodic)
+    minima = minima[values[minima[:, 0], minima[:, 1]] <= 0.25 * np.median(values)]
+    step = np.asarray(step, dtype=float)
+    seed_s, seed_t = axes[0][minima[:, 0]], axes[1][minima[:, 1]]
+    if vectors is not None:
+        cells = _degree_cells(vectors, periodic)
+        seed_s = np.concatenate([seed_s, axes[0][cells[:, 0]] + 0.5 * step[0]])
+        seed_t = np.concatenate([seed_t, axes[1][cells[:, 1]] + 0.5 * step[1]])
+    if len(seed_s) == 0:
         return []
-    seed_s, seed_t = axes[0][seeds[:, 0]], axes[1][seeds[:, 1]]
     s, t = _refine_zeros(field, seed_s, seed_t, step, domain, periodic)
     value = field(s, t)[:, 0]
 
-    two_cells = 2.0 * np.asarray(step)
-    zeros = []
+    two_cells = 2.0 * step
+    zeros, clashes = [], []
     found = np.flatnonzero(value < tol_sq)
     for k in found[np.argsort(value[found], kind="stable")]:
         clash = next((z for z in zeros if np.all(_param_distance(
@@ -241,8 +257,21 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind):
         elif np.any(_param_distance(domain, periodic, (seed_s[k], seed_t[k]),
                                     (clash.s, clash.t)) > two_cells):
             clash.ambiguous = True
-            warnings.warn(f"scan resolution too coarse to separate {kind} "
-                          "candidates; records merged", stacklevel=3)
+        elif np.any(_param_distance(domain, periodic, (s[k], t[k]), (clash.s, clash.t))
+                    > _JACOBIAN_STEP * step):
+            clashes.append((k, clash))
+    if clashes:
+        width = np.ptp(np.array(domain, dtype=float), axis=1)
+        here = np.array([(s[k], t[k]) for k, _ in clashes])
+        gap = np.array([(z.s, z.t) for _, z in clashes]) - here
+        # the short way round a periodic seam
+        gap = np.where(periodic, gap - width * np.round(gap / width), gap)
+        mid = here + 0.5 * gap
+        for (_, z), low in zip(clashes, field(mid[:, 0], mid[:, 1])[:, 0] < tol_sq):
+            z.ambiguous = z.ambiguous or not low
+    if any(z.ambiguous for z in zeros):
+        warnings.warn(f"scan resolution too coarse to separate {kind} "
+                      "candidates; records merged", stacklevel=3)
     if zeros:
         phi = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         ring = _grid_eval(field, np.array([z.s for z in zeros])[:, None]
@@ -253,6 +282,45 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind):
             z.isolated = bool(low > tol_sq)
     return _grid_order(zeros, np.array(domain, dtype=float)[:, 0], step, values.shape,
                        periodic)
+
+
+def _degree_cells(vectors, periodic):
+    """Cells round whose four corner samples the grid 2-vector winds.
+
+    ``vectors`` has shape (ns, nt, 2); a cell spans samples i, i + 1 and
+    j, j + 1, and on a periodic axis the last cell wraps to the first
+    sample.  The degree of a cell is the sum of the angle increments along
+    its edges, each wrapped into (-pi, pi], over 2 pi; a cell of nonzero
+    degree holds a zero of the field wherever the field turns by less than
+    pi between neighbouring samples (Kearfott, Numer. Math. 32, 1979).  A
+    nonzero degree needs both components to change sign among the corners,
+    so angles are taken only in those cells.  Returns the (i, j) index of
+    the first corner of each cell of nonzero degree or with an edge whose
+    corners are exactly antiparallel (a zero on the edge, which a grid line
+    of symmetry puts there), in grid order.  A zero of higher winding
+    can show the same angle at all four corners of its cell; the minima
+    seeds cover it.
+    """
+    def any_corner(signs):
+        # per cell: whether any of its four corners has the sign
+        for axis in np.flatnonzero(periodic):
+            signs = np.concatenate([signs, np.take(signs, [0], axis=axis)], axis=axis)
+        pairs = signs[:-1] | signs[1:]
+        return pairs[:, :-1] | pairs[:, 1:]
+
+    both = any_corner(vectors >= 0.0) & any_corner(vectors <= 0.0)
+    i, j = np.divmod(np.flatnonzero(both[..., 0] & both[..., 1]), both.shape[1])
+    ns, nt = vectors.shape[:2]
+    # corner vectors of each candidate cell, counter-clockwise in (s, t)
+    loop = vectors[[i, (i + 1) % ns, (i + 1) % ns, i], [j, j, (j + 1) % nt, (j + 1) % nt]]
+    angle = np.arctan2(loop[..., 1], loop[..., 0])
+    turn = np.roll(angle, -1, axis=0) - angle
+    turn = np.pi - (np.pi - turn) % TWO_PI
+    degree = np.rint(np.sum(turn, axis=0) / TWO_PI)
+    # a turn of exactly pi, either way, joins antiparallel corners: the zero
+    # lies on the edge, and the wrap credits pi to both of its cells
+    keep = (degree != 0) | np.any(turn == np.pi, axis=0)
+    return np.stack([i[keep], j[keep]], axis=-1)
 
 
 def _grid_order(records, origin, step, count, periodic):

@@ -98,6 +98,46 @@ def test_rho_only_metric_is_evaluated_on_the_rho_axis():
     assert set(entries) == {(), (24, 1, 1)}
 
 
+def unblocked_l2(g_a, g_b, background, grid):
+    """The squared L2 distance with every metric evaluated on the whole open
+    mesh at once, in one block."""
+    chart = background.chart
+    rules = [quadrature.axis_rule(lo, hi, n, periodic)
+             for (lo, hi), n, periodic in zip(ct._default_domain(chart), grid,
+                                               chart.periodic)]
+    coords, weights = quadrature.tensor_nodes(rules)
+    back, a, b = (ct._stack(m.components(*coords)) for m in (background, g_a, g_b))
+    ginv, det = ct._sym3_inverse_det(back)
+    density = ct.tensor_norm_sq(a - b, ginv) * np.sqrt(det)
+    return 2.0 * float(np.sum(density * weights))
+
+
+def test_l2_distance_in_rho_blocks_equals_one_block(tmp_path, monkeypatch):
+    # 160 points per block: 2 rho rows of the 8 x 10 theta nodes a theta
+    # metric reads, all 24 rho rows of a metric that reads rho alone
+    path = tmp_path / "theta.kv"
+    path.write_text("chart = hopf\ng11 = 1\ng22 = sin(rho)^2\n"
+                    "g33 = cos(rho)^2 + 0.1*sin(theta1)^2*cos(theta2)^2\n")
+    theta = ct.load_metric(path)
+    bumped = ct.metric_by_name("hopf-eps-bumped", eps=0.3)
+    rows = []
+
+    def counted(metric):
+        def components(rho, th1, th2):
+            rows.append(np.shape(rho)[0])
+            return metric.components(rho, th1, th2)
+        return ct.MetricField(metric.name, ct.HOPF_CHART, components,
+                              depends_on=metric.depends_on)
+
+    monkeypatch.setattr(ct, "_DENSITY_CHUNK", 160)
+    grid = (24, 8, 10)
+    for metric, blocks in ((theta, [2] * 12), (bumped, [24])):
+        rows.clear()
+        got = ct.l2_metric_distance(ROUND, counted(metric), ROUND, grid=grid)
+        assert got == unblocked_l2(ROUND, metric, ROUND, grid) > 0
+        assert rows == blocks
+
+
 def flattened_integrals(surface, metric, grid):
     """The integrals over the meshed, flattened quadrature grid, from one
     fundamental_forms call on all of its points."""

@@ -394,6 +394,54 @@ def test_cli_maslov_loop_file(tmp_path, monkeypatch):
     assert fields[0] == "file" and fields[1] == "2"  # one umbilic enclosed
 
 
+MASLOV_AXES = [(2.0, 1.5, 1.0), (3.0, 2.0, 0.5), (2.0, 1.05, 1.0), (2.2, 1.35, 1.1)]
+
+
+def _maslov_csv(out, axes, extra):
+    """maslov.csv of ``geomlab maslov`` on the ellipsoid ``axes``, written to ``out``."""
+    argv = ["maslov", *(x for k, v in zip("abc", axes) for x in (f"--{k}", repr(v))), *extra]
+    assert run_cli(argv, out) == 0
+    return (out / "maslov.csv").read_text()
+
+
+@pytest.mark.parametrize("axes", MASLOV_AXES)
+def test_cli_maslov_default_grid_encloses_as_the_fine_grid(tmp_path, axes):
+    # the enclosing loops are fixed-size ellipses about the scanned
+    # umbilics, so the default 64x48 scan places them as 256x192 does
+    enclose = ["--enclose", "0,1,2"]
+    coarse = _maslov_csv(tmp_path / "default", axes, enclose)
+    assert coarse == _maslov_csv(tmp_path / "fine", axes, enclose + ["--grid", "256x192"])
+    assert [line.split(",")[:2] for line in coarse.splitlines()[1:]] == [
+        ["0", "0"], ["1", "2"], ["2", "4"]]
+
+
+@pytest.mark.parametrize("axes", [MASLOV_AXES[0], MASLOV_AXES[3]])
+def test_cli_maslov_loop_file_on_the_default_grid(tmp_path, axes):
+    # the Gauss-map inversion seeds from the nearest sample of a coarser
+    # grid and converges to the same preimages, to rounding: the loop holds
+    # the normal of one umbilic of (2, 1.5, 1) and none of (2.2, 1.35, 1.1)
+    loop_path = tmp_path / "loop.txt"
+    np.savetxt(loop_path, _umbilic_normal_loop()[::4], header="u_x u_y u_z")
+    loop = ["--loop-file", str(loop_path)]
+    default, fine = (_maslov_csv(tmp_path / name, axes, loop + grid).splitlines()[1].split(",")
+                     for name, grid in (("default", []), ("fine", ["--grid", "256x192"])))
+    assert default[:5] == fine[:5]
+    assert abs(float(default[5]) - float(fine[5])) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid", "16x12"]])
+def test_cli_maslov_on_random_ellipsoids(tmp_path, grid):
+    # 60 ellipsoids from the ranges of the benchmark's umbilic audit; at
+    # 16x12 the grid minima alone failed 12 and 16 of 60 such draws (two
+    # seeds), with fewer than two umbilics to enclose or halting at a pole
+    rng = np.random.default_rng(22)
+    for k in range(60):
+        axes = (rng.uniform(1.8, 2.2), rng.uniform(1.35, 1.65), rng.uniform(0.85, 1.1))
+        csv = _maslov_csv(tmp_path / str(k), axes, ["--enclose", "0,1,2"] + grid)
+        assert [line.split(",")[:2] for line in csv.splitlines()[1:]] == [
+            ["0", "0"], ["1", "2"], ["2", "4"]], axes
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]])
 def test_cli_maslov_names_a_loop_row_that_is_not_a_direction(tmp_path, capsys, row):

@@ -226,6 +226,18 @@ def test_refine_wraps_periodic_parameters_into_the_half_open_domain():
     assert abs(t[0] - 1.0) < 1e-12
 
 
+def test_refinement_stays_inside_the_sampled_rows():
+    # (T11, T12) also vanishes on the pole lines t = 0 and pi, where X_s = 0:
+    # the grid minima next to the poles of this ellipsoid at 16x12 refine
+    # towards them, and once halted the scan with dependent tangents at a
+    # clamp 1e-9 of the domain from the pole; clamped at the outer sample
+    # rows, they stop above tol and are dropped
+    ell = sg.surface_by_name("ellipsoid", a=1.8152229146764958, b=1.6128656424327812,
+                             c=0.9669325542035241)
+    records = ut.umbilic_scan(ell, FLAT, grid=(16, 12))
+    assert len(records) == 4 and all(r.isolated for r in records)
+
+
 def test_merge_warns_on_coarse_ambiguity():
     # two zeros 1.9 cells apart; the grid seeds one on the first and one
     # 3 cells from it, which refines into the second
@@ -243,6 +255,94 @@ def test_merge_warns_on_coarse_ambiguity():
     assert len(merged) == 1
     assert merged[0].ambiguous
     assert any("merged" in str(w.message) for w in caught)
+
+
+def test_merge_warns_when_the_midpoint_separates_two_zeros():
+    # zeros at s = 1.0 and 1.12, 1.2 cells apart, seeded from the samples
+    # 0.95 and 1.15: each seed lies within two cells of the other zero, so
+    # only the field at the midpoint, well above tol, tells them apart
+    def field(s, t):
+        f1, f2 = (s - 1.0) * (s - 1.12), t - 1.05
+        return np.stack([f1 ** 2 + f2 ** 2, f1, f2], axis=-1)
+
+    axes = (0.05 + 0.1 * np.arange(20),) * 2
+    values = np.ones((20, 20))
+    values[9, 10], values[11, 10] = 0.0, 0.1
+    with pytest.warns(UserWarning, match="umbilic candidates; records merged"):
+        merged = ut._scan_zeros(values, field, axes, (0.1, 0.1), ((0.0, 2.0),) * 2,
+                                (False, False), 1e-8, "umbilic")
+    assert len(merged) == 1 and merged[0].ambiguous
+
+
+def test_coarse_near_spheroid_scans_say_they_merged():
+    # at 16x12 the two umbilics of each meridian of (2, 1.05, 1) sit 1.42
+    # cells apart; both scans keep one record per meridian and say so
+    from geomlab import line_space as ls
+    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.05, c=1.0)
+    with pytest.warns(UserWarning, match="umbilic candidates; records merged"):
+        records = ut.umbilic_scan(ell, FLAT, grid=(16, 12))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = ls.complex_point_scan(ls.normal_congruence(ell, grid=(16, 12)))
+    assert any("complex-point candidates; records merged" in str(w.message)
+               for w in caught)
+    assert len(records) == 2 == len(points)
+    assert all(r.ambiguous for r in records)
+
+
+def _product_vectors(zeros, conjugate=(), shape=(20, 20), step=0.1):
+    """(Re, Im) of prod_k (z - z_k), z = s + i t, with the factors in
+    ``conjugate`` taken of conj(z - z_k) (winding -1), on the grid of axes
+    step/2 + step k, and the field of rows (|w|^2, Re w, Im w)."""
+    def w(s, t):
+        z = s + 1j * t
+        return np.prod([np.conj(z - zk) if k in conjugate else z - zk
+                        for k, zk in enumerate(zeros)], axis=0)
+
+    def field(s, t):
+        v = w(s, t)
+        return np.stack([np.abs(v) ** 2, v.real, v.imag], axis=-1)
+
+    axes = tuple(0.5 * step + step * np.arange(n) for n in shape)
+    v = w(axes[0][:, None], axes[1][None, :])
+    return axes, np.stack([v.real, v.imag], axis=-1), field
+
+
+def test_degree_cells_hold_the_simple_zeros():
+    zeros = [0.53 + 0.71j, 1.27 + 0.38j, 0.92 + 1.49j, 1.61 + 1.62j]
+    axes, vectors, _ = _product_vectors(zeros, conjugate=(2,))
+    cells = ut._degree_cells(vectors, (False, False))
+    # the cell of z spans the samples floor((z - step/2) / step) and the next
+    want = sorted([int((z.real - 0.05) // 0.1), int((z.imag - 0.05) // 0.1)] for z in zeros)
+    assert cells.tolist() == want
+
+
+def test_degree_cells_wrap_a_periodic_axis_and_seed_a_zero_on_an_edge():
+    # sin(pi s) + i (t - 0.71), of period 2 in s, vanishes at s = 1, between
+    # the samples 0.95 and 1.05, and at s = 0, between the last sample 1.95
+    # and the first 0.05 + 2: a cell of its own only on a periodic s
+    axes = (0.05 + 0.1 * np.arange(20),) * 2
+    sm, tm = np.meshgrid(*axes, indexing="ij")
+    vectors = np.stack([np.sin(np.pi * sm), tm - 0.71], axis=-1)
+    assert ut._degree_cells(vectors, (True, False)).tolist() == [[9, 6], [19, 6]]
+    assert ut._degree_cells(vectors, (False, False)).tolist() == [[9, 6]]
+    # a zero on the sample line s = axes[0][9]: the corners of that edge are
+    # antiparallel, and both cells that share it seed
+    vectors = np.stack([sm - axes[0][9], tm - 0.71], axis=-1)
+    assert ut._degree_cells(vectors, (False, False)).tolist() == [[8, 6], [9, 6]]
+
+
+def test_a_winding_four_zero_inside_one_cell_is_found_through_the_minima():
+    # (z - z0)^4 with z0 at a cell centre shows one angle at all four
+    # corners of its cell, which therefore has degree 0
+    z0 = 1.0 + 1.0j
+    axes, vectors, field = _product_vectors([z0] * 4)
+    assert [9, 9] not in ut._degree_cells(vectors, (False, False)).tolist()
+    values = field(axes[0][:, None], axes[1][None, :])[..., 0]
+    zeros = ut._scan_zeros(values, field, axes, (0.1, 0.1), ((0.0, 2.0),) * 2,
+                           (False, False), 1e-12, "umbilic", vectors=vectors)
+    assert len(zeros) == 1 and zeros[0].isolated and not zeros[0].ambiguous
+    assert abs(zeros[0].s + 1j * zeros[0].t - z0) < 0.02
 
 
 def test_coarse_scan_refines_near_misses_on():
@@ -274,11 +374,13 @@ def test_index_loop_enclosing_another_umbilic_is_refused():
 
 
 def test_coarse_near_spheroid_audit_is_refused():
-    # at 16x12 the scan finds two of the four umbilics of this near-spheroid,
-    # and the index loop (radius pi/3 in t) of each also holds the other
-    # umbilic of its meridian; the index sum was once 1, without a word
+    # at 16x12 the scan merges the two umbilics of each meridian of this
+    # near-spheroid, 1.42 cells apart, and says so; the index loop (radius
+    # pi/3 in t) of each record also holds the other umbilic of its
+    # meridian; the index sum was once 1, without a word
     ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.05, c=1.0)
-    with pytest.raises(UnreliableLoopError, match="encloses another umbilic"):
+    with pytest.warns(UserWarning, match="umbilic candidates; records merged"), \
+            pytest.raises(UnreliableLoopError, match="encloses another umbilic"):
         ut.conjecture_audit(ell, FLAT, grid=(16, 12))
 
 
