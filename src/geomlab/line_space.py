@@ -580,9 +580,11 @@ def _chart_orientation(u_loop, center):
 # a loop whose smallest |psi| is below this share of its largest passes a complex point
 _MIN_DEFECT_RATIO = 1e-6
 
-# Newton step cap and residual bound of invert_gauss_map
+# Newton step cap and residual bound of invert_gauss_map, and the most
+# direction-by-sample products its seed search holds at once
 _INVERT_ITERS = 15
 _INVERT_TOL = 1e-12
+_INVERT_BLOCK = 1 << 18
 
 
 def maslov_index(source, loop_s, loop_t, center):
@@ -611,14 +613,16 @@ def invert_gauss_map(directions, section):
     """Parameter preimages of direction-space points, for convex congruences.
 
     Seeds each Newton solve from the nearest sampled grid direction of
-    ``section`` and refines it on the section's exact ``source``; the
-    equations are the two components of n(s,t) - u against a fixed basis of
-    the plane orthogonal to u, each step the closed-form 2x2 solve.  Raises
-    UnreliableLoopError naming the row whose Jacobian is singular, whose
-    iterate leaves the section's sampled rectangle on a non-periodic axis,
-    or whose residual is still above ``_INVERT_TOL`` after ``_INVERT_ITERS``
-    steps: a direction the section does not cover has no preimage.  A zero
-    or non-finite row is no direction at all: ConfigError names it.
+    ``section`` (searched in blocks of rows, so at most ``_INVERT_BLOCK``
+    products are held at once) and refines every unconverged row together,
+    one ``source.eval`` per iteration; each row's equations are the two
+    components of n(s,t) - u against a fixed basis of the plane orthogonal
+    to u, each step the closed-form 2x2 solve.  Raises UnreliableLoopError
+    naming the lowest row whose Jacobian is singular, whose iterate leaves
+    the section's sampled rectangle on a non-periodic axis, or whose
+    residual is still above ``_INVERT_TOL`` after ``_INVERT_ITERS`` steps:
+    a direction the section does not cover has no preimage.  A zero or
+    non-finite row is no direction at all: ConfigError names it.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -626,39 +630,49 @@ def invert_gauss_map(directions, section):
     if bad.size:
         raise ConfigError(f"row {bad[0]} is not a direction: {directions[bad[0]].tolist()}")
     directions = directions / norms
-    grid_u = _components(section.u)
+    grid_u = [c.ravel() for c in _components(section.u)]
+    block = max(1, _INVERT_BLOCK // grid_u[0].size)
+    seed = np.concatenate([
+        np.argmax(dot3([c[None, :] for c in grid_u], [c[:, None] for c in chunk.T]), axis=1)
+        for chunk in np.split(directions, range(block, len(directions), block))])
     sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
-    flat_s, flat_t = sm.ravel(), tm.ravel()
+    params = np.stack((sm.ravel()[seed], tm.ravel()[seed]))
+    # (p, q) of each target as _complement_basis builds them, rows of a (m, 2, 3) basis
+    p = np.cross(directions, np.eye(3)[np.argmin(np.abs(directions), axis=1)])
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    basis = np.stack((p, np.cross(directions, p)), axis=1)
     domain = _sampled_domain(section)
-    out_s = np.empty(directions.shape[0])
-    out_t = np.empty(directions.shape[0])
-    for m, target in enumerate(directions):
-        seed = int(np.argmax(dot3(grid_u, target)))
-        s_c, t_c = float(flat_s[seed]), float(flat_t[seed])
-        _, p, q = _complement_basis(target)
-        for k in range(_INVERT_ITERS + 1):
-            u, _, du, _ = section.source.eval(s_c, t_c)
-            r_p, r_q = np.dot(p, u[0] - target), np.dot(q, u[0] - target)
-            if max(abs(r_p), abs(r_q)) < _INVERT_TOL:
-                break
-            if k == _INVERT_ITERS:
-                raise UnreliableLoopError(
-                    f"Gauss-map inversion of row {m} did not converge: residual "
-                    f"{max(abs(r_p), abs(r_q)):.3e} after {_INVERT_ITERS} steps")
-            (a, b), (c, d) = ((np.dot(e, du[0, 0]), np.dot(e, du[0, 1])) for e in (p, q))
-            det = a * d - b * c
-            if not abs(det) > 0.0:
-                raise UnreliableLoopError(
-                    f"Gauss-map inversion of row {m} hit a singular Jacobian")
-            s_c -= (d * r_p - b * r_q) / det
-            t_c -= (a * r_q - c * r_p) / det
-            for name, value, (lo, hi), per in zip("st", (s_c, t_c), domain, section.periodic):
-                if not (per or lo <= value <= hi):
-                    raise UnreliableLoopError(
-                        f"Gauss-map inversion of row {m} left the sampled rectangle: "
-                        f"{name} = {value:.6g} outside [{lo:.6g}, {hi:.6g}]")
-        out_s[m], out_t[m] = s_c, t_c
-    return out_s, out_t
+    faults = {}
+    rows = np.arange(len(directions))
+    for k in range(_INVERT_ITERS + 1):
+        if not rows.size:
+            break
+        u, _, du, _ = section.source.eval(*params[:, rows])
+        res = (basis[rows] @ (u - directions[rows])[:, :, None])[:, :, 0]
+        live = ~(np.max(np.abs(res), axis=1) < _INVERT_TOL)
+        rows, res, du = rows[live], res[live], du[live]
+        if k == _INVERT_ITERS:
+            faults.update((m, f"did not converge: residual {r:.3e} after {_INVERT_ITERS} steps")
+                          for m, r in zip(rows, np.max(np.abs(res), axis=1)))
+            break
+        jac = basis[rows] @ np.swapaxes(du, 1, 2)          # jac[m, i, j] = e_i . du_j
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        ok = np.abs(det) > 0.0
+        faults.update(dict.fromkeys(rows[~ok], "hit a singular Jacobian"))
+        rows, res, jac, det = rows[ok], res[ok], jac[ok], det[ok]
+        (a, b), (c, d) = np.moveaxis(jac, 0, -1)
+        params[0, rows] -= (d * res[:, 0] - b * res[:, 1]) / det
+        params[1, rows] -= (a * res[:, 1] - c * res[:, 0]) / det
+        for name, value, (lo, hi), per in zip("st", params, domain, section.periodic):
+            if not per:
+                out = ~((lo <= value[rows]) & (value[rows] <= hi))
+                faults.update((m, f"left the sampled rectangle: {name} = {value[m]:.6g} "
+                                  f"outside [{lo:.6g}, {hi:.6g}]") for m in rows[out])
+                rows = rows[~out]
+    if faults:
+        m = min(faults)
+        raise UnreliableLoopError(f"Gauss-map inversion of row {m} {faults[m]}")
+    return params[0], params[1]
 
 
 # -- symplectic area -----------------------------------------------------------

@@ -21,12 +21,16 @@ diagnostics row, as ``run_flow`` records the start state's: induced area,
 definiteness margin, max |H|, the normal-projection residual, the boundary
 angle residual, and the boundary dbar defect against the monitored
 schedule C/(1+t).  Each takes the geometry of its state, ``flow_geometry``,
-from its caller.  What the boundary terms need beyond that geometry depends
-on the ring samples alone, which the projection keeps bit-identical, so it
-is built once per run (``BoundaryRing``) and rebuilt only when the ring,
-the chart or the section changes.
+from its caller; it is arithmetic on the (nx, ny) planes of the chart
+metric's two distinct entries and the Christoffel symbols' four sources,
+with no dense metric or Christoffel array.  What the boundary terms need
+beyond that geometry, the chart metric at the edge samples included,
+depends on the ring samples alone, which the projection keeps
+bit-identical, so it is built once per run (``BoundaryRing``) and rebuilt
+only when the ring, the chart or the section changes.
 """
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -58,6 +62,15 @@ def _gamma_table():
 
 
 _GAMMA_K, _GAMMA_A, _GAMMA_B, _GAMMA_SIGN, _GAMMA_SOURCE = _gamma_table()
+# the 7 lower-index pairs (a, b) the symbols read, as 4a + b, and each
+# symbol's pair among them; Gamma^k_AB M^AB over symmetric M is
+# _GAMMA_SUM @ (source * M^ab) over the symbols, with an off-diagonal
+# pair counted twice
+_PAIRS = sorted(set(4 * _GAMMA_A + _GAMMA_B))
+_GAMMA_PAIR = np.array([_PAIRS.index(ab) for ab in 4 * _GAMMA_A + _GAMMA_B])
+_PAIR_A, _PAIR_B = np.divmod(_PAIRS, 4)
+_GAMMA_SUM = np.zeros((4, len(_GAMMA_K)))
+_GAMMA_SUM[_GAMMA_K, np.arange(len(_GAMMA_K))] = np.where(_GAMMA_A == _GAMMA_B, 1.0, 2.0) * _GAMMA_SIGN
 
 
 class LineSpaceChart:
@@ -104,34 +117,37 @@ class LineSpaceChart:
         diff[:, 3, 3:] = u_y
         return u, w1 * u_x + w2 * u_y, diff
 
+    @staticmethod
+    def _coefficients(x, y, w1, w2):
+        """(alpha, beta, a_x, a_y, pp, qq) at points given by their
+        coordinate arrays: G_xx = G_yy = alpha and G_{y,w1} = -G_{x,w2} =
+        beta (the other entries are zero), and the sources of the
+        Christoffel symbols in ``_gamma_table``."""
+        xx, yy = x * x, y * y
+        d = 1.0 + xx + yy
+        d_sq = d ** 2
+        return (16.0 * (x * w2 - y * w1) / d ** 3, 4.0 / d_sq, 2.0 * x / d, 2.0 * y / d,
+                2.0 * (w1 * (xx - yy + 1.0) + 2.0 * w2 * x * y) / d_sq,
+                2.0 * (w2 * (xx - yy - 1.0) - 2.0 * w1 * x * y) / d_sq)
+
     def metric_and_christoffel(self, pts):
         """Exact G_AB and Gamma^D_AB = gamma[n, D, A, B] at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        g4 = self.metric(pts)
-        x, y, w1, w2 = pts.T
-        d = 1.0 + x * x + y * y
-        a_x = 2.0 * x / d
-        a_y = 2.0 * y / d
-        pp = 2.0 * (w1 * (x * x - y * y + 1.0) + 2.0 * w2 * x * y) / d ** 2
-        qq = 2.0 * (w2 * (x * x - y * y - 1.0) - 2.0 * w1 * x * y) / d ** 2
-        # filled component-major, each symbol one contiguous row of samples;
-        # returned point-major and contiguous, as flow_geometry's matmul
-        # sums a strided operand in another order
-        vals = np.stack((a_x, a_y, pp, qq))[_GAMMA_SOURCE] * _GAMMA_SIGN[:, None]
+        sources = np.stack(self._coefficients(*pts.T)[2:])
+        vals = sources[_GAMMA_SOURCE] * _GAMMA_SIGN[:, None]
         gamma = np.zeros((4, 4, 4, len(pts)))
         gamma[_GAMMA_K, _GAMMA_A, _GAMMA_B] = vals
         gamma[_GAMMA_K, _GAMMA_B, _GAMMA_A] = vals
-        return g4, np.ascontiguousarray(gamma.transpose(3, 0, 1, 2))
+        return self.metric(pts), np.ascontiguousarray(gamma.transpose(3, 0, 1, 2))
 
     def metric(self, pts):
         """Exact G_AB at the points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x, y, w1, w2 = pts.T
-        d = 1.0 + x * x + y * y
+        alpha, beta = self._coefficients(*pts.T)[:2]
         g4 = np.zeros((len(pts), 4, 4))
-        g4[:, 0, 0] = g4[:, 1, 1] = 16.0 * (x * w2 - y * w1) / d ** 3
-        g4[:, 1, 2] = g4[:, 2, 1] = 4.0 / d ** 2
-        g4[:, 0, 3] = g4[:, 3, 0] = -4.0 / d ** 2
+        g4[:, 0, 0] = g4[:, 1, 1] = alpha
+        g4[:, 1, 2] = g4[:, 2, 1] = beta
+        g4[:, 0, 3] = g4[:, 3, 0] = -beta
         return g4
 
 
@@ -219,22 +235,27 @@ class FlowState:
 
 
 def _fd_derivatives(f, dx, dy):
-    """First and second central differences; one-sided first at the edges."""
-    d1 = np.empty(f.shape[:2] + (2,) + f.shape[2:])
-    d1[1:-1, :, 0] = (f[2:] - f[:-2]) / (2 * dx)
-    d1[0, :, 0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
-    d1[-1, :, 0] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dx)
-    d1[:, 1:-1, 1] = (f[:, 2:] - f[:, :-2]) / (2 * dy)
-    d1[:, 0, 1] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * dy)
-    d1[:, -1, 1] = (3 * f[:, -1] - 4 * f[:, -2] + f[:, -3]) / (2 * dy)
-    d2 = np.zeros(f.shape[:2] + (2, 2) + f.shape[2:])
-    d2[1:-1, :, 0, 0] = (f[2:] - 2 * f[1:-1] + f[:-2]) / dx ** 2
-    d2[:, 1:-1, 1, 1] = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / dy ** 2
-    mixed = np.zeros_like(f)
-    mixed[1:-1, 1:-1] = (f[2:, 2:] - f[2:, :-2] - f[:-2, 2:] + f[:-2, :-2]) / (4 * dx * dy)
-    d2[:, :, 0, 1] = mixed
-    d2[:, :, 1, 0] = mixed
-    return d1, d2
+    """First and second central differences; one-sided first at the edges.
+
+    Computed on the component planes of ``f`` and returned as point-major
+    views d1[i, j, a, A] and d2[i, j, a, b, A] of them, so that
+    ``d1.transpose(2, 3, 0, 1)`` is the contiguous tangent planes.
+    """
+    f = np.ascontiguousarray(np.moveaxis(f, -1, 0))
+    d1 = np.empty((2,) + f.shape)
+    d1[0, :, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2 * dx)
+    d1[0, :, 0] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * dx)
+    d1[0, :, -1] = (3 * f[:, -1] - 4 * f[:, -2] + f[:, -3]) / (2 * dx)
+    d1[1, ..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2 * dy)
+    d1[1, ..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * dy)
+    d1[1, ..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * dy)
+    d2 = np.zeros((2, 2) + f.shape)
+    d2[0, 0, :, 1:-1] = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / dx ** 2
+    d2[1, 1, ..., 1:-1] = (f[..., 2:] - 2 * f[..., 1:-1] + f[..., :-2]) / dy ** 2
+    d2[0, 1, :, 1:-1, 1:-1] = (f[:, 2:, 2:] - f[:, 2:, :-2] - f[:, :-2, 2:]
+                               + f[:, :-2, :-2]) / (4 * dx * dy)
+    d2[1, 0] = d2[0, 1]
+    return d1.transpose(2, 3, 0, 1), d2.transpose(3, 4, 0, 1, 2)
 
 
 def _t(a):
@@ -249,50 +270,56 @@ def _det2(m):
 def flow_geometry(state):
     """Shared per-step geometry: derivatives, Gram, mean curvature field.
 
-    With d1 the (2, 4) tangents and ginv the inverse Gram at a sample,
-    the tension is ginv^ab (d2_ab + Gamma(d1_a, d1_b)); its Christoffel
-    part is Gamma^A_BC M^BC with M = d1^T ginv d1, one (4, 16) @ (16,)
-    product.  G d1 is formed once and serves the Gram, the projection onto
-    the tangent plane and the normal residual; every contraction is a
-    matmul.
+    Everything is plane arithmetic on (nx, ny) component planes.  With t_a
+    the two tangents (4 planes each) and g^ab the inverse Gram, the
+    tension is g^ab (d2_ab + Gamma(t_a, t_b)); G t_a is formed once from
+    G's two distinct entries and serves the Gram, the projection onto the
+    tangent plane and the normal residual.  The Christoffel part is
+    Gamma^K_AB M^AB with M = t_a g^ab t_b, summed over ``_gamma_table``'s
+    20 symbols, which read only 7 entries of M.  No dense chart metric or
+    Christoffel array is built.  Floating-point warnings are off: a
+    non-finite sample surfaces as a non-finite margin, which is refused.
     """
     nx, ny = state.shape
     dx = state.x_axis[1] - state.x_axis[0]
     dy = state.y_axis[1] - state.y_axis[0]
     d1, d2 = _fd_derivatives(state.f, dx, dy)
-    pts = state.f.reshape(-1, 4)
-    g4, gamma = state.chart.metric_and_christoffel(pts)
-    g4 = g4.reshape(nx, ny, 4, 4)
-    gamma = gamma.reshape(nx, ny, 4, 16)
-    gd1 = d1 @ g4                                  # (nx, ny, 2, 4), G symmetric
-    gram = gd1 @ _t(d1)
+    t = d1.transpose(2, 3, 0, 1)                               # t[a, A]
+    with np.errstate(all="ignore"):
+        alpha, beta, *sources = state.chart._coefficients(
+            *np.ascontiguousarray(state.f.transpose(2, 0, 1)))
+        gt = np.stack((alpha * t[:, 0] - beta * t[:, 3], alpha * t[:, 1] + beta * t[:, 2],
+                       beta * t[:, 1], -beta * t[:, 0]), axis=1)  # (G t_a)_A
+        gram = np.empty((nx, ny, 2, 2))
+        gram[..., 0, 0] = np.sum(t[0] * gt[0], axis=0)
+        gram[..., 0, 1] = gram[..., 1, 0] = np.sum(t[0] * gt[1], axis=0)
+        gram[..., 1, 1] = np.sum(t[1] * gt[1], axis=0)
+        lo, _ = sym_eig2_batch(gram.reshape(-1, 2, 2))
+        margin = float(np.min(lo))
+        if not margin > 0.0:
+            if not np.isfinite(margin):
+                raise SignatureLossError(f"induced metric is not finite (margin {margin})")
+            raise SignatureLossError(
+                f"induced metric lost definiteness (margin {margin:.3e})")
 
-    lo, hi = sym_eig2_batch(np.ascontiguousarray(gram.reshape(-1, 2, 2)))
-    margin = float(np.min(lo))
-    if not margin > 0.0:
-        if not np.isfinite(margin):
-            raise SignatureLossError(f"induced metric is not finite (margin {margin})")
-        raise SignatureLossError(
-            f"induced metric lost definiteness (margin {margin:.3e})")
-
-    det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] ** 2
-    ginv = np.empty_like(gram)
-    ginv[..., 0, 0] = gram[..., 1, 1] / det
-    ginv[..., 1, 1] = gram[..., 0, 0] / det
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -gram[..., 0, 1] / det
-
-    second = (ginv.reshape(nx, ny, 1, 4) @ d2.reshape(nx, ny, 4, 4))[..., 0, :]
-    christoffel = (gamma @ (_t(d1) @ ginv @ d1).reshape(nx, ny, 16, 1))[..., 0]
-    tension = second + christoffel
-    # project G-orthogonally to the tangent plane
-    rhs = gd1 @ tension[..., None]
-    coef = ginv @ rhs
-    mean_curv = tension - (_t(coef) @ d1)[..., 0, :]
-    residual = gd1 @ mean_curv[..., None]
+        g00, g01, g11 = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+        det = g00 * g11 - g01 ** 2
+        i00, i01, i11 = g11 / det, -g01 / det, g00 / det
+        raised = np.stack((i00 * t[0] + i01 * t[1], i01 * t[0] + i11 * t[1]))  # g^ab t_b
+        pairs = np.sum(t[:, _PAIR_A] * raised[:, _PAIR_B], axis=0)             # M^ab
+        terms = np.stack(sources)[_GAMMA_SOURCE] * pairs[_GAMMA_PAIR]
+        christoffel = (_GAMMA_SUM @ terms.reshape(len(terms), -1)).reshape(4, nx, ny)
+        hess = d2.transpose(2, 3, 4, 0, 1)
+        tension = i00 * hess[0, 0] + 2.0 * i01 * hess[0, 1] + i11 * hess[1, 1] + christoffel
+        # project G-orthogonally to the tangent plane: subtract
+        # t_a g^ab (G t_b . tension)
+        rhs = np.sum(gt * tension, axis=1)
+        mean_curv = tension - rhs[0] * raised[0] - rhs[1] * raised[1]
+        residual = np.sum(gt * mean_curv, axis=1)
     return {
-        "d1": d1, "g4": g4, "gram": gram, "det": det,
-        "mean_curv": mean_curv, "margin": margin,
-        "normal_residual": float(np.max(np.abs(residual))),
+        "d1": d1, "gram": gram, "det": det,
+        "christoffel": christoffel.transpose(1, 2, 0), "mean_curv": mean_curv.transpose(1, 2, 0),
+        "margin": margin, "normal_residual": float(np.max(np.abs(residual))),
         "dx": dx, "dy": dy,
     }
 
@@ -323,6 +350,14 @@ def boundary_mask(shape):
     return mask
 
 
+@functools.lru_cache(maxsize=8)
+def _ring_indices(shape):
+    """(ii, jj) of every boundary sample, in C order; read-only."""
+    ii, jj = np.nonzero(boundary_mask(shape))
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
 def _edge_indices(shape):
     """Boundary samples excluding the four corners, as index arrays (ii, jj),
     with their first-interior neighbours (ni, nj).  Corner tangent frames
@@ -343,10 +378,11 @@ class BoundaryRing:
     """What the flow needs of its boundary ring beyond the geometry: the
     ring samples (``samples``, at ``ring_ij``), their chart embedding
     differential and sphere frame, the non-corner ``edge`` indices with
-    their first-interior neighbours, and the target section's tangent
-    basis there.  All of it depends only on the ring samples, the chart
-    and the section, and ``project_boundary`` snaps the ring back to the
-    same samples on every step."""
+    their first-interior neighbours, and there the chart metric G, the
+    target section's tangent basis Q, G Q^T and det(Q G Q^T).  All of it
+    depends only on the ring samples, the chart and the section, and
+    ``project_boundary`` snaps the ring back to the same samples on every
+    step."""
     chart: LineSpaceChart
     section: ChartSection
     shape: tuple               # the grid's (nx, ny)
@@ -356,11 +392,14 @@ class BoundaryRing:
     frame: tuple               # sphere frame (e1, e2) as components
     edge: tuple                # _edge_indices: (ii, jj, ni, nj)
     sec_basis: np.ndarray      # (m_edge, 2, 4)
+    edge_metric: np.ndarray    # (m_edge, 4, 4) chart metric
+    edge_gq: np.ndarray        # (m_edge, 4, 2) G Q^T
+    edge_q_det: np.ndarray     # (m_edge,) det(Q G Q^T)
 
 
 def _build_ring(state):
     """The ``BoundaryRing`` of the state's current ring samples."""
-    ii, jj = np.nonzero(boundary_mask(state.shape))
+    ii, jj = _ring_indices(state.shape)
     samples = state.f[ii, jj]
     u, _, diff = state.chart.embed_differential(samples)
     frame = _sphere_frame(_components(u), tuple(state.chart.center))
@@ -370,10 +409,13 @@ def _build_ring(state):
     sec_basis = np.zeros((len(pts), 2, 4))
     sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
     sec_basis[:, :, 2:] = dw
-    for a in (samples, diff, sec_basis):
+    edge_metric = state.chart.metric(pts)
+    edge_gq = edge_metric @ _t(sec_basis)
+    edge_q_det = _det2(sec_basis @ edge_gq)
+    for a in (samples, diff, sec_basis, edge_metric, edge_gq, edge_q_det):
         a.flags.writeable = False
     return BoundaryRing(state.chart, state.section, state.shape, (ii, jj), samples,
-                        diff, frame, edge, sec_basis)
+                        diff, frame, edge, sec_basis, edge_metric, edge_gq, edge_q_det)
 
 
 def _ring(state):
@@ -406,17 +448,17 @@ def _plane_cosh(g4, p_basis, q_basis):
     Gram determinant.  A 2x2 Gram is definite, of either sign, exactly
     when its determinant is positive, so a plane with det <= 0 is refused.
     """
-    return _plane_grams(g4, p_basis, q_basis)[0]
+    gq = g4 @ _t(q_basis)
+    return _plane_grams(g4, p_basis, gq, _det2(q_basis @ gq))[0]
 
 
-def _plane_grams(g4, p_basis, q_basis):
-    """``_plane_cosh`` with the products it is made of: (cosh, P G,
-    P G P^T, P G Q^T)."""
+def _plane_grams(g4, p_basis, gq, q_det):
+    """``_plane_cosh`` from the second plane's G Q^T and det(Q G Q^T),
+    with the products it is made of: (cosh, P G, P G P^T, P G Q^T)."""
     gp = p_basis @ g4
     gram = gp @ _t(p_basis)
-    cross = gp @ _t(q_basis)
+    cross = p_basis @ gq
     p_det = _det2(gram)
-    q_det = _det2(q_basis @ g4 @ _t(q_basis))
     cross_det = _det2(cross)
     if not np.all(np.isfinite([p_det, q_det, cross_det])):
         raise SignatureLossError("boundary tangent plane is not finite")
@@ -426,16 +468,17 @@ def _plane_grams(g4, p_basis, q_basis):
 
 
 def _boundary_planes(ring, geo):
-    """The chart metric (m, 4, 4), the disc's tangent basis (m, 2, 4) and
-    the target section's (m, 2, 4) at the non-corner boundary samples."""
+    """``_plane_grams``' arguments at the non-corner boundary samples: the
+    chart metric (m, 4, 4), the disc's tangent basis P (m, 2, 4), and
+    G Q^T and det(Q G Q^T) of the target section's basis Q."""
     ii, jj, _, _ = ring.edge
-    return geo["g4"][ii, jj], geo["d1"][ii, jj], ring.sec_basis
+    return ring.edge_metric, geo["d1"][ii, jj], ring.edge_gq, ring.edge_q_det
 
 
 def boundary_angle_cosh(state, geo):
     """cosh of the angle between the disc and the target section, per
     non-corner boundary sample."""
-    return _plane_cosh(*_boundary_planes(_ring(state), geo))
+    return _plane_grams(*_boundary_planes(_ring(state), geo))[0]
 
 
 def angle_residual(state, geo):
@@ -461,13 +504,12 @@ def _angle_gradient(state, geo):
     """
     ring = _ring(state)
     ii, jj, ni, nj = ring.edge
-    g4, disc_basis, sec_basis = _boundary_planes(ring, geo)
-    cosh, gp, gram, cross = _plane_grams(g4, disc_basis, sec_basis)
+    cosh, gp, gram, cross = _plane_grams(*_boundary_planes(ring, geo))
     a = (nj != jj).astype(int)
     o = 1 - a
     weight = 2.0 * ((ni - ii) + (nj - jj)) / np.where(a == 0, geo["dx"], geo["dy"])
     m = np.arange(len(a))
-    r = (g4 @ _t(sec_basis))[:, 2:]               # r[m, k, j]
+    r = ring.edge_gq[:, 2:]                       # r[m, k, j]
     s = gp[:, :, 2:]                              # s[m, b, k]
     dc = r[m, :, a] * cross[m, o, o, None] - r[m, :, o] * cross[m, o, a, None]
     dp = 2.0 * (gram[m, o, o, None] * s[m, a] - gram[m, a, o, None] * s[m, o])
@@ -522,15 +564,11 @@ def _check_in_chart(r, where):
 
 def project_boundary(state):
     """Condition (ii): boundary fibers snap onto the target section."""
-    mask = boundary_mask(state.shape)
-    xb = state.f[mask][:, 0]
-    yb = state.f[mask][:, 1]
+    ii, jj = _ring_indices(state.shape)
+    xb = state.f[ii, jj, 0]
+    yb = state.f[ii, jj, 1]
     _check_in_chart(np.sqrt(xb ** 2 + yb ** 2), "boundary")
-    w1, w2 = state.section.fiber(xb, yb)
-    fib = state.f[mask]
-    fib[:, 2] = w1
-    fib[:, 3] = w2
-    state.f[mask] = fib
+    state.f[ii, jj, 2], state.f[ii, jj, 3] = state.section.fiber(xb, yb)
 
 
 def _record(state, geo, h_field, angle_res):
@@ -554,9 +592,8 @@ def flow_step(state, geo):
     """
     h_field = mean_curvature_vector(geo)
     state.f = state.f + state.h * h_field
-    interior = ~boundary_mask(state.shape)
-    r_int = np.sqrt(state.f[..., 0] ** 2 + state.f[..., 1] ** 2)
-    _check_in_chart(r_int[interior], "interior")
+    inner = state.f[1:-1, 1:-1]
+    _check_in_chart(np.sqrt(inner[..., 0] ** 2 + inner[..., 1] ** 2), "interior")
     project_boundary(state)
     geo = flow_geometry(state)
     if state.angle_rate > 0.0:

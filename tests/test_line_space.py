@@ -602,6 +602,112 @@ def test_gauss_map_inversion_refuses_a_direction_without_preimage(direction):
         ls.invert_gauss_map([covered, direction], section)
 
 
+def _invert_rows_one_by_one(directions, section):
+    """invert_gauss_map row by row: each row's Newton iteration on its own,
+    one single-point eval per step, stopping at the first refusal."""
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    grid_u = ls._components(section.u)
+    sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
+    domain = ls._sampled_domain(section)
+    out = np.empty((2, len(directions)))
+    for m, target in enumerate(directions):
+        seed = int(np.argmax(ls.dot3(grid_u, target)))
+        s_c, t_c = float(sm.ravel()[seed]), float(tm.ravel()[seed])
+        _, p, q = ls._complement_basis(target)
+        for k in range(ls._INVERT_ITERS + 1):
+            u, _, du, _ = section.source.eval(s_c, t_c)
+            r_p, r_q = np.dot(p, u[0] - target), np.dot(q, u[0] - target)
+            if max(abs(r_p), abs(r_q)) < ls._INVERT_TOL:
+                break
+            if k == ls._INVERT_ITERS:
+                raise UnreliableLoopError(
+                    f"Gauss-map inversion of row {m} did not converge: residual "
+                    f"{max(abs(r_p), abs(r_q)):.3e} after {ls._INVERT_ITERS} steps")
+            (a, b), (c, d) = ((np.dot(e, du[0, 0]), np.dot(e, du[0, 1])) for e in (p, q))
+            det = a * d - b * c
+            if not abs(det) > 0.0:
+                raise UnreliableLoopError(
+                    f"Gauss-map inversion of row {m} hit a singular Jacobian")
+            s_c -= (d * r_p - b * r_q) / det
+            t_c -= (a * r_q - c * r_p) / det
+            for name, value, (lo, hi), per in zip("st", (s_c, t_c), domain, section.periodic):
+                if not (per or lo <= value <= hi):
+                    raise UnreliableLoopError(
+                        f"Gauss-map inversion of row {m} left the sampled rectangle: "
+                        f"{name} = {value:.6g} outside [{lo:.6g}, {hi:.6g}]")
+        out[:, m] = s_c, t_c
+    return out
+
+
+def _umbilic_normal_circle(n, radius=0.1):
+    """n directions on a circle of angular radius ``radius`` about the
+    normal of one umbilic of ELL."""
+    normal = np.array([2.0 * np.sqrt(1.75 / 3.0) / 4.0, 0.0, np.sqrt(1.25 / 3.0)])
+    normal /= np.linalg.norm(normal)
+    e1 = np.cross(normal, [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:, None]
+    return np.cos(radius) * normal + np.sin(radius) * (np.cos(phi) * e1 + np.sin(phi) * e2)
+
+
+@pytest.mark.parametrize("grid, block", [((64, 48), 1 << 18), ((256, 192), 1 << 18),
+                                         ((64, 48), 1000)])
+def test_batched_gauss_map_inversion_matches_the_row_oracle(monkeypatch, grid, block):
+    # one Newton iteration for every row at once, seeds searched in row
+    # blocks (one sample row per block at 1000 products) against the
+    # per-row solve
+    monkeypatch.setattr(ls, "_INVERT_BLOCK", block)
+    section = ls.normal_congruence(ELL, grid=grid)
+    loop = _umbilic_normal_circle(256)
+    got = np.stack(ls.invert_gauss_map(loop, section))
+    want = _invert_rows_one_by_one(loop, section)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    u, _, _, _ = section.source.eval(*got)
+    assert np.max(np.abs(u - loop)) < 1e-11
+
+
+def _refusal(fn, *args):
+    with pytest.raises(UnreliableLoopError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+class _FlatWhereNegative:
+    """A congruence source whose parameter tangents vanish where s < -0.5,
+    so a Newton step there meets a singular Jacobian."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def eval(self, s, t):
+        u, V, du, dV = self.source.eval(s, t)
+        return u, V, np.where((np.asarray(s) < -0.5)[..., None, None], 0.0, du), dV
+
+
+@pytest.mark.parametrize("iters", [15, 2])
+def test_batched_gauss_map_inversion_names_the_lowest_failing_row(monkeypatch, iters):
+    # the paraboloid's lower hemisphere has no preimage, the normal at
+    # x = -10 leaves the patch, and a flattened source or a short step cap
+    # refuses rows for their Jacobian or their residual; whichever row fails
+    # first in the batch, the refusal names the lowest failing row with the
+    # per-row solve's reason
+    monkeypatch.setattr(ls, "_INVERT_ITERS", iters)
+    section = ls.normal_congruence(sg.surface_by_name("paraboloid"), grid=(32, 32))
+    flattened = replace(section, source=_FlatWhereNegative(section.source))
+    covered, below, off_patch = [0.3, 0.1, 0.9], [0.287, 0.0, -0.958], [0.995, 0.0, 0.0995]
+    reasons = set()
+    for sec in (section, flattened):
+        for rows in ([covered, below, off_patch], [covered, off_patch, below],
+                     [off_patch, covered, below], [covered, covered, below, off_patch]):
+            message = _refusal(ls.invert_gauss_map, rows, sec)
+            assert message == _refusal(_invert_rows_one_by_one, rows, sec)
+            reasons.add(message.split(" ", 5)[-1].split(":")[0])
+    assert {"left the sampled rectangle", "hit a singular Jacobian"} <= reasons
+    assert ("did not converge" in reasons) == (iters == 2)
+
+
 # -- the written-out congruence and defect against np.cross / einsum oracles --
 
 def _dot(a, b):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ def _one_node_central_differences(state, probe):
 def _forward_difference_gradient(state, geo, probe):
     """The forward difference the exact gradient replaced: each sample's
     normal row of the tangents shifted by weight * probe in one fiber
-    component, the boundary's chart metric kept."""
+    component, the boundary's chart metric (held by the ring) kept."""
     ii, jj, ni, nj = nf._edge_indices(state.shape)
     axis = (nj != jj).astype(int)
     weight = 2.0 * ((ni - ii) + (nj - jj)) / np.where(axis == 0, geo["dx"], geo["dy"])
@@ -222,7 +223,7 @@ def _forward_difference_gradient(state, geo, probe):
     for k in range(2):
         d1 = geo["d1"].copy()
         d1[ii, jj, axis, 2 + k] += weight * probe
-        grads[:, k] = (nf.boundary_angle_cosh(state, {"g4": geo["g4"], "d1": d1}) - base) / probe
+        grads[:, k] = (nf.boundary_angle_cosh(state, {"d1": d1}) - base) / probe
     return grads
 
 
@@ -251,12 +252,12 @@ def test_angle_gradient_matches_the_forward_difference_to_first_order():
     assert 1.7 < errors[0] / errors[1] < 2.3
 
 
-# -- einsum oracles for the matmul contractions -------------------------------
+# -- einsum oracles for the plane contractions --------------------------------
 
 def _einsum_geometry(state):
     """flow_geometry's Gram, tension (and its Christoffel part), mean
     curvature, normal residual and G d1, each an einsum over the
-    written-out index pattern."""
+    written-out index pattern of the dense metric_and_christoffel."""
     dx = state.x_axis[1] - state.x_axis[0]
     dy = state.y_axis[1] - state.y_axis[0]
     d1, d2 = nf._fd_derivatives(state.f, dx, dy)
@@ -282,20 +283,23 @@ def _einsum_geometry(state):
 @pytest.mark.parametrize("seed, centre", list(enumerate(CENTRES[1:])))
 def test_flow_geometry_matches_the_einsum_oracle(seed, centre):
     rng = np.random.default_rng(100 + seed)
-    state, _ = nf.build_state({"grid_n": 13, "center": centre,
-                               "perturbation": rng.uniform(0.02, 0.08)})
-    state.f[1:-1, 1:-1, 2:] += rng.uniform(-0.003, 0.003, size=(11, 11, 2))
-    geo = nf.flow_geometry(state)
-    gram, tension, christoffel, mean_curv, residual, gd1 = _einsum_geometry(state)
-    # the Christoffel term is a real part of the tension, not a rounding
-    assert np.max(np.abs(christoffel)) > 0.1 * np.max(np.abs(tension))
-    assert np.max(np.abs(geo["gram"] - gram)) <= 1e-13 * np.max(np.abs(gram))
-    scale = np.max(np.abs(tension))
-    assert np.max(np.abs(geo["mean_curv"] - mean_curv)) <= 1e-13 * scale
-    # both residuals are rounding; each is measured against |G d1| |tension|
-    res_scale = 1e-13 * scale * np.max(np.abs(gd1))
-    assert geo["normal_residual"] <= res_scale
-    assert np.max(np.abs(residual)) <= res_scale
+    for n in (13, 25, 33):
+        state, _ = nf.build_state({"grid_n": n, "center": centre,
+                                   "perturbation": rng.uniform(0.02, 0.08)})
+        state.f[1:-1, 1:-1, 2:] += rng.uniform(-0.003, 0.003, size=(n - 2, n - 2, 2))
+        geo = nf.flow_geometry(state)
+        gram, tension, christoffel, mean_curv, residual, gd1 = _einsum_geometry(state)
+        # the Christoffel term is a real part of the tension, not a rounding,
+        # and the 20 plane symbols contract to the dense gamma's M^AB
+        assert np.max(np.abs(christoffel)) > 0.1 * np.max(np.abs(tension))
+        assert np.max(np.abs(geo["christoffel"] - christoffel)) <= 1e-13 * np.max(np.abs(christoffel))
+        assert np.max(np.abs(geo["gram"] - gram)) <= 1e-13 * np.max(np.abs(gram))
+        scale = np.max(np.abs(tension))
+        assert np.max(np.abs(geo["mean_curv"] - mean_curv)) <= 1e-13 * scale
+        # both residuals are rounding; each is measured against |G d1| |tension|
+        res_scale = 1e-13 * scale * np.max(np.abs(gd1))
+        assert geo["normal_residual"] <= res_scale
+        assert np.max(np.abs(residual)) <= res_scale
 
 
 def _cholesky_plane_cosh(g4, p_basis, q_basis):
@@ -345,12 +349,11 @@ def test_plane_cosh_matches_the_cholesky_oracle():
     assert np.max(np.abs(value - oracle) / oracle) < 1e-13
 
 
-def test_plane_cosh_of_the_flow_boundary_matches_the_cholesky_oracle(monkeypatch):
+def test_plane_cosh_of_the_flow_boundary_matches_the_cholesky_oracle():
     state, _ = nf.build_state(kvdoc.load(FLOW_KV))
     geo = nf.flow_geometry(state)
     cosh = nf.boundary_angle_cosh(state, geo)
-    monkeypatch.setattr(nf, "_plane_cosh", _cholesky_plane_cosh)
-    oracle = nf.boundary_angle_cosh(state, geo)
+    oracle = _uncached_angle_cosh(state, geo, _cholesky_plane_cosh)
     assert np.max(np.abs(cosh - oracle)) < 1e-14
     assert np.max(cosh - 1.0) > 1e-3  # the planes are not all equal
 
@@ -555,6 +558,23 @@ def test_nan_fiber_is_signature_loss_with_state_intact():
     assert np.array_equal(state.f, snapshot, equal_nan=True)
 
 
+def test_nan_fiber_sample_halts_run_flow_without_a_warning(monkeypatch):
+    # the plane arithmetic runs with floating-point warnings off: the NaN
+    # reaches the margin, which names it, under -W error::RuntimeWarning
+    build = nf.build_state
+
+    def with_nan(*args, **kwargs):
+        state, cfg = build(*args, **kwargs)
+        state.f[5, 5, 2] = np.nan
+        return state, cfg
+    monkeypatch.setattr(nf, "build_state", with_nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state, _ = nf.run_flow({"grid_n": 11, "steps": 5, "perturbation": 0.03})
+    assert state.halted.startswith("SignatureLossError: induced metric is not finite")
+    assert state.diagnostics == []
+
+
 def test_nan_chart_coordinate_is_chart_domain_error():
     state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
     state.f[0, 4, 0] = np.nan
@@ -580,15 +600,37 @@ def _uncached_dbar_norm(state, geo):
     return float(np.max(np.abs(psi)))
 
 
-def _uncached_angle_cosh(state, geo):
-    """boundary_angle_cosh from scratch: a fresh section basis."""
+def _fresh_edge_planes(state):
+    """The chart metric and the section basis at the non-corner boundary
+    samples, from scratch."""
     ii, jj, _, _ = nf._edge_indices(state.shape)
     pts = state.f[ii, jj]
     _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
     sec_basis = np.zeros((len(ii), 2, 4))
     sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
     sec_basis[:, :, 2:] = dw
-    return nf._plane_cosh(geo["g4"][ii, jj], geo["d1"][ii, jj], sec_basis)
+    return state.chart.metric(pts), sec_basis
+
+
+def _uncached_angle_cosh(state, geo, plane_cosh=nf._plane_cosh):
+    """boundary_angle_cosh from scratch: a fresh chart metric and section
+    basis."""
+    ii, jj, _, _ = nf._edge_indices(state.shape)
+    g4, sec_basis = _fresh_edge_planes(state)
+    return plane_cosh(g4, geo["d1"][ii, jj], sec_basis)
+
+
+def _assert_ring_edge_data_fresh(state):
+    """The ring's edge metric, section basis, G Q^T and det(Q G Q^T) equal
+    chart.metric, a fresh basis and fresh products."""
+    ring = nf._ring(state)
+    g4, sec_basis = _fresh_edge_planes(state)
+    gq = g4 @ np.swapaxes(sec_basis, -1, -2)
+    qgq = sec_basis @ gq
+    assert np.array_equal(ring.edge_metric, g4)
+    assert np.array_equal(ring.sec_basis, sec_basis)
+    assert np.array_equal(ring.edge_gq, gq)
+    assert np.array_equal(ring.edge_q_det, qgq[:, 0, 0] * qgq[:, 1, 1] - qgq[:, 0, 1] * qgq[:, 1, 0])
 
 
 def _assert_ring_matches_oracle(state):
@@ -596,6 +638,7 @@ def _assert_ring_matches_oracle(state):
     assert nf.dbar_boundary_norm(state, geo) == _uncached_dbar_norm(state, geo)
     assert np.array_equal(nf.boundary_angle_cosh(state, geo),
                           _uncached_angle_cosh(state, geo))
+    _assert_ring_edge_data_fresh(state)
 
 
 @pytest.mark.parametrize("angle_rate", [0.0, 0.2])
@@ -609,6 +652,7 @@ def test_ring_diagnostics_match_the_uncached_oracle(angle_rate):
         geo = nf.flow_step(state, geo)
     assert state.halted == "" and len(state.diagnostics) == 20
     assert state.ring is ring  # the snapped ring never moved
+    # its edge metric, G Q^T and det(Q G Q^T) still equal fresh ones
     _assert_ring_matches_oracle(state)
     assert state.diagnostics[-1].dbar_norm == _uncached_dbar_norm(state, geo)
 
@@ -644,7 +688,11 @@ def test_moving_the_ring_rebuilds_it():
     _assert_ring_matches_oracle(moved)
     _assert_ring_matches_oracle(state)
     assert moved.ring is not ring and state.ring is ring
-    # another target section, with the ring samples unchanged
+    # another target section, with the ring samples unchanged: the same
+    # edge metric, a new basis and new products
     state.section = nf.twisted_zero_section(0.8)
     _assert_ring_matches_oracle(state)
     assert not np.array_equal(state.ring.sec_basis, ring.sec_basis)
+    assert np.array_equal(state.ring.edge_metric, ring.edge_metric)
+    assert not np.array_equal(state.ring.edge_gq, ring.edge_gq)
+    assert not np.array_equal(state.ring.edge_q_det, ring.edge_q_det)
