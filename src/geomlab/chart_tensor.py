@@ -110,11 +110,6 @@ def smoothstep(x):
     return a / (a + b)
 
 
-def bump_profile(rho, bump):
-    """Evaluate the cutoff profile at rho (scalar or array)."""
-    return _value(bump(np.asarray(rho, dtype=float)))
-
-
 @dataclass
 class MetricField:
     """Symmetric 2-tensor field on a chart, with exact derivatives.

@@ -193,58 +193,14 @@ def cmd_umbilics(args):
 
 
 def cmd_linespace_audit(args):
-    rng = np.random.default_rng(args.seed)
-    n = args.samples
-    worst = {"j_squared": 0.0, "constraint": 0.0, "omega_antisym": 0.0,
-             "omega_j_invariant": 0.0, "g_symmetric": 0.0, "wirtinger": 0.0}
-    signature_ok = True
-    for _ in range(n):
-        base = ls.random_base(rng)
-        x = ls.random_tangent(rng, base)
-        y = ls.random_tangent(rng, base)
-        ju, jv = ls.apply_j(base.u, base.V, x.du, x.dV)
-        worst["constraint"] = max(
-            worst["constraint"], abs(np.dot(base.u, ju)),
-            abs(np.dot(base.u, jv) + np.dot(base.V, ju)))
-        jju, jjv = ls.apply_j(base.u, base.V, ju, jv)
-        worst["j_squared"] = max(worst["j_squared"],
-                                 float(np.max(np.abs(jju + x.du))),
-                                 float(np.max(np.abs(jjv + x.dV))))
-        om = ls.omega_pair(x.du, x.dV, y.du, y.dV)
-        worst["omega_antisym"] = max(worst["omega_antisym"], abs(
-            om + ls.omega_pair(y.du, y.dV, x.du, x.dV)))
-        ju2, jv2 = ls.apply_j(base.u, base.V, y.du, y.dV)
-        worst["omega_j_invariant"] = max(worst["omega_j_invariant"], abs(
-            ls.omega_pair(ju, jv, ju2, jv2) - om))
-        worst["g_symmetric"] = max(worst["g_symmetric"], abs(
-            ls.metric_pair(base.u, base.V, x.du, x.dV, y.du, y.dV)
-            - ls.metric_pair(base.u, base.V, y.du, y.dV, x.du, x.dV)))
-        worst["wirtinger"] = max(worst["wirtinger"], ls.wirtinger_residual(x, y))
-    # signature on a handful of random frames
-    for _ in range(32):
-        base = ls.random_base(rng)
-        frame = [ls.random_tangent(rng, base) for _ in range(4)]
-        gram = np.array([[ls.metric_pair(base.u, base.V, p.du, p.dV, q.du, q.dV)
-                          for q in frame] for p in frame])
-        evals = np.linalg.eigvalsh(gram)
-        if not (np.sum(evals > 0) == 2 and np.sum(evals < 0) == 2):
-            signature_ok = False
-    checks = {
-        "j_squared": worst["j_squared"] < 1e-10,
-        "constraint": worst["constraint"] < 1e-12,
-        "omega_antisym": worst["omega_antisym"] < 1e-12,
-        "omega_j_invariant": worst["omega_j_invariant"] < 1e-10,
-        "g_symmetric": worst["g_symmetric"] < 1e-10,
-        "wirtinger": worst["wirtinger"] < 1e-9,
-        "signature_2_2": signature_ok,
-    }
-    payload = {"samples": n, "seed": args.seed, "residuals": worst,
-               "checks": checks, "passed": all(checks.values())}
+    samples = _sizes(args.samples, "--samples", 1)[0]
+    payload = {"samples": samples, "seed": args.seed,
+               **ls.structure_audit(np.random.default_rng(args.seed), samples)}
     out = _out_dir(args)
     _write_json(os.path.join(out, "linespace_audit.json"), payload,
                 not args.no_timestamp)
     print(f"linespace-audit: {'pass' if payload['passed'] else 'FAIL'} "
-          f"(worst wirtinger {worst['wirtinger']:.2e})")
+          f"(worst wirtinger {payload['residuals']['wirtinger']:.2e})")
     return EXIT_PASS if payload["passed"] else EXIT_FAIL
 
 
@@ -254,8 +210,6 @@ def cmd_maslov(args):
     grid = _sizes(args.grid, "--grid", 2)
     loop_samples = _sizes(args.loop_samples, "--loop-samples", 1)[0]
     section = ls.normal_congruence(surface, grid=grid)
-    cmap = section.source
-    rows = []
     if args.loop_file:
         loop_u = np.loadtxt(args.loop_file, comments="#")
         loop_s, loop_t = ls.invert_gauss_map(loop_u, section)
@@ -267,23 +221,18 @@ def cmd_maslov(args):
                             - np.roll(s_unwrapped, -1) * loop_t)
         if area < 0:
             loop_s, loop_t = loop_s[::-1], loop_t[::-1]
-        mas = ls.maslov_index(cmap, loop_s, loop_t, section.center)
-        angles = ut.principal_angles(surface, metric, loop_s, loop_t)
-        rows.append(["file", mas["mu"], mas["index_sum"],
-                     mas["operator_index"], mas["unparameterized_dim"],
-                     ut.line_field_winding(angles)])
+        loops = [("file", loop_s, loop_t)]
     else:
         # only the enclosing loops are placed around the scanned umbilics
         iso = [r for r in ut.umbilic_scan(surface, metric, grid=grid) if r.isolated]
         phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
-        enclose = [int(x) for x in args.enclose.split(",")]
-        for count in enclose:
-            loop_s, loop_t = sc.enclosing_loop(iso, count, phi)
-            mas = ls.maslov_index(cmap, loop_s, loop_t, section.center)
-            angles = ut.principal_angles(surface, metric, loop_s, loop_t)
-            rows.append([count, mas["mu"], mas["index_sum"],
-                         mas["operator_index"], mas["unparameterized_dim"],
-                         ut.line_field_winding(angles)])
+        loops = [(count, *sc.enclosing_loop(iso, count, phi))
+                 for count in (int(x) for x in args.enclose.split(","))]
+    rows = []
+    for label, loop_s, loop_t in loops:
+        mas, winding = sc._maslov_mirror(surface, metric, section, loop_s, loop_t)
+        rows.append([label, mas["mu"], mas["index_sum"], mas["operator_index"],
+                     mas["unparameterized_dim"], winding])
     out = _out_dir(args)
     _write_csv(os.path.join(out, "maslov.csv"),
                ["enclosed", "mu", "index_sum", "operator_index",

@@ -31,67 +31,6 @@ from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _loop_index,
                                _loop_winding, _scan_zeros)
 
 TWO_PI = 2.0 * np.pi
-CONSTRAINT_TOL = 1e-12
-
-
-# -- containers --------------------------------------------------------------
-
-@dataclass
-class OrientedLine:
-    u: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.V = np.asarray(self.V, dtype=float)
-
-    def validate(self, tol=CONSTRAINT_TOL):
-        if abs(np.dot(self.u, self.u) - 1.0) > tol:
-            raise ValueError("direction is not unit length")
-        if abs(np.dot(self.u, self.V)) > tol:
-            raise ValueError("foot vector is not perpendicular to the direction")
-
-
-@dataclass
-class LineTangent:
-    base: OrientedLine
-    du: np.ndarray
-    dV: np.ndarray
-
-    def __post_init__(self):
-        self.du = np.asarray(self.du, dtype=float)
-        self.dV = np.asarray(self.dV, dtype=float)
-
-    def validate(self, tol=CONSTRAINT_TOL):
-        scale = 1.0 + float(np.max(np.abs(self.du)) + np.max(np.abs(self.dV)))
-        if abs(np.dot(self.base.u, self.du)) > tol * scale:
-            raise ValueError("du is not tangent to the direction sphere")
-        res = np.dot(self.base.u, self.dV) + np.dot(self.base.V, self.du)
-        if abs(res) > tol * scale:
-            raise ValueError("(du, dV) violates the foot-perpendicularity constraint")
-
-
-def line_through(point, direction):
-    """Oriented line through ``point`` with unit ``direction``."""
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    p = np.asarray(point, dtype=float)
-    return OrientedLine(u, p - np.dot(p, u) * u)
-
-
-def random_base(rng):
-    u = rng.normal(size=3)
-    u /= np.linalg.norm(u)
-    w = rng.normal(size=3)
-    return OrientedLine(u, w - np.dot(w, u) * u)
-
-
-def random_tangent(rng, base, scale=1.0):
-    a = rng.normal(size=3) * scale
-    du = a - np.dot(a, base.u) * base.u
-    w = rng.normal(size=3) * scale
-    dV = w - (np.dot(base.u, w) + np.dot(base.V, du)) * base.u
-    return LineTangent(base, du, dV)
 
 
 # -- structure kernels (batched over leading axes) ---------------------------
@@ -128,17 +67,6 @@ def metric_pair(u, V, du_x, dv_x, du_y, dv_y):
     return omega_pair(ju, jv, du_y, dv_y)
 
 
-def neutral_structures(x, y):
-    """(J x, omega(x, y), G(x, y)) for tangents at a common base line."""
-    if not np.allclose(x.base.u, y.base.u) or not np.allclose(x.base.V, y.base.V):
-        raise ValueError("tangents live at different base lines")
-    u, V = x.base.u, x.base.V
-    ju, jv = apply_j(u, V, x.du, x.dV)
-    om = omega_pair(x.du, x.dV, y.du, y.dV)
-    g = metric_pair(u, V, x.du, x.dV, y.du, y.dV)
-    return LineTangent(x.base, ju, jv), float(om), float(g)
-
-
 def potential_form(V, du):
     """Primitive lambda with d(lambda) = omega: lambda(du, dV) = V . du."""
     return _dot(V, du)
@@ -158,20 +86,15 @@ def _complement_basis(center):
     return c, p, q
 
 
-def sphere_frame(u, center):
+def _sphere_frame(u, center):
     """Smooth orthonormal frame (e1, e2 = u x e1) of u-perp over a chart.
 
+    ``u`` and the returned e1, e2 are lists of their three components.
     e1 follows the first stereographic coordinate direction of the chart
     centred at ``center`` (projection from -center), so the frame is smooth
     on the sphere minus the antipode of the center and J-compatible:
     J maps (0, e1) to (0, e2) in the vertical splitting.
     """
-    e1, e2 = _sphere_frame(_components(u), center)
-    return np.stack(e1, axis=-1), np.stack(e2, axis=-1)
-
-
-def _sphere_frame(u, center):
-    """``sphere_frame`` over the components of u: e1 and e2 as components."""
     c, p, q = _complement_basis(center)
     denom = 1.0 + dot3(u, c)
     if np.any(denom <= 1e-12):
@@ -183,17 +106,6 @@ def _sphere_frame(u, center):
     norm = np.sqrt(dot3(e1, e1))
     e1 = [ek / norm for ek in e1]
     return e1, cross3(u, e1)
-
-
-def stereo_to_sphere(x, y, center):
-    """Inverse stereographic chart: plane coords -> unit direction (jets ok)."""
-    c, p, q = _complement_basis(center)
-    r_sq = x * x + y * y
-    denom = 1.0 + r_sq
-    ux = (2.0 * x * p[0] + 2.0 * y * q[0] + (1.0 - r_sq) * c[0]) / denom
-    uy = (2.0 * x * p[1] + 2.0 * y * q[1] + (1.0 - r_sq) * c[1]) / denom
-    uz = (2.0 * x * p[2] + 2.0 * y * q[2] + (1.0 - r_sq) * c[2]) / denom
-    return ux, uy, uz
 
 
 def sphere_to_stereo(u, center):
@@ -248,73 +160,28 @@ def _psi_in_frame(e1, e2, du1, dv1, du2, dv2, normalize):
     return psi
 
 
-def plane_off_j_fraction(u, V, du1, dv1, du2, dv2):
-    """Relative size of the part of J X_a outside span(X1, X2).
+# -- random lines and tangents ------------------------------------------------
 
-    The projection onto the span solves the 2x2 normal equations in closed
-    form: with Gram entries g11, g12, g22 and r_k = X_k.w, the coefficients
-    of w = J X_a are (g22 r1 - g12 r2, g11 r2 - g12 r1) / det.
+def random_tangents(rng, n, k):
+    """``n`` random oriented lines, each with ``k`` random tangents there.
+
+    Returns u, V of shape (n, 3) and du, dV of shape (n, k, 3), drawn as
+    one ``rng.normal(size=(n, 2 + 2k, 3))``: per line a direction and a
+    foot draw, then a (du, dV) pair of draws per tangent, each projected
+    onto |u| = 1, u.V = 0, u.du = 0 and u.dV + V.du = 0.
     """
-    x1 = np.concatenate([du1, dv1], axis=-1)
-    x2 = np.concatenate([du2, dv2], axis=-1)
-    g11, g12, g22 = _dot(x1, x1), _dot(x1, x2), _dot(x2, x2)
-    det = g11 * g22 - g12 * g12
-    worst = np.zeros(np.shape(u)[:-1])
-    for dua, dva in ((du1, dv1), (du2, dv2)):
-        w = np.concatenate(apply_j(u, V, dua, dva), axis=-1)
-        r1, r2 = _dot(x1, w), _dot(x2, w)
-        resid = (w - ((g22 * r1 - g12 * r2) / det)[..., None] * x1
-                 - ((g11 * r2 - g12 * r1) / det)[..., None] * x2)
-        worst = np.maximum(worst, np.sqrt(_dot(resid, resid) / _dot(w, w)))
-    return worst
+    # component-major, so the projections are written-out contractions
+    g = np.moveaxis(rng.normal(size=(n, 2 + 2 * k, 3)), -1, 0)
+    u = g[:, :, 0] / np.sqrt(dot3(g[:, :, 0], g[:, :, 0]))
+    V = g[:, :, 1] - dot3(g[:, :, 1], u) * u
+    a, w = g[:, :, 2::2], g[:, :, 3::2]
+    u_k, V_k = u[..., None], V[..., None]
+    du = a - dot3(a, u_k) * u_k
+    dV = w - (dot3(u_k, w) + dot3(V_k, du)) * u_k
+    return tuple(np.moveaxis(c, 0, -1) for c in (u, V, du, dV))
 
 
-# -- plane classification and the Wirtinger identity -------------------------
-
-@dataclass
-class PlaneClass:
-    kind: str
-    lagrangian: bool
-    holomorphic: bool
-    eigenvalues: tuple
-    omega: float
-
-
-def classify_plane(x1, x2, rel_tol=1e-8):
-    """Signature type of span(x1, x2) plus Lagrangian/holomorphic flags."""
-    u, V = x1.base.u, x1.base.V
-    scale1 = np.linalg.norm(np.concatenate([x1.du, x1.dV]))
-    scale2 = np.linalg.norm(np.concatenate([x2.du, x2.dV]))
-    cross_gram = abs(np.dot(np.concatenate([x1.du, x1.dV]),
-                            np.concatenate([x2.du, x2.dV])))
-    if cross_gram > (1.0 - 1e-10) * scale1 * scale2 or min(scale1, scale2) == 0.0:
-        raise ValueError("tangent inputs are (numerically) linearly dependent")
-    gram = np.empty((2, 2))
-    pairs = ((x1.du, x1.dV), (x2.du, x2.dV))
-    for i, (dui, dvi) in enumerate(pairs):
-        for j, (duj, dvj) in enumerate(pairs):
-            gram[i, j] = metric_pair(u, V, dui, dvi, duj, dvj)
-    om = omega_pair(x1.du, x1.dV, x2.du, x2.dV)
-    evals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    scale = scale1 * scale2
-    tol = rel_tol * scale
-    small = np.abs(evals) <= tol
-    if small.all():
-        kind = "totally-null"
-    elif small.any():
-        kind = "degenerate"
-    elif evals[0] > 0:
-        kind = "positive-definite"
-    elif evals[1] < 0:
-        kind = "negative-definite"
-    else:
-        kind = "lorentz"
-    lagrangian = abs(om) <= tol
-    holo = plane_off_j_fraction(u[None], V[None], x1.du[None], x1.dV[None],
-                                x2.du[None], x2.dV[None])[0] <= rel_tol ** 0.5
-    return PlaneClass(kind, bool(lagrangian), bool(holo),
-                      (float(evals[0]), float(evals[1])), float(om))
-
+# -- the Wirtinger identity and the structure audit ---------------------------
 
 def _quad_form(a, b, c, d):
     """(omega ^ omega)/2 evaluated on four tangents (component tuples)."""
@@ -331,22 +198,66 @@ def _quad_form(a, b, c, d):
 _DET4_SIGN = 1.0
 
 
-def wirtinger_residual(x1, x2):
-    """|omega(X1,X2)^2 - det[X1,X2,JX1,JX2] - det G(Xi,Xj)|.
+def wirtinger_residual(u, V, x, y):
+    """|omega(X,Y)^2 - det[X,Y,JX,JY] - det G(Xi,Xj)| per row.
 
-    The 4-determinant is taken against the G-volume form oriented by
-    ``_DET4_SIGN``.
+    ``x`` and ``y`` are tangents (du, dV) at the lines (u, V), arrays of
+    shape (..., 3).  The 4-determinant is taken against the G-volume form
+    oriented by ``_DET4_SIGN``; the 2x2 Gram determinant is written out.
     """
-    u, V = x1.base.u, x1.base.V
-    a = (x1.du, x1.dV)
-    b = (x2.du, x2.dV)
-    c = apply_j(u, V, *a)
-    d = apply_j(u, V, *b)
-    det4 = _DET4_SIGN * _quad_form(a, b, c, d)
-    gram = np.array([[metric_pair(u, V, *a, *a), metric_pair(u, V, *a, *b)],
-                     [metric_pair(u, V, *b, *a), metric_pair(u, V, *b, *b)]])
-    om = omega_pair(*a, *b)
-    return float(abs(om * om - det4 - np.linalg.det(gram)))
+    jx, jy = apply_j(u, V, *x), apply_j(u, V, *y)
+    det4 = _DET4_SIGN * _quad_form(x, y, jx, jy)
+    # G(A, B) = omega(J A, B)
+    gram_det = (omega_pair(*jx, *x) * omega_pair(*jy, *y)
+                - omega_pair(*jx, *y) * omega_pair(*jy, *x))
+    om = omega_pair(*x, *y)
+    return np.abs(om * om - det4 - gram_det)
+
+
+# each structure residual's pass bound in ``structure_audit``
+_AUDIT_BOUNDS = {"j_squared": 1e-10, "constraint": 1e-12, "omega_antisym": 1e-12,
+                 "omega_j_invariant": 1e-10, "g_symmetric": 1e-10, "wirtinger": 1e-9}
+
+# random 4-frames whose Gram matrix must have signature (2, 2)
+_SIGNATURE_FRAMES = 32
+
+
+def structure_audit(rng, samples):
+    """The identities of (J, omega, G) on ``samples`` random tangent pairs.
+
+    One batched pass over ``random_tangents(rng, samples, 2)`` gives the
+    worst residual of J^2 = -1, of the tangency constraint on J X, of the
+    antisymmetry and J-invariance of omega, of the symmetry of G and of
+    the Wirtinger identity; the signature check then draws
+    ``_SIGNATURE_FRAMES`` random 4-frames and needs two positive and two
+    negative eigenvalues of every Gram matrix.  Returns the ``residuals``,
+    the ``checks`` (each residual below its bound in ``_AUDIT_BOUNDS``,
+    and ``signature_2_2``) and ``passed``, all checks true.
+    """
+    u, V, du, dV = random_tangents(rng, samples, 2)
+    x, y = (du[:, 0], dV[:, 0]), (du[:, 1], dV[:, 1])
+    (ju, jv), jy = apply_j(u, V, *x), apply_j(u, V, *y)
+    jju, jjv = apply_j(u, V, ju, jv)
+    om = omega_pair(*x, *y)
+    rows = {
+        "j_squared": np.maximum(np.max(np.abs(jju + x[0]), axis=-1),
+                                np.max(np.abs(jjv + x[1]), axis=-1)),
+        "constraint": np.maximum(np.abs(_dot(u, ju)), np.abs(_dot(u, jv) + _dot(V, ju))),
+        "omega_antisym": np.abs(om + omega_pair(*y, *x)),
+        "omega_j_invariant": np.abs(omega_pair(ju, jv, *jy) - om),
+        "g_symmetric": np.abs(metric_pair(u, V, *x, *y) - metric_pair(u, V, *y, *x)),
+        "wirtinger": wirtinger_residual(u, V, x, y),
+    }
+    residuals = {name: float(np.max(r, initial=0.0)) for name, r in rows.items()}
+    checks = {name: residuals[name] < bound for name, bound in _AUDIT_BOUNDS.items()}
+    u, V, du, dV = random_tangents(rng, _SIGNATURE_FRAMES, 4)
+    # gram[m, a, b] = G(X_a, X_b) of frame m
+    gram = metric_pair(u[:, None, None], V[:, None, None], du[:, :, None], dV[:, :, None],
+                       du[:, None], dV[:, None])
+    evals = np.linalg.eigvalsh(gram)
+    checks["signature_2_2"] = bool(np.all((np.sum(evals > 0, axis=-1) == 2)
+                                          & (np.sum(evals < 0, axis=-1) == 2)))
+    return {"residuals": residuals, "checks": checks, "passed": all(checks.values())}
 
 
 # -- normal congruences -------------------------------------------------------
@@ -803,14 +714,3 @@ def holomorphic_twist(section, strength, center):
                        *source.twist(section.u, section.V, section.du, section.dV),
                        source, periodic=section.periodic, center=tuple(source.axis))
 
-
-def section_gram(section):
-    """Induced 2x2 Gram matrices of the section tangent planes, (ns,nt,2,2)."""
-    du, dV = section.du, section.dV
-    g = np.empty(section.u.shape[:2] + (2, 2))
-    for a in range(2):
-        for b in range(2):
-            g[..., a, b] = metric_pair(section.u, section.V,
-                                       du[..., a, :], dV[..., a, :],
-                                       du[..., b, :], dV[..., b, :])
-    return g

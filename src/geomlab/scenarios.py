@@ -196,6 +196,15 @@ def enclosing_loop(iso, count, phi):
     raise ConfigError("--enclose supports counts 0, 1, 2")
 
 
+def _maslov_mirror(surface, metric, section, loop_s, loop_t):
+    """The Keller-Maslov index of a parameter loop on the normal-line
+    ``section`` of ``surface``, and its mirror: the winding i of the
+    surface's principal line field on the same loop, with mu = 4i."""
+    mas = ls.maslov_index(section.source, loop_s, loop_t, section.center)
+    angles = ut.principal_angles(surface, metric, loop_s, loop_t)
+    return mas, ut.line_field_winding(angles)
+
+
 def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     """Umbilic topology and its line-space mirror on the worked examples.
 
@@ -225,7 +234,6 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
             "derived:principal-winding"))
 
     section = ls.normal_congruence(ell, grid=grid)
-    cmap = section.source
     complex_pts = ls.complex_point_scan(section)
     report.values["complex_points"] = [
         {"s": r.s, "t": r.t, "direction": list(r.direction),
@@ -248,9 +256,7 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     iso = [r for r in audit["records"] if r.isolated]
     for count in (0, 1, 2):
         loop_s, loop_t = enclosing_loop(iso, count, phi)
-        mas = ls.maslov_index(cmap, loop_s, loop_t, section.center)
-        angles = ut.principal_angles(ell, flat, loop_s, loop_t)
-        i_surface = ut.line_field_winding(angles)
+        mas, i_surface = _maslov_mirror(ell, flat, section, loop_s, loop_t)
         report.values[f"maslov_enclosing_{count}"] = mas
         report.values[f"principal_index_enclosing_{count}"] = i_surface
         report.assertions.append(Assertion(

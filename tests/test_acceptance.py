@@ -114,30 +114,9 @@ def test_criterion_5_line_space_correspondence():
     om = ls.omega_pair(du[..., 0, :], dV[..., 0, :], du[..., 1, :], dV[..., 1, :])
     ok &= float(np.max(np.abs(om))) < 1e-8
 
-    rng = np.random.default_rng(23)
-    worst_j = worst_om = worst_wirt = 0.0
-    signature_ok = True
-    for _ in range(1000):
-        base = ls.random_base(rng)
-        x = ls.random_tangent(rng, base)
-        y = ls.random_tangent(rng, base)
-        ju, jv = ls.apply_j(base.u, base.V, x.du, x.dV)
-        jju, jjv = ls.apply_j(base.u, base.V, ju, jv)
-        worst_j = max(worst_j, float(np.max(np.abs(jju + x.du))),
-                      float(np.max(np.abs(jjv + x.dV))))
-        jy = ls.apply_j(base.u, base.V, y.du, y.dV)
-        worst_om = max(worst_om, abs(
-            ls.omega_pair(ju, jv, *jy) - ls.omega_pair(x.du, x.dV, y.du, y.dV)))
-        worst_wirt = max(worst_wirt, ls.wirtinger_residual(x, y))
-    for _ in range(250):
-        base = ls.random_base(rng)
-        frame = [ls.random_tangent(rng, base) for _ in range(4)]
-        gram = np.array([[ls.metric_pair(base.u, base.V, a.du, a.dV, b.du, b.dV)
-                          for b in frame] for a in frame])
-        evals = np.linalg.eigvalsh(gram)
-        signature_ok &= bool(np.sum(evals > 0) == 2 and np.sum(evals < 0) == 2)
-    ok &= worst_j < 1e-10 and worst_om < 1e-10 and worst_wirt < 1e-9
-    ok &= signature_ok
+    audit = ls.structure_audit(np.random.default_rng(23), 1000)
+    ok &= audit["passed"]
+    worst_wirt = audit["residuals"]["wirtinger"]
     _verdict(5, f"line-space structure (wirtinger {worst_wirt:.1e})", ok)
 
 

@@ -121,11 +121,11 @@ def test_analytic_partials_match_finite_differences():
 def test_bump_profile_pieces():
     for eps in (0.1, 0.25, 0.5):
         bump = ct.BumpProfile(eps)
-        assert ct.bump_profile(np.pi / 4, bump) == 1.0
-        assert ct.bump_profile(np.pi / 4 + eps / 5, bump) == 1.0
-        assert ct.bump_profile(np.pi / 4 + eps, bump) == 0.0
-        assert ct.bump_profile(np.pi / 4 - 0.9 * eps, bump) == 0.0
-        mid = ct.bump_profile(np.pi / 4 + 0.375 * eps, bump)
+        assert bump(np.pi / 4) == 1.0
+        assert bump(np.pi / 4 + eps / 5) == 1.0
+        assert bump(np.pi / 4 + eps) == 0.0
+        assert bump(np.pi / 4 - 0.9 * eps) == 0.0
+        mid = bump(np.pi / 4 + 0.375 * eps)
         assert 0.0 < mid < 1.0
 
 
@@ -133,20 +133,20 @@ def test_bump_profile_continuity_at_seams():
     bump = ct.BumpProfile(0.3)
     for seam in (0.25 * 0.3, 0.5 * 0.3):
         for side in (seam - 1e-9, seam + 1e-9):
-            lo = ct.bump_profile(np.pi / 4 + side, bump)
-            hi = ct.bump_profile(np.pi / 4 + seam, bump)
+            lo = bump(np.pi / 4 + side)
+            hi = bump(np.pi / 4 + seam)
             assert abs(lo - hi) < 1e-6
     # tighter check: values straddling each seam within 1e-13
     for seam in (0.25 * 0.3, 0.5 * 0.3):
-        a = ct.bump_profile(np.pi / 4 + seam * (1 - 1e-13), bump)
-        b = ct.bump_profile(np.pi / 4 + seam * (1 + 1e-13), bump)
+        a = bump(np.pi / 4 + seam * (1 - 1e-13))
+        b = bump(np.pi / 4 + seam * (1 + 1e-13))
         assert abs(a - b) < 1e-12
 
 
 def test_bump_profile_monotone_transition():
     bump = ct.BumpProfile(0.2)
     rho = np.pi / 4 + np.linspace(0.05, 0.1, 200)
-    vals = ct.bump_profile(rho, bump)
+    vals = bump(rho)
     assert np.all(np.diff(vals) <= 1e-12)
 
 

@@ -17,129 +17,123 @@ FLAT = ct.metric_by_name("flat-r3")
 ELL = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
 
 
-def test_line_through_point_and_validation():
-    line = ls.line_through([1.0, 2.0, 2.0], [0.0, 0.0, 5.0])
-    line.validate()
-    assert np.allclose(line.u, [0, 0, 1])
-    assert np.allclose(line.V, [1, 2, 0])
+def _pairs(du, dV):
+    """The first two tangents (du, dV)[:, a] of each row, as (du, dV) pairs."""
+    return (du[:, 0], dV[:, 0]), (du[:, 1], dV[:, 1])
+
+
+def _gram(u, V, du, dV):
+    """G(X_a, X_b) over the tangents X_a = (du, dV)[..., a, :] at (u, V)."""
+    u, V = u[..., None, None, :], V[..., None, None, :]
+    return ls.metric_pair(u, V, du[..., :, None, :], dV[..., :, None, :],
+                          du[..., None, :, :], dV[..., None, :, :])
+
+
+def _norms(*tangents):
+    """The product of the norms |(du, dV)| of the tangents, per row."""
+    return np.prod([np.sqrt(_dot(du, du) + _dot(dv, dv)) for du, dv in tangents], axis=0)
+
+
+def test_random_tangents_equal_per_row_draws():
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    for n, k in ((1, 0), (7, 1), (200, 4)):
+        rng = np.random.default_rng(n)
+        want = [[], [], [], []]
+        for _ in range(n):
+            u = rng.normal(size=3)
+            u /= np.sqrt(dot(u, u))
+            w = rng.normal(size=3)
+            V = w - dot(w, u) * u
+            rows = []
+            for _ in range(k):
+                a = rng.normal(size=3)
+                du = a - dot(a, u) * u
+                w = rng.normal(size=3)
+                rows.append((du, w - (dot(u, w) + dot(V, du)) * u))
+            for out, value in zip(want, (u, V, [r[0] for r in rows], [r[1] for r in rows])):
+                out.append(value)
+        got = ls.random_tangents(np.random.default_rng(n), n, k)
+        for g, w, shape in zip(got, want, ((n, 3), (n, 3), (n, k, 3), (n, k, 3))):
+            assert g.shape == shape
+            assert np.max(np.abs(g - np.reshape(w, shape)), initial=0.0) <= 4.5e-16
 
 
 def test_j_squares_to_minus_identity_and_preserves_constraints():
-    rng = np.random.default_rng(10)
-    for _ in range(1000):
-        base = ls.random_base(rng)
-        x = ls.random_tangent(rng, base)
-        ju, jv = ls.apply_j(base.u, base.V, x.du, x.dV)
-        ls.LineTangent(base, ju, jv).validate()
-        jju, jjv = ls.apply_j(base.u, base.V, ju, jv)
-        assert np.max(np.abs(jju + x.du)) < 1e-10
-        assert np.max(np.abs(jjv + x.dV)) < 1e-10
+    u, V, du, dV = ls.random_tangents(np.random.default_rng(10), 1000, 1)
+    ju, jv = ls.apply_j(u, V, du[:, 0], dV[:, 0])
+    # J X is tangent: u.du = 0 and u.dV + V.du = 0 relative to its size
+    scale = 1.0 + np.max(np.abs(ju), axis=-1) + np.max(np.abs(jv), axis=-1)
+    assert np.all(np.abs(_dot(u, ju)) <= 1e-12 * scale)
+    assert np.all(np.abs(_dot(u, jv) + _dot(V, ju)) <= 1e-12 * scale)
+    jju, jjv = ls.apply_j(u, V, ju, jv)
+    assert np.max(np.abs(jju + du[:, 0])) < 1e-10
+    assert np.max(np.abs(jjv + dV[:, 0])) < 1e-10
 
 
 def test_omega_antisymmetric_and_j_invariant():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        base = ls.random_base(rng)
-        x = ls.random_tangent(rng, base)
-        y = ls.random_tangent(rng, base)
-        om = ls.omega_pair(x.du, x.dV, y.du, y.dV)
-        assert om == pytest.approx(-ls.omega_pair(y.du, y.dV, x.du, x.dV), abs=1e-12)
-        jx = ls.apply_j(base.u, base.V, x.du, x.dV)
-        jy = ls.apply_j(base.u, base.V, y.du, y.dV)
-        assert ls.omega_pair(*jx, *jy) == pytest.approx(om, abs=1e-10)
+    u, V, du, dV = ls.random_tangents(np.random.default_rng(11), 300, 2)
+    x, y = _pairs(du, dV)
+    om = ls.omega_pair(*x, *y)
+    assert np.max(np.abs(om + ls.omega_pair(*y, *x))) <= 1e-12
+    jx, jy = ls.apply_j(u, V, *x), ls.apply_j(u, V, *y)
+    assert np.max(np.abs(ls.omega_pair(*jx, *jy) - om)) <= 1e-10
 
 
 def test_neutral_structures_returns_symmetric_metric():
-    rng = np.random.default_rng(12)
-    base = ls.random_base(rng)
-    x = ls.random_tangent(rng, base)
-    y = ls.random_tangent(rng, base)
-    jx, om, g_xy = ls.neutral_structures(x, y)
-    jx.validate()
-    _, _, g_yx = ls.neutral_structures(y, x)
-    assert g_xy == pytest.approx(g_yx, abs=1e-12)
-    with pytest.raises(ValueError):
-        ls.neutral_structures(x, ls.random_tangent(rng, ls.random_base(rng)))
+    u, V, du, dV = ls.random_tangents(np.random.default_rng(12), 300, 2)
+    x, y = _pairs(du, dV)
+    g_xy, g_yx = ls.metric_pair(u, V, *x, *y), ls.metric_pair(u, V, *y, *x)
+    assert np.max(np.abs(g_xy - g_yx)) <= 1e-12
 
 
 def test_metric_signature_two_two():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        base = ls.random_base(rng)
-        frame = [ls.random_tangent(rng, base) for _ in range(4)]
-        gram = np.array([[ls.metric_pair(base.u, base.V, a.du, a.dV, b.du, b.dV)
-                          for b in frame] for a in frame])
-        evals = np.linalg.eigvalsh(gram)
-        assert np.sum(evals > 0) == 2 and np.sum(evals < 0) == 2
+    evals = np.linalg.eigvalsh(_gram(*ls.random_tangents(np.random.default_rng(13), 50, 4)))
+    assert np.all(np.sum(evals > 0, axis=-1) == 2)
+    assert np.all(np.sum(evals < 0, axis=-1) == 2)
 
 
 def test_wirtinger_identity_on_random_planes():
-    rng = np.random.default_rng(14)
-    worst = 0.0
-    for _ in range(1000):
-        base = ls.random_base(rng)
-        x = ls.random_tangent(rng, base)
-        y = ls.random_tangent(rng, base)
-        worst = max(worst, ls.wirtinger_residual(x, y))
-    assert worst < 1e-9
+    u, V, du, dV = ls.random_tangents(np.random.default_rng(14), 1000, 2)
+    assert np.max(ls.wirtinger_residual(u, V, *_pairs(du, dV))) < 1e-9
 
 
 def test_wirtinger_terms_vanish_on_totally_null_plane():
     sphere = sg.surface_by_name("round-sphere", r=1.3)
-    cmap = ls.CongruenceMap(sphere)
-    u, V, du, dV = cmap.eval(1.0, 1.2)
-    base = ls.OrientedLine(u[0], V[0])
-    x1 = ls.LineTangent(base, du[0, 0], dV[0, 0])
-    x2 = ls.LineTangent(base, du[0, 1], dV[0, 1])
-    assert abs(ls.omega_pair(x1.du, x1.dV, x2.du, x2.dV)) < 1e-10
-    gram = [[ls.metric_pair(base.u, base.V, a.du, a.dV, b.du, b.dV)
-             for b in (x1, x2)] for a in (x1, x2)]
-    assert np.max(np.abs(gram)) < 1e-10
-    assert ls.wirtinger_residual(x1, x2) < 1e-10
+    u, V, du, dV = ls.CongruenceMap(sphere).eval(1.0, 1.2)
+    x, y = _pairs(du, dV)
+    assert np.max(np.abs(ls.omega_pair(*x, *y))) < 1e-10
+    assert np.max(np.abs(_gram(u, V, du, dV))) < 1e-10
+    assert np.max(ls.wirtinger_residual(u, V, x, y)) < 1e-10
 
 
 def test_lagrangian_lorentz_plane_sign_relation():
     # for Lagrangian planes the volume term carries the whole identity:
     # det4 = -det Gram > 0 on a Lorentz plane
-    cmap = ls.CongruenceMap(ELL)
-    u, V, du, dV = cmap.eval(1.0, 1.2)
-    base = ls.OrientedLine(u[0], V[0])
-    x1 = ls.LineTangent(base, du[0, 0], dV[0, 0])
-    x2 = ls.LineTangent(base, du[0, 1], dV[0, 1])
-    cls = ls.classify_plane(x1, x2)
-    assert cls.kind == "lorentz" and cls.lagrangian
-    a = (x1.du, x1.dV)
-    b = (x2.du, x2.dV)
-    c = ls.apply_j(base.u, base.V, *a)
-    d = ls.apply_j(base.u, base.V, *b)
-    det4 = ls._DET4_SIGN * ls._quad_form(a, b, c, d)
-    gram_det = (cls.eigenvalues[0] * cls.eigenvalues[1])
+    u, V, du, dV = ls.CongruenceMap(ELL).eval(1.0, 1.2)
+    x, y = _pairs(du, dV)
+    assert abs(ls.omega_pair(*x, *y)[0]) <= 1e-8 * _norms(x, y)[0]
+    g = _gram(u, V, du, dV)[0]
+    gram_det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    det4 = ls._DET4_SIGN * ls._quad_form(x, y, ls.apply_j(u, V, *x), ls.apply_j(u, V, *y))[0]
     assert det4 > 0 and gram_det < 0
     assert det4 == pytest.approx(-gram_det, rel=1e-9)
 
 
 def test_classify_x_jx_plane_definite_holomorphic():
-    rng = np.random.default_rng(15)
-    base = ls.random_base(rng)
-    x = None
-    for _ in range(100):
-        cand = ls.random_tangent(rng, base)
-        if ls.metric_pair(base.u, base.V, cand.du, cand.dV, cand.du, cand.dV) > 0.2:
-            x = cand
-            break
-    jx, _, _ = ls.neutral_structures(x, x)
-    cls = ls.classify_plane(x, jx)
-    assert cls.kind == "positive-definite"
-    assert cls.holomorphic and not cls.lagrangian
-
-
-def test_classify_rejects_dependent_inputs():
-    rng = np.random.default_rng(16)
-    base = ls.random_base(rng)
-    x = ls.random_tangent(rng, base)
-    x2 = ls.LineTangent(base, 2.0 * x.du, 2.0 * x.dV)
-    with pytest.raises(ValueError):
-        ls.classify_plane(x, x2)
+    u, V, du, dV = ls.random_tangents(np.random.default_rng(15), 1, 100)
+    # the first of the tangents with G(X, X) > 0.2
+    k = np.flatnonzero(_gram(u, V, du, dV)[0].diagonal() > 0.2)[0]
+    x = (du[:, k], dV[:, k])
+    jx = ls.apply_j(u, V, *x)
+    tol = 1e-8 * _norms(x, jx)[0]
+    plane = (np.stack([x[0], jx[0]], axis=1), np.stack([x[1], jx[1]], axis=1))
+    evals = np.linalg.eigvalsh(_gram(u, V, *plane))[0]
+    assert evals[0] > tol
+    assert abs(ls.omega_pair(*x, *jx)[0]) > tol
+    # J-invariant: the defect in the chart centred at u vanishes
+    assert abs(ls.defect_psi(u, V, *x, *jx, u[0])[0]) < 1e-12
 
 
 def test_normal_congruence_of_centered_sphere_is_zero_section():
@@ -192,7 +186,7 @@ def test_congruence_tangents_match_central_differences(name):
 
 def _psi_least_squares(u, V, du1, dv1, du2, dv2, center):
     """psi from a 6x4 least-squares solve of J X1 over (X1, X2, E1, E2)."""
-    e1, e2 = ls.sphere_frame(u, center)
+    e1, e2 = _einsum_sphere_frame(u, center)
     ju, jv = ls.apply_j(u, V, du1, dv1)
     out = np.empty(len(u), dtype=complex)
     zero = np.zeros(3)
@@ -210,13 +204,12 @@ def _psi_least_squares(u, V, du1, dv1, du2, dv2, center):
 def test_defect_psi_matches_least_squares_decomposition(normalize):
     rng = np.random.default_rng(11)
     center = (0.0, 0.0, 1.0)
-    bases = [b for b in (ls.random_base(rng) for _ in range(300)) if b.u[2] > -0.5]
-    tangents = [(ls.random_tangent(rng, b, scale=rng.uniform(0.1, 3.0)),
-                 ls.random_tangent(rng, b, scale=rng.uniform(0.1, 3.0))) for b in bases]
-    u = np.array([b.u for b in bases])
-    V = np.array([b.V for b in bases])
-    du1, dv1, du2, dv2 = (np.array([getattr(x[i], f) for x in tangents])
-                          for i, f in ((0, "du"), (0, "dV"), (1, "du"), (1, "dV")))
+    u, V, du, dV = ls.random_tangents(rng, 300, 2)
+    # the projection is linear: scaled draws give scaled tangents
+    scale = rng.uniform(0.1, 3.0, size=(300, 2, 1))
+    cap = u[:, 2] > -0.5
+    u, V, du, dV = u[cap], V[cap], (scale * du)[cap], (scale * dV)[cap]
+    (du1, dv1), (du2, dv2) = _pairs(du, dV)
     psi = ls.defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=normalize)
     if normalize:
         n1 = np.linalg.norm(np.concatenate([du1, dv1], axis=1), axis=1)[:, None]
@@ -527,7 +520,7 @@ def test_twist_positivises_above_threshold():
     margins = []
     for strength in (0.05, 0.2, 0.8, 2.0):
         tw = ls.holomorphic_twist(patch, strength, (0, 0, 1))
-        gram = ls.section_gram(tw)
+        gram = _gram(tw.u, tw.V, tw.du, tw.dV)
         lo = np.linalg.eigvalsh(gram)[..., 0]
         margins.append(float(np.min(lo)))
     assert margins[-1] > 0  # strong twist makes the patch definite
@@ -816,8 +809,9 @@ def test_written_out_congruence_and_defect_equal_their_oracles(monkeypatch, seed
             _assert_relative(ls.defect_psi(*args, tuple(center), normalize=normalize),
                              _einsum_defect(*args, tuple(center), normalize=normalize),
                              (surface.name, "defect_psi", normalize))
-        for got_e, want_e in zip(ls.sphere_frame(u[cap], center),
+        for got_e, want_e in zip(ls._sphere_frame(ls._components(u[cap]), center),
                                  _einsum_sphere_frame(u[cap], center)):
+            got_e = np.stack(got_e, axis=-1)
             _assert_relative(got_e, want_e, (surface.name, "sphere_frame"))
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import geomlab
 from geomlab import cli, kvdoc, scenarios
+from geomlab import line_space as ls
 from geomlab import umbilic_topology as ut
 from geomlab.errors import ConfigError
 
@@ -89,6 +90,7 @@ MALFORMED_SIZES = {
     "umbilics-grid-zero": (["umbilics", "--grid", "0x0"], None),
     "maslov-grid-trailing-x": (["maslov", "--grid", "64x"], None),
     "maslov-loop-samples-zero": (["maslov", "--loop-samples", "0"], None),
+    "linespace-audit-samples-negative": (["linespace-audit", "--samples", "-5"], None),
     "willmore-sweep-grid-negative": (["willmore-sweep", "--eps", "0.3", "--grid", "-4"], None),
     "willmore-sweep-grid-zero": (["willmore-sweep", "--eps", "0.3", "--grid", "0"], None),
     "distance-check-rho-points-word": (["distance-check", "--eps", "0.2"], "rho_points = many\n"),
@@ -350,6 +352,23 @@ def test_cli_linespace_audit(tmp_path):
     payload = json.loads((tmp_path / "linespace_audit.json").read_text())
     assert payload["samples"] == 50 and payload["passed"] is True
     assert all(v is True for v in payload["checks"].values())
+
+
+def test_linespace_audit_fails_when_j_drops_its_vertical_term(tmp_path, monkeypatch):
+    # without its c u term, J X breaks the tangency constraint u.dV + V.du = 0
+    apply_j = ls.apply_j
+
+    def without_cu(u, V, du, dV):
+        ju, jv = apply_j(u, V, du, dV)
+        c = -np.einsum("...i,...i->...", V, ju)  # c = -V.(u x du)
+        return ju, jv - c[..., None] * u
+
+    monkeypatch.setattr(ls, "apply_j", without_cu)
+    audit = ls.structure_audit(np.random.default_rng(0), 50)
+    assert audit["checks"]["constraint"] is False and audit["passed"] is False
+    assert run_cli(["linespace-audit", "--samples", "50"], tmp_path) == 1
+    payload = json.loads((tmp_path / "linespace_audit.json").read_text())
+    assert payload["checks"]["constraint"] is False and payload["passed"] is False
 
 
 def test_enclosing_loop_names_missing_umbilics():
