@@ -36,19 +36,6 @@ class Chart:
     upper: tuple
     periodic: tuple
 
-    def contains(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for k in range(3):
-            if self.periodic[k]:
-                continue
-            lo, hi = self.lower[k], self.upper[k]
-            if np.isfinite(lo):
-                ok &= pts[:, k] > lo
-            if np.isfinite(hi):
-                ok &= pts[:, k] < hi
-        return ok
-
 
 HOPF_CHART = Chart("hopf", ("rho", "theta1", "theta2"),
                    (0.0, 0.0, 0.0), (np.pi / 2, 2 * np.pi, 2 * np.pi),
@@ -151,13 +138,6 @@ class MetricField:
         # component 3 i + j, so these are views in the [n, i, j] and
         # [n, k, i, j] layouts
         return g.reshape(n, 3, 3), dg.reshape(n, 3, 3, 3)
-
-    def check_domain(self, pts):
-        ok = self.chart.contains(pts)
-        if not np.all(ok):
-            bad = np.atleast_2d(np.asarray(pts, dtype=float))[~ok][0]
-            raise ChartDomainError(
-                f"point {tuple(bad)} outside {self.chart.name} chart domain")
 
 
 # -- built-in families -----------------------------------------------------
@@ -266,14 +246,6 @@ def load_metric(path):
 
 
 # -- point operations -------------------------------------------------------
-
-def eval_metric(metric, point):
-    """g_ij at a single chart point, with domain validation."""
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    metric.check_domain(pts)
-    g = metric.matrix(pts)
-    return g[0] if np.asarray(point).ndim == 1 else g
-
 
 def _sym3_inverse_det(g):
     """Inverse and determinant of symmetric 3x3 matrices (..., 3, 3), in

@@ -77,7 +77,7 @@ def _json_default(obj):
 
 def _load_config(args, valid_keys):
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         cfg = kvdoc.load(args.config)
         unknown = set(cfg) - set(valid_keys)
         if unknown:
@@ -167,12 +167,8 @@ def _surface_from_args(args):
 
 def cmd_umbilics(args):
     surface = _surface_from_args(args)
-    if args.metric_file:
-        metric = ct.load_metric(args.metric_file)
-    elif args.metric != "flat-r3":
-        metric = ct.metric_by_name(args.metric, eps=args.eps_val)
-    else:
-        metric = ct.metric_by_name("flat-r3")
+    metric = (ct.load_metric(args.metric_file) if args.metric_file
+              else ct.metric_by_name(args.metric, eps=args.eps_val))
     grid = _sizes(args.grid, "--grid", 2)
     audit = ut.conjecture_audit(surface, metric, grid=grid)
     out = _out_dir(args)
@@ -194,6 +190,8 @@ def cmd_umbilics(args):
 
 def cmd_linespace_audit(args):
     samples = _sizes(args.samples, "--samples", 1)[0]
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     payload = {"samples": samples, "seed": args.seed,
                **ls.structure_audit(np.random.default_rng(args.seed), samples)}
     out = _out_dir(args)
@@ -209,25 +207,20 @@ def cmd_maslov(args):
     metric = ct.metric_by_name("flat-r3")
     grid = _sizes(args.grid, "--grid", 2)
     loop_samples = _sizes(args.loop_samples, "--loop-samples", 1)[0]
+    try:
+        counts = [int(x) for x in args.enclose.split(",")]
+    except ValueError:
+        raise ConfigError(f"--enclose must be a comma list of counts, got "
+                          f"{args.enclose!r}") from None
     section = ls.normal_congruence(surface, grid=grid)
     if args.loop_file:
         loop_u = np.loadtxt(args.loop_file, comments="#")
-        loop_s, loop_t = ls.invert_gauss_map(loop_u, section)
-        # the principal-winding index uses the counterclockwise convention in
-        # parameter space; reorient the inverted loop if the Gauss map
-        # reversed it (mu is chart-oriented internally and unaffected)
-        s_unwrapped = np.unwrap(loop_s, period=2 * np.pi)
-        area = 0.5 * np.sum(s_unwrapped * np.roll(loop_t, -1)
-                            - np.roll(s_unwrapped, -1) * loop_t)
-        if area < 0:
-            loop_s, loop_t = loop_s[::-1], loop_t[::-1]
-        loops = [("file", loop_s, loop_t)]
+        loops = [("file", *ls.invert_gauss_map(loop_u, section))]
     else:
         # only the enclosing loops are placed around the scanned umbilics
         iso = [r for r in ut.umbilic_scan(surface, metric, grid=grid) if r.isolated]
         phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
-        loops = [(count, *sc.enclosing_loop(iso, count, phi))
-                 for count in (int(x) for x in args.enclose.split(","))]
+        loops = [(count, *sc.enclosing_loop(iso, count, phi)) for count in counts]
     rows = []
     for label, loop_s, loop_t in loops:
         mas, winding = sc._maslov_mirror(surface, metric, section, loop_s, loop_t)
@@ -302,23 +295,24 @@ def build_parser():
                     "codimension-two mean curvature flow.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, config=False):
         p.add_argument("--out", default=None,
                        help="output directory (default $GEOMLAB_OUTPUT_DIR or .)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="suppress the timestamp header line in outputs")
-        p.add_argument("--config", default=None,
-                       help="key-value config file overriding defaults")
+        if config:
+            p.add_argument("--config", default=None,
+                           help="key-value config file overriding defaults")
 
     p = sub.add_parser("willmore-sweep", help="torus energy across the deformation")
     p.add_argument("--eps", default=None, help="comma list in [0,1)")
     p.add_argument("--grid", type=int, default=None)
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_willmore_sweep)
 
     p = sub.add_parser("distance-check", help="L2 bound for the bumped metric")
     p.add_argument("--eps", default=None)
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_distance_check)
 
     p = sub.add_parser("umbilics", help="scan a surface for umbilic points")
@@ -348,9 +342,9 @@ def build_parser():
 
     p = sub.add_parser("maslov", help="Keller-Maslov index on congruence loops")
     p.add_argument("--surface", default="ellipsoid")
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--b", type=float, default=1.5)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--a", type=float, default=None)
+    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--c", type=float, default=None)
     p.add_argument("--enclose", default="0,1,2",
                    help="comma list of enclosed-umbilic counts")
     p.add_argument("--loop-file", default=None,
@@ -375,7 +369,7 @@ def build_parser():
                    help="twisted-hemisphere or holomorphic-affine")
     p.add_argument("--snapshot-every", dest="snapshot_every", type=int,
                    default=None)
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_flow_run)
 
     p = sub.add_parser("report", help="run all scenarios and emit reports")

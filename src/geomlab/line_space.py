@@ -27,7 +27,7 @@ from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
 from .surface_geom import _grid_eval
-from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _loop_index,
+from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _cells, _loop_index,
                                _loop_winding, _scan_zeros)
 
 TWO_PI = 2.0 * np.pi
@@ -319,7 +319,11 @@ class LineSection:
     ``u`` and ``V`` have shape (ns, nt, 3) and their exact parameter
     tangents ``du``/``dV`` shape (ns, nt, 2, 3): the samples of
     ``source.eval`` on the grid, which refinements and winding loops
-    evaluate off it.
+    evaluate off it.  ``domain`` is the parameter rectangle the grid
+    samples, ((s_lo, s_hi), (t_lo, t_hi)), cut into ns x nt equal cells
+    whose centres are the axes: scans take their cell size from it, keep
+    their refinements and loops inside it on a non-periodic axis and wrap
+    them into it on a ``periodic`` one.
     """
 
     s_axis: np.ndarray
@@ -329,6 +333,7 @@ class LineSection:
     du: np.ndarray
     dV: np.ndarray
     source: object
+    domain: tuple
     periodic: tuple = (False, False)
     center: tuple = (0.0, 0.0, 1.0)
 
@@ -336,26 +341,18 @@ class LineSection:
 def normal_congruence(surface, grid=(128, 96)):
     """Sampled normal-line section of a surface in flat R^3.
 
-    Warns when the sampled Gauss map is not injective (the section is then
-    not graphical over the direction sphere), but still returns samples.
-    Raises ConfigError when the Gauss map's Jacobian vanishes on the whole
+    The section samples the cell centres of the umbilic scan's grid
+    (``umbilic_topology._cells``) over ``surface.domain``, so the two sides
+    of the mu = 4i mirror seed from the same samples.  Warns when the
+    sampled Gauss map is not injective (the section is then not graphical
+    over the direction sphere), but still returns samples.  Raises
+    ConfigError when the Gauss map's Jacobian vanishes on the whole
     grid (a plane, a cylinder): no section over directions exists.  The
     section's chart center is the normalised mean sampled direction, or
     (0, 0, 1) where that mean vanishes.
     """
     cmap = CongruenceMap(surface)
-    (s0, s1), (t0, t1) = surface.domain
-    ns, nt = grid
-    margin_s = 0.0 if surface.periodic[0] else (s1 - s0) / (2 * ns)
-    margin_t = 0.0 if surface.periodic[1] else (t1 - t0) / (2 * nt)
-    if surface.periodic[0]:
-        s_axis = s0 + (s1 - s0) * np.arange(ns) / ns
-    else:
-        s_axis = np.linspace(s0 + margin_s, s1 - margin_s, ns)
-    if surface.periodic[1]:
-        t_axis = t0 + (t1 - t0) * np.arange(nt) / nt
-    else:
-        t_axis = np.linspace(t0 + margin_t, t1 - margin_t, nt)
+    s_axis, t_axis, _, _ = _cells(surface, grid)
     u, V, du, dV = _grid_eval(cmap.eval, s_axis[:, None], t_axis[None, :])
     jac = dot3(cross3(_components(du[..., 0, :]), _components(du[..., 1, :])),
                _components(u))
@@ -371,7 +368,7 @@ def normal_congruence(surface, grid=(128, 96)):
     mean = u.mean(axis=(0, 1))
     norm = np.linalg.norm(mean)
     center = tuple(mean / norm) if norm > 1e-8 else (0.0, 0.0, 1.0)
-    return LineSection(s_axis, t_axis, u, V, du, dV, cmap,
+    return LineSection(s_axis, t_axis, u, V, du, dV, cmap, surface.domain,
                        periodic=surface.periodic, center=center)
 
 
@@ -404,19 +401,6 @@ def _psi_at(source, s, t, center):
                          du[..., 1, :], dV[..., 1, :], center)
 
 
-def _sampled_domain(section):
-    """The parameter rectangle the section's grid samples, one (lo, hi) per
-    axis: a periodic axis spans one period from its first sample, any other
-    axis is cell-centred (see normal_congruence), half a cell past its end
-    samples."""
-    domain = []
-    for ax, per in zip((section.s_axis, section.t_axis), section.periodic):
-        d = ax[1] - ax[0]
-        domain.append((ax[0], ax[0] + len(ax) * d) if per
-                      else (ax[0] - 0.5 * d, ax[-1] + 0.5 * d))
-    return domain
-
-
 def complex_point_scan(section):
     """Zeros of the anti-complex defect with their integer windings.
 
@@ -437,9 +421,8 @@ def complex_point_scan(section):
     # psi is computed on unit-normalised frames, so an absolute floor is
     # meaningful; it catches identically-complex sections (zero defect)
     tol = max(1e-6 * float(np.max(mag)), 1e-10)
-    ds = section.s_axis[1] - section.s_axis[0]
-    dt = section.t_axis[1] - section.t_axis[0]
-    domain = _sampled_domain(section)
+    domain = section.domain
+    step = np.ptp(np.array(domain, dtype=float), axis=1) / mag.shape
 
     def defect_rows(s, t):
         psi = _psi_at(source, s, t, center)[1]
@@ -451,14 +434,14 @@ def complex_point_scan(section):
         sign = _chart_orientation(u[:_LOOP_SAMPLES], center)
         return np.abs(psi), sign * np.angle(psi)
 
-    zeros = _scan_zeros(mag ** 2, defect_rows, (section.s_axis, section.t_axis), (ds, dt),
+    zeros = _scan_zeros(mag ** 2, defect_rows, (section.s_axis, section.t_axis), step,
                         domain, section.periodic, tol * tol, "complex-point",
                         vectors=np.moveaxis(np.stack([psi.real, psi.imag]), 0, -1))
     if not zeros:
         return []
     directions = source.eval(np.array([z.s for z in zeros]),
                              np.array([z.t for z in zeros]))[0]
-    radii = (_LOOP_CELLS * ds, _LOOP_CELLS * dt)
+    radii = _LOOP_CELLS * step
     records = []
     for z, direction in zip(zeros, directions):
         rec = ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
@@ -530,7 +513,7 @@ def invert_gauss_map(directions, section):
     components of n(s,t) - u against a fixed basis of the plane orthogonal
     to u, each step the closed-form 2x2 solve.  Raises UnreliableLoopError
     naming the lowest row whose Jacobian is singular, whose iterate leaves
-    the section's sampled rectangle on a non-periodic axis, or whose
+    the section's ``domain`` on a non-periodic axis, or whose
     residual is still above ``_INVERT_TOL`` after ``_INVERT_ITERS`` steps:
     a direction the section does not cover has no preimage.  A zero or
     non-finite row is no direction at all: ConfigError names it.
@@ -552,7 +535,6 @@ def invert_gauss_map(directions, section):
     p = np.cross(directions, np.eye(3)[np.argmin(np.abs(directions), axis=1)])
     p /= np.linalg.norm(p, axis=1, keepdims=True)
     basis = np.stack((p, np.cross(directions, p)), axis=1)
-    domain = _sampled_domain(section)
     faults = {}
     rows = np.arange(len(directions))
     for k in range(_INVERT_ITERS + 1):
@@ -574,7 +556,7 @@ def invert_gauss_map(directions, section):
         (a, b), (c, d) = np.moveaxis(jac, 0, -1)
         params[0, rows] -= (d * res[:, 0] - b * res[:, 1]) / det
         params[1, rows] -= (a * res[:, 1] - c * res[:, 0]) / det
-        for name, value, (lo, hi), per in zip("st", params, domain, section.periodic):
+        for name, value, (lo, hi), per in zip("st", params, section.domain, section.periodic):
             if not per:
                 out = ~((lo <= value[rows]) & (value[rows] <= hi))
                 faults.update((m, f"left the sampled rectangle: {name} = {value[m]:.6g} "
@@ -704,7 +686,7 @@ def holomorphic_twist(section, strength, center):
 
     Requires the sampled directions to stay inside the open hemisphere
     around the center (the largest domain the twist can positivise).  The
-    twisted section shares the untwisted axes, ``u`` and ``du``.
+    twisted section shares the untwisted axes, ``domain``, ``u`` and ``du``.
     """
     source = TwistedSection(section.source, strength, center)
     if np.any(np.einsum("ijk,k->ij", section.u, source.axis) <= 0.0):
@@ -712,5 +694,6 @@ def holomorphic_twist(section, strength, center):
             "section leaves the open hemisphere around the twist center")
     return LineSection(section.s_axis, section.t_axis,
                        *source.twist(section.u, section.V, section.du, section.dV),
-                       source, periodic=section.periodic, center=tuple(source.axis))
+                       source, section.domain, periodic=section.periodic,
+                       center=tuple(source.axis))
 

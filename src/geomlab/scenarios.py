@@ -15,7 +15,7 @@ from . import chart_tensor as ct
 from . import line_space as ls
 from . import surface_geom as sg
 from . import umbilic_topology as ut
-from .errors import ConfigError
+from .errors import ConfigError, UnreliableLoopError
 
 SCHEMA_VERSION = "1"
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -199,10 +199,23 @@ def enclosing_loop(iso, count, phi):
 def _maslov_mirror(surface, metric, section, loop_s, loop_t):
     """The Keller-Maslov index of a parameter loop on the normal-line
     ``section`` of ``surface``, and its mirror: the winding i of the
-    surface's principal line field on the same loop, with mu = 4i."""
+    surface's principal line field on the same loop, with mu = 4i.
+
+    i is taken for the loop traversed counterclockwise in the parameters,
+    by the sign of its shoelace area with s unwrapped by the surface's s
+    period, so a loop and its reverse give the same pair (mu is oriented
+    by the direction chart already).  Raises ``UnreliableLoopError`` when
+    the loop is too coarse to resolve the principal winding.
+    """
     mas = ls.maslov_index(section.source, loop_s, loop_t, section.center)
-    angles = ut.principal_angles(surface, metric, loop_s, loop_t)
-    return mas, ut.line_field_winding(angles)
+    winding = ut._loop_winding(ut.principal_angles(surface, metric, loop_s, loop_t), np.pi)
+    if winding is None:
+        raise UnreliableLoopError("principal line field winding is not resolved; "
+                                  "densify the loop")
+    (s0, s1), _ = surface.domain
+    s = np.unwrap(loop_s, period=s1 - s0) if surface.periodic[0] else np.asarray(loop_s)
+    area = np.sum(s * np.roll(loop_t, -1) - np.roll(s, -1) * loop_t)
+    return mas, (winding if area >= 0 else -winding) / 2.0
 
 
 def caratheodory_suite(grid=(256, 192), loop_samples=2048):

@@ -56,16 +56,6 @@ def _principal_angles(rep):
     return np.mod(np.arctan2(w[..., 1], w[..., 0]), np.pi)
 
 
-def line_field_winding(angles):
-    """Total rotation of a projective angle sequence, divided by 2*pi.
-
-    Returns the half-integer index of the line field for a closed loop of
-    samples (continuation stays within +-pi/2 between samples).
-    """
-    total = winding_total(np.ascontiguousarray(angles, dtype=float), np.pi)
-    return total / TWO_PI
-
-
 def _loop_winding(angles, period):
     """Total rotation of a closed loop of angles (modulo ``period``) in units
     of ``period``, rounded; None unless every other sample rounds the same,
@@ -296,10 +286,11 @@ def _degree_cells(vectors, periodic):
     nonzero degree needs both components to change sign among the corners,
     so angles are taken only in those cells.  Returns the (i, j) index of
     the first corner of each cell of nonzero degree or with an edge whose
-    corners are exactly antiparallel (a zero on the edge, which a grid line
-    of symmetry puts there), in grid order.  A zero of higher winding
-    can show the same angle at all four corners of its cell; the minima
-    seeds cover it.
+    corners are exactly antiparallel (a zero on the edge, which a sample
+    line of symmetry puts there: an ellipsoid's two zeros at s = pi lie
+    on the middle s line of a grid with an odd number of s lines), in
+    grid order.  A zero of higher winding can show the same angle at all
+    four corners of its cell; the minima seeds cover it.
     """
     def any_corner(signs):
         # per cell: whether any of its four corners has the sign

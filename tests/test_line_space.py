@@ -9,6 +9,7 @@ import pytest
 from geomlab import chart_tensor as ct
 from geomlab import jets
 from geomlab import line_space as ls
+from geomlab import scenarios as sc
 from geomlab import surface_geom as sg
 from geomlab import umbilic_topology as ut
 from geomlab.errors import ChartDomainError, ConfigError, UnreliableLoopError
@@ -154,6 +155,20 @@ def test_normal_congruences_are_lagrangian():
         om = ls.omega_pair(du[..., 0, :], dV[..., 0, :],
                            du[..., 1, :], dV[..., 1, :])
         assert np.max(np.abs(om)) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "torus-revolution", "paraboloid"])
+def test_congruence_samples_the_umbilic_scan_cells(name):
+    # one grid for both sides of the mirror: s periodic (ellipsoid), both
+    # axes periodic (torus) and neither (paraboloid)
+    surface = sg.surface_by_name(name)
+    grid = (24, 18)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the torus's Gauss map is not injective
+        section = ls.normal_congruence(surface, grid=grid)
+    ss, tt, _, _ = ut._cells(surface, grid)
+    assert np.array_equal(section.s_axis, ss) and np.array_equal(section.t_axis, tt)
+    assert section.domain == surface.domain
 
 
 def test_torus_congruence_warns_not_graphical():
@@ -378,10 +393,35 @@ def test_maslov_matches_principal_winding():
     for rec in records[:2]:
         loop_s = rec.s + 0.12 * np.cos(phi)
         loop_t = rec.t + 0.12 * np.sin(phi)
-        mas = ls.maslov_index(section.source, loop_s, loop_t, section.center)
-        i_surf = ut.line_field_winding(
-            ut.principal_angles(ELL, FLAT, loop_s, loop_t))
-        assert mas["mu"] == pytest.approx(4 * i_surf, abs=1e-9)
+        mas, i_surf = sc._maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
+        assert mas["mu"] == 4 * i_surf == 2
+
+
+def test_maslov_mirror_does_not_depend_on_the_loop_direction():
+    # i is taken counterclockwise in the parameters, as mu is in the chart
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    rec = ls.complex_point_scan(section)[0]
+    phi = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
+    loop_s, loop_t = rec.s + 0.15 * np.cos(phi), rec.t + 0.15 * np.sin(phi)
+    forward = sc._maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
+    assert forward == sc._maslov_mirror(ELL, FLAT, section, loop_s[::-1], loop_t[::-1])
+    assert (forward[0]["mu"], forward[1]) == (2, 0.5)
+
+
+def test_maslov_mirror_refuses_an_unresolved_principal_winding():
+    # a flat ellipse of 12 samples about one umbilic resolves the defect's
+    # winding (mu = 2) but not the principal line field's; 2048 samples do
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    rec = ls.complex_point_scan(section)[0]
+    for n, want in ((12, None), (2048, 0.5)):
+        phi = np.linspace(0, 2 * np.pi, n, endpoint=False)
+        loop_s, loop_t = rec.s + 0.9 * np.cos(phi), rec.t + 0.05 * np.sin(phi)
+        assert ls.maslov_index(section.source, loop_s, loop_t, section.center)["mu"] == 2
+        if want is None:
+            with pytest.raises(UnreliableLoopError, match="principal line field"):
+                sc._maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
+        else:
+            assert sc._maslov_mirror(ELL, FLAT, section, loop_s, loop_t)[1] == want
 
 
 def test_symplectic_area_stokes_on_random_discs():
@@ -502,7 +542,10 @@ def _hemisphere_patch(surface, center, grid=(64, 40), t_hi=1.0):
     t_axis = np.linspace(0.05, t_hi, grid[1])
     sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
     u, V, du, dV = cmap.eval(sm, tm)
-    return ls.LineSection(s_axis, t_axis, u, V, du, dV, cmap,
+    # one period of s, and t half a cell past its end samples
+    dt = t_axis[1] - t_axis[0]
+    domain = ((0.0, 2 * np.pi), (0.05 - 0.5 * dt, t_hi + 0.5 * dt))
+    return ls.LineSection(s_axis, t_axis, u, V, du, dV, cmap, domain,
                           periodic=(True, False), center=center)
 
 
@@ -535,7 +578,9 @@ def test_twist_does_not_create_or_destroy_complex_points():
     t_axis = np.linspace(0.35, 1.1, 48)
     sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
     u, V, du, dV = cmap.eval(sm, tm)
-    patch = ls.LineSection(s_axis, t_axis, u, V, du, dV, cmap,
+    dt = t_axis[1] - t_axis[0]
+    domain = ((0.0, 2 * np.pi), (0.35 - 0.5 * dt, 1.1 + 0.5 * dt))
+    patch = ls.LineSection(s_axis, t_axis, u, V, du, dV, cmap, domain,
                            periodic=(True, False), center=(0, 0, 1))
     before = ls.section_defect(patch, normalize=False)
     tw = ls.holomorphic_twist(patch, 1.3, (0, 0, 1))
@@ -554,7 +599,11 @@ def test_twist_keeps_complex_points_through_the_scan():
     s_axis = np.linspace(-1.0, 1.0, 64)
     t_axis = np.linspace(0.3, np.pi - 0.3, 64)
     sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
-    patch = ls.LineSection(s_axis, t_axis, *cmap.eval(sm, tm), cmap, center=(1, 0, 0))
+    # the rectangle of cells centred on the samples
+    ds, dt = s_axis[1] - s_axis[0], t_axis[1] - t_axis[0]
+    domain = ((-1.0 - 0.5 * ds, 1.0 + 0.5 * ds), (0.3 - 0.5 * dt, np.pi - 0.3 + 0.5 * dt))
+    patch = ls.LineSection(s_axis, t_axis, *cmap.eval(sm, tm), cmap, domain,
+                           center=(1, 0, 0))
     before = ls.complex_point_scan(patch)
     assert [(r.isolated, r.winding) for r in before] == [(True, 1)] * 2
     for strength in (0.5, 2.0):
@@ -602,7 +651,6 @@ def _invert_rows_one_by_one(directions, section):
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     grid_u = ls._components(section.u)
     sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
-    domain = ls._sampled_domain(section)
     out = np.empty((2, len(directions)))
     for m, target in enumerate(directions):
         seed = int(np.argmax(ls.dot3(grid_u, target)))
@@ -624,7 +672,8 @@ def _invert_rows_one_by_one(directions, section):
                     f"Gauss-map inversion of row {m} hit a singular Jacobian")
             s_c -= (d * r_p - b * r_q) / det
             t_c -= (a * r_q - c * r_p) / det
-            for name, value, (lo, hi), per in zip("st", (s_c, t_c), domain, section.periodic):
+            for name, value, (lo, hi), per in zip("st", (s_c, t_c), section.domain,
+                                                  section.periodic):
                 if not (per or lo <= value <= hi):
                     raise UnreliableLoopError(
                         f"Gauss-map inversion of row {m} left the sampled rectangle: "

@@ -98,6 +98,8 @@ MALFORMED_SIZES = {
     "flow-run-snapshot-every-negative": (["flow-run", "--grid-n", "9", "--steps", "3",
                                           "--snapshot-every", "-1"], None),
     "flow-run-steps-negative-config": (["flow-run", "--grid-n", "9"], "steps = -1\n"),
+    "linespace-audit-seed-negative": (["linespace-audit", "--seed", "-1"], None),
+    "maslov-enclose-word": (["maslov", "--enclose", "x"], None),
 }
 
 
@@ -112,6 +114,14 @@ def test_cli_refuses_a_malformed_size(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be" in err, err
     assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["umbilics", "linespace-audit", "maslov", "report"])
+def test_cli_config_only_where_it_is_read(tmp_path, command):
+    # --config belongs to willmore-sweep, distance-check and flow-run only
+    (tmp_path / "f.kv").write_text("grid = 64\n")
+    assert run_cli([command, "--config", str(tmp_path / "f.kv")], tmp_path) == 2
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
 def test_cli_config_grid_of_one_size_is_square(tmp_path):
@@ -408,9 +418,20 @@ def test_cli_maslov_loop_file(tmp_path, monkeypatch):
     code = run_cli(["maslov", "--loop-file", str(loop_path),
                     "--grid", "128x96"], tmp_path)
     assert code == 0
-    lines = (tmp_path / "maslov.csv").read_text().strip().splitlines()
-    fields = lines[1].split(",")
-    assert fields[0] == "file" and fields[1] == "2"  # one umbilic enclosed
+    csv = (tmp_path / "maslov.csv").read_text()
+    # one umbilic enclosed, mu = 4i
+    assert csv.splitlines()[1].split(",") == ["file", "2", "0.5", "4", "1", "0.5"]
+    # the reversed loop gives the same row: both sides are oriented
+    np.savetxt(loop_path, _umbilic_normal_loop()[::-1], header="u_x u_y u_z")
+    assert run_cli(["maslov", "--loop-file", str(loop_path), "--grid", "128x96"],
+                   tmp_path) == 0
+    assert (tmp_path / "maslov.csv").read_text() == csv
+
+
+def test_example_loop_file_is_the_umbilic_normal_loop():
+    # docs/examples/ellipsoid_loop.txt, which CI runs through maslov
+    path = Path(__file__).resolve().parents[1] / "docs" / "examples" / "ellipsoid_loop.txt"
+    assert np.array_equal(np.loadtxt(path, comments="#"), _umbilic_normal_loop())
 
 
 MASLOV_AXES = [(2.0, 1.5, 1.0), (3.0, 2.0, 0.5), (2.0, 1.05, 1.0), (2.2, 1.35, 1.1)]
