@@ -8,6 +8,7 @@ directory).  Exit codes: 0 all assertions pass, 1 an assertion failed,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -287,7 +288,14 @@ def cmd_report(args):
 
 # -- parser ---------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on the first call and shared by every later
+    one in the process.  Sharing is safe: ``parse_args`` returns a fresh
+    Namespace per call, no argument has a mutable default or an append
+    action, and each ``func`` is a ``cmd_*`` function that looks up the
+    library names it calls when it runs (so patching those names works;
+    patching a ``cmd_*`` itself does not reach a tree already built)."""
     parser = argparse.ArgumentParser(
         prog="geomlab",
         description="Numerical differential geometry experiments: metric "

@@ -4,8 +4,10 @@ The pipeline is fully generic: tangents and second parameter derivatives
 come from order-2 jets of the immersion, ambient Christoffel symbols from
 ``chart_tensor``, and the unit normal solves g(N, dX) = 0, g(N, N) = 1
 with a per-surface orientation sign.  Mean curvature is reported both as
-the shape-operator trace k1 + k2 (the convention the Willmore integrand
-uses here) and as the averaged (k1 + k2)/2.
+the shape-operator trace k1 + k2 and as the averaged H = (k1 + k2)/2; the
+Willmore energy is W = integral of (1 + H^2) dA with the averaged H, so a
+minimal surface has W = area and the orbit tori rho = rho0 of the round
+S^3 have W = 2 pi^2 / sin(2 rho0).
 """
 
 from dataclasses import dataclass, field
@@ -224,21 +226,21 @@ def _quadrature_grid(surface, grid):
     return ss, tt, weights
 
 
-# points per block of _grid_eval
+# points per block of _grid_eval, unless its caller passes another block
 _GRID_CHUNK = 1 << 16
 
 
-def _grid_eval(field, s, t):
+def _grid_eval(field, s, t, block=_GRID_CHUNK):
     """``field`` on the points that the parameter arrays ``s`` and ``t``, of
     equal ndim, broadcast to: pass a product grid as its axes ``s[:, None]``
     and ``t[None, :]``.  ``field(s, t)`` is called on blocks of whole
-    s-rows, at most ``_GRID_CHUNK`` points each but at least one row, and
+    s-rows, at most ``block`` points each but at least one row, and
     returns an array, or a tuple of arrays, whose leading axes are its
     block's broadcast shape; the blocks are joined along the s-rows, and
     ``np.concatenate`` keeps their memory layout (component-major blocks
     join component-major)."""
     shape = np.broadcast_shapes(np.shape(s), np.shape(t))
-    rows = max(1, _GRID_CHUNK // max(int(np.prod(shape[1:])), 1))
+    rows = max(1, block // max(int(np.prod(shape[1:])), 1))
     parts = [field(*(a[k:k + rows] if a.shape[0] > 1 else a for a in (s, t)))
              for k in range(0, shape[0], rows)]
     if len(parts) == 1:
@@ -266,7 +268,7 @@ def _area_density(rep):
 
 
 def _willmore_density(rep):
-    return (1.0 + rep.h_trace ** 2) * rep.area_density
+    return (1.0 + rep.h_mean ** 2) * rep.area_density
 
 
 def area(surface, metric, grid=(256, 256)):
@@ -275,7 +277,9 @@ def area(surface, metric, grid=(256, 256)):
 
 
 def willmore_energy(surface, metric, grid=(256, 256)):
-    """W = integral of (1 + H^2) dA with H the shape-operator trace."""
+    """W = integral of (1 + H^2) dA with H = (k1 + k2)/2 the averaged mean
+    curvature (the S^3 convention, in which W >= 2 pi^2 is the Willmore
+    conjecture)."""
     return _integrate(surface, metric, grid, [_willmore_density])[0]
 
 

@@ -1,5 +1,6 @@
 """Scenario reports, the kvdoc format, and the command-line interface."""
 
+import argparse
 import json
 import os
 import shutil
@@ -139,6 +140,54 @@ def test_cli_config_grid_of_one_size_is_square(tmp_path):
 
 def test_cli_unknown_subcommand(tmp_path):
     assert cli.main(["no-such-command"]) == 2
+
+
+def _subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def _files(directory):
+    """Each output file's bytes; a JSON report's as parsed, without its
+    runtime_s, the one entry that differs between identical runs."""
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    for name in [n for n in files if n.endswith(".json")]:
+        files[name] = json.loads(files[name])
+        files[name].pop("runtime_s")
+    return files
+
+
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+    assert len(_subcommands(cli.build_parser())) == 7
+
+
+def test_cli_reused_parser_keeps_calls_independent(tmp_path, capsys):
+    # one process: runs, usage errors and every --help share the one parser,
+    # and none of them leaves a trace in a later call
+    runs = {"sweep": ["willmore-sweep", "--eps", "0.3", "--grid", "16"],
+            "flow": ["flow-run", "--steps", "3"]}
+    for name, args in runs.items():
+        (tmp_path / f"{name}-first").mkdir()
+        assert run_cli(args, tmp_path / f"{name}-first") == 0
+    assert cli.main(["no-such-command"]) == 2
+    assert run_cli(["umbilics", "--grid", "0x0"], tmp_path) == 2
+    capsys.readouterr()
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: geomlab")
+    for command in _subcommands(cli.build_parser()):
+        assert cli.main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: geomlab {command}")
+    for name, args in runs.items():
+        (tmp_path / f"{name}-again").mkdir()
+        assert run_cli(args, tmp_path / f"{name}-again") == 0
+        assert _files(tmp_path / f"{name}-again") == _files(tmp_path / f"{name}-first")
+    # a flow-run without --steps takes the config's count, not the last --steps
+    assert cli.build_parser().parse_args(["flow-run"]).steps is None
+    (tmp_path / "cfg.kv").write_text("steps = 2\n")
+    assert run_cli(["flow-run", "--config", str(tmp_path / "cfg.kv")], tmp_path) == 0
+    lines = (tmp_path / "flow_diagnostics.csv").read_text().strip().splitlines()
+    assert len(lines) == 4  # header + initial + 2 steps
 
 
 def test_cli_identical_invocations_identical_files(tmp_path):

@@ -255,6 +255,19 @@ def test_willmore_closed_forms():
     assert w6 == pytest.approx(1.6 * np.pi ** 2, rel=1e-10)
 
 
+@pytest.mark.parametrize("rho0", [0.3, 0.5, 0.6, np.pi / 4])
+def test_willmore_of_round_orbit_tori(rho0):
+    # the orbit torus rho = rho0 of the round S^3 has principal curvatures
+    # cot(rho0) and -tan(rho0), so H = (k1 + k2)/2 = cot(2 rho0), area
+    # 2 pi^2 sin(2 rho0) and W = (1 + H^2) area = 2 pi^2 / sin(2 rho0);
+    # the trace k1 + k2 in place of H gives 106.4 against 34.96 at 0.3
+    torus = sg.SurfaceImmersion("orbit-torus", lambda s, t: (rho0, s, t),
+                                ((0.0, 2 * np.pi), (0.0, 2 * np.pi)), (True, True),
+                                topology="torus", chart="hopf")
+    w = sg.willmore_energy(torus, ct.metric_by_name("round-s3"), grid=(32, 32))
+    assert w == pytest.approx(TWO_PI_SQ / np.sin(2 * rho0), rel=1e-14)
+
+
 def test_willmore_equals_area_for_minimal_surfaces():
     torus = sg.surface_by_name("clifford")
     for eps in (0.0, 0.3, 0.9):

@@ -191,12 +191,13 @@ def test_scan_refines_all_candidates_in_one_call_per_iteration(monkeypatch):
 
     monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
     records = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
-    n_cand = sizes[1] // 5
-    iters = len(sizes) - 4
+    n_cand = sizes[2] // 5
+    iters = len(sizes) - 5
     assert len(records) == 4 and n_cand >= 4 and 1 <= iters <= ut._NEWTON_ITERS
-    # grid, Newton iterations (each candidate and its four neighbours), final
+    # grid in blocks of whole rows (85 of 96 points, then the other 43),
+    # Newton iterations (each candidate and its four neighbours), final
     # check, isolation rings, chart points
-    assert sizes == ([128 * 96] + [5 * n_cand] * iters
+    assert sizes == ([85 * 96, 43 * 96] + [5 * n_cand] * iters
                      + [n_cand, 64 * len(records), len(records)])
 
 
@@ -212,7 +213,8 @@ def test_seed_filter_leaves_the_torus_grid_pass_alone(monkeypatch):
     monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
     torus = sg.surface_by_name("torus-revolution", R=2.0, r=1.0)
     assert ut.umbilic_scan(torus, FLAT, grid=(192, 192)) == []
-    assert sizes == [192 * 192]
+    # the grid pass alone: four blocks of 42 whole rows and one of the other 24
+    assert sizes == [42 * 192] * 4 + [24 * 192]
 
 
 def test_refine_wraps_periodic_parameters_into_the_half_open_domain():
@@ -478,8 +480,8 @@ def test_conjecture_audit_torus_and_sphere():
 
 
 def test_grid_pass_in_row_chunks_equals_the_flattened_grid(monkeypatch):
-    # 512 x 384 is three chunks of 170 whole s-rows (at most 1 << 16 points)
-    # and a last one of 2 rows; the scan's grid pass is the first four calls
+    # 512 x 384 is 24 blocks of 21 whole s-rows (at most 1 << 13 points)
+    # and a last one of 8 rows; the scan's grid pass is the first 25 calls
     calls = []
 
     def recording_forms(surface, metric, s, t):
@@ -490,11 +492,11 @@ def test_grid_pass_in_row_chunks_equals_the_flattened_grid(monkeypatch):
     monkeypatch.setattr(ut, "fundamental_forms", recording_forms)
     grid = (512, 384)
     assert len(ut.umbilic_scan(ELL, FLAT, grid=grid)) == 4
-    assert [shape for shape, _, _ in calls[:4]] == [(170, 384)] * 3 + [(2, 384)]
+    assert [shape for shape, _, _ in calls[:25]] == [(21, 384)] * 24 + [(8, 384)]
     ss, tt, _, _ = ut._cells(ELL, grid)
     sm, tm = np.meshgrid(ss, tt, indexing="ij")
     flat_s, flat_t = sm.ravel(), tm.ravel()
-    for k, (_, disc_sq, k1) in enumerate(calls[:4]):
-        rows = slice(k * 170 * 384, (k * 170 + 170) * 384)
+    for k, (_, disc_sq, k1) in enumerate(calls[:25]):
+        rows = slice(k * 21 * 384, (k * 21 + 21) * 384)
         ref = sg.fundamental_forms(ELL, FLAT, flat_s[rows], flat_t[rows])
         assert np.array_equal(disc_sq, ref.disc_sq) and np.array_equal(k1, ref.k1)
