@@ -27,8 +27,8 @@ from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
 from .surface_geom import _grid_eval
-from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _SCAN_BLOCK, _cells,
-                               _loop_index, _loop_winding, _scan_zeros)
+from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _cells, _loop_index,
+                               _loop_winding, _scan_zeros)
 
 TWO_PI = 2.0 * np.pi
 
@@ -353,8 +353,7 @@ def normal_congruence(surface, grid=(128, 96)):
     """
     cmap = CongruenceMap(surface)
     s_axis, t_axis, _, _ = _cells(surface, grid)
-    u, V, du, dV = _grid_eval(cmap.eval, s_axis[:, None], t_axis[None, :],
-                              block=_SCAN_BLOCK)
+    u, V, du, dV = _grid_eval(cmap.eval, s_axis[:, None], t_axis[None, :])
     jac = dot3(cross3(_components(du[..., 0, :]), _components(du[..., 1, :])),
                _components(u))
     # |jac| <= |du_0| |du_1| <= 3 max|du|^2: zero relative to that everywhere

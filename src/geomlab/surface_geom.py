@@ -226,8 +226,9 @@ def _quadrature_grid(surface, grid):
     return ss, tt, weights
 
 
-# points per block of _grid_eval, unless its caller passes another block
-_GRID_CHUNK = 1 << 16
+# points per block of _grid_eval: a block's temporaries then stay small
+# enough to be reused instead of freshly mapped
+_GRID_CHUNK = 1 << 13
 
 
 def _grid_eval(field, s, t, block=_GRID_CHUNK):
@@ -260,7 +261,10 @@ def _integrate(surface, metric, grid, integrands):
         rep = fundamental_forms(surface, metric, s, t)
         shape = np.broadcast_shapes(s.shape, t.shape)
         return tuple(integrand(rep).reshape(shape) for integrand in integrands)
-    return [float(np.sum(d * ww)) for d in _grid_eval(densities, ss, tt)]
+    # larger blocks than the default: the Hopf-metric integrands slow down
+    # in blocks of 1 << 13 points
+    return [float(np.sum(d * ww))
+            for d in _grid_eval(densities, ss, tt, block=1 << 16)]
 
 
 def _area_density(rep):

@@ -97,10 +97,6 @@ _DEGENERATE_FRACTION = 0.05
 _JACOBIAN_STEP = 1e-3
 _STEP_TOL = 1e-6
 _NEWTON_ITERS = 6
-# points per block of a scan's grid pass (the umbilic gap and the normal
-# congruence): each block's temporaries stay small enough to be reused
-# rather than freshly mapped; the quadrature keeps the default block
-_SCAN_BLOCK = 1 << 13
 
 
 def _refine_zeros(field, s, t, step, domain, periodic):
@@ -168,7 +164,7 @@ def umbilic_scan(surface, metric, grid=(512, 384)):
                          np.abs(rep.k1), np.abs(rep.k2)])
         return rows.T.reshape(np.broadcast_shapes(s.shape, t.shape) + (5,))
 
-    scan = _grid_eval(gap_rows, ss[:, None], tt[None, :], block=_SCAN_BLOCK)
+    scan = _grid_eval(gap_rows, ss[:, None], tt[None, :])
     tol = 1e-6 * max(float(np.max(scan[..., 3:])), 1e-30)
     zeros = _scan_zeros(scan[..., 0], gap_rows, (ss, tt), (ds, dt), surface.domain,
                         surface.periodic, tol * tol, "umbilic", vectors=scan[..., 1:3])

@@ -816,7 +816,7 @@ def _assert_relative(got, want, what, rel=1e-13):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_written_out_congruence_and_defect_equal_their_oracles(monkeypatch, seed):
+def test_written_out_congruence_and_defect_equal_their_oracles(seed):
     rng = np.random.default_rng(seed)
     # a convex graph: a Gauss map that folds makes psi ill-conditioned
     coef = [float(c) for c in rng.uniform(-0.1, 0.1, 3)]
@@ -835,10 +835,15 @@ def test_written_out_congruence_and_defect_equal_their_oracles(monkeypatch, seed
         ref = _cross_congruence(surface, s.ravel(), t.ravel())
         for name, a, b in zip(("u", "V", "du", "dV"), got, ref):
             _assert_relative(a, b.reshape(a.shape), (surface.name, name))
-        # evaluation in chunks of whole s-rows concatenates the same rows
-        with monkeypatch.context() as patch:
-            patch.setattr(sg, "_GRID_CHUNK", 64)
-            chunked = ut._grid_eval(ls.CongruenceMap(surface).eval, s, t)
+        # evaluation in blocks of whole s-rows (ten of three rows) concatenates
+        # the same rows
+        blocks = []
+
+        def recording_eval(s_block, t_block, cmap=ls.CongruenceMap(surface)):
+            blocks.append(s_block.shape)
+            return cmap.eval(s_block, t_block)
+        chunked = ut._grid_eval(recording_eval, s, t, block=64)
+        assert blocks == [(3, 20)] * 10
         for a, b in zip(got, chunked):
             assert np.array_equal(a, b)
         # and keeps them component-major
