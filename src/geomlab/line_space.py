@@ -26,6 +26,7 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
+from .quadrature import gauss_legendre
 from .surface_geom import _grid_eval
 from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _cells, _loop_index,
                                _loop_winding, _scan_zeros)
@@ -570,87 +571,30 @@ def invert_gauss_map(directions, section):
 
 # -- symplectic area -----------------------------------------------------------
 
-def symplectic_area(disc, n_rad=48, n_ang=256):
-    """(integral of omega over the disc, circulation of lambda = V.du).
+# Gauss-Legendre nodes of ``symplectic_area`` on each axis and each edge
+_AREA_NODES = 64
 
-    ``disc`` must provide eval(a, b) -> (u, V, du, dV) over polar
-    parameters a in [0,1], b in [0,2pi); the two returns should agree by
-    Stokes' theorem since omega = d(V.du).
+
+def symplectic_area(source, domain):
+    """(integral of omega over a parameter rectangle, circulation of
+    lambda = V.du round its boundary).
+
+    ``source`` is any section, ``source.eval(s, t)`` -> (u, V, du, dV), and
+    ``domain`` the rectangle ((s_lo, s_hi), (t_lo, t_hi)).  omega(d_s, d_t)
+    is integrated with ``_AREA_NODES`` Gauss-Legendre nodes on each axis,
+    and lambda with as many on each edge, counterclockwise in (s, t); the
+    two returns agree by Stokes' theorem since omega = d(lambda).
     """
-    from .quadrature import gauss_legendre, periodic_trapezoid
-    ra, wa = gauss_legendre(0.0, 1.0, n_rad)
-    tb, wb = periodic_trapezoid(0.0, TWO_PI, n_ang)
-    rm, tm = np.meshgrid(ra, tb, indexing="ij")
-    u, V, du, dV = disc.eval(rm, tm)
+    (s, ws), (t, wt) = (gauss_legendre(lo, hi, _AREA_NODES) for lo, hi in domain)
+    _, _, du, dV = source.eval(s[:, None], t[None, :])
     om = omega_pair(du[..., 0, :], dV[..., 0, :], du[..., 1, :], dV[..., 1, :])
-    two_form = float(np.einsum("ab,a,b->", om, wa, wb))
-    ub, Vb, dub, dVb = disc.eval(np.ones_like(tb), tb)
-    lam = potential_form(Vb, dub[..., 1, :])
-    boundary = float(np.sum(lam * wb))
-    return two_form, boundary
-
-
-class SectionDisc:
-    """Polar disc inside a section, mapped through surface parameters."""
-
-    def __init__(self, source, s_center, t_center, rad_s, rad_t):
-        self.source = source
-        self.s_center, self.t_center = s_center, t_center
-        self.rad_s, self.rad_t = rad_s, rad_t
-
-    def eval(self, a, b):
-        s = self.s_center + self.rad_s * a * np.cos(b)
-        t = self.t_center + self.rad_t * a * np.sin(b)
-        u, V, du, dV = self.source.eval(s, t)
-        # chain rule to polar parameters
-        ds = np.stack([self.rad_s * np.cos(b), -self.rad_s * a * np.sin(b)], axis=-1)
-        dt = np.stack([self.rad_t * np.sin(b), self.rad_t * a * np.cos(b)], axis=-1)
-        du_p = ds[..., :, None] * du[..., 0:1, :] + dt[..., :, None] * du[..., 1:2, :]
-        dV_p = ds[..., :, None] * dV[..., 0:1, :] + dt[..., :, None] * dV[..., 1:2, :]
-        return u, V, du_p, dV_p
-
-
-class JetDisc:
-    """Disc given by a jet-capable map (a, b) -> (u components, V components).
-
-    The map must return unit directions and perpendicular feet; see
-    ``random_jet_disc`` for a generic constructor.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def eval(self, a, b):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-
-        def flat(av, bv):
-            u_c, v_c = self.fn(av, bv)
-            return [*u_c, *v_c]
-
-        f, g = jets.derivatives(flat, [a, b], order=1)
-        return f[..., :3], f[..., 3:], g[..., :3], g[..., 3:]
-
-
-def random_jet_disc(rng, amplitude=0.5):
-    """Smooth random disc in line space: u from a trig map, V projected."""
-    cu = rng.normal(size=(3, 4)) * amplitude
-    cv = rng.normal(size=(3, 4)) * amplitude
-
-    def fn(a, b):
-        sb, cb = jets.sincos(b)
-        sa = [1.0 + 0.3 * a * cb, 0.4 * a * sb, a * a]
-        raw_u = [cu[i, 0] + cu[i, 1] * sa[0] + cu[i, 2] * sa[1] + cu[i, 3] * sa[2]
-                 for i in range(3)]
-        nrm = jets.sqrt(dot3(raw_u, raw_u))
-        u = [c / nrm for c in raw_u]
-        raw_v = [cv[i, 0] * sa[1] + cv[i, 1] * sa[0] + cv[i, 2] * sa[2] + cv[i, 3]
-                 for i in range(3)]
-        uv = dot3(u, raw_v)
-        V = [raw_v[i] - uv * u[i] for i in range(3)]
-        return u, V
-
-    return JetDisc(fn)
+    two_form = float(ws @ om @ wt)
+    # lambda(d_s) on the edges t = t_lo, t_hi and lambda(d_t) on s = s_lo, s_hi
+    _, V, du, _ = source.eval(s[:, None], np.array(domain[1], dtype=float))
+    bottom, top = ws @ potential_form(V, du[..., 0, :])
+    _, V, du, _ = source.eval(np.array(domain[0], dtype=float), t[:, None])
+    left, right = wt @ potential_form(V, du[..., 1, :])
+    return two_form, float(bottom + right - top - left)
 
 
 # -- holomorphic twist ----------------------------------------------------------

@@ -12,6 +12,10 @@ the test suite).  Consequences used here:
     maximal: their discrete mean curvature vanishes to rounding because
     second differences of affine data are exactly zero.
 
+The boundary target is a ``ChartSection``, which carries the chart the
+flow lives in, and whose ``eval`` gives the (u, V, du, dV) samples that
+every line-space routine reads (``line_space.symplectic_area``, say).
+
 A step (``flow_step``, the one path every run takes) moves interior
 samples by h * H (H the G-orthogonal projection of the discrete tension
 field), re-projects boundary samples onto the target section along the
@@ -27,7 +31,7 @@ with no dense metric or Christoffel array.  What the boundary terms need
 beyond that geometry, the chart metric at the edge samples included,
 depends on the ring samples alone, which the projection keeps
 bit-identical, so it is built once per run (``BoundaryRing``) and rebuilt
-only when the ring, the chart or the section changes.
+only when the ring or the section changes.
 """
 
 import functools
@@ -154,11 +158,12 @@ class LineSpaceChart:
 # -- target sections ----------------------------------------------------------
 
 class ChartSection:
-    """Graphical section (x, y) -> fiber (w1, w2); the map must accept jets."""
+    """Graphical section (x, y) -> fiber (w1, w2) in the coordinates of
+    ``chart``, a ``LineSpaceChart``; the map must accept jets."""
 
-    def __init__(self, fiber_fn, name="section"):
+    def __init__(self, fiber_fn, chart):
         self.fiber_fn = fiber_fn
-        self.name = name
+        self.chart = chart
 
     def fiber(self, x, y):
         w1, w2 = self.fiber_fn(np.asarray(x, float), np.asarray(y, float))
@@ -170,26 +175,32 @@ class ChartSection:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return jets.derivatives(self.fiber_fn, [x, y], order=1)
 
+    def eval(self, s, t):
+        """The section's lines (u, V) over chart points (x, y) = (s, t) and
+        their tangents (du, dV) along x and y, of shapes (..., 3) and
+        (..., 2, 3) for the broadcast shape ... of ``s`` and ``t``."""
+        s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
+        w, dw = self.fiber_with_partials(s.ravel(), t.ravel())
+        u, V, diff = self.chart.embed_differential(np.column_stack((s.ravel(), t.ravel(), w)))
+        lifted = diff[:, :2] + dw @ diff[:, 2:]    # (n, 2, 6): (e_a + dw[a, k] e_{2+k}) diff
+        return (u.reshape(*s.shape, 3), V.reshape(*s.shape, 3),
+                lifted[..., :3].reshape(*s.shape, 2, 3), lifted[..., 3:].reshape(*s.shape, 2, 3))
 
-def twisted_zero_section(strength):
-    """Zero section plus the linear holomorphic twist, w = -i s (x + i y).
 
-    For strength > 0 the induced metric is positive definite on the open
-    hemisphere around the chart center and degenerates at the equator.
+def affine_section(chart, c0=(0.0, 0.0), c1=(0.0, 0.0)):
+    """Holomorphic affine section w = c0 + c1 * (x + i y) of ``chart``.
+
+    c1 = -i s is the linear holomorphic twist w = -i s (x + i y): for
+    s > 0 its induced metric is positive definite on the open hemisphere
+    around the chart center and degenerates at the equator.
     """
-    s = float(strength)
-    return ChartSection(lambda x, y: (s * y, -s * x), name=f"twisted-zero[{s}]")
-
-
-def affine_section(c0=(0.0, 0.0), c1=(0.0, 0.0)):
-    """Holomorphic affine section w = c0 + c1 * (x + i y)."""
     c0 = complex(c0[0], c0[1]) if not isinstance(c0, complex) else c0
     c1 = complex(c1[0], c1[1]) if not isinstance(c1, complex) else c1
 
     def fiber(x, y):
         return (c0.real + c1.real * x - c1.imag * y,
                 c0.imag + c1.imag * x + c1.real * y)
-    return ChartSection(fiber, name="affine")
+    return ChartSection(fiber, chart)
 
 
 # -- flow state ---------------------------------------------------------------
@@ -214,11 +225,10 @@ class FlowDiagnostics:
 
 @dataclass
 class FlowState:
-    chart: LineSpaceChart
     x_axis: np.ndarray
     y_axis: np.ndarray
     f: np.ndarray              # (nx, ny, 4) chart coordinates
-    section: ChartSection      # boundary target
+    section: ChartSection      # boundary target; holds the flow's chart
     h: float
     t: float = 0.0
     cosh_target: float = None
@@ -286,7 +296,7 @@ def flow_geometry(state):
     d1, d2 = _fd_derivatives(state.f, dx, dy)
     t = d1.transpose(2, 3, 0, 1)                               # t[a, A]
     with np.errstate(all="ignore"):
-        alpha, beta, *sources = state.chart._coefficients(
+        alpha, beta, *sources = LineSpaceChart._coefficients(
             *np.ascontiguousarray(state.f.transpose(2, 0, 1)))
         gt = np.stack((alpha * t[:, 0] - beta * t[:, 3], alpha * t[:, 1] + beta * t[:, 2],
                        beta * t[:, 1], -beta * t[:, 0]), axis=1)  # (G t_a)_A
@@ -380,10 +390,9 @@ class BoundaryRing:
     differential and sphere frame, the non-corner ``edge`` indices with
     their first-interior neighbours, and there the chart metric G, the
     target section's tangent basis Q, G Q^T and det(Q G Q^T).  All of it
-    depends only on the ring samples, the chart and the section, and
+    depends only on the ring samples and the section with its chart, and
     ``project_boundary`` snaps the ring back to the same samples on every
     step."""
-    chart: LineSpaceChart
     section: ChartSection
     shape: tuple               # the grid's (nx, ny)
     ring_ij: tuple             # (ii, jj) of every boundary sample
@@ -401,29 +410,29 @@ def _build_ring(state):
     """The ``BoundaryRing`` of the state's current ring samples."""
     ii, jj = _ring_indices(state.shape)
     samples = state.f[ii, jj]
-    u, _, diff = state.chart.embed_differential(samples)
-    frame = _sphere_frame(_components(u), tuple(state.chart.center))
+    chart = state.section.chart
+    u, _, diff = chart.embed_differential(samples)
+    frame = _sphere_frame(_components(u), tuple(chart.center))
     edge = _edge_indices(state.shape)
     pts = state.f[edge[0], edge[1]]
     _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
     sec_basis = np.zeros((len(pts), 2, 4))
     sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
     sec_basis[:, :, 2:] = dw
-    edge_metric = state.chart.metric(pts)
+    edge_metric = chart.metric(pts)
     edge_gq = edge_metric @ _t(sec_basis)
     edge_q_det = _det2(sec_basis @ edge_gq)
     for a in (samples, diff, sec_basis, edge_metric, edge_gq, edge_q_det):
         a.flags.writeable = False
-    return BoundaryRing(state.chart, state.section, state.shape, (ii, jj), samples,
+    return BoundaryRing(state.section, state.shape, (ii, jj), samples,
                         diff, frame, edge, sec_basis, edge_metric, edge_gq, edge_q_det)
 
 
 def _ring(state):
-    """The state's ``BoundaryRing``, rebuilt when the chart, the section,
-    the grid or any ring sample differs from what it was built from."""
+    """The state's ``BoundaryRing``, rebuilt when the section, the grid or
+    any ring sample differs from what it was built from."""
     ring = state.ring
-    if (ring is None or ring.chart is not state.chart or ring.section is not state.section
-            or ring.shape != state.shape
+    if (ring is None or ring.section is not state.section or ring.shape != state.shape
             or not np.array_equal(state.f[ring.ring_ij], ring.samples)):
         ring = state.ring = _build_ring(state)
     return ring
@@ -616,6 +625,10 @@ FLOW_CONFIG_KEYS = {
 }
 
 
+# the constant fiber c0 of each disc id's target section
+_DISC_OFFSETS = {"twisted-hemisphere": (0.0, 0.0), "holomorphic-affine": (0.05, -0.02)}
+
+
 def build_state(config=None, **overrides):
     """Assemble a FlowState from a config mapping (unknown keys rejected)."""
     cfg = dict(FLOW_CONFIG_KEYS)
@@ -638,37 +651,28 @@ def build_state(config=None, **overrides):
     radius = float(cfg["chart_radius"])
     if not (0.0 < radius < 1.0):
         raise ConfigError("chart_radius must sit inside the open hemisphere (0,1)")
-    strength = float(cfg["twist_strength"])
-    chart = LineSpaceChart(cfg["center"])
-    section = twisted_zero_section(strength)
+    disc = cfg["disc"]
+    if disc not in _DISC_OFFSETS:
+        raise ConfigError(f"unknown disc id {disc!r}; "
+                          "use twisted-hemisphere or holomorphic-affine")
+    # the twist w = -i s (x + i y), offset by the disc's constant fiber
+    section = affine_section(LineSpaceChart(cfg["center"]), c0=_DISC_OFFSETS[disc],
+                             c1=(0.0, -float(cfg["twist_strength"])))
     x_axis = np.linspace(-radius, radius, n)
     y_axis = np.linspace(-radius, radius, n)
     xm, ym = np.meshgrid(x_axis, y_axis, indexing="ij")
     f = np.zeros((n, n, 4))
     f[..., 0] = xm
     f[..., 1] = ym
-    disc = cfg["disc"]
-    w1, w2 = section.fiber(xm, ym)
-    if disc == "twisted-hemisphere":
-        f[..., 2] = w1
-        f[..., 3] = w2
-        amp = float(cfg["perturbation"])
-        if amp:
-            shape_fn = (1.0 - (xm / radius) ** 2) * (1.0 - (ym / radius) ** 2)
-            f[..., 2] += amp * shape_fn
-            f[..., 3] += 0.5 * amp * shape_fn * (xm / radius)
-    elif disc == "holomorphic-affine":
-        sec = affine_section(c0=(0.05, -0.02), c1=(0.0, -strength))
-        w1a, w2a = sec.fiber(xm, ym)
-        f[..., 2] = w1a
-        f[..., 3] = w2a
-        section = sec
-    else:
-        raise ConfigError(f"unknown disc id {disc!r}; "
-                          "use twisted-hemisphere or holomorphic-affine")
+    f[..., 2], f[..., 3] = section.fiber(xm, ym)
+    amp = float(cfg["perturbation"])
+    if amp and disc == "twisted-hemisphere":
+        shape_fn = (1.0 - (xm / radius) ** 2) * (1.0 - (ym / radius) ** 2)
+        f[..., 2] += amp * shape_fn
+        f[..., 3] += 0.5 * amp * shape_fn * (xm / radius)
     dx = x_axis[1] - x_axis[0]
     h = cfg["h"] if cfg["h"] is not None else float(cfg["cfl"]) * dx * dx
-    state = FlowState(chart, x_axis, y_axis, f, section, float(h),
+    state = FlowState(x_axis, y_axis, f, section, float(h),
                       cosh_target=None if cfg["angle_target"] is None
                       else float(np.cosh(cfg["angle_target"])),
                       dbar_c=float(cfg["dbar_c"]),

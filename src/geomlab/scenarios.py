@@ -94,7 +94,7 @@ def willmore_sweep(eps_list=tuple(np.round(np.arange(0.0, 0.91, 0.1), 10)),
 
     For each eps: quadrature energy against the closed form
     2 sqrt(1-eps^2) pi^2, strict drop below 2 pi^2 for eps > 0, and the
-    minimality check max|k1 + k2| ~ 0 (the ``maxH`` column).
+    minimality check max|H| ~ 0, H = (k1 + k2)/2 (the ``maxH`` column).
     """
     t0 = time.perf_counter()
     report = ScenarioReport("willmore-sweep",

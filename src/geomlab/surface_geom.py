@@ -294,13 +294,13 @@ def willmore_and_area(surface, metric, grid=(256, 256)):
 
 
 def max_abs_mean_curvature(surface, metric, n_samples=10000, seed=0):
-    """max |k1+k2| over uniform random parameter samples."""
+    """max |H|, H = (k1 + k2)/2, over uniform random parameter samples."""
     rng = np.random.default_rng(seed)
     (s0, s1), (t0, t1) = surface.domain
     ss = rng.uniform(s0, s1, n_samples)
     tt = rng.uniform(t0, t1, n_samples)
     rep = fundamental_forms(surface, metric, ss, tt)
-    return float(np.max(np.abs(rep.h_trace)))
+    return float(np.max(np.abs(rep.h_mean)))
 
 
 # -- built-in surfaces -------------------------------------------------------

@@ -155,20 +155,30 @@ def test_criterion_6_maslov_formula():
     _verdict(6, "Keller-Maslov index equals four times the umbilic sum", ok)
 
 
+def _random_cubic_section(rng):
+    """A chart section over a random chart centre whose fiber is a random
+    cubic polynomial in the chart coordinates (x, y)."""
+    coeffs = rng.normal(size=(2, 10)) * 0.5
+
+    def fiber(x, y):
+        monomials = (1.0, x, y, x * x, x * y, y * y, x * x * x, x * x * y, x * y * y, y * y * y)
+        return tuple(sum(c * m for c, m in zip(row, monomials)) for row in coeffs)
+    return nf.ChartSection(fiber, nf.LineSpaceChart(rng.normal(size=3)))
+
+
 def test_criterion_7_symplectic_area():
-    """Stokes agreement < 1e-8 on random discs; Lagrangian discs carry no
-    symplectic area."""
+    """Stokes agreement < 1e-8 on random sections; Lagrangian rectangles
+    carry no symplectic area."""
     rng = np.random.default_rng(31)
     ok = True
     for _ in range(8):
-        disc = ls.random_jet_disc(rng)
-        two_form, boundary = ls.symplectic_area(disc, n_rad=48, n_ang=256)
+        two_form, boundary = ls.symplectic_area(_random_cubic_section(rng),
+                                                ((-0.5, 0.5), (-0.5, 0.5)))
         ok &= abs(two_form - boundary) < 1e-8
     ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
     cmap = ls.CongruenceMap(ell)
     for (s0, t0) in ((1.0, 1.5), (4.0, 2.0)):
-        disc = ls.SectionDisc(cmap, s0, t0, 0.5, 0.35)
-        two_form, _ = ls.symplectic_area(disc)
+        two_form, _ = ls.symplectic_area(cmap, ((s0 - 0.5, s0 + 0.5), (t0 - 0.35, t0 + 0.35)))
         ok &= abs(two_form) < 1e-8
     _verdict(7, "symplectic area: Stokes and Lagrangian vanishing", ok)
 

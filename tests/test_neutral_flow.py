@@ -194,6 +194,76 @@ def test_chart_metric_and_christoffels_match_a_symbolic_derivation():
         assert np.max(np.abs(gamma - gamma_ref)) < 1e-12
 
 
+# -- chart sections, read as line-space sections -------------------------------
+
+def _twist_lambda_circulation(strength, radius):
+    """Counterclockwise circulation of lambda = V.du round the chart square
+    [-R, R]^2 of the twist w = -i s (x + i y).
+
+    There lambda = 4 s (y dx - x dy)/D^2 with D = 1 + x^2 + y^2, so each of
+    the four edges gives -4 s R times the integral of dx/(a^2 + x^2)^2
+    over [-R, R], a^2 = 1 + R^2.
+    """
+    a_sq = 1.0 + radius ** 2
+    a = np.sqrt(a_sq)
+    return -16.0 * strength * radius * (radius / (a_sq * (a_sq + radius ** 2))
+                                        + np.arctan(radius / a) / a ** 3)
+
+
+@pytest.mark.parametrize("strength, radius", [(1.0, 0.55), (0.7, 0.3), (1.3, 0.8)])
+@pytest.mark.parametrize("centre", CENTRES[:2])
+def test_flow_target_symplectic_area_matches_the_closed_form(strength, radius, centre):
+    state, _ = nf.build_state(twist_strength=strength, chart_radius=radius, center=centre,
+                              grid_n=5)
+    want = _twist_lambda_circulation(strength, radius)
+    square = ((-radius, radius), (-radius, radius))
+    for got in ls.symplectic_area(state.section, square):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_flow_kv_target_symplectic_area():
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV))
+    radius = state.x_axis[-1]
+    for got in ls.symplectic_area(state.section, ((-radius, radius), (-radius, radius))):
+        assert got == pytest.approx(-4.97373056259242, rel=1e-12)
+
+
+@pytest.mark.parametrize("centre", CENTRES[:3])
+def test_twist_is_the_affine_section_with_c1_minus_i_s(centre):
+    """The flow's target in chart coordinates and the twist of
+    ``line_space.TwistedSection`` are one section."""
+    chart = nf.LineSpaceChart(centre)
+    x, y = _chart_points(6, 200)[:, :2].T
+    zero = nf.affine_section(chart)
+    for strength in (0.7, 1.0, 1.3):
+        twisted = ls.TwistedSection(zero, strength, chart.center).eval(x, y)
+        affine = nf.affine_section(chart, c1=(0.0, -strength)).eval(x, y)
+        for got, want in zip(affine, twisted):
+            assert np.max(np.abs(got - want)) < 1e-15
+
+
+@pytest.mark.parametrize("centre", CENTRES)
+def test_chart_section_eval_is_the_jet_of_a_section(centre):
+    """(du, dV) of ``ChartSection.eval`` are central differences of its
+    (u, V) and tangent to the line space, over a broadcast grid."""
+    section = nf.ChartSection(
+        lambda x, y: (0.3 * x * y - 0.2 * y * y * y + 0.1, 0.4 * x * x - 0.5 * y),
+        nf.LineSpaceChart(centre))
+    x = np.linspace(-0.6, 0.6, 20)[:, None]
+    y = np.linspace(-0.5, 0.5, 10)[None, :]
+    u, V, du, dV = section.eval(x, y)
+    assert u.shape == V.shape == (20, 10, 3) and du.shape == dV.shape == (20, 10, 2, 3)
+    h = 1e-6
+    for a, (px, py) in enumerate(((h, 0.0), (0.0, h))):
+        up, vp, _, _ = section.eval(x + px, y + py)
+        um, vm, _, _ = section.eval(x - px, y - py)
+        assert np.max(np.abs(du[..., a, :] - (up - um) / (2 * h))) < 1e-8
+        assert np.max(np.abs(dV[..., a, :] - (vp - vm) / (2 * h))) < 1e-8
+    u, V = u[..., None, :], V[..., None, :]
+    assert np.max(np.abs(np.sum(u * du, axis=-1))) < 1e-14
+    assert np.max(np.abs(np.sum(u * dV + V * du, axis=-1))) < 1e-14
+
+
 def _one_node_central_differences(state, probe):
     """Each boundary sample's cosh differentiated by moving only its own
     first-interior node by +-probe and re-evaluating the whole geometry."""
@@ -260,7 +330,7 @@ def _einsum_geometry(state):
     dx = state.x_axis[1] - state.x_axis[0]
     dy = state.y_axis[1] - state.y_axis[0]
     d1, d2 = nf._fd_derivatives(state.f, dx, dy)
-    g4, gamma = state.chart.metric_and_christoffel(state.f.reshape(-1, 4))
+    g4, gamma = state.section.chart.metric_and_christoffel(state.f.reshape(-1, 4))
     g4 = g4.reshape(state.shape + (4, 4))
     gamma = gamma.reshape(state.shape + (4, 4, 4))
     gram = np.einsum("...aA,...AB,...bB->...ab", d1, g4, d1)
@@ -592,10 +662,10 @@ def _uncached_dbar_norm(state, geo):
     """dbar_boundary_norm from scratch: the ring's embedding differential
     and the public defect_psi, which builds its own sphere frame."""
     ii, jj = np.nonzero(nf.boundary_mask(state.shape))
-    u, V, diff = state.chart.embed_differential(state.f[ii, jj])
+    u, V, diff = state.section.chart.embed_differential(state.f[ii, jj])
     lifted = geo["d1"][ii, jj] @ diff
     psi = ls.defect_psi(u, V, lifted[:, 0, :3], lifted[:, 0, 3:],
-                        lifted[:, 1, :3], lifted[:, 1, 3:], tuple(state.chart.center))
+                        lifted[:, 1, :3], lifted[:, 1, 3:], tuple(state.section.chart.center))
     return float(np.max(np.abs(psi)))
 
 
@@ -608,7 +678,7 @@ def _fresh_edge_planes(state):
     sec_basis = np.zeros((len(ii), 2, 4))
     sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
     sec_basis[:, :, 2:] = dw
-    return state.chart.metric(pts), sec_basis
+    return state.section.chart.metric(pts), sec_basis
 
 
 def _uncached_angle_cosh(state, geo, plane_cosh=nf._plane_cosh):
@@ -689,7 +759,7 @@ def test_moving_the_ring_rebuilds_it():
     assert moved.ring is not ring and state.ring is ring
     # another target section, with the ring samples unchanged: the same
     # edge metric, a new basis and new products
-    state.section = nf.twisted_zero_section(0.8)
+    state.section = nf.affine_section(state.section.chart, c1=(0.0, -0.8))
     _assert_ring_matches_oracle(state)
     assert not np.array_equal(state.ring.sec_basis, ring.sec_basis)
     assert np.array_equal(state.ring.edge_metric, ring.edge_metric)

@@ -266,6 +266,10 @@ def test_willmore_of_round_orbit_tori(rho0):
                                 topology="torus", chart="hopf")
     w = sg.willmore_energy(torus, ct.metric_by_name("round-s3"), grid=(32, 32))
     assert w == pytest.approx(TWO_PI_SQ / np.sin(2 * rho0), rel=1e-14)
+    # |H| = |cot 2 rho0| at every sample, not the trace |k1 + k2|; the
+    # absolute bound serves rho0 = pi/4, where H = 0
+    max_h = sg.max_abs_mean_curvature(torus, ct.metric_by_name("round-s3"), n_samples=200)
+    assert max_h == pytest.approx(abs(1.0 / np.tan(2 * rho0)), rel=1e-14, abs=1e-15)
 
 
 def test_willmore_equals_area_for_minimal_surfaces():
