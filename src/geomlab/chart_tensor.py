@@ -331,6 +331,8 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
     density is filled in blocks of whole rho rows, at most
     ``_DENSITY_CHUNK`` points of the axes the metrics read each but at
     least one row, and summed against the product weights in one pass.
+    The rule is shared (``quadrature.product_rule``), and a metric passed
+    twice, such as the background as ``g_a``, is evaluated once per block.
     """
     metrics = (background, g_a, g_b)
     if any(m.chart.name != background.chart.name for m in metrics):
@@ -338,17 +340,17 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
     chart = background.chart
     if domain is None:
         domain = _default_domain(chart)
-    rules = [quadrature.axis_rule(domain[k][0], domain[k][1], grid[k],
-                                  chart.periodic[k], gl_order)
-             for k in range(3)]
-    coords, weights = quadrature.tensor_nodes(rules)
+    coords, weights = quadrature.product_rule(tuple(map(tuple, domain)), tuple(grid),
+                                              chart.periodic, gl_order)
     read = int(np.prod([coords[k].size for k in (1, 2)
                         if any(k in m.depends_on for m in metrics)]))
     rows = max(1, _DENSITY_CHUNK // read)
+    distinct = {id(m): m for m in metrics}
     blocks = []
     for k in range(0, coords[0].size, rows):
         block = [coords[0][k:k + rows], *coords[1:]]
-        back, a, b = (_stack(m.components(*block), block[0].shape) for m in metrics)
+        value = {i: _stack(m.components(*block), block[0].shape) for i, m in distinct.items()}
+        back, a, b = (value[id(m)] for m in metrics)
         ginv, det = _sym3_inverse_det(back)
         _check_nondegenerate(background, block, det)
         blocks.append(tensor_norm_sq(a - b, ginv) * np.sqrt(det))

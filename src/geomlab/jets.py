@@ -22,17 +22,17 @@ number type they receive; feeding them jets yields exact derivatives,
 feeding them ndarrays yields plain values.  Finite differences appear
 only in test oracles.
 
-``derivatives`` is the one read-out from jets to arrays: every caller that
-needs a map's values and partials as arrays goes through it.  It stores
-them component-major, each component's value and each of its partials
-one contiguous block over the samples, as a jet stores its own
-coefficients; the arrays it returns are views indexed point-major.
+``read_out`` is the one read-out from jets to arrays (``derivatives``
+seeds, calls a map and reads it out): every caller that needs a map's
+values and partials as arrays goes through it.  It stores them
+component-major, each component's value and each partial one contiguous
+block over the samples; the arrays it returns are views, point-major.
 """
 
 import numpy as np
 
 __all__ = [
-    "Jet", "variables", "derivatives", "where",
+    "Jet", "variables", "derivatives", "read_out", "where",
     "sin", "cos", "sincos", "tan", "exp", "log", "sqrt",
 ]
 
@@ -266,19 +266,20 @@ def derivatives(fn, values, order=2):
     broadcast to, at a fraction of the cost.
 
     The arrays are views over component-major buffers, ``(m,) + S``,
-    ``(i, m) + S`` and ``(i, j, m) + S`` for the sample shape S: each
-    component's value and each of its partials is one contiguous block,
-    written in one pass, and reading one out (``g[..., i, m]``) is a
-    contiguous pass too.  Moving the sample axes of a view back to the
-    end (``np.moveaxis(g, 0, -1)`` for 1-D samples) gives the buffer.
+    ``(i, m) + S`` and ``(i, j, m) + S`` for the sample shape S, each block
+    written in one pass; ``np.moveaxis(g, 0, -1)`` gives 1-D samples' buffer.
     """
     xs = variables(values, order=order)
-    comps = fn(*xs)
+    return read_out(fn(*xs), xs)
+
+
+def read_out(comps, xs):
+    """``derivatives``' arrays of the components ``comps`` of a map of the seeds ``xs``."""
     shape = np.broadcast_shapes(*[x.f.shape for x in xs])
     n, m = len(xs), len(comps)
     f = np.empty((m,) + shape)
     g = np.zeros((n, m) + shape)
-    h = np.zeros((n, n, m) + shape) if order == 2 else None
+    h = np.zeros((n, n, m) + shape) if xs[0].hs is not None else None
     for k, comp in enumerate(comps):
         if not isinstance(comp, Jet):
             f[k] = comp

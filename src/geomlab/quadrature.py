@@ -6,6 +6,8 @@ composite Gauss-Legendre panels.  Reductions use numpy's pairwise
 summation, so results are deterministic for a fixed grid.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = ["periodic_trapezoid", "gauss_legendre", "composite_gauss_legendre", "axis_rule"]
@@ -18,8 +20,16 @@ def periodic_trapezoid(a, b, n):
     return nodes, np.full(n, h)
 
 
-def gauss_legendre(a, b, n):
+@functools.lru_cache(maxsize=16)
+def leggauss(n):
+    """``np.polynomial.legendre.leggauss(n)``, solved once per n; read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(a, b, n):
+    x, w = leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -33,11 +43,8 @@ def composite_gauss_legendre(a, b, panels, order):
 
 
 def axis_rule(a, b, n, periodic, gl_order=4):
-    """Pick the rule for one axis: trapezoid if periodic, panelled GL otherwise.
-
-    For non-periodic axes, n points are laid out as ceil(n / gl_order)
-    panels of `gl_order` Gauss nodes.
-    """
+    """Pick the rule for one axis: trapezoid if periodic, else n points laid
+    out as ceil(n / gl_order) Gauss-Legendre panels of `gl_order` nodes."""
     if periodic:
         return periodic_trapezoid(a, b, n)
     panels = max(1, int(np.ceil(n / gl_order)))
@@ -45,16 +52,22 @@ def axis_rule(a, b, n, periodic, gl_order=4):
 
 
 def tensor_nodes(rules):
-    """Mesh a list of (nodes, weights) axis rules.
-
-    Returns the open mesh of the nodes, one array per axis with that
-    axis's nodes along it and length one along every other (shapes
-    (n0, 1, 1), (1, n1, 1), (1, 1, n2) for three axes), so a function of
-    some coordinates is evaluated once per node of those axes and
-    broadcasts over the rest; and the dense tensor-product weights, of
-    the grid's full shape.
-    """
+    """Mesh a list of (nodes, weights) axis rules: the open mesh of the nodes
+    (shapes (n0, 1, 1), (1, n1, 1), (1, 1, n2) for three axes), so a function
+    of some coordinates is evaluated once per node of those axes and
+    broadcasts over the rest, and the dense weights of the grid's shape."""
     w = rules[0][1]
     for _, wa in rules[1:]:
         w = np.multiply.outer(w, wa)
     return list(np.ix_(*(nodes for nodes, _ in rules))), w
+
+
+@functools.lru_cache(maxsize=8)
+def product_rule(bounds, counts, periodic, gl_order):
+    """``tensor_nodes`` of the ``axis_rule`` per axis of the tuples ``bounds``
+    ((a, b) each), ``counts`` and ``periodic``; built once per key, read-only."""
+    coords, weights = tensor_nodes([axis_rule(a, b, n, p, gl_order)
+                                    for (a, b), n, p in zip(bounds, counts, periodic)])
+    for array in (*coords, weights):
+        array.flags.writeable = False
+    return tuple(coords), weights

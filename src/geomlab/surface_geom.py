@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, quadrature
-from .chart_tensor import _check_nondegenerate, _sym3_inverse_det, christoffel
+from .chart_tensor import _check_nondegenerate, _sym3_inverse_det, _value, christoffel
 from .errors import ImmersionError, MetricParameterError
 from .exprgrammar import compile_expression
 from .kernels import cross3, dot3, shape_operator_batch
@@ -47,8 +47,8 @@ class SurfaceImmersion:
 class CurvatureReport:
     """Pointwise extrinsic data; fields are arrays over the sample batch.
 
-    For a batch on one orbit (see ``fundamental_forms``) the fields from
-    ``first`` on are read-only views of one row, broadcast over the batch.
+    For a batch on one orbit (see ``fundamental_forms``) every field but
+    ``point`` is a read-only view of one row, broadcast over the batch.
     """
 
     point: np.ndarray        # chart coordinates (N,3)
@@ -78,9 +78,9 @@ def fundamental_forms(surface, metric, s, t):
 
     A batch whose points agree in the coordinates the metric reads, and
     whose first and second parameter derivatives agree too, is one orbit
-    (the Clifford torus in a T^2-invariant metric, a plane in flat space):
-    its forms are computed at the first point and expanded, equal bit for
-    bit to computing them at every point.
+    (the Clifford torus in a T^2-invariant metric, a plane in flat space),
+    found on the jets before any grid-sized read-out: its forms are computed
+    at the first point and expanded, bit for bit as at every point.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -89,39 +89,52 @@ def fundamental_forms(surface, metric, s, t):
     # (Clifford's rho is a constant), so a NaN one can leave the tangents finite
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
         raise ImmersionError("coordinate tangents are not finite")
-    point, d1, d2 = jets.derivatives(surface.chart_map, [np.atleast_1d(s), np.atleast_1d(t)],
-                                     order=2)
-    # rows of the component-major buffers: views, not copies
-    point, d1, d2 = point.reshape(-1, 3), d1.reshape(-1, 2, 3), d2.reshape(-1, 2, 2, 3)
-
-    if _one_orbit(metric.depends_on, point, d1, d2):
-        # every row of the forms is the same: compute row 0 and expand it
-        report = _forms(surface, metric, point[:1], d1[:1], d2[:1])
-        n = point.shape[0]
-        for name in _CURVATURE_FIELDS:
-            value = getattr(report, name)
-            setattr(report, name, np.broadcast_to(value, (n,) + value.shape[1:]))
-        report.point, report.tangent1, report.tangent2 = point, d1[:, 0], d1[:, 1]
+    xs = jets.variables([np.atleast_1d(s), np.atleast_1d(t)], order=2)
+    comps = surface.chart_map(*xs)
+    grid = np.broadcast(*[x.f for x in xs])
+    row = _orbit_row(metric.depends_on, comps) if grid.size > 1 else None
+    if row is None:
+        point, d1, d2 = jets.read_out(comps, xs)
+        # rows of the component-major buffers: views, not copies
+        report = _forms(surface, metric, point.reshape(-1, 3), d1.reshape(-1, 2, 3),
+                        d2.reshape(-1, 2, 2, 3))
     else:
-        report = _forms(surface, metric, point, d1, d2)
+        # every row of the forms is the same: compute row 0 and expand it
+        report = _forms(surface, metric, *row)
+        for name in _ROW_FIELDS:
+            value = getattr(report, name)
+            setattr(report, name, np.broadcast_to(value, (grid.size,) + value.shape[1:]))
+        point = np.empty(grid.shape + (3,))
+        for k, comp in enumerate(comps):
+            point[..., k] = _value(comp)
+        report.point = point.reshape(-1, 3)
     if scalar:
         for name in report.__dataclass_fields__:
             setattr(report, name, getattr(report, name)[0])
     return report
 
 
-_CURVATURE_FIELDS = ("first", "second", "normal", "h_trace", "h_mean", "k1", "k2",
-                     "disc", "disc_sq", "area_density")
+_ROW_FIELDS = tuple(CurvatureReport.__dataclass_fields__)[1:]  # every field but point
 
 
-def _one_orbit(axes, point, d1, d2):
-    """Whether every row equals row 0 in what ``_forms`` reads per row: the
-    metric's coordinates ``axes`` of ``point``, and ``d1``, ``d2``.  Exact
-    ``==``, so a NaN row is never part of an orbit.  The last row's tangents
-    are compared first, which rejects a curved surface's batch at once."""
-    key = (d1, d2) + tuple(point[:, k] for k in axes)
-    return (point.shape[0] > 1 and all((a[-1] == a[0]).all() for a in key)
-            and all((a[1:] == a[0]).all() for a in key))
+def _orbit_row(axes, comps):
+    """Row 0 (point, d1, d2) of the read-out of the chart map's ``comps`` if every
+    row equals it in every partial and the metric's coordinates ``axes``, else None;
+    decided on the coefficients by exact ``==`` (a NaN is never an orbit), ends first."""
+    partials = (a.reshape(len(c.support) ** r, -1) for c in comps if isinstance(c, jets.Jet)
+                for r, a in ((1, c.gs), (2, c.hs)))
+    values = (_value(comps[k]).reshape(1, -1) for k in axes)
+    if not all((c[:, -1] == c[:, 0]).all() and (c == c[:, :1]).all()
+               for key in (partials, values) for c in key):
+        return None
+    point, d1, d2 = np.zeros((1, 3)), np.zeros((1, 2, 3)), np.zeros((1, 2, 2, 3))
+    for k, comp in enumerate(comps):
+        point[0, k] = _value(comp).flat[0]
+        for a, i in enumerate(comp.support if isinstance(comp, jets.Jet) else ()):
+            d1[0, i, k] = comp.gs[a].flat[0]
+            for b, j in enumerate(comp.support):
+                d2[0, i, j, k] = comp.hs[a, b].flat[0]
+    return point, d1, d2
 
 
 def _forms(surface, metric, point, d1, d2):
@@ -131,7 +144,7 @@ def _forms(surface, metric, point, d1, d2):
 
     The contractions are written out over components: ``x[a][i]`` is the
     (N,) array dX_a^i, one contiguous block when ``d1`` comes from
-    ``jets.derivatives``, and a metric entry ``g[i][j]`` is an (N,) array,
+    ``jets.read_out``, and a metric entry ``g[i][j]`` is an (N,) array,
     or one number for a constant metric, read at the first point alone.
     The forms and the normal are point-major views of component-major
     arrays."""
@@ -211,18 +224,11 @@ def _forms(surface, metric, point, d1, d2):
     )
 
 
-def curvatures(surface, metric, s, t):
-    """(h_trace, k1, k2, |k1 - k2|) at parameters (s, t)."""
-    rep = fundamental_forms(surface, metric, s, t)
-    return rep.h_trace, rep.k1, rep.k2, rep.disc
-
-
 def _quadrature_grid(surface, grid):
-    """Quadrature axes s (ns, 1) and t (1, nt) and weights (ns, nt)."""
-    (s0, s1), (t0, t1) = surface.domain
-    rule_s = quadrature.axis_rule(s0, s1, grid[0], surface.periodic[0], gl_order=6)
-    rule_t = quadrature.axis_rule(t0, t1, grid[1], surface.periodic[1], gl_order=6)
-    (ss, tt), weights = quadrature.tensor_nodes([rule_s, rule_t])
+    """Quadrature axes s (ns, 1) and t (1, nt) and weights (ns, nt), shared
+    and read-only (``quadrature.product_rule``)."""
+    (ss, tt), weights = quadrature.product_rule(
+        tuple(map(tuple, surface.domain)), tuple(grid), tuple(surface.periodic), 6)
     return ss, tt, weights
 
 
@@ -261,8 +267,8 @@ def _integrate(surface, metric, grid, integrands):
         rep = fundamental_forms(surface, metric, s, t)
         shape = np.broadcast_shapes(s.shape, t.shape)
         return tuple(integrand(rep).reshape(shape) for integrand in integrands)
-    # larger blocks than the default: the Hopf-metric integrands slow down
-    # in blocks of 1 << 13 points
+    # larger blocks than the default: an orbit batch (the Clifford torus in
+    # the Hopf metrics) costs one jet pass and one point of forms per block
     return [float(np.sum(d * ww))
             for d in _grid_eval(densities, ss, tt, block=1 << 16)]
 

@@ -175,3 +175,54 @@ def test_one_block_integrals_equal_the_flattened_grid_bit_for_bit():
         grid = (96, 80)
         assert sg._integrate(surface, metric, grid, DENSITIES) == flattened_integrals(
             surface, metric, grid)
+
+
+def test_a_metric_passed_twice_is_evaluated_once_per_block():
+    # the background is g_a too, as in the distance check
+    calls = []
+
+    def components(rho, th1, th2):
+        calls.append(np.shape(rho))
+        return ROUND.components(rho, th1, th2)
+    counted = ct.MetricField("counted", ct.HOPF_CHART, components, depends_on=(0,))
+    bumped = ct.metric_by_name("hopf-eps-bumped", eps=0.3)
+    grid = (24, 8, 6)
+    got = ct.l2_metric_distance(counted, bumped, counted, grid=grid)
+    assert got == ct.l2_metric_distance(ROUND, bumped, ROUND, grid=grid) > 0
+    assert calls == [(24, 1, 1)]
+
+
+def test_product_rule_is_built_once_and_read_only(monkeypatch):
+    builds = []
+    tensor_nodes = quadrature.tensor_nodes
+    monkeypatch.setattr(quadrature, "tensor_nodes",
+                        lambda rules: builds.append(len(rules)) or tensor_nodes(rules))
+    key = (((0.25, 1.5), (0.0, 2 * np.pi)), (11, 13), (False, True), 5)
+    coords, weights = quadrature.product_rule(*key)
+    again = quadrature.product_rule(*key)
+    assert builds == [2]
+    assert again[1] is weights and all(a is b for a, b in zip(again[0], coords))
+    fresh = tensor_nodes([quadrature.axis_rule(lo, hi, n, p, 5)
+                          for (lo, hi), n, p in zip(*key[:3])])
+    for got, want in zip((*coords, weights), (*fresh[0], fresh[1])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[(0,) * got.ndim] = 1.0
+    # a different grid, domain or order is a different rule
+    for other in ((key[0], (11, 14)) + key[2:], (((0.25, 1.0), key[0][1]),) + key[1:],
+                  key[:3] + (6,)):
+        quadrature.product_rule(*other)
+    assert builds == [2] * 4
+
+
+def test_surface_and_distance_grids_reuse_their_rules(monkeypatch):
+    builds = []
+    tensor_nodes = quadrature.tensor_nodes
+    monkeypatch.setattr(quadrature, "tensor_nodes",
+                        lambda rules: builds.append(len(rules)) or tensor_nodes(rules))
+    torus = sg.surface_by_name("clifford")
+    bumped = ct.metric_by_name("hopf-eps-bumped", eps=0.3)
+    for _ in range(2):
+        assert sg._quadrature_grid(torus, (46, 38))[2] is sg._quadrature_grid(torus, (46, 38))[2]
+        ct.l2_metric_distance(ROUND, bumped, ROUND, grid=(26, 6, 4), gl_order=6)
+    assert builds == [2, 3]

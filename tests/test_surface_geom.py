@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,57 @@ def test_one_orbit_batch_evaluates_the_metric_at_one_point():
             assert sizes and set(sizes) == {size}, (surface.name, metric.name)
 
 
+def test_orbit_batch_fills_no_grid_sized_jets():
+    # the orbit is found on the jets of the axes: of the 192 x 192 grid only
+    # ``point`` is filled (3 grid planes), where reading every partial out
+    # over the grid took 22.5
+    torus = sg.surface_by_name("clifford")
+    s, t = sg._quadrature_grid(torus, (192, 192))[:2]
+    tracemalloc.start()
+    try:
+        rep = sg.fundamental_forms(torus, ct.metric_by_name("hopf-eps", eps=0.4), s, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 192 * 192 * 8
+    assert rep.point.shape == rep.tangent1.shape == (192 * 192, 3)
+    assert not rep.tangent1.flags.writeable and not rep.tangent2.flags.writeable
+
+
+def test_constant_grid_sized_component_takes_the_orbit_path(monkeypatch):
+    # rho0 + 0 s is a jet whose value and partials are arrays as large as the
+    # batch, each constant: still one orbit, the metric counted at one point
+    # and the chart map's two-seed jets never read out over the batch
+    read_outs = []
+    read_out = jets.read_out
+    monkeypatch.setattr(jets, "read_out",
+                        lambda comps, xs: read_outs.append(len(xs)) or read_out(comps, xs))
+    rng = np.random.default_rng(9)
+    s, t = rng.uniform(0, 2 * np.pi, 300), rng.uniform(0, 2 * np.pi, 300)
+    torus = sg.surface_by_name("clifford")
+    bumped = ct.metric_by_name("hopf-eps-bumped", eps=0.3)
+    constant = sg.SurfaceImmersion("rho0", lambda s, t: (0.7 + 0.0 * s, s, t),
+                                   torus.domain, torus.periodic, chart="hopf")
+    counted, sizes = _counting(bumped)
+    rep = sg.fundamental_forms(constant, counted, s, t)
+    assert sizes and set(sizes) == {1} and 2 not in read_outs
+    ref = sg.fundamental_forms(constant, dataclasses.replace(bumped, depends_on=(0, 1, 2)),
+                               s, t)
+    for name in rep.__dataclass_fields__:
+        assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
+    # rho that moves with s, and equal tangents under opposite II, stay off it
+    tilted = sg.SurfaceImmersion("tilted", lambda s, t: (0.6 + 0.1 * s, s, t),
+                                 torus.domain, torus.periodic, chart="hopf")
+    counted, sizes = _counting(bumped)
+    read_outs.clear()
+    sg.fundamental_forms(tilted, counted, s, t)
+    assert set(sizes) == {300} and 2 in read_outs
+    read_outs.clear()
+    sg.fundamental_forms(sg.surface_by_name("graph", expr="x^3"), FLAT,
+                         np.array([0.5, -0.5, 0.5]), np.full(3, 0.2))
+    assert read_outs == [2]
+
+
 @pytest.mark.parametrize("entry", ["g11 = 1/0", "g23 = log(0)", "g23 = log(rho - rho)"])
 def test_non_finite_metric_file_is_named(tmp_path, entry):
     # the expressions give inf or NaN quietly; the halt names the metric
@@ -290,6 +342,17 @@ def test_willmore_and_area_equal_the_separate_integrals():
         both = sg.willmore_and_area(surface, metric, grid=grid)
         assert both == (sg.willmore_energy(surface, metric, grid=grid),
                         sg.area(surface, metric, grid=grid))
+
+
+@pytest.mark.parametrize("n", [4, 6, 9, 64])
+def test_leggauss_is_solved_once_bit_for_bit_and_read_only(n):
+    x, w = quadrature.leggauss(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert quadrature.leggauss(n)[0] is x
+    for array in (x, w):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_composite_gauss_legendre_equals_panel_loop():
