@@ -22,11 +22,11 @@ number type they receive; feeding them jets yields exact derivatives,
 feeding them ndarrays yields plain values.  Finite differences appear
 only in test oracles.
 
-``read_out`` is the one read-out from jets to arrays (``derivatives``
-seeds, calls a map and reads it out): every caller that needs a map's
-values and partials as arrays goes through it.  It stores them
-component-major, each component's value and each partial one contiguous
-block over the samples; the arrays it returns are views, point-major.
+``read_out`` is the one read-out from jets to arrays: every caller that
+needs a map's values and partials as arrays goes through it.  It stores
+them component-major, each component's value and each of its partials
+one contiguous block over the samples, as a jet stores its own
+coefficients; the arrays it returns are views indexed point-major.
 """
 
 import numpy as np
@@ -266,8 +266,11 @@ def derivatives(fn, values, order=2):
     broadcast to, at a fraction of the cost.
 
     The arrays are views over component-major buffers, ``(m,) + S``,
-    ``(i, m) + S`` and ``(i, j, m) + S`` for the sample shape S, each block
-    written in one pass; ``np.moveaxis(g, 0, -1)`` gives 1-D samples' buffer.
+    ``(i, m) + S`` and ``(i, j, m) + S`` for the sample shape S: each
+    component's value and each of its partials is one contiguous block,
+    written in one pass, and reading one out (``g[..., i, m]``) is a
+    contiguous pass too.  Moving the sample axes of a view back to the
+    end (``np.moveaxis(g, 0, -1)`` for 1-D samples) gives the buffer.
     """
     xs = variables(values, order=order)
     return read_out(fn(*xs), xs)

@@ -20,16 +20,8 @@ def periodic_trapezoid(a, b, n):
     return nodes, np.full(n, h)
 
 
-@functools.lru_cache(maxsize=16)
-def leggauss(n):
-    """``np.polynomial.legendre.leggauss(n)``, solved once per n; read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def gauss_legendre(a, b, n):
-    x, w = leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -43,8 +35,11 @@ def composite_gauss_legendre(a, b, panels, order):
 
 
 def axis_rule(a, b, n, periodic, gl_order=4):
-    """Pick the rule for one axis: trapezoid if periodic, else n points laid
-    out as ceil(n / gl_order) Gauss-Legendre panels of `gl_order` nodes."""
+    """Pick the rule for one axis: trapezoid if periodic, panelled GL otherwise.
+
+    For non-periodic axes, n points are laid out as ceil(n / gl_order)
+    panels of `gl_order` Gauss nodes.
+    """
     if periodic:
         return periodic_trapezoid(a, b, n)
     panels = max(1, int(np.ceil(n / gl_order)))
@@ -52,10 +47,15 @@ def axis_rule(a, b, n, periodic, gl_order=4):
 
 
 def tensor_nodes(rules):
-    """Mesh a list of (nodes, weights) axis rules: the open mesh of the nodes
-    (shapes (n0, 1, 1), (1, n1, 1), (1, 1, n2) for three axes), so a function
-    of some coordinates is evaluated once per node of those axes and
-    broadcasts over the rest, and the dense weights of the grid's shape."""
+    """Mesh a list of (nodes, weights) axis rules.
+
+    Returns the open mesh of the nodes, one array per axis with that
+    axis's nodes along it and length one along every other (shapes
+    (n0, 1, 1), (1, n1, 1), (1, 1, n2) for three axes), so a function of
+    some coordinates is evaluated once per node of those axes and
+    broadcasts over the rest; and the dense tensor-product weights, of
+    the grid's full shape.
+    """
     w = rules[0][1]
     for _, wa in rules[1:]:
         w = np.multiply.outer(w, wa)

@@ -100,13 +100,11 @@ def fundamental_forms(surface, metric, s, t):
                         d2.reshape(-1, 2, 2, 3))
     else:
         # every row of the forms is the same: compute row 0 and expand it
-        report = _forms(surface, metric, *row)
+        point = np.stack([np.broadcast_to(_value(c), grid.shape) for c in comps], axis=-1)
+        report = _forms(surface, metric, point.reshape(-1, 3)[:1], *row)
         for name in _ROW_FIELDS:
             value = getattr(report, name)
             setattr(report, name, np.broadcast_to(value, (grid.size,) + value.shape[1:]))
-        point = np.empty(grid.shape + (3,))
-        for k, comp in enumerate(comps):
-            point[..., k] = _value(comp)
         report.point = point.reshape(-1, 3)
     if scalar:
         for name in report.__dataclass_fields__:
@@ -118,8 +116,8 @@ _ROW_FIELDS = tuple(CurvatureReport.__dataclass_fields__)[1:]  # every field but
 
 
 def _orbit_row(axes, comps):
-    """Row 0 (point, d1, d2) of the read-out of the chart map's ``comps`` if every
-    row equals it in every partial and the metric's coordinates ``axes``, else None;
+    """Row 0 (d1, d2) of the read-out of the chart map's ``comps`` if every row
+    equals it in every partial and the metric's coordinates ``axes``, else None;
     decided on the coefficients by exact ``==`` (a NaN is never an orbit), ends first."""
     partials = (a.reshape(len(c.support) ** r, -1) for c in comps if isinstance(c, jets.Jet)
                 for r, a in ((1, c.gs), (2, c.hs)))
@@ -127,14 +125,13 @@ def _orbit_row(axes, comps):
     if not all((c[:, -1] == c[:, 0]).all() and (c == c[:, :1]).all()
                for key in (partials, values) for c in key):
         return None
-    point, d1, d2 = np.zeros((1, 3)), np.zeros((1, 2, 3)), np.zeros((1, 2, 2, 3))
+    d1, d2 = np.zeros((1, 2, 3)), np.zeros((1, 2, 2, 3))
     for k, comp in enumerate(comps):
-        point[0, k] = _value(comp).flat[0]
         for a, i in enumerate(comp.support if isinstance(comp, jets.Jet) else ()):
             d1[0, i, k] = comp.gs[a].flat[0]
             for b, j in enumerate(comp.support):
                 d2[0, i, j, k] = comp.hs[a, b].flat[0]
-    return point, d1, d2
+    return d1, d2
 
 
 def _forms(surface, metric, point, d1, d2):

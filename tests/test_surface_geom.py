@@ -344,17 +344,6 @@ def test_willmore_and_area_equal_the_separate_integrals():
                         sg.area(surface, metric, grid=grid))
 
 
-@pytest.mark.parametrize("n", [4, 6, 9, 64])
-def test_leggauss_is_solved_once_bit_for_bit_and_read_only(n):
-    x, w = quadrature.leggauss(n)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
-    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
-    assert quadrature.leggauss(n)[0] is x
-    for array in (x, w):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-
-
 def test_composite_gauss_legendre_equals_panel_loop():
     for a, b, panels, order in ((0.0, 1.0, 1, 4), (1e-6, np.pi / 2 - 1e-6, 96, 6),
                                 (-3.0, 2.5, 17, 9)):
