@@ -222,11 +222,11 @@ def cmd_maslov(args):
         iso = [r for r in ut.umbilic_scan(surface, metric, grid=grid) if r.isolated]
         phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
         loops = [(count, *sc.enclosing_loop(iso, count, phi)) for count in counts]
-    rows = []
-    for label, loop_s, loop_t in loops:
-        mas, winding = sc._maslov_mirror(surface, metric, section, loop_s, loop_t)
-        rows.append([label, mas["mu"], mas["index_sum"], mas["operator_index"],
-                     mas["unparameterized_dim"], winding])
+    mirrors = sc._maslov_mirror(surface, metric, section, np.array([s for _, s, _ in loops]),
+                                np.array([t for _, _, t in loops]))
+    rows = [[label, mas["mu"], mas["index_sum"], mas["operator_index"],
+             mas["unparameterized_dim"], winding]
+            for (label, _, _), (mas, winding) in zip(loops, mirrors)]
     out = _out_dir(args)
     _write_csv(os.path.join(out, "maslov.csv"),
                ["enclosed", "mu", "index_sum", "operator_index",

@@ -27,8 +27,8 @@ from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
 from .quadrature import gauss_legendre
-from .surface_geom import _grid_eval
-from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _cells, _loop_index,
+from .surface_geom import _GRID_CHUNK
+from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _cells, _loop_indices,
                                _loop_winding, _scan_zeros)
 
 TWO_PI = 2.0 * np.pi
@@ -273,7 +273,8 @@ class CongruenceMap:
     through the jet pass (see ``jets.variables``), so a product grid can
     be passed as its axes ``s[:, None]`` and ``t[None, :]``.  The outputs
     are views over component-major arrays (3, ...) and (2, 3, ...), so
-    each component ``u[..., k]`` is one contiguous block.
+    each component ``u[..., k]`` is one contiguous block: fresh ones, or
+    the buffers ``out = (u, V, dU, dV)`` of those shapes, written in place.
     """
 
     def __init__(self, surface):
@@ -281,11 +282,16 @@ class CongruenceMap:
             raise ChartDomainError("normal congruences require a flat cartesian chart")
         self.surface = surface
 
-    def eval(self, s, t):
+    def eval(self, s, t, out=None):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         # written out over the components of the immersion's jet
         p, d1, d2 = jets.derivatives(self.surface.chart_map, [s, t], order=2)
+        if out is None:
+            shape = p.shape[:-1]
+            out = (np.empty((3,) + shape), np.empty((3,) + shape),
+                   np.empty((2, 3) + shape), np.empty((2, 3) + shape))
+        u, V, du, dV = out
         orient = self.surface.orient
         p = [p[..., k] for k in range(3)]
         x = [[d1[..., a, k] for k in range(3)] for a in range(2)]
@@ -296,21 +302,22 @@ class CongruenceMap:
                                                       cross3(x[0], xx[1][a]))]
                 for a in range(2)]
         norm = np.sqrt(dot3(raw, raw))
-        u = [c / norm for c in raw]
-        du = []
-        for dr in draw:
+        for k in range(3):
+            np.divide(raw[k], norm, out=u[k])
+        for a, dr in enumerate(draw):
             ud = dot3(u, dr)
-            du.append([(dc - ud * uc) / norm for dc, uc in zip(dr, u)])
+            for k in range(3):
+                np.divide(dr[k] - ud * u[k], norm, out=du[a, k])
         # foot V = p - (p.u) u
         pu = dot3(p, u)
-        V = [pc - pu * uc for pc, uc in zip(p, u)]
-        dV = []
-        for xa, dua in zip(x, du):
-            dpu = dot3(xa, u) + dot3(p, dua)
-            dV.append([xc - dpu * uc - pu * dc for xc, uc, dc in zip(xa, u, dua)])
-        return (np.moveaxis(np.array(u), 0, -1), np.moveaxis(np.array(V), 0, -1),
-                np.moveaxis(np.array(du), (0, 1), (-2, -1)),
-                np.moveaxis(np.array(dV), (0, 1), (-2, -1)))
+        for k in range(3):
+            np.subtract(p[k], pu * u[k], out=V[k])
+        for a in range(2):
+            dpu = dot3(x[a], u) + dot3(p, du[a])
+            for k in range(3):
+                np.subtract(x[a][k] - dpu * u[k], pu * du[a, k], out=dV[a, k])
+        return (np.moveaxis(u, 0, -1), np.moveaxis(V, 0, -1),
+                np.moveaxis(du, (0, 1), (-2, -1)), np.moveaxis(dV, (0, 1), (-2, -1)))
 
 
 @dataclass
@@ -354,7 +361,16 @@ def normal_congruence(surface, grid=(128, 96)):
     """
     cmap = CongruenceMap(surface)
     s_axis, t_axis, _, _ = _cells(surface, grid)
-    u, V, du, dV = _grid_eval(cmap.eval, s_axis[:, None], t_axis[None, :])
+    ns, nt = len(s_axis), len(t_axis)
+    planes = (np.empty((3, ns, nt)), np.empty((3, ns, nt)),
+              np.empty((2, 3, ns, nt)), np.empty((2, 3, ns, nt)))
+    # blocks of whole s-rows, each written straight into the section's planes
+    rows = max(1, _GRID_CHUNK // nt)
+    for k in range(0, ns, rows):
+        cmap.eval(s_axis[k:k + rows, None], t_axis[None, :],
+                  out=tuple(b[..., k:k + rows, :] for b in planes))
+    u, V = (np.moveaxis(b, 0, -1) for b in planes[:2])
+    du, dV = (np.moveaxis(b, (0, 1), (-2, -1)) for b in planes[2:])
     jac = dot3(cross3(_components(du[..., 0, :]), _components(du[..., 1, :])),
                _components(u))
     # |jac| <= |du_0| |du_1| <= 3 max|du|^2: zero relative to that everywhere
@@ -409,10 +425,11 @@ def complex_point_scan(section):
     ``umbilic_topology._scan_zeros``, which seeds from the grid minima of
     |psi|^2 and the cells round which psi winds, and refines by Newton on
     (Re psi, Im psi) of the section's exact source, and each isolated
-    zero is wound on the index loop of ``umbilic_topology._loop_index``,
-    ``_LOOP_CELLS`` cells of the grid about it.  Returns records with the
-    umbilic index i = winding / 2; a refused loop leaves both unset, with a
-    warning that names its fault.  A section whose defect vanishes on a
+    zero is wound on the index loop of ``umbilic_topology._loop_indices``,
+    ``_LOOP_CELLS`` cells of the grid about it, all loops in one
+    ``source.eval``.  Returns records with the umbilic index
+    i = winding / 2; a refused loop leaves both unset, with a warning that
+    names its fault.  A section whose defect vanishes on a
     large fraction of samples (the zero section) is reported as a single
     non-isolated record without a winding.
     """
@@ -431,9 +448,9 @@ def complex_point_scan(section):
 
     def defect_and_angle(s, t):
         u, psi = _psi_at(source, s, t, center)
-        # arg psi for the orientation the index loop takes in the direction chart
-        sign = _chart_orientation(u[:_LOOP_SAMPLES], center)
-        return np.abs(psi), sign * np.angle(psi)
+        # arg psi for the orientation each index loop takes in the direction chart
+        sign = _chart_orientation(u[:, :_LOOP_SAMPLES], center)
+        return np.abs(psi), sign[:, None] * np.angle(psi)
 
     zeros = _scan_zeros(mag ** 2, defect_rows, (section.s_axis, section.t_axis), step,
                         domain, section.periodic, tol * tol, "complex-point",
@@ -442,44 +459,46 @@ def complex_point_scan(section):
         return []
     directions = source.eval(np.array([z.s for z in zeros]),
                              np.array([z.t for z in zeros]))[0]
-    radii = _LOOP_CELLS * step
-    records = []
-    for z, direction in zip(zeros, directions):
-        rec = ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
-                                 float(np.sqrt(z.value)), z.isolated)
-        if z.isolated:
-            try:
-                rec.winding = _loop_index(defect_and_angle, (z.s, z.t), radii, domain,
-                                          section.periodic, rec.defect_min, TWO_PI,
-                                          "complex point")
-                rec.index = rec.winding / 2.0
-            except UnreliableLoopError as fault:
-                warnings.warn(f"complex point at (s, t) = ({z.s:.6g}, {z.t:.6g}) left "
-                              f"without a winding: {fault}", stacklevel=2)
-        records.append(rec)
+    records = [ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
+                                  float(np.sqrt(z.value)), z.isolated)
+               for z, direction in zip(zeros, directions)]
+    isolated = [rec for rec in records if rec.isolated]
+    windings = _loop_indices(defect_and_angle, [(r.s, r.t) for r in isolated],
+                             _LOOP_CELLS * step, domain, section.periodic,
+                             [r.defect_min for r in isolated], TWO_PI, "complex point")
+    for rec, winding in zip(isolated, windings):
+        if isinstance(winding, UnreliableLoopError):
+            warnings.warn(f"complex point at (s, t) = ({rec.s:.6g}, {rec.t:.6g}) left "
+                          f"without a winding: {winding}", stacklevel=2)
+        else:
+            rec.winding = winding
+            rec.index = winding / 2.0
     return records
 
 
 def _chart_orientation(u_loop, center):
-    """+1/-1: orientation of the loop's projection to the direction chart.
+    """+1/-1: orientation of the loop's projection to the direction chart,
+    per loop of ``u_loop`` (..., n, 3).
 
     Windings are always reported for the boundary orientation induced by
     the direction sphere, so the Maslov values do not depend on the
     handedness of the surface parameterisation.
     """
     x, y = sphere_to_stereo(u_loop, center)
-    area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    return 1.0 if area >= 0 else -1.0
+    area = 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
+    return np.where(area >= 0, 1.0, -1.0)
 
 
 # a loop whose smallest |psi| is below this share of its largest passes a complex point
 _MIN_DEFECT_RATIO = 1e-6
 
-# Newton step cap and residual bound of invert_gauss_map, and the most
-# direction-by-sample products its seed search holds at once
+# Newton step cap and residual bound of invert_gauss_map, the most
+# direction-by-sample products its seed search holds at once, and the
+# stride, in samples, of the coarse subgrid that search starts on
 _INVERT_ITERS = 15
 _INVERT_TOL = 1e-12
 _INVERT_BLOCK = 1 << 18
+_INVERT_STRIDE = 8
 
 
 def maslov_index(source, loop_s, loop_t, center):
@@ -488,34 +507,42 @@ def maslov_index(source, loop_s, loop_t, center):
     mu = 2 x (winding of the defect psi along the loop, traversed with the
     orientation induced from the direction chart); also reports the
     enclosed umbilic index sum i = mu/4, the operator index mu + 2, and
-    the unparameterised disc dimension mu - 1.
+    the unparameterised disc dimension mu - 1.  ``loop_s`` and ``loop_t``
+    hold one loop (n,), or a stack of loops (k, n) evaluated in one
+    ``source.eval``, which gives a list of k results, each loop judged on
+    its own: the first refused one raises.
     """
     loop_s = np.asarray(loop_s, float)
     loop_t = np.asarray(loop_t, float)
     u, psi = _psi_at(source, loop_s, loop_t, center)
-    mag = np.abs(psi)
-    if np.min(mag) < _MIN_DEFECT_RATIO * np.max(mag):
-        raise UnreliableLoopError("loop passes too close to a complex point")
-    winding = _loop_winding(np.angle(psi), TWO_PI)
-    if winding is None:
-        raise UnreliableLoopError("winding is not resolved; densify the loop")
-    w = int(_chart_orientation(u, center)) * winding
-    return {"mu": 2 * w, "index_sum": w / 2.0,
-            "operator_index": 2 * w + 2, "unparameterized_dim": 2 * w - 1}
+    signs = _chart_orientation(u, center)
+    results = []
+    for p, sign in zip(psi.reshape(-1, psi.shape[-1]), np.reshape(signs, -1)):
+        mag = np.abs(p)
+        if np.min(mag) < _MIN_DEFECT_RATIO * np.max(mag):
+            raise UnreliableLoopError("loop passes too close to a complex point")
+        winding = _loop_winding(np.angle(p), TWO_PI)
+        if winding is None:
+            raise UnreliableLoopError("winding is not resolved; densify the loop")
+        w = int(sign) * winding
+        results.append({"mu": 2 * w, "index_sum": w / 2.0,
+                        "operator_index": 2 * w + 2, "unparameterized_dim": 2 * w - 1})
+    return results if loop_s.ndim > 1 else results[0]
 
 
 def invert_gauss_map(directions, section):
     """Parameter preimages of direction-space points, for convex congruences.
 
     Seeds each Newton solve from the nearest sampled grid direction of
-    ``section`` (searched in blocks of rows, so at most ``_INVERT_BLOCK``
-    products are held at once) and refines every unconverged row together,
-    one ``source.eval`` per iteration; each row's equations are the two
-    components of n(s,t) - u against a fixed basis of the plane orthogonal
-    to u, each step the closed-form 2x2 solve.  Raises UnreliableLoopError
-    naming the lowest row whose Jacobian is singular, whose iterate leaves
-    the section's ``domain`` on a non-periodic axis, or whose
-    residual is still above ``_INVERT_TOL`` after ``_INVERT_ITERS`` steps:
+    ``section`` that ``_nearest_samples`` finds (in blocks of rows, so at
+    most ``_INVERT_BLOCK`` products with its coarse subgrid are held at
+    once) and refines every unconverged row together, one ``source.eval``
+    per iteration; each row's equations are the two components of
+    n(s,t) - u against a fixed basis of the plane orthogonal to u, each
+    step the closed-form 2x2 solve.  Raises UnreliableLoopError naming the
+    lowest row whose Jacobian is singular, whose iterate leaves the
+    section's ``domain`` on a non-periodic axis, or whose residual is
+    still above ``_INVERT_TOL`` after ``_INVERT_ITERS`` steps:
     a direction the section does not cover has no preimage.  A zero or
     non-finite row is no direction at all: ConfigError names it.
     """
@@ -525,11 +552,9 @@ def invert_gauss_map(directions, section):
     if bad.size:
         raise ConfigError(f"row {bad[0]} is not a direction: {directions[bad[0]].tolist()}")
     directions = directions / norms
-    grid_u = [c.ravel() for c in _components(section.u)]
-    block = max(1, _INVERT_BLOCK // grid_u[0].size)
-    seed = np.concatenate([
-        np.argmax(dot3([c[None, :] for c in grid_u], [c[:, None] for c in chunk.T]), axis=1)
-        for chunk in np.split(directions, range(block, len(directions), block))])
+    block = max(1, _INVERT_BLOCK // section.u[::_INVERT_STRIDE, ::_INVERT_STRIDE, 0].size)
+    seed = np.concatenate([_nearest_samples(chunk, section) for chunk in
+                           np.split(directions, range(block, len(directions), block))])
     sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
     params = np.stack((sm.ravel()[seed], tm.ravel()[seed]))
     # (p, q) of each target as _complement_basis builds them, rows of a (m, 2, 3) basis
@@ -567,6 +592,32 @@ def invert_gauss_map(directions, section):
         m = min(faults)
         raise UnreliableLoopError(f"Gauss-map inversion of row {m} {faults[m]}")
     return params[0], params[1]
+
+
+def _nearest_samples(directions, section):
+    """Flat index of the grid sample of ``section.u`` nearest each unit
+    direction (largest u . direction): the nearest sample of the subgrid of
+    every ``_INVERT_STRIDE``-th sample, then the nearest of the full grid
+    within ``_INVERT_STRIDE`` samples of it on each axis, wrapped on a
+    periodic axis and cut at the edge of another.  Ties go to the lowest
+    index, as in a search of the whole grid.  Where the grid's directions
+    change much faster along one axis than the other (near an ellipsoid's
+    poles), the nearest sample can lie outside that window; the window's
+    nearest then seeds Newton, which reaches the same preimage."""
+    h = _INVERT_STRIDE
+    ns, nt = section.u.shape[:2]
+    coarse = [c[::h, ::h] for c in _components(section.u)]
+    best = np.argmax(dot3([c.reshape(1, -1) for c in coarse],
+                          [c[:, None] for c in directions.T]), axis=1)
+    window = np.arange(-h, h + 1)
+    rows, cols = ((h * i)[:, None] + window for i in np.divmod(best, coarse[0].shape[1]))
+    rows, cols = ((k % n if per else np.clip(k, 0, n - 1))
+                  for k, n, per in zip((rows, cols), (ns, nt), section.periodic))
+    flat = np.sort((rows[:, :, None] * nt + cols[:, None, :]).reshape(len(directions), -1),
+                   axis=1)
+    near = np.argmax(dot3([c.ravel()[flat] for c in _components(section.u)],
+                          [c[:, None] for c in directions.T]), axis=1)
+    return flat[np.arange(len(flat)), near]
 
 
 # -- symplectic area -----------------------------------------------------------

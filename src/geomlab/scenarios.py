@@ -204,18 +204,26 @@ def _maslov_mirror(surface, metric, section, loop_s, loop_t):
     i is taken for the loop traversed counterclockwise in the parameters,
     by the sign of its shoelace area with s unwrapped by the surface's s
     period, so a loop and its reverse give the same pair (mu is oriented
-    by the direction chart already).  Raises ``UnreliableLoopError`` when
-    the loop is too coarse to resolve the principal winding.
+    by the direction chart already).  A stack of loops (k, n) takes one
+    ``maslov_index`` and one principal-angle pass for all of them and
+    gives a list of k pairs.  Raises ``UnreliableLoopError`` when a loop
+    is too coarse to resolve the principal winding.
     """
+    one = np.ndim(loop_s) == 1
+    loop_s, loop_t = np.atleast_2d(np.asarray(loop_s, float), np.asarray(loop_t, float))
     mas = ls.maslov_index(section.source, loop_s, loop_t, section.center)
-    winding = ut._loop_winding(ut.principal_angles(surface, metric, loop_s, loop_t), np.pi)
-    if winding is None:
-        raise UnreliableLoopError("principal line field winding is not resolved; "
-                                  "densify the loop")
+    angles = ut.principal_angles(surface, metric, loop_s, loop_t).reshape(loop_s.shape)
     (s0, s1), _ = surface.domain
-    s = np.unwrap(loop_s, period=s1 - s0) if surface.periodic[0] else np.asarray(loop_s)
-    area = np.sum(s * np.roll(loop_t, -1) - np.roll(s, -1) * loop_t)
-    return mas, (winding if area >= 0 else -winding) / 2.0
+    s = np.unwrap(loop_s, period=s1 - s0) if surface.periodic[0] else loop_s
+    area = np.sum(s * np.roll(loop_t, -1, axis=1) - np.roll(s, -1, axis=1) * loop_t, axis=1)
+    pairs = []
+    for m, a, ccw in zip(mas, angles, area >= 0):
+        winding = ut._loop_winding(a, np.pi)
+        if winding is None:
+            raise UnreliableLoopError("principal line field winding is not resolved; "
+                                      "densify the loop")
+        pairs.append((m, (winding if ccw else -winding) / 2.0))
+    return pairs[0] if one else pairs
 
 
 def caratheodory_suite(grid=(256, 192), loop_samples=2048):
@@ -267,9 +275,9 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     # Maslov loops around 0, 1, 2 umbilics with the principal-winding mirror
     phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
     iso = [r for r in audit["records"] if r.isolated]
-    for count in (0, 1, 2):
-        loop_s, loop_t = enclosing_loop(iso, count, phi)
-        mas, i_surface = _maslov_mirror(ell, flat, section, loop_s, loop_t)
+    loops = np.array([enclosing_loop(iso, count, phi) for count in (0, 1, 2)])
+    mirrors = _maslov_mirror(ell, flat, section, loops[:, 0], loops[:, 1])
+    for count, (mas, i_surface) in enumerate(mirrors):
         report.values[f"maslov_enclosing_{count}"] = mas
         report.values[f"principal_index_enclosing_{count}"] = i_surface
         report.assertions.append(Assertion(

@@ -8,7 +8,7 @@ on (T11, T12), a smooth map whose zeros are exactly the umbilics, so
 positions settle to rounding even though |k1-k2| itself is conical at a
 zero.  Indices come from the winding of the
 principal-direction line field (an angle modulo pi) on an index loop of
-``_LOOP_CELLS`` cells about each umbilic.  ``_loop_index`` winds that loop
+``_LOOP_CELLS`` cells about each umbilic.  ``_loop_indices`` winds those loops
 for the complex points of ``line_space`` too, with the same sample count,
 inner check loop and refusals; only the angle wound differs.
 """
@@ -170,8 +170,9 @@ def umbilic_scan(surface, metric, grid=(512, 384)):
                         surface.periodic, tol * tol, "umbilic", vectors=scan[..., 1:3])
     if not zeros:
         return []
-    points = fundamental_forms(surface, metric, np.array([z.s for z in zeros]),
-                               np.array([z.t for z in zeros])).point
+    # the chart map on plain arrays: the points without a jet or forms pass
+    points = np.stack(np.broadcast_arrays(*surface.chart_map(
+        np.array([z.s for z in zeros]), np.array([z.t for z in zeros]))), axis=-1)
     return [UmbilicRecord(z.s, z.t, tuple(p), float(np.sqrt(z.value)), z.isolated,
                           ambiguous=z.ambiguous) for z, p in zip(zeros, points)]
 
@@ -340,61 +341,89 @@ _LOOP = np.concatenate([np.exp(1j * np.linspace(0.0, TWO_PI, _LOOP_SAMPLES, endp
                         np.exp(1j * np.linspace(0.0, TWO_PI, 64, endpoint=False)) / 16])
 
 
-def _loop_index(field, center, radii, domain, periodic, zero_value, period, kind):
-    """Winding, in units of ``period``, of a zero's angle on its index loop.
+def _loop_indices(field, centers, radii, domain, periodic, zero_values, period, kind):
+    """Winding, in units of ``period``, of each zero's angle on its index loop.
 
-    The loop is the ellipse of ``radii`` about the zero at ``center``, and
-    its inner check loop, in one call of ``field(s, t)``, which returns the
-    magnitude that vanishes at the zero and the angle (modulo ``period``)
-    to wind.  ``UnreliableLoopError`` names why a loop is refused:
+    A zero's loop is the ellipse of ``radii`` about its point of
+    ``centers``, followed by its inner check loop.  Every loop that stays
+    inside ``domain`` is evaluated in one call of ``field(s, t)``, with one
+    row of ``s`` and ``t`` per loop; it returns, in the same shape, the
+    magnitude that vanishes at the zeros and the angle (modulo ``period``)
+    to wind.  Each loop is then judged on its own.  Returns, per zero, its
+    winding or the ``UnreliableLoopError`` that names why its loop is
+    refused:
 
     * it leaves ``domain`` on a non-periodic axis, where the
-      parameterisation may be singular (an ellipsoid's poles);
+      parameterisation may be singular (an ellipsoid's poles); such a loop
+      is not evaluated;
     * it touches a near-zero region: its smallest magnitude is at most 10
-      times ``zero_value``, the zero's own, or 1e-13;
+      times the zero's own value in ``zero_values``, or 1e-13;
     * its winding is not resolved: every other sample rounds to another;
     * the inner loop winds otherwise: the loop encloses another ``kind``.
     """
-    center, radii = np.asarray(center, dtype=float), np.asarray(radii, dtype=float)
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    radii = np.asarray(radii, dtype=float)
     lo, hi = np.array(domain, dtype=float).T
-    if np.any(~np.asarray(periodic) & ((center - radii <= lo) | (center + radii >= hi))):
-        raise UnreliableLoopError(
-            "index loop leaves the sampled parameter rectangle; scan a finer grid")
-    magnitude, angle = field(center[0] + radii[0] * _LOOP.real,
-                             center[1] + radii[1] * _LOOP.imag)
-    if np.min(magnitude[:_LOOP_SAMPLES]) <= 10.0 * max(zero_value, 1e-14):
-        raise UnreliableLoopError(
-            "index loop touches a near-zero region; scan a finer grid")
-    winding = _loop_winding(angle[:_LOOP_SAMPLES], period)
-    if winding is None:
-        raise UnreliableLoopError("index loop winding is not resolved; scan a finer grid")
-    if _loop_winding(angle[_LOOP_SAMPLES:], period) != winding:
-        raise UnreliableLoopError(f"index loop encloses another {kind}; scan a finer grid")
-    return winding
+    leaves = np.any(~np.asarray(periodic) & ((centers - radii <= lo) | (centers + radii >= hi)),
+                    axis=1)
+    results = [UnreliableLoopError("index loop leaves the sampled parameter rectangle; "
+                                   "scan a finer grid") if out else None for out in leaves]
+    wound = np.flatnonzero(~leaves)
+    if not wound.size:
+        return results
+    magnitude, angle = field(centers[wound, :1] + radii[0] * _LOOP.real,
+                             centers[wound, 1:] + radii[1] * _LOOP.imag)
+    for k, mag, ang in zip(wound, magnitude, angle):
+        if np.min(mag[:_LOOP_SAMPLES]) <= 10.0 * max(zero_values[k], 1e-14):
+            results[k] = UnreliableLoopError(
+                "index loop touches a near-zero region; scan a finer grid")
+            continue
+        winding = _loop_winding(ang[:_LOOP_SAMPLES], period)
+        if winding is None:
+            results[k] = UnreliableLoopError(
+                "index loop winding is not resolved; scan a finer grid")
+        elif _loop_winding(ang[_LOOP_SAMPLES:], period) != winding:
+            results[k] = UnreliableLoopError(
+                f"index loop encloses another {kind}; scan a finer grid")
+        else:
+            results[k] = winding
+    return results
+
+
+def _principal_windings(surface, metric, records, radii):
+    """``_loop_indices`` of the principal line field about each of the
+    ``records``, from one ``fundamental_forms`` call on all their loops."""
+    def gap_and_angle(s, t):
+        rep = fundamental_forms(surface, metric, s, t)
+        return rep.disc.reshape(s.shape), _principal_angles(rep).reshape(s.shape)
+
+    return _loop_indices(gap_and_angle, [(r.s, r.t) for r in records], radii,
+                         surface.domain, surface.periodic, [r.disc_min for r in records],
+                         np.pi, "umbilic")
 
 
 def umbilic_index(surface, metric, record, radii):
     """Half-integer index of an isolated umbilic: the winding of the
-    principal line field on the index loop of ``radii`` (see ``_loop_index``)."""
+    principal line field on the index loop of ``radii`` (see ``_loop_indices``)."""
     if not record.isolated:
         raise UnreliableLoopError("cannot assign an index to a non-isolated umbilic")
-
-    def gap_and_angle(s, t):
-        rep = fundamental_forms(surface, metric, s, t)
-        return rep.disc, _principal_angles(rep)
-
-    return _loop_index(gap_and_angle, (record.s, record.t), radii, surface.domain,
-                       surface.periodic, record.disc_min, np.pi, "umbilic") / 2.0
+    winding, = _principal_windings(surface, metric, [record], radii)
+    if isinstance(winding, UnreliableLoopError):
+        raise winding
+    return winding / 2.0
 
 
 def attach_indices(surface, metric, records, grid=(512, 384)):
     """Compute indices for all isolated records in place, on index loops of
-    ``_LOOP_CELLS`` cells of ``grid``."""
+    ``_LOOP_CELLS`` cells of ``grid``, all wound from one geometry call;
+    the first refused loop, in record order, raises its
+    ``UnreliableLoopError`` after the records before it got their indices."""
     radii = _LOOP_CELLS * np.array(_cells(surface, grid)[2:])
-    for rec in records:
-        if rec.isolated:
-            rec.index = umbilic_index(surface, metric, rec, radii)
-            rec.index_num = int(round(2 * rec.index))
+    isolated = [rec for rec in records if rec.isolated]
+    for rec, winding in zip(isolated, _principal_windings(surface, metric, isolated, radii)):
+        if isinstance(winding, UnreliableLoopError):
+            raise winding
+        rec.index, rec.index_num = winding / 2.0, winding
     return records
 
 

@@ -1,5 +1,6 @@
 """The neutral pseudo-Kahler structure on oriented lines and its invariants."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -183,6 +184,43 @@ def test_gauss_map_of_rank_below_two_is_refused():
     for expr in ("x + 2*y", "x^2"):
         with pytest.raises(ConfigError, match="Gauss map"):
             ls.normal_congruence(sg.surface_by_name("graph", expr=expr), grid=(32, 32))
+
+
+def test_normal_congruence_equals_the_flattened_eval_bit_for_bit():
+    # the grid is written block by block into the section's planes, the
+    # same numbers as one evaluation of every grid point
+    section = ls.normal_congruence(ELL, grid=(256, 192))
+    sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
+    flat = ls.CongruenceMap(ELL).eval(sm.ravel(), tm.ravel())
+    for got, want in zip((section.u, section.V, section.du, section.dV), flat):
+        assert np.array_equal(got, want.reshape(got.shape))
+    # component-major planes, as the scans read them
+    assert np.moveaxis(section.u, -1, 0).flags["C_CONTIGUOUS"]
+    assert np.moveaxis(section.dV, (-2, -1), (0, 1)).flags["C_CONTIGUOUS"]
+
+
+def test_congruence_eval_writes_into_the_buffers_it_is_given():
+    s, t = np.linspace(0.1, 6.0, 7)[:, None], np.linspace(0.2, 3.0, 5)[None, :]
+    out = (np.empty((3, 7, 5)), np.empty((3, 7, 5)), np.empty((2, 3, 7, 5)),
+           np.empty((2, 3, 7, 5)))
+    cmap = ls.CongruenceMap(ELL)
+    got = cmap.eval(s, t, out=out)
+    for g, buf, fresh in zip(got, out, cmap.eval(s, t)):
+        assert np.shares_memory(g, buf) and np.array_equal(g, fresh)
+
+
+def test_normal_congruence_allocates_under_27_grid_planes():
+    # the section's 18 planes are allocated once and written in place: 25.0
+    # planes at the peak, 36.1 when each block was packaged into arrays of
+    # its own and the blocks were then joined
+    ls.normal_congruence(ELL, grid=(32, 24))
+    tracemalloc.start()
+    try:
+        ls.normal_congruence(ELL, grid=(256, 192))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * 256 * 192 * 8
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "ellipsoid-offset"])
@@ -728,6 +766,19 @@ def test_batched_gauss_map_inversion_matches_the_row_oracle(monkeypatch, grid, b
     assert np.max(np.abs(u - loop)) < 1e-11
 
 
+@pytest.mark.parametrize("grid", [(16, 12), (64, 48), (256, 192)])
+def test_seed_search_finds_the_nearest_sample_of_the_whole_grid(grid):
+    # the coarse subgrid, then a window of the full grid about its nearest
+    # sample, across the periodic s seam and up to the t edges
+    section = ls.normal_congruence(ELL, grid=grid)
+    rng = np.random.default_rng(29)
+    directions = np.concatenate([_umbilic_normal_circle(256), rng.normal(size=(1000, 3))])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    whole = np.argmax(ls.dot3([c.ravel()[None, :] for c in ls._components(section.u)],
+                              [c[:, None] for c in directions.T]), axis=1)
+    assert np.array_equal(ls._nearest_samples(directions, section), whole)
+
+
 def _refusal(fn, *args):
     with pytest.raises(UnreliableLoopError) as err:
         fn(*args)
@@ -967,27 +1018,57 @@ def test_audit_and_complex_scan_agree_on_their_index_loops(axes, grid):
 
 @pytest.mark.parametrize("fault", ["touches a near-zero region", "winding is not resolved"])
 def test_refused_winding_loops_leave_complex_points_unwound(monkeypatch, fault):
-    loop_index = ut._loop_index
+    loop_indices = ut._loop_indices
 
-    def distorted(field, center, radii, domain, periodic, zero_value, period, kind):
+    def distorted(field, centers, radii, domain, periodic, zero_values, period, kind):
         if fault == "touches a near-zero region":
-            # as if the scan had stopped at |psi| = 1, above a tenth of it on the loop
-            zero_value = 1.0
+            # as if the scan had stopped at |psi| = 1, above a tenth of it on the loops
+            zero_values = [1.0] * len(zero_values)
         else:
-            # synthetic defect angles turning 0.4 of a turn per sample
+            # synthetic defect angles turning 0.4 of a turn per sample of each loop
             defect = field
 
             def field(s, t):
-                return defect(s, t)[0], np.mod(0.8 * np.pi * np.arange(s.size), 2 * np.pi)
-        return loop_index(field, center, radii, domain, periodic, zero_value, period, kind)
+                turns = np.mod(0.8 * np.pi * np.arange(s.shape[-1]), 2 * np.pi)
+                return defect(s, t)[0], np.broadcast_to(turns, s.shape)
+        return loop_indices(field, centers, radii, domain, periodic, zero_values, period, kind)
 
     section = ls.normal_congruence(ELL, grid=(64, 48))
-    monkeypatch.setattr(ls, "_loop_index", distorted)
+    monkeypatch.setattr(ls, "_loop_indices", distorted)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         records = ls.complex_point_scan(section)
     assert len(caught) == 4 and all(fault in str(w.message) for w in caught)
     assert [(r.isolated, r.winding, r.index) for r in records] == [(True, None, None)] * 4
+
+
+class _CountingSource:
+    """A section source that records the shape of every ``eval`` call."""
+
+    def __init__(self, source):
+        self.source, self.shapes = source, []
+
+    def eval(self, s, t):
+        self.shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
+        return self.source.eval(s, t)
+
+
+def test_complex_point_scan_winds_every_loop_in_one_eval(monkeypatch):
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    counting = _CountingSource(section.source)
+    records = ls.complex_point_scan(replace(section, source=counting))
+    assert [(r.isolated, r.winding) for r in records] == [(True, 1)] * 4
+    # one row of 1024 + 64 samples per loop, all four loops in one call
+    assert [shape for shape in counting.shapes if shape[-1] >= 1024] == [(4, 1088)]
+
+    # the same records, bit for bit, with each loop wound in a call of its own
+    loop_indices = ut._loop_indices
+
+    def one_by_one(field, centers, radii, domain, periodic, zero_values, period, kind):
+        return [loop_indices(field, [c], radii, domain, periodic, [z], period, kind)[0]
+                for c, z in zip(centers, zero_values)]
+    monkeypatch.setattr(ls, "_loop_indices", one_by_one)
+    assert ls.complex_point_scan(section) == records
 
 
 def test_maslov_refuses_a_loop_through_a_complex_point():

@@ -504,6 +504,32 @@ def test_cli_maslov_default_grid_encloses_as_the_fine_grid(tmp_path, axes):
         ["0", "0"], ["1", "2"], ["2", "4"]]
 
 
+def test_cli_maslov_takes_its_enclosing_loops_in_one_call(tmp_path, monkeypatch):
+    shapes, angle_shapes = [], []
+    congruence_eval, principal_angles = ls.CongruenceMap.eval, ut.principal_angles
+
+    def counting_eval(self, s, t, out=None):
+        shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
+        return congruence_eval(self, s, t, out=out)
+
+    def counting_angles(surface, metric, s, t):
+        angle_shapes.append(np.shape(s))
+        return principal_angles(surface, metric, s, t)
+    monkeypatch.setattr(ls.CongruenceMap, "eval", counting_eval)
+    monkeypatch.setattr(ut, "principal_angles", counting_angles)
+    enclose = ["--enclose", "0,1,2"]
+    together = _maslov_csv(tmp_path / "together", MASLOV_AXES[0], enclose)
+    # one defect evaluation and one principal-angle pass for the three loops
+    # of 2048 samples
+    assert [shape for shape in shapes if shape[-1] == 2048] == [(3, 2048)]
+    assert angle_shapes == [(3, 2048)]
+    # the same file, byte for byte, with each loop taken on its own
+    mirror = scenarios._maslov_mirror
+    monkeypatch.setattr(scenarios, "_maslov_mirror", lambda surface, metric, section, s, t: [
+        mirror(surface, metric, section, *loop) for loop in zip(s, t)])
+    assert _maslov_csv(tmp_path / "alone", MASLOV_AXES[0], enclose) == together
+
+
 @pytest.mark.parametrize("axes", [MASLOV_AXES[0], MASLOV_AXES[3]])
 def test_cli_maslov_loop_file_on_the_default_grid(tmp_path, axes):
     # the Gauss-map inversion seeds from the nearest sample of a coarser

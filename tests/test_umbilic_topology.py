@@ -139,6 +139,39 @@ def test_clifford_torus_in_deformed_metric_has_no_umbilics():
     assert records == []
 
 
+def test_record_positions_are_the_forms_points_bit_for_bit():
+    # the chart map on plain arrays, not a fundamental_forms pass: the same
+    # points, on the ellipsoid and on the Clifford torus's orbit path (a
+    # constant metric, in which the torus is totally geodesic: one
+    # non-isolated record)
+    flat_hopf = ct.metric_from_expressions("hopf", {"g11": "1", "g22": "1", "g33": "1"})
+    for surface, metric, count in ((ELL, FLAT, 4), (sg.surface_by_name("clifford"), flat_hopf, 1)):
+        records = ut.umbilic_scan(surface, metric, grid=(64, 48))
+        assert len(records) == count
+        points = sg.fundamental_forms(surface, metric, np.array([r.s for r in records]),
+                                      np.array([r.t for r in records])).point
+        assert np.array_equal(np.array([r.chart_position for r in records]), points)
+
+
+def test_attach_indices_winds_every_loop_in_one_forms_call(monkeypatch):
+    records = ut.umbilic_scan(ELL, FLAT, grid=(64, 48))
+    shapes = []
+    forms = ut.fundamental_forms
+
+    def counting_forms(surface, metric, s, t):
+        shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
+        return forms(surface, metric, s, t)
+    monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
+    ut.attach_indices(ELL, FLAT, records, grid=(64, 48))
+    # one row of 1024 + 64 samples per loop, all four loops in one call
+    assert shapes == [(4, 1088)]
+    # the indices of the loops wound one at a time
+    radii = ut._LOOP_CELLS * np.array([2 * np.pi / 64, np.pi / 48])
+    alone = [ut.umbilic_index(ELL, FLAT, rec, radii) for rec in records]
+    assert [rec.index for rec in records] == alone == [0.5] * 4
+    assert [rec.index_num for rec in records] == [1] * 4
+
+
 def test_scan_deterministic():
     a = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
     b = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
@@ -192,13 +225,13 @@ def test_scan_refines_all_candidates_in_one_call_per_iteration(monkeypatch):
     monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
     records = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
     n_cand = sizes[2] // 5
-    iters = len(sizes) - 5
+    iters = len(sizes) - 4
     assert len(records) == 4 and n_cand >= 4 and 1 <= iters <= ut._NEWTON_ITERS
     # grid in blocks of whole rows (85 of 96 points, then the other 43),
     # Newton iterations (each candidate and its four neighbours), final
-    # check, isolation rings, chart points
+    # check, isolation rings; the chart points take no forms call
     assert sizes == ([85 * 96, 43 * 96] + [5 * n_cand] * iters
-                     + [n_cand, 64 * len(records), len(records)])
+                     + [n_cand, 64 * len(records)])
 
 
 def test_seed_filter_leaves_the_torus_grid_pass_alone(monkeypatch):
@@ -414,8 +447,11 @@ def test_index_loop_winds_one_zero_and_refuses_by_name(kind):
     box, flat_axes = ((0.0, 10.0), (0.0, 10.0)), (False, False)
 
     def index(field, center=(5.0, 5.0), periodic=flat_axes, zero_value=0.0):
-        return ut._loop_index(field, center, (1.0, 1.0), box, periodic, zero_value,
-                              period, kind)
+        winding, = ut._loop_indices(field, [center], (1.0, 1.0), box, periodic, [zero_value],
+                                    period, kind)
+        if isinstance(winding, UnreliableLoopError):
+            raise winding
+        return winding
 
     assert index(_product_field([5 + 5j], period)) == 1
     # a loop across the t edge of the box: fine only where t is periodic
@@ -429,7 +465,7 @@ def test_index_loop_winds_one_zero_and_refuses_by_name(kind):
     # 0.4 of a turn per sample winds 409 turns, 0.8 per other sample -102
     with pytest.raises(UnreliableLoopError, match="winding is not resolved"):
         index(lambda s, t: (np.ones_like(s), np.mod(0.4 * period * np.arange(s.size),
-                                                    period)))
+                                                    period).reshape(s.shape)))
     # a second zero half way out: the loop winds 2, its inner check loop 1
     with pytest.raises(UnreliableLoopError, match=f"encloses another {kind}"):
         index(_product_field([5 + 5j, 5.5 + 5j], period))
