@@ -27,7 +27,7 @@ from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
 from .quadrature import gauss_legendre
-from .surface_geom import _GRID_CHUNK
+from .surface_geom import _row_blocks
 from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _cells, _loop_indices,
                                _loop_winding, _scan_zeros)
 
@@ -118,7 +118,7 @@ def sphere_to_stereo(u, center):
 
 # -- the anti-complex defect --------------------------------------------------
 
-def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True):
+def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True, out=None):
     """Complex defect whose zeros are the J-invariant tangent planes.
 
     Decomposes J X1 = a X1 + b X2 + g1 E1 + g2 E2, with E_i = (0, e_i) the
@@ -133,29 +133,42 @@ def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True):
     A smooth nonvanishing rescale of the tangent frame changes psi by a
     nonvanishing factor and never the winding around a zero; ``normalize``
     applies the unit-frame rescale that makes |psi| a dimensionless measure.
+    psi is a fresh complex array, or written into ``out`` of its shape.
     """
-    e1, e2 = _sphere_frame(_components(u), center)
-    return _psi_in_frame(e1, e2, du1, dv1, du2, dv2, normalize)
+    tangents = [_components(v) for v in (du1, du2, dv1, dv2)]
+    # the frame is dropped once projected on, before the arithmetic of psi
+    return _psi_of_parts(_frame_parts(_sphere_frame(_components(u), center), tangents),
+                         tangents, normalize, out)
 
 
 def _psi_in_frame(e1, e2, du1, dv1, du2, dv2, normalize):
     """``defect_psi`` in a given chart frame (e1, e2), as components: a
     caller whose directions u never move builds the frame once."""
-    du1, dv1, du2, dv2 = (_components(v) for v in (du1, dv1, du2, dv2))
-    # real and imaginary parts of z_k and w_k, written out
-    (x1, y1), (x2, y2), (p1, q1), (p2, q2) = (
-        (dot3(v, e1), dot3(v, e2)) for v in (du1, du2, dv1, dv2))
+    tangents = [_components(v) for v in (du1, du2, dv1, dv2)]
+    return _psi_of_parts(_frame_parts((e1, e2), tangents), tangents, normalize)
+
+
+def _frame_parts(frame, tangents):
+    """The real and imaginary parts v.e1, v.e2 of z_1, z_2, w_1 and w_2,
+    for the components v of du1, du2, dv1 and dv2 and the frame (e1, e2)."""
+    return [dot3(v, e) for v in tangents for e in frame]
+
+
+def _psi_of_parts(parts, tangents, normalize, out=None):
+    """psi from the ``_frame_parts``, unit-normalised in place of each part,
+    in a fresh complex array or in ``out``."""
     if normalize:
-        n1 = np.sqrt(dot3(du1, du1) + dot3(dv1, dv1))
-        n2 = np.sqrt(dot3(du2, du2) + dot3(dv2, dv2))
-        x1, y1, p1, q1 = x1 / n1, y1 / n1, p1 / n1, q1 / n1
-        x2, y2, p2, q2 = x2 / n2, y2 / n2, p2 / n2, q2 / n2
+        # tangent k is (du_k, dv_k), its parts (x_k, y_k) and (p_k, q_k)
+        for k, (du, dv) in enumerate((tangents[0::2], tangents[1::2])):
+            n = np.sqrt(dot3(du, du) + dot3(dv, dv))
+            for m in (2 * k, 2 * k + 1, 2 * k + 4, 2 * k + 5):
+                parts[m] = parts[m] / n
+    x1, y1, x2, y2, p1, q1, p2, q2 = parts
     # c = conj(z1) z2
-    c_re = x1 * x2 + y1 * y2
     c_im = x1 * y2 - y1 * x2
-    a = -c_re / c_im
+    a = -(x1 * x2 + y1 * y2) / c_im
     b = (x1 ** 2 + y1 ** 2) / c_im
-    psi = np.empty(np.shape(a), dtype=complex)
+    psi = np.empty(np.shape(a), dtype=complex) if out is None else out
     psi.real = -q1 - a * p1 - b * p2
     psi.imag = p1 - a * q1 - b * q2
     return psi
@@ -365,10 +378,8 @@ def normal_congruence(surface, grid=(128, 96)):
     planes = (np.empty((3, ns, nt)), np.empty((3, ns, nt)),
               np.empty((2, 3, ns, nt)), np.empty((2, 3, ns, nt)))
     # blocks of whole s-rows, each written straight into the section's planes
-    rows = max(1, _GRID_CHUNK // nt)
-    for k in range(0, ns, rows):
-        cmap.eval(s_axis[k:k + rows, None], t_axis[None, :],
-                  out=tuple(b[..., k:k + rows, :] for b in planes))
+    for rows in _row_blocks(ns, nt):
+        cmap.eval(s_axis[rows, None], t_axis[None, :], out=tuple(b[..., rows, :] for b in planes))
     u, V = (np.moveaxis(b, 0, -1) for b in planes[:2])
     du, dV = (np.moveaxis(b, (0, 1), (-2, -1)) for b in planes[2:])
     jac = dot3(cross3(_components(du[..., 0, :]), _components(du[..., 1, :])),
@@ -402,12 +413,38 @@ class ComplexPointRecord:
     index: float = None
 
 
+def _grid_psi(section, center, normalize=True, out=None):
+    """psi over the section grid, in the s-row blocks of ``_row_blocks``
+    that ``normal_congruence`` writes: yields each block's rows and psi,
+    fresh or written into those rows of ``out`` (ns, nt).  A non-finite psi
+    (a degenerate tangent plane, as at a flat point of a graph) raises
+    ConfigError naming the (s, t) of the first such sample, before the
+    caller reduces the block."""
+    ns, nt = section.u.shape[:2]
+    for rows in _row_blocks(ns, nt):
+        du, dV = section.du[rows], section.dV[rows]
+        # a non-finite psi is named below, not warned about
+        with np.errstate(invalid="ignore", divide="ignore"):
+            psi = defect_psi(section.u[rows], section.V[rows], du[..., 0, :], dV[..., 0, :],
+                             du[..., 1, :], dV[..., 1, :], center, normalize,
+                             None if out is None else out[rows])
+        bad = ~np.isfinite(psi)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ConfigError(
+                f"the complex-point defect is not finite at (s, t) = "
+                f"({section.s_axis[rows][i]:.6g}, {section.t_axis[j]:.6g}): the section's "
+                "tangent plane there is degenerate or not finite")
+        yield rows, psi
+
+
 def section_defect(section, center=None, normalize=True):
-    """psi over the section grid."""
-    du, dV = section.du, section.dV
-    ctr = center if center is not None else section.center
-    return defect_psi(section.u, section.V, du[..., 0, :], dV[..., 0, :],
-                      du[..., 1, :], dV[..., 1, :], ctr, normalize=normalize)
+    """psi over the section grid, each block of ``_grid_psi`` written in place."""
+    psi = np.empty(section.u.shape[:2], dtype=complex)
+    for _ in _grid_psi(section, center if center is not None else section.center,
+                       normalize, psi):
+        pass
+    return psi
 
 
 def _psi_at(source, s, t, center):
@@ -421,7 +458,8 @@ def _psi_at(source, s, t, center):
 def complex_point_scan(section):
     """Zeros of the anti-complex defect with their integer windings.
 
-    |psi|^2 and (Re psi, Im psi) on the grid go through
+    |psi|^2 and (Re psi, Im psi) on the grid, written block by block from
+    ``_grid_psi`` into one (3, ns, nt) buffer, go through
     ``umbilic_topology._scan_zeros``, which seeds from the grid minima of
     |psi|^2 and the cells round which psi winds, and refines by Newton on
     (Re psi, Im psi) of the section's exact source, and each isolated
@@ -433,14 +471,19 @@ def complex_point_scan(section):
     large fraction of samples (the zero section) is reported as a single
     non-isolated record without a winding.
     """
-    psi = section_defect(section)
-    mag = np.abs(psi)
     center, source = section.center, section.source
+    grid = np.empty((3,) + section.u.shape[:2])
+    peak = 0.0
+    for rows, psi in _grid_psi(section, center):
+        mag = np.abs(psi)
+        peak = max(peak, float(np.max(mag)))
+        np.multiply(mag, mag, out=grid[0, rows])
+        grid[1, rows], grid[2, rows] = psi.real, psi.imag
     # psi is computed on unit-normalised frames, so an absolute floor is
     # meaningful; it catches identically-complex sections (zero defect)
-    tol = max(1e-6 * float(np.max(mag)), 1e-10)
+    tol = max(1e-6 * peak, 1e-10)
     domain = section.domain
-    step = np.ptp(np.array(domain, dtype=float), axis=1) / mag.shape
+    step = np.ptp(np.array(domain, dtype=float), axis=1) / grid.shape[1:]
 
     def defect_rows(s, t):
         psi = _psi_at(source, s, t, center)[1]
@@ -452,9 +495,9 @@ def complex_point_scan(section):
         sign = _chart_orientation(u[:, :_LOOP_SAMPLES], center)
         return np.abs(psi), sign[:, None] * np.angle(psi)
 
-    zeros = _scan_zeros(mag ** 2, defect_rows, (section.s_axis, section.t_axis), step,
+    zeros = _scan_zeros(grid[0], defect_rows, (section.s_axis, section.t_axis), step,
                         domain, section.periodic, tol * tol, "complex-point",
-                        vectors=np.moveaxis(np.stack([psi.real, psi.imag]), 0, -1))
+                        vectors=np.moveaxis(grid[1:], 0, -1))
     if not zeros:
         return []
     directions = source.eval(np.array([z.s for z in zeros]),
@@ -514,10 +557,15 @@ def maslov_index(source, loop_s, loop_t, center):
     """
     loop_s = np.asarray(loop_s, float)
     loop_t = np.asarray(loop_t, float)
-    u, psi = _psi_at(source, loop_s, loop_t, center)
+    # a non-finite psi is refused below, not warned about
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u, psi = _psi_at(source, loop_s, loop_t, center)
     signs = _chart_orientation(u, center)
     results = []
     for p, sign in zip(psi.reshape(-1, psi.shape[-1]), np.reshape(signs, -1)):
+        if not np.all(np.isfinite(p)):
+            raise UnreliableLoopError("the defect is not finite on the loop: it passes a "
+                                      "degenerate or non-finite tangent plane")
         mag = np.abs(p)
         if np.min(mag) < _MIN_DEFECT_RATIO * np.max(mag):
             raise UnreliableLoopError("loop passes too close to a complex point")

@@ -234,19 +234,24 @@ def _quadrature_grid(surface, grid):
 _GRID_CHUNK = 1 << 13
 
 
+def _row_blocks(ns, row_points, block=_GRID_CHUNK):
+    """Slices of ``ns`` rows of ``row_points`` points each, in blocks of
+    whole rows: at most ``block`` points each but at least one row."""
+    rows = max(1, block // max(row_points, 1))
+    return [slice(k, k + rows) for k in range(0, ns, rows)]
+
+
 def _grid_eval(field, s, t, block=_GRID_CHUNK):
     """``field`` on the points that the parameter arrays ``s`` and ``t``, of
     equal ndim, broadcast to: pass a product grid as its axes ``s[:, None]``
-    and ``t[None, :]``.  ``field(s, t)`` is called on blocks of whole
-    s-rows, at most ``block`` points each but at least one row, and
-    returns an array, or a tuple of arrays, whose leading axes are its
-    block's broadcast shape; the blocks are joined along the s-rows, and
-    ``np.concatenate`` keeps their memory layout (component-major blocks
-    join component-major)."""
+    and ``t[None, :]``.  ``field(s, t)`` is called on the s-row blocks of
+    ``_row_blocks``, and returns an array, or a tuple of arrays, whose
+    leading axes are its block's broadcast shape; the blocks are joined
+    along the s-rows, and ``np.concatenate`` keeps their memory layout
+    (component-major blocks join component-major)."""
     shape = np.broadcast_shapes(np.shape(s), np.shape(t))
-    rows = max(1, block // max(int(np.prod(shape[1:])), 1))
-    parts = [field(*(a[k:k + rows] if a.shape[0] > 1 else a for a in (s, t)))
-             for k in range(0, shape[0], rows)]
+    parts = [field(*(a[rows] if a.shape[0] > 1 else a for a in (s, t)))
+             for rows in _row_blocks(shape[0], int(np.prod(shape[1:])), block)]
     if len(parts) == 1:
         return parts[0]
     if isinstance(parts[0], tuple):
@@ -257,17 +262,24 @@ def _grid_eval(field, s, t, block=_GRID_CHUNK):
 def _integrate(surface, metric, grid, integrands):
     """Integrals of each integrand (a function of a CurvatureReport) over
     the quadrature grid, from one fundamental_forms pass over its axes,
-    in blocks of whole s-rows."""
+    in blocks of whole s-rows.
+
+    A block costs about 78 planes of its points, so blocks hold
+    ``_GRID_CHUNK`` points; but where no component of the chart map reads
+    both parameters (tried on plain values at 2 x 2 nodes), its jets stay
+    the size of the axes, and an orbit batch among such surfaces (the
+    Clifford torus in the Hopf metrics) costs one jet pass and one point
+    of forms whatever its size, so blocks hold 1 << 16 points."""
     ss, tt, ww = _quadrature_grid(surface, grid)
 
     def densities(s, t):
         rep = fundamental_forms(surface, metric, s, t)
         shape = np.broadcast_shapes(s.shape, t.shape)
         return tuple(integrand(rep).reshape(shape) for integrand in integrands)
-    # larger blocks than the default: an orbit batch (the Clifford torus in
-    # the Hopf metrics) costs one jet pass and one point of forms per block
-    return [float(np.sum(d * ww))
-            for d in _grid_eval(densities, ss, tt, block=1 << 16)]
+    mixed = any(np.ndim(c) == 2 and min(np.shape(c)) > 1
+                for c in surface.chart_map(ss[:2], tt[:, :2]))
+    return [float(np.sum(d * ww)) for d in
+            _grid_eval(densities, ss, tt, block=_GRID_CHUNK if mixed else 1 << 16)]
 
 
 def _area_density(rep):

@@ -9,6 +9,7 @@ weights.
 
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,9 +148,11 @@ def flattened_integrals(surface, metric, grid):
 
 
 def test_surface_integrals_over_row_blocks_equal_the_flattened_grid(monkeypatch):
-    # both grids exceed 1 << 16 points, so the axes are passed in two
-    # blocks of whole s-rows
-    cases = [(sg.surface_by_name("ellipsoid"), FLAT, (300, 240), [(273, 240), (27, 240)]),
+    # the axes are passed in blocks of whole s-rows: the ellipsoid's chart
+    # map reads both parameters in one component, so it is cut into
+    # _GRID_CHUNK blocks; the Clifford torus is an orbit whose grid exceeds
+    # 1 << 16 points, so it is cut into two blocks of that size
+    cases = [(sg.surface_by_name("ellipsoid"), FLAT, (300, 240), [(34, 240)] * 8 + [(28, 240)]),
              (sg.surface_by_name("clifford"), ct.metric_by_name("hopf-eps-bumped", eps=0.3),
               (288, 256), [(256, 256), (32, 256)])]
     original = sg.fundamental_forms
@@ -175,6 +178,30 @@ def test_one_block_integrals_equal_the_flattened_grid_bit_for_bit():
         grid = (96, 80)
         assert sg._integrate(surface, metric, grid, DENSITIES) == flattened_integrals(
             surface, metric, grid)
+
+
+def test_an_integral_off_an_orbit_allocates_in_grid_chunk_blocks(monkeypatch):
+    # a block costs about 78 planes of its points: the ellipsoid's area at
+    # 256x256 peaks at 10.5 planes in _GRID_CHUNK blocks, 78 in one block
+    ellipsoid = sg.surface_by_name("ellipsoid")
+    sg.area(ellipsoid, FLAT)  # builds the product rule
+    tracemalloc.start()
+    try:
+        sg.area(ellipsoid, FLAT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 256 * 256 * 8
+    # an orbit integral over the same grid is still one fundamental_forms call
+    shapes = []
+    original = sg.fundamental_forms
+
+    def recording_forms(surface, metric, s, t):
+        shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
+        return original(surface, metric, s, t)
+    monkeypatch.setattr(sg, "fundamental_forms", recording_forms)
+    sg.willmore_and_area(sg.surface_by_name("clifford"), ct.metric_by_name("hopf-eps", eps=0.3))
+    assert shapes == [(256, 256)]
 
 
 def test_a_metric_passed_twice_is_evaluated_once_per_block():

@@ -15,6 +15,7 @@ from geomlab import scenarios as sc
 from geomlab import surface_geom as sg
 from geomlab import umbilic_topology as ut
 from geomlab.errors import ChartDomainError, ConfigError, UnreliableLoopError
+from geomlab.kernels import dot3
 
 FLAT = ct.metric_by_name("flat-r3")
 ELL = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
@@ -647,19 +648,23 @@ def test_twist_does_not_create_or_destroy_complex_points():
     assert np.max(np.abs(after - before)) < 1e-10
 
 
-def test_twist_keeps_complex_points_through_the_scan():
-    # a patch of the ellipsoid congruence around (1, 0, 0) holding two of its
-    # four complex points; the scan refines and winds them on the twisted source
-    ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
-    cmap = ls.CongruenceMap(ell)
-    s_axis = np.linspace(-1.0, 1.0, 64)
-    t_axis = np.linspace(0.3, np.pi - 0.3, 64)
+def _ellipsoid_cap(grid=(64, 64)):
+    """The patch of the ELL congruence around (1, 0, 0) that holds two of
+    its four complex points, and its sample meshes."""
+    cmap = ls.CongruenceMap(ELL)
+    s_axis = np.linspace(-1.0, 1.0, grid[0])
+    t_axis = np.linspace(0.3, np.pi - 0.3, grid[1])
     sm, tm = np.meshgrid(s_axis, t_axis, indexing="ij")
     # the rectangle of cells centred on the samples
     ds, dt = s_axis[1] - s_axis[0], t_axis[1] - t_axis[0]
     domain = ((-1.0 - 0.5 * ds, 1.0 + 0.5 * ds), (0.3 - 0.5 * dt, np.pi - 0.3 + 0.5 * dt))
-    patch = ls.LineSection(s_axis, t_axis, *cmap.eval(sm, tm), cmap, domain,
-                           center=(1, 0, 0))
+    return ls.LineSection(s_axis, t_axis, *cmap.eval(sm, tm), cmap, domain,
+                          center=(1, 0, 0)), sm, tm
+
+
+def test_twist_keeps_complex_points_through_the_scan():
+    # the scan refines and winds the cap's two complex points on the twisted source
+    patch, sm, tm = _ellipsoid_cap()
     before = ls.complex_point_scan(patch)
     assert [(r.isolated, r.winding) for r in before] == [(True, 1)] * 2
     for strength in (0.5, 2.0):
@@ -1132,3 +1137,125 @@ def test_congruence_on_axes_equals_the_flattened_grid():
                              cmap.eval(sm.ravel(), tm.ravel())):
             assert got.shape == sm.shape + want.shape[1:]
             assert np.array_equal(got.reshape(want.shape), want), surface.name
+
+
+# -- the blocked grid pass of the defect --------------------------------------
+
+def _whole_grid_defect(section, normalize=True):
+    """psi over the whole section grid in one pass, written out as
+    ``defect_psi`` was before the grid was cut into row blocks: the
+    bit-for-bit oracle of ``_grid_psi``."""
+    du, dV = section.du, section.dV
+    e1, e2 = ls._sphere_frame(ls._components(section.u), section.center)
+    du1, dv1, du2, dv2 = (ls._components(v) for v in (du[..., 0, :], dV[..., 0, :],
+                                                      du[..., 1, :], dV[..., 1, :]))
+    (x1, y1), (x2, y2), (p1, q1), (p2, q2) = (
+        (dot3(v, e1), dot3(v, e2)) for v in (du1, du2, dv1, dv2))
+    if normalize:
+        n1 = np.sqrt(dot3(du1, du1) + dot3(dv1, dv1))
+        n2 = np.sqrt(dot3(du2, du2) + dot3(dv2, dv2))
+        x1, y1, p1, q1 = x1 / n1, y1 / n1, p1 / n1, q1 / n1
+        x2, y2, p2, q2 = x2 / n2, y2 / n2, p2 / n2, q2 / n2
+    c_re = x1 * x2 + y1 * y2
+    c_im = x1 * y2 - y1 * x2
+    a = -c_re / c_im
+    b = (x1 ** 2 + y1 ** 2) / c_im
+    psi = np.empty(np.shape(a), dtype=complex)
+    psi.real = -q1 - a * p1 - b * p2
+    psi.imag = p1 - a * q1 - b * q2
+    return psi
+
+
+@pytest.mark.parametrize("case", ["256x192", "64x48", "97x31", "twist"])
+def test_blocked_grid_values_equal_the_whole_grid_defect_bit_for_bit(monkeypatch, case):
+    if case == "twist":
+        section = ls.holomorphic_twist(_ellipsoid_cap((97, 31))[0], 0.5, (1, 0, 0))
+    else:
+        section = ls.normal_congruence(ELL, grid=tuple(map(int, case.split("x"))))
+    # 256x192 is six blocks of 42 rows and one of 4, 64x48 and the cap are
+    # one block each, and 97x31 is cut into blocks of 32 rows, so that its
+    # last block is one row
+    size = 1000 if case == "97x31" else sg._GRID_CHUNK
+    rows = []
+    row_blocks = ls._row_blocks
+
+    def recording_blocks(ns, nt):
+        blocks = row_blocks(ns, nt, size)
+        rows.append([len(range(ns)[b]) for b in blocks])
+        return blocks
+    monkeypatch.setattr(ls, "_row_blocks", recording_blocks)
+    seen = {}
+    scan_zeros = ls._scan_zeros
+
+    def recording_scan(values, field, axes, step, domain, periodic, tol_sq, kind, vectors):
+        seen.update(values=values, vectors=vectors, tol_sq=tol_sq)
+        return scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind,
+                          vectors=vectors)
+    monkeypatch.setattr(ls, "_scan_zeros", recording_scan)
+    ls.complex_point_scan(section)
+    psi = _whole_grid_defect(section)
+    mag = np.abs(psi)
+    assert np.array_equal(seen["values"], mag ** 2)
+    assert np.array_equal(seen["vectors"], np.stack([psi.real, psi.imag], axis=-1))
+    assert seen["tol_sq"] == max(1e-6 * float(np.max(mag)), 1e-10) ** 2
+    for normalize in (True, False):
+        got = ls.section_defect(section, normalize=normalize)
+        assert np.array_equal(got, _whole_grid_defect(section, normalize)), normalize
+    assert rows[0] == {"256x192": [42] * 6 + [4], "64x48": [64], "97x31": [32] * 3 + [1],
+                       "twist": [97]}[case]
+
+
+def _grid_planes_allocated(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / (256 * 192 * 8)
+    finally:
+        tracemalloc.stop()
+
+
+def test_complex_point_scan_allocates_under_10_grid_planes():
+    # the grid values go block by block into one (3, ns, nt) buffer: 8.2
+    # planes above the section at the peak, 24.0 with psi over the whole grid
+    ls.complex_point_scan(ls.normal_congruence(ELL, grid=(32, 24)))
+    section = ls.normal_congruence(ELL, grid=(256, 192))
+    assert _grid_planes_allocated(ls.complex_point_scan, section) < 10
+
+
+def test_section_defect_allocates_under_5_grid_planes():
+    # its 2-plane complex result, written in place one row block at a time:
+    # 4.7 planes at the peak
+    section = ls.normal_congruence(ELL, grid=(256, 192))
+    assert _grid_planes_allocated(ls.section_defect, section) < 5
+
+
+def test_a_non_finite_defect_is_named_not_swallowed():
+    # one NaN sample would make the tolerance and every comparison NaN, and
+    # the scan would return no records without a word
+    section = ls.normal_congruence(ELL, grid=(256, 192))
+    du = section.du.copy()
+    du[100, 50, 0, 1] = np.nan
+    where = rf"\(s, t\) = \({section.s_axis[100]:.6g}, {section.t_axis[50]:.6g}\)"
+    with pytest.raises(ConfigError, match=where):
+        ls.complex_point_scan(replace(section, du=du))
+    with pytest.raises(ConfigError, match=where):
+        ls.section_defect(replace(section, du=du))
+    assert len(ls.complex_point_scan(section)) == 4
+    # the graph's flat point, where its Gauss map is singular, is the centre
+    # of the middle cell of a 33x33 grid, so psi is 0/0 there
+    flat_point = sg.surface_by_name("graph", expr="x^4 + y^4 + x*y^2")
+    with pytest.warns(UserWarning, match="not injective"):
+        section = ls.normal_congruence(flat_point, grid=(33, 33))
+    with pytest.raises(ConfigError, match=r"\(s, t\) = \(0, 0\)"):
+        ls.complex_point_scan(section)
+
+
+def test_maslov_refuses_a_loop_through_a_degenerate_tangent_plane():
+    flat_point = sg.surface_by_name("graph", expr="x^4 + y^4 + x*y^2")
+    with pytest.warns(UserWarning, match="not injective"):
+        section = ls.normal_congruence(flat_point, grid=(32, 32))
+    phi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
+    # the loop's first sample is the flat point (0, 0)
+    with pytest.raises(UnreliableLoopError, match="defect is not finite on the loop"):
+        ls.maslov_index(section.source, 0.3 * np.cos(phi) - 0.3, 0.3 * np.sin(phi),
+                        section.center)
