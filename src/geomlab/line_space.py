@@ -87,15 +87,17 @@ def _complement_basis(center):
     return c, p, q
 
 
-def _sphere_frame(u, center):
+def sphere_frame(u, center):
     """Smooth orthonormal frame (e1, e2 = u x e1) of u-perp over a chart.
 
-    ``u`` and the returned e1, e2 are lists of their three components.
-    e1 follows the first stereographic coordinate direction of the chart
-    centred at ``center`` (projection from -center), so the frame is smooth
-    on the sphere minus the antipode of the center and J-compatible:
-    J maps (0, e1) to (0, e2) in the vertical splitting.
+    ``u`` holds directions along its last axis; e1 and e2 are returned as
+    lists of their three components.  e1 follows the first stereographic
+    coordinate direction of the chart centred at ``center`` (projection
+    from -center), so the frame is smooth on the sphere minus the antipode
+    of the center and J-compatible: J maps (0, e1) to (0, e2) in the
+    vertical splitting.
     """
+    u = _components(u)
     c, p, q = _complement_basis(center)
     denom = 1.0 + dot3(u, c)
     if np.any(denom <= 1e-12):
@@ -118,51 +120,36 @@ def sphere_to_stereo(u, center):
 
 # -- the anti-complex defect --------------------------------------------------
 
-def defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=True, out=None):
+def defect_psi(frame, du, dV, out=None):
     """Complex defect whose zeros are the J-invariant tangent planes.
 
-    Decomposes J X1 = a X1 + b X2 + g1 E1 + g2 E2, with E_i = (0, e_i) the
-    vertical vectors of the chart frame (e1, e2) of ``center``; the two
-    vertical coefficients form psi = g1 + i g2.  In that frame write
-    z_k = du_k.(e1 + i e2) and w_k = dv_k.(e1 + i e2).  J acts on du as
-    multiplication by i, so the real a, b solve i z1 = a z1 + b z2: with
-    c = conj(z1) z2, a = -Re c / Im c and b = |z1|^2 / Im c.  Then
-    psi = i w1 - a w1 - b w2; the c u term of J and the u-components cancel
-    by the tangency constraint u.dV + V.du = 0, so V does not enter.
+    ``du`` and ``dV`` hold the tangents X_k = (du_k, dv_k) in the (..., 2, 3)
+    layout of every section's ``eval``, and ``frame`` is the ``sphere_frame``
+    (e1, e2) of their directions u in a chart.  Decomposes
+    J X1 = a X1 + b X2 + g1 E1 + g2 E2, with E_i = (0, e_i) the vertical
+    vectors of the frame; the two vertical coefficients form
+    psi = g1 + i g2.  In that frame write z_k = du_k.(e1 + i e2) and
+    w_k = dv_k.(e1 + i e2).  J acts on du as multiplication by i, so the
+    real a, b solve i z1 = a z1 + b z2: with c = conj(z1) z2,
+    a = -Re c / Im c and b = |z1|^2 / Im c.  Then psi = i w1 - a w1 - b w2;
+    the c u term of J and the u-components cancel by the tangency
+    constraint u.dV + V.du = 0, so V does not enter.
 
-    A smooth nonvanishing rescale of the tangent frame changes psi by a
-    nonvanishing factor and never the winding around a zero; ``normalize``
-    applies the unit-frame rescale that makes |psi| a dimensionless measure.
-    psi is a fresh complex array, or written into ``out`` of its shape.
+    Each tangent is rescaled to unit length, which makes |psi| a
+    dimensionless measure; a smooth nonvanishing rescale of the tangent
+    frame changes psi by a nonvanishing factor and never the winding
+    around a zero.  psi is a fresh complex array, or written into ``out``
+    of its shape.
     """
-    tangents = [_components(v) for v in (du1, du2, dv1, dv2)]
-    # the frame is dropped once projected on, before the arithmetic of psi
-    return _psi_of_parts(_frame_parts(_sphere_frame(_components(u), center), tangents),
-                         tangents, normalize, out)
-
-
-def _psi_in_frame(e1, e2, du1, dv1, du2, dv2, normalize):
-    """``defect_psi`` in a given chart frame (e1, e2), as components: a
-    caller whose directions u never move builds the frame once."""
-    tangents = [_components(v) for v in (du1, du2, dv1, dv2)]
-    return _psi_of_parts(_frame_parts((e1, e2), tangents), tangents, normalize)
-
-
-def _frame_parts(frame, tangents):
-    """The real and imaginary parts v.e1, v.e2 of z_1, z_2, w_1 and w_2,
-    for the components v of du1, du2, dv1 and dv2 and the frame (e1, e2)."""
-    return [dot3(v, e) for v in tangents for e in frame]
-
-
-def _psi_of_parts(parts, tangents, normalize, out=None):
-    """psi from the ``_frame_parts``, unit-normalised in place of each part,
-    in a fresh complex array or in ``out``."""
-    if normalize:
-        # tangent k is (du_k, dv_k), its parts (x_k, y_k) and (p_k, q_k)
-        for k, (du, dv) in enumerate((tangents[0::2], tangents[1::2])):
-            n = np.sqrt(dot3(du, du) + dot3(dv, dv))
-            for m in (2 * k, 2 * k + 1, 2 * k + 4, 2 * k + 5):
-                parts[m] = parts[m] / n
+    du1, du2, dv1, dv2 = (_components(v[..., k, :]) for v in (du, dV) for k in range(2))
+    # the real and imaginary parts x_k, y_k of z_k and p_k, q_k of w_k
+    parts = [dot3(v, e) for v in (du1, du2, dv1, dv2) for e in frame]
+    # the frame is released once projected on, before the arithmetic of psi
+    del frame
+    for k, (du_k, dv_k) in enumerate(((du1, dv1), (du2, dv2))):
+        n = np.sqrt(dot3(du_k, du_k) + dot3(dv_k, dv_k))
+        for m in (2 * k, 2 * k + 1, 2 * k + 4, 2 * k + 5):
+            parts[m] = parts[m] / n
     x1, y1, x2, y2, p1, q1, p2, q2 = parts
     # c = conj(z1) z2
     c_im = x1 * y2 - y1 * x2
@@ -413,21 +400,19 @@ class ComplexPointRecord:
     index: float = None
 
 
-def _grid_psi(section, center, normalize=True, out=None):
-    """psi over the section grid, in the s-row blocks of ``_row_blocks``
-    that ``normal_congruence`` writes: yields each block's rows and psi,
-    fresh or written into those rows of ``out`` (ns, nt).  A non-finite psi
-    (a degenerate tangent plane, as at a flat point of a graph) raises
-    ConfigError naming the (s, t) of the first such sample, before the
-    caller reduces the block."""
+def _grid_psi(section, out=None):
+    """psi over the section grid in the sphere frame of its ``center``, in
+    the s-row blocks of ``_row_blocks`` that ``normal_congruence`` writes:
+    yields each block's rows and psi, fresh or written into those rows of
+    ``out`` (ns, nt).  A non-finite psi (a degenerate tangent plane, as at
+    a flat point of a graph) raises ConfigError naming the (s, t) of the
+    first such sample, before the caller reduces the block."""
     ns, nt = section.u.shape[:2]
     for rows in _row_blocks(ns, nt):
-        du, dV = section.du[rows], section.dV[rows]
         # a non-finite psi is named below, not warned about
         with np.errstate(invalid="ignore", divide="ignore"):
-            psi = defect_psi(section.u[rows], section.V[rows], du[..., 0, :], dV[..., 0, :],
-                             du[..., 1, :], dV[..., 1, :], center, normalize,
-                             None if out is None else out[rows])
+            psi = defect_psi(sphere_frame(section.u[rows], section.center), section.du[rows],
+                             section.dV[rows], None if out is None else out[rows])
         bad = ~np.isfinite(psi)
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -438,11 +423,10 @@ def _grid_psi(section, center, normalize=True, out=None):
         yield rows, psi
 
 
-def section_defect(section, center=None, normalize=True):
+def section_defect(section):
     """psi over the section grid, each block of ``_grid_psi`` written in place."""
     psi = np.empty(section.u.shape[:2], dtype=complex)
-    for _ in _grid_psi(section, center if center is not None else section.center,
-                       normalize, psi):
+    for _ in _grid_psi(section, psi):
         pass
     return psi
 
@@ -450,9 +434,8 @@ def section_defect(section, center=None, normalize=True):
 def _psi_at(source, s, t, center):
     """The directions u of ``source`` at parameters (s, t) and the defect
     psi there."""
-    u, V, du, dV = source.eval(s, t)
-    return u, defect_psi(u, V, du[..., 0, :], dV[..., 0, :],
-                         du[..., 1, :], dV[..., 1, :], center)
+    u, _, du, dV = source.eval(s, t)
+    return u, defect_psi(sphere_frame(u, center), du, dV)
 
 
 def complex_point_scan(section):
@@ -474,7 +457,7 @@ def complex_point_scan(section):
     center, source = section.center, section.source
     grid = np.empty((3,) + section.u.shape[:2])
     peak = 0.0
-    for rows, psi in _grid_psi(section, center):
+    for rows, psi in _grid_psi(section):
         mag = np.abs(psi)
         peak = max(peak, float(np.max(mag)))
         np.multiply(mag, mag, out=grid[0, rows])
@@ -498,6 +481,8 @@ def complex_point_scan(section):
     zeros = _scan_zeros(grid[0], defect_rows, (section.s_axis, section.t_axis), step,
                         domain, section.periodic, tol * tol, "complex-point",
                         vectors=np.moveaxis(grid[1:], 0, -1))
+    # the grid values are read by the scan alone: free them before the loops
+    del grid
     if not zeros:
         return []
     directions = source.eval(np.array([z.s for z in zeros]),

@@ -42,7 +42,7 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, SignatureLossError
 from .kernels import sym_eig2_batch
-from .line_space import _complement_basis, _components, _psi_in_frame, _sphere_frame
+from .line_space import _complement_basis, defect_psi, sphere_frame
 
 
 # -- chart geometry -----------------------------------------------------------
@@ -412,7 +412,7 @@ def _build_ring(state):
     samples = state.f[ii, jj]
     chart = state.section.chart
     u, _, diff = chart.embed_differential(samples)
-    frame = _sphere_frame(_components(u), tuple(chart.center))
+    frame = sphere_frame(u, tuple(chart.center))
     edge = _edge_indices(state.shape)
     pts = state.f[edge[0], edge[1]]
     _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
@@ -442,8 +442,7 @@ def dbar_boundary_norm(state, geo):
     """max |psi| of the disc's tangent planes along the boundary ring."""
     ring = _ring(state)
     lifted = geo["d1"][ring.ring_ij] @ ring.diff  # (m, 2, 4) @ (m, 4, 6)
-    psi = _psi_in_frame(*ring.frame, lifted[:, 0, :3], lifted[:, 0, 3:],
-                        lifted[:, 1, :3], lifted[:, 1, 3:], normalize=True)
+    psi = defect_psi(ring.frame, lifted[..., :3], lifted[..., 3:])
     return float(np.max(np.abs(psi)))
 
 
@@ -630,7 +629,11 @@ _DISC_OFFSETS = {"twisted-hemisphere": (0.0, 0.0), "holomorphic-affine": (0.05, 
 
 
 def build_state(config=None, **overrides):
-    """Assemble a FlowState from a config mapping (unknown keys rejected)."""
+    """Assemble a FlowState from a config mapping (unknown keys rejected).
+
+    ``perturbation`` bumps the ``twisted-hemisphere`` start disc off its
+    section; a ``holomorphic-affine`` disc ignores it.
+    """
     cfg = dict(FLOW_CONFIG_KEYS)
     supplied = dict(config or {})
     supplied.update(overrides)

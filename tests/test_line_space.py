@@ -137,7 +137,7 @@ def test_classify_x_jx_plane_definite_holomorphic():
     assert evals[0] > tol
     assert abs(ls.omega_pair(*x, *jx)[0]) > tol
     # J-invariant: the defect in the chart centred at u vanishes
-    assert abs(ls.defect_psi(u, V, *x, *jx, u[0])[0]) < 1e-12
+    assert abs(ls.defect_psi(ls.sphere_frame(u, u[0]), *plane)[0]) < 1e-12
 
 
 def test_normal_congruence_of_centered_sphere_is_zero_section():
@@ -255,8 +255,7 @@ def _psi_least_squares(u, V, du1, dv1, du2, dv2, center):
     return out
 
 
-@pytest.mark.parametrize("normalize", [True, False])
-def test_defect_psi_matches_least_squares_decomposition(normalize):
+def test_defect_psi_matches_least_squares_decomposition():
     rng = np.random.default_rng(11)
     center = (0.0, 0.0, 1.0)
     u, V, du, dV = ls.random_tangents(rng, 300, 2)
@@ -264,12 +263,12 @@ def test_defect_psi_matches_least_squares_decomposition(normalize):
     scale = rng.uniform(0.1, 3.0, size=(300, 2, 1))
     cap = u[:, 2] > -0.5
     u, V, du, dV = u[cap], V[cap], (scale * du)[cap], (scale * dV)[cap]
+    psi = ls.defect_psi(ls.sphere_frame(u, center), du, dV)
+    # psi reads each tangent rescaled to unit length
     (du1, dv1), (du2, dv2) = _pairs(du, dV)
-    psi = ls.defect_psi(u, V, du1, dv1, du2, dv2, center, normalize=normalize)
-    if normalize:
-        n1 = np.linalg.norm(np.concatenate([du1, dv1], axis=1), axis=1)[:, None]
-        n2 = np.linalg.norm(np.concatenate([du2, dv2], axis=1), axis=1)[:, None]
-        du1, dv1, du2, dv2 = du1 / n1, dv1 / n1, du2 / n2, dv2 / n2
+    n1 = np.linalg.norm(np.concatenate([du1, dv1], axis=1), axis=1)[:, None]
+    n2 = np.linalg.norm(np.concatenate([du2, dv2], axis=1), axis=1)[:, None]
+    du1, dv1, du2, dv2 = du1 / n1, dv1 / n1, du2 / n2, dv2 / n2
     ref = _psi_least_squares(u, V, du1, dv1, du2, dv2, center)
     assert np.max(np.abs(psi - ref)) < 1e-10 * np.max(np.abs(ref))
 
@@ -639,9 +638,10 @@ def test_twist_does_not_create_or_destroy_complex_points():
     domain = ((0.0, 2 * np.pi), (0.35 - 0.5 * dt, 1.1 + 0.5 * dt))
     patch = ls.LineSection(s_axis, t_axis, u, V, du, dV, cmap, domain,
                            periodic=(True, False), center=(0, 0, 1))
-    before = ls.section_defect(patch, normalize=False)
     tw = ls.holomorphic_twist(patch, 1.3, (0, 0, 1))
-    after = ls.section_defect(tw, normalize=False)
+    before, after = (_einsum_defect(sec.u, sec.V, sec.du[..., 0, :], sec.dV[..., 0, :],
+                                    sec.du[..., 1, :], sec.dV[..., 1, :], sec.center,
+                                    normalize=False) for sec in (patch, tw))
     assert np.min(np.abs(ls.section_defect(patch))) > 1e-3  # umbilic-free annulus
     assert np.min(np.abs(ls.section_defect(tw))) > 1e-3     # still free after
     # the added field is holomorphic: the unnormalised defect is unchanged
@@ -933,11 +933,9 @@ def test_written_out_congruence_and_defect_equal_their_oracles(seed):
         center /= np.linalg.norm(center)
         cap = _dot(u, center) > -0.5
         args = (u[cap], V[cap], du[cap][:, 0], dV[cap][:, 0], du[cap][:, 1], dV[cap][:, 1])
-        for normalize in (True, False):
-            _assert_relative(ls.defect_psi(*args, tuple(center), normalize=normalize),
-                             _einsum_defect(*args, tuple(center), normalize=normalize),
-                             (surface.name, "defect_psi", normalize))
-        for got_e, want_e in zip(ls._sphere_frame(ls._components(u[cap]), center),
+        _assert_relative(ls.defect_psi(ls.sphere_frame(u[cap], center), du[cap], dV[cap]),
+                         _einsum_defect(*args, tuple(center)), (surface.name, "defect_psi"))
+        for got_e, want_e in zip(ls.sphere_frame(u[cap], center),
                                  _einsum_sphere_frame(u[cap], center)):
             got_e = np.stack(got_e, axis=-1)
             _assert_relative(got_e, want_e, (surface.name, "sphere_frame"))
@@ -1141,21 +1139,20 @@ def test_congruence_on_axes_equals_the_flattened_grid():
 
 # -- the blocked grid pass of the defect --------------------------------------
 
-def _whole_grid_defect(section, normalize=True):
+def _whole_grid_defect(section):
     """psi over the whole section grid in one pass, written out as
     ``defect_psi`` was before the grid was cut into row blocks: the
     bit-for-bit oracle of ``_grid_psi``."""
     du, dV = section.du, section.dV
-    e1, e2 = ls._sphere_frame(ls._components(section.u), section.center)
+    e1, e2 = ls.sphere_frame(section.u, section.center)
     du1, dv1, du2, dv2 = (ls._components(v) for v in (du[..., 0, :], dV[..., 0, :],
                                                       du[..., 1, :], dV[..., 1, :]))
     (x1, y1), (x2, y2), (p1, q1), (p2, q2) = (
         (dot3(v, e1), dot3(v, e2)) for v in (du1, du2, dv1, dv2))
-    if normalize:
-        n1 = np.sqrt(dot3(du1, du1) + dot3(dv1, dv1))
-        n2 = np.sqrt(dot3(du2, du2) + dot3(dv2, dv2))
-        x1, y1, p1, q1 = x1 / n1, y1 / n1, p1 / n1, q1 / n1
-        x2, y2, p2, q2 = x2 / n2, y2 / n2, p2 / n2, q2 / n2
+    n1 = np.sqrt(dot3(du1, du1) + dot3(dv1, dv1))
+    n2 = np.sqrt(dot3(du2, du2) + dot3(dv2, dv2))
+    x1, y1, p1, q1 = x1 / n1, y1 / n1, p1 / n1, q1 / n1
+    x2, y2, p2, q2 = x2 / n2, y2 / n2, p2 / n2, q2 / n2
     c_re = x1 * x2 + y1 * y2
     c_im = x1 * y2 - y1 * x2
     a = -c_re / c_im
@@ -1198,9 +1195,7 @@ def test_blocked_grid_values_equal_the_whole_grid_defect_bit_for_bit(monkeypatch
     assert np.array_equal(seen["values"], mag ** 2)
     assert np.array_equal(seen["vectors"], np.stack([psi.real, psi.imag], axis=-1))
     assert seen["tol_sq"] == max(1e-6 * float(np.max(mag)), 1e-10) ** 2
-    for normalize in (True, False):
-        got = ls.section_defect(section, normalize=normalize)
-        assert np.array_equal(got, _whole_grid_defect(section, normalize)), normalize
+    assert np.array_equal(ls.section_defect(section), psi)
     assert rows[0] == {"256x192": [42] * 6 + [4], "64x48": [64], "97x31": [32] * 3 + [1],
                        "twist": [97]}[case]
 
@@ -1214,12 +1209,14 @@ def _grid_planes_allocated(fn, *args):
         tracemalloc.stop()
 
 
-def test_complex_point_scan_allocates_under_10_grid_planes():
-    # the grid values go block by block into one (3, ns, nt) buffer: 8.2
-    # planes above the section at the peak, 24.0 with psi over the whole grid
+def test_complex_point_scan_allocates_under_7_grid_planes():
+    # the grid values go block by block into one (3, ns, nt) buffer, freed
+    # once the zeros are found: 6.3 planes above the section at the peak,
+    # 8.3 with the buffer kept through the index loops, 24.0 with psi over
+    # the whole grid
     ls.complex_point_scan(ls.normal_congruence(ELL, grid=(32, 24)))
     section = ls.normal_congruence(ELL, grid=(256, 192))
-    assert _grid_planes_allocated(ls.complex_point_scan, section) < 10
+    assert _grid_planes_allocated(ls.complex_point_scan, section) < 7
 
 
 def test_section_defect_allocates_under_5_grid_planes():

@@ -90,7 +90,7 @@ def test_embed_is_the_stereographic_line_in_the_sphere_frame(centre):
     x, y, w1, w2 = pts.T
     u, V, _ = chart.embed_differential(pts)
     assert np.max(np.abs(np.stack(ls.sphere_to_stereo(u, chart.center)) - [x, y])) < 1e-15
-    e1, e2 = (np.stack(e, axis=-1) for e in ls._sphere_frame(ls._components(u), chart.center))
+    e1, e2 = (np.stack(e, axis=-1) for e in ls.sphere_frame(u, chart.center))
     beta = 2.0 / (1.0 + x * x + y * y)
     v_ref = beta[:, None] * (w1[:, None] * e1 + w2[:, None] * e2)
     assert np.max(np.abs(V - v_ref)) < 1e-14
@@ -504,6 +504,29 @@ def test_dbar_schedule_recorded():
         assert np.isfinite(d.dbar_norm)
 
 
+@pytest.mark.parametrize("centre", [(0.0, 0.0, 1.0), (0.3, -0.5, 0.8)])
+def test_dbar_defect_vanishes_on_holomorphic_discs(centre):
+    # fiber-affine discs are holomorphic: every tangent plane is complex, so
+    # the boundary defect of the start state vanishes to rounding
+    for disc in ("twisted-hemisphere", "holomorphic-affine"):
+        state, _ = nf.build_state({"grid_n": 15, "center": centre, "disc": disc})
+        assert nf.dbar_boundary_norm(state, nf.flow_geometry(state)) <= 1e-13, disc
+    # a non-holomorphic bump tilts the boundary planes off complex ones
+    state, _ = nf.build_state({"grid_n": 15, "center": centre, "perturbation": 0.05})
+    assert nf.dbar_boundary_norm(state, nf.flow_geometry(state)) > 1e-2
+    # the scans' reading of psi, on the samples of the chart's sections:
+    # an affine one, and the zero section twisted about the chart centre
+    chart = nf.LineSpaceChart(centre)
+    axis = np.linspace(-0.5, 0.5, 9)
+    sections = [nf.affine_section(chart, c0=(0.05, -0.02), c1=(0.3, -1.0)),
+                ls.TwistedSection(nf.affine_section(chart), 1.0, chart.center)]
+    for section in sections:
+        u, _, du, dV = section.eval(axis[:, None], axis[None, :])
+        psi = ls.defect_psi(ls.sphere_frame(u, chart.center), du, dV)
+        assert psi.shape == (9, 9)
+        assert np.max(np.abs(psi)) <= 1e-13, type(section).__name__
+
+
 def test_step_halving_first_order():
     # halving h changes the state at fixed time by O(h)
     base = {"grid_n": 13, "perturbation": 0.05}
@@ -660,12 +683,12 @@ def test_nan_chart_coordinate_is_chart_domain_error():
 
 def _uncached_dbar_norm(state, geo):
     """dbar_boundary_norm from scratch: the ring's embedding differential
-    and the public defect_psi, which builds its own sphere frame."""
+    and a fresh sphere frame."""
     ii, jj = np.nonzero(nf.boundary_mask(state.shape))
-    u, V, diff = state.section.chart.embed_differential(state.f[ii, jj])
+    u, _, diff = state.section.chart.embed_differential(state.f[ii, jj])
     lifted = geo["d1"][ii, jj] @ diff
-    psi = ls.defect_psi(u, V, lifted[:, 0, :3], lifted[:, 0, 3:],
-                        lifted[:, 1, :3], lifted[:, 1, 3:], tuple(state.section.chart.center))
+    psi = ls.defect_psi(ls.sphere_frame(u, tuple(state.section.chart.center)),
+                        lifted[..., :3], lifted[..., 3:])
     return float(np.max(np.abs(psi)))
 
 
@@ -730,7 +753,7 @@ def test_ring_diagnostics_match_the_uncached_oracle(angle_rate):
 def test_run_flow_builds_its_boundary_ring_once(monkeypatch, angle_rate):
     embeds = _counting(monkeypatch, "embed_differential", nf.LineSpaceChart)
     bases = _counting(monkeypatch, "fiber_with_partials", nf.ChartSection)
-    frames = _counting(monkeypatch, "_sphere_frame")
+    frames = _counting(monkeypatch, "sphere_frame")
     state, _ = nf.run_flow({"grid_n": 11, "steps": 20, "perturbation": 0.03,
                             "angle_rate": angle_rate})
     assert state.halted == "" and len(state.diagnostics) == 21
