@@ -344,11 +344,10 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
                                               chart.periodic, gl_order)
     read = int(np.prod([coords[k].size for k in (1, 2)
                         if any(k in m.depends_on for m in metrics)]))
-    rows = max(1, _DENSITY_CHUNK // read)
     distinct = {id(m): m for m in metrics}
     blocks = []
-    for k in range(0, coords[0].size, rows):
-        block = [coords[0][k:k + rows], *coords[1:]]
+    for rows in quadrature._row_blocks(coords[0].size, read, _DENSITY_CHUNK):
+        block = [coords[0][rows], *coords[1:]]
         value = {i: _stack(m.components(*block), block[0].shape) for i, m in distinct.items()}
         back, a, b = (value[id(m)] for m in metrics)
         ginv, det = _sym3_inverse_det(back)

@@ -26,8 +26,7 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
-from .quadrature import gauss_legendre
-from .surface_geom import _row_blocks
+from .quadrature import _row_blocks, gauss_legendre
 from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _cells, _loop_indices,
                                _loop_winding, _scan_zeros)
 
@@ -585,9 +584,9 @@ def invert_gauss_map(directions, section):
     if bad.size:
         raise ConfigError(f"row {bad[0]} is not a direction: {directions[bad[0]].tolist()}")
     directions = directions / norms
-    block = max(1, _INVERT_BLOCK // section.u[::_INVERT_STRIDE, ::_INVERT_STRIDE, 0].size)
-    seed = np.concatenate([_nearest_samples(chunk, section) for chunk in
-                           np.split(directions, range(block, len(directions), block))])
+    coarse = section.u[::_INVERT_STRIDE, ::_INVERT_STRIDE, 0].size
+    seed = np.concatenate([_nearest_samples(directions[rows], section) for rows in
+                           _row_blocks(len(directions), coarse, _INVERT_BLOCK)])
     sm, tm = np.meshgrid(section.s_axis, section.t_axis, indexing="ij")
     params = np.stack((sm.ravel()[seed], tm.ravel()[seed]))
     # (p, q) of each target as _complement_basis builds them, rows of a (m, 2, 3) basis

@@ -71,3 +71,15 @@ def product_rule(bounds, counts, periodic, gl_order):
     for array in (*coords, weights):
         array.flags.writeable = False
     return tuple(coords), weights
+
+
+# points per block of a grid evaluation: a block's temporaries then stay
+# small enough to be reused instead of freshly mapped
+_GRID_CHUNK = 1 << 13
+
+
+def _row_blocks(ns, row_points, block=_GRID_CHUNK):
+    """Slices of ``ns`` rows of ``row_points`` points each, in blocks of
+    whole rows: at most ``block`` points each but at least one row."""
+    rows = max(1, block // max(row_points, 1))
+    return [slice(k, k + rows) for k in range(0, ns, rows)]

@@ -19,6 +19,7 @@ from .chart_tensor import _check_nondegenerate, _sym3_inverse_det, _value, chris
 from .errors import ImmersionError, MetricParameterError
 from .exprgrammar import compile_expression
 from .kernels import cross3, dot3, shape_operator_batch
+from .quadrature import _GRID_CHUNK, _row_blocks
 
 _TWO_PI = 2.0 * np.pi
 
@@ -227,18 +228,6 @@ def _quadrature_grid(surface, grid):
     (ss, tt), weights = quadrature.product_rule(
         tuple(map(tuple, surface.domain)), tuple(grid), tuple(surface.periodic), 6)
     return ss, tt, weights
-
-
-# points per block of _grid_eval: a block's temporaries then stay small
-# enough to be reused instead of freshly mapped
-_GRID_CHUNK = 1 << 13
-
-
-def _row_blocks(ns, row_points, block=_GRID_CHUNK):
-    """Slices of ``ns`` rows of ``row_points`` points each, in blocks of
-    whole rows: at most ``block`` points each but at least one row."""
-    rows = max(1, block // max(row_points, 1))
-    return [slice(k, k + rows) for k in range(0, ns, rows)]
 
 
 def _grid_eval(field, s, t, block=_GRID_CHUNK):

@@ -172,6 +172,27 @@ def test_expression_grammar_rejects_garbage():
         compile_expression("1 +* 2", ())
 
 
+@pytest.mark.parametrize("text, value", [
+    ("2^3^2", 512.0), ("-2^2", -4.0), ("2^-1", 0.5), ("8/4/2", 1.0), ("2-3-4", -5.0),
+    ("+-+x", -3.0), ("x ^ 2 ^ -1", np.sqrt(3.0)), ("1e400", np.inf), ("007", 7.0),
+    ("sin\n(x) - sin(x)", 0.0), ("pi", np.pi)])
+def test_expression_grammar_values(text, value):
+    # ^ is right-associative and binds tighter than a unary sign, which its
+    # exponent may carry; + - * / associate to the left
+    got = compile_expression(text, ("x",))(x=3.0)
+    assert got == value and isinstance(got, float)
+
+
+@pytest.mark.parametrize("text", [
+    "1_000", "0x10", "0o7", "0b1", "x #c", "x**2", "True", "sin(x, y)", "2(3)", "sin",
+    "(sin)(x)", "", "x if x else x", "x//2", "1j",
+    pytest.param("(" * 300 + "x" + ")" * 300, id="300-nested-parentheses"),
+    pytest.param("-" * 3000 + "x", id="3000-signs")])
+def test_expression_grammar_rejects_python_only_forms(text):
+    with pytest.raises(ExpressionError):
+        compile_expression(text, ("x", "y"))
+
+
 def test_constant_operands_keep_the_support():
     values = [np.array([0.2, 0.7]), np.array([1.1, -0.4]), np.array([0.3, 0.9])]
     xs = jets.variables(values, order=2)

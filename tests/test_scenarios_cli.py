@@ -14,6 +14,7 @@ import pytest
 import geomlab
 from geomlab import cli, kvdoc, scenarios
 from geomlab import line_space as ls
+from geomlab import neutral_flow as nf
 from geomlab import umbilic_topology as ut
 from geomlab.errors import ConfigError
 
@@ -277,6 +278,24 @@ def test_cli_flow_run_outputs(tmp_path):
     assert (tmp_path / "flow_state_0000.txt").exists()
 
 
+def test_cli_flow_run_gates_the_area_of_fixed_boundary_runs_only(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the angle penalty moves the boundary, so a penalty run's area may
+    # fall: its trend is printed, not gated, and its CSV is written as ever
+    code = run_cli(["flow-run", "--angle-rate", "0.2", "--grid-n", "11", "--steps", "40"],
+                   tmp_path)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "area NOT monotone (angle penalty run, not gated), margin positive" in out
+    assert len((tmp_path / "flow_diagnostics.csv").read_text().splitlines()) == 42
+    # a fixed-boundary run whose area falls still fails
+    state, snapshots = nf.run_flow({"grid_n": 9, "steps": 2})
+    state.diagnostics[-1].area -= 1e-6
+    monkeypatch.setattr(nf, "run_flow", lambda cfg: (state, snapshots))
+    code = run_cli(["flow-run"], tmp_path)
+    assert code == 1 and "area NOT monotone, margin positive" in capsys.readouterr().out
+
+
 def test_cli_flow_numerical_failure_exit_code(tmp_path):
     code = run_cli(["flow-run", "--grid-n", "11", "--steps", "20",
                     "--twist-strength", "0.05", "--perturbation", "0.2"],
@@ -363,6 +382,20 @@ def test_cli_umbilics_names_a_metric_singular_along_the_surface(tmp_path, capsys
                     "--metric-file", str(path)], tmp_path)
     assert code == 2
     assert "singular or not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["expr", "metric-file"])
+def test_cli_reports_a_malformed_expression_as_a_usage_error(tmp_path, capsys, source):
+    if source == "expr":
+        args = ["--surface", "graph", "--expr", "x^2 +* y"]
+    else:
+        path = tmp_path / "malformed.kv"
+        path.write_text("chart = hopf\ng11 = 1 +\ng22 = sin(rho)^2\ng33 = cos(rho)^2\n")
+        args = ["--surface", "clifford", "--metric-file", str(path)]
+    code = run_cli(["umbilics", *args, "--grid", "8x8"], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot parse expression") and "Traceback" not in err
 
 
 def test_cli_umbilics_names_a_degenerate_rho_only_metric(tmp_path, capsys):
