@@ -14,13 +14,14 @@ localised around rho = pi/4, differs from the round metric by an L2
 amount bounded by 16 pi^2 eps^3.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import jets, quadrature
+from . import jets, kvdoc, quadrature
 from .errors import ChartDomainError, MetricParameterError
-from .exprgrammar import compile_expression
+from .exprgrammar import ExpressionError, compile_expression
 from .kernels import tensor_norm_sq_batch
 
 DOMAIN_CLIP = 1e-6  # stay off Hopf coordinate degeneracies at rho = 0, pi/2
@@ -114,7 +115,6 @@ class MetricField:
     name: str
     chart: Chart
     components: callable
-    params: dict = field(default_factory=dict)
     depends_on: tuple = (0, 1, 2)
 
     @property
@@ -177,14 +177,9 @@ def metric_by_name(name, **params):
         if not (0.0 <= eps < 1.0):
             raise MetricParameterError(
                 f"eps={eps} outside [0, 1); the deformed metric degenerates at eps=1")
-        bump = None
-        if name == "hopf-eps-bumped":
-            if eps == 0.0:
-                return MetricField(name, HOPF_CHART, _hopf_components(0.0), {"eps": 0.0},
-                                   depends_on=_RHO)
-            bump = BumpProfile(eps)
-        return MetricField(name, HOPF_CHART, _hopf_components(eps, bump), {"eps": eps},
-                           depends_on=_RHO)
+        # BumpProfile needs 0 < eps, and at eps = 0 there is nothing to bump
+        bump = BumpProfile(eps) if name == "hopf-eps-bumped" and eps > 0.0 else None
+        return MetricField(name, HOPF_CHART, _hopf_components(eps, bump), depends_on=_RHO)
     raise MetricParameterError(f"unknown metric family {name!r}")
 
 
@@ -197,15 +192,17 @@ def metric_from_expressions(chart_name, entries, name="custom"):
     """Build a metric from six component expressions (upper triangle).
 
     ``entries`` maps keys g11..g33 to expression strings over the chart
-    coordinates (rho, theta1, theta2 or x, y, z).
+    coordinates (rho, theta1, theta2 or x, y, z); an ExpressionError names its key.
     """
     chart = _CHARTS.get(chart_name)
     if chart is None:
         raise MetricParameterError(f"unknown chart {chart_name!r}; use hopf or cartesian")
     compiled = {}
     for key, i, j in _COMPONENT_KEYS:
-        text = entries.get(f"g{key}", "0")
-        compiled[(i, j)] = compile_expression(text, chart.coords)
+        try:
+            compiled[(i, j)] = compile_expression(entries.get(f"g{key}", "0"), chart.coords)
+        except ExpressionError as err:
+            raise ExpressionError(f"g{key}: {err}") from None
 
     names = chart.coords
     reads = set().union(*(fn.reads for fn in compiled.values()))
@@ -232,8 +229,8 @@ def load_metric(path):
         g33 = cos(rho)^2
         g23 = 0.3*sin(rho)*cos(rho)
     """
-    from . import kvdoc
-    doc = kvdoc.load(path)
+    # the value texts as written: the expression grammar reads them
+    doc = dict(kvdoc.entries(Path(path).read_text(encoding="utf-8")))
     chart_name = doc.pop("chart", "cartesian")
     valid = {f"g{key}" for key, _, _ in _COMPONENT_KEYS}
     unknown = set(doc) - valid
@@ -241,8 +238,7 @@ def load_metric(path):
         raise MetricParameterError(
             f"unknown metric file keys {sorted(unknown)}; valid: "
             f"chart, {sorted(valid)}")
-    entries = {k: str(v) for k, v in doc.items()}
-    return metric_from_expressions(chart_name, entries, name=str(path))
+    return metric_from_expressions(chart_name, doc, name=str(path))
 
 
 # -- point operations -------------------------------------------------------
@@ -303,12 +299,6 @@ def christoffel(metric, point):
     return gamma[0] if np.asarray(point).ndim == 1 else gamma
 
 
-def tensor_norm_sq(delta, background_inv):
-    """|delta|^2 = b^{ik} b^{jl} delta_ij delta_kl, batched."""
-    return tensor_norm_sq_batch(np.ascontiguousarray(background_inv),
-                                np.ascontiguousarray(delta))
-
-
 def _default_domain(chart):
     lo = list(chart.lower)
     hi = list(chart.upper)
@@ -352,5 +342,5 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
         back, a, b = (value[id(m)] for m in metrics)
         ginv, det = _sym3_inverse_det(back)
         _check_nondegenerate(background, block, det)
-        blocks.append(tensor_norm_sq(a - b, ginv) * np.sqrt(det))
+        blocks.append(tensor_norm_sq_batch(ginv, a - b) * np.sqrt(det))
     return 2.0 * float(np.sum(np.concatenate(blocks) * weights))

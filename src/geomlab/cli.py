@@ -173,8 +173,8 @@ def cmd_umbilics(args):
     grid = _sizes(args.grid, "--grid", 2)
     audit = ut.conjecture_audit(surface, metric, grid=grid)
     out = _out_dir(args)
-    rows = [[r.s, r.t, r.disc_min,
-             r.index_num if r.index_num is not None else "",
+    rows = [[r.s, r.t, r.value,
+             r.winding if r.winding is not None else "",
              r.isolated] for r in audit["records"]]
     _write_csv(os.path.join(out, "umbilics.csv"),
                ["s", "t", "discriminant", "index_num", "isolated"],

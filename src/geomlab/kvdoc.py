@@ -1,7 +1,8 @@
 """Line-oriented key-value documents: ``key = value`` with # comments.
 
-Used for CLI config files and custom metric definitions.  Values parse as
-int, float, comma-separated list, or bare string; keys are case-sensitive.
+Used for CLI config files and custom metric definitions.  ``entries`` yields
+each key with its value text, which ``parse`` reads as int, float, bool,
+comma-separated list, or bare string; keys are case-sensitive.
 """
 
 from .errors import ConfigError
@@ -22,40 +23,27 @@ def _parse_scalar(text):
     return text
 
 
-def parse(text):
-    out = {}
+def entries(text):
+    """Each ``key = value`` line of ``text`` as (key, value text), in file
+    order, with comments and surrounding blanks stripped."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        if "," in value:
-            out[key] = [_parse_scalar(v) for v in value.split(",") if v.strip()]
-        else:
-            out[key] = _parse_scalar(value)
-    return out
+        yield key, value
+
+
+def parse(text):
+    return {key: ([_parse_scalar(v) for v in value.split(",") if v.strip()]
+                  if "," in value else _parse_scalar(value))
+            for key, value in entries(text)}
 
 
 def load(path):
     with open(path, encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def dump(mapping):
-    lines = []
-    for key, value in mapping.items():
-        if isinstance(value, (list, tuple)):
-            rendered = ",".join(f"{v!r}" if isinstance(v, str) else f"{v:.17g}"
-                                if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            rendered = f"{value:.17g}"
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    return "\n".join(lines) + "\n"

@@ -388,17 +388,6 @@ def normal_congruence(surface, grid=(128, 96)):
 
 # -- complex points and the Keller-Maslov index -------------------------------
 
-@dataclass
-class ComplexPointRecord:
-    s: float
-    t: float
-    direction: tuple
-    defect_min: float
-    isolated: bool
-    winding: int = None
-    index: float = None
-
-
 def _grid_psi(section, out=None):
     """psi over the section grid in the sphere frame of its ``center``, in
     the s-row blocks of ``_row_blocks`` that ``normal_congruence`` writes:
@@ -447,11 +436,11 @@ def complex_point_scan(section):
     (Re psi, Im psi) of the section's exact source, and each isolated
     zero is wound on the index loop of ``umbilic_topology._loop_indices``,
     ``_LOOP_CELLS`` cells of the grid about it, all loops in one
-    ``source.eval``.  Returns records with the umbilic index
-    i = winding / 2; a refused loop leaves both unset, with a warning that
-    names its fault.  A section whose defect vanishes on a
-    large fraction of samples (the zero section) is reported as a single
-    non-isolated record without a winding.
+    ``source.eval``.  Returns ``umbilic_topology.ZeroRecord``s with the
+    line's direction as ``point`` and the umbilic index i = winding / 2;
+    a refused loop leaves both unset, with a warning that names its fault.
+    A section whose defect vanishes on a large fraction of samples (the
+    zero section) is reported as a single non-isolated record without a winding.
     """
     center, source = section.center, section.source
     grid = np.empty((3,) + section.u.shape[:2])
@@ -477,22 +466,20 @@ def complex_point_scan(section):
         sign = _chart_orientation(u[:, :_LOOP_SAMPLES], center)
         return np.abs(psi), sign[:, None] * np.angle(psi)
 
-    zeros = _scan_zeros(grid[0], defect_rows, (section.s_axis, section.t_axis), step,
-                        domain, section.periodic, tol * tol, "complex-point",
-                        vectors=np.moveaxis(grid[1:], 0, -1))
+    records = _scan_zeros(grid[0], defect_rows, (section.s_axis, section.t_axis), step,
+                          domain, section.periodic, tol * tol, "complex-point",
+                          vectors=np.moveaxis(grid[1:], 0, -1))
     # the grid values are read by the scan alone: free them before the loops
     del grid
-    if not zeros:
+    if not records:
         return []
-    directions = source.eval(np.array([z.s for z in zeros]),
-                             np.array([z.t for z in zeros]))[0]
-    records = [ComplexPointRecord(z.s, z.t, tuple(np.asarray(direction, float)),
-                                  float(np.sqrt(z.value)), z.isolated)
-               for z, direction in zip(zeros, directions)]
+    for rec, u in zip(records, source.eval(np.array([r.s for r in records]),
+                                           np.array([r.t for r in records]))[0]):
+        rec.point = tuple(np.asarray(u, float))
     isolated = [rec for rec in records if rec.isolated]
     windings = _loop_indices(defect_and_angle, [(r.s, r.t) for r in isolated],
                              _LOOP_CELLS * step, domain, section.periodic,
-                             [r.defect_min for r in isolated], TWO_PI, "complex point")
+                             [r.value for r in isolated], TWO_PI, "complex point")
     for rec, winding in zip(isolated, windings):
         if isinstance(winding, UnreliableLoopError):
             warnings.warn(f"complex point at (s, t) = ({rec.s:.6g}, {rec.t:.6g}) left "

@@ -388,8 +388,8 @@ class BoundaryRing:
     """What the flow needs of its boundary ring beyond the geometry: the
     ring samples (``samples``, at ``ring_ij``), their chart embedding
     differential and sphere frame, the non-corner ``edge`` indices with
-    their first-interior neighbours, and there the chart metric G, the
-    target section's tangent basis Q, G Q^T and det(Q G Q^T).  All of it
+    their first-interior neighbours, and there the chart metric G and,
+    with the target section's tangent basis Q, G Q^T and det(Q G Q^T).  All of it
     depends only on the ring samples and the section with its chart, and
     ``project_boundary`` snaps the ring back to the same samples on every
     step."""
@@ -400,7 +400,6 @@ class BoundaryRing:
     diff: np.ndarray           # (m, 4, 6) embed_differential
     frame: tuple               # sphere frame (e1, e2) as components
     edge: tuple                # _edge_indices: (ii, jj, ni, nj)
-    sec_basis: np.ndarray      # (m_edge, 2, 4)
     edge_metric: np.ndarray    # (m_edge, 4, 4) chart metric
     edge_gq: np.ndarray        # (m_edge, 4, 2) G Q^T
     edge_q_det: np.ndarray     # (m_edge,) det(Q G Q^T)
@@ -422,10 +421,10 @@ def _build_ring(state):
     edge_metric = chart.metric(pts)
     edge_gq = edge_metric @ _t(sec_basis)
     edge_q_det = _det2(sec_basis @ edge_gq)
-    for a in (samples, diff, sec_basis, edge_metric, edge_gq, edge_q_det):
+    for a in (samples, diff, edge_metric, edge_gq, edge_q_det):
         a.flags.writeable = False
     return BoundaryRing(state.section, state.shape, (ii, jj), samples,
-                        diff, frame, edge, sec_basis, edge_metric, edge_gq, edge_q_det)
+                        diff, frame, edge, edge_metric, edge_gq, edge_q_det)
 
 
 def _ring(state):

@@ -257,7 +257,7 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     section = ls.normal_congruence(ell, grid=grid)
     complex_pts = ls.complex_point_scan(section)
     report.values["complex_points"] = [
-        {"s": r.s, "t": r.t, "direction": list(r.direction),
+        {"s": r.s, "t": r.t, "direction": list(r.point),
          "winding": r.winding, "index": r.index} for r in complex_pts]
     report.assertions.append(Assertion(
         "complex_point_count", len(complex_pts), 4, 0.0, "eq", "cross-module"))
@@ -317,7 +317,7 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
 def _audit_values(audit):
     out = {k: v for k, v in audit.items() if k != "records"}
     out["records"] = [
-        {"s": r.s, "t": r.t, "disc": r.disc_min, "index": r.index,
+        {"s": r.s, "t": r.t, "disc": r.value, "index": r.index,
          "isolated": r.isolated} for r in audit["records"]]
     return out
 

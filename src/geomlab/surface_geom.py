@@ -10,7 +10,7 @@ minimal surface has W = area and the orbit tori rho = rho0 of the round
 S^3 have W = 2 pi^2 / sin(2 rho0).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class SurfaceImmersion:
     orient: int = 1
     topology: str = "disc"
     chart: str = "cartesian"
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -329,8 +328,7 @@ def _round_sphere(params):
                 center[2] + r * cv)
     return SurfaceImmersion("round-sphere", chart_map,
                             ((0.0, _TWO_PI), (0.0, np.pi)), (True, False),
-                            orient=-1, topology="sphere",
-                            params={"r": r, "center": tuple(center)})
+                            orient=-1, topology="sphere")
 
 
 def _ellipsoid_axes(params):
@@ -349,8 +347,7 @@ def _ellipsoid(params):
         return (a * cu * sv, b * su * sv, c * cv)
     return SurfaceImmersion("ellipsoid", chart_map,
                             ((0.0, _TWO_PI), (0.0, np.pi)), (True, False),
-                            orient=-1, topology="sphere",
-                            params={"a": a, "b": b, "c": c})
+                            orient=-1, topology="sphere")
 
 
 def _ellipsoid_offset(params):
@@ -374,8 +371,7 @@ def _ellipsoid_offset(params):
         return (x + d * nx / ln, y + d * ny / ln, z + d * nz / ln)
     return SurfaceImmersion("ellipsoid-offset", chart_map,
                             ((0.0, _TWO_PI), (0.0, np.pi)), (True, False),
-                            orient=-1, topology="sphere",
-                            params={"a": a, "b": b, "c": c, "d": d})
+                            orient=-1, topology="sphere")
 
 
 def _torus_revolution(params):
@@ -389,8 +385,7 @@ def _torus_revolution(params):
         return (ring * cu, ring * su, small * sv)
     return SurfaceImmersion("torus-revolution", chart_map,
                             ((0.0, _TWO_PI), (0.0, _TWO_PI)), (True, True),
-                            orient=1, topology="torus",
-                            params={"R": big, "r": small})
+                            orient=1, topology="torus")
 
 
 def _graph(params):
@@ -407,7 +402,7 @@ def _graph(params):
         return (x, y, fn(x, y))
     return SurfaceImmersion("graph", chart_map,
                             ((-half, half), (-half, half)), (False, False),
-                            orient=1, topology="disc", params=dict(params))
+                            orient=1, topology="disc")
 
 
 _BUILTINS = {

@@ -26,15 +26,16 @@ TWO_PI = 2.0 * np.pi
 
 
 @dataclass
-class UmbilicRecord:
+class ZeroRecord:
+    """A zero of ``_scan_zeros``: an umbilic, or a complex point of ``line_space``."""
     s: float
     t: float
-    chart_position: tuple
-    disc_min: float
+    value: float              # the magnitude |k1 - k2| or |psi| at (s, t)
     isolated: bool
-    index: float = None       # half-integer winding, None until computed
-    index_num: int = None     # 2 * index as an exact integer
-    ambiguous: bool = False
+    ambiguous: bool = False   # merged with another candidate
+    point: tuple = None       # the chart position, or the line's direction
+    winding: int = None       # 2 * index as an exact integer, None until wound
+    index: float = None       # half-integer index
 
 
 def principal_angles(surface, metric, s, t):
@@ -166,24 +167,14 @@ def umbilic_scan(surface, metric, grid=(512, 384)):
 
     scan = _grid_eval(gap_rows, ss[:, None], tt[None, :])
     tol = 1e-6 * max(float(np.max(scan[..., 3:])), 1e-30)
-    zeros = _scan_zeros(scan[..., 0], gap_rows, (ss, tt), (ds, dt), surface.domain,
-                        surface.periodic, tol * tol, "umbilic", vectors=scan[..., 1:3])
-    if not zeros:
-        return []
+    records = _scan_zeros(scan[..., 0], gap_rows, (ss, tt), (ds, dt), surface.domain,
+                          surface.periodic, tol * tol, "umbilic", vectors=scan[..., 1:3])
     # the chart map on plain arrays: the points without a jet or forms pass
     points = np.stack(np.broadcast_arrays(*surface.chart_map(
-        np.array([z.s for z in zeros]), np.array([z.t for z in zeros]))), axis=-1)
-    return [UmbilicRecord(z.s, z.t, tuple(p), float(np.sqrt(z.value)), z.isolated,
-                          ambiguous=z.ambiguous) for z, p in zip(zeros, points)]
-
-
-@dataclass
-class _Zero:
-    s: float
-    t: float
-    value: float      # the field's value at (s, t)
-    isolated: bool
-    ambiguous: bool = False
+        np.array([r.s for r in records]), np.array([r.t for r in records]))), axis=-1)
+    for rec, p in zip(records, points):
+        rec.point = tuple(p)
+    return records
 
 
 def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vectors=None):
@@ -194,7 +185,7 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
     ``vectors``, if given, the 2-vector F there; ``field(s, t)`` evaluates
     rows that begin (value, F1, F2) anywhere in the rectangle, where F is a
     smooth 2-vector that vanishes exactly where the value does.  Returns
-    ``_Zero``s in grid order (see ``_grid_order``):
+    ``ZeroRecord``s, with the root of the value, in grid order (``_grid_order``):
 
     * if more than ``_DEGENERATE_FRACTION`` of the samples are below
       ``tol_sq``, the field vanishes on a region: one non-isolated zero at
@@ -222,8 +213,8 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
     if np.mean(flat) > _DEGENERATE_FRACTION:
         # the first flat sample, not the argmin of rounding noise
         i, j = np.unravel_index(np.argmax(flat), flat.shape)
-        return [_Zero(float(axes[0][i]), float(axes[1][j]), float(values[i, j]),
-                      isolated=False)]
+        return [ZeroRecord(float(axes[0][i]), float(axes[1][j]),
+                           float(np.sqrt(values[i, j])), isolated=False)]
     minima = _local_minima(values, periodic)
     minima = minima[values[minima[:, 0], minima[:, 1]] <= 0.25 * np.median(values)]
     step = np.asarray(step, dtype=float)
@@ -244,7 +235,7 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
         clash = next((z for z in zeros if np.all(_param_distance(
             domain, periodic, (s[k], t[k]), (z.s, z.t)) < two_cells)), None)
         if clash is None:
-            zeros.append(_Zero(float(s[k]), float(t[k]), float(value[k]), isolated=True))
+            zeros.append(ZeroRecord(float(s[k]), float(t[k]), float(np.sqrt(value[k])), True))
         elif np.any(_param_distance(domain, periodic, (seed_s[k], seed_t[k]),
                                     (clash.s, clash.t)) > two_cells):
             clash.ambiguous = True
@@ -398,7 +389,7 @@ def _principal_windings(surface, metric, records, radii):
         return rep.disc.reshape(s.shape), _principal_angles(rep).reshape(s.shape)
 
     return _loop_indices(gap_and_angle, [(r.s, r.t) for r in records], radii,
-                         surface.domain, surface.periodic, [r.disc_min for r in records],
+                         surface.domain, surface.periodic, [r.value for r in records],
                          np.pi, "umbilic")
 
 
@@ -423,7 +414,7 @@ def attach_indices(surface, metric, records, grid=(512, 384)):
     for rec, winding in zip(isolated, _principal_windings(surface, metric, isolated, radii)):
         if isinstance(winding, UnreliableLoopError):
             raise winding
-        rec.index, rec.index_num = winding / 2.0, winding
+        rec.winding, rec.index = winding, winding / 2.0
     return records
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from geomlab import chart_tensor as ct
+from geomlab import kernels
 from geomlab import quadrature
 from geomlab import surface_geom as sg
 from geomlab.errors import MetricParameterError
@@ -109,7 +110,7 @@ def unblocked_l2(g_a, g_b, background, grid):
     coords, weights = quadrature.tensor_nodes(rules)
     back, a, b = (ct._stack(m.components(*coords)) for m in (background, g_a, g_b))
     ginv, det = ct._sym3_inverse_det(back)
-    density = ct.tensor_norm_sq(a - b, ginv) * np.sqrt(det)
+    density = kernels.tensor_norm_sq_batch(ginv, a - b) * np.sqrt(det)
     return 2.0 * float(np.sum(density * weights))
 
 

@@ -286,11 +286,11 @@ def test_complex_points_match_umbilics():
     # directions of complex points equal umbilic normals
     normals = []
     for rec in umb:
-        x, y, z = rec.chart_position
+        x, y, z = rec.point
         n = np.array([x / 4.0, y / 2.25, z])
         normals.append(n / np.linalg.norm(n))
     for cp in records:
-        gaps = [np.arccos(np.clip(np.dot(cp.direction, n), -1, 1)) for n in normals]
+        gaps = [np.arccos(np.clip(np.dot(cp.point, n), -1, 1)) for n in normals]
         assert min(gaps) < 1e-4
     assert all(r.winding == 1 and r.index == 0.5 for r in records)
     # both scans list their records in the same grid order
@@ -1111,7 +1111,7 @@ def test_records_do_not_depend_on_a_periodic_shift(axes, grid, turns):
         return np.maximum(np.minimum(ds, 2 * np.pi - ds),
                           np.abs(np.array([r.t for r in a]) - [r.t for r in b]))
 
-    assert [(r.isolated, r.index_num) for r in umb[0]] == [(r.isolated, r.index_num)
+    assert [(r.isolated, r.winding) for r in umb[0]] == [(r.isolated, r.winding)
                                                          for r in umb[1]]
     assert [(r.isolated, r.winding) for r in cps[0]] == [(r.isolated, r.winding)
                                                        for r in cps[1]]

@@ -53,8 +53,8 @@ def test_ellipsoid_scan_finds_four_isolated_umbilics():
         signs = set()
         for rec in records:
             assert rec.isolated and not rec.ambiguous
-            assert rec.disc_min < 1e-6
-            x, y, z = rec.chart_position
+            assert rec.value < 1e-6
+            x, y, z = rec.point
             assert abs(abs(x) - X_UMB) < 1e-6
             assert abs(y) < 1e-6
             assert abs(abs(z) - Z_UMB) < 1e-6
@@ -79,7 +79,7 @@ def test_ellipsoid_indices_and_sum():
     records = ut.umbilic_scan(ELL, FLAT, grid=(512, 384))
     ut.attach_indices(ELL, FLAT, records, grid=(512, 384))
     assert [r.index for r in records] == [0.5] * 4
-    assert [r.index_num for r in records] == [1] * 4
+    assert [r.winding for r in records] == [1] * 4
     assert sum(r.index for r in records) == pytest.approx(2.0)
 
 
@@ -127,7 +127,7 @@ def test_round_sphere_reports_non_isolated():
                               FLAT, grid=(64, 48))
     assert len(records) == 1
     assert not records[0].isolated
-    assert records[0].disc_min < 1e-12
+    assert records[0].value < 1e-12
     # the first cell whose gap is below tol, not the argmin of rounding noise
     assert (records[0].s, records[0].t) == (0.5 * (2 * np.pi / 64), 0.5 * (np.pi / 48))
 
@@ -150,7 +150,7 @@ def test_record_positions_are_the_forms_points_bit_for_bit():
         assert len(records) == count
         points = sg.fundamental_forms(surface, metric, np.array([r.s for r in records]),
                                       np.array([r.t for r in records])).point
-        assert np.array_equal(np.array([r.chart_position for r in records]), points)
+        assert np.array_equal(np.array([r.point for r in records]), points)
 
 
 def test_attach_indices_winds_every_loop_in_one_forms_call(monkeypatch):
@@ -169,13 +169,13 @@ def test_attach_indices_winds_every_loop_in_one_forms_call(monkeypatch):
     radii = ut._LOOP_CELLS * np.array([2 * np.pi / 64, np.pi / 48])
     alone = [ut.umbilic_index(ELL, FLAT, rec, radii) for rec in records]
     assert [rec.index for rec in records] == alone == [0.5] * 4
-    assert [rec.index_num for rec in records] == [1] * 4
+    assert [rec.winding for rec in records] == [1] * 4
 
 
 def test_scan_deterministic():
     a = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
     b = ut.umbilic_scan(ELL, FLAT, grid=(128, 96))
-    assert [(r.s, r.t, r.disc_min) for r in a] == [(r.s, r.t, r.disc_min) for r in b]
+    assert [(r.s, r.t, r.value) for r in a] == [(r.s, r.t, r.value) for r in b]
 
 
 def test_record_order_ignores_last_bits_and_periods():
@@ -188,9 +188,9 @@ def test_record_order_ignores_last_bits_and_periods():
     assert records[0].t < records[1].t and records[2].t < records[3].t
     for ds in (1e-13, -1e-13, 2 * np.pi, -2 * np.pi):
         moved = [replace(r, s=r.s + ds * (-1) ** k, t=r.t - 1e-13 * (-1) ** k,
-                         disc_min=k) for k, r in enumerate(records)]
+                         value=k) for k, r in enumerate(records)]
         ordered = ut._grid_order(moved[::-1], (0.0, 0.0), step, grid, ELL.periodic)
-        assert [r.disc_min for r in ordered] == [0, 1, 2, 3]
+        assert [r.value for r in ordered] == [0, 1, 2, 3]
 
 
 def test_local_minima_break_ties():
@@ -323,7 +323,7 @@ def test_coarse_near_spheroid_scans_say_they_merged():
     assert any("complex-point candidates; records merged" in str(w.message)
                for w in caught)
     assert len(records) == 2 == len(points)
-    assert all(r.ambiguous for r in records)
+    assert all(r.ambiguous for r in records + points)
 
 
 def _product_vectors(zeros, conjugate=(), shape=(20, 20), step=0.1):
@@ -393,7 +393,7 @@ def test_coarse_scan_refines_near_misses_on():
     points = ls.complex_point_scan(ls.normal_congruence(ELL, grid=(64, 48)))
     assert len(records) == 4 == len(points)
     for rec, cp in zip(records, points):
-        assert rec.isolated and rec.disc_min < 1e-6
+        assert rec.isolated and rec.value < 1e-6
         gap = ut._param_distance(ELL.domain, ELL.periodic, (cp.s, cp.t), (rec.s, rec.t))
         assert np.all(gap < 1e-12)
 
@@ -478,7 +478,7 @@ def test_index_loop_touching_a_near_umbilic_region_is_refused():
     # as if the scan had stopped at |k1 - k2| = 1, above a tenth of the gap
     # anywhere on the loop
     with pytest.raises(UnreliableLoopError, match="touches a near-zero region"):
-        ut.umbilic_index(ELL, FLAT, replace(rec, disc_min=1.0), radii)
+        ut.umbilic_index(ELL, FLAT, replace(rec, value=1.0), radii)
 
 
 def test_unresolved_index_loop_is_refused(monkeypatch):
