@@ -9,9 +9,15 @@ deformation
     g = d rho^2 + sin^2(rho) d theta1^2 + cos^2(rho) d theta2^2
         + 2 eps * Psi(rho) * sin(rho) cos(rho) d theta1 d theta2,
 
-which stays Riemannian for 0 <= eps < 1 and, with the bump profile Psi
-localised around rho = pi/4, differs from the round metric by an L2
-amount bounded by 16 pi^2 eps^3.
+which is positive definite for 0 <= eps < 1 on the open chart
+0 < rho < pi/2.  With Psi = 1 (``hopf-eps``) it is not smooth on the
+whole 3-sphere: sin rho cos rho d theta1 d theta2 equals
+alpha1 alpha2 / (sin rho cos rho) for the smooth 1-forms
+alpha1 = x1 dx2 - x2 dx1 and alpha2 = x3 dx4 - x4 dx3, which is
+discontinuous at the Hopf circles rho = 0, pi/2.  The bump profile Psi
+(``hopf-eps-bumped``) is localised around rho = pi/4 and vanishes near
+them, and the metric then differs from the round one by an L2 amount
+bounded by 16 pi^2 eps^3.
 """
 
 from dataclasses import dataclass

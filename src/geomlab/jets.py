@@ -46,40 +46,23 @@ class Jet:
     """Truncated Taylor value: f + sum_i g_i dx_i (+ 1/2 sum_ij h_ij dx_i dx_j).
 
     ``f`` is the value (scalar or ndarray of shape S).  ``support`` is the
-    sorted tuple of the k seed variables the value depends on, out of
-    ``nvars``; ``gs`` is the gradient over the support, shape (k,)+S, and
-    ``hs`` the full Hessian over it, shape (k,k)+S, or None for
-    first-order jets.  ``g`` and ``h`` scatter them over all ``nvars``
-    variables.  Mixing orders in one expression is an error.
+    sorted tuple of the k seed variables the value depends on; ``gs`` is
+    the gradient over the support, shape (k,)+S, and ``hs`` the full
+    Hessian over it, shape (k,k)+S, or None for first-order jets
+    (``read_out`` scatters them over every seed).  Mixing orders in one
+    expression is an error.
     """
 
-    __slots__ = ("f", "support", "gs", "hs", "nvars")
+    __slots__ = ("f", "support", "gs", "hs")
     # an ndarray on the left defers to the reflected operators below
     # instead of building an object array of per-element jets
     __array_ufunc__ = None
 
-    def __init__(self, f, support, gs, hs, nvars):
+    def __init__(self, f, support, gs, hs):
         self.f = f
         self.support = support
         self.gs = gs
         self.hs = hs
-        self.nvars = nvars
-
-    @property
-    def g(self):
-        """Gradient over every seed variable, shape (nvars,)+S."""
-        out = np.zeros((self.nvars,) + self.gs.shape[1:])
-        out[list(self.support)] = self.gs
-        return out
-
-    @property
-    def h(self):
-        """Hessian over every seed variable, shape (nvars,nvars)+S, or None."""
-        if self.hs is None:
-            return None
-        out = np.zeros((self.nvars, self.nvars) + self.hs.shape[2:])
-        out[np.ix_(self.support, self.support)] = self.hs
-        return out
 
     def _merge(self, other):
         """Supports of two jet operands of the same order, merged."""
@@ -91,12 +74,12 @@ class Jet:
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.f + other, self.support, self.gs, self.hs, self.nvars)
+            return Jet(self.f + other, self.support, self.gs, self.hs)
         m = self._merge(other)
         f = self.f + other.f
         if m is None:
             h = None if self.hs is None else self.hs + other.hs
-            return Jet(f, self.support, self.gs + other.gs, h, self.nvars)
+            return Jet(f, self.support, self.gs + other.gs, h)
         g = m.zeros(1, self.gs, other.gs)
         g[m.a] = self.gs
         g[m.b] += other.gs
@@ -105,13 +88,13 @@ class Jet:
             h = m.zeros(2, self.hs, other.hs)
             h[m.aa] = self.hs
             h[m.bb] += other.hs
-        return Jet(f, m.support, g, h, self.nvars)
+        return Jet(f, m.support, g, h)
 
     __radd__ = __add__
 
     def __neg__(self):
         h = None if self.hs is None else -self.hs
-        return Jet(-self.f, self.support, -self.gs, h, self.nvars)
+        return Jet(-self.f, self.support, -self.gs, h)
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,7 +105,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             h = None if self.hs is None else self.hs * other
-            return Jet(self.f * other, self.support, self.gs * other, h, self.nvars)
+            return Jet(self.f * other, self.support, self.gs * other, h)
         m = self._merge(other)
         f = self.f * other.f
         if m is None:
@@ -131,7 +114,7 @@ class Jet:
             if self.hs is not None:
                 h = (self.hs * other.f + self.f * other.hs
                      + _outer(self.gs, other.gs) + _outer(other.gs, self.gs))
-            return Jet(f, self.support, g, h, self.nvars)
+            return Jet(f, self.support, g, h)
         ga, gb = self.gs * other.f, self.f * other.gs
         g = m.zeros(1, ga, gb)
         g[m.a] = ga
@@ -144,7 +127,7 @@ class Jet:
             h[m.aa] = terms[0]
             for key, term in zip((m.bb, m.ab, m.ba), terms[1:]):
                 h[key] += term
-        return Jet(f, m.support, g, h, self.nvars)
+        return Jet(f, m.support, g, h)
 
     __rmul__ = __mul__
 
@@ -155,7 +138,7 @@ class Jet:
         h = None
         if self.hs is not None:
             h = -self.hs * inv2 + 2.0 * _outer(self.gs, self.gs) * (inv2 * inv)
-        return Jet(inv, self.support, g, h, self.nvars)
+        return Jet(inv, self.support, g, h)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
@@ -173,8 +156,7 @@ class Jet:
 
     def __repr__(self):
         order = 1 if self.hs is None else 2
-        return (f"Jet(order={order}, support={self.support}, nvars={self.nvars}, "
-                f"value={self.f!r})")
+        return f"Jet(order={order}, support={self.support}, value={self.f!r})"
 
 
 class _Merge:
@@ -231,7 +213,7 @@ def _unary(x, v, d1, d2):
     h = None
     if x.hs is not None:
         h = d1 * x.hs + d2 * _outer(x.gs, x.gs)
-    return Jet(v, x.support, g, h, x.nvars)
+    return Jet(v, x.support, g, h)
 
 
 def variables(values, order=2):
@@ -243,13 +225,12 @@ def variables(values, order=2):
     whole grid while each unary function runs over its own axis alone.
     Seeds of equal shape share one unit gradient and one zero Hessian."""
     vals = [np.asarray(v, dtype=float) for v in values]
-    n = len(vals)
     units = {}
     for v in vals:
         if v.shape not in units:
             units[v.shape] = (np.ones((1,) + v.shape),
                               np.zeros((1, 1) + v.shape) if order == 2 else None)
-    return [Jet(v, (i,), *units[v.shape], n) for i, v in enumerate(vals)]
+    return [Jet(v, (i,), *units[v.shape]) for i, v in enumerate(vals)]
 
 
 def derivatives(fn, values, order=2):
@@ -337,7 +318,7 @@ def where(cond, a, b):
     h = None
     if ref.hs is not None:
         h = np.where(cond[None, None], ha, hb)
-    return Jet(f, support, g, h, ref.nvars)
+    return Jet(f, support, g, h)
 
 
 def sin(x):

@@ -119,7 +119,7 @@ def sphere_to_stereo(u, center):
 
 # -- the anti-complex defect --------------------------------------------------
 
-def defect_psi(frame, du, dV, out=None):
+def defect_psi(frame, du, dV):
     """Complex defect whose zeros are the J-invariant tangent planes.
 
     ``du`` and ``dV`` hold the tangents X_k = (du_k, dv_k) in the (..., 2, 3)
@@ -137,8 +137,7 @@ def defect_psi(frame, du, dV, out=None):
     Each tangent is rescaled to unit length, which makes |psi| a
     dimensionless measure; a smooth nonvanishing rescale of the tangent
     frame changes psi by a nonvanishing factor and never the winding
-    around a zero.  psi is a fresh complex array, or written into ``out``
-    of its shape.
+    around a zero.
     """
     du1, du2, dv1, dv2 = (_components(v[..., k, :]) for v in (du, dV) for k in range(2))
     # the real and imaginary parts x_k, y_k of z_k and p_k, q_k of w_k
@@ -154,7 +153,7 @@ def defect_psi(frame, du, dV, out=None):
     c_im = x1 * y2 - y1 * x2
     a = -(x1 * x2 + y1 * y2) / c_im
     b = (x1 ** 2 + y1 ** 2) / c_im
-    psi = np.empty(np.shape(a), dtype=complex) if out is None else out
+    psi = np.empty(np.shape(a), dtype=complex)
     psi.real = -q1 - a * p1 - b * p2
     psi.imag = p1 - a * q1 - b * q2
     return psi
@@ -388,19 +387,19 @@ def normal_congruence(surface, grid=(128, 96)):
 
 # -- complex points and the Keller-Maslov index -------------------------------
 
-def _grid_psi(section, out=None):
+def _grid_psi(section):
     """psi over the section grid in the sphere frame of its ``center``, in
     the s-row blocks of ``_row_blocks`` that ``normal_congruence`` writes:
-    yields each block's rows and psi, fresh or written into those rows of
-    ``out`` (ns, nt).  A non-finite psi (a degenerate tangent plane, as at
-    a flat point of a graph) raises ConfigError naming the (s, t) of the
-    first such sample, before the caller reduces the block."""
+    yields each block's rows and psi.  A non-finite psi (a degenerate
+    tangent plane, as at a flat point of a graph) raises ConfigError
+    naming the (s, t) of the first such sample, before the caller reduces
+    the block."""
     ns, nt = section.u.shape[:2]
     for rows in _row_blocks(ns, nt):
         # a non-finite psi is named below, not warned about
         with np.errstate(invalid="ignore", divide="ignore"):
             psi = defect_psi(sphere_frame(section.u[rows], section.center), section.du[rows],
-                             section.dV[rows], None if out is None else out[rows])
+                             section.dV[rows])
         bad = ~np.isfinite(psi)
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -409,14 +408,6 @@ def _grid_psi(section, out=None):
                 f"({section.s_axis[rows][i]:.6g}, {section.t_axis[j]:.6g}): the section's "
                 "tangent plane there is degenerate or not finite")
         yield rows, psi
-
-
-def section_defect(section):
-    """psi over the section grid, each block of ``_grid_psi`` written in place."""
-    psi = np.empty(section.u.shape[:2], dtype=complex)
-    for _ in _grid_psi(section, psi):
-        pass
-    return psi
 
 
 def _psi_at(source, s, t, center):

@@ -353,17 +353,12 @@ def induced_area(state, geo):
     return float(wx @ dens @ wy)
 
 
-def boundary_mask(shape):
-    mask = np.zeros(shape, dtype=bool)
-    mask[0, :] = mask[-1, :] = True
-    mask[:, 0] = mask[:, -1] = True
-    return mask
-
-
 @functools.lru_cache(maxsize=8)
 def _ring_indices(shape):
     """(ii, jj) of every boundary sample, in C order; read-only."""
-    ii, jj = np.nonzero(boundary_mask(shape))
+    mask = np.ones(shape, dtype=bool)
+    mask[1:-1, 1:-1] = False
+    ii, jj = np.nonzero(mask)
     ii.flags.writeable = jj.flags.writeable = False
     return ii, jj
 
@@ -445,23 +440,19 @@ def dbar_boundary_norm(state, geo):
     return float(np.max(np.abs(psi)))
 
 
-def _plane_cosh(g4, p_basis, q_basis):
-    """cosh of the hyperbolic angle between two definite planes at a point.
+def _plane_grams(g4, p_basis, gq, q_det):
+    """cosh of the hyperbolic angle between two definite planes at a point,
+    with the products it is made of: (cosh, P G, P G P^T, P G Q^T).
 
-    It is |det| of the cross Gram of the G-unit bivectors of the planes,
-    1 for equal planes.  With P and Q the (2, 4) bases that is
+    ``g4`` is the chart metric G, ``p_basis`` the (2, 4) basis P of the
+    first plane, and ``gq`` and ``q_det`` are G Q^T and det(Q G Q^T) of
+    the second plane's basis Q.  The cosh is |det| of the cross Gram of
+    the G-unit bivectors of the planes, 1 for equal planes, which is
     |det(P G Q^T)| / sqrt(det(P G P^T) det(Q G Q^T)): orthonormalising a
     basis divides the cross determinant by the square root of its own
     Gram determinant.  A 2x2 Gram is definite, of either sign, exactly
     when its determinant is positive, so a plane with det <= 0 is refused.
     """
-    gq = g4 @ _t(q_basis)
-    return _plane_grams(g4, p_basis, gq, _det2(q_basis @ gq))[0]
-
-
-def _plane_grams(g4, p_basis, gq, q_det):
-    """``_plane_cosh`` from the second plane's G Q^T and det(Q G Q^T),
-    with the products it is made of: (cosh, P G, P G P^T, P G Q^T)."""
     gp = p_basis @ g4
     gram = gp @ _t(p_basis)
     cross = p_basis @ gq
@@ -650,6 +641,20 @@ def build_state(config=None, **overrides):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
         cfg[key] = int(value)
+    # checked before the first step: a step that is not positive runs the
+    # flow backward, and a value that is not finite ends in a chart exit or
+    # a signature loss
+    reals = {key: float(cfg[key]) for key in ("h", "cfl", "angle_rate", "twist_strength",
+                                               "perturbation", "dbar_c", "angle_target")
+             if cfg[key] is not None}
+    for key, value in reals.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    for key in ("h", "cfl"):
+        if reals.get(key, 1.0) <= 0.0:
+            raise ConfigError(f"{key} must be positive, got {reals[key]!r}")
+    if reals["angle_rate"] < 0.0:
+        raise ConfigError(f"angle_rate must be non-negative, got {reals['angle_rate']!r}")
     radius = float(cfg["chart_radius"])
     if not (0.0 < radius < 1.0):
         raise ConfigError("chart_radius must sit inside the open hemisphere (0,1)")

@@ -212,7 +212,8 @@ def _maslov_mirror(surface, metric, section, loop_s, loop_t):
     one = np.ndim(loop_s) == 1
     loop_s, loop_t = np.atleast_2d(np.asarray(loop_s, float), np.asarray(loop_t, float))
     mas = ls.maslov_index(section.source, loop_s, loop_t, section.center)
-    angles = ut.principal_angles(surface, metric, loop_s, loop_t).reshape(loop_s.shape)
+    angles = ut.principal_angles(
+        sg.fundamental_forms(surface, metric, loop_s, loop_t)).reshape(loop_s.shape)
     (s0, s1), _ = surface.domain
     s = np.unwrap(loop_s, period=s1 - s0) if surface.periodic[0] else loop_s
     area = np.sum(s * np.roll(loop_t, -1, axis=1) - np.roll(s, -1, axis=1) * loop_t, axis=1)

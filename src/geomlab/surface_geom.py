@@ -3,11 +3,11 @@
 The pipeline is fully generic: tangents and second parameter derivatives
 come from order-2 jets of the immersion, ambient Christoffel symbols from
 ``chart_tensor``, and the unit normal solves g(N, dX) = 0, g(N, N) = 1
-with a per-surface orientation sign.  Mean curvature is reported both as
-the shape-operator trace k1 + k2 and as the averaged H = (k1 + k2)/2; the
-Willmore energy is W = integral of (1 + H^2) dA with the averaged H, so a
-minimal surface has W = area and the orbit tori rho = rho0 of the round
-S^3 have W = 2 pi^2 / sin(2 rho0).
+with a per-surface orientation sign.  Mean curvature is reported as the
+averaged H = (k1 + k2)/2, half the shape-operator trace; the Willmore
+energy is W = integral of (1 + H^2) dA with that H, so a minimal surface
+has W = area and the orbit tori rho = rho0 of the round S^3 have
+W = 2 pi^2 / sin(2 rho0).
 """
 
 from dataclasses import dataclass
@@ -52,13 +52,10 @@ class CurvatureReport:
     """
 
     point: np.ndarray        # chart coordinates (N,3)
-    tangent1: np.ndarray     # dX/ds (N,3)
-    tangent2: np.ndarray     # dX/dt (N,3)
     first: np.ndarray        # induced metric I (N,2,2)
     second: np.ndarray       # second fundamental form II (N,2,2)
     normal: np.ndarray       # unit normal (N,3)
-    h_trace: np.ndarray      # k1 + k2 = trace(I^-1 II)
-    h_mean: np.ndarray       # (k1 + k2)/2
+    h_mean: np.ndarray       # (k1 + k2)/2 = trace(I^-1 II)/2
     k1: np.ndarray
     k2: np.ndarray
     disc: np.ndarray         # |k1 - k2|
@@ -213,9 +210,8 @@ def _forms(surface, metric, point, d1, d2):
     second = np.array([second[:2], second[1:]]).transpose(2, 0, 1)
     tr, k1, k2, gap_sq = shape_operator_batch(first, second)
     return CurvatureReport(
-        point=point, tangent1=d1[:, 0], tangent2=d1[:, 1],
-        first=first, second=second, normal=normal.T,
-        h_trace=tr, h_mean=0.5 * tr, k1=k1, k2=k2,
+        point=point, first=first, second=second, normal=normal.T,
+        h_mean=0.5 * tr, k1=k1, k2=k2,
         disc=np.sqrt(gap_sq), disc_sq=gap_sq,
         area_density=np.sqrt(det_first),
     )
@@ -392,6 +388,8 @@ def _graph(params):
     expr = params.get("expr")
     fn = params.get("fn")
     half = float(params.get("half_width", 1.0))
+    if not 0.0 < half < np.inf:
+        raise MetricParameterError(f"graph half_width must be positive and finite, got {half!r}")
     if fn is None:
         if expr is None:
             raise MetricParameterError("graph surface needs expr or fn")

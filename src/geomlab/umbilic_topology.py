@@ -38,14 +38,9 @@ class ZeroRecord:
     index: float = None       # half-integer index
 
 
-def principal_angles(surface, metric, s, t):
-    """Angle (mod pi) of the k1 principal direction in parameter coordinates."""
-    return _principal_angles(
-        fundamental_forms(surface, metric, np.asarray(s, float), np.asarray(t, float)))
-
-
-def _principal_angles(rep):
-    """``principal_angles`` from a CurvatureReport already in hand."""
+def principal_angles(rep):
+    """Angle (mod pi) of the k1 principal direction in parameter coordinates,
+    per point of the CurvatureReport ``rep``."""
     first, second = np.atleast_3d(rep.first), np.atleast_3d(rep.second)
     s00, s01, s10, s11 = shape_operator(first, second)
     k1 = np.atleast_1d(rep.k1)
@@ -381,37 +376,23 @@ def _loop_indices(field, centers, radii, domain, periodic, zero_values, period, 
     return results
 
 
-def _principal_windings(surface, metric, records, radii):
-    """``_loop_indices`` of the principal line field about each of the
-    ``records``, from one ``fundamental_forms`` call on all their loops."""
+def attach_indices(surface, metric, records, radii):
+    """Set the winding and the half-integer index of every isolated record
+    in place, and return the records: the winding of the principal line
+    field on the index loop of ``radii`` (see ``_loop_indices``) about it,
+    all loops from one ``fundamental_forms`` call.  A record that is not
+    isolated gets no index.  The first refused loop, in record order,
+    raises its ``UnreliableLoopError`` after the records before it got
+    their indices."""
     def gap_and_angle(s, t):
         rep = fundamental_forms(surface, metric, s, t)
-        return rep.disc.reshape(s.shape), _principal_angles(rep).reshape(s.shape)
+        return rep.disc.reshape(s.shape), principal_angles(rep).reshape(s.shape)
 
-    return _loop_indices(gap_and_angle, [(r.s, r.t) for r in records], radii,
-                         surface.domain, surface.periodic, [r.value for r in records],
-                         np.pi, "umbilic")
-
-
-def umbilic_index(surface, metric, record, radii):
-    """Half-integer index of an isolated umbilic: the winding of the
-    principal line field on the index loop of ``radii`` (see ``_loop_indices``)."""
-    if not record.isolated:
-        raise UnreliableLoopError("cannot assign an index to a non-isolated umbilic")
-    winding, = _principal_windings(surface, metric, [record], radii)
-    if isinstance(winding, UnreliableLoopError):
-        raise winding
-    return winding / 2.0
-
-
-def attach_indices(surface, metric, records, grid=(512, 384)):
-    """Compute indices for all isolated records in place, on index loops of
-    ``_LOOP_CELLS`` cells of ``grid``, all wound from one geometry call;
-    the first refused loop, in record order, raises its
-    ``UnreliableLoopError`` after the records before it got their indices."""
-    radii = _LOOP_CELLS * np.array(_cells(surface, grid)[2:])
     isolated = [rec for rec in records if rec.isolated]
-    for rec, winding in zip(isolated, _principal_windings(surface, metric, isolated, radii)):
+    windings = _loop_indices(gap_and_angle, [(r.s, r.t) for r in isolated], radii,
+                             surface.domain, surface.periodic, [r.value for r in isolated],
+                             np.pi, "umbilic")
+    for rec, winding in zip(isolated, windings):
         if isinstance(winding, UnreliableLoopError):
             raise winding
         rec.winding, rec.index = winding, winding / 2.0
@@ -431,7 +412,7 @@ def conjecture_audit(surface, metric, grid=(512, 384)):
     records = umbilic_scan(surface, metric, grid=grid)
     non_isolated = any(not r.isolated for r in records)
     isolated = [r for r in records if r.isolated]
-    attach_indices(surface, metric, isolated, grid=grid)
+    attach_indices(surface, metric, isolated, _LOOP_CELLS * np.array(_cells(surface, grid)[2:]))
     euler = _EULER.get(surface.topology)
     report = {
         "surface": surface.name,

@@ -5,6 +5,7 @@ addition to asserting, so the suite doubles as a checklist run.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,13 +80,15 @@ def test_criterion_4_umbilic_topology():
     ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
     records = ut.umbilic_scan(ell, FLAT, grid=(512, 384))
     ok = len(records) == 4 and all(r.isolated for r in records)
-    ut.attach_indices(ell, FLAT, records, grid=(512, 384))
+    radius = 4 * (2 * np.pi / 512)
+    ut.attach_indices(ell, FLAT, records, (radius, 4 * np.pi / 384))
     ok &= all(r.index == 0.5 for r in records)
     ok &= abs(sum(r.index for r in records) - 2.0) < 1e-12
-    radius = 4 * (2 * np.pi / 512)
+
+    def index(rec, radii):
+        return ut.attach_indices(ell, FLAT, [replace(rec)], radii)[0].index
     for rec in records[:2]:
-        ok &= (ut.umbilic_index(ell, FLAT, rec, (radius, radius))
-               == ut.umbilic_index(ell, FLAT, rec, (2 * radius, 2 * radius)))
+        ok &= index(rec, (radius, radius)) == index(rec, (2 * radius, 2 * radius))
     torus = sg.surface_by_name("torus-revolution", R=2.0, r=1.0)
     torus_records = ut.umbilic_scan(torus, FLAT, grid=(256, 256))
     ok &= torus_records == []
@@ -149,7 +152,8 @@ def test_criterion_6_maslov_formula():
     ok = True
     for count, (loop_s, loop_t) in loops.items():
         mas = ls.maslov_index(cmap, loop_s, loop_t, section.center)
-        i_surf = _line_field_index(ut.principal_angles(ell, FLAT, loop_s, loop_t))
+        i_surf = _line_field_index(
+            ut.principal_angles(sg.fundamental_forms(ell, FLAT, loop_s, loop_t)))
         ok &= mas["mu"] == 2 * count
         ok &= abs(mas["mu"] - 4.0 * i_surf) < 1e-9
     _verdict(6, "Keller-Maslov index equals four times the umbilic sum", ok)

@@ -50,23 +50,34 @@ def crowded_jets(x, y, z):
         1.0 + x * x) * jets.log(2.0 + y) - jets.tan(0.2 * z) ** 3
 
 
+def scatter(comp, n):
+    """The gradient (n,)+S and Hessian (n,n)+S of jet ``comp`` over all ``n``
+    seeds, zero off its support; the Hessian is None for a first-order jet."""
+    g = np.zeros((n,) + comp.gs.shape[1:])
+    g[list(comp.support)] = comp.gs
+    if comp.hs is None:
+        return g, None
+    h = np.zeros((n, n) + comp.hs.shape[2:])
+    h[np.ix_(comp.support, comp.support)] = comp.hs
+    return g, h
+
+
 def test_gradient_and_hessian_match_finite_differences():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1.0, 1.0, size=(20, 3))
-    xs = jets.variables([pts[:, 0], pts[:, 1], pts[:, 2]], order=2)
-    val = crowded_jets(*xs)
+    f, g, h = jets.derivatives(lambda x, y, z: [crowded_jets(x, y, z)], list(pts.T))
     for k, p in enumerate(pts):
-        assert val.f[k] == pytest.approx(crowded(p), rel=1e-12)
+        assert f[k, 0] == pytest.approx(crowded(p), rel=1e-12)
         grad = fd_grad(crowded, p)
-        assert np.allclose(val.g[:, k], grad, rtol=1e-6, atol=1e-8)
+        assert np.allclose(g[k, :, 0], grad, rtol=1e-6, atol=1e-8)
         hess = fd_hess(crowded, p)
-        assert np.allclose(val.h[:, :, k], hess, rtol=5e-4, atol=5e-6)
+        assert np.allclose(h[k, :, :, 0], hess, rtol=5e-4, atol=5e-6)
 
 
 def test_first_order_jets_skip_hessians():
     x, y = jets.variables([0.4, 0.9], order=1)
     out = jets.sqrt(x * y) + x / y
-    assert out.h is None
+    assert out.hs is None
     assert out.f == pytest.approx(np.sqrt(0.36) + 0.4 / 0.9)
 
 
@@ -81,8 +92,9 @@ def test_where_selects_coefficients():
     x, = jets.variables([np.array([-1.0, 2.0])], order=2)
     picked = jets.where(x.f > 0, x * x, -x)
     assert np.allclose(picked.f, [1.0, 4.0])
-    assert np.allclose(picked.g[0], [-1.0, 4.0])
-    assert np.allclose(picked.h[0, 0], [0.0, 2.0])
+    assert picked.support == (0,)
+    assert np.allclose(picked.gs[0], [-1.0, 4.0])
+    assert np.allclose(picked.hs[0, 0], [0.0, 2.0])
 
 
 def test_derivatives_reads_out_the_jet_attributes():
@@ -104,10 +116,11 @@ def test_derivatives_reads_out_the_jet_attributes():
     comps = fn(*jets.variables(values, order=2))
     for m in (0, 2):
         assert np.array_equal(f[..., m], comps[m].f)
+        grad, hess = scatter(comps[m], 3)
         for i in range(3):
-            assert np.array_equal(g[..., i, m], comps[m].g[i])
+            assert np.array_equal(g[..., i, m], grad[i])
             for j in range(3):
-                assert np.array_equal(h[..., i, j, m], comps[m].h[i, j])
+                assert np.array_equal(h[..., i, j, m], hess[i, j])
     # a plain-number component has its value and zero derivatives
     assert np.all(f[..., 1] == 2.5)
     assert not np.any(g[..., 1]) and not np.any(h[..., 1])
@@ -144,7 +157,7 @@ def test_expression_grammar_evaluates_and_differentiates():
     assert out.f == pytest.approx(expected, rel=1e-14)
     ref = fd_grad(lambda v: np.sin(v[0]) * v[1] ** 2 + np.sqrt(1 + v[0] ** 2) / v[1],
                   np.array([0.3, 1.7]))
-    assert np.allclose(out.g, ref, rtol=1e-7)
+    assert out.support == (0, 1) and np.allclose(out.gs, ref, rtol=1e-7)
 
 
 def test_expression_grammar_operator_precedence():
@@ -234,9 +247,9 @@ def test_ndarray_on_the_left_defers_to_the_jet(order):
         assert isinstance(left, jets.Jet)
         assert left.support == right.support == (0, 1)
         assert np.array_equal(left.f, right.f)
-        assert np.array_equal(left.g, right.g)
+        assert np.array_equal(left.gs, right.gs)
         if order == 2:
-            assert np.array_equal(left.h, right.h)
+            assert np.array_equal(left.hs, right.hs)
 
 # -- sparse against dense ----------------------------------------------------
 #
@@ -501,7 +514,8 @@ if st is not None:
     @given(case=cases())
     def test_derivatives_equal_the_jet_read_out(case):
         # the component-major buffers of ``derivatives``, seen through its
-        # point-major views, hold what Jet.g and Jet.h scatter
+        # point-major views, hold each jet's coefficients scattered over
+        # every seed
         nvars, exprs, order, seed = case
         names = NAMES[:nvars]
         rng = np.random.default_rng(seed)
@@ -516,7 +530,7 @@ if st is not None:
         out = jets.derivatives(fn, values, order=order)
         for k, comp in enumerate(fn(*jets.variables(values, order=order))):
             if isinstance(comp, jets.Jet):
-                f, g, h = comp.f, comp.g, comp.h
+                f, (g, h) = comp.f, scatter(comp, nvars)
             else:
                 f, g, h = comp, 0.0, 0.0
             assert np.array_equal(out[0][..., k], np.broadcast_to(f, (4, 6)), equal_nan=True)

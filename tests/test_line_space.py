@@ -26,6 +26,12 @@ def _pairs(du, dV):
     return (du[:, 0], dV[:, 0]), (du[:, 1], dV[:, 1])
 
 
+def _grid_defect(section):
+    """psi over the whole section grid, joined from the row blocks of
+    ``line_space._grid_psi``."""
+    return np.concatenate([psi for _, psi in ls._grid_psi(section)])
+
+
 def _gram(u, V, du, dV):
     """G(X_a, X_b) over the tangents X_a = (du, dV)[..., a, :] at (u, V)."""
     u, V = u[..., None, None, :], V[..., None, None, :]
@@ -385,7 +391,7 @@ def test_complex_scan_seeds_no_pole_row():
 
 def test_umbilic_free_annulus_has_positive_defect():
     section = ls.normal_congruence(ELL, grid=(128, 96))
-    psi = ls.section_defect(section)
+    psi = _grid_defect(section)
     mask = np.ones(psi.shape, dtype=bool)
     records = ls.complex_point_scan(section)
     ds = section.s_axis[1] - section.s_axis[0]
@@ -642,8 +648,8 @@ def test_twist_does_not_create_or_destroy_complex_points():
     before, after = (_einsum_defect(sec.u, sec.V, sec.du[..., 0, :], sec.dV[..., 0, :],
                                     sec.du[..., 1, :], sec.dV[..., 1, :], sec.center,
                                     normalize=False) for sec in (patch, tw))
-    assert np.min(np.abs(ls.section_defect(patch))) > 1e-3  # umbilic-free annulus
-    assert np.min(np.abs(ls.section_defect(tw))) > 1e-3     # still free after
+    assert np.min(np.abs(_grid_defect(patch))) > 1e-3  # umbilic-free annulus
+    assert np.min(np.abs(_grid_defect(tw))) > 1e-3     # still free after
     # the added field is holomorphic: the unnormalised defect is unchanged
     assert np.max(np.abs(after - before)) < 1e-10
 
@@ -946,7 +952,7 @@ def test_section_defect_equals_the_einsum_oracle():
     du, dV = section.du, section.dV
     want = _einsum_defect(section.u, section.V, du[..., 0, :], dV[..., 0, :],
                           du[..., 1, :], dV[..., 1, :], section.center)
-    _assert_relative(ls.section_defect(section), want, "section_defect")
+    _assert_relative(_grid_defect(section), want, "_grid_psi")
 
 
 def test_coarse_complex_windings_are_refused_not_wrong():
@@ -1102,8 +1108,9 @@ def test_records_do_not_depend_on_a_periodic_shift(axes, grid, turns):
     moved = replace(ell, domain=((shift, shift + 2 * np.pi), ell.domain[1]))
     umb, cps = [], []
     for surface in (ell, moved):
+        radii = ut._LOOP_CELLS * np.array(ut._cells(surface, grid)[2:])
         umb.append(ut.attach_indices(surface, FLAT, ut.umbilic_scan(surface, FLAT, grid=grid),
-                                     grid=grid))
+                                     radii))
         cps.append(ls.complex_point_scan(ls.normal_congruence(surface, grid=grid)))
 
     def gaps(a, b):
@@ -1195,7 +1202,7 @@ def test_blocked_grid_values_equal_the_whole_grid_defect_bit_for_bit(monkeypatch
     assert np.array_equal(seen["values"], mag ** 2)
     assert np.array_equal(seen["vectors"], np.stack([psi.real, psi.imag], axis=-1))
     assert seen["tol_sq"] == max(1e-6 * float(np.max(mag)), 1e-10) ** 2
-    assert np.array_equal(ls.section_defect(section), psi)
+    assert np.array_equal(_grid_defect(section), psi)
     assert rows[0] == {"256x192": [42] * 6 + [4], "64x48": [64], "97x31": [32] * 3 + [1],
                        "twist": [97]}[case]
 
@@ -1219,13 +1226,6 @@ def test_complex_point_scan_allocates_under_7_grid_planes():
     assert _grid_planes_allocated(ls.complex_point_scan, section) < 7
 
 
-def test_section_defect_allocates_under_5_grid_planes():
-    # its 2-plane complex result, written in place one row block at a time:
-    # 4.7 planes at the peak
-    section = ls.normal_congruence(ELL, grid=(256, 192))
-    assert _grid_planes_allocated(ls.section_defect, section) < 5
-
-
 def test_a_non_finite_defect_is_named_not_swallowed():
     # one NaN sample would make the tolerance and every comparison NaN, and
     # the scan would return no records without a word
@@ -1236,7 +1236,7 @@ def test_a_non_finite_defect_is_named_not_swallowed():
     with pytest.raises(ConfigError, match=where):
         ls.complex_point_scan(replace(section, du=du))
     with pytest.raises(ConfigError, match=where):
-        ls.section_defect(replace(section, du=du))
+        _grid_defect(replace(section, du=du))
     assert len(ls.complex_point_scan(section)) == 4
     # the graph's flat point, where its Gauss map is singular, is the centre
     # of the middle cell of a 33x33 grid, so psi is 0/0 there

@@ -387,6 +387,14 @@ def _cholesky_plane_cosh(g4, p_basis, q_basis):
     return np.abs(np.linalg.det(np.einsum("...iA,...AB,...jB->...ij", b1, g4, b2)))
 
 
+def _plane_cosh(g4, p_basis, q_basis):
+    """``nf._plane_grams``' cosh from the two planes' bases."""
+    gq = g4 @ np.swapaxes(q_basis, -1, -2)
+    qgq = q_basis @ gq
+    return nf._plane_grams(g4, p_basis, gq, qgq[..., 0, 0] * qgq[..., 1, 1]
+                           - qgq[..., 0, 1] * qgq[..., 1, 0])[0]
+
+
 def _random_planes(seed, n):
     """Chart metrics at random points and pairs of random (2, 4) bases."""
     rng = np.random.default_rng(seed)
@@ -410,9 +418,9 @@ def test_plane_cosh_matches_the_cholesky_oracle():
     assert np.sum(refused) >= 30 and np.sum(~refused) >= 30
     for k in range(len(g4)):
         args = (g4[k:k + 1], p_basis[k:k + 1], q_basis[k:k + 1])
-        assert (_refused(nf._plane_cosh, *args) != "") == refused[k]
+        assert (_refused(_plane_cosh, *args) != "") == refused[k]
     ok = ~refused
-    value = nf._plane_cosh(g4[ok], p_basis[ok], q_basis[ok])
+    value = _plane_cosh(g4[ok], p_basis[ok], q_basis[ok])
     oracle = _cholesky_plane_cosh(g4[ok], p_basis[ok], q_basis[ok])
     assert np.min(value) >= 1.0 - 1e-12
     assert np.max(np.abs(value - oracle) / oracle) < 1e-13
@@ -432,14 +440,14 @@ def test_plane_cosh_refuses_an_indefinite_plane():
     definite = np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]])
     # (dy, dw1): Gram [[g_yy, g_yw1], [g_yw1, 0]] with g_yw1 = 4/D^2, det < 0
     indefinite = np.array([[[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]])
-    assert nf._plane_cosh(g4, definite, definite) == pytest.approx(1.0, abs=1e-15)
+    assert _plane_cosh(g4, definite, definite) == pytest.approx(1.0, abs=1e-15)
     for p_basis, q_basis in ((indefinite, definite), (definite, indefinite)):
         message = "boundary tangent plane is not definite"
         assert _refused(_cholesky_plane_cosh, g4, p_basis, q_basis) == message
-        assert _refused(nf._plane_cosh, g4, p_basis, q_basis) == message
+        assert _refused(_plane_cosh, g4, p_basis, q_basis) == message
     # one indefinite plane in a batch refuses the batch
     batch = np.concatenate([definite, indefinite, definite])
-    assert _refused(nf._plane_cosh, np.repeat(g4, 3, axis=0),
+    assert _refused(_plane_cosh, np.repeat(g4, 3, axis=0),
                     batch, np.repeat(definite, 3, axis=0)) != ""
 
 
@@ -449,7 +457,7 @@ def test_plane_cosh_names_a_non_finite_plane():
         args = {"g4": g4.copy(), "p": p_basis.copy(), "q": q_basis.copy()}
         args[where][1, 0, 0] = np.nan
         with pytest.raises(SignatureLossError, match="boundary tangent plane is not finite"):
-            nf._plane_cosh(args["g4"], args["p"], args["q"])
+            _plane_cosh(args["g4"], args["p"], args["q"])
     # the same through the boundary angle of a disc with a NaN tangent
     state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
     geo = nf.flow_geometry(state)
@@ -555,7 +563,7 @@ def test_angle_penalty_residual_decreases():
 
 def test_boundary_stays_on_section():
     state, _ = nf.run_flow({"grid_n": 13, "steps": 30, "perturbation": 0.05})
-    mask = nf.boundary_mask(state.shape)
+    mask = _boundary_mask(state.shape)
     xb, yb = state.f[mask][:, 0], state.f[mask][:, 1]
     w1, w2 = state.section.fiber(xb, yb)
     assert np.max(np.abs(state.f[mask][:, 2] - w1)) < 1e-14
@@ -681,10 +689,17 @@ def test_nan_chart_coordinate_is_chart_domain_error():
 
 # -- the boundary ring, built once per run ------------------------------------
 
+def _boundary_mask(shape):
+    """Every sample on the edge of the grid."""
+    mask = np.ones(shape, dtype=bool)
+    mask[1:-1, 1:-1] = False
+    return mask
+
+
 def _uncached_dbar_norm(state, geo):
     """dbar_boundary_norm from scratch: the ring's embedding differential
     and a fresh sphere frame."""
-    ii, jj = np.nonzero(nf.boundary_mask(state.shape))
+    ii, jj = np.nonzero(_boundary_mask(state.shape))
     u, _, diff = state.section.chart.embed_differential(state.f[ii, jj])
     lifted = geo["d1"][ii, jj] @ diff
     psi = ls.defect_psi(ls.sphere_frame(u, tuple(state.section.chart.center)),
@@ -704,7 +719,7 @@ def _fresh_edge_planes(state):
     return state.section.chart.metric(pts), sec_basis
 
 
-def _uncached_angle_cosh(state, geo, plane_cosh=nf._plane_cosh):
+def _uncached_angle_cosh(state, geo, plane_cosh=_plane_cosh):
     """boundary_angle_cosh from scratch: a fresh chart metric and section
     basis."""
     ii, jj, _, _ = nf._edge_indices(state.shape)

@@ -258,7 +258,8 @@ def test_cli_umbilics_scans_once(tmp_path, monkeypatch):
     ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
     flat = ct.metric_by_name("flat-r3")
     records = scan(ell, flat, grid=(128, 96))
-    ut.attach_indices(ell, flat, [r for r in records if r.isolated], grid=(128, 96))
+    ut.attach_indices(ell, flat, [r for r in records if r.isolated],
+                      ut._LOOP_CELLS * np.array(ut._cells(ell, (128, 96))[2:]))
     expected = [",".join(cli._fmt(v) for v in (r.s, r.t, r.value, r.winding,
                                                r.isolated)) for r in records]
     lines = (tmp_path / "umbilics.csv").read_text().strip().splitlines()
@@ -291,6 +292,50 @@ def test_cli_flow_run_gates_the_area_of_fixed_boundary_runs_only(tmp_path, capsy
     monkeypatch.setattr(nf, "run_flow", lambda cfg: (state, snapshots))
     code = run_cli(["flow-run"], tmp_path)
     assert code == 1 and "area NOT monotone, margin positive" in capsys.readouterr().out
+
+
+BAD_FLOW_VALUES = {
+    "h-negative": (["--h", "-0.001"], None, "h must be positive"),
+    "h-zero": (["--h", "0"], None, "h must be positive"),
+    "h-nan": (["--h", "nan"], None, "h must be finite"),
+    "h-inf-config": ([], "h = inf\n", "h must be finite"),
+    "cfl-negative-config": ([], "cfl = -0.2\n", "cfl must be positive"),
+    "cfl-nan-config": ([], "cfl = nan\n", "cfl must be finite"),
+    "angle-rate-negative": (["--angle-rate", "-1"], None, "angle_rate must be non-negative"),
+    "angle-rate-nan": (["--angle-rate", "nan"], None, "angle_rate must be finite"),
+    "twist-strength-nan": (["--twist-strength", "nan"], None, "twist_strength must be finite"),
+    "perturbation-inf": (["--perturbation", "inf"], None, "perturbation must be finite"),
+    "dbar-c-nan": (["--dbar-c", "nan"], None, "dbar_c must be finite"),
+    "angle-target-nan": (["--angle-target", "nan"], None, "angle_target must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLOW_VALUES))
+def test_cli_flow_run_refuses_a_bad_step_or_value_before_the_first_step(tmp_path, capsys,
+                                                                         case):
+    # a step that is not positive ran the flow backward and passed, and a
+    # value that is not finite ended in a chart exit or a signature loss
+    args, config, message = BAD_FLOW_VALUES[case]
+    if config is not None:
+        (tmp_path / "cfg.kv").write_text(config)
+        args = args + ["--config", str(tmp_path / "cfg.kv")]
+    assert run_cli(["flow-run", "--grid-n", "7", "--steps", "5"] + args, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message), err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("surface, width", [("graph", "0"), ("paraboloid", "-0.5"),
+                                            ("graph", "nan"), ("saddle", "inf")])
+def test_cli_umbilics_refuses_a_graph_half_width_that_is_not_positive(tmp_path, capsys,
+                                                                      surface, width):
+    # an empty or reversed domain was scanned and passed the audit
+    args = ["umbilics", "--surface", surface, "--half-width", width, "--grid", "16x16"]
+    if surface == "graph":
+        args += ["--expr", "x^2"]
+    assert run_cli(args, tmp_path) == 2
+    assert "half_width must be positive and finite" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_cli_flow_numerical_failure_exit_code(tmp_path):
@@ -559,9 +604,9 @@ def test_cli_maslov_takes_its_enclosing_loops_in_one_call(tmp_path, monkeypatch)
         shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
         return congruence_eval(self, s, t, out=out)
 
-    def counting_angles(surface, metric, s, t):
-        angle_shapes.append(np.shape(s))
-        return principal_angles(surface, metric, s, t)
+    def counting_angles(rep):
+        angle_shapes.append(np.shape(rep.k1))
+        return principal_angles(rep)
     monkeypatch.setattr(ls.CongruenceMap, "eval", counting_eval)
     monkeypatch.setattr(ut, "principal_angles", counting_angles)
     enclose = ["--enclose", "0,1,2"]
@@ -569,7 +614,7 @@ def test_cli_maslov_takes_its_enclosing_loops_in_one_call(tmp_path, monkeypatch)
     # one defect evaluation and one principal-angle pass for the three loops
     # of 2048 samples
     assert [shape for shape in shapes if shape[-1] == 2048] == [(3, 2048)]
-    assert angle_shapes == [(3, 2048)]
+    assert angle_shapes == [(3 * 2048,)]
     # the same file, byte for byte, with each loop taken on its own
     mirror = scenarios._maslov_mirror
     monkeypatch.setattr(scenarios, "_maslov_mirror", lambda surface, metric, section, s, t: [

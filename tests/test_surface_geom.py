@@ -32,7 +32,7 @@ def test_clifford_second_form_trace_free_sign_pattern():
         c = rep.second[0, 0]
         assert c > 0 and rep.second[1, 1] == pytest.approx(-c, abs=1e-14)
         # trace-free against the induced metric
-        assert rep.h_trace == pytest.approx(0.0, abs=1e-13)
+        assert rep.h_mean == pytest.approx(0.0, abs=1e-13)
 
 
 def test_clifford_normal_points_along_increasing_rho():
@@ -223,8 +223,8 @@ def test_orbit_batch_fills_no_grid_sized_jets():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 192 * 192 * 8
-    assert rep.point.shape == rep.tangent1.shape == (192 * 192, 3)
-    assert not rep.tangent1.flags.writeable and not rep.tangent2.flags.writeable
+    assert rep.point.shape == rep.normal.shape == (192 * 192, 3)
+    assert not rep.first.flags.writeable and not rep.second.flags.writeable
 
 
 def test_constant_grid_sized_component_takes_the_orbit_path(monkeypatch):
@@ -277,12 +277,13 @@ def test_non_finite_metric_file_is_named(tmp_path, entry):
 def test_normality_residuals():
     metric = ct.metric_by_name("hopf-eps", eps=0.45)
     rng = np.random.default_rng(5)
-    rep = sg.fundamental_forms(sg.surface_by_name("clifford"), metric,
-                               rng.uniform(0, 2 * np.pi, 500),
-                               rng.uniform(0, 2 * np.pi, 500))
+    clifford = sg.surface_by_name("clifford")
+    s, t = rng.uniform(0, 2 * np.pi, 500), rng.uniform(0, 2 * np.pi, 500)
+    rep = sg.fundamental_forms(clifford, metric, s, t)
     g = metric.matrix(rep.point)
-    for tan in (rep.tangent1, rep.tangent2):
-        res = np.einsum("ni,nij,nj->n", rep.normal, g, tan)
+    tangents = jets.derivatives(clifford.chart_map, [s, t], order=1)[1]
+    for a in range(2):
+        res = np.einsum("ni,nij,nj->n", rep.normal, g, tangents[:, a])
         assert np.max(np.abs(res)) < 1e-10
     unit = np.einsum("ni,nij,nj->n", rep.normal, g, rep.normal)
     assert np.max(np.abs(unit - 1.0)) < 1e-10
@@ -429,7 +430,7 @@ def _matmul_forms(surface, metric, point, d1, d2):
         second -= d1 @ gamma_n @ d1t
     tr, k1, k2, gap_sq = kernels.shape_operator_batch(first, second)
     det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
-    return {"first": first, "second": second, "normal": normal, "h_trace": tr,
+    return {"first": first, "second": second, "normal": normal, "h_mean": 0.5 * tr,
             "k1": k1, "k2": k2, "disc_sq": gap_sq, "area_density": np.sqrt(det_first)}
 
 

@@ -77,7 +77,8 @@ def test_ellipsoid_scan_finds_four_isolated_umbilics():
 
 def test_ellipsoid_indices_and_sum():
     records = ut.umbilic_scan(ELL, FLAT, grid=(512, 384))
-    ut.attach_indices(ELL, FLAT, records, grid=(512, 384))
+    ut.attach_indices(ELL, FLAT, records, ut._LOOP_CELLS * np.array([2 * np.pi / 512,
+                                                                     np.pi / 384]))
     assert [r.index for r in records] == [0.5] * 4
     assert [r.winding for r in records] == [1] * 4
     assert sum(r.index for r in records) == pytest.approx(2.0)
@@ -87,18 +88,18 @@ def test_index_invariant_under_loop_radius_doubling():
     records = ut.umbilic_scan(ELL, FLAT, grid=(256, 192))
     rec = records[0]
     radius = 4 * (2 * np.pi / 256)
-    i1 = ut.umbilic_index(ELL, FLAT, rec, (radius, radius))
-    i2 = ut.umbilic_index(ELL, FLAT, rec, (2 * radius, 2 * radius))
+    i1, i2 = (ut.attach_indices(ELL, FLAT, [replace(rec)], radii)[0].index
+              for radii in ((radius, radius), (2 * radius, 2 * radius)))
     assert i1 == i2 == 0.5
 
 
 def test_index_rejects_non_isolated_and_touching_loops():
-    sphere_rec = ut.umbilic_scan(sg.surface_by_name("round-sphere", r=1.0),
-                                 FLAT, grid=(64, 48))[0]
+    sphere = sg.surface_by_name("round-sphere", r=1.0)
+    sphere_rec = ut.umbilic_scan(sphere, FLAT, grid=(64, 48))[0]
     assert not sphere_rec.isolated
-    with pytest.raises(UnreliableLoopError):
-        ut.umbilic_index(sg.surface_by_name("round-sphere", r=1.0), FLAT,
-                         sphere_rec, 0.1)
+    # a record that is not isolated is given no index: its loop is not wound
+    assert ut.attach_indices(sphere, FLAT, [sphere_rec], (0.1, 0.1)) == [sphere_rec]
+    assert sphere_rec.winding is None and sphere_rec.index is None
 
 
 def test_synthetic_star_pattern_has_index_minus_half():
@@ -162,12 +163,13 @@ def test_attach_indices_winds_every_loop_in_one_forms_call(monkeypatch):
         shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
         return forms(surface, metric, s, t)
     monkeypatch.setattr(ut, "fundamental_forms", counting_forms)
-    ut.attach_indices(ELL, FLAT, records, grid=(64, 48))
+    radii = ut._LOOP_CELLS * np.array([2 * np.pi / 64, np.pi / 48])
+    alone = [ut.attach_indices(ELL, FLAT, [replace(rec)], radii)[0].index for rec in records]
+    shapes.clear()
+    ut.attach_indices(ELL, FLAT, records, radii)
     # one row of 1024 + 64 samples per loop, all four loops in one call
     assert shapes == [(4, 1088)]
     # the indices of the loops wound one at a time
-    radii = ut._LOOP_CELLS * np.array([2 * np.pi / 64, np.pi / 48])
-    alone = [ut.umbilic_index(ELL, FLAT, rec, radii) for rec in records]
     assert [rec.index for rec in records] == alone == [0.5] * 4
     assert [rec.winding for rec in records] == [1] * 4
 
@@ -474,20 +476,20 @@ def test_index_loop_winds_one_zero_and_refuses_by_name(kind):
 def test_index_loop_touching_a_near_umbilic_region_is_refused():
     rec = ut.umbilic_scan(ELL, FLAT, grid=(64, 48))[0]
     radii = (4 * 2 * np.pi / 64, 4 * np.pi / 48)
-    assert ut.umbilic_index(ELL, FLAT, rec, radii) == 0.5
+    assert ut.attach_indices(ELL, FLAT, [replace(rec)], radii)[0].index == 0.5
     # as if the scan had stopped at |k1 - k2| = 1, above a tenth of the gap
     # anywhere on the loop
     with pytest.raises(UnreliableLoopError, match="touches a near-zero region"):
-        ut.umbilic_index(ELL, FLAT, replace(rec, value=1.0), radii)
+        ut.attach_indices(ELL, FLAT, [replace(rec, value=1.0)], radii)
 
 
 def test_unresolved_index_loop_is_refused(monkeypatch):
     rec = ut.umbilic_scan(ELL, FLAT, grid=(64, 48))[0]
     # synthetic principal angles turning 0.4 of a half turn per sample
-    monkeypatch.setattr(ut, "_principal_angles",
+    monkeypatch.setattr(ut, "principal_angles",
                         lambda rep: np.mod(0.4 * np.pi * np.arange(rep.disc.size), np.pi))
     with pytest.raises(UnreliableLoopError, match="winding is not resolved"):
-        ut.umbilic_index(ELL, FLAT, rec, (4 * 2 * np.pi / 64, 4 * np.pi / 48))
+        ut.attach_indices(ELL, FLAT, [rec], (4 * 2 * np.pi / 64, 4 * np.pi / 48))
 
 
 def test_conjecture_audit_ellipsoid():
