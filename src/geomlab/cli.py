@@ -20,8 +20,6 @@ import numpy as np
 from . import chart_tensor as ct
 from . import kvdoc
 from . import line_space as ls
-from . import neutral_flow as nf
-from . import scenarios as sc
 from . import surface_geom as sg
 from . import umbilic_topology as ut
 from .errors import (ChartDomainError, ConfigError, ImmersionError,
@@ -112,6 +110,7 @@ def _eps_list(text):
 
 
 def _report_to_disk(report, out, stem, timestamp):
+    from . import scenarios as sc
     _write_json(os.path.join(out, f"{stem}.json"), report.to_dict(), timestamp)
     _write_csv(os.path.join(out, f"{stem}.csv"), sc.FLAT_ROW_HEADER,
                report.flat_rows(), timestamp)
@@ -120,6 +119,7 @@ def _report_to_disk(report, out, stem, timestamp):
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_willmore_sweep(args):
+    from . import scenarios as sc
     cfg = _load_config(args, {"eps", "grid"})
     eps = _eps_list(args.eps) if args.eps else cfg.get("eps", None)
     if isinstance(eps, (int, float)):
@@ -145,6 +145,7 @@ def cmd_willmore_sweep(args):
 
 
 def cmd_distance_check(args):
+    from . import scenarios as sc
     cfg = _load_config(args, {"eps", "rho_points", "theta_points"})
     eps = _eps_list(args.eps) if args.eps else cfg.get("eps", [0.1, 0.2, 0.4])
     report = sc.distance_bound_check(
@@ -179,7 +180,7 @@ def cmd_umbilics(args):
     _write_csv(os.path.join(out, "umbilics.csv"),
                ["s", "t", "discriminant", "index_num", "isolated"],
                rows, not args.no_timestamp)
-    payload = sc._audit_values(audit)
+    payload = ut.audit_values(audit)
     _write_json(os.path.join(out, "umbilics_audit.json"), payload,
                 not args.no_timestamp)
     ok = all(audit[k] in (True, None) for k in
@@ -221,9 +222,9 @@ def cmd_maslov(args):
         # only the enclosing loops are placed around the scanned umbilics
         iso = [r for r in ut.umbilic_scan(surface, metric, grid=grid) if r.isolated]
         phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
-        loops = [(count, *sc.enclosing_loop(iso, count, phi)) for count in counts]
-    mirrors = sc._maslov_mirror(surface, metric, section, np.array([s for _, s, _ in loops]),
-                                np.array([t for _, _, t in loops]))
+        loops = [(count, *ut.enclosing_loop(iso, count, phi)) for count in counts]
+    mirrors = ls.maslov_mirror(surface, metric, section, np.array([s for _, s, _ in loops]),
+                               np.array([t for _, _, t in loops]))
     rows = [[label, mas["mu"], mas["index_sum"], mas["operator_index"],
              mas["unparameterized_dim"], winding]
             for (label, _, _), (mas, winding) in zip(loops, mirrors)]
@@ -238,6 +239,7 @@ def cmd_maslov(args):
 
 
 def cmd_flow_run(args):
+    from . import neutral_flow as nf
     cfg = _load_config(args, set(nf.FLOW_CONFIG_KEYS))
     for key in ("grid_n", "steps", "snapshot_every", "h", "twist_strength",
                 "perturbation", "angle_target", "dbar_c", "angle_rate", "chart_radius"):
@@ -271,6 +273,7 @@ def cmd_flow_run(args):
 
 
 def cmd_report(args):
+    from . import scenarios as sc
     reports = sc.run_all()
     out = _out_dir(args)
     payload = {"schema_version": sc.SCHEMA_VERSION,
@@ -299,7 +302,11 @@ def build_parser():
     Namespace per call, no argument has a mutable default or an append
     action, and each ``func`` is a ``cmd_*`` function that looks up the
     library names it calls when it runs (so patching those names works;
-    patching a ``cmd_*`` itself does not reach a tree already built)."""
+    patching a ``cmd_*`` itself does not reach a tree already built).
+    Each command also imports its modules when it runs: ``flow-run`` alone
+    loads ``neutral_flow``, and the scenario commands (``willmore-sweep``,
+    ``distance-check``, ``report``) alone load ``scenarios``, so a process
+    compiles only the modules its command executes."""
     parser = argparse.ArgumentParser(
         prog="geomlab",
         description="Numerical differential geometry experiments: metric "

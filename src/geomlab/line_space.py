@@ -27,8 +27,9 @@ from . import jets
 from .errors import ChartDomainError, ConfigError, UnreliableLoopError
 from .kernels import cross3, dot3
 from .quadrature import _row_blocks, gauss_legendre
+from .surface_geom import fundamental_forms
 from .umbilic_topology import (_LOOP_CELLS, _LOOP_SAMPLES, _cells, _loop_indices,
-                               _loop_winding, _scan_zeros)
+                               _loop_winding, _scan_zeros, principal_angles)
 
 TWO_PI = 2.0 * np.pi
 
@@ -538,6 +539,37 @@ def maslov_index(source, loop_s, loop_t, center):
         results.append({"mu": 2 * w, "index_sum": w / 2.0,
                         "operator_index": 2 * w + 2, "unparameterized_dim": 2 * w - 1})
     return results if loop_s.ndim > 1 else results[0]
+
+
+def maslov_mirror(surface, metric, section, loop_s, loop_t):
+    """The Keller-Maslov index of a parameter loop on the normal-line
+    ``section`` of ``surface``, and its mirror: the winding i of the
+    surface's principal line field on the same loop, with mu = 4i.
+
+    i is taken for the loop traversed counterclockwise in the parameters,
+    by the sign of its shoelace area with s unwrapped by the surface's s
+    period, so a loop and its reverse give the same pair (mu is oriented
+    by the direction chart already).  A stack of loops (k, n) takes one
+    ``maslov_index`` and one principal-angle pass for all of them and
+    gives a list of k pairs.  Raises ``UnreliableLoopError`` when a loop
+    is too coarse to resolve the principal winding.
+    """
+    one = np.ndim(loop_s) == 1
+    loop_s, loop_t = np.atleast_2d(np.asarray(loop_s, float), np.asarray(loop_t, float))
+    mas = maslov_index(section.source, loop_s, loop_t, section.center)
+    angles = principal_angles(
+        fundamental_forms(surface, metric, loop_s, loop_t)).reshape(loop_s.shape)
+    (s0, s1), _ = surface.domain
+    s = np.unwrap(loop_s, period=s1 - s0) if surface.periodic[0] else loop_s
+    area = np.sum(s * np.roll(loop_t, -1, axis=1) - np.roll(s, -1, axis=1) * loop_t, axis=1)
+    pairs = []
+    for m, a, ccw in zip(mas, angles, area >= 0):
+        winding = _loop_winding(a, np.pi)
+        if winding is None:
+            raise UnreliableLoopError("principal line field winding is not resolved; "
+                                      "densify the loop")
+        pairs.append((m, (winding if ccw else -winding) / 2.0))
+    return pairs[0] if one else pairs
 
 
 def invert_gauss_map(directions, section):

@@ -618,6 +618,14 @@ FLOW_CONFIG_KEYS = {
 _DISC_OFFSETS = {"twisted-hemisphere": (0.0, 0.0), "holomorphic-affine": (0.05, -0.02)}
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def build_state(config=None, **overrides):
     """Assemble a FlowState from a config mapping (unknown keys rejected).
 
@@ -633,21 +641,27 @@ def build_state(config=None, **overrides):
                 f"unknown flow config key {key!r}; valid keys: "
                 f"{sorted(FLOW_CONFIG_KEYS)}")
         cfg[key] = value
-    n = int(cfg["grid_n"])
-    if n < 5:
-        raise ConfigError("grid_n must be at least 5")
+    n = cfg["grid_n"]
+    if not _is_integer(n) or n < 5:
+        raise ConfigError(f"grid_n must be an integer of at least 5, got {n!r}")
+    n = int(n)
     for key in ("steps", "snapshot_every"):
         value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        if not _is_integer(value) or value < 0:
             raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
         cfg[key] = int(value)
-    # checked before the first step: a step that is not positive runs the
-    # flow backward, and a value that is not finite ends in a chart exit or
-    # a signature loss
-    reals = {key: float(cfg[key]) for key in ("h", "cfl", "angle_rate", "twist_strength",
-                                               "perturbation", "dbar_c", "angle_target")
+    # checked before the first step: a value a config file gives as text
+    # fails in the arithmetic, a step that is not positive runs the flow
+    # backward, and a value that is not finite ends in a chart exit or a
+    # signature loss
+    reals = {key: cfg[key] for key in ("h", "cfl", "angle_rate", "twist_strength",
+                                       "perturbation", "dbar_c", "angle_target",
+                                       "chart_radius", "stagnation_tol")
              if cfg[key] is not None}
     for key, value in reals.items():
+        if not _is_real(value):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        reals[key] = value = float(value)
         if not np.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
     for key in ("h", "cfl"):
@@ -655,16 +669,27 @@ def build_state(config=None, **overrides):
             raise ConfigError(f"{key} must be positive, got {reals[key]!r}")
     if reals["angle_rate"] < 0.0:
         raise ConfigError(f"angle_rate must be non-negative, got {reals['angle_rate']!r}")
-    radius = float(cfg["chart_radius"])
+    radius = reals["chart_radius"]
     if not (0.0 < radius < 1.0):
         raise ConfigError("chart_radius must sit inside the open hemisphere (0,1)")
+    center = cfg["center"]
+    if not (np.ndim(center) == 1 and len(center) == 3 and all(map(_is_real, center))
+            and np.all(np.isfinite(center)) and np.any(center)):
+        raise ConfigError(f"center must be three finite numbers, not all zero, got {center!r}")
+    cosh_target = None
+    if cfg["angle_target"] is not None:
+        with np.errstate(over="ignore"):
+            cosh_target = float(np.cosh(reals["angle_target"]))
+        if not np.isfinite(cosh_target):
+            raise ConfigError(f"angle_target must have a finite cosh, got "
+                              f"{reals['angle_target']!r}")
     disc = cfg["disc"]
-    if disc not in _DISC_OFFSETS:
+    if not isinstance(disc, str) or disc not in _DISC_OFFSETS:
         raise ConfigError(f"unknown disc id {disc!r}; "
                           "use twisted-hemisphere or holomorphic-affine")
     # the twist w = -i s (x + i y), offset by the disc's constant fiber
-    section = affine_section(LineSpaceChart(cfg["center"]), c0=_DISC_OFFSETS[disc],
-                             c1=(0.0, -float(cfg["twist_strength"])))
+    section = affine_section(LineSpaceChart(center), c0=_DISC_OFFSETS[disc],
+                             c1=(0.0, -reals["twist_strength"]))
     x_axis = np.linspace(-radius, radius, n)
     y_axis = np.linspace(-radius, radius, n)
     xm, ym = np.meshgrid(x_axis, y_axis, indexing="ij")
@@ -672,18 +697,15 @@ def build_state(config=None, **overrides):
     f[..., 0] = xm
     f[..., 1] = ym
     f[..., 2], f[..., 3] = section.fiber(xm, ym)
-    amp = float(cfg["perturbation"])
+    amp = reals["perturbation"]
     if amp and disc == "twisted-hemisphere":
         shape_fn = (1.0 - (xm / radius) ** 2) * (1.0 - (ym / radius) ** 2)
         f[..., 2] += amp * shape_fn
         f[..., 3] += 0.5 * amp * shape_fn * (xm / radius)
     dx = x_axis[1] - x_axis[0]
-    h = cfg["h"] if cfg["h"] is not None else float(cfg["cfl"]) * dx * dx
-    state = FlowState(x_axis, y_axis, f, section, float(h),
-                      cosh_target=None if cfg["angle_target"] is None
-                      else float(np.cosh(cfg["angle_target"])),
-                      dbar_c=float(cfg["dbar_c"]),
-                      angle_rate=float(cfg["angle_rate"]))
+    h = reals["h"] if "h" in reals else reals["cfl"] * dx * dx
+    state = FlowState(x_axis, y_axis, f, section, float(h), cosh_target=cosh_target,
+                      dbar_c=reals["dbar_c"], angle_rate=reals["angle_rate"])
     return state, cfg
 
 

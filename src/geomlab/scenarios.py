@@ -15,7 +15,6 @@ from . import chart_tensor as ct
 from . import line_space as ls
 from . import surface_geom as sg
 from . import umbilic_topology as ut
-from .errors import ConfigError, UnreliableLoopError
 
 SCHEMA_VERSION = "1"
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -170,63 +169,6 @@ def distance_bound_check(eps_list=(0.1, 0.2, 0.4), rho_points=576,
     return report
 
 
-def enclosing_loop(iso, count, phi):
-    """Parameter loop (s, t) at angles ``phi`` enclosing ``count`` of the
-    isolated umbilics ``iso`` on a surface whose s-axis has period 2 pi.
-
-    0: a small circle at (pi/2, pi/2); 1: a circle around ``iso[0]``;
-    2: an ellipse around ``iso[0]`` and the record nearest it in s.
-    """
-    if count == 0:
-        return np.pi / 2 + 0.2 * np.cos(phi), np.pi / 2 + 0.2 * np.sin(phi)
-    if count == 1:
-        if not iso:
-            raise ConfigError("surface has no isolated umbilics to enclose")
-        return iso[0].s + 0.15 * np.cos(phi), iso[0].t + 0.15 * np.sin(phi)
-    if count == 2:
-        if len(iso) < 2:
-            raise ConfigError("surface has fewer than two umbilics")
-        period = 2 * np.pi
-        partner = min(iso[1:], key=lambda r: min(
-            abs(r.s - iso[0].s) % period,
-            period - abs(r.s - iso[0].s) % period))
-        t_mid = 0.5 * (iso[0].t + partner.t)
-        t_rad = 0.35 + 0.5 * abs(partner.t - iso[0].t)
-        return iso[0].s + 0.35 * np.cos(phi), t_mid + t_rad * np.sin(phi)
-    raise ConfigError("--enclose supports counts 0, 1, 2")
-
-
-def _maslov_mirror(surface, metric, section, loop_s, loop_t):
-    """The Keller-Maslov index of a parameter loop on the normal-line
-    ``section`` of ``surface``, and its mirror: the winding i of the
-    surface's principal line field on the same loop, with mu = 4i.
-
-    i is taken for the loop traversed counterclockwise in the parameters,
-    by the sign of its shoelace area with s unwrapped by the surface's s
-    period, so a loop and its reverse give the same pair (mu is oriented
-    by the direction chart already).  A stack of loops (k, n) takes one
-    ``maslov_index`` and one principal-angle pass for all of them and
-    gives a list of k pairs.  Raises ``UnreliableLoopError`` when a loop
-    is too coarse to resolve the principal winding.
-    """
-    one = np.ndim(loop_s) == 1
-    loop_s, loop_t = np.atleast_2d(np.asarray(loop_s, float), np.asarray(loop_t, float))
-    mas = ls.maslov_index(section.source, loop_s, loop_t, section.center)
-    angles = ut.principal_angles(
-        sg.fundamental_forms(surface, metric, loop_s, loop_t)).reshape(loop_s.shape)
-    (s0, s1), _ = surface.domain
-    s = np.unwrap(loop_s, period=s1 - s0) if surface.periodic[0] else loop_s
-    area = np.sum(s * np.roll(loop_t, -1, axis=1) - np.roll(s, -1, axis=1) * loop_t, axis=1)
-    pairs = []
-    for m, a, ccw in zip(mas, angles, area >= 0):
-        winding = ut._loop_winding(a, np.pi)
-        if winding is None:
-            raise UnreliableLoopError("principal line field winding is not resolved; "
-                                      "densify the loop")
-        pairs.append((m, (winding if ccw else -winding) / 2.0))
-    return pairs[0] if one else pairs
-
-
 def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     """Umbilic topology and its line-space mirror on the worked examples.
 
@@ -243,7 +185,7 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     # -- triaxial ellipsoid
     ell = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
     audit = ut.conjecture_audit(ell, flat, grid=grid)
-    report.values["ellipsoid_audit"] = _audit_values(audit)
+    report.values["ellipsoid_audit"] = ut.audit_values(audit)
     report.assertions.append(Assertion(
         "ellipsoid_umbilic_count", audit["umbilic_count"], 4, 0.0, "eq",
         "derived:grid-scan"))
@@ -276,8 +218,8 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     # Maslov loops around 0, 1, 2 umbilics with the principal-winding mirror
     phi = np.linspace(0.0, 2 * np.pi, loop_samples, endpoint=False)
     iso = [r for r in audit["records"] if r.isolated]
-    loops = np.array([enclosing_loop(iso, count, phi) for count in (0, 1, 2)])
-    mirrors = _maslov_mirror(ell, flat, section, loops[:, 0], loops[:, 1])
+    loops = np.array([ut.enclosing_loop(iso, count, phi) for count in (0, 1, 2)])
+    mirrors = ls.maslov_mirror(ell, flat, section, loops[:, 0], loops[:, 1])
     for count, (mas, i_surface) in enumerate(mirrors):
         report.values[f"maslov_enclosing_{count}"] = mas
         report.values[f"principal_index_enclosing_{count}"] = i_surface
@@ -291,7 +233,7 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     # -- round sphere: degenerate everywhere
     sph = sg.surface_by_name("round-sphere", r=1.0)
     sph_audit = ut.conjecture_audit(sph, flat, grid=(128, 96))
-    report.values["sphere_audit"] = _audit_values(sph_audit)
+    report.values["sphere_audit"] = ut.audit_values(sph_audit)
     report.assertions.append(Assertion(
         "sphere_non_isolated", float(sph_audit["non_isolated_present"]), 1.0,
         0.0, "eq", "degenerate-case"))
@@ -304,7 +246,7 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
     # -- torus of revolution: no umbilics
     torus = sg.surface_by_name("torus-revolution", R=2.0, r=1.0)
     tor_audit = ut.conjecture_audit(torus, flat, grid=(192, 192))
-    report.values["torus_audit"] = _audit_values(tor_audit)
+    report.values["torus_audit"] = ut.audit_values(tor_audit)
     report.assertions.append(Assertion(
         "torus_umbilic_count", tor_audit["umbilic_count"], 0, 0.0, "eq",
         "derived:grid-scan"))
@@ -313,14 +255,6 @@ def caratheodory_suite(grid=(256, 192), loop_samples=2048):
         "poincare-hopf"))
     report.runtime = time.perf_counter() - t0
     return report
-
-
-def _audit_values(audit):
-    out = {k: v for k, v in audit.items() if k != "records"}
-    out["records"] = [
-        {"s": r.s, "t": r.t, "disc": r.value, "index": r.index,
-         "isolated": r.isolated} for r in audit["records"]]
-    return out
 
 
 def run_all():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreliableLoopError
+from .errors import ConfigError, UnreliableLoopError
 from .kernels import shape_operator, winding_total
 from .surface_geom import _grid_eval, fundamental_forms
 
@@ -440,3 +440,39 @@ def conjecture_audit(surface, metric, grid=(512, 384)):
         "poincare_hopf_ok": None if euler is None else bool(abs(idx_sum - euler) < 1e-12),
     })
     return report
+
+
+def audit_values(audit):
+    """A ``conjecture_audit`` report for JSON: each record becomes a dict of
+    its s, t, disc (the gap), index and isolated flag."""
+    out = {k: v for k, v in audit.items() if k != "records"}
+    out["records"] = [
+        {"s": r.s, "t": r.t, "disc": r.value, "index": r.index,
+         "isolated": r.isolated} for r in audit["records"]]
+    return out
+
+
+def enclosing_loop(iso, count, phi):
+    """Parameter loop (s, t) at angles ``phi`` enclosing ``count`` of the
+    isolated umbilics ``iso`` on a surface whose s-axis has period 2 pi.
+
+    0: a small circle at (pi/2, pi/2); 1: a circle around ``iso[0]``;
+    2: an ellipse around ``iso[0]`` and the record nearest it in s.
+    """
+    if count == 0:
+        return np.pi / 2 + 0.2 * np.cos(phi), np.pi / 2 + 0.2 * np.sin(phi)
+    if count == 1:
+        if not iso:
+            raise ConfigError("surface has no isolated umbilics to enclose")
+        return iso[0].s + 0.15 * np.cos(phi), iso[0].t + 0.15 * np.sin(phi)
+    if count == 2:
+        if len(iso) < 2:
+            raise ConfigError("surface has fewer than two umbilics")
+        period = 2 * np.pi
+        partner = min(iso[1:], key=lambda r: min(
+            abs(r.s - iso[0].s) % period,
+            period - abs(r.s - iso[0].s) % period))
+        t_mid = 0.5 * (iso[0].t + partner.t)
+        t_rad = 0.35 + 0.5 * abs(partner.t - iso[0].t)
+        return iso[0].s + 0.35 * np.cos(phi), t_mid + t_rad * np.sin(phi)
+    raise ConfigError("--enclose supports counts 0, 1, 2")

@@ -11,7 +11,6 @@ from geomlab import chart_tensor as ct
 from geomlab import jets
 from geomlab import line_space as ls
 from geomlab import neutral_flow as nf
-from geomlab import scenarios as sc
 from geomlab import surface_geom as sg
 from geomlab import umbilic_topology as ut
 from geomlab.errors import ChartDomainError, ConfigError, UnreliableLoopError
@@ -438,7 +437,7 @@ def test_maslov_matches_principal_winding():
     for rec in records[:2]:
         loop_s = rec.s + 0.12 * np.cos(phi)
         loop_t = rec.t + 0.12 * np.sin(phi)
-        mas, i_surf = sc._maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
+        mas, i_surf = ls.maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
         assert mas["mu"] == 4 * i_surf == 2
 
 
@@ -448,8 +447,8 @@ def test_maslov_mirror_does_not_depend_on_the_loop_direction():
     rec = ls.complex_point_scan(section)[0]
     phi = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
     loop_s, loop_t = rec.s + 0.15 * np.cos(phi), rec.t + 0.15 * np.sin(phi)
-    forward = sc._maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
-    assert forward == sc._maslov_mirror(ELL, FLAT, section, loop_s[::-1], loop_t[::-1])
+    forward = ls.maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
+    assert forward == ls.maslov_mirror(ELL, FLAT, section, loop_s[::-1], loop_t[::-1])
     assert (forward[0]["mu"], forward[1]) == (2, 0.5)
 
 
@@ -464,9 +463,9 @@ def test_maslov_mirror_refuses_an_unresolved_principal_winding():
         assert ls.maslov_index(section.source, loop_s, loop_t, section.center)["mu"] == 2
         if want is None:
             with pytest.raises(UnreliableLoopError, match="principal line field"):
-                sc._maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
+                ls.maslov_mirror(ELL, FLAT, section, loop_s, loop_t)
         else:
-            assert sc._maslov_mirror(ELL, FLAT, section, loop_s, loop_t)[1] == want
+            assert ls.maslov_mirror(ELL, FLAT, section, loop_s, loop_t)[1] == want
 
 
 def _random_cubic_section(rng):

@@ -307,6 +307,17 @@ BAD_FLOW_VALUES = {
     "perturbation-inf": (["--perturbation", "inf"], None, "perturbation must be finite"),
     "dbar-c-nan": (["--dbar-c", "nan"], None, "dbar_c must be finite"),
     "angle-target-nan": (["--angle-target", "nan"], None, "angle_target must be finite"),
+    "angle-target-cosh-overflow": (["--angle-target", "1000"], None,
+                                   "angle_target must have a finite cosh"),
+    "h-text-config": ([], "h = abc\n", "h must be a number"),
+    "chart-radius-text-config": ([], "chart_radius = abc\n", "chart_radius must be a number"),
+    "stagnation-tol-text-config": ([], "stagnation_tol = abc\n",
+                                   "stagnation_tol must be a number"),
+    "twist-strength-text-config": ([], "twist_strength = abc\n",
+                                   "twist_strength must be a number"),
+    "center-text-config": ([], "center = abc\n", "center must be three finite numbers"),
+    "center-zero-config": ([], "center = 0,0,0\n", "center must be three finite numbers"),
+    "disc-list-config": ([], "disc = a,b\n", "unknown disc id"),
 }
 
 
@@ -322,6 +333,15 @@ def test_cli_flow_run_refuses_a_bad_step_or_value_before_the_first_step(tmp_path
     assert run_cli(["flow-run", "--grid-n", "7", "--steps", "5"] + args, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: " + message), err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_cli_flow_run_refuses_a_grid_n_that_is_not_an_integer(tmp_path, capsys):
+    # grid_n = 7.5 ran a 7x7 disc, where steps = 2.5 was refused
+    (tmp_path / "cfg.kv").write_text("grid_n = 7.5\n")
+    assert run_cli(["flow-run", "--steps", "2", "--config", str(tmp_path / "cfg.kv")],
+                   tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: grid_n must be an integer of at least 5")
     assert not any(tmp_path.glob("*.csv"))
 
 
@@ -387,6 +407,44 @@ def test_cli_entry_point_installed():
         out = subprocess.run([installed, "--help"], capture_output=True,
                              text=True)
         _assert_help_output(out)
+
+
+_LOADED_AFTER = """
+import json, sys
+from geomlab import cli
+def loaded():
+    return [name for name in ("geomlab.neutral_flow", "geomlab.scenarios")
+            if name in sys.modules]
+stages = [["import", loaded()]]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv + ["--out", sys.argv[2], "--no-timestamp"]) == 0, argv
+    stages.append([argv[0], loaded()])
+print(json.dumps(stages))
+"""
+
+
+def _modules_loaded_after(commands, out):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(geomlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(commands), str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # the last line; the commands print their summaries above it
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    # a fresh process compiles every module it imports: the Caratheodory
+    # commands never step the flow or report a scenario, the flow reports
+    # no scenario, and the scenarios run no flow
+    commands = [["umbilics", "--grid", "32x24"], ["maslov", "--grid", "32x24"],
+                ["linespace-audit", "--samples", "20"], ["flow-run", "--grid-n", "7",
+                                                         "--steps", "2"]]
+    assert _modules_loaded_after(commands, tmp_path / "a") == [
+        ["import", []], ["umbilics", []], ["maslov", []], ["linespace-audit", []],
+        ["flow-run", ["geomlab.neutral_flow"]]]
+    assert _modules_loaded_after([["report"]], tmp_path / "b") == [
+        ["import", []], ["report", ["geomlab.scenarios"]]]
 
 
 def test_metric_file_loader(tmp_path):
@@ -525,11 +583,11 @@ def test_linespace_audit_fails_when_j_drops_its_vertical_term(tmp_path, monkeypa
 def test_enclosing_loop_names_missing_umbilics():
     phi = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
     with pytest.raises(ConfigError, match="no isolated umbilics"):
-        scenarios.enclosing_loop([], 1, phi)
+        ut.enclosing_loop([], 1, phi)
     with pytest.raises(ConfigError, match="fewer than two"):
-        scenarios.enclosing_loop([object()], 2, phi)
+        ut.enclosing_loop([object()], 2, phi)
     with pytest.raises(ConfigError, match="counts 0, 1, 2"):
-        scenarios.enclosing_loop([], 3, phi)
+        ut.enclosing_loop([], 3, phi)
 
 
 def _umbilic_normal_loop():
@@ -598,7 +656,7 @@ def test_cli_maslov_default_grid_encloses_as_the_fine_grid(tmp_path, axes):
 
 def test_cli_maslov_takes_its_enclosing_loops_in_one_call(tmp_path, monkeypatch):
     shapes, angle_shapes = [], []
-    congruence_eval, principal_angles = ls.CongruenceMap.eval, ut.principal_angles
+    congruence_eval, principal_angles = ls.CongruenceMap.eval, ls.principal_angles
 
     def counting_eval(self, s, t, out=None):
         shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
@@ -608,7 +666,7 @@ def test_cli_maslov_takes_its_enclosing_loops_in_one_call(tmp_path, monkeypatch)
         angle_shapes.append(np.shape(rep.k1))
         return principal_angles(rep)
     monkeypatch.setattr(ls.CongruenceMap, "eval", counting_eval)
-    monkeypatch.setattr(ut, "principal_angles", counting_angles)
+    monkeypatch.setattr(ls, "principal_angles", counting_angles)
     enclose = ["--enclose", "0,1,2"]
     together = _maslov_csv(tmp_path / "together", MASLOV_AXES[0], enclose)
     # one defect evaluation and one principal-angle pass for the three loops
@@ -616,8 +674,8 @@ def test_cli_maslov_takes_its_enclosing_loops_in_one_call(tmp_path, monkeypatch)
     assert [shape for shape in shapes if shape[-1] == 2048] == [(3, 2048)]
     assert angle_shapes == [(3 * 2048,)]
     # the same file, byte for byte, with each loop taken on its own
-    mirror = scenarios._maslov_mirror
-    monkeypatch.setattr(scenarios, "_maslov_mirror", lambda surface, metric, section, s, t: [
+    mirror = ls.maslov_mirror
+    monkeypatch.setattr(ls, "maslov_mirror", lambda surface, metric, section, s, t: [
         mirror(surface, metric, section, *loop) for loop in zip(s, t)])
     assert _maslov_csv(tmp_path / "alone", MASLOV_AXES[0], enclose) == together
 
