@@ -20,7 +20,7 @@ them, and the metric then differs from the round one by an L2 amount
 bounded by 16 pi^2 eps^3.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +122,8 @@ class MetricField:
     chart: Chart
     components: callable
     depends_on: tuple = (0, 1, 2)
+    # a constant field's checked value, kept by ``constant_matrix``
+    _held: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def constant(self):
@@ -131,6 +133,17 @@ class MetricField:
         """Metric components g_ij at points, shape (N,3,3)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return _stack(self.components(pts[:, 0], pts[:, 1], pts[:, 2]), pts.shape[:1])
+
+    def constant_matrix(self, point):
+        """The value (1,3,3) of a constant field, read-only: evaluated by
+        ``matrix`` at ``point`` (1,3) and checked non-degenerate on the
+        first call, whose point a singular value names, then kept."""
+        if self._held is None:
+            g = self.matrix(point)
+            _check_nondegenerate(self, point.T, _sym3_inverse_det(g)[1])
+            g.flags.writeable = False
+            self._held = g
+        return self._held
 
     def matrix_and_partials(self, pts):
         """(g_ij, d_k g_ij) with exact first partials, shapes (N,3,3), (N,3,3,3)."""

@@ -18,6 +18,7 @@ surface's umbilics, and the Keller-Maslov index of a loop equals four
 times the enclosed umbilic index sum.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -75,7 +76,10 @@ def potential_form(V, du):
 
 # -- sphere frames ------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def _complement_basis(center):
+    """The unit ``center`` c, a tuple, and an orthonormal basis (p, q) of
+    its complement with q = c x p; cached per center, read-only."""
     c = np.asarray(center, dtype=float)
     c = c / np.linalg.norm(c)
     k = np.argmin(np.abs(c))
@@ -84,6 +88,8 @@ def _complement_basis(center):
     p = np.cross(c, axis)
     p /= np.linalg.norm(p)
     q = np.cross(c, p)
+    for a in (c, p, q):
+        a.flags.writeable = False
     return c, p, q
 
 
@@ -98,7 +104,7 @@ def sphere_frame(u, center):
     vertical splitting.
     """
     u = _components(u)
-    c, p, q = _complement_basis(center)
+    c, p, q = _complement_basis(tuple(center))
     denom = 1.0 + dot3(u, c)
     if np.any(denom <= 1e-12):
         raise ChartDomainError("direction at or beyond the chart antipode")
@@ -112,7 +118,7 @@ def sphere_frame(u, center):
 
 
 def sphere_to_stereo(u, center):
-    c, p, q = _complement_basis(center)
+    c, p, q = _complement_basis(tuple(center))
     u = _components(u)
     denom = 1.0 + dot3(u, c)
     return dot3(u, p) / denom, dot3(u, q) / denom

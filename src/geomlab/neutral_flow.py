@@ -16,22 +16,24 @@ The boundary target is a ``ChartSection``, which carries the chart the
 flow lives in, and whose ``eval`` gives the (u, V, du, dV) samples that
 every line-space routine reads (``line_space.symplectic_area``, say).
 
-A step (``flow_step``, the one path every run takes) moves interior
-samples by h * H (H the G-orthogonal projection of the discrete tension
-field), re-projects boundary samples onto the target section along the
-fiber, optionally applies one penalty iteration (``angle_penalty_step``)
-pulling the boundary hyperbolic angle toward its target, and records one
-diagnostics row, as ``run_flow`` records the start state's: induced area,
-definiteness margin, max |H|, the normal-projection residual, the boundary
-angle residual, and the boundary dbar defect against the monitored
-schedule C/(1+t).  Each takes the geometry of its state, ``flow_geometry``,
-from its caller; it is arithmetic on the (nx, ny) planes of the chart
-metric's two distinct entries and the Christoffel symbols' four sources,
-with no dense metric or Christoffel array.  What the boundary terms need
-beyond that geometry, the chart metric at the edge samples included,
-depends on the ring samples alone, which the projection keeps
-bit-identical, so it is built once per run (``BoundaryRing``) and rebuilt
-only when the ring or the section changes.
+``run_flow`` projects the boundary ring onto the target section along
+the fiber once, before its first row.  A step (``flow_step``, the one
+path every run takes) writes interior samples alone: it moves them by
+h * H (H the G-orthogonal projection of the discrete tension field),
+optionally applies one penalty iteration (``angle_penalty_step``, which
+nudges the first interior ring) pulling the boundary hyperbolic angle
+toward its target, and records one diagnostics row, as ``run_flow``
+records the start state's: induced area, definiteness margin, max |H|,
+the normal-projection residual, the boundary angle residual, and the
+boundary dbar defect against the monitored schedule C/(1+t).  Each takes
+the geometry of its state, ``flow_geometry``, from its caller; it is
+arithmetic on the (nx, ny) planes of the chart metric's two distinct
+entries and the Christoffel symbols' four sources, with no dense metric
+or Christoffel array.  What the boundary terms need beyond that
+geometry, the chart metric at the edge samples included, depends on the
+ring samples alone, which no step writes, so it is built and checked
+once per run (``BoundaryRing``) and rebuilt only when the ring or the
+section changes.
 """
 
 import functools
@@ -96,7 +98,7 @@ class LineSpaceChart:
     def __init__(self, center=(0.0, 0.0, 1.0)):
         self.center = np.asarray(center, dtype=float)
         self.center /= np.linalg.norm(self.center)
-        self._cpq = _complement_basis(self.center)
+        self._cpq = _complement_basis(tuple(self.center))
 
     def embed_differential(self, pts):
         """(u, V, D) with D[n, A] = (du, dV) of the chart direction A."""
@@ -384,10 +386,10 @@ class BoundaryRing:
     ring samples (``samples``, at ``ring_ij``), their chart embedding
     differential and sphere frame, the non-corner ``edge`` indices with
     their first-interior neighbours, and there the chart metric G and,
-    with the target section's tangent basis Q, G Q^T and det(Q G Q^T).  All of it
-    depends only on the ring samples and the section with its chart, and
-    ``project_boundary`` snaps the ring back to the same samples on every
-    step."""
+    with the target section's tangent basis Q, G Q^T and det(Q G Q^T),
+    checked positive when built.  All of it depends only on the ring
+    samples and the section with its chart, and no flow step writes the
+    ring: ``run_flow`` projects it once, before its first row."""
     section: ChartSection
     shape: tuple               # the grid's (nx, ny)
     ring_ij: tuple             # (ii, jj) of every boundary sample
@@ -416,6 +418,7 @@ def _build_ring(state):
     edge_metric = chart.metric(pts)
     edge_gq = edge_metric @ _t(sec_basis)
     edge_q_det = _det2(sec_basis @ edge_gq)
+    _check_definite(edge_q_det)
     for a in (samples, diff, edge_metric, edge_gq, edge_q_det):
         a.flags.writeable = False
     return BoundaryRing(state.section, state.shape, (ii, jj), samples,
@@ -440,6 +443,16 @@ def dbar_boundary_norm(state, geo):
     return float(np.max(np.abs(psi)))
 
 
+def _check_definite(det, *others):
+    """SignatureLossError unless the plane Gram determinants ``det`` and
+    the ``others`` are finite and ``det`` is positive: a 2x2 Gram is
+    definite, of either sign, exactly when its determinant is positive."""
+    if not all(np.all(np.isfinite(a)) for a in (det, *others)):
+        raise SignatureLossError("boundary tangent plane is not finite")
+    if not np.all(det > 0.0):
+        raise SignatureLossError("boundary tangent plane is not definite")
+
+
 def _plane_grams(g4, p_basis, gq, q_det):
     """cosh of the hyperbolic angle between two definite planes at a point,
     with the products it is made of: (cosh, P G, P G P^T, P G Q^T).
@@ -450,18 +463,16 @@ def _plane_grams(g4, p_basis, gq, q_det):
     the G-unit bivectors of the planes, 1 for equal planes, which is
     |det(P G Q^T)| / sqrt(det(P G P^T) det(Q G Q^T)): orthonormalising a
     basis divides the cross determinant by the square root of its own
-    Gram determinant.  A 2x2 Gram is definite, of either sign, exactly
-    when its determinant is positive, so a plane with det <= 0 is refused.
+    Gram determinant.  The first plane is refused unless definite
+    (``_check_definite``); the second is the target section's, checked
+    once with the ring that holds its products (``_build_ring``).
     """
     gp = p_basis @ g4
     gram = gp @ _t(p_basis)
     cross = p_basis @ gq
     p_det = _det2(gram)
     cross_det = _det2(cross)
-    if not np.all(np.isfinite([p_det, q_det, cross_det])):
-        raise SignatureLossError("boundary tangent plane is not finite")
-    if not (np.all(p_det > 0.0) and np.all(q_det > 0.0)):
-        raise SignatureLossError("boundary tangent plane is not definite")
+    _check_definite(p_det, cross_det)
     return np.abs(cross_det) / np.sqrt(p_det * q_det), gp, gram, cross
 
 
@@ -543,7 +554,7 @@ def angle_penalty_step(state, geo):
     np.add.at(count, (ni, nj), 1.0)
     nonzero = count > 0
     accum[nonzero] /= count[nonzero][:, None]
-    state.f[..., 2:] -= accum
+    state.f[1:-1, 1:-1, 2:] -= accum[1:-1, 1:-1]
     geo = flow_geometry(state)
     return angle_residual(state, geo), geo
 
@@ -583,16 +594,16 @@ def _record(state, geo, h_field, angle_res):
 
 
 def flow_step(state, geo):
-    """One explicit step from ``geo = flow_geometry(state)``: interior moves
-    by h*H, boundary re-projected, then one angle penalty iteration when
-    ``state.angle_rate`` is positive.  Records the step's diagnostics row
-    and returns the post-step geometry, which is the next step's ``geo``.
+    """One explicit step from ``geo = flow_geometry(state)``: the interior
+    moves by h*H, then one angle penalty iteration when ``state.angle_rate``
+    is positive.  The boundary ring is not written.  Records the step's
+    diagnostics row and returns the post-step geometry, which is the next
+    step's ``geo``.
     """
     h_field = mean_curvature_vector(geo)
-    state.f = state.f + state.h * h_field
     inner = state.f[1:-1, 1:-1]
+    inner += state.h * h_field[1:-1, 1:-1]
     _check_in_chart(np.sqrt(inner[..., 0] ** 2 + inner[..., 1] ** 2), "interior")
-    project_boundary(state)
     geo = flow_geometry(state)
     if state.angle_rate > 0.0:
         angle_res, geo = angle_penalty_step(state, geo)
@@ -624,6 +635,15 @@ def _is_integer(value):
 
 def _is_real(value):
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _to_float(value):
+    """float(value) of a number; an integer too large for a float gives
+    the infinity of its sign, which the finiteness checks refuse."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
 
 
 def build_state(config=None, **overrides):
@@ -661,7 +681,7 @@ def build_state(config=None, **overrides):
     for key, value in reals.items():
         if not _is_real(value):
             raise ConfigError(f"{key} must be a number, got {value!r}")
-        reals[key] = value = float(value)
+        reals[key] = value = _to_float(value)
         if not np.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
     for key in ("h", "cfl"):
@@ -674,7 +694,7 @@ def build_state(config=None, **overrides):
         raise ConfigError("chart_radius must sit inside the open hemisphere (0,1)")
     center = cfg["center"]
     if not (np.ndim(center) == 1 and len(center) == 3 and all(map(_is_real, center))
-            and np.all(np.isfinite(center)) and np.any(center)):
+            and np.all(np.isfinite([_to_float(c) for c in center])) and np.any(center)):
         raise ConfigError(f"center must be three finite numbers, not all zero, got {center!r}")
     cosh_target = None
     if cfg["angle_target"] is not None:
@@ -711,12 +731,14 @@ def build_state(config=None, **overrides):
 
 def run_flow(config=None, **overrides):
     """Iterate flow steps per the config; halts on budget, signature loss,
-    chart exit, or stagnation.  Returns (state, snapshots)."""
+    chart exit, or stagnation.  The boundary ring is projected onto the
+    target section once, before the first row.  Returns (state, snapshots)."""
     state, cfg = build_state(config, **overrides)
     every = cfg["snapshot_every"]
     tol = float(cfg["stagnation_tol"])
     snapshots = []
     try:
+        project_boundary(state)
         geo = flow_geometry(state)
         _record(state, geo, mean_curvature_vector(geo), angle_residual(state, geo))
         for step in range(cfg["steps"]):

@@ -112,6 +112,13 @@ def fundamental_forms(surface, metric, s, t):
 _ROW_FIELDS = tuple(CurvatureReport.__dataclass_fields__)[1:]  # every field but point
 
 
+def _dot_constant(x, g):
+    """``dot3(x, g)`` for numbers ``g``, not all zero: the terms of exact
+    zeros left out and exact ones not multiplied, the rest added in order."""
+    terms = [xi if gi == 1.0 else xi * gi for xi, gi in zip(x, g) if gi != 0.0]
+    return sum(terms[1:], terms[0])
+
+
 def _orbit_row(axes, comps):
     """Row 0 (d1, d2) of the read-out of the chart map's ``comps`` if every row
     equals it in every partial and the metric's coordinates ``axes``, else None;
@@ -139,21 +146,25 @@ def _forms(surface, metric, point, d1, d2):
     The contractions are written out over components: ``x[a][i]`` is the
     (N,) array dX_a^i, one contiguous block when ``d1`` comes from
     ``jets.read_out``, and a metric entry ``g[i][j]`` is an (N,) array,
-    or one number for a constant metric, read at the first point alone.
+    or one number for a constant metric, whose checked value the metric
+    holds (``MetricField.constant_matrix``) and whose contractions skip
+    its exact zeros and ones (``_dot_constant``).
     The forms and the normal are point-major views of component-major
     arrays."""
     n = point.shape[0]
     x = [[d1[:, a, i] for i in range(3)] for a in range(2)]
     if metric.constant:
-        gm = metric.matrix(point[:1])
+        gm = metric.constant_matrix(point[:1])
         g = gm[0].tolist()
+        dot_g = _dot_constant
     else:
         gm = metric.matrix(point)
         g = [[gm[:, i, j] for j in range(3)] for i in range(3)]
+        dot_g = dot3
     # covectors g.dX_a: they give the first form and annihilate the normal;
     # non-finite values in g or d1 fail the check below, which names them
     with np.errstate(invalid="ignore", over="ignore"):
-        cov = [[dot3(xa, (g[0][j], g[1][j], g[2][j])) for j in range(3)] for xa in x]
+        cov = [[dot_g(xa, (g[0][j], g[1][j], g[2][j])) for j in range(3)] for xa in x]
         f00, f01, f11 = dot3(cov[0], x[0]), dot3(cov[0], x[1]), dot3(cov[1], x[1])
         det_first = f00 * f11 - f01 ** 2
         scale = dot3(x[0], x[0]) + dot3(x[1], x[1])
@@ -177,16 +188,12 @@ def _forms(surface, metric, point, d1, d2):
                 f"{tuple(float(x) for x in point[k])} (det g = {det[k]:.6g})")
         raise ImmersionError("coordinate tangents are (numerically) dependent")
     # ambient Christoffels first, while few per-point arrays are alive; they
-    # vanish for a constant metric, whose one value is checked instead
-    if metric.constant:
-        gamma = None
-        _check_nondegenerate(metric, point.T, _sym3_inverse_det(gm)[1])
-    else:
-        gamma = christoffel(metric, point)
+    # vanish for a constant metric
+    gamma = None if metric.constant else christoffel(metric, point)
 
     # normal: cross product of the two covectors annihilates both tangents
     v = cross3(cov[0], cov[1])
-    gv = [dot3(g[i], v) for i in range(3)]
+    gv = [dot_g(v, g[i]) for i in range(3)]
     vlen = np.sqrt(dot3(v, gv))
     normal = np.array([surface.orient * vi / vlen for vi in v])
     g_normal = [surface.orient * gvi / vlen for gvi in gv]

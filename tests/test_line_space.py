@@ -721,7 +721,7 @@ def _invert_rows_one_by_one(directions, section):
     for m, target in enumerate(directions):
         seed = int(np.argmax(ls.dot3(grid_u, target)))
         s_c, t_c = float(sm.ravel()[seed]), float(tm.ravel()[seed])
-        _, p, q = ls._complement_basis(target)
+        _, p, q = ls._complement_basis(tuple(target))
         for k in range(ls._INVERT_ITERS + 1):
             u, _, du, _ = section.source.eval(s_c, t_c)
             r_p, r_q = np.dot(p, u[0] - target), np.dot(q, u[0] - target)
@@ -862,7 +862,7 @@ def _cross_apply_j(u, V, du, dV):
 
 
 def _einsum_sphere_frame(u, center):
-    c, p, q = ls._complement_basis(center)
+    c, p, q = ls._complement_basis(tuple(center))
     denom = 1.0 + np.einsum("...i,i->...", u, c)
     x = np.einsum("...i,i->...", u, p) / denom
     e1 = p - x[..., None] * (c + u)

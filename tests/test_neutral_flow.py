@@ -388,11 +388,15 @@ def _cholesky_plane_cosh(g4, p_basis, q_basis):
 
 
 def _plane_cosh(g4, p_basis, q_basis):
-    """``nf._plane_grams``' cosh from the two planes' bases."""
+    """``nf._plane_grams``' cosh from the two planes' bases, the second
+    plane checked as ``nf._build_ring`` checks the target section's."""
     gq = g4 @ np.swapaxes(q_basis, -1, -2)
     qgq = q_basis @ gq
-    return nf._plane_grams(g4, p_basis, gq, qgq[..., 0, 0] * qgq[..., 1, 1]
-                           - qgq[..., 0, 1] * qgq[..., 1, 0])[0]
+    q_det = qgq[..., 0, 0] * qgq[..., 1, 1] - qgq[..., 0, 1] * qgq[..., 1, 0]
+    with np.errstate(invalid="ignore"):  # a q_det <= 0 is refused below
+        cosh = nf._plane_grams(g4, p_basis, gq, q_det)[0]
+    nf._check_definite(q_det)
+    return cosh
 
 
 def _random_planes(seed, n):
@@ -620,7 +624,7 @@ def _counting(monkeypatch, name, owner=nf):
 @pytest.mark.parametrize("angle_rate, per_step", [(0.0, 1), (0.2, 2)])
 def test_run_flow_evaluates_geometry_once_per_new_state(monkeypatch, angle_rate, per_step):
     # one evaluation of the start state, then one per state a step keeps:
-    # the post-step state, plus the projected state before an angle nudge;
+    # the post-step state, plus the moved state before an angle nudge;
     # every nudge goes through the one public penalty step
     calls = _counting(monkeypatch, "flow_geometry")
     nudges = _counting(monkeypatch, "angle_penalty_step")
@@ -761,6 +765,49 @@ def test_ring_diagnostics_match_the_uncached_oracle(angle_rate):
     # its edge metric, G Q^T and det(Q G Q^T) still equal fresh ones
     _assert_ring_matches_oracle(state)
     assert state.diagnostics[-1].dbar_norm == _uncached_dbar_norm(state, geo)
+
+
+@pytest.mark.parametrize("disc", ["twisted-hemisphere", "holomorphic-affine"])
+@pytest.mark.parametrize("angle_rate, steps", [(0.0, 20), (0.2, 6)])
+def test_steps_never_write_the_boundary_ring(disc, angle_rate, steps):
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV), disc=disc, angle_rate=angle_rate)
+    start = state.f.copy()
+    geo = nf.flow_geometry(state)
+    nf.angle_residual(state, geo)
+    for _ in range(steps):
+        geo = nf.flow_step(state, geo)
+    assert state.halted == "" and len(state.diagnostics) == steps
+    mask = _boundary_mask(state.shape)
+    assert state.f[mask].tobytes() == start[mask].tobytes()
+    if disc == "twisted-hemisphere":
+        assert not np.array_equal(state.f[~mask], start[~mask])
+    # the ring is still the target section's, bit for bit
+    final = state.f.copy()
+    nf.project_boundary(state)
+    assert state.f.tobytes() == final.tobytes()
+
+
+def test_a_ring_off_the_chart_halts_before_the_first_row():
+    # the corners of a square of half width 0.70 sit at chart radius 0.99,
+    # outside the chart limit; at 0.71 they are past the hemisphere's edge,
+    # where the disc's definiteness is lost too, but the ring is the cause
+    for radius in (0.70, 0.71):
+        state, _ = nf.run_flow({"grid_n": 11, "chart_radius": radius, "steps": 3})
+        assert state.halted == "ChartDomainError: boundary sample ran off the hemisphere chart"
+        assert state.diagnostics == []
+
+
+def test_a_non_definite_target_section_is_refused_when_the_ring_is_built():
+    # det(Q G Q^T) of the target's tangent basis is ring data: checked once,
+    # where the ring's products are formed
+    state, _ = nf.build_state({"grid_n": 9})
+    geo = nf.flow_geometry(state)
+    # w2 = -5 x: Q G Q^T = diag(alpha + 10 beta, alpha) with alpha < 0 < beta
+    # on the twisted ring, an indefinite plane
+    state.section = nf.ChartSection(lambda x, y: (0.0 * x, -5.0 * x), state.section.chart)
+    with pytest.raises(SignatureLossError, match="boundary tangent plane is not definite"):
+        nf.boundary_angle_cosh(state, geo)
+    assert state.ring is None
 
 
 @pytest.mark.parametrize("angle_rate", [0.0, 0.2])

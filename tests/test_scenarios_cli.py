@@ -299,6 +299,10 @@ BAD_FLOW_VALUES = {
     "h-zero": (["--h", "0"], None, "h must be positive"),
     "h-nan": (["--h", "nan"], None, "h must be finite"),
     "h-inf-config": ([], "h = inf\n", "h must be finite"),
+    # an integer too large for a float is refused as h = 1e400 is
+    "h-huge-integer-config": ([], "h = 1" + "0" * 400 + "\n", "h must be finite, got inf"),
+    "center-huge-integer-config": ([], "center = 0,0,-1" + "0" * 400 + "\n",
+                                   "center must be three finite numbers"),
     "cfl-negative-config": ([], "cfl = -0.2\n", "cfl must be positive"),
     "cfl-nan-config": ([], "cfl = nan\n", "cfl must be finite"),
     "angle-rate-negative": (["--angle-rate", "-1"], None, "angle_rate must be non-negative"),

@@ -127,6 +127,50 @@ def test_constant_singular_metric_is_named(tmp_path):
         sg.fundamental_forms(ell, metric, [0.3, 0.4], [1.0, 1.2])
 
 
+@pytest.mark.parametrize("entries", [None, {"g11": "2", "g12": "0.5", "g22": "1", "g33": "3"}],
+                         ids=["flat-r3", "non-diagonal"])
+def test_constant_metric_forms_equal_the_pointwise_ones(entries):
+    # the held value, with its exact zeros and ones left out of the
+    # contractions, gives the forms of the same metric evaluated point by
+    # point with a zero Christoffel pass
+    metric = (FLAT if entries is None
+              else ct.metric_from_expressions("cartesian", entries, name="skew"))
+    assert metric.constant
+    pointwise = dataclasses.replace(metric, depends_on=(0, 1, 2))
+    s, t = np.linspace(0.2, 2.9, 7)[:, None], np.linspace(0.1, 6.2, 9)[None, :]
+    for surface in (sg.surface_by_name("ellipsoid"), sg.surface_by_name("saddle")):
+        got = sg.fundamental_forms(surface, metric, s, t)
+        want = sg.fundamental_forms(surface, pointwise, s, t)
+        for name in ("first", "second", "normal", "h_mean", "k1", "k2", "disc_sq",
+                     "area_density"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (surface.name, name)
+
+
+def test_constant_metric_is_evaluated_and_checked_once(monkeypatch):
+    calls = []
+    matrix = ct.MetricField.matrix
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return matrix(self, pts)
+    monkeypatch.setattr(ct.MetricField, "matrix", counted)
+    metric = ct.metric_by_name("flat-r3")
+    ell = sg.surface_by_name("ellipsoid")
+    for s in (0.3, 0.9, 1.7):
+        sg.fundamental_forms(ell, metric, [s, s + 0.1], [1.0, 1.2])
+    assert calls == [1]
+    held = metric.constant_matrix(np.zeros((1, 3)))
+    assert held.shape == (1, 3, 3) and not held.flags.writeable
+    # a singular value is refused on every call, naming that call's point
+    singular = ct.metric_from_expressions("cartesian", {"g11": "1", "g22": "1"}, name="flat2")
+    for s in (0.3, 0.9):
+        point = tuple(float(c) for c in sg.fundamental_forms(ell, metric, s, 1.0).point)
+        with pytest.raises(MetricParameterError,
+                           match=r"metric flat2 is singular or not finite at point") as err:
+            sg.fundamental_forms(ell, singular, [s, s + 0.1], [1.0, 1.2])
+        assert str(point) in str(err.value)
+
+
 def test_near_singular_metric_is_named():
     # det g = 1.1e-16 > 0 passes the determinant check, but the first form
     # fails while the tangents d/dtheta1, d/dtheta2 are orthonormal in the
