@@ -148,14 +148,22 @@ def defect_psi(frame, du, dV):
     """
     du1, du2, dv1, dv2 = (_components(v[..., k, :]) for v in (du, dV) for k in range(2))
     # the real and imaginary parts x_k, y_k of z_k and p_k, q_k of w_k
-    parts = [dot3(v, e) for v in (du1, du2, dv1, dv2) for e in frame]
+    parts = [dot3(v, e) for v in (du1, dv1, du2, dv2) for e in frame]
     # the frame is released once projected on, before the arithmetic of psi
     del frame
-    for k, (du_k, dv_k) in enumerate(((du1, dv1), (du2, dv2))):
-        n = np.sqrt(dot3(du_k, du_k) + dot3(dv_k, dv_k))
-        for m in (2 * k, 2 * k + 1, 2 * k + 4, 2 * k + 5):
+    return _psi_from_parts(parts, (np.sqrt(dot3(du_k, du_k) + dot3(dv_k, dv_k))
+                                   for du_k, dv_k in ((du1, dv1), (du2, dv2))))
+
+
+def _psi_from_parts(parts, norms):
+    """``defect_psi`` from the frame projections ``parts`` of the tangents,
+    [x1, y1, p1, q1, x2, y2, p2, q2], and the tangents' lengths ``norms``
+    (an iterable of two).  Divides in the caller's list, so each undivided
+    projection is released as its quotient replaces it."""
+    for k, n in enumerate(norms):
+        for m in range(4 * k, 4 * k + 4):
             parts[m] = parts[m] / n
-    x1, y1, x2, y2, p1, q1, p2, q2 = parts
+    x1, y1, p1, q1, x2, y2, p2, q2 = parts
     # c = conj(z1) z2
     c_im = x1 * y2 - y1 * x2
     a = -(x1 * x2 + y1 * y2) / c_im

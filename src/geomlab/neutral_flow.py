@@ -30,10 +30,11 @@ the geometry of its state, ``flow_geometry``, from its caller; it is
 arithmetic on the (nx, ny) planes of the chart metric's two distinct
 entries and the Christoffel symbols' four sources, with no dense metric
 or Christoffel array.  What the boundary terms need beyond that
-geometry, the chart metric at the edge samples included, depends on the
-ring samples alone, which no step writes, so it is built and checked
-once per run (``BoundaryRing``) and rebuilt only when the ring or the
-section changes.
+geometry (the edge samples' chart metric, the ring's embedding
+differential contracted with its sphere frame and with itself) depends
+on the ring samples alone, which no step writes, so it is built and
+checked once per run (``BoundaryRing``) and rebuilt only when the ring
+or the section changes.
 """
 
 import functools
@@ -44,7 +45,7 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, ConfigError, SignatureLossError
 from .kernels import sym_eig2_batch
-from .line_space import _complement_basis, defect_psi, sphere_frame
+from .line_space import _complement_basis, _psi_from_parts, sphere_frame
 
 
 # -- chart geometry -----------------------------------------------------------
@@ -253,7 +254,7 @@ def _fd_derivatives(f, dx, dy):
     views d1[i, j, a, A] and d2[i, j, a, b, A] of them, so that
     ``d1.transpose(2, 3, 0, 1)`` is the contiguous tangent planes.
     """
-    f = np.ascontiguousarray(np.moveaxis(f, -1, 0))
+    f = np.ascontiguousarray(f.transpose(2, 0, 1))
     d1 = np.empty((2,) + f.shape)
     d1[0, :, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2 * dx)
     d1[0, :, 0] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * dx)
@@ -371,20 +372,20 @@ def _edge_indices(shape):
     are one-sided in both directions and carry no interior dependence, so
     the angle machinery skips them."""
     nx, ny = shape
-    pairs = []
-    pairs.extend(((0, j), (1, j)) for j in range(1, ny - 1))
-    pairs.extend(((nx - 1, j), (nx - 2, j)) for j in range(1, ny - 1))
-    pairs.extend(((i, 0), (i, 1)) for i in range(1, nx - 1))
-    pairs.extend(((i, ny - 1), (i, ny - 2)) for i in range(1, nx - 1))
-    pairs = np.array(pairs)
-    return pairs[:, 0, 0], pairs[:, 0, 1], pairs[:, 1, 0], pairs[:, 1, 1]
+    i, j = np.arange(1, nx - 1), np.arange(1, ny - 1)
+    # the rows x = 0 and x = nx - 1, then the columns y = 0 and y = ny - 1
+    ii = np.concatenate((0 * j, 0 * j + nx - 1, i, i))
+    jj = np.concatenate((j, j, 0 * i, 0 * i + ny - 1))
+    # each sample's neighbour is one step inward across its edge
+    return ii, jj, ii + (ii == 0) - (ii == nx - 1), jj + (jj == 0) - (jj == ny - 1)
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryRing:
     """What the flow needs of its boundary ring beyond the geometry: the
-    ring samples (``samples``, at ``ring_ij``), their chart embedding
-    differential and sphere frame, the non-corner ``edge`` indices with
+    ring samples (``samples``, at ``ring_ij``), the products of their chart
+    embedding differential D with their sphere frame and with itself
+    (``_ring_products``), the non-corner ``edge`` indices with
     their first-interior neighbours, and there the chart metric G and,
     with the target section's tangent basis Q, G Q^T and det(Q G Q^T),
     checked positive when built.  All of it depends only on the ring
@@ -394,12 +395,20 @@ class BoundaryRing:
     shape: tuple               # the grid's (nx, ny)
     ring_ij: tuple             # (ii, jj) of every boundary sample
     samples: np.ndarray        # (m, 4) state.f there
-    diff: np.ndarray           # (m, 4, 6) embed_differential
-    frame: tuple               # sphere frame (e1, e2) as components
+    frame_w: np.ndarray        # (m, 4, 4) [D_u.e1, D_u.e2, D_v.e1, D_v.e2]
+    gram: np.ndarray           # (m, 4, 4) D D^T
     edge: tuple                # _edge_indices: (ii, jj, ni, nj)
     edge_metric: np.ndarray    # (m_edge, 4, 4) chart metric
     edge_gq: np.ndarray        # (m_edge, 4, 2) G Q^T
     edge_q_det: np.ndarray     # (m_edge,) det(Q G Q^T)
+
+
+def _ring_products(diff, frame):
+    """W = [D_u.e1, D_u.e2, D_v.e1, D_v.e2] and D D^T of the embedding
+    differential D = (D_u, D_v) and the sphere frame (e1, e2): a chart
+    tangent t lifts to t D, of frame components t W and length^2 t D D^T t."""
+    e = np.transpose(frame)  # (m, 3, 2): e[..., i] = e_i
+    return np.concatenate((diff[..., :3] @ e, diff[..., 3:] @ e), axis=-1), diff @ _t(diff)
 
 
 def _build_ring(state):
@@ -408,7 +417,7 @@ def _build_ring(state):
     samples = state.f[ii, jj]
     chart = state.section.chart
     u, _, diff = chart.embed_differential(samples)
-    frame = sphere_frame(u, tuple(chart.center))
+    frame_w, gram = _ring_products(diff, sphere_frame(u, tuple(chart.center)))
     edge = _edge_indices(state.shape)
     pts = state.f[edge[0], edge[1]]
     _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
@@ -419,10 +428,10 @@ def _build_ring(state):
     edge_gq = edge_metric @ _t(sec_basis)
     edge_q_det = _det2(sec_basis @ edge_gq)
     _check_definite(edge_q_det)
-    for a in (samples, diff, edge_metric, edge_gq, edge_q_det):
+    for a in (samples, frame_w, gram, edge_metric, edge_gq, edge_q_det):
         a.flags.writeable = False
     return BoundaryRing(state.section, state.shape, (ii, jj), samples,
-                        diff, frame, edge, edge_metric, edge_gq, edge_q_det)
+                        frame_w, gram, edge, edge_metric, edge_gq, edge_q_det)
 
 
 def _ring(state):
@@ -436,10 +445,13 @@ def _ring(state):
 
 
 def dbar_boundary_norm(state, geo):
-    """max |psi| of the disc's tangent planes along the boundary ring."""
+    """max |psi| of the disc's tangent planes along the boundary ring, from
+    the ring's products: ``defect_psi`` of the lifted tangents, to rounding."""
     ring = _ring(state)
-    lifted = geo["d1"][ring.ring_ij] @ ring.diff  # (m, 2, 4) @ (m, 4, 6)
-    psi = defect_psi(ring.frame, lifted[..., :3], lifted[..., 3:])
+    t = geo["d1"][ring.ring_ij]                                   # (m, 2, 4)
+    # t W is (m, 2, 4), tangent k's row [x_k, y_k, p_k, q_k] of _psi_from_parts
+    parts = list((t @ ring.frame_w).transpose(1, 2, 0).reshape(8, -1))
+    psi = _psi_from_parts(parts, np.sqrt(np.einsum("mka,mka->km", t @ ring.gram, t)))
     return float(np.max(np.abs(psi)))
 
 
@@ -732,13 +744,14 @@ def build_state(config=None, **overrides):
 def run_flow(config=None, **overrides):
     """Iterate flow steps per the config; halts on budget, signature loss,
     chart exit, or stagnation.  The boundary ring is projected onto the
-    target section once, before the first row.  Returns (state, snapshots)."""
+    target section once, before the first row (ChartDomainError if off
+    the chart, not a halt).  Returns (state, snapshots)."""
     state, cfg = build_state(config, **overrides)
     every = cfg["snapshot_every"]
     tol = float(cfg["stagnation_tol"])
     snapshots = []
+    project_boundary(state)
     try:
-        project_boundary(state)
         geo = flow_geometry(state)
         _record(state, geo, mean_curvature_vector(geo), angle_residual(state, geo))
         for step in range(cfg["steps"]):

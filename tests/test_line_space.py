@@ -278,6 +278,19 @@ def test_defect_psi_matches_least_squares_decomposition():
     assert np.max(np.abs(psi - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
+def test_defect_psi_is_the_shared_helper_on_explicit_projections():
+    # defect_psi projects on the frame, then hands the projections and the
+    # tangent lengths to the helper the flow's boundary defect also calls
+    u, _, du, dV = ls.random_tangents(np.random.default_rng(12), 300, 2)
+    cap = u[:, 2] > -0.5
+    u, du, dV = u[cap], du[cap], dV[cap]
+    frame = ls.sphere_frame(u, (0.0, 0.0, 1.0))
+    du1, du2, dv1, dv2 = ([v[:, k, i] for i in range(3)] for v in (du, dV) for k in range(2))
+    parts = [dot3(v, e) for v in (du1, dv1, du2, dv2) for e in frame]
+    norms = [np.sqrt(dot3(a, a) + dot3(b, b)) for a, b in ((du1, dv1), (du2, dv2))]
+    assert np.array_equal(ls.defect_psi(frame, du, dV), ls._psi_from_parts(parts, norms))
+
+
 def test_congruence_rejects_hopf_chart_surfaces():
     with pytest.raises(ChartDomainError):
         ls.CongruenceMap(sg.surface_by_name("clifford"))

@@ -522,7 +522,9 @@ def test_dbar_defect_vanishes_on_holomorphic_discs(centre):
     # the boundary defect of the start state vanishes to rounding
     for disc in ("twisted-hemisphere", "holomorphic-affine"):
         state, _ = nf.build_state({"grid_n": 15, "center": centre, "disc": disc})
-        assert nf.dbar_boundary_norm(state, nf.flow_geometry(state)) <= 1e-13, disc
+        geo = nf.flow_geometry(state)
+        assert nf.dbar_boundary_norm(state, geo) <= 1e-13, disc
+        assert _lifted_dbar_norm(state, geo) <= 1e-13, disc
     # a non-holomorphic bump tilts the boundary planes off complex ones
     state, _ = nf.build_state({"grid_n": 15, "center": centre, "perturbation": 0.05})
     assert nf.dbar_boundary_norm(state, nf.flow_geometry(state)) > 1e-2
@@ -700,12 +702,42 @@ def _boundary_mask(shape):
     return mask
 
 
-def _uncached_dbar_norm(state, geo):
-    """dbar_boundary_norm from scratch: the ring's embedding differential
-    and a fresh sphere frame."""
+@pytest.mark.parametrize("shape", [(5, 5), (17, 17), (9, 13), (13, 7)])
+def test_edge_indices_are_the_non_corner_ring_with_inward_neighbours(shape):
+    ii, jj, ni, nj = nf._edge_indices(shape)
+    ring = _boundary_mask(shape)
+    edge = ring.copy()
+    edge[[0, 0, -1, -1], [0, -1, 0, -1]] = False
+    assert sorted(zip(ii, jj)) == sorted(zip(*np.nonzero(edge)))
+    assert np.all(np.abs(ni - ii) + np.abs(nj - jj) == 1)
+    assert not np.any(ring[ni, nj])
+
+
+def _ring_tangents(state, geo):
+    """The ring's directions u, embedding differential D and the disc's d1
+    there, from scratch."""
     ii, jj = np.nonzero(_boundary_mask(state.shape))
     u, _, diff = state.section.chart.embed_differential(state.f[ii, jj])
-    lifted = geo["d1"][ii, jj] @ diff
+    return u, diff, geo["d1"][ii, jj]
+
+
+def _uncached_dbar_norm(state, geo):
+    """dbar_boundary_norm from scratch: the products of a fresh embedding
+    differential and a fresh sphere frame, through ``nf._ring_products``,
+    with each frame component picked out by its index."""
+    u, diff, t = _ring_tangents(state, geo)
+    frame_w, gram = nf._ring_products(diff, ls.sphere_frame(u, tuple(state.section.chart.center)))
+    tw = t @ frame_w                  # tw[m, k, 2 * (u or v) + (e1 or e2)]
+    parts = [tw[:, k, 2 * h + e] for k in (0, 1) for h in (0, 1) for e in (0, 1)]
+    psi = ls._psi_from_parts(parts, np.sqrt(np.einsum("mka,mka->km", t @ gram, t)))
+    return float(np.max(np.abs(psi)))
+
+
+def _lifted_dbar_norm(state, geo):
+    """max |defect_psi| of the ring tangents lifted through a fresh
+    embedding differential, in a fresh sphere frame."""
+    u, diff, t = _ring_tangents(state, geo)
+    lifted = t @ diff
     psi = ls.defect_psi(ls.sphere_frame(u, tuple(state.section.chart.center)),
                         lifted[..., :3], lifted[..., 3:])
     return float(np.max(np.abs(psi)))
@@ -767,6 +799,40 @@ def test_ring_diagnostics_match_the_uncached_oracle(angle_rate):
     assert state.diagnostics[-1].dbar_norm == _uncached_dbar_norm(state, geo)
 
 
+@pytest.mark.parametrize("angle_rate, steps", [(0.0, 20), (0.2, 6)])
+def test_dbar_norm_equals_defect_psi_of_the_lifted_ring_tangents(angle_rate, steps):
+    # the ring's products contract the lift through the embedding
+    # differential and the frame projection once; every row agrees with
+    # the lifted route to rounding (on the holomorphic discs both vanish:
+    # test_dbar_defect_vanishes_on_holomorphic_discs)
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV), angle_rate=angle_rate)
+    geo = nf.flow_geometry(state)
+    nf.angle_residual(state, geo)
+    rows = [(nf.dbar_boundary_norm(state, geo), _lifted_dbar_norm(state, geo))]
+    for _ in range(steps):
+        geo = nf.flow_step(state, geo)
+        rows.append((state.diagnostics[-1].dbar_norm, _lifted_dbar_norm(state, geo)))
+    assert state.halted == "" and len(state.diagnostics) == steps
+    for got, want in rows:
+        assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("angle_rate", [0.0, 0.2])
+def test_a_row_calls_no_lift_frame_or_defect_psi(monkeypatch, angle_rate):
+    # once the ring is built, a row reads the ring's products alone
+    state, _ = nf.build_state(kvdoc.load(FLOW_KV), angle_rate=angle_rate)
+    geo = nf.flow_geometry(state)
+    nf.angle_residual(state, geo)
+    calls = [_counting(monkeypatch, "embed_differential", nf.LineSpaceChart)]
+    # each name wherever it is bound
+    calls += [_counting(monkeypatch, name, owner) for name in ("sphere_frame", "defect_psi")
+              for owner in (ls, nf) if hasattr(owner, name)]
+    for _ in range(3):
+        geo = nf.flow_step(state, geo)
+    assert state.halted == "" and len(state.diagnostics) == 3
+    assert [len(c) for c in calls] == [0] * len(calls)
+
+
 @pytest.mark.parametrize("disc", ["twisted-hemisphere", "holomorphic-affine"])
 @pytest.mark.parametrize("angle_rate, steps", [(0.0, 20), (0.2, 6)])
 def test_steps_never_write_the_boundary_ring(disc, angle_rate, steps):
@@ -790,11 +856,12 @@ def test_steps_never_write_the_boundary_ring(disc, angle_rate, steps):
 def test_a_ring_off_the_chart_halts_before_the_first_row():
     # the corners of a square of half width 0.70 sit at chart radius 0.99,
     # outside the chart limit; at 0.71 they are past the hemisphere's edge,
-    # where the disc's definiteness is lost too, but the ring is the cause
+    # where the disc's definiteness is lost too, but the ring is the cause;
+    # it is a refused config, raised before the first row, not a halt
     for radius in (0.70, 0.71):
-        state, _ = nf.run_flow({"grid_n": 11, "chart_radius": radius, "steps": 3})
-        assert state.halted == "ChartDomainError: boundary sample ran off the hemisphere chart"
-        assert state.diagnostics == []
+        with pytest.raises(ChartDomainError,
+                           match="^boundary sample ran off the hemisphere chart$"):
+            nf.run_flow({"grid_n": 11, "chart_radius": radius, "steps": 3})
 
 
 def test_a_non_definite_target_section_is_refused_when_the_ring_is_built():

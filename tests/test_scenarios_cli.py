@@ -315,6 +315,9 @@ BAD_FLOW_VALUES = {
                                    "angle_target must have a finite cosh"),
     "h-text-config": ([], "h = abc\n", "h must be a number"),
     "chart-radius-text-config": ([], "chart_radius = abc\n", "chart_radius must be a number"),
+    # the ring's corners sit at chart radius 0.99, past the chart's edge
+    "chart-radius-ring-off-chart": (["--chart-radius", "0.70"], None,
+                                    "boundary sample ran off the hemisphere chart"),
     "stagnation-tol-text-config": ([], "stagnation_tol = abc\n",
                                    "stagnation_tol must be a number"),
     "twist-strength-text-config": ([], "twist_strength = abc\n",
