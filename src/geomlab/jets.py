@@ -14,7 +14,10 @@ a closed-form expression at a whole batch of points.
 
 Every product and chain rule adds its terms in the order of the full
 dense formula; a term that is an exact zero is left out, which changes at
-most the sign of a zero in a result on finite inputs.
+most the sign of a zero in a result on finite inputs.  So a coefficient
+left with one term is written, not added to a zero: a sum or product of
+operands on disjoint supports (a u-jet and a v-jet of a product grid)
+writes each block of its result once, into an unfilled buffer.
 
 All closed-form metric components, surface immersions and line-space
 charts in this package are written as plain arithmetic over whatever
@@ -80,14 +83,8 @@ class Jet:
         if m is None:
             h = None if self.hs is None else self.hs + other.hs
             return Jet(f, self.support, self.gs + other.gs, h)
-        g = m.zeros(1, self.gs, other.gs)
-        g[m.a] = self.gs
-        g[m.b] += other.gs
-        h = None
-        if self.hs is not None:
-            h = m.zeros(2, self.hs, other.hs)
-            h[m.aa] = self.hs
-            h[m.bb] += other.hs
+        g = m.scatter(1, self.gs, other.gs)
+        h = None if self.hs is None else m.scatter(2, self.hs, other.hs)
         return Jet(f, m.support, g, h)
 
     __radd__ = __add__
@@ -115,6 +112,8 @@ class Jet:
                 h = (self.hs * other.f + self.f * other.hs
                      + _outer(self.gs, other.gs) + _outer(other.gs, self.gs))
             return Jet(f, self.support, g, h)
+        if m.disjoint:
+            return Jet(f, m.support, *self._disjoint_product(other, m))
         ga, gb = self.gs * other.f, self.f * other.gs
         g = m.zeros(1, ga, gb)
         g[m.a] = ga
@@ -130,6 +129,25 @@ class Jet:
         return Jet(f, m.support, g, h)
 
     __rmul__ = __mul__
+
+    def _disjoint_product(self, other, m):
+        """Gradient and Hessian of ``self * other`` over the union ``m`` of
+        disjoint supports.  Every coefficient has one term, multiplied
+        straight into its block; the cross blocks are one outer product and
+        its transpose, equal bit for bit as a product commutes."""
+        fa, fb = np.shape(self.f), np.shape(other.f)
+        g = m.empty(1, self.gs.shape[1:], fb, fa, other.gs.shape[1:])
+        m.product(g, m.a, self.gs, other.f)
+        m.product(g, m.b, self.f, other.gs)
+        if self.hs is None:
+            return g, None
+        h = m.empty(2, self.hs.shape[2:], fb, fa, other.hs.shape[2:],
+                    self.gs.shape[1:], other.gs.shape[1:])
+        m.product(h, m.aa, self.hs, other.f)
+        m.product(h, m.bb, self.f, other.hs)
+        m.product(h, m.ab, self.gs[:, None], other.gs[None, :])
+        h[m.ba] = h[m.ab].swapaxes(0, 1)
+        return g, h
 
     def _reciprocal(self):
         inv = 1.0 / self.f
@@ -164,16 +182,20 @@ class _Merge:
 
     ``a`` and ``b`` index the union's gradient rows, ``aa``, ``bb``, ``ab``
     and ``ba`` its Hessian blocks.  Positions that step evenly are slices,
-    so for up to three variables every block is a view.
+    so for up to three variables every block is a view (``views``).  On
+    ``disjoint`` supports the blocks of A and B tile the union's gradient,
+    and with the two cross blocks its Hessian.
     """
 
     def __init__(self, a, b):
         self.support = tuple(sorted(set(a) | set(b)))
+        self.disjoint = not set(a) & set(b)
         pa = self._positions(a)
         pb = self._positions(b)
         self.a, self.b = pa, pb
         self.aa, self.bb = self._block(pa, pa), self._block(pb, pb)
         self.ab, self.ba = self._block(pa, pb), self._block(pb, pa)
+        self.views = isinstance(pa, slice) and isinstance(pb, slice)
 
     def _positions(self, sub):
         pos = [self.support.index(i) for i in sub]
@@ -192,6 +214,35 @@ class _Merge:
         """Zero coefficients over the union for ``terms`` of this rank."""
         shape = np.broadcast_shapes(*[t.shape[rank:] for t in terms])
         return np.zeros((len(self.support),) * rank + shape)
+
+    def empty(self, rank, *shapes):
+        """Unfilled coefficients of this rank over the union, for the
+        broadcast of the sample ``shapes``."""
+        return np.empty((len(self.support),) * rank + np.broadcast_shapes(*shapes))
+
+    def scatter(self, rank, a, b):
+        """The sum of A's coefficients ``a`` and B's ``b`` of this rank over
+        the union: zero-filled and added where the supports share a
+        variable, else each block written once and the cross blocks zeroed."""
+        ka, kb = (self.a, self.b) if rank == 1 else (self.aa, self.bb)
+        if not self.disjoint:
+            out = self.zeros(rank, a, b)
+            out[ka] = a
+            out[kb] += b
+            return out
+        out = self.empty(rank, a.shape[rank:], b.shape[rank:])
+        out[ka], out[kb] = a, b
+        if rank == 2:
+            out[self.ab] = out[self.ba] = 0.0
+        return out
+
+    def product(self, out, key, a, b):
+        """``out[key] = a * b``, multiplied straight into ``out`` when every
+        block is a view; an index-array key reads a copy, so it is assigned."""
+        if self.views:
+            np.multiply(a, b, out=out[key])
+        else:
+            out[key] = a * b
 
 
 _MERGES = {}
@@ -262,8 +313,15 @@ def read_out(comps, xs):
     shape = np.broadcast_shapes(*[x.f.shape for x in xs])
     n, m = len(xs), len(comps)
     f = np.empty((m,) + shape)
-    g = np.zeros((n, m) + shape)
-    h = np.zeros((n, n, m) + shape) if xs[0].hs is not None else None
+    g = np.empty((n, m) + shape)
+    h = np.empty((n, n, m) + shape) if xs[0].hs is not None else None
+    # the buffers are not zero-filled: every partial off its component's
+    # support is zeroed in one pass, every other written once below
+    supports = tuple(comp.support if isinstance(comp, Jet) else () for comp in comps)
+    off_g, off_h = _off_support(supports, n)
+    g[off_g] = 0.0
+    if h is not None:
+        h[off_h] = 0.0
     for k, comp in enumerate(comps):
         if not isinstance(comp, Jet):
             f[k] = comp
@@ -276,6 +334,22 @@ def read_out(comps, xs):
                     h[i, j, k] = comp.hs[a, b]
     f, g = np.moveaxis(f, 0, -1), np.moveaxis(g, (0, 1), (-2, -1))
     return (f, g) if h is None else (f, g, np.moveaxis(h, (0, 1, 2), (-3, -2, -1)))
+
+
+_OFF_SUPPORT = {}
+
+
+def _off_support(supports, n):
+    """Index arrays of ``read_out``'s gradient blocks (i, k) and Hessian
+    blocks (i, j, k) off the support of component k, cached per supports."""
+    off = _OFF_SUPPORT.get((supports, n))
+    if off is None:
+        off = _OFF_SUPPORT[(supports, n)] = tuple(
+            tuple(np.array([(*ij, k) for k, support in enumerate(supports)
+                            for ij in np.ndindex((n,) * rank) if not set(ij) <= set(support)],
+                           dtype=np.intp).reshape(-1, rank + 1).T)
+            for rank in (1, 2))
+    return off
 
 
 def _embed(x, m, key, block):

@@ -22,23 +22,18 @@ def cross3(a, b):
 
 
 # -- shape operator ------------------------------------------------------
-# Inputs: batched 2x2 first/second fundamental forms, shape (N,2,2).
-# Outputs: trace of the shape operator I^-1 II, its eigenvalues k1 >= k2,
-# and the squared eigenvalue gap (k1-k2)^2, which is smooth through zero.
+# Inputs: the first and second fundamental forms as the planes of their
+# entries (I00, I01, I11) and (II00, II01, II11), arrays over a batch of
+# points that broadcast together, each one contiguous block when the batch
+# is stored component-major.
+# Outputs: trace of the shape operator S = I^-1 II, its eigenvalues
+# k1 >= k2, the squared eigenvalue gap (k1-k2)^2, which is smooth through
+# zero, and the entries (s00, s01, s10, s11) of S.
 
-def shape_operator(first, second):
-    """Entries (s00, s01, s10, s11) of S = I^-1 II over leading axes."""
-    a, b = first[..., 0, 0], first[..., 0, 1]
-    c = first[..., 1, 1]
-    p, q = second[..., 0, 0], second[..., 0, 1]
-    r = second[..., 1, 1]
+def shape_operator_batch(a, b, c, p, q, r):
     det_i = a * c - b * b
-    return ((c * p - b * q) / det_i, (c * q - b * r) / det_i,
-            (a * q - b * p) / det_i, (a * r - b * q) / det_i)
-
-
-def shape_operator_batch(first, second):
-    s00, s01, s10, s11 = shape_operator(first, second)
+    s00, s01 = (c * p - b * q) / det_i, (c * q - b * r) / det_i
+    s10, s11 = (a * q - b * p) / det_i, (a * r - b * q) / det_i
     tr = s00 + s11
     # (k1-k2)^2 = tr^2 - 4 det S, written so it does not cancel at umbilics
     diff = s00 - s11
@@ -46,7 +41,7 @@ def shape_operator_batch(first, second):
     half_gap = 0.5 * np.sqrt(gap_sq)
     k1 = 0.5 * tr + half_gap
     k2 = 0.5 * tr - half_gap
-    return tr, k1, k2, gap_sq
+    return tr, k1, k2, gap_sq, (s00, s01, s10, s11)
 
 
 # -- pointwise squared tensor norm ---------------------------------------

@@ -474,7 +474,7 @@ def complex_point_scan(section):
 
     records = _scan_zeros(grid[0], defect_rows, (section.s_axis, section.t_axis), step,
                           domain, section.periodic, tol * tol, "complex-point",
-                          vectors=np.moveaxis(grid[1:], 0, -1))
+                          vectors=grid[1:])
     # the grid values are read by the scan alone: free them before the loops
     del grid
     if not records:

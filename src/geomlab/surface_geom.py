@@ -63,7 +63,7 @@ class CurvatureReport:
     area_density: np.ndarray  # sqrt(det I)
 
 
-def fundamental_forms(surface, metric, s, t):
+def fundamental_forms(surface, metric, s, t, chart=None):
     """First/second fundamental forms and curvatures at parameters (s, t).
 
     ``s`` and ``t`` broadcast together, and the report has one row per
@@ -78,6 +78,11 @@ def fundamental_forms(surface, metric, s, t):
     (the Clifford torus in a T^2-invariant metric, a plane in flat space),
     found on the jets before any grid-sized read-out: its forms are computed
     at the first point and expanded, bit for bit as at every point.
+
+    ``chart``, if given, is ``(xs, comps)``: the jet variables seeded on
+    ``s`` and ``t`` and the chart map's components of them, from a caller
+    that has them already (``_integrate`` decides its blocks on them), so
+    the chart map is not evaluated again.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -86,8 +91,10 @@ def fundamental_forms(surface, metric, s, t):
     # (Clifford's rho is a constant), so a NaN one can leave the tangents finite
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
         raise ImmersionError("coordinate tangents are not finite")
-    xs = jets.variables([np.atleast_1d(s), np.atleast_1d(t)], order=2)
-    comps = surface.chart_map(*xs)
+    if chart is None:
+        xs = jets.variables([np.atleast_1d(s), np.atleast_1d(t)], order=2)
+        chart = xs, surface.chart_map(*xs)
+    xs, comps = chart
     grid = np.broadcast(*[x.f for x in xs])
     row = _orbit_row(metric.depends_on, comps) if grid.size > 1 else None
     if row is None:
@@ -213,9 +220,9 @@ def _forms(surface, metric, point, d1, d2):
               for xa in x]
         second = [sab - dot3(xg[a], x[b]) for sab, (a, b) in zip(second, pairs)]
 
+    tr, k1, k2, gap_sq, _ = shape_operator_batch(f00, f01, f11, *second)
     first = np.array([[f00, f01], [f01, f11]]).transpose(2, 0, 1)
     second = np.array([second[:2], second[1:]]).transpose(2, 0, 1)
-    tr, k1, k2, gap_sq = shape_operator_batch(first, second)
     return CurvatureReport(
         point=point, first=first, second=second, normal=normal.T,
         h_mean=0.5 * tr, k1=k1, k2=k2,
@@ -252,25 +259,30 @@ def _grid_eval(field, s, t, block=_GRID_CHUNK):
 
 def _integrate(surface, metric, grid, integrands):
     """Integrals of each integrand (a function of a CurvatureReport) over
-    the quadrature grid, from one fundamental_forms pass over its axes,
-    in blocks of whole s-rows.
+    the quadrature grid, from fundamental_forms over its axes.
 
-    A block costs about 78 planes of its points, so blocks hold
-    ``_GRID_CHUNK`` points; but where no component of the chart map reads
-    both parameters (tried on plain values at 2 x 2 nodes), its jets stay
-    the size of the axes, and an orbit batch among such surfaces (the
-    Clifford torus in the Hopf metrics) costs one jet pass and one point
-    of forms whatever its size, so blocks hold 1 << 16 points."""
+    Where no component of the chart map reads both parameters (tried on
+    plain values at 2 x 2 nodes), its jets on the axes stay the size of the
+    axes, and on them ``_orbit_row`` decides, as ``fundamental_forms``
+    does, whether the grid is one orbit (the Clifford torus in the Hopf
+    metrics): an orbit costs one jet pass and one point of forms whatever
+    its size, so it is one ``fundamental_forms`` call over the whole grid,
+    from those jets.  Any other grid costs about 78 planes of its points
+    per block, so it is passed in ``_GRID_CHUNK`` blocks of whole s-rows."""
     ss, tt, ww = _quadrature_grid(surface, grid)
 
-    def densities(s, t):
-        rep = fundamental_forms(surface, metric, s, t)
+    def densities(s, t, chart=None):
+        rep = fundamental_forms(surface, metric, s, t, chart)
         shape = np.broadcast_shapes(s.shape, t.shape)
         return tuple(integrand(rep).reshape(shape) for integrand in integrands)
     mixed = any(np.ndim(c) == 2 and min(np.shape(c)) > 1
                 for c in surface.chart_map(ss[:2], tt[:, :2]))
-    return [float(np.sum(d * ww)) for d in
-            _grid_eval(densities, ss, tt, block=_GRID_CHUNK if mixed else 1 << 16)]
+    if not mixed:
+        xs = jets.variables([ss, tt], order=2)
+        chart = xs, surface.chart_map(*xs)
+        if _orbit_row(metric.depends_on, chart[1]) is not None:
+            return [float(np.sum(d * ww)) for d in densities(ss, tt, chart)]
+    return [float(np.sum(d * ww)) for d in _grid_eval(densities, ss, tt)]
 
 
 def _area_density(rep):

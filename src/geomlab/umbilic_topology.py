@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnreliableLoopError
-from .kernels import shape_operator, winding_total
+from .kernels import shape_operator_batch, winding_total
 from .surface_geom import _grid_eval, fundamental_forms
 
 TWO_PI = 2.0 * np.pi
@@ -41,9 +41,10 @@ class ZeroRecord:
 def principal_angles(rep):
     """Angle (mod pi) of the k1 principal direction in parameter coordinates,
     per point of the CurvatureReport ``rep``."""
-    first, second = np.atleast_3d(rep.first), np.atleast_3d(rep.second)
-    s00, s01, s10, s11 = shape_operator(first, second)
-    k1 = np.atleast_1d(rep.k1)
+    first, second = rep.first, rep.second
+    _, k1, _, _, (s00, s01, s10, s11) = shape_operator_batch(
+        first[..., 0, 0], first[..., 0, 1], first[..., 1, 1],
+        second[..., 0, 0], second[..., 0, 1], second[..., 1, 1])
     # two kernel vectors of (S - k1); pick the better conditioned one
     w_a = np.stack([-s01, s00 - k1], axis=-1)
     w_b = np.stack([s11 - k1, -s10], axis=-1)
@@ -162,8 +163,10 @@ def umbilic_scan(surface, metric, grid=(512, 384)):
 
     scan = _grid_eval(gap_rows, ss[:, None], tt[None, :])
     tol = 1e-6 * max(float(np.max(scan[..., 3:])), 1e-30)
+    # the grid pass stores each column as one plane: (T11, T12) as (2, ns, nt)
     records = _scan_zeros(scan[..., 0], gap_rows, (ss, tt), (ds, dt), surface.domain,
-                          surface.periodic, tol * tol, "umbilic", vectors=scan[..., 1:3])
+                          surface.periodic, tol * tol, "umbilic",
+                          vectors=np.moveaxis(scan[..., 1:3], -1, 0))
     # the chart map on plain arrays: the points without a jet or forms pass
     points = np.stack(np.broadcast_arrays(*surface.chart_map(
         np.array([r.s for r in records]), np.array([r.t for r in records]))), axis=-1)
@@ -177,10 +180,11 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
 
     ``values`` holds the value at the grid whose s and t lines are ``axes``,
     ``step`` apart, inside the parameter rectangle ``domain``, and
-    ``vectors``, if given, the 2-vector F there; ``field(s, t)`` evaluates
-    rows that begin (value, F1, F2) anywhere in the rectangle, where F is a
-    smooth 2-vector that vanishes exactly where the value does.  Returns
-    ``ZeroRecord``s, with the root of the value, in grid order (``_grid_order``):
+    ``vectors``, if given, the 2-vector F there as its two component planes
+    (2, ns, nt); ``field(s, t)`` evaluates rows that begin (value, F1, F2)
+    anywhere in the rectangle, where F is a smooth 2-vector that vanishes
+    exactly where the value does.  Returns ``ZeroRecord``s, with the root of
+    the value, in grid order (``_grid_order``):
 
     * if more than ``_DEGENERATE_FRACTION`` of the samples are below
       ``tol_sq``, the field vanishes on a region: one non-isolated zero at
@@ -264,8 +268,10 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
 def _degree_cells(vectors, periodic):
     """Cells round whose four corner samples the grid 2-vector winds.
 
-    ``vectors`` has shape (ns, nt, 2); a cell spans samples i, i + 1 and
-    j, j + 1, and on a periodic axis the last cell wraps to the first
+    ``vectors`` holds the field's two component planes, shape (2, ns, nt),
+    each read as one contiguous block when the grid is stored
+    component-major, as both scans store it; a cell spans samples i, i + 1
+    and j, j + 1, and on a periodic axis the last cell wraps to the first
     sample.  The degree of a cell is the sum of the angle increments along
     its edges, each wrapped into (-pi, pi], over 2 pi; a cell of nonzero
     degree holds a zero of the field wherever the field turns by less than
@@ -280,18 +286,18 @@ def _degree_cells(vectors, periodic):
     four corners of its cell; the minima seeds cover it.
     """
     def any_corner(signs):
-        # per cell: whether any of its four corners has the sign
-        for axis in np.flatnonzero(periodic):
+        # per cell of each plane: whether any of its four corners has the sign
+        for axis in np.flatnonzero(periodic) + 1:
             signs = np.concatenate([signs, np.take(signs, [0], axis=axis)], axis=axis)
-        pairs = signs[:-1] | signs[1:]
-        return pairs[:, :-1] | pairs[:, 1:]
+        pairs = signs[:, :-1] | signs[:, 1:]
+        return pairs[:, :, :-1] | pairs[:, :, 1:]
 
     both = any_corner(vectors >= 0.0) & any_corner(vectors <= 0.0)
-    i, j = np.divmod(np.flatnonzero(both[..., 0] & both[..., 1]), both.shape[1])
-    ns, nt = vectors.shape[:2]
+    i, j = np.divmod(np.flatnonzero(both[0] & both[1]), both.shape[2])
+    ns, nt = vectors.shape[1:]
     # corner vectors of each candidate cell, counter-clockwise in (s, t)
-    loop = vectors[[i, (i + 1) % ns, (i + 1) % ns, i], [j, j, (j + 1) % nt, (j + 1) % nt]]
-    angle = np.arctan2(loop[..., 1], loop[..., 0])
+    u, v = vectors[:, [i, (i + 1) % ns, (i + 1) % ns, i], [j, j, (j + 1) % nt, (j + 1) % nt]]
+    angle = np.arctan2(v, u)
     turn = np.roll(angle, -1, axis=0) - angle
     turn = np.pi - (np.pi - turn) % TWO_PI
     degree = np.rint(np.sum(turn, axis=0) / TWO_PI)

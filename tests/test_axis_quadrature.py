@@ -151,19 +151,19 @@ def flattened_integrals(surface, metric, grid):
 def test_surface_integrals_over_row_blocks_equal_the_flattened_grid(monkeypatch):
     # the axes are passed in blocks of whole s-rows: the ellipsoid's chart
     # map reads both parameters in one component, so it is cut into
-    # _GRID_CHUNK blocks; the Clifford torus is an orbit whose grid exceeds
-    # 1 << 16 points, so it is cut into two blocks of that size
+    # _GRID_CHUNK blocks; the Clifford torus is an orbit, so its grid is one
+    # call although it exceeds 1 << 16 points
     cases = [(sg.surface_by_name("ellipsoid"), FLAT, (300, 240), [(34, 240)] * 8 + [(28, 240)]),
              (sg.surface_by_name("clifford"), ct.metric_by_name("hopf-eps-bumped", eps=0.3),
-              (288, 256), [(256, 256), (32, 256)])]
+              (288, 256), [(288, 256)])]
     original = sg.fundamental_forms
     for surface, metric, grid, blocks in cases:
         want = flattened_integrals(surface, metric, grid)
         shapes = []
 
-        def recording_forms(surface, metric, s, t):
+        def recording_forms(surface, metric, s, t, chart=None):
             shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
-            return original(surface, metric, s, t)
+            return original(surface, metric, s, t, chart)
         monkeypatch.setattr(sg, "fundamental_forms", recording_forms)
         got = sg._integrate(surface, metric, grid, DENSITIES)
         monkeypatch.undo()
@@ -197,12 +197,30 @@ def test_an_integral_off_an_orbit_allocates_in_grid_chunk_blocks(monkeypatch):
     shapes = []
     original = sg.fundamental_forms
 
-    def recording_forms(surface, metric, s, t):
+    def recording_forms(surface, metric, s, t, chart=None):
         shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
-        return original(surface, metric, s, t)
+        return original(surface, metric, s, t, chart)
     monkeypatch.setattr(sg, "fundamental_forms", recording_forms)
     sg.willmore_and_area(sg.surface_by_name("clifford"), ct.metric_by_name("hopf-eps", eps=0.3))
     assert shapes == [(256, 256)]
+
+
+def test_a_graph_of_one_parameter_off_an_orbit_allocates_in_grid_chunk_blocks():
+    # no component of the x^2 graph reads both parameters, but its slope 2x
+    # changes along s, so its grid is no orbit: _GRID_CHUNK blocks peak at
+    # 7.8 planes at 256x256 (55 in one block), with the area of one block
+    graph = sg.surface_by_name("graph", expr="x^2")
+    sg.area(graph, FLAT)  # builds the product rule
+    tracemalloc.start()
+    try:
+        got = sg.area(graph, FLAT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 256 * 256 * 8
+    ss, tt, ww = sg._quadrature_grid(graph, (256, 256))
+    one_block = sg.fundamental_forms(graph, FLAT, ss, tt).area_density.reshape(ww.shape)
+    assert got == float(np.sum(one_block * ww))
 
 
 def test_a_metric_passed_twice_is_evaluated_once_per_block():

@@ -451,6 +451,73 @@ def test_supports_that_do_not_step_evenly():
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
+def _disjoint_operands(case, order):
+    """Two jets on disjoint supports and the number of seeds: a u-jet and a
+    v-jet of a product grid, seeded on the axes (n, 1) and (1, m), or jets
+    on (0, 1, 3) and (2,) of four seeds, whose merge indexes by arrays."""
+    rng = np.random.default_rng(7)
+    if case == "grid":
+        u, v = jets.variables([rng.uniform(0.2, 1.4, (5, 1)), rng.uniform(0.2, 1.4, (1, 4))],
+                              order=order)
+        return 1.7 * jets.sin(u) + u * u, jets.exp(v) / (2.0 + jets.cos(v)), 2
+    x = jets.variables([rng.uniform(0.5, 1.5, 6) for _ in range(4)], order=order)
+    return jets.sin(x[0] * x[1]) * x[3] + x[1], jets.sqrt(1.0 + x[2] * x[2]), 4
+
+
+@pytest.mark.parametrize("case", ["grid", "uneven"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_disjoint_supports_equal_the_dense_formula(case, order):
+    # the product and the sum write each block of the union once; the
+    # oracle scatters both operands over every seed and applies the
+    # equal-support formulas, whose extra terms are exact zeros
+    a, b, n = _disjoint_operands(case, order)
+    assert not set(a.support) & set(b.support)
+    (ga, ha), (gb, hb) = scatter(a, n), scatter(b, n)
+    dense = {"*": (a.f * b.f, ga * b.f + a.f * gb,
+                   None if ha is None else (ha * b.f + a.f * hb
+                                            + ga[:, None] * gb[None, :]
+                                            + gb[:, None] * ga[None, :])),
+             "+": (a.f + b.f, ga + gb, None if ha is None else ha + hb)}
+    for op, got in (("*", a * b), ("*", b * a), ("+", a + b), ("+", b + a)):
+        f, g, h = dense[op]
+        assert got.support == tuple(sorted(a.support + b.support))
+        assert np.array_equal(got.f, f)
+        got_g, got_h = scatter(got, n)
+        assert np.array_equal(got_g, g)
+        assert (got_h is None) == (h is None)
+        if h is not None:
+            assert np.array_equal(got_h, h)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_read_out_writes_exact_zeros_off_each_support(order):
+    # the buffers are not zero-filled: each partial a component lacks is
+    # written as zero, including every partial of a plain-number component
+    rng = np.random.default_rng(11)
+    shape = (6, 5)
+    for _ in range(3):  # leave non-zero garbage where the buffers may land
+        np.full((3, 4) + shape, np.nan)
+    xs = jets.variables([rng.uniform(0.2, 1.2, shape) for _ in range(3)], order=order)
+    comps = [jets.sin(xs[1]), xs[0] * xs[2], 2.5, xs[2] + rng.uniform(size=shape)]
+    out = jets.read_out(comps, xs)
+    for k, comp in enumerate(comps):
+        support = comp.support if isinstance(comp, jets.Jet) else ()
+        for i in range(3):
+            if i not in support:
+                assert np.all(out[1][..., i, k] == 0.0)
+            if order == 2:
+                for j in range(3):
+                    if i not in support or j not in support:
+                        assert np.all(out[2][..., i, j, k] == 0.0)
+    # the partials on each support are the jet's own
+    for k, comp in enumerate(comps):
+        if isinstance(comp, jets.Jet):
+            g, h = scatter(comp, 3)
+            assert np.array_equal(out[1][..., k], np.moveaxis(g, 0, -1))
+            if order == 2:
+                assert np.array_equal(out[2][..., k], np.moveaxis(h, (0, 1), (-2, -1)))
+
+
 if st is not None:
     CONSTANTS = ["0.5", "2", "1.25", "3", "0"]
 

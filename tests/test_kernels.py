@@ -14,10 +14,15 @@ def _random_forms(rng, n):
     return first, second
 
 
+def _planes(first, second):
+    """The kernel's six entry planes (I00, I01, I11, II00, II01, II11)."""
+    return tuple(form[..., i, j] for form in (first, second) for i, j in ((0, 0), (0, 1), (1, 1)))
+
+
 def test_shape_operator_twins_agree():
     rng = np.random.default_rng(1)
     first, second = _random_forms(rng, 500)
-    tr, k1, k2, gap_sq = kernels.shape_operator_batch(first, second)
+    tr, k1, k2, gap_sq, _ = kernels.shape_operator_batch(*_planes(first, second))
     shape_op = np.linalg.inv(first) @ second
     # I^-1 II is self-adjoint for the metric I, so its eigenvalues are real
     ev = np.sort(np.linalg.eigvals(shape_op).real, axis=1)
@@ -31,7 +36,7 @@ def test_shape_operator_entries_over_leading_axes():
     rng = np.random.default_rng(3)
     first, second = _random_forms(rng, 60)
     first, second = first.reshape(3, 20, 2, 2), second.reshape(3, 20, 2, 2)
-    s00, s01, s10, s11 = kernels.shape_operator(first, second)
+    *_, (s00, s01, s10, s11) = kernels.shape_operator_batch(*_planes(first, second))
     ref = np.linalg.inv(first) @ second
     assert np.allclose(np.stack([s00, s01, s10, s11], axis=-1),
                        ref.reshape(3, 20, 4), rtol=1e-12, atol=1e-12)

@@ -1212,7 +1212,7 @@ def test_blocked_grid_values_equal_the_whole_grid_defect_bit_for_bit(monkeypatch
     psi = _whole_grid_defect(section)
     mag = np.abs(psi)
     assert np.array_equal(seen["values"], mag ** 2)
-    assert np.array_equal(seen["vectors"], np.stack([psi.real, psi.imag], axis=-1))
+    assert np.array_equal(seen["vectors"], np.stack([psi.real, psi.imag]))
     assert seen["tol_sq"] == max(1e-6 * float(np.max(mag)), 1e-10) ** 2
     assert np.array_equal(_grid_defect(section), psi)
     assert rows[0] == {"256x192": [42] * 6 + [4], "64x48": [64], "97x31": [32] * 3 + [1],

@@ -472,7 +472,9 @@ def _matmul_forms(surface, metric, point, d1, d2):
         gamma_n = (gamma.transpose(0, 2, 3, 1).reshape(n, 9, 3)
                    @ g_normal[:, :, None]).reshape(n, 3, 3)
         second -= d1 @ gamma_n @ d1t
-    tr, k1, k2, gap_sq = kernels.shape_operator_batch(first, second)
+    tr, k1, k2, gap_sq, _ = kernels.shape_operator_batch(
+        first[:, 0, 0], first[:, 0, 1], first[:, 1, 1],
+        second[:, 0, 0], second[:, 0, 1], second[:, 1, 1])
     det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
     return {"first": first, "second": second, "normal": normal, "h_mean": 0.5 * tr,
             "k1": k1, "k2": k2, "disc_sq": gap_sq, "area_density": np.sqrt(det_first)}

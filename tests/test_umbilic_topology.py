@@ -329,7 +329,7 @@ def test_coarse_near_spheroid_scans_say_they_merged():
 
 
 def _product_vectors(zeros, conjugate=(), shape=(20, 20), step=0.1):
-    """(Re, Im) of prod_k (z - z_k), z = s + i t, with the factors in
+    """The planes (Re, Im) of prod_k (z - z_k), z = s + i t, with the factors in
     ``conjugate`` taken of conj(z - z_k) (winding -1), on the grid of axes
     step/2 + step k, and the field of rows (|w|^2, Re w, Im w)."""
     def w(s, t):
@@ -343,7 +343,7 @@ def _product_vectors(zeros, conjugate=(), shape=(20, 20), step=0.1):
 
     axes = tuple(0.5 * step + step * np.arange(n) for n in shape)
     v = w(axes[0][:, None], axes[1][None, :])
-    return axes, np.stack([v.real, v.imag], axis=-1), field
+    return axes, np.stack([v.real, v.imag]), field
 
 
 def test_degree_cells_hold_the_simple_zeros():
@@ -361,13 +361,38 @@ def test_degree_cells_wrap_a_periodic_axis_and_seed_a_zero_on_an_edge():
     # and the first 0.05 + 2: a cell of its own only on a periodic s
     axes = (0.05 + 0.1 * np.arange(20),) * 2
     sm, tm = np.meshgrid(*axes, indexing="ij")
-    vectors = np.stack([np.sin(np.pi * sm), tm - 0.71], axis=-1)
+    vectors = np.stack([np.sin(np.pi * sm), tm - 0.71])
     assert ut._degree_cells(vectors, (True, False)).tolist() == [[9, 6], [19, 6]]
     assert ut._degree_cells(vectors, (False, False)).tolist() == [[9, 6]]
     # a zero on the sample line s = axes[0][9]: the corners of that edge are
     # antiparallel, and both cells that share it seed
-    vectors = np.stack([sm - axes[0][9], tm - 0.71], axis=-1)
+    vectors = np.stack([sm - axes[0][9], tm - 0.71])
     assert ut._degree_cells(vectors, (False, False)).tolist() == [[8, 6], [9, 6]]
+
+
+def _cell_degrees(vectors, periodic):
+    """Brute force: the degree of every cell, one at a time, from the angles
+    at its four corners counter-clockwise, each step taken the short way
+    round; the cells of nonzero degree in grid order."""
+    _, ns, nt = vectors.shape
+    cells = []
+    for i in range(ns if periodic[0] else ns - 1):
+        for j in range(nt if periodic[1] else nt - 1):
+            corners = [((i + a) % ns, (j + b) % nt) for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]
+            angles = [np.arctan2(vectors[1][c], vectors[0][c]) for c in corners]
+            steps = [np.angle(np.exp(1j * (angles[(k + 1) % 4] - angles[k]))) for k in range(4)]
+            if round(sum(steps) / (2 * np.pi)) != 0:
+                cells.append([i, j])
+    return cells
+
+
+@pytest.mark.parametrize("periodic", [(False, False), (True, False), (False, True), (True, True)])
+def test_degree_cells_equal_the_cell_by_cell_winding(periodic):
+    for seed, shape in ((0, (9, 7)), (1, (6, 11)), (2, (13, 13))):
+        vectors = np.random.default_rng(seed).normal(size=(2,) + shape)
+        want = _cell_degrees(vectors, periodic)
+        assert want  # random fields wind round many cells
+        assert ut._degree_cells(vectors, periodic).tolist() == want
 
 
 def test_a_winding_four_zero_inside_one_cell_is_found_through_the_minima():
