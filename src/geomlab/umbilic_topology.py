@@ -88,6 +88,21 @@ def _local_minima(values, periodic):
     return np.argwhere(is_min)
 
 
+def _median(values):
+    """``np.median`` of all of ``values``, bit for bit, from one
+    ``np.partition``: NaN when any value is NaN (NaNs sort last), else the
+    middle value or ``0.5 * (a + b)`` of the middle two.  ``np.median``'s
+    own NaN check imports ``numpy.ma`` on its first call, which costs more
+    than a scan's whole seed filter."""
+    a = np.ravel(values)
+    n = a.size
+    k = n // 2
+    part = np.partition(a, (k - 1, k, n - 1) if n % 2 == 0 else (k, n - 1))
+    if np.isnan(part[-1]):
+        return np.nan
+    return part[k] if n % 2 else 0.5 * (part[k - 1] + part[k])
+
+
 # a value below tol on more than this fraction of the grid vanishes on a region
 _DEGENERATE_FRACTION = 0.05
 # Newton's Jacobian offset and the step that stops it, in cells, and its cap
@@ -215,7 +230,7 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
         return [ZeroRecord(float(axes[0][i]), float(axes[1][j]),
                            float(np.sqrt(values[i, j])), isolated=False)]
     minima = _local_minima(values, periodic)
-    minima = minima[values[minima[:, 0], minima[:, 1]] <= 0.25 * np.median(values)]
+    minima = minima[values[minima[:, 0], minima[:, 1]] <= 0.25 * _median(values)]
     step = np.asarray(step, dtype=float)
     seed_s, seed_t = axes[0][minima[:, 0]], axes[1][minima[:, 1]]
     if vectors is not None:

@@ -205,6 +205,23 @@ def test_normal_congruence_equals_the_flattened_eval_bit_for_bit():
     assert np.moveaxis(section.dV, (-2, -1), (0, 1)).flags["C_CONTIGUOUS"]
 
 
+def test_normal_congruence_fields_are_views_of_one_buffer():
+    # disjoint views, so np.shares_memory is False: they share the base
+    section = ls.normal_congruence(ELL, grid=(256, 192))
+    fields = (section.u, section.V, section.du, section.dV)
+    buf = section.u.base
+    assert buf.shape == (18, 256, 192) and all(f.base is buf for f in fields)
+    planes = [np.moveaxis(section.u, -1, 0), np.moveaxis(section.V, -1, 0),
+              np.moveaxis(section.du, (-2, -1), (0, 1)),
+              np.moveaxis(section.dV, (-2, -1), (0, 1))]
+    for field in planes:
+        for plane in field.reshape((-1,) + field.shape[-2:]):
+            assert plane.flags["C_CONTIGUOUS"]
+    whole = ls.CongruenceMap(ELL).eval(section.s_axis[:, None], section.t_axis[None, :])
+    for got, want in zip((section.u, section.V, section.du, section.dV), whole):
+        assert np.array_equal(got, want)
+
+
 def test_congruence_eval_writes_into_the_buffers_it_is_given():
     s, t = np.linspace(0.1, 6.0, 7)[:, None], np.linspace(0.2, 3.0, 5)[None, :]
     out = (np.empty((3, 7, 5)), np.empty((3, 7, 5)), np.empty((2, 3, 7, 5)),

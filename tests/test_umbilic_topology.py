@@ -1,7 +1,11 @@
 """Umbilic detection, half-integer indices, and the bound audit."""
 
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,34 @@ def test_seed_filter_leaves_the_torus_grid_pass_alone(monkeypatch):
     assert ut.umbilic_scan(torus, FLAT, grid=(192, 192)) == []
     # the grid pass alone: four blocks of 42 whole rows and one of the other 24
     assert sizes == [42 * 192] * 4 + [24 * 192]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seed_filter_median_equals_numpy_median_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 3, 4] + list(rng.integers(5, 400, size=50))
+    for k, n in enumerate(sizes):
+        values = rng.standard_normal(n) ** 2
+        if k % 5 == 4:
+            values = np.round(values, 1)     # ties across the middle
+        if k % 7 == 6:
+            values[rng.integers(n)] = np.nan
+        for a in (values, values.reshape(1, n)):
+            got, want = ut._median(a), np.median(a)
+            assert (np.isnan(got) and np.isnan(want)) or got == want
+
+
+def test_a_scan_imports_no_masked_arrays():
+    # np.median's NaN check would import numpy.ma on its first call
+    code = ("import sys\n"
+            "from geomlab import chart_tensor as ct, surface_geom as sg, umbilic_topology as ut\n"
+            "ut.umbilic_scan(sg.surface_by_name('ellipsoid'), ct.metric_by_name('flat-r3'),\n"
+            "                grid=(32, 24))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ut.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_refine_wraps_periodic_parameters_into_the_half_open_domain():
