@@ -16,25 +16,23 @@ The boundary target is a ``ChartSection``, which carries the chart the
 flow lives in, and whose ``eval`` gives the (u, V, du, dV) samples that
 every line-space routine reads (``line_space.symplectic_area``, say).
 
-``run_flow`` projects the boundary ring onto the target section along
-the fiber once, before its first row.  A step (``flow_step``, the one
-path every run takes) writes interior samples alone: it moves them by
-h * H (H the G-orthogonal projection of the discrete tension field),
-optionally applies one penalty iteration (``angle_penalty_step``, which
-nudges the first interior ring) pulling the boundary hyperbolic angle
-toward its target, and records one diagnostics row, as ``run_flow``
-records the start state's: induced area, definiteness margin, max |H|,
-the normal-projection residual, the boundary angle residual, and the
-boundary dbar defect against the monitored schedule C/(1+t).  Each takes
-the geometry of its state, ``flow_geometry``, from its caller; it is
-arithmetic on the (nx, ny) planes of the chart metric's two distinct
-entries and the Christoffel symbols' four sources, with no dense metric
-or Christoffel array.  What the boundary terms need beyond that
-geometry (the edge samples' chart metric, the ring's embedding
-differential contracted with its sphere frame and with itself) depends
-on the ring samples alone, which no step writes, so it is built and
-checked once per run (``BoundaryRing``) and rebuilt only when the ring
-or the section changes.
+``build_state`` writes the boundary ring from the target section and
+builds, with the state, what the boundary terms need beyond the step's
+geometry (``BoundaryRing``): the edge samples' chart metric, the ring's
+embedding differential contracted with its sphere frame and with
+itself.  It depends on the ring samples alone, and no step writes them.
+A step (``flow_step``, the one path every run takes) writes interior
+samples alone: it moves them by h * H (H the G-orthogonal projection of
+the discrete tension field), optionally applies one penalty iteration
+(``angle_penalty_step``, which nudges the first interior ring) pulling
+the boundary hyperbolic angle toward its target, and records one
+diagnostics row, as ``run_flow`` records the start state's: induced
+area, definiteness margin, max |H|, the normal-projection residual, the
+boundary angle residual, and the boundary dbar defect against the
+monitored schedule C/(1+t).  Each takes the geometry of its state,
+``flow_geometry``, from its caller; it is arithmetic on the (nx, ny)
+planes of the chart metric's two distinct entries and the Christoffel
+symbols' four sources, with no dense metric or Christoffel array.
 """
 
 import functools
@@ -232,6 +230,7 @@ class FlowState:
     y_axis: np.ndarray
     f: np.ndarray              # (nx, ny, 4) chart coordinates
     section: ChartSection      # boundary target; holds the flow's chart
+    ring: "BoundaryRing"       # boundary data of the ring samples, which no step writes
     h: float
     t: float = 0.0
     cosh_target: float = None
@@ -239,8 +238,6 @@ class FlowState:
     angle_rate: float = 0.0
     diagnostics: list = field(default_factory=list)
     halted: str = ""
-    # boundary data that depend on the ring samples alone, built by ``_ring``
-    ring: "BoundaryRing" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -383,18 +380,15 @@ def _edge_indices(shape):
 @dataclass(frozen=True, eq=False)
 class BoundaryRing:
     """What the flow needs of its boundary ring beyond the geometry: the
-    ring samples (``samples``, at ``ring_ij``), the products of their chart
+    ring indices ``ring_ij``, the products of the ring samples' chart
     embedding differential D with their sphere frame and with itself
-    (``_ring_products``), the non-corner ``edge`` indices with
-    their first-interior neighbours, and there the chart metric G and,
-    with the target section's tangent basis Q, G Q^T and det(Q G Q^T),
-    checked positive when built.  All of it depends only on the ring
-    samples and the section with its chart, and no flow step writes the
-    ring: ``run_flow`` projects it once, before its first row."""
-    section: ChartSection
-    shape: tuple               # the grid's (nx, ny)
+    (``_ring_products``), the non-corner ``edge`` indices with their
+    first-interior neighbours, and there the chart metric G and, with the
+    target section's tangent basis Q, G Q^T and det(Q G Q^T), checked
+    positive when built.  All of it depends only on the ring samples and
+    the section with its chart; ``build_state`` builds it with the state,
+    and no flow step writes the ring."""
     ring_ij: tuple             # (ii, jj) of every boundary sample
-    samples: np.ndarray        # (m, 4) state.f there
     frame_w: np.ndarray        # (m, 4, 4) [D_u.e1, D_u.e2, D_v.e1, D_v.e2]
     gram: np.ndarray           # (m, 4, 4) D D^T
     edge: tuple                # _edge_indices: (ii, jj, ni, nj)
@@ -411,16 +405,19 @@ def _ring_products(diff, frame):
     return np.concatenate((diff[..., :3] @ e, diff[..., 3:] @ e), axis=-1), diff @ _t(diff)
 
 
-def _build_ring(state):
-    """The ``BoundaryRing`` of the state's current ring samples."""
-    ii, jj = _ring_indices(state.shape)
-    samples = state.f[ii, jj]
-    chart = state.section.chart
+def _build_ring(f, section):
+    """The ``BoundaryRing`` of the ring samples of ``f`` (nx, ny, 4) and
+    the target ``section``; ChartDomainError unless the samples are on the
+    chart, SignatureLossError unless Q G Q^T is definite."""
+    ii, jj = _ring_indices(f.shape[:2])
+    samples = f[ii, jj]
+    _check_in_chart(np.sqrt(samples[:, 0] ** 2 + samples[:, 1] ** 2), "boundary")
+    chart = section.chart
     u, _, diff = chart.embed_differential(samples)
     frame_w, gram = _ring_products(diff, sphere_frame(u, tuple(chart.center)))
-    edge = _edge_indices(state.shape)
-    pts = state.f[edge[0], edge[1]]
-    _, dw = state.section.fiber_with_partials(pts[:, 0], pts[:, 1])
+    edge = _edge_indices(f.shape[:2])
+    pts = f[edge[0], edge[1]]
+    _, dw = section.fiber_with_partials(pts[:, 0], pts[:, 1])
     sec_basis = np.zeros((len(pts), 2, 4))
     sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
     sec_basis[:, :, 2:] = dw
@@ -428,26 +425,15 @@ def _build_ring(state):
     edge_gq = edge_metric @ _t(sec_basis)
     edge_q_det = _det2(sec_basis @ edge_gq)
     _check_definite(edge_q_det)
-    for a in (samples, frame_w, gram, edge_metric, edge_gq, edge_q_det):
+    for a in (frame_w, gram, edge_metric, edge_gq, edge_q_det):
         a.flags.writeable = False
-    return BoundaryRing(state.section, state.shape, (ii, jj), samples,
-                        frame_w, gram, edge, edge_metric, edge_gq, edge_q_det)
-
-
-def _ring(state):
-    """The state's ``BoundaryRing``, rebuilt when the section, the grid or
-    any ring sample differs from what it was built from."""
-    ring = state.ring
-    if (ring is None or ring.section is not state.section or ring.shape != state.shape
-            or not np.array_equal(state.f[ring.ring_ij], ring.samples)):
-        ring = state.ring = _build_ring(state)
-    return ring
+    return BoundaryRing((ii, jj), frame_w, gram, edge, edge_metric, edge_gq, edge_q_det)
 
 
 def dbar_boundary_norm(state, geo):
     """max |psi| of the disc's tangent planes along the boundary ring, from
     the ring's products: ``defect_psi`` of the lifted tangents, to rounding."""
-    ring = _ring(state)
+    ring = state.ring
     t = geo["d1"][ring.ring_ij]                                   # (m, 2, 4)
     # t W is (m, 2, 4), tangent k's row [x_k, y_k, p_k, q_k] of _psi_from_parts
     parts = list((t @ ring.frame_w).transpose(1, 2, 0).reshape(8, -1))
@@ -499,7 +485,7 @@ def _boundary_planes(ring, geo):
 def boundary_angle_cosh(state, geo):
     """cosh of the angle between the disc and the target section, per
     non-corner boundary sample."""
-    return _plane_grams(*_boundary_planes(_ring(state), geo))[0]
+    return _plane_grams(*_boundary_planes(state.ring, geo))[0]
 
 
 def angle_residual(state, geo):
@@ -523,7 +509,7 @@ def _angle_gradient(state, geo):
     by r_a M_oo - r_o M_oa and p = det N by 2 (N_oo s_a - N_ao s_o), so
     d cosh = cosh (dc / c - dp / (2 p)).
     """
-    ring = _ring(state)
+    ring = state.ring
     ii, jj, ni, nj = ring.edge
     cosh, gp, gram, cross = _plane_grams(*_boundary_planes(ring, geo))
     a = (nj != jj).astype(int)
@@ -559,7 +545,7 @@ def angle_penalty_step(state, geo):
     step = np.where(mag > cap, step * (cap / np.maximum(mag, 1e-300)), step)
     # nodes adjacent to a corner serve two boundary samples; average their
     # requested nudges instead of stacking them
-    _, _, ni, nj = _ring(state).edge
+    _, _, ni, nj = state.ring.edge
     accum = np.zeros(state.shape + (2,))
     count = np.zeros(state.shape)
     np.add.at(accum, (ni, nj), step)
@@ -581,15 +567,6 @@ def _check_in_chart(r, where):
         if not np.all(np.isfinite(r)):
             raise ChartDomainError(f"{where} sample is not finite")
         raise ChartDomainError(f"{where} sample ran off the hemisphere chart")
-
-
-def project_boundary(state):
-    """Condition (ii): boundary fibers snap onto the target section."""
-    ii, jj = _ring_indices(state.shape)
-    xb = state.f[ii, jj, 0]
-    yb = state.f[ii, jj, 1]
-    _check_in_chart(np.sqrt(xb ** 2 + yb ** 2), "boundary")
-    state.f[ii, jj, 2], state.f[ii, jj, 3] = state.section.fiber(xb, yb)
 
 
 def _record(state, geo, h_field, angle_res):
@@ -662,7 +639,10 @@ def build_state(config=None, **overrides):
     """Assemble a FlowState from a config mapping (unknown keys rejected).
 
     ``perturbation`` bumps the ``twisted-hemisphere`` start disc off its
-    section; a ``holomorphic-affine`` disc ignores it.
+    section; a ``holomorphic-affine`` disc ignores it.  The boundary ring
+    lies on the section, and its ``BoundaryRing`` is built here, so a ring
+    off the chart (a ``chart_radius`` above 0.98/sqrt(2)) or a section not
+    definite there is refused before the first step.
     """
     cfg = dict(FLOW_CONFIG_KEYS)
     supplied = dict(config or {})
@@ -736,21 +716,21 @@ def build_state(config=None, **overrides):
         f[..., 3] += 0.5 * amp * shape_fn * (xm / radius)
     dx = x_axis[1] - x_axis[0]
     h = reals["h"] if "h" in reals else reals["cfl"] * dx * dx
-    state = FlowState(x_axis, y_axis, f, section, float(h), cosh_target=cosh_target,
-                      dbar_c=reals["dbar_c"], angle_rate=reals["angle_rate"])
+    state = FlowState(x_axis, y_axis, f, section, _build_ring(f, section), float(h),
+                      cosh_target=cosh_target, dbar_c=reals["dbar_c"],
+                      angle_rate=reals["angle_rate"])
     return state, cfg
 
 
 def run_flow(config=None, **overrides):
     """Iterate flow steps per the config; halts on budget, signature loss,
-    chart exit, or stagnation.  The boundary ring is projected onto the
-    target section once, before the first row (ChartDomainError if off
-    the chart, not a halt).  Returns (state, snapshots)."""
+    chart exit, or stagnation.  A ring off the chart or a target section
+    not definite there is refused by ``build_state`` (ChartDomainError,
+    SignatureLossError), not a halt.  Returns (state, snapshots)."""
     state, cfg = build_state(config, **overrides)
     every = cfg["snapshot_every"]
     tol = float(cfg["stagnation_tol"])
     snapshots = []
-    project_boundary(state)
     try:
         geo = flow_geometry(state)
         _record(state, geo, mean_curvature_vector(geo), angle_residual(state, geo))

@@ -239,17 +239,17 @@ def _quadrature_grid(surface, grid):
     return ss, tt, weights
 
 
-def _grid_eval(field, s, t, block=_GRID_CHUNK):
+def _grid_eval(field, s, t):
     """``field`` on the points that the parameter arrays ``s`` and ``t``, of
     equal ndim, broadcast to: pass a product grid as its axes ``s[:, None]``
     and ``t[None, :]``.  ``field(s, t)`` is called on the s-row blocks of
-    ``_row_blocks``, and returns an array, or a tuple of arrays, whose
-    leading axes are its block's broadcast shape; the blocks are joined
-    along the s-rows, and ``np.concatenate`` keeps their memory layout
-    (component-major blocks join component-major)."""
+    ``_row_blocks``, of ``_GRID_CHUNK`` points, and returns an array, or a
+    tuple of arrays, whose leading axes are its block's broadcast shape;
+    the blocks are joined along the s-rows, and ``np.concatenate`` keeps
+    their memory layout (component-major blocks join component-major)."""
     shape = np.broadcast_shapes(np.shape(s), np.shape(t))
     parts = [field(*(a[rows] if a.shape[0] > 1 else a for a in (s, t)))
-             for rows in _row_blocks(shape[0], int(np.prod(shape[1:])), block)]
+             for rows in _row_blocks(shape[0], int(np.prod(shape[1:])), _GRID_CHUNK)]
     if len(parts) == 1:
         return parts[0]
     if isinstance(parts[0], tuple):

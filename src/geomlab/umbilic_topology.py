@@ -56,7 +56,10 @@ def principal_angles(rep):
 def _loop_winding(angles, period):
     """Total rotation of a closed loop of angles (modulo ``period``) in units
     of ``period``, rounded; None unless every other sample rounds the same,
-    since a loop too coarse for the angle misses turns."""
+    since a loop too coarse for the angle misses turns, and None for fewer
+    than 3 samples, which wind 0 whatever the angle does."""
+    if len(angles) < 3:
+        return None
     whole, half = (round(winding_total(np.ascontiguousarray(a, dtype=float), period) / period)
                    for a in (angles, angles[::2]))
     return whole if whole == half else None

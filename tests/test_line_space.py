@@ -925,7 +925,7 @@ def _assert_relative(got, want, what, rel=1e-13):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_written_out_congruence_and_defect_equal_their_oracles(seed):
+def test_written_out_congruence_and_defect_equal_their_oracles(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     # a convex graph: a Gauss map that folds makes psi ill-conditioned
     coef = [float(c) for c in rng.uniform(-0.1, 0.1, 3)]
@@ -951,7 +951,9 @@ def test_written_out_congruence_and_defect_equal_their_oracles(seed):
         def recording_eval(s_block, t_block, cmap=ls.CongruenceMap(surface)):
             blocks.append(s_block.shape)
             return cmap.eval(s_block, t_block)
-        chunked = ut._grid_eval(recording_eval, s, t, block=64)
+        with monkeypatch.context() as patch:
+            patch.setattr(sg, "_GRID_CHUNK", 64)
+            chunked = ut._grid_eval(recording_eval, s, t)
         assert blocks == [(3, 20)] * 10
         for a, b in zip(got, chunked):
             assert np.array_equal(a, b)
@@ -1126,6 +1128,17 @@ def test_maslov_refuses_an_unresolved_loop():
     with pytest.raises(UnreliableLoopError, match="winding is not resolved"):
         ls.maslov_index(section.source, rec.s + 0.15 * np.cos(quarter),
                         rec.t + 0.15 * np.sin(quarter), section.center)
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_maslov_refuses_a_loop_of_fewer_than_three_samples(samples):
+    # a loop of 1 or 2 samples winds 0, and so does its every-other subloop
+    section = ls.normal_congruence(ELL, grid=(64, 48))
+    rec = ls.complex_point_scan(section)[0]
+    phi = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+    with pytest.raises(UnreliableLoopError, match="winding is not resolved"):
+        ls.maslov_index(section.source, rec.s + 0.15 * np.cos(phi),
+                        rec.t + 0.15 * np.sin(phi), section.center)
 
 
 @pytest.mark.parametrize("grid", [(64, 48), (128, 96)])

@@ -213,11 +213,12 @@ def _twist_lambda_circulation(strength, radius):
 @pytest.mark.parametrize("strength, radius", [(1.0, 0.55), (0.7, 0.3), (1.3, 0.8)])
 @pytest.mark.parametrize("centre", CENTRES[:2])
 def test_flow_target_symplectic_area_matches_the_closed_form(strength, radius, centre):
-    state, _ = nf.build_state(twist_strength=strength, chart_radius=radius, center=centre,
-                              grid_n=5)
+    # the twist section the flow targets, on squares wider than a flow
+    # ring may be (radius 0.8 puts the corners off the chart)
+    section = nf.affine_section(nf.LineSpaceChart(centre), c1=(0.0, -strength))
     want = _twist_lambda_circulation(strength, radius)
     square = ((-radius, radius), (-radius, radius))
-    for got in ls.symplectic_area(state.section, square):
+    for got in ls.symplectic_area(section, square):
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -685,7 +686,7 @@ def test_nan_chart_coordinate_is_chart_domain_error():
     state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
     state.f[0, 4, 0] = np.nan
     with pytest.raises(ChartDomainError, match="boundary sample is not finite"):
-        nf.project_boundary(state)
+        nf._build_ring(state.f, state.section)
     # a non-finite step length drives every interior x to NaN
     state, _ = nf.build_state({"grid_n": 11, "perturbation": 0.03})
     state.h = float("nan")
@@ -766,7 +767,7 @@ def _uncached_angle_cosh(state, geo, plane_cosh=_plane_cosh):
 def _assert_ring_edge_data_fresh(state):
     """The ring's edge metric, G Q^T and det(Q G Q^T) equal chart.metric
     and fresh products with a fresh section basis."""
-    ring = nf._ring(state)
+    ring = state.ring
     g4, sec_basis = _fresh_edge_planes(state)
     gq = g4 @ np.swapaxes(sec_basis, -1, -2)
     qgq = sec_basis @ gq
@@ -781,6 +782,14 @@ def _assert_ring_matches_oracle(state):
     assert np.array_equal(nf.boundary_angle_cosh(state, geo),
                           _uncached_angle_cosh(state, geo))
     _assert_ring_edge_data_fresh(state)
+
+
+def _assert_ring_on_section(state):
+    """The ring fibers equal the target section's at the ring's (x, y),
+    bit for bit."""
+    ring = state.f[_boundary_mask(state.shape)]
+    w1, w2 = state.section.fiber(ring[:, 0], ring[:, 1])
+    assert ring[:, 2].tobytes() == w1.tobytes() and ring[:, 3].tobytes() == w2.tobytes()
 
 
 @pytest.mark.parametrize("angle_rate", [0.0, 0.2])
@@ -848,33 +857,34 @@ def test_steps_never_write_the_boundary_ring(disc, angle_rate, steps):
     if disc == "twisted-hemisphere":
         assert not np.array_equal(state.f[~mask], start[~mask])
     # the ring is still the target section's, bit for bit
-    final = state.f.copy()
-    nf.project_boundary(state)
-    assert state.f.tobytes() == final.tobytes()
+    _assert_ring_on_section(state)
 
 
 def test_a_ring_off_the_chart_halts_before_the_first_row():
     # the corners of a square of half width 0.70 sit at chart radius 0.99,
     # outside the chart limit; at 0.71 they are past the hemisphere's edge,
     # where the disc's definiteness is lost too, but the ring is the cause;
-    # it is a refused config, raised before the first row, not a halt
+    # build_state refuses the config, before the first row, not a halt
     for radius in (0.70, 0.71):
-        with pytest.raises(ChartDomainError,
-                           match="^boundary sample ran off the hemisphere chart$"):
-            nf.run_flow({"grid_n": 11, "chart_radius": radius, "steps": 3})
+        for run in (nf.build_state, nf.run_flow):
+            with pytest.raises(ChartDomainError,
+                               match="^boundary sample ran off the hemisphere chart$"):
+                run({"grid_n": 11, "chart_radius": radius, "steps": 3})
 
 
 def test_a_non_definite_target_section_is_refused_when_the_ring_is_built():
     # det(Q G Q^T) of the target's tangent basis is ring data: checked once,
     # where the ring's products are formed
     state, _ = nf.build_state({"grid_n": 9})
-    geo = nf.flow_geometry(state)
     # w2 = -5 x: Q G Q^T = diag(alpha + 10 beta, alpha) with alpha < 0 < beta
     # on the twisted ring, an indefinite plane
-    state.section = nf.ChartSection(lambda x, y: (0.0 * x, -5.0 * x), state.section.chart)
+    section = nf.ChartSection(lambda x, y: (0.0 * x, -5.0 * x), state.section.chart)
     with pytest.raises(SignatureLossError, match="boundary tangent plane is not definite"):
-        nf.boundary_angle_cosh(state, geo)
-    assert state.ring is None
+        nf._build_ring(state.f, section)
+    # the untwisted section w = 0 is degenerate there: det(Q G Q^T) = 0
+    for run in (nf.build_state, nf.run_flow):
+        with pytest.raises(SignatureLossError, match="boundary tangent plane is not definite"):
+            run({"grid_n": 9, "twist_strength": 0.0})
 
 
 @pytest.mark.parametrize("angle_rate", [0.0, 0.2])
@@ -888,30 +898,20 @@ def test_run_flow_builds_its_boundary_ring_once(monkeypatch, angle_rate):
     assert (len(embeds), len(bases), len(frames)) == (1, 1, 1)
 
 
-def test_moving_the_ring_rebuilds_it():
+def test_build_state_puts_the_ring_on_the_section_and_replace_keeps_it():
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        state, _ = nf.build_state(
+            grid_n=int(rng.integers(5, 20)), disc=str(rng.choice(list(nf._DISC_OFFSETS))),
+            chart_radius=float(rng.uniform(0.05, 0.69)),
+            twist_strength=float(rng.uniform(0.2, 2.0)),
+            perturbation=float(rng.uniform(-0.1, 0.1)), center=tuple(rng.normal(size=3)))
+        _assert_ring_on_section(state)
+        # a copy with new interior samples shares the ring's record
+        assert dataclasses.replace(state, f=state.f.copy()).ring is state.ring
+    # which holds the copy's boundary data
     state, _ = nf.build_state(kvdoc.load(FLOW_KV))
-    _assert_ring_matches_oracle(state)
-    ring = state.ring
-    # an interior move keeps the ring
-    state.f[5, 5, 2] += 1e-3
-    _assert_ring_matches_oracle(state)
-    assert state.ring is ring
-    # a ring fiber moved in place
-    state.f[0, 4, 2] += 1e-3
-    _assert_ring_matches_oracle(state)
-    assert state.ring is not ring
-    # a copy made through dataclasses.replace, with a ring fiber moved;
-    # the original keeps its own record
-    ring = state.ring
     moved = dataclasses.replace(state, f=state.f.copy())
-    moved.f[4, 0, 3] -= 1e-3
+    moved.f[1:-1, 1:-1, 2:] += 1e-3
+    assert moved.ring is state.ring
     _assert_ring_matches_oracle(moved)
-    _assert_ring_matches_oracle(state)
-    assert moved.ring is not ring and state.ring is ring
-    # another target section, with the ring samples unchanged: the same
-    # edge metric and new products
-    state.section = nf.affine_section(state.section.chart, c1=(0.0, -0.8))
-    _assert_ring_matches_oracle(state)
-    assert np.array_equal(state.ring.edge_metric, ring.edge_metric)
-    assert not np.array_equal(state.ring.edge_gq, ring.edge_gq)
-    assert not np.array_equal(state.ring.edge_q_det, ring.edge_q_det)

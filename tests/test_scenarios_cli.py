@@ -372,6 +372,45 @@ def test_cli_flow_numerical_failure_exit_code(tmp_path):
     assert code == 3
 
 
+def test_cli_flow_run_refuses_an_untwisted_target_before_the_first_row(tmp_path, capsys):
+    # the section w = 0 is degenerate on the ring: its tangent plane is
+    # refused where the ring is built, and no CSV is written
+    assert run_cli(["flow-run", "--grid-n", "9", "--steps", "5", "--twist-strength", "0"],
+                   tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: boundary tangent plane is not definite\n", err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("samples", ["1", "2"])
+def test_cli_maslov_refuses_a_loop_of_fewer_than_three_samples(tmp_path, capsys, samples):
+    # such a loop wound 0 round 1 and 2 umbilics, and the run passed
+    assert run_cli(["maslov", "--loop-samples", samples], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: winding is not resolved; densify the loop\n", err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", ["0,0.1,0.2", "0.1,0.1,0.1"])
+def test_cli_distance_check_fits_no_slope_to_fewer_than_three_positive_eps(tmp_path, eps):
+    # eps = 0 ended in log(0) and a LinAlgError, a repeated eps in a
+    # RankWarning and a failed fit
+    assert run_cli(["distance-check", "--eps", eps], tmp_path) == 0
+    payload = json.loads((tmp_path / "distance_check.json").read_text())
+    assert "loglog_slope" not in payload["values"]
+    assert [row["eps"] for row in payload["values"]["rows"]] == [float(e) for e in eps.split(",")]
+
+
+@pytest.mark.filterwarnings("error")
+def test_distance_check_fits_its_slope_over_the_distinct_positive_eps():
+    kwargs = {"rho_points": 192, "theta_points": 16, "willmore_grid": (48, 48)}
+    with_zero = scenarios.distance_bound_check(eps_list=(0.0, 0.1, 0.2, 0.1, 0.4), **kwargs)
+    plain = scenarios.distance_bound_check(eps_list=(0.1, 0.2, 0.4), **kwargs)
+    assert with_zero.passed and plain.passed
+    assert with_zero.values["loglog_slope"] == plain.values["loglog_slope"]
+
+
 def test_cli_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("GEOMLAB_OUTPUT_DIR", str(tmp_path / "envout"))
     code = cli.main(["willmore-sweep", "--eps", "0.3", "--grid", "16", "--no-timestamp"])
