@@ -31,8 +31,6 @@ from .exprgrammar import ExpressionError, compile_expression
 from .kernels import tensor_norm_sq_batch
 
 DOMAIN_CLIP = 1e-6  # stay off Hopf coordinate degeneracies at rho = 0, pi/2
-# points per block of l2_metric_distance's density
-_DENSITY_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,6 @@ class MetricField:
     def matrix_and_partials(self, pts):
         """(g_ij, d_k g_ij) with exact first partials, shapes (N,3,3), (N,3,3,3)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.constant:
-            return self.matrix(pts), np.zeros((pts.shape[0], 3, 3, 3))
         n = pts.shape[0]
         g, dg = jets.derivatives(
             lambda *c: [entry for row in self.components(*c) for entry in row],
@@ -328,18 +324,18 @@ def _default_domain(chart):
     return list(zip(lo, hi))
 
 
-def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
-                       gl_order=4):
+def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64)):
     """Squared L2 distance 2 * integral of |gA - gB|^2 dV over the chart.
 
     The pointwise norm raises indices with ``background`` and dV is the
     background volume form.  Periodic axes use the trapezoid rule,
-    non-periodic axes composite Gauss-Legendre with ``gl_order`` nodes per
-    panel.  Each metric is evaluated on the open mesh of the nodes, so a
-    metric that reads rho alone is computed once per rho node.  The
-    density is filled in blocks of whole rho rows, at most
-    ``_DENSITY_CHUNK`` points of the axes the metrics read each but at
-    least one row, and summed against the product weights in one pass.
+    non-periodic axes composite Gauss-Legendre with
+    ``quadrature.GL_ORDER`` nodes per panel.  Each metric is evaluated on
+    the open mesh of the nodes, so a metric that reads rho alone is
+    computed once per rho node.  The density is filled in blocks of whole
+    rho rows, at most ``quadrature._GRID_CHUNK`` points of the axes the
+    metrics read each but at least one row, and summed against the product
+    weights in one pass.
     The rule is shared (``quadrature.product_rule``), and a metric passed
     twice, such as the background as ``g_a``, is evaluated once per block.
     """
@@ -350,12 +346,12 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64),
     if domain is None:
         domain = _default_domain(chart)
     coords, weights = quadrature.product_rule(tuple(map(tuple, domain)), tuple(grid),
-                                              chart.periodic, gl_order)
+                                              chart.periodic)
     read = int(np.prod([coords[k].size for k in (1, 2)
                         if any(k in m.depends_on for m in metrics)]))
     distinct = {id(m): m for m in metrics}
     blocks = []
-    for rows in quadrature._row_blocks(coords[0].size, read, _DENSITY_CHUNK):
+    for rows in quadrature._row_blocks(coords[0].size, read, quadrature._GRID_CHUNK):
         block = [coords[0][rows], *coords[1:]]
         value = {i: _stack(m.components(*block), block[0].shape) for i, m in distinct.items()}
         back, a, b = (value[id(m)] for m in metrics)

@@ -97,15 +97,25 @@ def _sizes(value, name, count):
     return tuple(int(t) for t in text)
 
 
-def _eps_list(text):
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"could not parse eps list {text!r}")
-    for eps in values:
-        if not (0.0 <= eps < 1.0):
-            raise ConfigError(
-                f"eps={eps} outside the valid range [0, 1)")
+def _eps_list(value):
+    """The eps values of ``value``: ``--eps`` text or a config value, which
+    is a number, a list or text; each must be a number in [0, 1)."""
+    parts = (value.split(",") if isinstance(value, str)
+             else value if isinstance(value, list) else [value])
+    values = []
+    for part in parts:
+        if isinstance(part, str):
+            if not part.strip():
+                continue
+            try:
+                part = float(part)
+            except ValueError:
+                raise ConfigError(f"could not parse eps list {value!r}") from None
+        if isinstance(part, bool) or not isinstance(part, (int, float)):
+            raise ConfigError(f"eps must be numbers, got {value!r}")
+        if not (0.0 <= part < 1.0):
+            raise ConfigError(f"eps={part} outside the valid range [0, 1)")
+        values.append(float(part))
     return values
 
 
@@ -121,9 +131,7 @@ def _report_to_disk(report, out, stem, timestamp):
 def cmd_willmore_sweep(args):
     from . import scenarios as sc
     cfg = _load_config(args, {"eps", "grid"})
-    eps = _eps_list(args.eps) if args.eps else cfg.get("eps", None)
-    if isinstance(eps, (int, float)):
-        eps = [float(eps)]
+    eps = _eps_list(args.eps or cfg.get("eps", []))
     value = cfg.get("grid", [192, 192]) if args.grid is None else args.grid
     # one size, from --grid or the config, is a square grid
     grid = (_sizes(value, "grid", 2) if isinstance(value, list)
@@ -147,7 +155,7 @@ def cmd_willmore_sweep(args):
 def cmd_distance_check(args):
     from . import scenarios as sc
     cfg = _load_config(args, {"eps", "rho_points", "theta_points"})
-    eps = _eps_list(args.eps) if args.eps else cfg.get("eps", [0.1, 0.2, 0.4])
+    eps = _eps_list(args.eps or cfg.get("eps", [0.1, 0.2, 0.4]))
     report = sc.distance_bound_check(
         eps_list=eps, rho_points=_sizes(cfg.get("rho_points", 576), "rho_points", 1)[0],
         theta_points=_sizes(cfg.get("theta_points", 32), "theta_points", 1)[0])

@@ -6,11 +6,17 @@ it depends on: its ``support``, a sorted tuple of variable indices out of
 the ``n`` that ``variables`` seeded.  Derivatives with respect to any
 other variable are zero and are not stored, so ``sin(u)`` carries one
 gradient row and a 1x1 Hessian whatever ``n`` is.  Unary functions keep
-the support; sums, products and ``where`` merge the supports of their jet
-operands.  A plain number or ndarray operand is never promoted to a jet:
-``x * c`` scales the coefficients and ``x + c`` shifts the value alone.
-Coefficients are numpy arrays, so a single jet evaluation differentiates
-a closed-form expression at a whole batch of points.
+the support; sums and products merge the supports of their jet operands,
+and ``where`` takes its jet branches on one support.  A plain number or
+ndarray operand is never promoted to a jet: ``x * c`` scales the
+coefficients and ``x + c`` shifts the value alone.  Coefficients are numpy
+arrays, so a single jet evaluation differentiates a closed-form expression
+at a whole batch of points.
+
+A jet evaluation seeds at most three variables.  Every support then steps
+evenly through every union it is merged into, so each block of a merged
+coefficient is a basic slice, a view written in place; a support that does
+not, which a fourth seed can make, raises ValueError.
 
 Every product and chain rule adds its terms in the order of the full
 dense formula; a term that is an exact zero is left out, which changes at
@@ -114,18 +120,12 @@ class Jet:
             return Jet(f, self.support, g, h)
         if m.disjoint:
             return Jet(f, m.support, *self._disjoint_product(other, m))
-        ga, gb = self.gs * other.f, self.f * other.gs
-        g = m.zeros(1, ga, gb)
-        g[m.a] = ga
-        g[m.b] += gb
+        g = m.scatter(1, self.gs * other.f, self.f * other.gs)
         h = None
         if self.hs is not None:
-            terms = (self.hs * other.f, self.f * other.hs,
-                     _outer(self.gs, other.gs), _outer(other.gs, self.gs))
-            h = m.zeros(2, *terms)
-            h[m.aa] = terms[0]
-            for key, term in zip((m.bb, m.ab, m.ba), terms[1:]):
-                h[key] += term
+            h = m.scatter(2, self.hs * other.f, self.f * other.hs)
+            h[m.ab] += _outer(self.gs, other.gs)
+            h[m.ba] += _outer(other.gs, self.gs)
         return Jet(f, m.support, g, h)
 
     __rmul__ = __mul__
@@ -137,15 +137,15 @@ class Jet:
         its transpose, equal bit for bit as a product commutes."""
         fa, fb = np.shape(self.f), np.shape(other.f)
         g = m.empty(1, self.gs.shape[1:], fb, fa, other.gs.shape[1:])
-        m.product(g, m.a, self.gs, other.f)
-        m.product(g, m.b, self.f, other.gs)
+        np.multiply(self.gs, other.f, out=g[m.a])
+        np.multiply(self.f, other.gs, out=g[m.b])
         if self.hs is None:
             return g, None
         h = m.empty(2, self.hs.shape[2:], fb, fa, other.hs.shape[2:],
                     self.gs.shape[1:], other.gs.shape[1:])
-        m.product(h, m.aa, self.hs, other.f)
-        m.product(h, m.bb, self.f, other.hs)
-        m.product(h, m.ab, self.gs[:, None], other.gs[None, :])
+        np.multiply(self.hs, other.f, out=h[m.aa])
+        np.multiply(self.f, other.hs, out=h[m.bb])
+        np.multiply(self.gs[:, None], other.gs[None, :], out=h[m.ab])
         h[m.ba] = h[m.ab].swapaxes(0, 1)
         return g, h
 
@@ -180,9 +180,8 @@ class Jet:
 class _Merge:
     """Union of two different supports A and B, and where each sits in it.
 
-    ``a`` and ``b`` index the union's gradient rows, ``aa``, ``bb``, ``ab``
-    and ``ba`` its Hessian blocks.  Positions that step evenly are slices,
-    so for up to three variables every block is a view (``views``).  On
+    ``a`` and ``b`` slice the union's gradient rows, ``aa``, ``bb``, ``ab``
+    and ``ba`` its Hessian blocks, so every block is a view.  On
     ``disjoint`` supports the blocks of A and B tile the union's gradient,
     and with the two cross blocks its Hessian.
     """
@@ -190,30 +189,16 @@ class _Merge:
     def __init__(self, a, b):
         self.support = tuple(sorted(set(a) | set(b)))
         self.disjoint = not set(a) & set(b)
-        pa = self._positions(a)
-        pb = self._positions(b)
-        self.a, self.b = pa, pb
-        self.aa, self.bb = self._block(pa, pa), self._block(pb, pb)
-        self.ab, self.ba = self._block(pa, pb), self._block(pb, pa)
-        self.views = isinstance(pa, slice) and isinstance(pb, slice)
+        self.a, self.b = pa, pb = self._positions(a), self._positions(b)
+        self.aa, self.bb, self.ab, self.ba = (pa, pa), (pb, pb), (pa, pb), (pb, pa)
 
     def _positions(self, sub):
         pos = [self.support.index(i) for i in sub]
         step = pos[1] - pos[0] if len(pos) > 1 else 1
-        if all(q - p == step for p, q in zip(pos, pos[1:])):
-            return slice(pos[0], pos[-1] + 1, step)
-        return np.array(pos)
-
-    @staticmethod
-    def _block(rows, cols):
-        if isinstance(rows, slice) or isinstance(cols, slice):
-            return rows, cols
-        return np.ix_(rows, cols)
-
-    def zeros(self, rank, *terms):
-        """Zero coefficients over the union for ``terms`` of this rank."""
-        shape = np.broadcast_shapes(*[t.shape[rank:] for t in terms])
-        return np.zeros((len(self.support),) * rank + shape)
+        if any(q - p != step for p, q in zip(pos, pos[1:])):
+            raise ValueError(f"support {sub} does not step evenly through {self.support}: "
+                             f"jets take at most three seeds")
+        return slice(pos[0], pos[-1] + 1, step)
 
     def empty(self, rank, *shapes):
         """Unfilled coefficients of this rank over the union, for the
@@ -226,7 +211,8 @@ class _Merge:
         variable, else each block written once and the cross blocks zeroed."""
         ka, kb = (self.a, self.b) if rank == 1 else (self.aa, self.bb)
         if not self.disjoint:
-            out = self.zeros(rank, a, b)
+            out = np.zeros((len(self.support),) * rank
+                           + np.broadcast_shapes(a.shape[rank:], b.shape[rank:]))
             out[ka] = a
             out[kb] += b
             return out
@@ -235,14 +221,6 @@ class _Merge:
         if rank == 2:
             out[self.ab] = out[self.ba] = 0.0
         return out
-
-    def product(self, out, key, a, b):
-        """``out[key] = a * b``, multiplied straight into ``out`` when every
-        block is a view; an index-array key reads a copy, so it is assigned."""
-        if self.views:
-            np.multiply(a, b, out=out[key])
-        else:
-            out[key] = a * b
 
 
 _MERGES = {}
@@ -352,47 +330,24 @@ def _off_support(supports, n):
     return off
 
 
-def _embed(x, m, key, block):
-    """Coefficients of jet ``x`` over the merged support ``m``, zero off its own."""
-    g = np.zeros((len(m.support),) + x.gs.shape[1:])
-    g[key] = x.gs
-    h = None
-    if x.hs is not None:
-        h = np.zeros((len(m.support),) * 2 + x.hs.shape[2:])
-        h[block] = x.hs
-    return g, h
-
-
 def where(cond, a, b):
     """Branch selection on jets; both branches must be evaluated already.
 
     Used for piecewise-smooth profiles whose pieces agree to all orders at
     the seams, so selecting coefficient-wise is exact.  A plain-number
-    branch has zero derivatives.
+    branch has zero derivatives; two jet branches must share one support.
     """
     if not isinstance(a, Jet) and not isinstance(b, Jet):
         return np.where(cond, a, b)
+    if isinstance(a, Jet) and isinstance(b, Jet) and a._merge(b) is not None:
+        raise TypeError(f"where takes jet branches on one support, "
+                        f"got {a.support} and {b.support}")
     ref = a if isinstance(a, Jet) else b
-    fa = a.f if isinstance(a, Jet) else a
-    fb = b.f if isinstance(b, Jet) else b
-    f = np.where(cond, fa, fb)
-    support = ref.support
-    if not isinstance(a, Jet):
-        ga, ha, gb, hb = 0.0, 0.0, b.gs, b.hs
-    elif not isinstance(b, Jet):
-        ga, ha, gb, hb = a.gs, a.hs, 0.0, 0.0
-    else:
-        m = a._merge(b)
-        ga, ha, gb, hb = a.gs, a.hs, b.gs, b.hs
-        if m is not None:
-            support = m.support
-            ga, ha = _embed(a, m, m.a, m.aa)
-            gb, hb = _embed(b, m, m.b, m.bb)
+    fa, ga, ha = (a.f, a.gs, a.hs) if isinstance(a, Jet) else (a, 0.0, 0.0)
+    fb, gb, hb = (b.f, b.gs, b.hs) if isinstance(b, Jet) else (b, 0.0, 0.0)
     g = np.where(cond[None], ga, gb)
-    h = None
-    if ref.hs is not None:
-        h = np.where(cond[None, None], ha, hb)
-    return Jet(f, support, g, h)
+    h = None if ref.hs is None else np.where(cond[None, None], ha, hb)
+    return Jet(np.where(cond, fa, fb), ref.support, g, h)
 
 
 def sin(x):

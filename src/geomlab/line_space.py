@@ -482,9 +482,8 @@ def complex_point_scan(section):
         sign = _chart_orientation(u[:, :_LOOP_SAMPLES], center)
         return np.abs(psi), sign[:, None] * np.angle(psi)
 
-    records = _scan_zeros(grid[0], defect_rows, (section.s_axis, section.t_axis), step,
-                          domain, section.periodic, tol * tol, "complex-point",
-                          vectors=grid[1:])
+    records = _scan_zeros(grid[0], grid[1:], defect_rows, (section.s_axis, section.t_axis),
+                          step, domain, section.periodic, tol * tol, "complex-point")
     # the grid values are read by the scan alone: free them before the loops
     del grid
     if not records:

@@ -34,16 +34,20 @@ def composite_gauss_legendre(a, b, panels, order):
     return x.ravel(), w.ravel()
 
 
-def axis_rule(a, b, n, periodic, gl_order=4):
+# Gauss nodes per panel of a non-periodic axis
+GL_ORDER = 6
+
+
+def axis_rule(a, b, n, periodic):
     """Pick the rule for one axis: trapezoid if periodic, panelled GL otherwise.
 
-    For non-periodic axes, n points are laid out as ceil(n / gl_order)
-    panels of `gl_order` Gauss nodes.
+    For non-periodic axes, n points are laid out as ceil(n / GL_ORDER)
+    panels of ``GL_ORDER`` Gauss nodes.
     """
     if periodic:
         return periodic_trapezoid(a, b, n)
-    panels = max(1, int(np.ceil(n / gl_order)))
-    return composite_gauss_legendre(a, b, panels, gl_order)
+    panels = max(1, int(np.ceil(n / GL_ORDER)))
+    return composite_gauss_legendre(a, b, panels, GL_ORDER)
 
 
 def tensor_nodes(rules):
@@ -63,10 +67,10 @@ def tensor_nodes(rules):
 
 
 @functools.lru_cache(maxsize=8)
-def product_rule(bounds, counts, periodic, gl_order):
+def product_rule(bounds, counts, periodic):
     """``tensor_nodes`` of the ``axis_rule`` per axis of the tuples ``bounds``
     ((a, b) each), ``counts`` and ``periodic``; built once per key, read-only."""
-    coords, weights = tensor_nodes([axis_rule(a, b, n, p, gl_order)
+    coords, weights = tensor_nodes([axis_rule(a, b, n, p)
                                     for (a, b), n, p in zip(bounds, counts, periodic)])
     for array in (*coords, weights):
         array.flags.writeable = False

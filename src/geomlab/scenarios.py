@@ -144,8 +144,7 @@ def distance_bound_check(eps_list=(0.1, 0.2, 0.4), rho_points=576,
     for eps in eps_list:
         bumped = ct.metric_by_name("hopf-eps-bumped", eps=float(eps))
         dist_sq = ct.l2_metric_distance(round_metric, bumped, round_metric,
-                                        grid=(rho_points, theta_points, theta_points),
-                                        gl_order=6)
+                                        grid=(rho_points, theta_points, theta_points))
         bound = 16.0 * np.pi ** 2 * eps ** 3
         w_bumped = sg.willmore_energy(torus, bumped, grid=willmore_grid)
         w_closed = 2.0 * np.sqrt(1.0 - eps ** 2) * np.pi ** 2

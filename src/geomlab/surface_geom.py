@@ -235,7 +235,7 @@ def _quadrature_grid(surface, grid):
     """Quadrature axes s (ns, 1) and t (1, nt) and weights (ns, nt), shared
     and read-only (``quadrature.product_rule``)."""
     (ss, tt), weights = quadrature.product_rule(
-        tuple(map(tuple, surface.domain)), tuple(grid), tuple(surface.periodic), 6)
+        tuple(map(tuple, surface.domain)), tuple(grid), tuple(surface.periodic))
     return ss, tt, weights
 
 

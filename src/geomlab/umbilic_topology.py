@@ -182,9 +182,9 @@ def umbilic_scan(surface, metric, grid=(512, 384)):
     scan = _grid_eval(gap_rows, ss[:, None], tt[None, :])
     tol = 1e-6 * max(float(np.max(scan[..., 3:])), 1e-30)
     # the grid pass stores each column as one plane: (T11, T12) as (2, ns, nt)
-    records = _scan_zeros(scan[..., 0], gap_rows, (ss, tt), (ds, dt), surface.domain,
-                          surface.periodic, tol * tol, "umbilic",
-                          vectors=np.moveaxis(scan[..., 1:3], -1, 0))
+    records = _scan_zeros(scan[..., 0], np.moveaxis(scan[..., 1:3], -1, 0), gap_rows,
+                          (ss, tt), (ds, dt), surface.domain, surface.periodic, tol * tol,
+                          "umbilic")
     # the chart map on plain arrays: the points without a jet or forms pass
     points = np.stack(np.broadcast_arrays(*surface.chart_map(
         np.array([r.s for r in records]), np.array([r.t for r in records]))), axis=-1)
@@ -193,12 +193,12 @@ def umbilic_scan(surface, metric, grid=(512, 384)):
     return records
 
 
-def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vectors=None):
+def _scan_zeros(values, vectors, field, axes, step, domain, periodic, tol_sq, kind):
     """Zeros of a smooth field, from samples of its non-negative value on a grid.
 
     ``values`` holds the value at the grid whose s and t lines are ``axes``,
     ``step`` apart, inside the parameter rectangle ``domain``, and
-    ``vectors``, if given, the 2-vector F there as its two component planes
+    ``vectors`` the 2-vector F there as its two component planes
     (2, ns, nt); ``field(s, t)`` evaluates rows that begin (value, F1, F2)
     anywhere in the rectangle, where F is a smooth 2-vector that vanishes
     exactly where the value does.  Returns ``ZeroRecord``s, with the root of
@@ -221,8 +221,11 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
       than two cells from it or the value at their midpoint is at or above
       ``tol_sq`` (two zeros, not one; pairs within ``_JACOBIAN_STEP`` cells
       of each other are one zero to the refinement and are not evaluated);
-    * a zero is isolated when the value exceeds ``tol_sq`` all round an
-      ellipse of two cells about it.
+    * a zero is isolated when the value is positive all round an ellipse
+      of two cells about it, and its lowest value there exceeds ``tol_sq``
+      or 1e-4 of its highest: the ring of a zero of high order, whose value
+      grows as a high power of the distance, can dip below the absolute
+      ``tol_sq`` while it stays far above zero against its own scale.
 
     ``kind`` names the zeros in the warnings.
     """
@@ -236,10 +239,9 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
     minima = minima[values[minima[:, 0], minima[:, 1]] <= 0.25 * _median(values)]
     step = np.asarray(step, dtype=float)
     seed_s, seed_t = axes[0][minima[:, 0]], axes[1][minima[:, 1]]
-    if vectors is not None:
-        cells = _degree_cells(vectors, periodic)
-        seed_s = np.concatenate([seed_s, axes[0][cells[:, 0]] + 0.5 * step[0]])
-        seed_t = np.concatenate([seed_t, axes[1][cells[:, 1]] + 0.5 * step[1]])
+    cells = _degree_cells(vectors, periodic)
+    seed_s = np.concatenate([seed_s, axes[0][cells[:, 0]] + 0.5 * step[0]])
+    seed_t = np.concatenate([seed_t, axes[1][cells[:, 1]] + 0.5 * step[1]])
     if len(seed_s) == 0:
         return []
     s, t = _refine_zeros(field, seed_s, seed_t, step, domain, periodic)
@@ -277,8 +279,8 @@ def _scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind, vecto
                           + two_cells[0] * np.cos(phi),
                           np.array([z.t for z in zeros])[:, None]
                           + two_cells[1] * np.sin(phi))[..., 0]
-        for z, low in zip(zeros, np.min(ring, axis=1)):
-            z.isolated = bool(low > tol_sq)
+        for z, low, high in zip(zeros, np.min(ring, axis=1), np.max(ring, axis=1)):
+            z.isolated = bool(low > tol_sq or (low > 0 and low > 1e-4 * high))
     return _grid_order(zeros, np.array(domain, dtype=float)[:, 0], step, values.shape,
                        periodic)
 

@@ -65,8 +65,7 @@ def test_criterion_3_l2_bound_and_energy_preservation():
     ok = True
     for eps in (0.1, 0.2, 0.4):
         bumped = ct.metric_by_name("hopf-eps-bumped", eps=eps)
-        dist_sq = ct.l2_metric_distance(ground, bumped, ground,
-                                        grid=(576, 32, 32), gl_order=6)
+        dist_sq = ct.l2_metric_distance(ground, bumped, ground, grid=(576, 32, 32))
         ok &= dist_sq <= 16.0 * np.pi ** 2 * eps ** 3
         w_bumped = sg.willmore_energy(torus, bumped, grid=(128, 128))
         w_plain = 2.0 * np.sqrt(1.0 - eps ** 2) * np.pi ** 2

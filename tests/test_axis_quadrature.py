@@ -26,9 +26,9 @@ FLAT = ct.metric_by_name("flat-r3")
 DENSITIES = [sg._willmore_density, sg._area_density]
 
 
-def flattened_nodes(chart, grid, gl_order=4):
+def flattened_nodes(chart, grid):
     """The quadrature nodes meshed and flattened (N, 3), and their weights."""
-    rules = [quadrature.axis_rule(lo, hi, n, periodic, gl_order)
+    rules = [quadrature.axis_rule(lo, hi, n, periodic)
              for (lo, hi), n, periodic in zip(ct._default_domain(chart), grid,
                                                chart.periodic)]
     mesh = np.meshgrid(*(r[0] for r in rules), indexing="ij")
@@ -131,7 +131,7 @@ def test_l2_distance_in_rho_blocks_equals_one_block(tmp_path, monkeypatch):
         return ct.MetricField(metric.name, ct.HOPF_CHART, components,
                               depends_on=metric.depends_on)
 
-    monkeypatch.setattr(ct, "_DENSITY_CHUNK", 160)
+    monkeypatch.setattr(quadrature, "_GRID_CHUNK", 160)
     grid = (24, 8, 10)
     for metric, blocks in ((theta, [2] * 12), (bumped, [24])):
         rows.clear()
@@ -243,22 +243,21 @@ def test_product_rule_is_built_once_and_read_only(monkeypatch):
     tensor_nodes = quadrature.tensor_nodes
     monkeypatch.setattr(quadrature, "tensor_nodes",
                         lambda rules: builds.append(len(rules)) or tensor_nodes(rules))
-    key = (((0.25, 1.5), (0.0, 2 * np.pi)), (11, 13), (False, True), 5)
+    key = (((0.25, 1.5), (0.0, 2 * np.pi)), (11, 13), (False, True))
     coords, weights = quadrature.product_rule(*key)
     again = quadrature.product_rule(*key)
     assert builds == [2]
     assert again[1] is weights and all(a is b for a, b in zip(again[0], coords))
-    fresh = tensor_nodes([quadrature.axis_rule(lo, hi, n, p, 5)
-                          for (lo, hi), n, p in zip(*key[:3])])
+    fresh = tensor_nodes([quadrature.axis_rule(lo, hi, n, p)
+                          for (lo, hi), n, p in zip(*key)])
     for got, want in zip((*coords, weights), (*fresh[0], fresh[1])):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             got[(0,) * got.ndim] = 1.0
-    # a different grid, domain or order is a different rule
-    for other in ((key[0], (11, 14)) + key[2:], (((0.25, 1.0), key[0][1]),) + key[1:],
-                  key[:3] + (6,)):
+    # a different grid or domain is a different rule
+    for other in ((key[0], (11, 14)) + key[2:], (((0.25, 1.0), key[0][1]),) + key[1:]):
         quadrature.product_rule(*other)
-    assert builds == [2] * 4
+    assert builds == [2] * 3
 
 
 def test_surface_and_distance_grids_reuse_their_rules(monkeypatch):
@@ -270,5 +269,5 @@ def test_surface_and_distance_grids_reuse_their_rules(monkeypatch):
     bumped = ct.metric_by_name("hopf-eps-bumped", eps=0.3)
     for _ in range(2):
         assert sg._quadrature_grid(torus, (46, 38))[2] is sg._quadrature_grid(torus, (46, 38))[2]
-        ct.l2_metric_distance(ROUND, bumped, ROUND, grid=(26, 6, 4), gl_order=6)
+        ct.l2_metric_distance(ROUND, bumped, ROUND, grid=(26, 6, 4))
     assert builds == [2, 3]

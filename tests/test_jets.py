@@ -432,39 +432,38 @@ def dense_evaluate(node, env):
 NAMES = ("x", "y", "z")
 
 
-def test_supports_that_do_not_step_evenly():
-    # with four variables a support such as (0, 1, 3) sits at uneven
-    # positions of the union: the merge indexes it by position arrays
-    rng = np.random.default_rng(3)
-    values = [rng.uniform(0.5, 1.5, size=5) for _ in range(4)]
+def test_supports_that_do_not_step_evenly_are_refused():
+    # merged blocks are slices, which three seeds always give; with a
+    # fourth, (0, 1, 3) sits at uneven positions of its union with (2,)
+    x = jets.variables([np.linspace(0.5, 1.5, 5) for _ in range(4)], order=2)
+    a, b = x[0] * x[1] + x[3], x[2]
+    for merge in (lambda: a * b, lambda: a + b):
+        with pytest.raises(ValueError, match="at most three seeds"):
+            merge()
 
-    def fn(lib):
-        def comps(x, y, z, w):
-            a = lib["sin"](x * y) * w
-            b = lib["exp"](z) + x / w
-            return [a * b, a + b, a - lib["cos"](y * z)]
-        return comps
 
-    got = jets.derivatives(fn({"sin": jets.sin, "cos": jets.cos, "exp": jets.exp}),
-                           values, order=2)
-    ref = dense_derivatives(fn(DENSE), values, 2)
-    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+def test_where_refuses_jets_on_different_supports():
+    x, y = jets.variables([np.array([-1.0, 2.0]), np.array([0.5, 1.5])], order=2)
+    with pytest.raises(TypeError, match="one support"):
+        jets.where(x.f > 0, x, y)
+    with pytest.raises(TypeError):
+        jets.where(x.f > 0, x, jets.variables([np.array([0.5, 1.5])], order=1)[0])
 
 
 def _disjoint_operands(case, order):
     """Two jets on disjoint supports and the number of seeds: a u-jet and a
     v-jet of a product grid, seeded on the axes (n, 1) and (1, m), or jets
-    on (0, 1, 3) and (2,) of four seeds, whose merge indexes by arrays."""
+    on (0, 2) and (1,) of three seeds, whose merge steps (0, 2) by two."""
     rng = np.random.default_rng(7)
     if case == "grid":
         u, v = jets.variables([rng.uniform(0.2, 1.4, (5, 1)), rng.uniform(0.2, 1.4, (1, 4))],
                               order=order)
         return 1.7 * jets.sin(u) + u * u, jets.exp(v) / (2.0 + jets.cos(v)), 2
-    x = jets.variables([rng.uniform(0.5, 1.5, 6) for _ in range(4)], order=order)
-    return jets.sin(x[0] * x[1]) * x[3] + x[1], jets.sqrt(1.0 + x[2] * x[2]), 4
+    x = jets.variables([rng.uniform(0.5, 1.5, 6) for _ in range(3)], order=order)
+    return jets.sin(x[0] * x[2]) + x[2], jets.sqrt(1.0 + x[1] * x[1]), 3
 
 
-@pytest.mark.parametrize("case", ["grid", "uneven"])
+@pytest.mark.parametrize("case", ["grid", "strided"])
 @pytest.mark.parametrize("order", [1, 2])
 def test_disjoint_supports_equal_the_dense_formula(case, order):
     # the product and the sum write each block of the union once; the
@@ -556,16 +555,29 @@ if st is not None:
         values = [rng.uniform(-1.5, 1.5, size=32) for _ in names]
         compiled = [compile_expression(render(e), names) for e in exprs]
 
+        lifted = []
+
         def sparse_fn(*xs):
             env = dict(zip(names, xs))
             a, b, c = (fn(**env) for fn in compiled)
             with np.errstate(all="ignore"):
+                if (isinstance(a, jets.Jet) and isinstance(b, jets.Jet)
+                        and a.support != b.support):
+                    # ``where`` takes jet branches on one support: each
+                    # branch is lifted to the union by a zero multiple of
+                    # the other, on the dense side too
+                    with pytest.raises(TypeError):
+                        jets.where(xs[0].f > 0.2, a, b)
+                    lifted.append(True)
+                    a, b = a + 0.0 * b, b + 0.0 * a
                 return [jets.where(xs[0].f > 0.2, a, b), c, a * b, b / c - a]
 
         def dense_fn(*xs):
             env = dict(zip(names, xs))
             with np.errstate(all="ignore"):
                 a, b, c = (dense_evaluate(e, env) for e in exprs)
+                if lifted:
+                    a, b = a + 0.0 * b, b + 0.0 * a
                 return [dense_where(xs[0].f > 0.2, a, b), c, a * b, b / c - a]
 
         got = jets.derivatives(sparse_fn, values, order=order)

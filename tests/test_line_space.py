@@ -1233,10 +1233,9 @@ def test_blocked_grid_values_equal_the_whole_grid_defect_bit_for_bit(monkeypatch
     seen = {}
     scan_zeros = ls._scan_zeros
 
-    def recording_scan(values, field, axes, step, domain, periodic, tol_sq, kind, vectors):
+    def recording_scan(values, vectors, field, axes, step, domain, periodic, tol_sq, kind):
         seen.update(values=values, vectors=vectors, tol_sq=tol_sq)
-        return scan_zeros(values, field, axes, step, domain, periodic, tol_sq, kind,
-                          vectors=vectors)
+        return scan_zeros(values, vectors, field, axes, step, domain, periodic, tol_sq, kind)
     monkeypatch.setattr(ls, "_scan_zeros", recording_scan)
     ls.complex_point_scan(section)
     psi = _whole_grid_defect(section)

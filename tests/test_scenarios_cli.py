@@ -83,6 +83,34 @@ def test_cli_usage_error_for_bad_eps(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["willmore-sweep", "distance-check"])
+@pytest.mark.parametrize("line", ["eps = abc", "eps = 0.1,abc", "eps = true", "eps = 1",
+                                  "eps = 0.2,1.5", "eps = nan"])
+def test_cli_refuses_a_config_eps_that_is_not_numbers_in_range(tmp_path, capsys, command,
+                                                               line):
+    # a usage error (exit 2), where text ended in a ValueError traceback
+    (tmp_path / "cfg.kv").write_text(line + "\n")
+    assert run_cli([command, "--config", str(tmp_path / "cfg.kv")], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["willmore-sweep", "distance-check"])
+def test_cli_reads_a_config_eps_of_one_number_as_the_flag(tmp_path, command):
+    # eps = 0.3 ended in "'float' object is not iterable" in distance-check
+    extra = "rho_points = 48\ntheta_points = 8\n" if command == "distance-check" else ""
+    (tmp_path / "cfg.kv").write_text("eps = 0.3\n" + extra)
+    reports = []
+    for name, args in (("config", []), ("flag", ["--eps", "0.3"])):
+        (tmp_path / name).mkdir()
+        assert run_cli([command, "--config", str(tmp_path / "cfg.kv")] + args,
+                       tmp_path / name) == 0
+        stem = "willmore_sweep_report" if command == "willmore-sweep" else "distance_check"
+        payload = json.loads((tmp_path / name / f"{stem}.json").read_text())
+        reports.append([row["eps"] for row in payload["values"]["rows"]])
+    assert reports == [[0.3], [0.3]]
+
+
 MALFORMED_SIZES = {
     "umbilics-grid-by": (["umbilics", "--grid", "64by48"], None),
     "umbilics-grid-one-size": (["umbilics", "--grid", "64"], None),

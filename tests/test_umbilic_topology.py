@@ -16,6 +16,7 @@ from geomlab import umbilic_topology as ut
 from geomlab.errors import UnreliableLoopError
 
 FLAT = ct.metric_by_name("flat-r3")
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 ELL = sg.surface_by_name("ellipsoid", a=2.0, b=1.5, c=1.0)
 
 # analytic umbilic positions of the (2, 1.5, 1) ellipsoid, confirmed by the
@@ -320,8 +321,9 @@ def test_merge_warns_on_coarse_ambiguity():
     values[10, 10], values[13, 10] = 0.0, 0.1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        merged = ut._scan_zeros(values, field, axes, (0.1, 0.1), ((0.0, 2.0),) * 2,
-                                (False, False), 1e-8, "umbilic")
+        merged = ut._scan_zeros(values, np.zeros((2,) + values.shape), field, axes,
+                                (0.1, 0.1), ((0.0, 2.0),) * 2, (False, False), 1e-8,
+                                "umbilic")
     assert len(merged) == 1
     assert merged[0].ambiguous
     assert any("merged" in str(w.message) for w in caught)
@@ -339,8 +341,9 @@ def test_merge_warns_when_the_midpoint_separates_two_zeros():
     values = np.ones((20, 20))
     values[9, 10], values[11, 10] = 0.0, 0.1
     with pytest.warns(UserWarning, match="umbilic candidates; records merged"):
-        merged = ut._scan_zeros(values, field, axes, (0.1, 0.1), ((0.0, 2.0),) * 2,
-                                (False, False), 1e-8, "umbilic")
+        merged = ut._scan_zeros(values, np.zeros((2,) + values.shape), field, axes,
+                                (0.1, 0.1), ((0.0, 2.0),) * 2, (False, False), 1e-8,
+                                "umbilic")
     assert len(merged) == 1 and merged[0].ambiguous
 
 
@@ -434,10 +437,39 @@ def test_a_winding_four_zero_inside_one_cell_is_found_through_the_minima():
     axes, vectors, field = _product_vectors([z0] * 4)
     assert [9, 9] not in ut._degree_cells(vectors, (False, False)).tolist()
     values = field(axes[0][:, None], axes[1][None, :])[..., 0]
-    zeros = ut._scan_zeros(values, field, axes, (0.1, 0.1), ((0.0, 2.0),) * 2,
-                           (False, False), 1e-12, "umbilic", vectors=vectors)
+    zeros = ut._scan_zeros(values, vectors, field, axes, (0.1, 0.1), ((0.0, 2.0),) * 2,
+                           (False, False), 1e-12, "umbilic")
     assert len(zeros) == 1 and zeros[0].isolated and not zeros[0].ambiguous
     assert abs(zeros[0].s + 1j * zeros[0].t - z0) < 0.02
+
+
+def test_a_zero_of_order_four_is_isolated_against_its_ring_scale():
+    # (z - z0)^4 at step 0.01: on the ring two cells out |w|^2 is about
+    # (0.02)^8 = 2.6e-14, below the absolute tol_sq 1e-12, yet positive all
+    # round and far above 1e-4 of its own ring maximum, so the zero is isolated
+    z0 = 1.0 + 1.0j
+    axes, vectors, field = _product_vectors([z0] * 4, shape=(200, 200), step=0.01)
+    values = field(axes[0][:, None], axes[1][None, :])[..., 0]
+    zeros = ut._scan_zeros(values, vectors, field, axes, (0.01, 0.01), ((0.0, 2.0),) * 2,
+                           (False, False), 1e-12, "umbilic")
+    assert len(zeros) == 1 and zeros[0].isolated and not zeros[0].ambiguous
+    assert abs(zeros[0].s + 1j * zeros[0].t - z0) < 2e-3
+
+
+@pytest.mark.parametrize("grid", [(64, 48), (128, 96), (256, 192)])
+def test_the_one_umbilic_sphere_has_one_umbilic_of_index_two(grid):
+    # docs/examples/one_umbilic_sphere.kv: the unit sphere in a metric whose
+    # traceless second form vanishes only at p, to order 4; on the finer
+    # grids its ring dips below the absolute tol_sq, and the ring's own
+    # scale keeps the umbilic isolated
+    metric = ct.load_metric(EXAMPLES / "one_umbilic_sphere.kv")
+    audit = ut.conjecture_audit(sg.surface_by_name("round-sphere"), metric, grid=grid)
+    assert not audit["non_isolated_present"]
+    assert audit["umbilic_count"] == 1
+    assert audit["max_index"] == 2.0 and audit["index_sum"] == 2.0
+    assert audit["local_bound_ok"] is False and audit["poincare_hopf_ok"] is True
+    p = np.array([np.cos(1) * np.sin(1.2), np.sin(1) * np.sin(1.2), np.cos(1.2)])
+    assert np.linalg.norm(np.array(audit["records"][0].point) - p) < 1e-2
 
 
 def test_coarse_scan_refines_near_misses_on():
