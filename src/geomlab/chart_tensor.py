@@ -351,7 +351,7 @@ def l2_metric_distance(g_a, g_b, background, domain=None, grid=(64, 64, 64)):
                         if any(k in m.depends_on for m in metrics)]))
     distinct = {id(m): m for m in metrics}
     blocks = []
-    for rows in quadrature._row_blocks(coords[0].size, read, quadrature._GRID_CHUNK):
+    for rows in quadrature._row_blocks(coords[0].size, read):
         block = [coords[0][rows], *coords[1:]]
         value = {i: _stack(m.components(*block), block[0].shape) for i, m in distinct.items()}
         back, a, b = (value[id(m)] for m in metrics)

@@ -38,12 +38,19 @@ one contiguous block over the samples, as a jet stores its own
 coefficients; the arrays it returns are views indexed point-major.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
     "Jet", "variables", "derivatives", "read_out", "where",
     "sin", "cos", "sincos", "tan", "exp", "log", "sqrt",
 ]
+
+
+# the broadcast of sample shapes, cached per tuple of shapes: every jet
+# op on a merged support and every read-out asks for one
+_broadcast_shapes = functools.lru_cache(maxsize=256)(np.broadcast_shapes)
 
 
 def _outer(a, b):
@@ -203,37 +210,32 @@ class _Merge:
     def empty(self, rank, *shapes):
         """Unfilled coefficients of this rank over the union, for the
         broadcast of the sample ``shapes``."""
-        return np.empty((len(self.support),) * rank + np.broadcast_shapes(*shapes))
+        return np.empty((len(self.support),) * rank + _broadcast_shapes(*shapes))
 
     def scatter(self, rank, a, b):
         """The sum of A's coefficients ``a`` and B's ``b`` of this rank over
         the union: zero-filled and added where the supports share a
         variable, else each block written once and the cross blocks zeroed."""
         ka, kb = (self.a, self.b) if rank == 1 else (self.aa, self.bb)
+        out = self.empty(rank, a.shape[rank:], b.shape[rank:])
         if not self.disjoint:
-            out = np.zeros((len(self.support),) * rank
-                           + np.broadcast_shapes(a.shape[rank:], b.shape[rank:]))
+            out.fill(0.0)
             out[ka] = a
             out[kb] += b
             return out
-        out = self.empty(rank, a.shape[rank:], b.shape[rank:])
         out[ka], out[kb] = a, b
         if rank == 2:
             out[self.ab] = out[self.ba] = 0.0
         return out
 
 
-_MERGES = {}
+# one _Merge per ordered pair of different supports
+_merge_of = functools.lru_cache(maxsize=None)(_Merge)
 
 
 def _merged(a, b):
     """None for equal supports, else their cached ``_Merge``."""
-    if a == b:
-        return None
-    m = _MERGES.get((a, b))
-    if m is None:
-        m = _MERGES[(a, b)] = _Merge(a, b)
-    return m
+    return None if a == b else _merge_of(a, b)
 
 
 def _unary(x, v, d1, d2):
@@ -288,7 +290,7 @@ def derivatives(fn, values, order=2):
 
 def read_out(comps, xs):
     """``derivatives``' arrays of the components ``comps`` of a map of the seeds ``xs``."""
-    shape = np.broadcast_shapes(*[x.f.shape for x in xs])
+    shape = _broadcast_shapes(*[x.f.shape for x in xs])
     n, m = len(xs), len(comps)
     f = np.empty((m,) + shape)
     g = np.empty((n, m) + shape)
@@ -310,24 +312,21 @@ def read_out(comps, xs):
             if h is not None:
                 for b, j in enumerate(comp.support):
                     h[i, j, k] = comp.hs[a, b]
-    f, g = np.moveaxis(f, 0, -1), np.moveaxis(g, (0, 1), (-2, -1))
-    return (f, g) if h is None else (f, g, np.moveaxis(h, (0, 1, 2), (-3, -2, -1)))
+    # point-major views, the sample axes first
+    d = len(shape)
+    f, g = f.transpose(*range(1, d + 1), 0), g.transpose(*range(2, d + 2), 0, 1)
+    return (f, g) if h is None else (f, g, h.transpose(*range(3, d + 3), 0, 1, 2))
 
 
-_OFF_SUPPORT = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _off_support(supports, n):
     """Index arrays of ``read_out``'s gradient blocks (i, k) and Hessian
     blocks (i, j, k) off the support of component k, cached per supports."""
-    off = _OFF_SUPPORT.get((supports, n))
-    if off is None:
-        off = _OFF_SUPPORT[(supports, n)] = tuple(
-            tuple(np.array([(*ij, k) for k, support in enumerate(supports)
-                            for ij in np.ndindex((n,) * rank) if not set(ij) <= set(support)],
-                           dtype=np.intp).reshape(-1, rank + 1).T)
-            for rank in (1, 2))
-    return off
+    return tuple(
+        tuple(np.array([(*ij, k) for k, support in enumerate(supports)
+                        for ij in np.ndindex((n,) * rank) if not set(ij) <= set(support)],
+                       dtype=np.intp).reshape(-1, rank + 1).T)
+        for rank in (1, 2))
 
 
 def where(cond, a, b):

@@ -329,8 +329,9 @@ class CongruenceMap:
             dpu = dot3(x[a], u) + dot3(p, du[a])
             for k in range(3):
                 np.subtract(x[a][k] - dpu * u[k], pu * du[a, k], out=dV[a, k])
-        return (np.moveaxis(u, 0, -1), np.moveaxis(V, 0, -1),
-                np.moveaxis(du, (0, 1), (-2, -1)), np.moveaxis(dV, (0, 1), (-2, -1)))
+        d = u.ndim - 1
+        return (u.transpose(*range(1, d + 1), 0), V.transpose(*range(1, d + 1), 0),
+                du.transpose(*range(2, d + 2), 0, 1), dV.transpose(*range(2, d + 2), 0, 1))
 
 
 @dataclass

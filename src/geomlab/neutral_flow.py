@@ -249,7 +249,8 @@ def _fd_derivatives(f, dx, dy):
 
     Computed on the component planes of ``f`` and returned as point-major
     views d1[i, j, a, A] and d2[i, j, a, b, A] of them, so that
-    ``d1.transpose(2, 3, 0, 1)`` is the contiguous tangent planes.
+    ``d1.transpose(2, 3, 0, 1)`` is the contiguous tangent planes.  A view
+    ``planes.transpose(1, 2, 0)`` of contiguous planes is read uncopied.
     """
     f = np.ascontiguousarray(f.transpose(2, 0, 1))
     d1 = np.empty((2,) + f.shape)
@@ -266,11 +267,6 @@ def _fd_derivatives(f, dx, dy):
                                + f[:, :-2, :-2]) / (4 * dx * dy)
     d2[1, 0] = d2[0, 1]
     return d1.transpose(2, 3, 0, 1), d2.transpose(3, 4, 0, 1, 2)
-
-
-def _t(a):
-    """Swap the last two axes."""
-    return np.swapaxes(a, -1, -2)
 
 
 def _det2(m):
@@ -293,19 +289,20 @@ def flow_geometry(state):
     nx, ny = state.shape
     dx = state.x_axis[1] - state.x_axis[0]
     dy = state.y_axis[1] - state.y_axis[0]
-    d1, d2 = _fd_derivatives(state.f, dx, dy)
+    # the component planes, copied once and read by both
+    planes = np.ascontiguousarray(state.f.transpose(2, 0, 1))
+    d1, d2 = _fd_derivatives(planes.transpose(1, 2, 0), dx, dy)
     t = d1.transpose(2, 3, 0, 1)                               # t[a, A]
     with np.errstate(all="ignore"):
-        alpha, beta, *sources = LineSpaceChart._coefficients(
-            *np.ascontiguousarray(state.f.transpose(2, 0, 1)))
-        gt = np.stack((alpha * t[:, 0] - beta * t[:, 3], alpha * t[:, 1] + beta * t[:, 2],
-                       beta * t[:, 1], -beta * t[:, 0]), axis=1)  # (G t_a)_A
+        alpha, beta, *sources = LineSpaceChart._coefficients(*planes)
+        gt = np.array((alpha * t[:, 0] - beta * t[:, 3], alpha * t[:, 1] + beta * t[:, 2],
+                       beta * t[:, 1], -beta * t[:, 0])).swapaxes(0, 1)  # (G t_a)_A
         gram = np.empty((nx, ny, 2, 2))
-        gram[..., 0, 0] = np.sum(t[0] * gt[0], axis=0)
-        gram[..., 0, 1] = gram[..., 1, 0] = np.sum(t[0] * gt[1], axis=0)
-        gram[..., 1, 1] = np.sum(t[1] * gt[1], axis=0)
+        gram[..., 0, 0] = (t[0] * gt[0]).sum(axis=0)
+        gram[..., 0, 1] = gram[..., 1, 0] = (t[0] * gt[1]).sum(axis=0)
+        gram[..., 1, 1] = (t[1] * gt[1]).sum(axis=0)
         lo, _ = sym_eig2_batch(gram.reshape(-1, 2, 2))
-        margin = float(np.min(lo))
+        margin = float(lo.min())
         if not margin > 0.0:
             if not np.isfinite(margin):
                 raise SignatureLossError(f"induced metric is not finite (margin {margin})")
@@ -315,21 +312,21 @@ def flow_geometry(state):
         g00, g01, g11 = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
         det = g00 * g11 - g01 ** 2
         i00, i01, i11 = g11 / det, -g01 / det, g00 / det
-        raised = np.stack((i00 * t[0] + i01 * t[1], i01 * t[0] + i11 * t[1]))  # g^ab t_b
-        pairs = np.sum(t[:, _PAIR_A] * raised[:, _PAIR_B], axis=0)             # M^ab
-        terms = np.stack(sources)[_GAMMA_SOURCE] * pairs[_GAMMA_PAIR]
+        raised = np.array((i00 * t[0] + i01 * t[1], i01 * t[0] + i11 * t[1]))  # g^ab t_b
+        pairs = (t[:, _PAIR_A] * raised[:, _PAIR_B]).sum(axis=0)               # M^ab
+        terms = np.array(sources)[_GAMMA_SOURCE] * pairs[_GAMMA_PAIR]
         christoffel = (_GAMMA_SUM @ terms.reshape(len(terms), -1)).reshape(4, nx, ny)
         hess = d2.transpose(2, 3, 4, 0, 1)
         tension = i00 * hess[0, 0] + 2.0 * i01 * hess[0, 1] + i11 * hess[1, 1] + christoffel
         # project G-orthogonally to the tangent plane: subtract
         # t_a g^ab (G t_b . tension)
-        rhs = np.sum(gt * tension, axis=1)
+        rhs = (gt * tension).sum(axis=1)
         mean_curv = tension - rhs[0] * raised[0] - rhs[1] * raised[1]
-        residual = np.sum(gt * mean_curv, axis=1)
+        residual = (gt * mean_curv).sum(axis=1)
     return {
         "d1": d1, "gram": gram, "det": det,
         "christoffel": christoffel.transpose(1, 2, 0), "mean_curv": mean_curv.transpose(1, 2, 0),
-        "margin": margin, "normal_residual": float(np.max(np.abs(residual))),
+        "margin": margin, "normal_residual": float(np.abs(residual).max()),
         "dx": dx, "dy": dy,
     }
 
@@ -343,24 +340,20 @@ def mean_curvature_vector(geo):
     return h_field
 
 
+@functools.lru_cache(maxsize=8)
+def _trapezoid_weights(n, step):
+    """Trapezoid weights of ``n`` samples ``step`` apart; read-only."""
+    w = np.full(n, step)
+    w[0] = w[-1] = 0.5 * step
+    w.flags.writeable = False
+    return w
+
+
 def induced_area(state, geo):
     """Trapezoid integral of sqrt(det Gram) over the parameter square."""
-    dens = np.sqrt(geo["det"])
-    wx = np.full(state.shape[0], geo["dx"])
-    wx[0] = wx[-1] = 0.5 * geo["dx"]
-    wy = np.full(state.shape[1], geo["dy"])
-    wy[0] = wy[-1] = 0.5 * geo["dy"]
-    return float(wx @ dens @ wy)
-
-
-@functools.lru_cache(maxsize=8)
-def _ring_indices(shape):
-    """(ii, jj) of every boundary sample, in C order; read-only."""
-    mask = np.ones(shape, dtype=bool)
-    mask[1:-1, 1:-1] = False
-    ii, jj = np.nonzero(mask)
-    ii.flags.writeable = jj.flags.writeable = False
-    return ii, jj
+    nx, ny = state.shape
+    return float(_trapezoid_weights(nx, geo["dx"]) @ np.sqrt(geo["det"])
+                 @ _trapezoid_weights(ny, geo["dy"]))
 
 
 def _edge_indices(shape):
@@ -402,14 +395,17 @@ def _ring_products(diff, frame):
     differential D = (D_u, D_v) and the sphere frame (e1, e2): a chart
     tangent t lifts to t D, of frame components t W and length^2 t D D^T t."""
     e = np.transpose(frame)  # (m, 3, 2): e[..., i] = e_i
-    return np.concatenate((diff[..., :3] @ e, diff[..., 3:] @ e), axis=-1), diff @ _t(diff)
+    return (np.concatenate((diff[..., :3] @ e, diff[..., 3:] @ e), axis=-1),
+            diff @ diff.swapaxes(-1, -2))
 
 
 def _build_ring(f, section):
     """The ``BoundaryRing`` of the ring samples of ``f`` (nx, ny, 4) and
     the target ``section``; ChartDomainError unless the samples are on the
     chart, SignatureLossError unless Q G Q^T is definite."""
-    ii, jj = _ring_indices(f.shape[:2])
+    mask = np.ones(f.shape[:2], dtype=bool)
+    mask[1:-1, 1:-1] = False
+    ii, jj = np.nonzero(mask)                      # every boundary sample, in C order
     samples = f[ii, jj]
     _check_in_chart(np.sqrt(samples[:, 0] ** 2 + samples[:, 1] ** 2), "boundary")
     chart = section.chart
@@ -422,10 +418,10 @@ def _build_ring(f, section):
     sec_basis[:, 0, 0] = sec_basis[:, 1, 1] = 1.0
     sec_basis[:, :, 2:] = dw
     edge_metric = chart.metric(pts)
-    edge_gq = edge_metric @ _t(sec_basis)
+    edge_gq = edge_metric @ sec_basis.swapaxes(-1, -2)
     edge_q_det = _det2(sec_basis @ edge_gq)
     _check_definite(edge_q_det)
-    for a in (frame_w, gram, edge_metric, edge_gq, edge_q_det):
+    for a in (ii, jj, frame_w, gram, edge_metric, edge_gq, edge_q_det):
         a.flags.writeable = False
     return BoundaryRing((ii, jj), frame_w, gram, edge, edge_metric, edge_gq, edge_q_det)
 
@@ -438,16 +434,16 @@ def dbar_boundary_norm(state, geo):
     # t W is (m, 2, 4), tangent k's row [x_k, y_k, p_k, q_k] of _psi_from_parts
     parts = list((t @ ring.frame_w).transpose(1, 2, 0).reshape(8, -1))
     psi = _psi_from_parts(parts, np.sqrt(np.einsum("mka,mka->km", t @ ring.gram, t)))
-    return float(np.max(np.abs(psi)))
+    return float(np.abs(psi).max())
 
 
 def _check_definite(det, *others):
     """SignatureLossError unless the plane Gram determinants ``det`` and
     the ``others`` are finite and ``det`` is positive: a 2x2 Gram is
     definite, of either sign, exactly when its determinant is positive."""
-    if not all(np.all(np.isfinite(a)) for a in (det, *others)):
+    if not all(np.isfinite(a).all() for a in (det, *others)):
         raise SignatureLossError("boundary tangent plane is not finite")
-    if not np.all(det > 0.0):
+    if not (det > 0.0).all():
         raise SignatureLossError("boundary tangent plane is not definite")
 
 
@@ -466,7 +462,7 @@ def _plane_grams(g4, p_basis, gq, q_det):
     once with the ring that holds its products (``_build_ring``).
     """
     gp = p_basis @ g4
-    gram = gp @ _t(p_basis)
+    gram = gp @ p_basis.swapaxes(-1, -2)
     cross = p_basis @ gq
     p_det = _det2(gram)
     cross_det = _det2(cross)
@@ -493,8 +489,8 @@ def angle_residual(state, geo):
     first call fixes an unset target at the measured mean."""
     cosh_vals = boundary_angle_cosh(state, geo)
     if state.cosh_target is None:
-        state.cosh_target = float(np.mean(cosh_vals))
-    return float(np.mean(np.abs(cosh_vals - state.cosh_target)))
+        state.cosh_target = float(cosh_vals.mean())
+    return float(np.abs(cosh_vals - state.cosh_target).mean())
 
 
 def _angle_gradient(state, geo):
@@ -535,13 +531,13 @@ def angle_penalty_step(state, geo):
     """
     base, grads = _angle_gradient(state, geo)
     if state.cosh_target is None:
-        state.cosh_target = float(np.mean(base))
+        state.cosh_target = float(base.mean())
     err = base - state.cosh_target
-    norm_sq = np.sum(grads ** 2, axis=1)
+    norm_sq = (grads ** 2).sum(axis=1)
     scale = np.where(norm_sq > 1e-30, err / np.maximum(norm_sq, 1e-30), 0.0)
     step = state.angle_rate * scale[:, None] * grads
     cap = 0.05 * (state.x_axis[1] - state.x_axis[0])
-    mag = np.sqrt(np.sum(step ** 2, axis=1, keepdims=True))
+    mag = np.sqrt((step ** 2).sum(axis=1, keepdims=True))
     step = np.where(mag > cap, step * (cap / np.maximum(mag, 1e-300)), step)
     # nodes adjacent to a corner serve two boundary samples; average their
     # requested nudges instead of stacking them
@@ -563,8 +559,8 @@ _CHART_LIMIT = 0.98
 
 def _check_in_chart(r, where):
     """ChartDomainError unless every chart radius is below ``_CHART_LIMIT``."""
-    if not np.all(r < _CHART_LIMIT):
-        if not np.all(np.isfinite(r)):
+    if not (r < _CHART_LIMIT).all():
+        if not np.isfinite(r).all():
             raise ChartDomainError(f"{where} sample is not finite")
         raise ChartDomainError(f"{where} sample ran off the hemisphere chart")
 
@@ -576,7 +572,7 @@ def _record(state, geo, h_field, angle_res):
     state.diagnostics.append(FlowDiagnostics(
         step=len(state.diagnostics), time=state.t,
         area=induced_area(state, geo), margin=geo["margin"],
-        max_h=float(np.max(np.sqrt(np.sum(h_field ** 2, axis=-1)))),
+        max_h=float(np.sqrt((h_field ** 2).sum(axis=-1)).max()),
         normal_residual=geo["normal_residual"], angle_residual=angle_res,
         dbar_norm=dbar_boundary_norm(state, geo),
         dbar_target=state.dbar_c / (1.0 + state.t)))
@@ -679,8 +675,10 @@ def build_state(config=None, **overrides):
     for key in ("h", "cfl"):
         if reals.get(key, 1.0) <= 0.0:
             raise ConfigError(f"{key} must be positive, got {reals[key]!r}")
-    if reals["angle_rate"] < 0.0:
-        raise ConfigError(f"angle_rate must be non-negative, got {reals['angle_rate']!r}")
+    # a negative dbar_c targets a norm below 0; a negative stagnation_tol never halts
+    for key in ("angle_rate", "dbar_c", "stagnation_tol"):
+        if reals[key] < 0.0:
+            raise ConfigError(f"{key} must be non-negative, got {reals[key]!r}")
     radius = reals["chart_radius"]
     if not (0.0 < radius < 1.0):
         raise ConfigError("chart_radius must sit inside the open hemisphere (0,1)")

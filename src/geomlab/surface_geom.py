@@ -19,7 +19,7 @@ from .chart_tensor import _check_nondegenerate, _sym3_inverse_det, _value, chris
 from .errors import ImmersionError, MetricParameterError
 from .exprgrammar import compile_expression
 from .kernels import cross3, dot3, shape_operator_batch
-from .quadrature import _GRID_CHUNK, _row_blocks
+from .quadrature import _row_blocks
 
 _TWO_PI = 2.0 * np.pi
 
@@ -249,7 +249,7 @@ def _grid_eval(field, s, t):
     their memory layout (component-major blocks join component-major)."""
     shape = np.broadcast_shapes(np.shape(s), np.shape(t))
     parts = [field(*(a[rows] if a.shape[0] > 1 else a for a in (s, t)))
-             for rows in _row_blocks(shape[0], int(np.prod(shape[1:])), _GRID_CHUNK)]
+             for rows in _row_blocks(shape[0], int(np.prod(shape[1:])))]
     if len(parts) == 1:
         return parts[0]
     if isinstance(parts[0], tuple):

@@ -16,6 +16,7 @@ import pytest
 
 from geomlab import chart_tensor as ct
 from geomlab import kernels
+from geomlab import line_space as ls
 from geomlab import quadrature
 from geomlab import surface_geom as sg
 from geomlab.errors import MetricParameterError
@@ -138,6 +139,38 @@ def test_l2_distance_in_rho_blocks_equals_one_block(tmp_path, monkeypatch):
         got = ct.l2_metric_distance(ROUND, counted(metric), ROUND, grid=grid)
         assert got == unblocked_l2(ROUND, metric, ROUND, grid) > 0
         assert rows == blocks
+
+
+def test_one_patched_grid_chunk_reaches_every_grid_pass(monkeypatch):
+    # _GRID_CHUNK is read when called, so one patch cuts the surface grid
+    # evaluation, the sampled normal congruence, its psi pass and the
+    # metric distance alike: 160 points are 10 rows of 16 and 2 of 80
+    monkeypatch.setattr(quadrature, "_GRID_CHUNK", 160)
+    shapes = []
+
+    def field(s, t):
+        shapes.append(np.broadcast_shapes(s.shape, t.shape))
+        return s + t
+    sg._grid_eval(field, np.arange(20.0)[:, None], np.arange(16.0)[None, :])
+    assert shapes == [(10, 16)] * 2
+    shapes.clear()
+    original = ls.CongruenceMap.eval
+
+    def recording_eval(cmap, s, t, out=None):
+        shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
+        return original(cmap, s, t, out)
+    monkeypatch.setattr(ls.CongruenceMap, "eval", recording_eval)
+    section = ls.normal_congruence(sg.surface_by_name("ellipsoid"), grid=(20, 16))
+    assert shapes == [(10, 16)] * 2
+    assert [psi.shape for _, psi in ls._grid_psi(section)] == [(10, 16)] * 2
+    rows = []
+
+    def components(rho, th1, th2):
+        rows.append(np.shape(rho)[0])
+        return ROUND.components(rho, th1, th2)
+    counted = ct.MetricField("counted", ct.HOPF_CHART, components)  # reads all three
+    ct.l2_metric_distance(ROUND, counted, ROUND, grid=(24, 8, 10))
+    assert rows == [2] * 12
 
 
 def flattened_integrals(surface, metric, grid):

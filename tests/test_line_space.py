@@ -11,6 +11,7 @@ from geomlab import chart_tensor as ct
 from geomlab import jets
 from geomlab import line_space as ls
 from geomlab import neutral_flow as nf
+from geomlab import quadrature
 from geomlab import surface_geom as sg
 from geomlab import umbilic_topology as ut
 from geomlab.errors import ChartDomainError, ConfigError, UnreliableLoopError
@@ -952,7 +953,7 @@ def test_written_out_congruence_and_defect_equal_their_oracles(monkeypatch, seed
             blocks.append(s_block.shape)
             return cmap.eval(s_block, t_block)
         with monkeypatch.context() as patch:
-            patch.setattr(sg, "_GRID_CHUNK", 64)
+            patch.setattr(quadrature, "_GRID_CHUNK", 64)
             chunked = ut._grid_eval(recording_eval, s, t)
         assert blocks == [(3, 20)] * 10
         for a, b in zip(got, chunked):
@@ -1221,12 +1222,13 @@ def test_blocked_grid_values_equal_the_whole_grid_defect_bit_for_bit(monkeypatch
     # 256x192 is six blocks of 42 rows and one of 4, 64x48 and the cap are
     # one block each, and 97x31 is cut into blocks of 32 rows, so that its
     # last block is one row
-    size = 1000 if case == "97x31" else sg._GRID_CHUNK
+    if case == "97x31":
+        monkeypatch.setattr(quadrature, "_GRID_CHUNK", 1000)
     rows = []
     row_blocks = ls._row_blocks
 
     def recording_blocks(ns, nt):
-        blocks = row_blocks(ns, nt, size)
+        blocks = row_blocks(ns, nt)
         rows.append([len(range(ns)[b]) for b in blocks])
         return blocks
     monkeypatch.setattr(ls, "_row_blocks", recording_blocks)

@@ -322,6 +322,57 @@ def test_angle_gradient_matches_the_forward_difference_to_first_order():
     assert 1.7 < errors[0] / errors[1] < 2.3
 
 
+# -- finite differences against closed forms ---------------------------------
+
+def _fd_grid(n):
+    """The (x, y) meshes of an n x n grid with dx != dy, and dx, dy."""
+    x, y = np.linspace(-0.5, 0.5, n), np.linspace(-0.3, 0.5, n)
+    return (*np.meshgrid(x, y, indexing="ij"), x[1] - x[0], y[1] - y[0])
+
+
+def test_fd_derivatives_are_exact_on_quadratics():
+    # per component f = c0 + c1 x + c2 y + c3 x^2 + c4 x y + c5 y^2: its
+    # central and one-sided first differences and its central second
+    # differences are exact, so only rounding, of eps |f| / h^k, is left
+    xm, ym, dx, dy = _fd_grid(17)
+    c = np.random.default_rng(7).normal(size=(6, 4))
+    f = np.stack([np.ones_like(xm), xm, ym, xm * xm, xm * ym, ym * ym], axis=-1) @ c
+    d1, d2 = nf._fd_derivatives(f, dx, dy)
+    tol = 16 * np.finfo(float).eps * np.abs(f).max() / min(dx, dy)
+    x, y = xm[..., None], ym[..., None]
+    assert np.abs(d1[..., 0, :] - (c[1] + 2 * c[3] * x + c[4] * y)).max() <= tol
+    assert np.abs(d1[..., 1, :] - (c[2] + c[4] * x + 2 * c[5] * y)).max() <= tol
+    hess = np.array([[2 * c[3], c[4]], [c[4], 2 * c[5]]])
+    assert np.abs(d2[1:-1, 1:-1] - hess).max() <= tol / min(dx, dy)
+    # on the ring a second difference along an edge is the central one,
+    # and one across it, or mixed, is zero: at the corners all of d2
+    assert np.abs(d2[1:-1, [0, -1], 0, 0] - hess[0, 0]).max() <= tol / dx
+    assert np.abs(d2[[0, -1], 1:-1, 1, 1] - hess[1, 1]).max() <= tol / dy
+    for across in (d2[[0, -1], :, 0, 0], d2[:, [0, -1], 1, 1], d2[[0, -1], :, 0, 1],
+                   d2[:, [0, -1], 0, 1], d2[[0, -1], :, 1, 0], d2[:, [0, -1], 1, 0]):
+        assert not across.any()
+
+
+def test_fd_derivatives_are_second_order_on_a_smooth_field():
+    # sin and exp of linear forms a x + b y: the error of d1, edges
+    # included, and of the interior d2 falls by four as the spacing halves
+    forms = np.array([[1.0, 2.0], [2.0, -1.0], [1.0, 0.5], [-1.0, 1.0]])  # (a, b)
+    errors = []
+    for n in (17, 33, 65):
+        xm, ym, dx, dy = _fd_grid(n)
+        arg = xm[..., None] * forms[:, 0] + ym[..., None] * forms[:, 1]
+        f = np.concatenate([np.sin(arg[..., :2]), np.exp(arg[..., 2:])], axis=-1)
+        df = np.concatenate([np.cos(arg[..., :2]), np.exp(arg[..., 2:])], axis=-1)
+        ddf = f * [-1.0, -1.0, 1.0, 1.0]
+        d1, d2 = nf._fd_derivatives(f, dx, dy)
+        errors.append([max(np.abs(d1[..., a, :] - forms[:, a] * df).max() for a in range(2)),
+                       max(np.abs(d2[1:-1, 1:-1, a, b] - forms[:, a] * forms[:, b]
+                                  * ddf[1:-1, 1:-1]).max()
+                           for a in range(2) for b in range(2))])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.5 < ratios) & (ratios < 4.5)), ratios
+
+
 # -- einsum oracles for the plane contractions --------------------------------
 
 def _einsum_geometry(state):

@@ -338,6 +338,8 @@ BAD_FLOW_VALUES = {
     "twist-strength-nan": (["--twist-strength", "nan"], None, "twist_strength must be finite"),
     "perturbation-inf": (["--perturbation", "inf"], None, "perturbation must be finite"),
     "dbar-c-nan": (["--dbar-c", "nan"], None, "dbar_c must be finite"),
+    # a negative dbar_c scheduled a negative target for a norm
+    "dbar-c-negative": (["--dbar-c", "-1"], None, "dbar_c must be non-negative"),
     "angle-target-nan": (["--angle-target", "nan"], None, "angle_target must be finite"),
     "angle-target-cosh-overflow": (["--angle-target", "1000"], None,
                                    "angle_target must have a finite cosh"),
@@ -348,6 +350,9 @@ BAD_FLOW_VALUES = {
                                     "boundary sample ran off the hemisphere chart"),
     "stagnation-tol-text-config": ([], "stagnation_tol = abc\n",
                                    "stagnation_tol must be a number"),
+    # a negative stagnation_tol was taken and never halted the flow
+    "stagnation-tol-negative-config": ([], "stagnation_tol = -1e-8\n",
+                                       "stagnation_tol must be non-negative"),
     "twist-strength-text-config": ([], "twist_strength = abc\n",
                                    "twist_strength must be a number"),
     "center-text-config": ([], "center = abc\n", "center must be three finite numbers"),
