@@ -81,8 +81,12 @@ def fundamental_forms(surface, metric, s, t, chart=None):
 
     ``chart``, if given, is ``(xs, comps)``: the jet variables seeded on
     ``s`` and ``t`` and the chart map's components of them, from a caller
-    that has them already (``_integrate`` decides its blocks on them), so
-    the chart map is not evaluated again.
+    that has them already, so the chart map is not evaluated again.
+    ``_integrate`` seeds a grid's axes once, decides on those jets whether
+    the grid is one orbit, and passes them cut (``_cut_axes``) to the one
+    node of an orbit, whose forms stand for the whole grid, or to each
+    block of s-rows.  Either way every call is checked here: the
+    parameters for finiteness, and the forms by ``_forms``.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -257,32 +261,65 @@ def _grid_eval(field, s, t):
     return np.concatenate(parts)
 
 
+def _cut_axes(chart, rows, cols):
+    """The jets ``(xs, comps)`` of a chart map on the axes ``s`` (ns, 1) and
+    ``t`` (1, nt) of a product grid, cut to the grid's ``rows`` and ``cols``:
+    every coefficient array is sliced on its two trailing sample axes, and an
+    axis of length one, which broadcasts, is kept whole."""
+    def cut(a):
+        if np.ndim(a) < 2:
+            return a
+        return a[..., rows if a.shape[-2] > 1 else slice(None),
+                 cols if a.shape[-1] > 1 else slice(None)]
+
+    def cut_jet(c):
+        if not isinstance(c, jets.Jet):
+            return cut(c)
+        return jets.Jet(cut(c.f), c.support, cut(c.gs), None if c.hs is None else cut(c.hs))
+    xs, comps = chart
+    return [cut_jet(x) for x in xs], [cut_jet(c) for c in comps]
+
+
 def _integrate(surface, metric, grid, integrands):
-    """Integrals of each integrand (a function of a CurvatureReport) over
-    the quadrature grid, from fundamental_forms over its axes.
+    """Integrals of each integrand over the quadrature grid, from
+    fundamental_forms over its axes.  An integrand is a function of a
+    CurvatureReport that works row by row on its forms and curvatures
+    (not on ``point``), and returns one value per row.
 
     Where no component of the chart map reads both parameters (tried on
-    plain values at 2 x 2 nodes), its jets on the axes stay the size of the
-    axes, and on them ``_orbit_row`` decides, as ``fundamental_forms``
-    does, whether the grid is one orbit (the Clifford torus in the Hopf
-    metrics): an orbit costs one jet pass and one point of forms whatever
-    its size, so it is one ``fundamental_forms`` call over the whole grid,
-    from those jets.  Any other grid costs about 78 planes of its points
-    per block, so it is passed in ``_GRID_CHUNK`` blocks of whole s-rows."""
+    plain values at 2 x 2 nodes), the chart map is seeded once, on the
+    axes, and its jets stay the size of the axes.  On them ``_orbit_row``
+    decides, as ``fundamental_forms`` does, whether the grid is one orbit
+    (the Clifford torus in the Hopf metrics).  On an orbit every density
+    is one number: the jets are cut to the grid's first node and the forms
+    taken there, in one ``fundamental_forms`` call of one point, and each
+    integrand's value is broadcast over the weights and summed as a
+    density of the whole grid would be, bit for bit.  Any other grid
+    costs about 78 planes of its points per block, so it is passed in
+    ``_GRID_CHUNK`` blocks of whole s-rows, each cut from the axis jets
+    where there are any (``_cut_axes``), else seeded on its own rows."""
     ss, tt, ww = _quadrature_grid(surface, grid)
-
-    def densities(s, t, chart=None):
-        rep = fundamental_forms(surface, metric, s, t, chart)
-        shape = np.broadcast_shapes(s.shape, t.shape)
-        return tuple(integrand(rep).reshape(shape) for integrand in integrands)
     mixed = any(np.ndim(c) == 2 and min(np.shape(c)) > 1
                 for c in surface.chart_map(ss[:2], tt[:, :2]))
+    chart = None
     if not mixed:
         xs = jets.variables([ss, tt], order=2)
         chart = xs, surface.chart_map(*xs)
         if _orbit_row(metric.depends_on, chart[1]) is not None:
-            return [float(np.sum(d * ww)) for d in densities(ss, tt, chart)]
-    return [float(np.sum(d * ww)) for d in _grid_eval(densities, ss, tt)]
+            node = slice(0, 1)
+            rep = fundamental_forms(surface, metric, ss[node], tt[:, node],
+                                    _cut_axes(chart, node, node))
+            return [float(np.sum(np.broadcast_to(integrand(rep), ww.shape) * ww))
+                    for integrand in integrands]
+
+    def densities(rows):
+        s = ss[rows]
+        block = None if chart is None else _cut_axes(chart, rows, slice(None))
+        rep = fundamental_forms(surface, metric, s, tt, block)
+        return [integrand(rep).reshape(s.shape[0], tt.shape[1]) for integrand in integrands]
+    parts = [densities(rows) for rows in _row_blocks(*ww.shape)]
+    return [float(np.sum((d[0] if len(d) == 1 else np.concatenate(d)) * ww))
+            for d in zip(*parts)]
 
 
 def _area_density(rep):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from geomlab import chart_tensor as ct
-from geomlab import kernels
+from geomlab import jets, kernels
 from geomlab import line_space as ls
 from geomlab import quadrature
 from geomlab import surface_geom as sg
@@ -184,11 +184,12 @@ def flattened_integrals(surface, metric, grid):
 def test_surface_integrals_over_row_blocks_equal_the_flattened_grid(monkeypatch):
     # the axes are passed in blocks of whole s-rows: the ellipsoid's chart
     # map reads both parameters in one component, so it is cut into
-    # _GRID_CHUNK blocks; the Clifford torus is an orbit, so its grid is one
-    # call although it exceeds 1 << 16 points
+    # _GRID_CHUNK blocks; the Clifford torus is an orbit, so its forms are
+    # one call at the grid's first node although the grid exceeds 1 << 16
+    # points
     cases = [(sg.surface_by_name("ellipsoid"), FLAT, (300, 240), [(34, 240)] * 8 + [(28, 240)]),
              (sg.surface_by_name("clifford"), ct.metric_by_name("hopf-eps-bumped", eps=0.3),
-              (288, 256), [(288, 256)])]
+              (288, 256), [(1, 1)])]
     original = sg.fundamental_forms
     for surface, metric, grid, blocks in cases:
         want = flattened_integrals(surface, metric, grid)
@@ -206,12 +207,18 @@ def test_surface_integrals_over_row_blocks_equal_the_flattened_grid(monkeypatch)
 
 
 def test_one_block_integrals_equal_the_flattened_grid_bit_for_bit():
-    for surface, metric in ((sg.surface_by_name("ellipsoid"), FLAT),
-                            (sg.surface_by_name("clifford"),
-                             ct.metric_by_name("hopf-eps-bumped", eps=0.3))):
-        grid = (96, 80)
-        assert sg._integrate(surface, metric, grid, DENSITIES) == flattened_integrals(
-            surface, metric, grid)
+    ellipsoid = sg.surface_by_name("ellipsoid")
+    assert sg._integrate(ellipsoid, FLAT, (96, 80), DENSITIES) == flattened_integrals(
+        ellipsoid, FLAT, (96, 80))
+    # the Clifford torus is one orbit: its forms are taken at the grid's
+    # first node and broadcast over the weights, at any grid size
+    torus = sg.surface_by_name("clifford")
+    metrics = [ROUND] + [ct.metric_by_name("hopf-eps", eps=eps) for eps in (0.3, 0.6)] + [
+        ct.metric_by_name("hopf-eps-bumped", eps=eps) for eps in (0.03, 0.3)]
+    for metric in metrics:
+        for grid in ((192, 192), (96, 80)):
+            got = sg._integrate(torus, metric, grid, DENSITIES)
+            assert got == flattened_integrals(torus, metric, grid), (metric.name, grid)
 
 
 def test_an_integral_off_an_orbit_allocates_in_grid_chunk_blocks(monkeypatch):
@@ -226,7 +233,8 @@ def test_an_integral_off_an_orbit_allocates_in_grid_chunk_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 256 * 256 * 8
-    # an orbit integral over the same grid is still one fundamental_forms call
+    # an orbit integral over the same grid is one fundamental_forms call, of
+    # the grid's first node
     shapes = []
     original = sg.fundamental_forms
 
@@ -235,13 +243,31 @@ def test_an_integral_off_an_orbit_allocates_in_grid_chunk_blocks(monkeypatch):
         return original(surface, metric, s, t, chart)
     monkeypatch.setattr(sg, "fundamental_forms", recording_forms)
     sg.willmore_and_area(sg.surface_by_name("clifford"), ct.metric_by_name("hopf-eps", eps=0.3))
-    assert shapes == [(256, 256)]
+    assert shapes == [(1, 1)]
 
 
-def test_a_graph_of_one_parameter_off_an_orbit_allocates_in_grid_chunk_blocks():
+def test_an_orbit_integral_peaks_below_two_grid_planes():
+    # the forms of an orbit are taken at one node, so the only grid-sized
+    # array is each integrand's value broadcast against the weights; forms
+    # over the whole grid held its (N, 3) points alone in 3 planes
+    torus = sg.surface_by_name("clifford")
+    metric = ct.metric_by_name("hopf-eps", eps=0.3)
+    sg.willmore_and_area(torus, metric)  # builds the product rule
+    tracemalloc.start()
+    try:
+        sg.willmore_and_area(torus, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 256 * 256 * 8
+
+
+def test_a_graph_of_one_parameter_off_an_orbit_allocates_in_grid_chunk_blocks(monkeypatch):
     # no component of the x^2 graph reads both parameters, but its slope 2x
     # changes along s, so its grid is no orbit: _GRID_CHUNK blocks peak at
-    # 7.8 planes at 256x256 (55 in one block), with the area of one block
+    # 7.8 planes at 256x256 (55 in one block), with the area of one block;
+    # the chart map is seeded once, on the axes, and each block is cut from
+    # those jets
     graph = sg.surface_by_name("graph", expr="x^2")
     sg.area(graph, FLAT)  # builds the product rule
     tracemalloc.start()
@@ -254,6 +280,18 @@ def test_a_graph_of_one_parameter_off_an_orbit_allocates_in_grid_chunk_blocks():
     ss, tt, ww = sg._quadrature_grid(graph, (256, 256))
     one_block = sg.fundamental_forms(graph, FLAT, ss, tt).area_density.reshape(ww.shape)
     assert got == float(np.sum(one_block * ww))
+    seeds, shapes = [], []
+    variables, forms = jets.variables, sg.fundamental_forms
+
+    def recording_forms(surface, metric, s, t, chart=None):
+        shapes.append(np.broadcast_shapes(np.shape(s), np.shape(t)))
+        return forms(surface, metric, s, t, chart)
+    monkeypatch.setattr(jets, "variables",
+                        lambda values, order=2: seeds.append(len(values)) or variables(values, order))
+    monkeypatch.setattr(sg, "fundamental_forms", recording_forms)
+    assert sg.area(graph, FLAT) == got
+    assert seeds == [2]
+    assert shapes == [(31, 258)] * 8 + [(10, 258)]
 
 
 def test_a_metric_passed_twice_is_evaluated_once_per_block():

@@ -352,6 +352,27 @@ def test_willmore_closed_forms():
     assert w6 == pytest.approx(1.6 * np.pi ** 2, rel=1e-10)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.3, 0.6])
+def test_clifford_conformal_willmore_rises_as_its_area_drops(eps):
+    # on a torus the conformally invariant W = integral of (H^2 + Kbar) dA
+    # is (1/2) integral of |A0|^2 dA = (1/4) integral of (k1 - k2)^2 dA
+    # (Gauss equation and Gauss-Bonnet); on the minimal Clifford torus of
+    # hopf-eps it rises to 2 pi^2 / sqrt(1 - eps^2) while the area, and
+    # with it integral of (1 + H^2) dA, drops to 2 sqrt(1 - eps^2) pi^2;
+    # the three integrands share the one-node orbit pass
+    torus = sg.surface_by_name("clifford")
+    metric = ct.metric_by_name("hopf-eps", eps=eps)
+
+    def conformal(rep):
+        return 0.25 * rep.disc_sq * rep.area_density
+    w, a, w_conformal = sg._integrate(torus, metric, (64, 64),
+                                      [sg._willmore_density, sg._area_density, conformal])
+    root = np.sqrt(1.0 - eps ** 2)
+    assert abs(w_conformal - TWO_PI_SQ / root) <= 1e-12 * TWO_PI_SQ / root
+    assert abs(a - TWO_PI_SQ * root) <= 1e-12 * TWO_PI_SQ * root
+    assert w == a
+
+
 @pytest.mark.parametrize("rho0", [0.3, 0.5, 0.6, np.pi / 4])
 def test_willmore_of_round_orbit_tori(rho0):
     # the orbit torus rho = rho0 of the round S^3 has principal curvatures
